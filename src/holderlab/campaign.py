@@ -24,11 +24,12 @@ from .ensembles import (
     ginibre,
     rank_r_steps,
     sample,
+    sample_positive_pairs,
 )
 from .errors import HolderLabError, ParameterError
 from .functions import ScalarFunction, parse_function_spec
 from .norms import Schatten, parse_norm_spec
-from .spectral import as_hermitian, eig_hermitian, op_norm
+from .spectral import as_hermitian, eig_hermitian, from_eigen, op_norm
 from . import verify as V
 
 VERIFIERS = (
@@ -47,6 +48,10 @@ VERIFIERS = (
 
 # verifiers whose ratio carries an exact constant-1 claim
 CONSTANT_ONE_TOL = 1e-8
+
+# complex matrix entries per stack of the batched bks kernel (both matrices
+# of every pair): 32 trials at dim 8, 2 at dim 32, 1 at dim 64
+STACK_ENTRIES = 4096
 
 NEEDS_FUNCTION = {
     "main",
@@ -97,6 +102,10 @@ class CampaignConfig:
         if self.verifier in USES_NORM:
             for text in self.norms:
                 parse_norm_spec(text)
+
+    def cells(self) -> list:
+        """The (theta, p, norm, dim) grid in cell-index order."""
+        return list(product(self.thetas, self.ps, self.norms, self.dims))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -194,21 +203,26 @@ def _default_ensemble(verifier: str) -> dict:
     return {"name": "gaussian_pair"}
 
 
+def _positive_pair(dim: int, ens: dict) -> PositivePair:
+    lo, hi = ens.get("spectrum_range", [0.0, 1.0])
+    return PositivePair(dim, (lo, hi))
+
+
 def sample_inputs(verifier: str, dim: int, seed: SeedState, ensemble: dict | None):
     """Draw the matrices a verifier consumes, tagged with their structure so
     the refinement stage knows how to perturb them."""
     ens = ensemble or _default_ensemble(verifier)
     name = ens.get("name", "gaussian_pair")
-    rng = seed.rng()
 
     def pair_from(name):
         if name == "gaussian_pair":
+            rng = seed.rng()
             return [("herm", gaussian_hermitian(dim, rng)), ("herm", gaussian_hermitian(dim, rng))]
         if name == "positive_pair":
-            lo, hi = ens.get("spectrum_range", [0.0, 1.0])
-            x, y = sample(PositivePair(dim, (lo, hi)), seed)
+            x, y = sample(_positive_pair(dim, ens), seed)
             return [("pos", x), ("pos", y)]
         if name == "general_pair":
+            rng = seed.rng()
             return [("general", ginibre(dim, rng)), ("general", ginibre(dim, rng))]
         if name == "commuting_pair":
             from .ensembles import CommutingPair
@@ -218,6 +232,7 @@ def sample_inputs(verifier: str, dim: int, seed: SeedState, ensemble: dict | Non
         if name == "fixed_pair":
             eigenvalues = ens["eigenvalues"]
             kind = "pos" if min(eigenvalues) >= 0 else "herm"
+            rng = seed.rng()
             x, _, _ = fixed_spectrum(eigenvalues, rng)
             y, _, _ = fixed_spectrum(eigenvalues, rng)
             return [(kind, x), (kind, y)]
@@ -229,10 +244,11 @@ def sample_inputs(verifier: str, dim: int, seed: SeedState, ensemble: dict | Non
         return pair_from(name)
     if verifier == "commutator":
         return [
-            ("herm", gaussian_hermitian(dim, rng)),
+            ("herm", gaussian_hermitian(dim, seed.rng())),
             ("contraction", sample(Contraction(dim), seed.child(1))),
         ]
     if verifier == "quasicommutator":
+        rng = seed.rng()
         return [
             ("herm", gaussian_hermitian(dim, rng)),
             ("herm", gaussian_hermitian(dim, rng)),
@@ -241,7 +257,7 @@ def sample_inputs(verifier: str, dim: int, seed: SeedState, ensemble: dict | Non
     if verifier == "telescope":
         r = int(ens.get("rank", min(dim, 3)))
         lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
-        b, xs, es = rank_r_steps(dim, r, (lo, hi), rng)
+        b, xs, es = rank_r_steps(dim, r, (lo, hi), seed.rng())
         return [("herm", b)] + [("step", (x, e)) for x, e in zip(xs, es)]
     raise ParameterError(f"unknown verifier {verifier!r}")
 
@@ -259,7 +275,7 @@ def _perturb_inputs(inputs, sigma: float, rng: np.random.Generator):
             cand = m + sigma * gaussian_hermitian(n, rng)
             dec = eig_hermitian(as_hermitian(cand))
             vals = np.clip(dec.eigenvalues, 0.0, None)
-            out.append((kind, (dec.basis * vals) @ dec.basis.conj().T))
+            out.append((kind, from_eigen(dec.basis, vals)))
         elif kind == "general":
             out.append((kind, m + sigma * ginibre(n, rng)))
         elif kind == "contraction":
@@ -276,12 +292,13 @@ def run_single(
     f: ScalarFunction | None,
     theta: float,
     p: float,
-    norm_str: str,
+    spec,
     inputs,
     digest: str,
     sem_cache: dict,
 ) -> V.VerificationRecord:
-    """Dispatch one verification on pre-sampled inputs."""
+    """Dispatch one verification on pre-sampled inputs; ``spec`` is the
+    cell's parsed norm (None for verifiers that use no norm)."""
     mats = [m for k, m in inputs if k != "step"]
     if verifier == "main":
         return V.verify_main(f, theta, p, mats[0], mats[1], sem_cache, digest)
@@ -289,27 +306,21 @@ def run_single(
         _, rec = V.verify_submajorization(f, theta, p, mats[0], mats[1], sem_cache, digest)
         return rec
     if verifier == "bks":
-        return V.verify_bks(theta, parse_norm_spec(norm_str), mats[0], mats[1], digest)
+        return V.verify_bks(theta, spec, mats[0], mats[1], digest)
     if verifier == "symmetric":
-        return V.verify_symmetric(
-            f, theta, p, parse_norm_spec(norm_str), mats[0], mats[1], sem_cache, digest
-        )
+        return V.verify_symmetric(f, theta, p, spec, mats[0], mats[1], sem_cache, digest)
     if verifier == "inverse":
-        return V.verify_inverse(
-            f, theta, p, parse_norm_spec(norm_str), mats[0], mats[1], sem_cache, digest
-        )
+        return V.verify_inverse(f, theta, p, spec, mats[0], mats[1], sem_cache, digest)
     if verifier == "reverse":
         raise ParameterError("reverse needs the variant; use run_single_reverse")
     if verifier == "commutator":
-        return V.verify_commutator(
-            f, theta, p, parse_norm_spec(norm_str), mats[0], mats[1], sem_cache, digest
-        )
+        return V.verify_commutator(f, theta, p, spec, mats[0], mats[1], sem_cache, digest)
     if verifier == "quasicommutator":
         return V.verify_quasi_commutator(
-            f, theta, p, parse_norm_spec(norm_str), mats[0], mats[1], mats[2], sem_cache, digest
+            f, theta, p, spec, mats[0], mats[1], mats[2], sem_cache, digest
         )
     if verifier == "absmap":
-        return V.verify_abs_map(parse_norm_spec(norm_str), p, mats[0], mats[1], digest)
+        return V.verify_abs_map(spec, p, mats[0], mats[1], digest)
     if verifier == "alt":
         report = doi.alt_check(mats[0], mats[1], theta, p)
         violation = max(0.0, -report.margin)
@@ -329,13 +340,13 @@ def run_single(
     raise ParameterError(f"unknown verifier {verifier!r}")
 
 
-def _run_dispatch(config: CampaignConfig, f, theta, p, norm_str, inputs, digest, sem_cache):
+def _run_dispatch(config: CampaignConfig, f, theta, p, spec, inputs, digest, sem_cache):
     if config.verifier == "reverse":
         mats = [m for k, m in inputs if k != "step"]
         return V.verify_reverse_power(
-            theta, p, parse_norm_spec(norm_str), mats[0], mats[1], config.variant, digest
+            theta, p, spec, mats[0], mats[1], config.variant, digest
         )
-    return run_single(config.verifier, f, theta, p, norm_str, inputs, digest, sem_cache)
+    return run_single(config.verifier, f, theta, p, spec, inputs, digest, sem_cache)
 
 
 def constant_one_claim(config: CampaignConfig, norm_str: str, p: float) -> bool:
@@ -361,6 +372,88 @@ def _matrix_payload(m: np.ndarray):
     return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
 
 
+def _cell_spec(config: CampaignConfig, norm_str: str):
+    return parse_norm_spec(norm_str) if config.verifier in USES_NORM else None
+
+
+def _trial_seed(config: CampaignConfig, cell_idx: int, trial: int) -> SeedState:
+    return SeedState(config.seed, (0, cell_idx, trial))
+
+
+def _digest(config: CampaignConfig, cell_idx: int, trial: int, dim) -> str:
+    return f"{config.seed}:{cell_idx}:{trial}:dim{dim}"
+
+
+def _scalar_trial(config, f, cell_idx, cell, spec, trial, sem_cache):
+    """One trial on the per-trial path: (inputs, record).  This is the oracle
+    that replay runs; a failed trial raises its HolderLabError."""
+    theta, p, _, dim = cell
+    seed = _trial_seed(config, cell_idx, trial)
+    inputs = sample_inputs(config.verifier, dim, seed, config.ensemble)
+    digest = _digest(config, cell_idx, trial, dim)
+    return inputs, _run_dispatch(config, f, theta, p, spec, inputs, digest, sem_cache)
+
+
+def _stack_size(config: CampaignConfig, theta, spec, dim) -> int:
+    """Trials per stack of the batched bks kernel for this cell, or 0 when
+    the cell takes the per-trial path (another verifier or ensemble, or
+    parameters that fail every trial)."""
+    ens = config.ensemble or _default_ensemble(config.verifier)
+    if config.verifier != "bks" or ens.get("name") != "positive_pair" or dim < 1:
+        return 0
+    try:
+        V.check_bks_params(theta, spec)
+    except ParameterError:
+        return 0
+    return max(1, STACK_ENTRIES // (2 * dim * dim))
+
+
+def trial_outcomes(config: CampaignConfig, cell_idx: int, f, sem_cache: dict):
+    """Yield (trial, inputs, record) for every trial of one cell, in trial
+    order; inputs and record are None for a failed trial.
+
+    bks cells on positive pairs are evaluated chunk by chunk: each trial
+    still draws from its own seed, and the chunk's pairs run through the
+    batched kernel together.  A trial the kernel's checks reject, and every
+    trial of other cells, takes the per-trial path that replay runs, so each
+    record equals replay(config, cell_idx, trial) bit for bit.
+    """
+    cell = config.cells()[cell_idx]
+    theta, _, norm_str, dim = cell
+    spec = _cell_spec(config, norm_str)
+
+    def scalar(trial):
+        try:
+            return _scalar_trial(config, f, cell_idx, cell, spec, trial, sem_cache)
+        except HolderLabError:
+            return None, None
+
+    size = _stack_size(config, theta, spec, dim)
+    if not size:
+        for trial in range(config.trials):
+            yield (trial, *scalar(trial))
+        return
+    pair_spec = _positive_pair(dim, config.ensemble or _default_ensemble(config.verifier))
+    for start in range(0, config.trials, size):
+        trials = range(start, min(start + size, config.trials))
+        try:
+            pairs = sample_positive_pairs(
+                pair_spec, [_trial_seed(config, cell_idx, t) for t in trials]
+            )
+            digests = [_digest(config, cell_idx, t, dim) for t in trials]
+            records = V.verify_bks_stack(theta, spec, pairs, digests)
+        except (ParameterError, np.linalg.LinAlgError):
+            # a bad spectrum range or a failed SVD: the per-trial path
+            # reproduces the failure trial by trial
+            records = [None] * len(trials)
+        for i, (trial, rec) in enumerate(zip(trials, records)):
+            if rec is None:
+                yield (trial, *scalar(trial))
+            else:
+                x, y = pairs[i].copy()  # kept inputs must not pin the stack
+                yield trial, [("pos", x), ("pos", y)], rec
+
+
 def run_campaign(config: CampaignConfig):
     """Execute the campaign; returns (CampaignReport, counterexamples).
 
@@ -371,18 +464,13 @@ def run_campaign(config: CampaignConfig):
     sem_cache: dict = {}
     cells = []
     counterexamples = []
-    grid = list(product(config.thetas, config.ps, config.norms, config.dims))
-    for cell_idx, (theta, p, norm_str, dim) in enumerate(grid):
+    for cell_idx, (theta, p, norm_str, dim) in enumerate(config.cells()):
+        claimed = constant_one_claim(config, norm_str, p)
         ratios = []
         failures = 0
         best = (-np.inf, -1, None)  # ratio, trial, inputs
-        for trial in range(config.trials):
-            seed = SeedState(config.seed, (0, cell_idx, trial))
-            digest = f"{config.seed}:{cell_idx}:{trial}:dim{dim}"
-            try:
-                inputs = sample_inputs(config.verifier, dim, seed, config.ensemble)
-                rec = _run_dispatch(config, f, theta, p, norm_str, inputs, digest, sem_cache)
-            except HolderLabError:
+        for trial, inputs, rec in trial_outcomes(config, cell_idx, f, sem_cache):
+            if rec is None:
                 failures += 1
                 continue
             # rhs = 0 records carry the 0/0 convention and stay out of the
@@ -391,7 +479,6 @@ def run_campaign(config: CampaignConfig):
                 ratios.append(rec.ratio)
                 if rec.ratio > best[0]:
                     best = (rec.ratio, trial, inputs)
-            claimed = constant_one_claim(config, norm_str, p)
             if rec.flagged or (claimed and violates_constant_one(rec, config.verifier)):
                 counterexamples.append(
                     {
@@ -409,11 +496,9 @@ def run_campaign(config: CampaignConfig):
         trajectory = ()
         if config.refine_steps > 0 and best[2] is not None:
             refined_max, trajectory = _greedy_refine(
-                config, f, theta, p, norm_str, best, cell_idx, sem_cache
+                config, f, theta, p, _cell_spec(config, norm_str), best, cell_idx, sem_cache
             )
-        digest = (
-            f"{config.seed}:{cell_idx}:{best[1]}:dim{dim}" if best[1] >= 0 else "none"
-        )
+        digest = _digest(config, cell_idx, best[1], dim) if best[1] >= 0 else "none"
         cells.append(
             CellReport(
                 theta=float(theta),
@@ -434,7 +519,7 @@ def run_campaign(config: CampaignConfig):
     return CampaignReport(config=config, cells=tuple(cells)), counterexamples
 
 
-def _greedy_refine(config, f, theta, p, norm_str, best, cell_idx, sem_cache):
+def _greedy_refine(config, f, theta, p, spec, best, cell_idx, sem_cache):
     """Hill-climb from the argmax instance with shrinking Gaussian steps."""
     ratio, _, inputs = best
     scale = max((op_norm(m) for k, m in inputs if k != "step"), default=1.0)
@@ -444,7 +529,7 @@ def _greedy_refine(config, f, theta, p, norm_str, best, cell_idx, sem_cache):
         rng = SeedState(config.seed, (1, cell_idx, step)).rng()
         try:
             cand = _perturb_inputs(inputs, sigma, rng)
-            rec = _run_dispatch(config, f, theta, p, norm_str, cand, "refine", sem_cache)
+            rec = _run_dispatch(config, f, theta, p, spec, cand, "refine", sem_cache)
         except HolderLabError:
             sigma *= 0.5
             continue
@@ -459,10 +544,7 @@ def _greedy_refine(config, f, theta, p, norm_str, best, cell_idx, sem_cache):
 
 def replay(config: CampaignConfig, cell_idx: int, trial: int) -> V.VerificationRecord:
     """Re-run one (cell, trial) pair of a campaign; reproduces the record."""
-    grid = list(product(config.thetas, config.ps, config.norms, config.dims))
-    theta, p, norm_str, dim = grid[cell_idx]
+    cell = config.cells()[cell_idx]
     f = parse_function_spec(config.function) if config.function else None
-    seed = SeedState(config.seed, (0, cell_idx, trial))
-    digest = f"{config.seed}:{cell_idx}:{trial}:dim{dim}"
-    inputs = sample_inputs(config.verifier, dim, seed, config.ensemble)
-    return _run_dispatch(config, f, theta, p, norm_str, inputs, digest, {})
+    spec = _cell_spec(config, cell[2])
+    return _scalar_trial(config, f, cell_idx, cell, spec, trial, {})[1]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import op_norm
+from .spectral import from_eigen, op_norm
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,26 @@ def _check_dim(dim):
 
 def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Matrix of i.i.d. standard complex Gaussians."""
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    return _complex_gaussian(rng.standard_normal((2, dim, dim)))
+
+
+def _complex_gaussian(z: np.ndarray) -> np.ndarray:
+    """(re + i im) / sqrt(2) from real standard Gaussians stacked as
+    (..., 2, n, n) with re at index 0 and im at index 1 of axis -3."""
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix with the R diagonal
     phase divided out (plain QR is biased)."""
-    q, r = np.linalg.qr(ginibre(dim, rng))
-    d = np.diagonal(r)
-    ph = d / np.abs(d)
-    return q * ph
+    return _unitary_from_ginibre(ginibre(dim, rng))
+
+
+def _unitary_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack (..., n, n) of Ginibre matrices."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -118,7 +128,7 @@ def fixed_spectrum(eigenvalues, rng: np.random.Generator, haar_basis: bool = Tru
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     n = lam.size
     u = haar_unitary(n, rng) if haar_basis else np.eye(n, dtype=complex)
-    return (u * lam) @ u.conj().T, lam, u
+    return from_eigen(u, lam), lam, u
 
 
 def rank_r_steps(dim: int, r: int, magnitudes_range, rng: np.random.Generator):
@@ -138,8 +148,34 @@ def rank_r_steps(dim: int, r: int, magnitudes_range, rng: np.random.Generator):
     return b, list(xs), es
 
 
+def sample_positive_pairs(spec: PositivePair, seeds) -> np.ndarray:
+    """Draw one PositivePair per seed, stacked as (len(seeds), 2, n, n).
+
+    Each seed draws exactly what ``sample(spec, seed)`` draws, in the same
+    order (spectrum of X, Ginibre of X's basis, then the same for Y); the
+    QR, phase and reconstruction then run once over the whole stack.
+    """
+    _check_dim(spec.dim)
+    lo, hi = spec.spectrum_range
+    if not (0 <= lo < hi):
+        raise ParameterError(f"bad positive spectrum range {spec.spectrum_range}")
+    n = spec.dim
+    lam = np.empty((len(seeds), 2, n))
+    z = np.empty((len(seeds), 2, 2, n, n))
+    for i, seed in enumerate(seeds):
+        rng = seed.rng()
+        for j in range(2):
+            lam[i, j] = rng.uniform(lo, hi, n)
+            rng.standard_normal(out=z[i, j])  # the draws of ginibre(n, rng)
+    lam.sort(axis=-1)
+    return from_eigen(_unitary_from_ginibre(_complex_gaussian(z)), lam)
+
+
 def sample(spec: EnsembleSpec, seed: SeedState):
     """Draw from an ensemble.  Pair ensembles return a tuple of matrices."""
+    if isinstance(spec, PositivePair):
+        x, y = sample_positive_pairs(spec, [seed])[0]
+        return x, y
     rng = seed.rng()
     if isinstance(spec, GaussianHermitian):
         _check_dim(spec.dim)
@@ -147,14 +183,6 @@ def sample(spec: EnsembleSpec, seed: SeedState):
     if isinstance(spec, FixedSpectrum):
         m, _, _ = fixed_spectrum(spec.eigenvalues, rng, spec.haar_basis)
         return m
-    if isinstance(spec, PositivePair):
-        _check_dim(spec.dim)
-        lo, hi = spec.spectrum_range
-        if not (0 <= lo < hi):
-            raise ParameterError(f"bad positive spectrum range {spec.spectrum_range}")
-        x, _, _ = fixed_spectrum(rng.uniform(lo, hi, spec.dim), rng)
-        y, _, _ = fixed_spectrum(rng.uniform(lo, hi, spec.dim), rng)
-        return x, y
     if isinstance(spec, RankRDifference):
         _check_dim(spec.dim)
         b, xs, es = rank_r_steps(spec.dim, spec.r, spec.magnitudes_range, rng)
@@ -175,7 +203,7 @@ def sample(spec: EnsembleSpec, seed: SeedState):
         u = haar_unitary(spec.dim, rng)
         la = np.sort(rng.standard_normal(spec.dim))
         lb = np.sort(rng.standard_normal(spec.dim))
-        return (u * la) @ u.conj().T, (u * lb) @ u.conj().T
+        return from_eigen(u, la), from_eigen(u, lb)
     if isinstance(spec, Contraction):
         _check_dim(spec.dim)
         g = ginibre(spec.dim, rng)

@@ -15,6 +15,7 @@ from .errors import DomainError, EigensolverError, ShapeError
 
 HERMITIAN_TOL = 1e-10
 RECON_TOL = 1e-10
+PSD_TOL = 1e-10
 ZERO_TOL_COEFF = 1e-12
 
 
@@ -32,17 +33,27 @@ def as_square(a) -> np.ndarray:
     return m
 
 
+def hermitian_stack(a, tol: float = HERMITIAN_TOL):
+    """Hermitian check on a stack (..., n, n): returns the symmetrizations
+    (a + a*)/2 and, per item, the ok mask, the deviation max|a - a*| and the
+    scale max(1, max|a|); an item is ok when its deviation is within ``tol``
+    times its scale."""
+    m = np.asarray(a, dtype=complex)
+    mh = np.swapaxes(m.conj(), -1, -2)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    dev = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
+    return 0.5 * (m + mh), ~(dev > tol * scale), dev, scale
+
+
 def as_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate that ``a`` is Hermitian within ``tol`` (relative) and return
     its symmetrization (a + a*)/2."""
-    m = as_square(a)
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    dev = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if dev > tol * scale:
+    h, ok, dev, scale = hermitian_stack(as_square(a), tol)
+    if not ok:
         raise DomainError(
             f"matrix is not Hermitian: deviation {dev:.3e} exceeds {tol:.1e} * {scale:.3e}"
         )
-    return 0.5 * (m + m.conj().T)
+    return h
 
 
 def op_norm(a) -> float:
@@ -53,35 +64,60 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def from_eigen(basis, values) -> np.ndarray:
+    """(basis * values) @ basis*, over a stack (..., n, n) of bases: the
+    matrices with these eigenvectors and eigenvalues."""
+    return (basis * values[..., None, :]) @ np.swapaxes(basis.conj(), -1, -2)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues in ascending order and a unitary basis of eigenvectors."""
+    """Eigenvalues in ascending order and a unitary basis of eigenvectors;
+    both may carry leading stack axes."""
 
     eigenvalues: np.ndarray  # real, ascending
     basis: np.ndarray        # columns are eigenvectors
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def matrix(self) -> np.ndarray:
-        return (self.basis * self.eigenvalues) @ self.basis.conj().T
+        return from_eigen(self.basis, self.eigenvalues)
+
+
+def eigh_stack(h, tol: float = RECON_TOL):
+    """Eigendecomposition of a stack (..., n, n) of exactly Hermitian
+    matrices with the reconstruction check: returns the decomposition, its
+    reconstruction, and per item the ok mask and the residual max|recon - h|;
+    an item is ok when its residual is within ``tol`` * (1 + max|lambda|).
+    ``numpy.linalg.LinAlgError`` from the eigensolver propagates."""
+    vals, vecs = np.linalg.eigh(h)
+    dec = SpectralDecomposition(vals, vecs)
+    recon = dec.matrix()
+    scale = 1.0 + np.abs(vals).max(axis=-1, initial=0.0)
+    residual = np.abs(recon - h).max(axis=(-2, -1), initial=0.0)
+    return dec, recon, ~(residual > tol * scale), residual
+
+
+def psd_stack(eigenvalues, tol: float = PSD_TOL) -> np.ndarray:
+    """Per-item ok mask of the positive-semidefinite check on a stack (..., n)
+    of eigenvalues: none lies below -``tol`` * (1 + max|lambda|)."""
+    bound = tol * (1.0 + np.abs(eigenvalues).max(axis=-1, initial=0.0))
+    return ~(eigenvalues.min(axis=-1, initial=0.0) < -bound)
 
 
 def eig_hermitian(a, tol: float = RECON_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with a reconstruction check."""
     m = as_hermitian(a)
     try:
-        vals, vecs = np.linalg.eigh(m)
+        dec, _, ok, residual = eigh_stack(m, tol)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigh failed to converge: {exc}") from exc
-    dec = SpectralDecomposition(vals, vecs)
-    scale = 1.0 + (float(np.abs(vals).max()) if vals.size else 0.0)
-    residual = float(np.abs(dec.matrix() - m).max(initial=0.0))
-    if residual > tol * scale:
+    if not ok:
         raise EigensolverError(
             f"eigendecomposition reconstruction residual {residual:.3e} exceeds tolerance",
-            residual=residual,
+            residual=float(residual),
         )
     return dec
 
@@ -103,7 +139,7 @@ def apply_function(f, a, dec: SpectralDecomposition | None = None) -> np.ndarray
     if not np.all(np.isfinite(fv)):
         bad = dec.eigenvalues[~np.isfinite(fv)]
         raise DomainError(f"function undefined at eigenvalue(s) {bad[:4]}")
-    out = (dec.basis * fv) @ dec.basis.conj().T
+    out = from_eigen(dec.basis, fv)
     if np.abs(fv.imag).max(initial=0.0) == 0.0:
         out = 0.5 * (out + out.conj().T)
     return out
@@ -112,7 +148,7 @@ def apply_function(f, a, dec: SpectralDecomposition | None = None) -> np.ndarray
 def spectral_projection(dec: SpectralDecomposition, lo: float, hi: float) -> np.ndarray:
     """Projection onto eigenvectors with eigenvalue in the half-open [lo, hi)."""
     mask = (dec.eigenvalues >= lo) & (dec.eigenvalues < hi)
-    return (dec.basis * mask.astype(float)) @ dec.basis.conj().T
+    return from_eigen(dec.basis, mask.astype(float))
 
 
 def support_parts(dec: SpectralDecomposition, zero_tol: float | None = None):
@@ -126,10 +162,9 @@ def support_parts(dec: SpectralDecomposition, zero_tol: float | None = None):
     plus = lam > zero_tol
     minus = lam < -zero_tol
     kern = ~(plus | minus)
-    u = dec.basis
 
     def proj(mask):
-        return (u * mask.astype(float)) @ u.conj().T
+        return from_eigen(dec.basis, mask.astype(float))
 
     return proj(plus), proj(minus), proj(kern)
 
@@ -187,8 +222,7 @@ def power_abs(a, theta: float, dec: SpectralDecomposition | None = None) -> np.n
     """|A|^theta for Hermitian A."""
     if dec is None:
         dec = eig_hermitian(a)
-    fv = np.abs(dec.eigenvalues) ** theta
-    return (dec.basis * fv) @ dec.basis.conj().T
+    return from_eigen(dec.basis, np.abs(dec.eigenvalues) ** theta)
 
 
 def signed_power_matrix(a, theta: float, dec: SpectralDecomposition | None = None) -> np.ndarray:
@@ -196,4 +230,4 @@ def signed_power_matrix(a, theta: float, dec: SpectralDecomposition | None = Non
     if dec is None:
         dec = eig_hermitian(a)
     fv = np.sign(dec.eigenvalues) * np.abs(dec.eigenvalues) ** theta
-    return (dec.basis * fv) @ dec.basis.conj().T
+    return from_eigen(dec.basis, fv)

@@ -37,7 +37,11 @@ from .spectral import (
     commutator,
     dilate_2x2,
     eig_hermitian,
+    eigh_stack,
+    from_eigen,
+    hermitian_stack,
     op_norm,
+    psd_stack,
     signed_power_matrix,
 )
 
@@ -56,13 +60,16 @@ class VerificationRecord:
 
 
 def make_record(name, lhs, rhs, abs_tol, digest="", constant=None) -> VerificationRecord:
+    """Record with ratio = lhs / rhs, 0/0 -> 0.  A record with rhs <= 0 is
+    flagged when lhs exceeds ``abs_tol``: a float, or a zero-argument
+    callable that computes it, called only for such records."""
     lhs, rhs = float(lhs), float(rhs)
     if rhs > 0.0:
         ratio = lhs / rhs
         flagged = False
     else:
         ratio = 0.0
-        flagged = lhs > abs_tol
+        flagged = lhs > (abs_tol() if callable(abs_tol) else abs_tol)
     return VerificationRecord(
         name=name,
         lhs=lhs,
@@ -75,8 +82,14 @@ def make_record(name, lhs, rhs, abs_tol, digest="", constant=None) -> Verificati
 
 
 def _abs_tol(dim, *mats):
-    scale = max((op_norm(m) for m in mats), default=0.0)
-    return ABS_TOL_COEFF * dim * (1.0 + scale)
+    """The flagging tolerance of a record on these inputs, deferred: it costs
+    an SVD per matrix and make_record needs it only when rhs <= 0."""
+
+    def tol():
+        scale = max((op_norm(m) for m in mats), default=0.0)
+        return ABS_TOL_COEFF * dim * (1.0 + scale)
+
+    return tol
 
 
 def _seminorm_value(f, d, theta, cache=None, grid: GridSpec = GridSpec()):
@@ -103,16 +116,14 @@ def _check_fully_symmetric(spec):
     )
 
 
-def _positive_part(m, label):
+def _check_positive(m, label):
+    """The checks verify_bks makes on one matrix, raising the first failure."""
     dec = eig_hermitian(as_hermitian(m))
-    tol = 1e-10 * (1.0 + float(np.abs(dec.eigenvalues).max(initial=0.0)))
-    if dec.eigenvalues.min(initial=0.0) < -tol:
+    if not psd_stack(dec.eigenvalues):
         raise DomainError(
             f"{label} must be positive semidefinite (min eigenvalue "
             f"{dec.eigenvalues.min():.3e})"
         )
-    vals = np.clip(dec.eigenvalues, 0.0, None)
-    return dec, vals
 
 
 # --- the difference estimates ---------------------------------------------------
@@ -132,20 +143,56 @@ def verify_main(f: ScalarFunction, theta, p, a, b, sem_cache=None, digest="") ->
     return make_record("main", lhs, rhs, _abs_tol(am.shape[0], am, bm), digest)
 
 
-def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
-    """||X^theta - Y^theta|| versus || |X-Y|^theta || for positive X, Y in a
-    fully symmetric norm; the expected constant is exactly 1."""
+def check_bks_params(theta, spec: NormSpec):
+    """Raise ParameterError unless theta lies in (0,1) and spec is fully
+    symmetric."""
     if not 0.0 < theta < 1.0:
         raise ParameterError(f"theta must lie in (0,1), got {theta}")
     _check_fully_symmetric(spec)
-    dec_x, vx = _positive_part(x, "X")
-    dec_y, vy = _positive_part(y, "Y")
-    x_t = (dec_x.basis * vx ** theta) @ dec_x.basis.conj().T
-    y_t = (dec_y.basis * vy ** theta) @ dec_y.basis.conj().T
-    lhs = norm(x_t - y_t, spec)
-    diff = dec_x.matrix() - dec_y.matrix()
-    rhs = norm_of_profile(_theta_profile(diff, theta), spec)
-    return make_record("bks", lhs, rhs, _abs_tol(diff.shape[0], x, y), digest)
+
+
+def verify_bks_stack(theta, spec: NormSpec, pairs, digests) -> list:
+    """verify_bks over a stack (T, 2, n, n) of (X, Y) pairs in one batched
+    pass: one record per pair, or None where the Hermitian, reconstruction
+    or positivity check failed (verify_bks raises on that pair).
+    ``numpy.linalg.LinAlgError`` from the SVD propagates."""
+    check_bks_params(theta, spec)
+    h, ok, _, _ = hermitian_stack(pairs)
+    try:
+        dec, recon, eig_ok, _ = eigh_stack(h)
+    except np.linalg.LinAlgError:
+        return [None] * len(pairs)
+    ok = (ok & eig_ok & psd_stack(dec.eigenvalues)).all(axis=-1)
+    with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
+        powered = from_eigen(dec.basis, np.clip(dec.eigenvalues, 0.0, None) ** theta)
+        diffs = np.stack([powered[:, 0] - powered[:, 1], recon[:, 0] - recon[:, 1]], axis=1)
+        sv = np.linalg.svd(diffs, compute_uv=False)
+    n = pairs.shape[-1]
+    return [
+        make_record(
+            "bks",
+            norm_of_profile(s_lhs, spec),
+            norm_of_profile(s_rhs ** theta, spec),
+            _abs_tol(n, x, y),
+            digest,
+        )
+        if good
+        else None
+        for (s_lhs, s_rhs), good, (x, y), digest in zip(sv, ok, pairs, digests)
+    ]
+
+
+def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
+    """||X^theta - Y^theta|| versus || |X-Y|^theta || for positive X, Y in a
+    fully symmetric norm; the expected constant is exactly 1."""
+    check_bks_params(theta, spec)
+    pair = np.stack([as_square(x), as_square(y)])
+    (rec,) = verify_bks_stack(theta, spec, pair[None], [digest])
+    if rec is None:
+        # the per-matrix form of the failed check raises its exception
+        _check_positive(x, "X")
+        _check_positive(y, "Y")
+    return rec
 
 
 def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, digest=""):
@@ -237,7 +284,7 @@ def inverse_apply(f: ScalarFunction, m) -> np.ndarray:
     else:
         raise DomainError(f"{f.name} is not strictly monotone on the sampled range")
     vals = np.array([_bisect_inverse(f, float(v), increasing) for v in lam])
-    return (dec.basis * vals) @ dec.basis.conj().T
+    return from_eigen(dec.basis, vals)
 
 
 def verify_inverse(
