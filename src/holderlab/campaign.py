@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from itertools import product
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -74,6 +75,17 @@ USES_NORM = {
 }
 
 
+# the grid axes of a config and the type of their entries
+GRID_KEYS = {"thetas": Real, "ps": Real, "norms": str, "dims": Integral}
+
+
+def _check_integer(key, value, least):
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{key} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{key} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     verifier: str
@@ -91,10 +103,23 @@ class CampaignConfig:
     def __post_init__(self):
         if self.verifier not in VERIFIERS:
             raise ParameterError(f"unknown verifier {self.verifier!r}; known: {VERIFIERS}")
-        if not (self.thetas and self.ps and self.norms and self.dims):
-            raise ParameterError("thetas, ps, norms, and dims must be non-empty")
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
+        for key, kind in GRID_KEYS.items():
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)):
+                raise ParameterError(f"{key} must be a list, got {values!r}")
+            if not values:
+                raise ParameterError("thetas, ps, norms, and dims must be non-empty")
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    raise ParameterError(f"{key} holds {v!r}, not a {kind.__name__}")
+        if min(self.dims) < 1:
+            raise ParameterError(f"dims must be >= 1, got {min(self.dims)}")
+        for key, least in (("trials", 1), ("seed", 0), ("refine_steps", 0)):
+            _check_integer(key, getattr(self, key), least)
+        if not isinstance(self.function, (str, type(None))):
+            raise ParameterError(f"function must be a spec string, got {self.function!r}")
+        if not isinstance(self.ensemble, (dict, type(None))):
+            raise ParameterError(f"ensemble must be an object, got {self.ensemble!r}")
         if self.verifier in NEEDS_FUNCTION and not self.function:
             raise ParameterError(f"verifier {self.verifier!r} requires a function spec")
         if self.function:
@@ -109,7 +134,7 @@ class CampaignConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for key in ("thetas", "ps", "norms", "dims"):
+        for key in GRID_KEYS:
             d[key] = list(d[key])
         return d
 
@@ -125,8 +150,9 @@ class CampaignConfig:
         if missing:
             raise ParameterError(f"missing config keys: {missing}")
         d = dict(d)
-        for key in ("thetas", "ps", "norms", "dims"):
-            d[key] = tuple(d[key])
+        for key in GRID_KEYS:
+            if isinstance(d[key], list):
+                d[key] = tuple(d[key])
         return cls(**d)
 
 
@@ -296,9 +322,11 @@ def run_single(
     inputs,
     digest: str,
     sem_cache: dict,
+    variant: str = "power",
 ) -> V.VerificationRecord:
     """Dispatch one verification on pre-sampled inputs; ``spec`` is the
-    cell's parsed norm (None for verifiers that use no norm)."""
+    cell's parsed norm (None for verifiers that use no norm) and ``variant``
+    the flavour of the reverse verifier."""
     mats = [m for k, m in inputs if k != "step"]
     if verifier == "main":
         return V.verify_main(f, theta, p, mats[0], mats[1], sem_cache, digest)
@@ -312,7 +340,7 @@ def run_single(
     if verifier == "inverse":
         return V.verify_inverse(f, theta, p, spec, mats[0], mats[1], sem_cache, digest)
     if verifier == "reverse":
-        raise ParameterError("reverse needs the variant; use run_single_reverse")
+        return V.verify_reverse_power(theta, p, spec, mats[0], mats[1], variant, digest)
     if verifier == "commutator":
         return V.verify_commutator(f, theta, p, spec, mats[0], mats[1], sem_cache, digest)
     if verifier == "quasicommutator":
@@ -338,15 +366,6 @@ def run_single(
         steps = [m for k, m in inputs if k == "step"]
         return V.telescope_finite_rank(f, theta, p, b, steps, digest).record
     raise ParameterError(f"unknown verifier {verifier!r}")
-
-
-def _run_dispatch(config: CampaignConfig, f, theta, p, spec, inputs, digest, sem_cache):
-    if config.verifier == "reverse":
-        mats = [m for k, m in inputs if k != "step"]
-        return V.verify_reverse_power(
-            theta, p, spec, mats[0], mats[1], config.variant, digest
-        )
-    return run_single(config.verifier, f, theta, p, spec, inputs, digest, sem_cache)
 
 
 def constant_one_claim(config: CampaignConfig, norm_str: str, p: float) -> bool:
@@ -391,32 +410,68 @@ def _scalar_trial(config, f, cell_idx, cell, spec, trial, sem_cache):
     seed = _trial_seed(config, cell_idx, trial)
     inputs = sample_inputs(config.verifier, dim, seed, config.ensemble)
     digest = _digest(config, cell_idx, trial, dim)
-    return inputs, _run_dispatch(config, f, theta, p, spec, inputs, digest, sem_cache)
+    record = run_single(
+        config.verifier, f, theta, p, spec, inputs, digest, sem_cache, config.variant
+    )
+    return inputs, record
 
 
 def _stack_size(config: CampaignConfig, theta, spec, dim) -> int:
-    """Trials per stack of the batched bks kernel for this cell, or 0 when
-    the cell takes the per-trial path (another verifier or ensemble, or
-    parameters that fail every trial)."""
+    """Trials per stack of the cell's batched kernel, or 0 when the cell
+    takes the per-trial path (a verifier or ensemble without one, or
+    parameters that fail every trial).  The config guarantees dim >= 1."""
     ens = config.ensemble or _default_ensemble(config.verifier)
-    if config.verifier != "bks" or ens.get("name") != "positive_pair" or dim < 1:
+    if config.verifier == "bks" and ens.get("name") == "positive_pair":
+        check = V.check_bks_params
+    elif config.verifier == "inverse":
+        check = V.check_inverse_params
+    else:
         return 0
     try:
-        V.check_bks_params(theta, spec)
+        check(theta, spec)
     except ParameterError:
         return 0
     return max(1, STACK_ENTRIES // (2 * dim * dim))
+
+
+def _bks_chunk(config, cell_idx, cell, spec, trials, f, sem_cache):
+    """Inputs and records of a chunk of bks trials on positive pairs: the
+    pairs are drawn by the stacked sampler."""
+    theta, _, _, dim = cell
+    pair_spec = _positive_pair(dim, config.ensemble or _default_ensemble(config.verifier))
+    pairs = sample_positive_pairs(pair_spec, [_trial_seed(config, cell_idx, t) for t in trials])
+    digests = [_digest(config, cell_idx, t, dim) for t in trials]
+    records = V.verify_bks_stack(theta, spec, pairs, digests)
+    # kept inputs must not pin the stack
+    return [[("pos", x.copy()), ("pos", y.copy())] for x, y in pairs], records
+
+
+def _inverse_chunk(config, cell_idx, cell, spec, trials, f, sem_cache):
+    """Inputs and records of a chunk of inverse trials: each trial draws its
+    own inputs, and the stacked kernel runs on the pairs they hold."""
+    theta, p, _, dim = cell
+    inputs = [
+        sample_inputs(config.verifier, dim, _trial_seed(config, cell_idx, t), config.ensemble)
+        for t in trials
+    ]
+    pairs = np.stack([[m for _, m in inp] for inp in inputs])
+    digests = [_digest(config, cell_idx, t, dim) for t in trials]
+    return inputs, V.verify_inverse_stack(f, theta, p, spec, pairs, digests, sem_cache)
+
+
+STACK_KERNELS = {"bks": _bks_chunk, "inverse": _inverse_chunk}
 
 
 def trial_outcomes(config: CampaignConfig, cell_idx: int, f, sem_cache: dict):
     """Yield (trial, inputs, record) for every trial of one cell, in trial
     order; inputs and record are None for a failed trial.
 
-    bks cells on positive pairs are evaluated chunk by chunk: each trial
-    still draws from its own seed, and the chunk's pairs run through the
-    batched kernel together.  A trial the kernel's checks reject, and every
-    trial of other cells, takes the per-trial path that replay runs, so each
-    record equals replay(config, cell_idx, trial) bit for bit.
+    Cells with a batched kernel (bks on positive pairs, inverse) are
+    evaluated chunk by chunk: each trial still draws from its own seed, and
+    the chunk runs through the kernel together.  A trial the kernel's checks
+    reject, every trial of a chunk that raises, and every trial of other
+    cells take the per-trial path that replay runs, so each record equals
+    replay(config, cell_idx, trial) bit for bit.
     """
     cell = config.cells()[cell_idx]
     theta, _, norm_str, dim = cell
@@ -429,29 +484,23 @@ def trial_outcomes(config: CampaignConfig, cell_idx: int, f, sem_cache: dict):
             return None, None
 
     size = _stack_size(config, theta, spec, dim)
-    if not size:
-        for trial in range(config.trials):
-            yield (trial, *scalar(trial))
-        return
-    pair_spec = _positive_pair(dim, config.ensemble or _default_ensemble(config.verifier))
+    chunk = STACK_KERNELS[config.verifier] if size else None
+    size = size or config.trials  # without a kernel: one chunk, all per-trial
     for start in range(0, config.trials, size):
         trials = range(start, min(start + size, config.trials))
-        try:
-            pairs = sample_positive_pairs(
-                pair_spec, [_trial_seed(config, cell_idx, t) for t in trials]
-            )
-            digests = [_digest(config, cell_idx, t, dim) for t in trials]
-            records = V.verify_bks_stack(theta, spec, pairs, digests)
-        except (ParameterError, np.linalg.LinAlgError):
-            # a bad spectrum range or a failed SVD: the per-trial path
-            # reproduces the failure trial by trial
-            records = [None] * len(trials)
-        for i, (trial, rec) in enumerate(zip(trials, records)):
+        inputs, records = [None] * len(trials), [None] * len(trials)
+        if chunk is not None:
+            try:
+                inputs, records = chunk(config, cell_idx, cell, spec, trials, f, sem_cache)
+            except (HolderLabError, np.linalg.LinAlgError):
+                # e.g. a bad spectrum range or a failed SVD: the per-trial
+                # path reproduces the failure trial by trial
+                pass
+        for trial, inp, rec in zip(trials, inputs, records):
             if rec is None:
                 yield (trial, *scalar(trial))
             else:
-                x, y = pairs[i].copy()  # kept inputs must not pin the stack
-                yield trial, [("pos", x), ("pos", y)], rec
+                yield trial, inp, rec
 
 
 def run_campaign(config: CampaignConfig):
@@ -529,7 +578,9 @@ def _greedy_refine(config, f, theta, p, spec, best, cell_idx, sem_cache):
         rng = SeedState(config.seed, (1, cell_idx, step)).rng()
         try:
             cand = _perturb_inputs(inputs, sigma, rng)
-            rec = _run_dispatch(config, f, theta, p, spec, cand, "refine", sem_cache)
+            rec = run_single(
+                config.verifier, f, theta, p, spec, cand, "refine", sem_cache, config.variant
+            )
         except HolderLabError:
             sigma *= 0.5
             continue

@@ -114,6 +114,15 @@ def cmd_campaign(args) -> int:
     manifest = _manifest("campaign", config.to_dict(), config.seed, outputs)
     _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     print(f"wrote {csv_path} ({len(report.cells)} cells)")
+    empty = [c for c in report.cells if c.failures == c.trials]
+    for c in empty:
+        print(
+            f"cell theta={c.theta:g} p={c.p:g} norm={c.norm} dim={c.dim}: "
+            f"all {c.trials} trial(s) failed",
+            file=sys.stderr,
+        )
+    if empty:
+        return 2
     if counterexamples:
         print(f"{len(counterexamples)} counterexample candidate(s) persisted", file=sys.stderr)
         return 3

@@ -240,51 +240,143 @@ def verify_symmetric(
 # --- reverse-direction estimates -------------------------------------------------
 
 
-def _bisect_inverse(f: ScalarFunction, y: float, increasing: bool, tol=1e-12) -> float:
-    lo, hi = -1.0, 1.0
-    target = y if increasing else -y
-    g = (lambda t: float(f.eval(np.array([t]))[0])) if increasing else (
-        lambda t: -float(f.eval(np.array([t]))[0])
-    )
-    for _ in range(200):
-        if g(lo) <= target:
-            break
-        lo *= 2.0
-        if lo < -1e12:
-            raise DomainError(f"{f.name}: could not bracket inverse at {y}")
-    for _ in range(200):
-        if g(hi) >= target:
-            break
-        hi *= 2.0
-        if hi > 1e12:
-            raise DomainError(f"{f.name}: could not bracket inverse at {y}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * (1.0 + abs(mid)):
-            break
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+BRACKET_LIMIT = 1e12
 
 
-def inverse_apply(f: ScalarFunction, m) -> np.ndarray:
-    """f^{-1}(M) for Hermitian M, with f strictly monotone; the scalar inverse
-    is evaluated by bisection."""
-    dec = eig_hermitian(as_hermitian(m))
+def _bisect_inverse(f: ScalarFunction, y, sign, tol=1e-12):
+    """Solve f(x) = y for every element of the 1-D arrays ``y`` and ``sign``
+    (+1 where f increases, -1 where it decreases) in one lockstep bisection.
+
+    Each element takes the steps of the scalar algorithm: double lo from -1
+    until sign*f(lo) <= sign*y, then hi from 1 until sign*f(hi) >= sign*y,
+    giving up past +-BRACKET_LIMIT; then halve [lo, hi] until
+    hi - lo <= tol * (1 + |mid|).  Elements leave the active set as they
+    finish, so f is evaluated once per step on the elements still active.
+    Returns the midpoints and the per-element bracketed mask."""
+    target = sign * y
+    lo = np.full(y.shape, -1.0)
+    hi = np.full(y.shape, 1.0)
+    ok = np.ones(y.shape, dtype=bool)
+
+    def g(t, idx):
+        return sign[idx] * np.asarray(f.eval(t), dtype=float)
+
+    def bracket(end, reached, escaped):
+        act = np.flatnonzero(ok)
+        for _ in range(200):
+            if not act.size:
+                break
+            act = act[~reached(g(end[act], act), target[act])]
+            end[act] *= 2.0
+            out = escaped(end[act])
+            ok[act[out]] = False
+            act = act[~out]
+
+    with np.errstate(all="ignore"):  # f may overflow far from its range
+        bracket(lo, np.less_equal, lambda t: t < -BRACKET_LIMIT)
+        bracket(hi, np.greater_equal, lambda t: t > BRACKET_LIMIT)
+        act = np.flatnonzero(ok)
+        for _ in range(200):
+            mid = 0.5 * (lo[act] + hi[act])
+            going = ~(hi[act] - lo[act] <= tol * (1.0 + np.abs(mid)))
+            act, mid = act[going], mid[going]
+            if not act.size:
+                break
+            below = g(mid, act) < target[act]
+            lo[act[below]] = mid[below]
+            hi[act[~below]] = mid[~below]
+    return 0.5 * (lo + hi), ok
+
+
+def _monotone_sign(f: ScalarFunction, lam):
+    """Per item of a stack (..., n) of eigenvalues: +1 where f increases
+    strictly on 64 points spanning [min - 1, max + 1], -1 where it decreases
+    strictly, 0 where it does neither."""
+    lo, hi = lam.min(axis=-1) - 1.0, lam.max(axis=-1) + 1.0
+    # an item whose span rounds to a point has a constant probe; linspace
+    # would switch every item of the stack to its zero-step arithmetic
+    flat = hi - lo == 0.0
+    span = np.linspace(np.where(flat, 0.0, lo), np.where(flat, 1.0, hi), 64, axis=-1)
+    with np.errstate(all="ignore"):  # e.g. expm1 overflows on large spectra
+        d = np.diff(np.asarray(f.eval(span), dtype=float), axis=-1)
+    sign = np.where((d > 0).all(axis=-1), 1.0, np.where((d < 0).all(axis=-1), -1.0, 0.0))
+    return np.where(flat, 0.0, sign)
+
+
+def inverse_apply(f: ScalarFunction, h):
+    """f^{-1}(M) for a stack (..., n, n) of exactly Hermitian M, with f
+    strictly monotone around each spectrum: the scalar inverse is evaluated
+    by one lockstep bisection over every eigenvalue of the stack.
+
+    Returns the stack of f^{-1}(M) and the per-matrix ok mask; an item is not
+    ok when its reconstruction check fails, f is not strictly monotone on its
+    probe, or an eigenvalue could not be bracketed.
+    ``numpy.linalg.LinAlgError`` from the eigensolver propagates."""
+    dec, _, ok, _ = eigh_stack(h)
     lam = dec.eigenvalues
-    span = np.linspace(float(lam.min()) - 1.0, float(lam.max()) + 1.0, 64)
-    fs = np.asarray(f.eval(span), dtype=float)
-    d = np.diff(fs)
-    if np.all(d > 0):
-        increasing = True
-    elif np.all(d < 0):
-        increasing = False
-    else:
+    sign = _monotone_sign(f, lam)
+    ok = ok & (sign != 0.0)
+    signs = np.broadcast_to(sign[..., None], lam.shape)
+    todo = np.broadcast_to(ok[..., None], lam.shape)
+    vals = np.zeros(lam.shape)
+    vals[todo], bracketed = _bisect_inverse(f, lam[todo], signs[todo])
+    found = np.ones(lam.shape, dtype=bool)
+    found[todo] = bracketed
+    return from_eigen(dec.basis, vals), ok & found.all(axis=-1)
+
+
+def check_inverse_params(theta, base: NormSpec):
+    """Raise ParameterError unless theta > 1 and base is fully symmetric."""
+    if not theta > 1.0:
+        raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
+    _check_fully_symmetric(base)
+
+
+def verify_inverse_stack(
+    f: ScalarFunction, theta, p, base: NormSpec, pairs, digests, sem_cache=None
+) -> list:
+    """verify_inverse over a stack (T, 2, n, n) of (X, Y) pairs in one
+    batched pass: one record per pair, or None where the Hermitian,
+    reconstruction, monotonicity or bracketing check failed (verify_inverse
+    raises on that pair).  ``numpy.linalg.LinAlgError`` from the SVD
+    propagates."""
+    check_inverse_params(theta, base)
+    spec = PowerOf(base, p)
+    h, ok, _, _ = hermitian_stack(pairs)
+    sem = _seminorm_value(f, d_of_p(p), 1.0 / theta, sem_cache)
+    try:
+        inv, inv_ok = inverse_apply(f, h)
+    except np.linalg.LinAlgError:
+        return [None] * len(pairs)
+    ok = (ok & inv_ok).all(axis=-1)
+    with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
+        diffs = np.stack([inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1]], axis=1)
+        sv = np.linalg.svd(diffs, compute_uv=False)
+    n = pairs.shape[-1]
+    return [
+        make_record(
+            "inverse",
+            sem ** theta * norm_of_profile(s_lhs, spec),
+            norm_of_profile(s_rhs ** theta, spec),
+            _abs_tol(n, xm, ym),
+            digest,
+        )
+        if good
+        else None
+        for (s_lhs, s_rhs), good, (xm, ym), digest in zip(sv, ok, h, digests)
+    ]
+
+
+def _check_invertible(f: ScalarFunction, m):
+    """The checks inverse_apply makes on one Hermitian matrix, raising the
+    first failure."""
+    lam = eig_hermitian(m).eigenvalues
+    sign = _monotone_sign(f, lam)
+    if sign == 0.0:
         raise DomainError(f"{f.name} is not strictly monotone on the sampled range")
-    vals = np.array([_bisect_inverse(f, float(v), increasing) for v in lam])
-    return from_eigen(dec.basis, vals)
+    _, bracketed = _bisect_inverse(f, lam, np.full(lam.shape, sign))
+    if not bracketed.all():
+        raise DomainError(f"{f.name}: could not bracket inverse at {lam[~bracketed][0]}")
 
 
 def verify_inverse(
@@ -293,16 +385,15 @@ def verify_inverse(
     """For invertible f in the 1/theta class (theta > 1):
     lhs = seminorm(f)^theta * ||f^{-1}(X) - f^{-1}(Y)||_{E^(p)},
     rhs = || |X-Y|^theta ||_{E^(p)}; the estimate says ratio >= 1/C."""
-    if not theta > 1.0:
-        raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
-    _check_fully_symmetric(base)
-    spec = PowerOf(base, p)
-    xm, ym = as_hermitian(x), as_hermitian(y)
-    sem = _seminorm_value(f, d_of_p(p), 1.0 / theta, sem_cache)
-    fx, fy = inverse_apply(f, xm), inverse_apply(f, ym)
-    lhs = sem ** theta * norm(fx - fy, spec)
-    rhs = norm_of_profile(_theta_profile(xm - ym, theta), spec)
-    return make_record("inverse", lhs, rhs, _abs_tol(xm.shape[0], xm, ym), digest)
+    check_inverse_params(theta, base)
+    pair = np.stack([as_square(x), as_square(y)])
+    (rec,) = verify_inverse_stack(f, theta, p, base, pair[None], [digest], sem_cache)
+    if rec is None:
+        # the per-matrix form of the failed check raises its exception
+        xm, ym = as_hermitian(x), as_hermitian(y)
+        _check_invertible(f, xm)
+        _check_invertible(f, ym)
+    return rec
 
 
 def verify_reverse_power(

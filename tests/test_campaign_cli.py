@@ -4,15 +4,20 @@ import os
 import numpy as np
 import pytest
 
+import holderlab as hl
 from holderlab.campaign import (
     CampaignConfig,
     constant_one_claim,
     replay,
     run_campaign,
+    run_single,
+    sample_inputs,
     violates_constant_one,
 )
 from holderlab.cli import main
+from holderlab.ensembles import SeedState
 from holderlab.errors import ParameterError
+from holderlab.norms import KyFan
 from holderlab.verify import VerificationRecord
 
 
@@ -362,3 +367,69 @@ def test_cli_env_seed(monkeypatch, capsys):
     rec = json.loads(capsys.readouterr().out.strip())
     assert code == 0
     assert rec["inputs_digest"].startswith("777:")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("trials", 2.5),
+        ("trials", "3"),
+        ("trials", True),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("refine_steps", 0.5),
+        ("dims", [2.0]),
+        ("dims", [0]),
+        ("dims", 4),
+        ("thetas", 0.5),
+        ("thetas", "0.5"),
+        ("thetas", ["0.5"]),
+        ("ps", 1.0),
+        ("norms", "schatten:1"),
+        ("function", 5),
+        ("ensemble", "positive_pair"),
+    ],
+)
+def test_config_rejects_bad_types(key, value):
+    raw = {**small_config().to_dict(), key: value}
+    with pytest.raises(ParameterError, match=key):
+        CampaignConfig.from_dict(raw)
+
+
+def test_cli_campaign_bad_types_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for key, value in (("trials", 2.5), ("thetas", 0.5)):
+        cfg_path.write_text(json.dumps({**small_config().to_dict(), key: value}))
+        assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_cli_campaign_cell_without_valid_trials_exit_2(tmp_path, capsys):
+    cfg = {
+        "verifier": "inverse",
+        "function": "spower:0.5",
+        "thetas": [0.5, 2.0],
+        "ps": [1.0],
+        "norms": ["schatten:1"],
+        "dims": [4],
+        "trials": 4,
+        "seed": 1,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["campaign", str(cfg_path), "--out", str(out)]) == 2
+    rows = (out / "report.csv").read_text().splitlines()
+    assert rows[1] == "0.5,1,schatten:1,4,4,0,0,0,none"  # the reports are still written
+    err = capsys.readouterr().err
+    assert "theta=0.5 p=1 norm=schatten:1 dim=4: all 4 trial(s) failed" in err
+    assert "theta=2 " not in err
+
+
+def test_run_single_dispatches_reverse_variants():
+    inputs = sample_inputs("reverse", 4, SeedState(3), None)
+    x, y = (m for _, m in inputs)
+    for variant in ("power", "expm1"):
+        rec = run_single("reverse", None, 1.5, 1.0, KyFan(2), inputs, "d", {}, variant)
+        assert rec == hl.verify_reverse_power(1.5, 1.0, KyFan(2), x, y, variant, "d")
+    assert run_single("reverse", None, 1.5, 1.0, KyFan(2), inputs, "d", {}).name == "reverse:power"
