@@ -11,12 +11,13 @@ import json
 from dataclasses import asdict, dataclass
 from itertools import product
 from numbers import Integral, Real
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import doi
 from .ensembles import (
+    CommutingPair,
     Contraction,
     PositivePair,
     SeedState,
@@ -33,46 +34,12 @@ from .norms import Schatten, parse_norm_spec
 from .spectral import as_hermitian, eig_hermitian, from_eigen, op_norm
 from . import verify as V
 
-VERIFIERS = (
-    "main",
-    "bks",
-    "submaj",
-    "symmetric",
-    "inverse",
-    "reverse",
-    "commutator",
-    "quasicommutator",
-    "absmap",
-    "alt",
-    "telescope",
-)
-
-# verifiers whose ratio carries an exact constant-1 claim
+# a record exceeds its verifier's claimed constant when ratio > claim + tol
 CONSTANT_ONE_TOL = 1e-8
 
-# complex matrix entries per stack of the batched bks kernel (both matrices
-# of every pair): 32 trials at dim 8, 2 at dim 32, 1 at dim 64
+# complex matrix entries per stack of a batched kernel (both matrices of
+# every pair): 32 trials at dim 8, 2 at dim 32, 1 at dim 64
 STACK_ENTRIES = 4096
-
-NEEDS_FUNCTION = {
-    "main",
-    "submaj",
-    "symmetric",
-    "inverse",
-    "commutator",
-    "quasicommutator",
-    "telescope",
-}
-
-USES_NORM = {
-    "bks",
-    "symmetric",
-    "inverse",
-    "reverse",
-    "commutator",
-    "quasicommutator",
-    "absmap",
-}
 
 
 # the grid axes of a config and the type of their entries
@@ -102,7 +69,7 @@ class CampaignConfig:
 
     def __post_init__(self):
         if self.verifier not in VERIFIERS:
-            raise ParameterError(f"unknown verifier {self.verifier!r}; known: {VERIFIERS}")
+            raise ParameterError(f"unknown verifier {self.verifier!r}; known: {tuple(VERIFIERS)}")
         for key, kind in GRID_KEYS.items():
             values = getattr(self, key)
             if not isinstance(values, (list, tuple)):
@@ -120,11 +87,11 @@ class CampaignConfig:
             raise ParameterError(f"function must be a spec string, got {self.function!r}")
         if not isinstance(self.ensemble, (dict, type(None))):
             raise ParameterError(f"ensemble must be an object, got {self.ensemble!r}")
-        if self.verifier in NEEDS_FUNCTION and not self.function:
+        if VERIFIERS[self.verifier].needs_function and not self.function:
             raise ParameterError(f"verifier {self.verifier!r} requires a function spec")
         if self.function:
             parse_function_spec(self.function)
-        if self.verifier in USES_NORM:
+        if VERIFIERS[self.verifier].uses_norm:
             for text in self.norms:
                 parse_norm_spec(text)
 
@@ -221,71 +188,69 @@ class CampaignReport:
 # --- instance sampling ----------------------------------------------------------
 
 
-def _default_ensemble(verifier: str) -> dict:
-    if verifier in ("bks", "alt"):
-        return {"name": "positive_pair", "spectrum_range": [0.0, 1.0]}
-    if verifier == "absmap":
-        return {"name": "general_pair"}
-    return {"name": "gaussian_pair"}
-
-
 def _positive_pair(dim: int, ens: dict) -> PositivePair:
     lo, hi = ens.get("spectrum_range", [0.0, 1.0])
     return PositivePair(dim, (lo, hi))
 
 
+def _pair(dim: int, seed: SeedState, ens: dict):
+    """Two matrices from the named pair ensemble."""
+    name = ens.get("name", "gaussian_pair")
+    if name == "gaussian_pair":
+        rng = seed.rng()
+        return [("herm", gaussian_hermitian(dim, rng)), ("herm", gaussian_hermitian(dim, rng))]
+    if name == "positive_pair":
+        x, y = sample(_positive_pair(dim, ens), seed)
+        return [("pos", x), ("pos", y)]
+    if name == "general_pair":
+        rng = seed.rng()
+        return [("general", ginibre(dim, rng)), ("general", ginibre(dim, rng))]
+    if name == "commuting_pair":
+        x, y = sample(CommutingPair(dim), seed)
+        return [("herm", x), ("herm", y)]
+    if name == "fixed_pair":
+        eigenvalues = ens["eigenvalues"]
+        kind = "pos" if min(eigenvalues) >= 0 else "herm"
+        rng = seed.rng()
+        x, _, _ = fixed_spectrum(eigenvalues, rng)
+        y, _, _ = fixed_spectrum(eigenvalues, rng)
+        return [(kind, x), (kind, y)]
+    raise ParameterError(f"unknown ensemble {name!r}")
+
+
+def _hermitian_pair(dim: int, seed: SeedState, ens: dict):
+    """A pair ensemble for Hermitian pairs: general_pair draws gaussian_pair."""
+    if ens.get("name") == "general_pair":
+        ens = {"name": "gaussian_pair"}
+    return _pair(dim, seed, ens)
+
+
+def _with_contraction(count: int):
+    """The sampler of ``count`` Gaussian Hermitian matrices and a contraction."""
+
+    def draw(dim: int, seed: SeedState, ens: dict):
+        rng = seed.rng()
+        herms = [("herm", gaussian_hermitian(dim, rng)) for _ in range(count)]
+        return herms + [("contraction", sample(Contraction(dim), seed.child(1)))]
+
+    return draw
+
+
+def _telescope_inputs(dim: int, seed: SeedState, ens: dict):
+    r = int(ens.get("rank", min(dim, 3)))
+    lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
+    b, xs, es = rank_r_steps(dim, r, (lo, hi), seed.rng())
+    return [("herm", b)] + [("step", (x, e)) for x, e in zip(xs, es)]
+
+
 def sample_inputs(verifier: str, dim: int, seed: SeedState, ensemble: dict | None):
     """Draw the matrices a verifier consumes, tagged with their structure so
     the refinement stage knows how to perturb them."""
-    ens = ensemble or _default_ensemble(verifier)
-    name = ens.get("name", "gaussian_pair")
+    return VERIFIERS[verifier].sample(dim, seed, _ensemble(verifier, ensemble))
 
-    def pair_from(name):
-        if name == "gaussian_pair":
-            rng = seed.rng()
-            return [("herm", gaussian_hermitian(dim, rng)), ("herm", gaussian_hermitian(dim, rng))]
-        if name == "positive_pair":
-            x, y = sample(_positive_pair(dim, ens), seed)
-            return [("pos", x), ("pos", y)]
-        if name == "general_pair":
-            rng = seed.rng()
-            return [("general", ginibre(dim, rng)), ("general", ginibre(dim, rng))]
-        if name == "commuting_pair":
-            from .ensembles import CommutingPair
 
-            x, y = sample(CommutingPair(dim), seed)
-            return [("herm", x), ("herm", y)]
-        if name == "fixed_pair":
-            eigenvalues = ens["eigenvalues"]
-            kind = "pos" if min(eigenvalues) >= 0 else "herm"
-            rng = seed.rng()
-            x, _, _ = fixed_spectrum(eigenvalues, rng)
-            y, _, _ = fixed_spectrum(eigenvalues, rng)
-            return [(kind, x), (kind, y)]
-        raise ParameterError(f"unknown ensemble {name!r} for verifier {verifier!r}")
-
-    if verifier in ("main", "submaj", "symmetric", "inverse", "reverse"):
-        return pair_from(name if name != "general_pair" else "gaussian_pair")
-    if verifier in ("bks", "alt", "absmap"):
-        return pair_from(name)
-    if verifier == "commutator":
-        return [
-            ("herm", gaussian_hermitian(dim, seed.rng())),
-            ("contraction", sample(Contraction(dim), seed.child(1))),
-        ]
-    if verifier == "quasicommutator":
-        rng = seed.rng()
-        return [
-            ("herm", gaussian_hermitian(dim, rng)),
-            ("herm", gaussian_hermitian(dim, rng)),
-            ("contraction", sample(Contraction(dim), seed.child(1))),
-        ]
-    if verifier == "telescope":
-        r = int(ens.get("rank", min(dim, 3)))
-        lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
-        b, xs, es = rank_r_steps(dim, r, (lo, hi), seed.rng())
-        return [("herm", b)] + [("step", (x, e)) for x, e in zip(xs, es)]
-    raise ParameterError(f"unknown verifier {verifier!r}")
+def _ensemble(verifier: str, ensemble: dict | None) -> dict:
+    return ensemble or {"name": VERIFIERS[verifier].ensemble}
 
 
 def _perturb_inputs(inputs, sigma: float, rng: np.random.Generator):
@@ -313,6 +278,155 @@ def _perturb_inputs(inputs, sigma: float, rng: np.random.Generator):
     return out
 
 
+# --- per-trial evaluation: m holds the untagged sampled inputs -------------------
+
+
+def _eval_main(f, theta, p, spec, m, digest, sem_cache, variant):
+    return V.verify_main(f, theta, p, m[0], m[1], sem_cache, digest)
+
+
+def _eval_submaj(f, theta, p, spec, m, digest, sem_cache, variant):
+    return V.verify_submajorization(f, theta, p, m[0], m[1], sem_cache, digest)[1]
+
+
+def _eval_bks(f, theta, p, spec, m, digest, sem_cache, variant):
+    return V.verify_bks(theta, spec, m[0], m[1], digest)
+
+
+def _estimate(name: str):
+    """The evaluator of ``V.<name>(f, theta, p, spec, *m, sem_cache, digest)``,
+    the call shape of the seminorm estimates in a norm."""
+
+    def evaluate(f, theta, p, spec, m, digest, sem_cache, variant):
+        return getattr(V, name)(f, theta, p, spec, *m, sem_cache, digest)
+
+    return evaluate
+
+
+def _eval_reverse(f, theta, p, spec, m, digest, sem_cache, variant):
+    return V.verify_reverse_power(theta, p, spec, m[0], m[1], variant, digest)
+
+
+def _eval_absmap(f, theta, p, spec, m, digest, sem_cache, variant):
+    return V.verify_abs_map(spec, p, m[0], m[1], digest)
+
+
+def _eval_alt(f, theta, p, spec, m, digest, sem_cache, variant):
+    report = doi.alt_check(m[0], m[1], theta, p)
+    violation = max(0.0, -report.margin)
+    return V.VerificationRecord(
+        name="alt",
+        lhs=violation,
+        rhs=1.0,
+        ratio=violation,
+        holds_with_constant=report.margin,
+        inputs_digest=digest,
+        flagged=not report.holds,
+    )
+
+
+def _eval_telescope(f, theta, p, spec, m, digest, sem_cache, variant):
+    return V.telescope_finite_rank(f, theta, p, m[0], m[1:], digest).record
+
+
+def _bks_chunk(config, cell_idx, cell, spec, trials, f, sem_cache):
+    """Inputs and records of a chunk of bks trials on positive pairs: the
+    pairs are drawn by the stacked sampler."""
+    theta, _, _, dim = cell
+    pair_spec = _positive_pair(dim, _ensemble(config.verifier, config.ensemble))
+    pairs = sample_positive_pairs(pair_spec, [_trial_seed(config, cell_idx, t) for t in trials])
+    digests = [_digest(config, cell_idx, t, dim) for t in trials]
+    records = V.verify_bks_stack(theta, spec, pairs, digests)
+    # kept inputs must not pin the stack
+    return [[("pos", x.copy()), ("pos", y.copy())] for x, y in pairs], records
+
+
+def _inverse_chunk(config, cell_idx, cell, spec, trials, f, sem_cache):
+    """Inputs and records of a chunk of inverse trials: each trial draws its
+    own inputs, and the stacked kernel runs on the pairs they hold."""
+    theta, p, _, dim = cell
+    inputs = [
+        sample_inputs(config.verifier, dim, _trial_seed(config, cell_idx, t), config.ensemble)
+        for t in trials
+    ]
+    pairs = np.stack([[m for _, m in inp] for inp in inputs])
+    digests = [_digest(config, cell_idx, t, dim) for t in trials]
+    return inputs, V.verify_inverse_stack(f, theta, p, spec, pairs, digests, sem_cache)
+
+
+def _bks_stack_check(theta, spec, ens):
+    if ens.get("name") != "positive_pair":
+        raise ParameterError("the bks kernel draws positive pairs")
+    V.check_bks_params(theta, spec)
+
+
+# --- the verifier table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Verifier:
+    """Everything the campaign engine knows about one verifier.  Its functions
+    look ``verify`` up as ``V`` when they run, so rebinding ``campaign.V`` or a
+    ``verify`` function (a test's spy, perfbench's tracer) reaches them."""
+
+    evaluate: Callable  # (f, theta, p, spec, m, digest, sem_cache, variant) -> record
+    sample: Callable = _hermitian_pair  # (dim, seed, ensemble) -> tagged inputs
+    ensemble: str = "gaussian_pair"  # drawn from when the config names none
+    needs_function: bool = False
+    uses_norm: bool = False  # else evaluate gets spec None
+    # (spec, p) -> the constant the ratio is claimed not to exceed, or None
+    claim: Callable = lambda spec, p: None
+    stack: Optional[Callable] = None  # the chunk kernel of trial_outcomes
+    # (theta, spec, ensemble) -> None; ParameterError keeps a cell off the kernel
+    stack_check: Optional[Callable] = None
+
+
+VERIFIERS = {
+    "main": Verifier(_eval_main, needs_function=True),
+    "bks": Verifier(
+        _eval_bks,
+        _pair,
+        "positive_pair",
+        uses_norm=True,
+        claim=lambda spec, p: 1.0,
+        stack=_bks_chunk,
+        stack_check=_bks_stack_check,
+    ),
+    "submaj": Verifier(_eval_submaj, needs_function=True),
+    "symmetric": Verifier(_estimate("verify_symmetric"), needs_function=True, uses_norm=True),
+    "inverse": Verifier(
+        _estimate("verify_inverse"),
+        needs_function=True,
+        uses_norm=True,
+        stack=_inverse_chunk,
+        stack_check=lambda theta, spec, ens: V.check_inverse_params(theta, spec),
+    ),
+    "reverse": Verifier(_eval_reverse, uses_norm=True),
+    "commutator": Verifier(
+        _estimate("verify_commutator"), _with_contraction(1), needs_function=True, uses_norm=True
+    ),
+    "quasicommutator": Verifier(
+        _estimate("verify_quasi_commutator"),
+        _with_contraction(2),
+        needs_function=True,
+        uses_norm=True,
+    ),
+    # the classical constant 1 holds in the p-th power of S_q, which is S_qp, for qp >= 2
+    "absmap": Verifier(
+        _eval_absmap,
+        _pair,
+        "general_pair",
+        uses_norm=True,
+        claim=lambda spec, p: 1.0 if isinstance(spec, Schatten) and spec.p * p >= 2.0 else None,
+    ),
+    # the claim is margin >= 0, recorded as ratio = max(0, -margin)
+    "alt": Verifier(_eval_alt, _pair, "positive_pair", claim=lambda spec, p: 0.0),
+    "telescope": Verifier(
+        _eval_telescope, _telescope_inputs, needs_function=True, claim=lambda spec, p: 1.0
+    ),
+}
+
+
 def run_single(
     verifier: str,
     f: ScalarFunction | None,
@@ -327,64 +441,8 @@ def run_single(
     """Dispatch one verification on pre-sampled inputs; ``spec`` is the
     cell's parsed norm (None for verifiers that use no norm) and ``variant``
     the flavour of the reverse verifier."""
-    mats = [m for k, m in inputs if k != "step"]
-    if verifier == "main":
-        return V.verify_main(f, theta, p, mats[0], mats[1], sem_cache, digest)
-    if verifier == "submaj":
-        _, rec = V.verify_submajorization(f, theta, p, mats[0], mats[1], sem_cache, digest)
-        return rec
-    if verifier == "bks":
-        return V.verify_bks(theta, spec, mats[0], mats[1], digest)
-    if verifier == "symmetric":
-        return V.verify_symmetric(f, theta, p, spec, mats[0], mats[1], sem_cache, digest)
-    if verifier == "inverse":
-        return V.verify_inverse(f, theta, p, spec, mats[0], mats[1], sem_cache, digest)
-    if verifier == "reverse":
-        return V.verify_reverse_power(theta, p, spec, mats[0], mats[1], variant, digest)
-    if verifier == "commutator":
-        return V.verify_commutator(f, theta, p, spec, mats[0], mats[1], sem_cache, digest)
-    if verifier == "quasicommutator":
-        return V.verify_quasi_commutator(
-            f, theta, p, spec, mats[0], mats[1], mats[2], sem_cache, digest
-        )
-    if verifier == "absmap":
-        return V.verify_abs_map(spec, p, mats[0], mats[1], digest)
-    if verifier == "alt":
-        report = doi.alt_check(mats[0], mats[1], theta, p)
-        violation = max(0.0, -report.margin)
-        return V.VerificationRecord(
-            name="alt",
-            lhs=violation,
-            rhs=1.0,
-            ratio=violation,
-            holds_with_constant=report.margin,
-            inputs_digest=digest,
-            flagged=not report.holds,
-        )
-    if verifier == "telescope":
-        b = mats[0]
-        steps = [m for k, m in inputs if k == "step"]
-        return V.telescope_finite_rank(f, theta, p, b, steps, digest).record
-    raise ParameterError(f"unknown verifier {verifier!r}")
-
-
-def constant_one_claim(config: CampaignConfig, norm_str: str, p: float) -> bool:
-    """Does this cell assert an exact constant-1 inequality?"""
-    if config.verifier in ("bks", "telescope"):
-        return True
-    if config.verifier == "alt":
-        return True  # claim is margin >= 0, encoded as ratio <= 0 + tol
-    if config.verifier == "absmap":
-        spec = parse_norm_spec(norm_str)
-        if isinstance(spec, Schatten) and spec.p * p >= 2.0:
-            return True
-    return False
-
-
-def violates_constant_one(record: V.VerificationRecord, verifier: str) -> bool:
-    if verifier == "alt":
-        return record.ratio > CONSTANT_ONE_TOL
-    return record.ratio > 1.0 + CONSTANT_ONE_TOL
+    m = [payload for _, payload in inputs]
+    return VERIFIERS[verifier].evaluate(f, theta, p, spec, m, digest, sem_cache, variant)
 
 
 def _matrix_payload(m: np.ndarray):
@@ -392,7 +450,7 @@ def _matrix_payload(m: np.ndarray):
 
 
 def _cell_spec(config: CampaignConfig, norm_str: str):
-    return parse_norm_spec(norm_str) if config.verifier in USES_NORM else None
+    return parse_norm_spec(norm_str) if VERIFIERS[config.verifier].uses_norm else None
 
 
 def _trial_seed(config: CampaignConfig, cell_idx: int, trial: int) -> SeedState:
@@ -420,46 +478,14 @@ def _stack_size(config: CampaignConfig, theta, spec, dim) -> int:
     """Trials per stack of the cell's batched kernel, or 0 when the cell
     takes the per-trial path (a verifier or ensemble without one, or
     parameters that fail every trial).  The config guarantees dim >= 1."""
-    ens = config.ensemble or _default_ensemble(config.verifier)
-    if config.verifier == "bks" and ens.get("name") == "positive_pair":
-        check = V.check_bks_params
-    elif config.verifier == "inverse":
-        check = V.check_inverse_params
-    else:
+    entry = VERIFIERS[config.verifier]
+    if entry.stack is None:
         return 0
     try:
-        check(theta, spec)
+        entry.stack_check(theta, spec, _ensemble(config.verifier, config.ensemble))
     except ParameterError:
         return 0
     return max(1, STACK_ENTRIES // (2 * dim * dim))
-
-
-def _bks_chunk(config, cell_idx, cell, spec, trials, f, sem_cache):
-    """Inputs and records of a chunk of bks trials on positive pairs: the
-    pairs are drawn by the stacked sampler."""
-    theta, _, _, dim = cell
-    pair_spec = _positive_pair(dim, config.ensemble or _default_ensemble(config.verifier))
-    pairs = sample_positive_pairs(pair_spec, [_trial_seed(config, cell_idx, t) for t in trials])
-    digests = [_digest(config, cell_idx, t, dim) for t in trials]
-    records = V.verify_bks_stack(theta, spec, pairs, digests)
-    # kept inputs must not pin the stack
-    return [[("pos", x.copy()), ("pos", y.copy())] for x, y in pairs], records
-
-
-def _inverse_chunk(config, cell_idx, cell, spec, trials, f, sem_cache):
-    """Inputs and records of a chunk of inverse trials: each trial draws its
-    own inputs, and the stacked kernel runs on the pairs they hold."""
-    theta, p, _, dim = cell
-    inputs = [
-        sample_inputs(config.verifier, dim, _trial_seed(config, cell_idx, t), config.ensemble)
-        for t in trials
-    ]
-    pairs = np.stack([[m for _, m in inp] for inp in inputs])
-    digests = [_digest(config, cell_idx, t, dim) for t in trials]
-    return inputs, V.verify_inverse_stack(f, theta, p, spec, pairs, digests, sem_cache)
-
-
-STACK_KERNELS = {"bks": _bks_chunk, "inverse": _inverse_chunk}
 
 
 def trial_outcomes(config: CampaignConfig, cell_idx: int, f, sem_cache: dict):
@@ -484,7 +510,7 @@ def trial_outcomes(config: CampaignConfig, cell_idx: int, f, sem_cache: dict):
             return None, None
 
     size = _stack_size(config, theta, spec, dim)
-    chunk = STACK_KERNELS[config.verifier] if size else None
+    chunk = VERIFIERS[config.verifier].stack if size else None
     size = size or config.trials  # without a kernel: one chunk, all per-trial
     for start in range(0, config.trials, size):
         trials = range(start, min(start + size, config.trials))
@@ -506,15 +532,16 @@ def trial_outcomes(config: CampaignConfig, cell_idx: int, f, sem_cache: dict):
 def run_campaign(config: CampaignConfig):
     """Execute the campaign; returns (CampaignReport, counterexamples).
 
-    Counterexamples are records in constant-1 cells whose ratio exceeds the
-    claim beyond tolerance, serialized with their full inputs for replay.
+    Counterexamples are flagged records and records above their cell's claimed
+    constant beyond tolerance, serialized with their full inputs for replay.
     """
     f = parse_function_spec(config.function) if config.function else None
     sem_cache: dict = {}
     cells = []
     counterexamples = []
     for cell_idx, (theta, p, norm_str, dim) in enumerate(config.cells()):
-        claimed = constant_one_claim(config, norm_str, p)
+        spec = _cell_spec(config, norm_str)
+        claim = VERIFIERS[config.verifier].claim(spec, p)
         ratios = []
         failures = 0
         best = (-np.inf, -1, None)  # ratio, trial, inputs
@@ -528,7 +555,7 @@ def run_campaign(config: CampaignConfig):
                 ratios.append(rec.ratio)
                 if rec.ratio > best[0]:
                     best = (rec.ratio, trial, inputs)
-            if rec.flagged or (claimed and violates_constant_one(rec, config.verifier)):
+            if rec.flagged or (claim is not None and rec.ratio > claim + CONSTANT_ONE_TOL):
                 counterexamples.append(
                     {
                         "record": asdict(rec),
@@ -545,7 +572,7 @@ def run_campaign(config: CampaignConfig):
         trajectory = ()
         if config.refine_steps > 0 and best[2] is not None:
             refined_max, trajectory = _greedy_refine(
-                config, f, theta, p, _cell_spec(config, norm_str), best, cell_idx, sem_cache
+                config, f, theta, p, spec, best, cell_idx, sem_cache
             )
         digest = _digest(config, cell_idx, best[1], dim) if best[1] >= 0 else "none"
         cells.append(

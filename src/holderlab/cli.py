@@ -16,7 +16,7 @@ import tempfile
 from dataclasses import asdict
 
 from . import __version__, doi
-from .campaign import NEEDS_FUNCTION, CampaignConfig, replay, run_campaign
+from .campaign import VERIFIERS, CampaignConfig, replay, run_campaign
 from .ensembles import SeedState
 from .errors import HolderLabError
 from .functions import d_of_p, parse_function_spec, seminorm
@@ -59,9 +59,6 @@ def _manifest(command: str, config: dict, seed: int, outputs: list) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.ineq in NEEDS_FUNCTION and not args.f:
-        print(f"--ineq {args.ineq} requires --f", file=sys.stderr)
-        return 2
     ensemble = None
     if args.spectrum:
         eigenvalues = [float(t) for t in args.spectrum.split(",")]
@@ -214,23 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run one inequality verifier")
-    pv.add_argument(
-        "--ineq",
-        required=True,
-        choices=[
-            "main",
-            "bks",
-            "submaj",
-            "symmetric",
-            "inverse",
-            "reverse",
-            "commutator",
-            "quasicommutator",
-            "absmap",
-            "alt",
-            "telescope",
-        ],
-    )
+    pv.add_argument("--ineq", required=True, choices=list(VERIFIERS))
     pv.add_argument("--f", default=None, help="function spec, e.g. power:0.5")
     pv.add_argument("--theta", type=float, default=0.5)
     pv.add_argument("--p", type=float, default=1.0)

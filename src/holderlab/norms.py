@@ -90,16 +90,18 @@ class PowerOf:
     def __post_init__(self):
         if not self.p > 0:
             raise ParameterError(f"power exponent must be positive, got {self.p}")
-        if isinstance(self.base, KyFan):
-            return
-        if isinstance(self.base, Schatten) and self.base.p >= 1 and np.isfinite(self.base.p):
-            return
-        raise ParameterError(
-            "PowerOf base must be fully symmetric (Ky Fan or Schatten with p >= 1)"
-        )
+        check_fully_symmetric(self.base)
 
 
 NormSpec = Schatten | WeakLp | KyFan | PowerOf
+
+
+def check_fully_symmetric(spec: NormSpec):
+    """Raise ParameterError unless spec is a fully symmetric norm: Ky Fan, or
+    Schatten with p >= 1 (p = inf is the operator norm)."""
+    if isinstance(spec, KyFan) or (isinstance(spec, Schatten) and spec.p >= 1):
+        return
+    raise ParameterError(f"{spec!r} is not fully symmetric (need Ky Fan or Schatten with p >= 1)")
 
 
 def norm_of_profile(values, spec: NormSpec) -> float:

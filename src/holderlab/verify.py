@@ -10,7 +10,7 @@ constant; each docstring states the orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -18,10 +18,10 @@ import numpy as np
 from .errors import CapabilityError, DomainError, ParameterError, PreconditionError
 from .functions import ScalarFunction, GridSpec, d_of_p, seminorm
 from .norms import (
-    KyFan,
     NormSpec,
     PowerOf,
     Schatten,
+    check_fully_symmetric,
     least_domination_constant,
     norm,
     norm_of_profile,
@@ -93,27 +93,20 @@ def _abs_tol(dim, *mats):
 
 
 def _seminorm_value(f, d, theta, cache=None, grid: GridSpec = GridSpec()):
-    if cache is not None:
-        key = (f.name, d, theta)
-        if key not in cache:
-            cache[key] = seminorm(f, d, theta, grid).value
-        return cache[key]
-    return seminorm(f, d, theta, grid).value
+    """The seminorm every difference estimate scales by; raises
+    CapabilityError when it is infinite or f lacks d derivatives."""
+    cache = {} if cache is None else cache
+    key = (f.name, d, theta)
+    if key not in cache:
+        cache[key] = seminorm(f, d, theta, grid).value
+    if not np.isfinite(cache[key]):
+        raise CapabilityError(f"{f.name}: seminorm is infinite at theta={theta}, d={d}")
+    return cache[key]
 
 
 def _theta_profile(m, theta):
     """Profile of |M|^theta: the singular values of M raised entrywise."""
     return singular_values(m) ** theta
-
-
-def _check_fully_symmetric(spec):
-    if isinstance(spec, KyFan):
-        return
-    if isinstance(spec, Schatten) and spec.p >= 1:
-        return
-    raise ParameterError(
-        f"{spec!r} is not fully symmetric (need Ky Fan or Schatten with p >= 1)"
-    )
 
 
 def _check_positive(m, label):
@@ -130,17 +123,11 @@ def _check_positive(m, label):
 
 
 def verify_main(f: ScalarFunction, theta, p, a, b, sem_cache=None, digest="") -> VerificationRecord:
-    """||f(A) - f(B)||_p versus seminorm(f) * || |A-B|^theta ||_p."""
-    am, bm = as_hermitian(a), as_hermitian(b)
-    d = d_of_p(p)
-    if f.max_order < d:
-        raise CapabilityError(f"{f.name}: needs {d} derivatives for p={p}")
-    sem = _seminorm_value(f, d, theta, sem_cache)
-    if not np.isfinite(sem):
-        raise CapabilityError(f"{f.name}: seminorm is infinite at theta={theta}, d={d}")
-    lhs = norm(apply_function(f, am) - apply_function(f, bm), Schatten(p))
-    rhs = sem * norm_of_profile(_theta_profile(am - bm, theta), Schatten(p))
-    return make_record("main", lhs, rhs, _abs_tol(am.shape[0], am, bm), digest)
+    """||f(A) - f(B)||_p versus seminorm(f) * || |A-B|^theta ||_p: the
+    symmetric estimate in E^(p) for E = S_1, since ||X||_p is the p-th power
+    norm of the trace class."""
+    rec = verify_symmetric(f, theta, p, Schatten(1), a, b, sem_cache, digest)
+    return replace(rec, name="main")
 
 
 def check_bks_params(theta, spec: NormSpec):
@@ -148,7 +135,7 @@ def check_bks_params(theta, spec: NormSpec):
     symmetric."""
     if not 0.0 < theta < 1.0:
         raise ParameterError(f"theta must lie in (0,1), got {theta}")
-    _check_fully_symmetric(spec)
+    check_fully_symmetric(spec)
 
 
 def verify_bks_stack(theta, spec: NormSpec, pairs, digests) -> list:
@@ -223,15 +210,9 @@ def verify_symmetric(
     f: ScalarFunction, theta, p, base: NormSpec, x, y, sem_cache=None, digest=""
 ) -> VerificationRecord:
     """The main estimate in the p-th power norm of a fully symmetric base."""
-    _check_fully_symmetric(base)
     spec = PowerOf(base, p)
     xm, ym = as_hermitian(x), as_hermitian(y)
-    d = d_of_p(p)
-    if f.max_order < d:
-        raise CapabilityError(f"{f.name}: needs {d} derivatives for p={p}")
-    sem = _seminorm_value(f, d, theta, sem_cache)
-    if not np.isfinite(sem):
-        raise CapabilityError(f"{f.name}: seminorm is infinite at theta={theta}, d={d}")
+    sem = _seminorm_value(f, d_of_p(p), theta, sem_cache)
     lhs = norm(apply_function(f, xm) - apply_function(f, ym), spec)
     rhs = sem * norm_of_profile(_theta_profile(xm - ym, theta), spec)
     return make_record("symmetric", lhs, rhs, _abs_tol(xm.shape[0], xm, ym), digest)
@@ -329,7 +310,7 @@ def check_inverse_params(theta, base: NormSpec):
     """Raise ParameterError unless theta > 1 and base is fully symmetric."""
     if not theta > 1.0:
         raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
-    _check_fully_symmetric(base)
+    check_fully_symmetric(base)
 
 
 def verify_inverse_stack(
@@ -404,7 +385,6 @@ def verify_reverse_power(
     ratio stays above a positive constant."""
     if not theta > 1.0:
         raise ParameterError(f"reverse power needs theta > 1, got {theta}")
-    _check_fully_symmetric(base)
     spec = PowerOf(base, p)
     xm, ym = as_hermitian(x), as_hermitian(y)
     if variant == "power":
@@ -430,7 +410,6 @@ def verify_commutator(
 ) -> VerificationRecord:
     """||[f(X), B]|| versus seminorm * || |[X,B]|^theta || * ||B||^(1-theta)
     in the p-th power norm of the base."""
-    _check_fully_symmetric(base)
     spec = PowerOf(base, p)
     xm = as_hermitian(x)
     bm = as_square(b)
@@ -448,7 +427,6 @@ def verify_quasi_commutator(
     f: ScalarFunction, theta, p, base: NormSpec, a, b, r, sem_cache=None, digest=""
 ) -> VerificationRecord:
     """||f(A)R - Rf(B)|| versus seminorm * || |AR-RB|^theta || * ||R||^(1-theta)."""
-    _check_fully_symmetric(base)
     spec = PowerOf(base, p)
     am, bm, rm = as_hermitian(a), as_hermitian(b), as_square(r)
     sem = _seminorm_value(f, d_of_p(p), theta, sem_cache)
@@ -464,7 +442,6 @@ def verify_quasi_commutator(
 def verify_abs_map(base: NormSpec, p, a, b, digest="") -> VerificationRecord:
     """|| |A| - |B| || versus sqrt(||A+B|| ||A-B||) in the p-th power norm;
     for Schatten p >= 2 the classical constant is 1."""
-    _check_fully_symmetric(base)
     spec = PowerOf(base, p)
     am, bm = as_square(a), as_square(b)
     if am.shape != bm.shape:

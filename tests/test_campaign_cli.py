@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,18 +7,18 @@ import pytest
 
 import holderlab as hl
 from holderlab.campaign import (
+    CONSTANT_ONE_TOL,
+    VERIFIERS,
     CampaignConfig,
-    constant_one_claim,
     replay,
     run_campaign,
     run_single,
     sample_inputs,
-    violates_constant_one,
 )
 from holderlab.cli import main
 from holderlab.ensembles import SeedState
 from holderlab.errors import ParameterError
-from holderlab.norms import KyFan
+from holderlab.norms import KyFan, Schatten
 from holderlab.verify import VerificationRecord
 
 
@@ -131,19 +132,17 @@ def test_config_rejects_unknown_and_missing_keys():
 
 
 def test_constant_one_claim_logic():
-    cfg = small_config()
-    assert constant_one_claim(cfg, "schatten:2", 1.0)
-    cfg_abs = small_config(verifier="absmap")
-    assert constant_one_claim(cfg_abs, "schatten:1", 2.0)
-    assert not constant_one_claim(cfg_abs, "schatten:1", 1.0)
-    cfg_main = small_config(verifier="main", function="power:0.5")
-    assert not constant_one_claim(cfg_main, "-", 1.0)
+    assert VERIFIERS["bks"].claim(Schatten(2), 1.0) == 1.0
+    assert VERIFIERS["absmap"].claim(Schatten(1), 2.0) == 1.0
+    assert VERIFIERS["absmap"].claim(Schatten(1), 1.0) is None
+    assert VERIFIERS["main"].claim(None, 1.0) is None
 
-    good = VerificationRecord("bks", 1.0, 1.0, 1.0)
-    bad = VerificationRecord("bks", 2.0, 1.0, 2.0)
-    assert not violates_constant_one(good, "bks")
-    assert violates_constant_one(bad, "bks")
-    assert violates_constant_one(VerificationRecord("alt", 1e-6, 1.0, 1e-6), "alt")
+    # a record violates its cell's claim when ratio > claim + CONSTANT_ONE_TOL
+    bks = VERIFIERS["bks"].claim(Schatten(1), 1.0) + CONSTANT_ONE_TOL
+    assert not VerificationRecord("bks", 1.0, 1.0, 1.0).ratio > bks
+    assert VerificationRecord("bks", 2.0, 1.0, 2.0).ratio > bks
+    alt = VERIFIERS["alt"].claim(None, 1.0) + CONSTANT_ONE_TOL
+    assert VerificationRecord("alt", 1e-6, 1.0, 1e-6).ratio > alt
 
 
 # --- command line ---------------------------------------------------------------
@@ -263,7 +262,8 @@ def test_campaign_counterexample_persistence(monkeypatch, tmp_path, capsys):
     # on honestly computed records
     import holderlab.campaign as camp
 
-    monkeypatch.setattr(camp, "violates_constant_one", lambda rec, v: True)
+    bks = dataclasses.replace(camp.VERIFIERS["bks"], claim=lambda spec, p: -np.inf)
+    monkeypatch.setitem(camp.VERIFIERS, "bks", bks)
     from holderlab.cli import main as cli_main
 
     cfg = {

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,6 +205,21 @@ def test_fourier_constant_series_oracle():
     assert doi.fourier_coefficient_constant(1.0, 2) == pytest.approx(
         math.pi**2 / 3.0, rel=1e-12
     )
+
+
+def test_zeta_upper_bound_closed_forms():
+    for s, exact in [(2.0, math.pi**2 / 6.0), (4.0, math.pi**4 / 90.0), (6.0, math.pi**6 / 945.0)]:
+        got = doi._zeta_upper(s)
+        assert exact <= got <= exact * (1.0 + 2e-15)
+
+
+def test_cli_imports_without_scipy():
+    code = "import sys, holderlab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hl.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_fourier_constant_requires_b_above_1_over_p():

@@ -204,6 +204,13 @@ def test_parse_norm_spec_errors():
             parse_norm_spec(bad)
 
 
+def test_power_of_the_operator_norm():
+    # S_inf is fully symmetric: its p-th power norm is the largest singular value
+    spec = parse_norm_spec("power:schatten:inf:0.5")
+    assert spec == PowerOf(Schatten(np.inf), 0.5)
+    assert norm_of_profile([3.0, 2.0, 1.0], spec) == pytest.approx(3.0, rel=1e-15)
+
+
 def test_spec_validation():
     with pytest.raises(ParameterError):
         Schatten(0.0)

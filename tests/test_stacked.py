@@ -291,7 +291,7 @@ def _replay_failures(config):
 @pytest.mark.parametrize("function", INVERSE_FUNCTIONS)
 def test_inverse_trials_replay_bitwise(function):
     failures = _replay_failures(_inverse_config(function, norms=["kyfan:2"]))
-    if function == "gauss":  # not monotone: every trial fails
+    if function in ("gauss", "sexpm1"):  # not monotone, infinite seminorm
         assert failures == [5] * 6
     elif function != "srational:1":  # srational:1 cannot reach |y| >= 1
         assert failures == [0] * 6
@@ -301,12 +301,18 @@ def test_inverse_trials_replay_bitwise(function):
 @pytest.mark.parametrize("function", ["spower:0.5", "slog1p", "sexpm1"])
 def test_inverse_ensembles_replay_bitwise(function, ensemble):
     failures = _replay_failures(_inverse_config(function, ensemble, thetas=[2.0]))
-    if ensemble == "huge-spectrum":
-        # f^{-1} leaves the bracket for spower and slog1p; sexpm1 overflows
-        # on the monotonicity probe
+    if ensemble == "huge-spectrum" or function == "sexpm1":
+        # f^{-1} leaves the bracket for spower and slog1p; sexpm1 has an
+        # infinite seminorm
         assert failures == [5] * 6
     else:
         assert failures == [0] * 6
+
+
+def test_inverse_on_the_operator_norm_replays_bitwise():
+    config = _inverse_config("spower:0.5", norms=["schatten:inf"], trials=33)
+    assert _replay_failures(config) == [0] * 6
+    assert camp._stack_size(config, 1.5, Schatten(np.inf), 8) == 32
 
 
 def test_gauss_fails_through_the_fallback(monkeypatch):
@@ -324,7 +330,7 @@ def test_gauss_fails_through_the_fallback(monkeypatch):
     assert len(stacked) == 4 * 33 and all(rec is None for rec in stacked)
 
 
-INVERSE_REPORT_CONFIGS = [dict(function=f) for f in INVERSE_FUNCTIONS if f != "sexpm1"] + [
+INVERSE_REPORT_CONFIGS = [dict(function=f) for f in INVERSE_FUNCTIONS] + [
     dict(function="spower:0.5", ensemble=e, thetas=[2.0]) for e in INVERSE_ENSEMBLES if e != "gaussian"
 ]
 
@@ -335,8 +341,6 @@ INVERSE_REPORT_CONFIGS = [dict(function=f) for f in INVERSE_FUNCTIONS if f != "s
     ids=lambda kw: f"{kw['function']}-{kw.get('ensemble', 'gaussian')}",
 )
 def test_inverse_reports_match_per_trial_path(kwargs, monkeypatch):
-    # sexpm1 has an infinite seminorm: its ratios are inf and the quantiles
-    # of the report warn, so its records are checked by the replay tests only
     config = _inverse_config(seed=202, trials=9, refine_steps=2, **kwargs)
     stacked = _outputs(config)
     monkeypatch.setattr(camp, "_stack_size", lambda *args: 0)

@@ -45,6 +45,50 @@ def test_verify_main_capability_errors():
         hl.verify_main(F.signed_expm1(), 0.5, 1.0, np.eye(2), np.zeros((2, 2)), {})
 
 
+def _main_reference(f, theta, p, a, b):
+    """verify_main as written before it became verify_symmetric on S_1."""
+    am, bm = hl.as_hermitian(a), hl.as_hermitian(b)
+    sem = F.seminorm(f, F.d_of_p(p), theta).value
+    lhs = hl.norm(hl.apply_function(f, am) - hl.apply_function(f, bm), Schatten(p))
+    rhs = sem * hl.norm_of_profile(hl.singular_values(am - bm) ** theta, Schatten(p))
+    return V.make_record("main", lhs, rhs, V._abs_tol(am.shape[0], am, bm), "d")
+
+
+def _bits(rec):
+    return (rec.name, rec.lhs.hex(), rec.rhs.hex(), rec.ratio.hex(), rec.flagged, rec.inputs_digest)
+
+
+@pytest.mark.parametrize("spec", ["power:0.5", "log1p", "spower:0.5"])
+def test_verify_main_is_symmetric_on_trace_class(spec):
+    f = F.parse_function_spec(spec)
+    cache = {}
+    rng = np.random.default_rng(8)
+    for dim in (1, 3, 8):
+        x, y = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
+        for p in (0.5, 1.0, 2.0):
+            for theta in (0.25, 0.5, 0.75):
+                got = hl.verify_main(f, theta, p, x, y, cache, "d")
+                assert _bits(got) == _bits(_main_reference(f, theta, p, x, y))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, x, y: hl.verify_main(f, 0.5, 1.0, x, y),
+        lambda f, x, y: hl.verify_submajorization(f, 0.5, 1.0, x, y),
+        lambda f, x, y: hl.verify_symmetric(f, 0.5, 1.0, KyFan(2), x, y),
+        lambda f, x, y: hl.verify_inverse(f, 2.0, 1.0, Schatten(1), x, y),
+        lambda f, x, y: hl.verify_commutator(f, 0.5, 1.0, Schatten(1), x, y),
+        lambda f, x, y: hl.verify_quasi_commutator(f, 0.5, 1.0, Schatten(1), x, y, np.eye(3)),
+    ],
+    ids=["main", "submaj", "symmetric", "inverse", "commutator", "quasicommutator"],
+)
+def test_seminorm_verifiers_refuse_infinite_seminorms(call):
+    x, y = np.diag([0.5, -1.0, 2.0]), np.diag([1.0, 0.25, -0.5])
+    with pytest.raises(CapabilityError, match="seminorm is infinite"):
+        call(F.signed_expm1(), x, y)
+
+
 def test_verify_bks_examples():
     rec = hl.verify_bks(0.5, Schatten(2), np.diag([1.0, 0.0]), np.zeros((2, 2)))
     assert rec.ratio == pytest.approx(1.0, abs=1e-14)
