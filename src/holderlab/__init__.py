@@ -60,7 +60,7 @@ from .functions import (
     scalar_sum_555,
     seminorm,
 )
-from .ensembles import SeedState, haar_unitary, sample
+from .ensembles import SeedState, haar_unitary
 from .doi import (
     BivariateSymbol,
     MpBound,

@@ -17,15 +17,11 @@ import numpy as np
 
 from . import doi
 from .ensembles import (
-    CommutingPair,
-    Contraction,
-    PositivePair,
+    ENSEMBLES,
+    POSITIVE_SPECTRUM_RANGE,
     SeedState,
-    fixed_spectrum,
     gaussian_hermitian,
     ginibre,
-    rank_r_steps,
-    sample,
     sample_positive_pairs,
 )
 from .errors import HolderLabError, ParameterError
@@ -94,6 +90,32 @@ class CampaignConfig:
         if VERIFIERS[self.verifier].uses_norm:
             for text in self.norms:
                 parse_norm_spec(text)
+        if not isinstance(self.variant, str) or self.variant not in V.REVERSE_VARIANTS:
+            raise ParameterError(
+                f"variant must be one of {tuple(V.REVERSE_VARIANTS)}, got {self.variant!r}"
+            )
+        self._check_ensemble()
+
+    def _check_ensemble(self):
+        """Reject an ensemble the verifier does not draw from or a key its
+        draw does not read, then draw once per distinct dim from the reserved
+        stream (seed, 2), so the draw's own checks judge the values."""
+        names = VERIFIERS[self.verifier].ensembles
+        ens = _ensemble(self.verifier, self.ensemble)
+        if ens["name"] not in names:
+            raise ParameterError(
+                f"ensemble name {ens['name']!r} is not drawn by verifier "
+                f"{self.verifier!r}, which draws from {names}"
+            )
+        draw, keys = ENSEMBLES[ens["name"]]
+        bad = sorted(set(ens) - {"name", *keys})
+        if bad:
+            raise ParameterError(f"ensemble {ens['name']!r} reads only {keys}, not {bad}")
+        for dim in sorted(set(self.dims)):
+            try:
+                draw(dim, SeedState(self.seed, (2,)), ens)
+            except (ParameterError, TypeError, ValueError) as exc:
+                raise ParameterError(f"ensemble {ens['name']!r} at dim {dim}: {exc}") from exc
 
     def cells(self) -> list:
         """The (theta, p, norm, dim) grid in cell-index order."""
@@ -188,69 +210,17 @@ class CampaignReport:
 # --- instance sampling ----------------------------------------------------------
 
 
-def _positive_pair(dim: int, ens: dict) -> PositivePair:
-    lo, hi = ens.get("spectrum_range", [0.0, 1.0])
-    return PositivePair(dim, (lo, hi))
-
-
-def _pair(dim: int, seed: SeedState, ens: dict):
-    """Two matrices from the named pair ensemble."""
-    name = ens.get("name", "gaussian_pair")
-    if name == "gaussian_pair":
-        rng = seed.rng()
-        return [("herm", gaussian_hermitian(dim, rng)), ("herm", gaussian_hermitian(dim, rng))]
-    if name == "positive_pair":
-        x, y = sample(_positive_pair(dim, ens), seed)
-        return [("pos", x), ("pos", y)]
-    if name == "general_pair":
-        rng = seed.rng()
-        return [("general", ginibre(dim, rng)), ("general", ginibre(dim, rng))]
-    if name == "commuting_pair":
-        x, y = sample(CommutingPair(dim), seed)
-        return [("herm", x), ("herm", y)]
-    if name == "fixed_pair":
-        eigenvalues = ens["eigenvalues"]
-        kind = "pos" if min(eigenvalues) >= 0 else "herm"
-        rng = seed.rng()
-        x, _, _ = fixed_spectrum(eigenvalues, rng)
-        y, _, _ = fixed_spectrum(eigenvalues, rng)
-        return [(kind, x), (kind, y)]
-    raise ParameterError(f"unknown ensemble {name!r}")
-
-
-def _hermitian_pair(dim: int, seed: SeedState, ens: dict):
-    """A pair ensemble for Hermitian pairs: general_pair draws gaussian_pair."""
-    if ens.get("name") == "general_pair":
-        ens = {"name": "gaussian_pair"}
-    return _pair(dim, seed, ens)
-
-
-def _with_contraction(count: int):
-    """The sampler of ``count`` Gaussian Hermitian matrices and a contraction."""
-
-    def draw(dim: int, seed: SeedState, ens: dict):
-        rng = seed.rng()
-        herms = [("herm", gaussian_hermitian(dim, rng)) for _ in range(count)]
-        return herms + [("contraction", sample(Contraction(dim), seed.child(1)))]
-
-    return draw
-
-
-def _telescope_inputs(dim: int, seed: SeedState, ens: dict):
-    r = int(ens.get("rank", min(dim, 3)))
-    lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
-    b, xs, es = rank_r_steps(dim, r, (lo, hi), seed.rng())
-    return [("herm", b)] + [("step", (x, e)) for x, e in zip(xs, es)]
-
-
 def sample_inputs(verifier: str, dim: int, seed: SeedState, ensemble: dict | None):
     """Draw the matrices a verifier consumes, tagged with their structure so
     the refinement stage knows how to perturb them."""
-    return VERIFIERS[verifier].sample(dim, seed, _ensemble(verifier, ensemble))
+    ens = _ensemble(verifier, ensemble)
+    draw, _ = ENSEMBLES[ens["name"]]
+    return draw(dim, seed, ens)
 
 
 def _ensemble(verifier: str, ensemble: dict | None) -> dict:
-    return ensemble or {"name": VERIFIERS[verifier].ensemble}
+    """The config's ensemble with its name; without one, the verifier's default."""
+    return {"name": VERIFIERS[verifier].ensembles[0], **(ensemble or {})}
 
 
 def _perturb_inputs(inputs, sigma: float, rng: np.random.Generator):
@@ -333,8 +303,10 @@ def _bks_chunk(config, cell_idx, cell, spec, trials, f, sem_cache):
     """Inputs and records of a chunk of bks trials on positive pairs: the
     pairs are drawn by the stacked sampler."""
     theta, _, _, dim = cell
-    pair_spec = _positive_pair(dim, _ensemble(config.verifier, config.ensemble))
-    pairs = sample_positive_pairs(pair_spec, [_trial_seed(config, cell_idx, t) for t in trials])
+    ens = _ensemble(config.verifier, config.ensemble)
+    spectrum_range = ens.get("spectrum_range", POSITIVE_SPECTRUM_RANGE)
+    seeds = [_trial_seed(config, cell_idx, t) for t in trials]
+    pairs = sample_positive_pairs(dim, spectrum_range, seeds)
     digests = [_digest(config, cell_idx, t, dim) for t in trials]
     records = V.verify_bks_stack(theta, spec, pairs, digests)
     # kept inputs must not pin the stack
@@ -355,12 +327,20 @@ def _inverse_chunk(config, cell_idx, cell, spec, trials, f, sem_cache):
 
 
 def _bks_stack_check(theta, spec, ens):
-    if ens.get("name") != "positive_pair":
+    if ens["name"] != "positive_pair":
         raise ParameterError("the bks kernel draws positive pairs")
     V.check_bks_params(theta, spec)
 
 
 # --- the verifier table ---------------------------------------------------------
+
+# the pair ensembles of Hermitian inputs, and all pair ensembles
+HERMITIAN_PAIRS = ("gaussian_pair", "positive_pair", "commuting_pair", "fixed_pair")
+PAIRS = HERMITIAN_PAIRS + ("general_pair",)
+
+
+def _default_first(name: str, names: tuple) -> tuple:
+    return (name,) + tuple(n for n in names if n != name)
 
 
 @dataclass(frozen=True)
@@ -370,8 +350,8 @@ class Verifier:
     ``verify`` function (a test's spy, perfbench's tracer) reaches them."""
 
     evaluate: Callable  # (f, theta, p, spec, m, digest, sem_cache, variant) -> record
-    sample: Callable = _hermitian_pair  # (dim, seed, ensemble) -> tagged inputs
-    ensemble: str = "gaussian_pair"  # drawn from when the config names none
+    # the ensembles.ENSEMBLES names the verifier draws from; the first is the default
+    ensembles: tuple = HERMITIAN_PAIRS
     needs_function: bool = False
     uses_norm: bool = False  # else evaluate gets spec None
     # (spec, p) -> the constant the ratio is claimed not to exceed, or None
@@ -385,8 +365,7 @@ VERIFIERS = {
     "main": Verifier(_eval_main, needs_function=True),
     "bks": Verifier(
         _eval_bks,
-        _pair,
-        "positive_pair",
+        _default_first("positive_pair", PAIRS),
         uses_norm=True,
         claim=lambda spec, p: 1.0,
         stack=_bks_chunk,
@@ -403,26 +382,28 @@ VERIFIERS = {
     ),
     "reverse": Verifier(_eval_reverse, uses_norm=True),
     "commutator": Verifier(
-        _estimate("verify_commutator"), _with_contraction(1), needs_function=True, uses_norm=True
+        _estimate("verify_commutator"),
+        ("hermitian_contraction",),
+        needs_function=True,
+        uses_norm=True,
     ),
     "quasicommutator": Verifier(
         _estimate("verify_quasi_commutator"),
-        _with_contraction(2),
+        ("hermitian_pair_contraction",),
         needs_function=True,
         uses_norm=True,
     ),
     # the classical constant 1 holds in the p-th power of S_q, which is S_qp, for qp >= 2
     "absmap": Verifier(
         _eval_absmap,
-        _pair,
-        "general_pair",
+        _default_first("general_pair", PAIRS),
         uses_norm=True,
         claim=lambda spec, p: 1.0 if isinstance(spec, Schatten) and spec.p * p >= 2.0 else None,
     ),
     # the claim is margin >= 0, recorded as ratio = max(0, -margin)
-    "alt": Verifier(_eval_alt, _pair, "positive_pair", claim=lambda spec, p: 0.0),
+    "alt": Verifier(_eval_alt, _default_first("positive_pair", PAIRS), claim=lambda spec, p: 0.0),
     "telescope": Verifier(
-        _eval_telescope, _telescope_inputs, needs_function=True, claim=lambda spec, p: 1.0
+        _eval_telescope, ("rank_one_steps",), needs_function=True, claim=lambda spec, p: 1.0
     ),
 }
 

@@ -20,6 +20,7 @@ from .campaign import VERIFIERS, CampaignConfig, replay, run_campaign
 from .ensembles import SeedState
 from .errors import HolderLabError
 from .functions import d_of_p, parse_function_spec, seminorm
+from .verify import REVERSE_VARIANTS
 
 DEFAULT_SEED = 20240801
 
@@ -58,11 +59,17 @@ def _manifest(command: str, config: dict, seed: int, outputs: list) -> dict:
 # --- verify ---------------------------------------------------------------------
 
 
+def _spectrum(text: str) -> list:
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
+
+
 def cmd_verify(args) -> int:
     ensemble = None
     if args.spectrum:
-        eigenvalues = [float(t) for t in args.spectrum.split(",")]
-        ensemble = {"name": "fixed_pair", "eigenvalues": eigenvalues}
+        ensemble = {"name": "fixed_pair", "eigenvalues": args.spectrum}
     config = CampaignConfig(
         verifier=args.ineq,
         function=args.f,
@@ -219,8 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--dim", type=int, default=6)
     pv.add_argument("--seed", type=int, default=_seed_default())
     pv.add_argument("--trials", type=int, default=1)
-    pv.add_argument("--variant", default="power", choices=["power", "expm1"])
-    pv.add_argument("--spectrum", default=None, help="fixed eigenvalues, comma separated")
+    pv.add_argument("--variant", default="power", choices=list(REVERSE_VARIANTS))
+    pv.add_argument(
+        "--spectrum", type=_spectrum, default=None, help="fixed eigenvalues, comma separated"
+    )
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("campaign", help="run a campaign from a JSON config")

@@ -677,11 +677,6 @@ def schur_ratio(
     return norm(out, Schatten(p)) / den
 
 
-def _dec_from_spectrum(lam: np.ndarray, u: np.ndarray) -> SpectralDecomposition:
-    order = np.argsort(lam)
-    return SpectralDecomposition(lam[order], u[:, order])
-
-
 def empirical_mp_lower(
     a: BivariateSymbol,
     p: float,

@@ -2,12 +2,13 @@
 
 Sub-streams are derived from a root seed and an integer path, so campaign
 cells and trials draw independent, reproducible randomness with no global
-state.
+state.  ``ENSEMBLES`` names the ensembles a campaign config can ask for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,66 +27,6 @@ class SeedState:
     def rng(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.root, spawn_key=self.path)
         return np.random.default_rng(ss)
-
-
-# --- ensemble specifications --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaussianHermitian:
-    dim: int
-
-
-@dataclass(frozen=True)
-class FixedSpectrum:
-    eigenvalues: tuple
-    haar_basis: bool = True
-
-
-@dataclass(frozen=True)
-class PositivePair:
-    dim: int
-    spectrum_range: tuple = (0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class RankRDifference:
-    dim: int
-    r: int
-    magnitudes_range: tuple = (1e-2, 1.0)
-
-
-@dataclass(frozen=True)
-class DegenerateSpectrum:
-    dim: int
-    multiplicities: tuple
-
-
-@dataclass(frozen=True)
-class CommutingPair:
-    dim: int
-
-
-@dataclass(frozen=True)
-class Contraction:
-    dim: int
-
-
-@dataclass(frozen=True)
-class GeneralGaussian:
-    dim: int
-
-
-EnsembleSpec = (
-    GaussianHermitian
-    | FixedSpectrum
-    | PositivePair
-    | RankRDifference
-    | DegenerateSpectrum
-    | CommutingPair
-    | Contraction
-    | GeneralGaussian
-)
 
 
 def _check_dim(dim):
@@ -122,12 +63,11 @@ def gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def fixed_spectrum(eigenvalues, rng: np.random.Generator, haar_basis: bool = True):
-    """Hermitian matrix with the given spectrum; returns (matrix, eigen-ascending,
-    unitary basis)."""
+def fixed_spectrum(eigenvalues, rng: np.random.Generator):
+    """Hermitian matrix with the given spectrum in a Haar basis; returns
+    (matrix, eigen-ascending, unitary basis)."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    n = lam.size
-    u = haar_unitary(n, rng) if haar_basis else np.eye(n, dtype=complex)
+    u = haar_unitary(lam.size, rng)
     return from_eigen(u, lam), lam, u
 
 
@@ -148,67 +88,119 @@ def rank_r_steps(dim: int, r: int, magnitudes_range, rng: np.random.Generator):
     return b, list(xs), es
 
 
-def sample_positive_pairs(spec: PositivePair, seeds) -> np.ndarray:
-    """Draw one PositivePair per seed, stacked as (len(seeds), 2, n, n).
+def sample_positive_pairs(dim: int, spectrum_range, seeds) -> np.ndarray:
+    """Draw one positive pair per seed, stacked as (len(seeds), 2, n, n).
 
-    Each seed draws exactly what ``sample(spec, seed)`` draws, in the same
-    order (spectrum of X, Ginibre of X's basis, then the same for Y); the
-    QR, phase and reconstruction then run once over the whole stack.
+    Each seed draws the spectrum of X uniformly from ``spectrum_range``, then
+    the Ginibre matrix of X's basis, then the same for Y; the QR, phase and
+    reconstruction then run once over the whole stack.
     """
-    _check_dim(spec.dim)
-    lo, hi = spec.spectrum_range
-    if not (0 <= lo < hi):
-        raise ParameterError(f"bad positive spectrum range {spec.spectrum_range}")
-    n = spec.dim
-    lam = np.empty((len(seeds), 2, n))
-    z = np.empty((len(seeds), 2, 2, n, n))
+    _check_dim(dim)
+    lo, hi = spectrum_range
+    if not (0 <= lo < hi < np.inf):
+        raise ParameterError(f"bad positive spectrum range {spectrum_range}")
+    lam = np.empty((len(seeds), 2, dim))
+    z = np.empty((len(seeds), 2, 2, dim, dim))
     for i, seed in enumerate(seeds):
         rng = seed.rng()
         for j in range(2):
-            lam[i, j] = rng.uniform(lo, hi, n)
-            rng.standard_normal(out=z[i, j])  # the draws of ginibre(n, rng)
+            lam[i, j] = rng.uniform(lo, hi, dim)
+            rng.standard_normal(out=z[i, j])  # the draws of ginibre(dim, rng)
     lam.sort(axis=-1)
     return from_eigen(_unitary_from_ginibre(_complex_gaussian(z)), lam)
 
 
-def sample(spec: EnsembleSpec, seed: SeedState):
-    """Draw from an ensemble.  Pair ensembles return a tuple of matrices."""
-    if isinstance(spec, PositivePair):
-        x, y = sample_positive_pairs(spec, [seed])[0]
-        return x, y
+# --- the named ensembles of a campaign config -------------------------------------
+#
+# Each draw maps (dim, seed, ensemble dict) to the inputs of a verifier, tagged
+# with their structure ("herm", "pos", "general", "contraction" or "step") so
+# that a campaign's refinement knows how to perturb them.  A draw reads only the
+# config keys its entry lists, and its ParameterError checks define which
+# values are valid.  The public functions above are looked up as module globals
+# when a draw runs, so rebinding them (a tracer, a test's spy) reaches the draws.
+
+POSITIVE_SPECTRUM_RANGE = (0.0, 1.0)  # of positive_pair without a spectrum_range
+
+
+def _gaussian_pair(dim, seed, ens):
     rng = seed.rng()
-    if isinstance(spec, GaussianHermitian):
-        _check_dim(spec.dim)
-        return gaussian_hermitian(spec.dim, rng)
-    if isinstance(spec, FixedSpectrum):
-        m, _, _ = fixed_spectrum(spec.eigenvalues, rng, spec.haar_basis)
-        return m
-    if isinstance(spec, RankRDifference):
-        _check_dim(spec.dim)
-        b, xs, es = rank_r_steps(spec.dim, spec.r, spec.magnitudes_range, rng)
-        a = b + sum(x * e for x, e in zip(xs, es))
-        return a, b
-    if isinstance(spec, DegenerateSpectrum):
-        _check_dim(spec.dim)
-        if sum(spec.multiplicities) != spec.dim:
-            raise ParameterError(
-                f"multiplicities {spec.multiplicities} must sum to dim {spec.dim}"
-            )
-        distinct = rng.standard_normal(len(spec.multiplicities))
-        lam = np.repeat(distinct, spec.multiplicities)
-        m, _, _ = fixed_spectrum(lam, rng)
-        return m
-    if isinstance(spec, CommutingPair):
-        _check_dim(spec.dim)
-        u = haar_unitary(spec.dim, rng)
-        la = np.sort(rng.standard_normal(spec.dim))
-        lb = np.sort(rng.standard_normal(spec.dim))
-        return from_eigen(u, la), from_eigen(u, lb)
-    if isinstance(spec, Contraction):
-        _check_dim(spec.dim)
-        g = ginibre(spec.dim, rng)
-        return g / op_norm(g)
-    if isinstance(spec, GeneralGaussian):
-        _check_dim(spec.dim)
-        return ginibre(spec.dim, rng)
-    raise ParameterError(f"unknown ensemble spec {spec!r}")
+    return [("herm", gaussian_hermitian(dim, rng)), ("herm", gaussian_hermitian(dim, rng))]
+
+
+def _positive_pair(dim, seed, ens):
+    spectrum_range = ens.get("spectrum_range", POSITIVE_SPECTRUM_RANGE)
+    x, y = sample_positive_pairs(dim, spectrum_range, [seed])[0]
+    return [("pos", x), ("pos", y)]
+
+
+def _general_pair(dim, seed, ens):
+    rng = seed.rng()
+    return [("general", ginibre(dim, rng)), ("general", ginibre(dim, rng))]
+
+
+def _commuting_pair(dim, seed, ens):
+    """Two Gaussian spectra in one Haar basis."""
+    _check_dim(dim)
+    rng = seed.rng()
+    u = haar_unitary(dim, rng)
+    la = np.sort(rng.standard_normal(dim))
+    lb = np.sort(rng.standard_normal(dim))
+    return [("herm", from_eigen(u, la)), ("herm", from_eigen(u, lb))]
+
+
+def _fixed_pair(dim, seed, ens):
+    """Two matrices with the given spectrum, each in its own Haar basis."""
+    eigenvalues = ens.get("eigenvalues")
+    if (
+        not isinstance(eigenvalues, (list, tuple))
+        or len(eigenvalues) != dim
+        or not all(
+            isinstance(v, Real) and not isinstance(v, bool) and np.isfinite(v)
+            for v in eigenvalues
+        )
+    ):
+        raise ParameterError(
+            f"eigenvalues must be a list of {dim} finite numbers, got {eigenvalues!r}"
+        )
+    kind = "pos" if min(eigenvalues) >= 0 else "herm"
+    rng = seed.rng()
+    x, _, _ = fixed_spectrum(eigenvalues, rng)
+    y, _, _ = fixed_spectrum(eigenvalues, rng)
+    return [(kind, x), (kind, y)]
+
+
+def _hermitian_contraction(count):
+    """The draw of ``count`` Gaussian Hermitian matrices and a contraction: a
+    Ginibre matrix from the seed's child stream 1, scaled to norm 1."""
+
+    def draw(dim, seed, ens):
+        _check_dim(dim)
+        rng = seed.rng()
+        herms = [("herm", gaussian_hermitian(dim, rng)) for _ in range(count)]
+        g = ginibre(dim, seed.child(1).rng())
+        return herms + [("contraction", g / op_norm(g))]
+
+    return draw
+
+
+def _rank_one_steps(dim, seed, ens):
+    """B and the rank-one steps (x_k, e_k) of a finite-rank telescope."""
+    r = ens.get("rank", min(dim, 3))
+    if isinstance(r, bool) or not isinstance(r, Integral) or r < 1:
+        raise ParameterError(f"rank must be an integer >= 1, got {r!r}")
+    lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
+    b, xs, es = rank_r_steps(dim, r, (lo, hi), seed.rng())
+    return [("herm", b)] + [("step", (x, e)) for x, e in zip(xs, es)]
+
+
+# name -> (draw, the config keys besides "name" that the draw reads)
+ENSEMBLES = {
+    "gaussian_pair": (_gaussian_pair, ()),
+    "positive_pair": (_positive_pair, ("spectrum_range",)),
+    "general_pair": (_general_pair, ()),
+    "commuting_pair": (_commuting_pair, ()),
+    "fixed_pair": (_fixed_pair, ("eigenvalues",)),
+    "hermitian_contraction": (_hermitian_contraction(1), ()),
+    "hermitian_pair_contraction": (_hermitian_contraction(2), ()),
+    "rank_one_steps": (_rank_one_steps, ("rank", "magnitudes_range")),
+}

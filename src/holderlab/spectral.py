@@ -218,13 +218,6 @@ def commutator(x, b) -> np.ndarray:
     return x @ b - b @ x
 
 
-def power_abs(a, theta: float, dec: SpectralDecomposition | None = None) -> np.ndarray:
-    """|A|^theta for Hermitian A."""
-    if dec is None:
-        dec = eig_hermitian(a)
-    return from_eigen(dec.basis, np.abs(dec.eigenvalues) ** theta)
-
-
 def signed_power_matrix(a, theta: float, dec: SpectralDecomposition | None = None) -> np.ndarray:
     """sgn(A)|A|^theta for Hermitian A."""
     if dec is None:

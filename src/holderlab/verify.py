@@ -377,26 +377,31 @@ def verify_inverse(
     return rec
 
 
+def _signed_expm1(t):
+    return np.sign(t) * np.expm1(np.abs(t))
+
+
+# variant -> (Hermitian X, theta) -> g(X), the map the reverse verifier applies
+REVERSE_VARIANTS = {
+    "power": lambda xm, theta: signed_power_matrix(xm, theta),  # sgn(X)|X|^theta
+    "expm1": lambda xm, theta: apply_function(_signed_expm1, xm),
+}
+
+
 def verify_reverse_power(
     theta, p, base: NormSpec, x, y, variant="power", digest=""
 ) -> VerificationRecord:
-    """||sgn(X)|X|^theta - sgn(Y)|Y|^theta|| versus || |X-Y|^theta || for
-    theta > 1 (or the signed exponential variant); the estimate says the
-    ratio stays above a positive constant."""
+    """||g(X) - g(Y)|| versus || |X-Y|^theta || for theta > 1, with g(t) =
+    sgn(t)|t|^theta (variant "power") or sgn(t) expm1(|t|) (variant "expm1");
+    the estimate says the ratio stays above a positive constant."""
     if not theta > 1.0:
         raise ParameterError(f"reverse power needs theta > 1, got {theta}")
     spec = PowerOf(base, p)
     xm, ym = as_hermitian(x), as_hermitian(y)
-    if variant == "power":
-        gx = signed_power_matrix(xm, theta)
-        gy = signed_power_matrix(ym, theta)
-    elif variant == "expm1":
-        def g(t):
-            return np.sign(t) * np.expm1(np.abs(t))
-
-        gx, gy = apply_function(g, xm), apply_function(g, ym)
-    else:
+    if variant not in REVERSE_VARIANTS:
         raise ParameterError(f"unknown reverse variant {variant!r}")
+    g = REVERSE_VARIANTS[variant]
+    gx, gy = g(xm, theta), g(ym, theta)
     lhs = norm(gx - gy, spec)
     rhs = norm_of_profile(_theta_profile(xm - ym, theta), spec)
     return make_record(f"reverse:{variant}", lhs, rhs, _abs_tol(xm.shape[0], xm, ym), digest)

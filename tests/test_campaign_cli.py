@@ -16,10 +16,10 @@ from holderlab.campaign import (
     sample_inputs,
 )
 from holderlab.cli import main
-from holderlab.ensembles import SeedState
+from holderlab.ensembles import ENSEMBLES, SeedState
 from holderlab.errors import ParameterError
 from holderlab.norms import KyFan, Schatten
-from holderlab.verify import VerificationRecord
+from holderlab.verify import REVERSE_VARIANTS, VerificationRecord
 
 
 def small_config(**overrides):
@@ -107,6 +107,7 @@ def test_degenerate_records_excluded_from_stats():
         verifier="absmap",
         norms=("schatten:1",),
         ps=(2.0,),
+        dims=(2,),
         trials=5,
         ensemble={"name": "fixed_pair", "eigenvalues": [0.0, 0.0]},
     )
@@ -429,7 +430,108 @@ def test_cli_campaign_cell_without_valid_trials_exit_2(tmp_path, capsys):
 def test_run_single_dispatches_reverse_variants():
     inputs = sample_inputs("reverse", 4, SeedState(3), None)
     x, y = (m for _, m in inputs)
-    for variant in ("power", "expm1"):
+    for variant in REVERSE_VARIANTS:
         rec = run_single("reverse", None, 1.5, 1.0, KyFan(2), inputs, "d", {}, variant)
         assert rec == hl.verify_reverse_power(1.5, 1.0, KyFan(2), x, y, variant, "d")
     assert run_single("reverse", None, 1.5, 1.0, KyFan(2), inputs, "d", {}).name == "reverse:power"
+
+
+# --- ensembles and variants are checked at load ------------------------------------
+
+MAIN = {"verifier": "main", "function": "power:0.5"}
+CONFIG_REJECTIONS = {
+    "misspelled-name": ({**MAIN, "ensemble": {"name": "gausian_pair"}}, "gausian_pair"),
+    "general-pair-for-main": ({**MAIN, "ensemble": {"name": "general_pair"}}, "general_pair"),
+    "gaussian-pair-for-commutator": (
+        {"verifier": "commutator", "function": "power:0.5", "ensemble": {"name": "gaussian_pair"}},
+        "gaussian_pair",
+    ),
+    "unknown-key": (
+        {"ensemble": {"name": "positive_pair", "spectrum_range": [0.0, 1.0], "rank": 2}},
+        "rank",
+    ),
+    "missing-eigenvalues": ({"ensemble": {"name": "fixed_pair"}}, "eigenvalues"),
+    "malformed-range": (
+        {"ensemble": {"name": "positive_pair", "spectrum_range": [0.5]}},
+        "positive_pair",
+    ),
+    "short-eigenvalues": (
+        {"dims": [3], "ensemble": {"name": "fixed_pair", "eigenvalues": [0.0, 1.0]}},
+        "eigenvalues",
+    ),
+    "unknown-variant": ({"verifier": "reverse", "thetas": [1.5], "variant": "cube"}, "cube"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_REJECTIONS))
+def test_config_rejects_ensembles_and_variants(case, tmp_path, capsys):
+    overrides, name = CONFIG_REJECTIONS[case]
+    raw = {**small_config().to_dict(), **overrides}
+    field = "variant" if "variant" in overrides else "ensemble"
+    with pytest.raises(ParameterError, match=name) as err:
+        CampaignConfig.from_dict(raw)
+    assert field in str(err.value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verifiers_draw_from_the_table():
+    for name, entry in VERIFIERS.items():
+        assert entry.ensembles and set(entry.ensembles) <= set(ENSEMBLES), name
+    hermitian = {"gaussian_pair", "positive_pair", "commuting_pair", "fixed_pair"}
+    for name in ("main", "submaj", "symmetric", "inverse", "reverse"):
+        assert VERIFIERS[name].ensembles[0] == "gaussian_pair"
+        assert set(VERIFIERS[name].ensembles) == hermitian
+    defaults = {"bks": "positive_pair", "absmap": "general_pair", "alt": "positive_pair"}
+    for name, default in defaults.items():
+        assert VERIFIERS[name].ensembles[0] == default
+        assert set(VERIFIERS[name].ensembles) == hermitian | {"general_pair"}
+    assert VERIFIERS["commutator"].ensembles == ("hermitian_contraction",)
+    assert VERIFIERS["quasicommutator"].ensembles == ("hermitian_pair_contraction",)
+    assert VERIFIERS["telescope"].ensembles == ("rank_one_steps",)
+
+
+def test_config_draws_once_per_dim_from_the_reserved_stream(monkeypatch):
+    real, keys = ENSEMBLES["gaussian_pair"]
+    calls = []
+
+    def spy(dim, seed, ens):
+        calls.append((dim, seed, ens))
+        return real(dim, seed, ens)
+
+    monkeypatch.setitem(ENSEMBLES, "gaussian_pair", (spy, keys))
+    cfg = small_config(**MAIN, dims=(3, 1, 3), seed=5)
+    assert calls == [(d, SeedState(5, (2,)), {"name": "gaussian_pair"}) for d in (1, 3)]
+    calls.clear()
+    run_campaign(dataclasses.replace(cfg, trials=2))
+    # the trial streams, and the load check of the replaced config
+    assert {seed.path[0] for _, seed, _ in calls} == {0, 2}
+
+
+def test_nameless_ensemble_is_the_verifier_default():
+    for verifier, ens, name in (
+        ("bks", {"spectrum_range": [0.0, 2.0]}, "positive_pair"),
+        ("absmap", {}, "general_pair"),
+    ):
+        nameless, _ = run_campaign(small_config(verifier=verifier, trials=6, ensemble=ens))
+        named, _ = run_campaign(
+            small_config(verifier=verifier, trials=6, ensemble={"name": name, **ens})
+        )
+        assert nameless.to_csv() == named.to_csv()
+        assert "none" not in nameless.to_csv()
+
+
+def test_cli_verify_spectrum_errors_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--ineq", "alt", "--spectrum", "1,x"])
+    assert exc.value.code == 2
+    assert "--spectrum" in capsys.readouterr().err
+    # two eigenvalues do not make a pair of dim 6
+    assert main(["verify", "--ineq", "alt", "--spectrum", "1,1"]) == 2
+    assert "eigenvalues" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--ineq", "reverse", "--theta", "1.5", "--variant", "cube"])
+    assert exc.value.code == 2

@@ -4,52 +4,81 @@ import pytest
 import holderlab as hl
 from holderlab import ensembles as E
 from holderlab.errors import ParameterError
+from holderlab.spectral import from_eigen
+
+# one config per entry of the table; fixed_pair's spectrum needs the dim
+ENSEMBLE_CONFIGS = {
+    "gaussian_pair": lambda dim: {},
+    "positive_pair": lambda dim: {"spectrum_range": [0.5, 2.0]},
+    "general_pair": lambda dim: {},
+    "commuting_pair": lambda dim: {},
+    "fixed_pair": lambda dim: {"eigenvalues": [float(k // 2) for k in range(dim)]},
+    "hermitian_contraction": lambda dim: {},
+    "hermitian_pair_contraction": lambda dim: {},
+    "rank_one_steps": lambda dim: {"rank": 1, "magnitudes_range": [0.1, 0.5]},
+}
+
+
+def draw(name, dim, seed, ens=None):
+    fn, _ = E.ENSEMBLES[name]
+    return fn(dim, seed, ENSEMBLE_CONFIGS[name](dim) if ens is None else ens)
+
+
+def _same(a, b):
+    """Tagged inputs equal bit for bit."""
+    assert [k for k, _ in a] == [k for k, _ in b]
+    for (kind, x), (_, y) in zip(a, b):
+        if kind == "step":
+            assert x[0] == y[0] and np.array_equal(x[1], y[1])
+        else:
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_the_table_names_every_ensemble_once():
+    assert set(E.ENSEMBLES) == set(ENSEMBLE_CONFIGS)
 
 
 def test_determinism():
-    for spec in [
-        E.GaussianHermitian(5),
-        E.FixedSpectrum((1.0, 2.0, 3.0)),
-        E.PositivePair(4),
-        E.RankRDifference(5, 2),
-        E.CommutingPair(4),
-        E.Contraction(4),
-        E.GeneralGaussian(4),
-        E.DegenerateSpectrum(4, (2, 2)),
-    ]:
-        a = E.sample(spec, E.SeedState(42, (3, 7)))
-        b = E.sample(spec, E.SeedState(42, (3, 7)))
-        if isinstance(a, tuple):
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y)
-        else:
-            assert np.array_equal(a, b)
+    for name in E.ENSEMBLES:
+        a = draw(name, 4, E.SeedState(42, (3, 7)))
+        b = draw(name, 4, E.SeedState(42, (3, 7)))
+        _same(a, b)
 
 
 def test_distinct_paths_differ():
-    a = E.sample(E.GaussianHermitian(4), E.SeedState(42, (0,)))
-    b = E.sample(E.GaussianHermitian(4), E.SeedState(42, (1,)))
-    assert not np.array_equal(a, b)
+    for name in E.ENSEMBLES:
+        (_, a), *_ = draw(name, 4, E.SeedState(42, (0,)))
+        (_, b), *_ = draw(name, 4, E.SeedState(42, (1,)))
+        assert not np.array_equal(a, b)
 
 
-def test_fixed_spectrum_plain():
-    m = E.sample(E.FixedSpectrum((1.0, 2.0, 3.0), haar_basis=False), E.SeedState(0))
-    assert np.allclose(m, np.diag([1.0, 2.0, 3.0]))
+@pytest.mark.parametrize("name", sorted(ENSEMBLE_CONFIGS))
+def test_draws_read_only_their_keys(name):
+    class Recording(dict):
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    read = set()
+    draw(name, 3, E.SeedState(1), Recording(ENSEMBLE_CONFIGS[name](3)))
+    assert read == set(E.ENSEMBLES[name][1])
 
 
 def test_gaussian_hermitian_is_hermitian():
-    m = E.sample(E.GaussianHermitian(6), E.SeedState(1))
-    assert np.abs(m - m.conj().T).max() == 0.0
+    for _, m in draw("gaussian_pair", 6, E.SeedState(1)):
+        assert np.abs(m - m.conj().T).max() == 0.0
 
 
 def test_commuting_pair():
-    a, b = E.sample(E.CommutingPair(5), E.SeedState(2))
+    (_, a), (_, b) = draw("commuting_pair", 5, E.SeedState(2))
     assert hl.op_norm(a @ b - b @ a) <= 1e-12
 
 
 def test_contraction_norm_one():
-    r = E.sample(E.Contraction(5), E.SeedState(3))
-    assert hl.op_norm(r) == pytest.approx(1.0, abs=1e-12)
+    for name in ("hermitian_contraction", "hermitian_pair_contraction"):
+        (kind, r) = draw(name, 5, E.SeedState(3))[-1]
+        assert kind == "contraction"
+        assert hl.op_norm(r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_haar_trace_statistics():
@@ -86,18 +115,113 @@ def test_rank_r_difference_profile():
 
 
 def test_degenerate_spectrum_multiplicities():
-    m = E.sample(E.DegenerateSpectrum(5, (3, 2)), E.SeedState(8))
-    vals = np.linalg.eigvalsh(m)
-    gaps = np.diff(np.sort(vals))
-    assert np.sum(gaps > 1e-8) == 1  # exactly two distinct levels
+    ens = {"eigenvalues": [-0.5, -0.5, -0.5, 1.5, 1.5]}
+    for kind, m in draw("fixed_pair", 5, E.SeedState(8), ens):
+        assert kind == "herm"
+        gaps = np.diff(np.linalg.eigvalsh(m))
+        assert np.sum(gaps > 1e-8) == 1  # exactly two distinct levels
 
 
 def test_parameter_validation():
     with pytest.raises(ParameterError):
-        E.sample(E.RankRDifference(3, 5), E.SeedState(0))
+        E.rank_r_steps(3, 5, (1e-2, 1.0), E.SeedState(0).rng())
     with pytest.raises(ParameterError):
-        E.sample(E.DegenerateSpectrum(4, (2, 3)), E.SeedState(0))
+        E.rank_r_steps(3, 2, (0.0, 1.0), E.SeedState(0).rng())
     with pytest.raises(ParameterError):
-        E.sample(E.PositivePair(4, (1.0, 0.5)), E.SeedState(0))
+        E.sample_positive_pairs(4, (1.0, 0.5), [E.SeedState(0)])
     with pytest.raises(ParameterError):
-        E.sample(E.GaussianHermitian(0), E.SeedState(0))
+        E.sample_positive_pairs(0, (0.0, 1.0), [E.SeedState(0)])
+    with pytest.raises(ParameterError):
+        E.sample_positive_pairs(4, (0.0, np.inf), [E.SeedState(0)])
+    with pytest.raises(ParameterError):
+        draw("commuting_pair", 0, E.SeedState(0))
+    for rank in (3, 0, 1.5, True, "1"):
+        with pytest.raises(ParameterError, match="rank"):
+            draw("rank_one_steps", 2, E.SeedState(0), {"rank": rank})
+    bad = (None, [0.0, 1.0], [0.0, 1.0, 2.0, 3.0], "012", [0.0, "1", 2.0], [0, 1, True],
+           [0.0, np.inf, 1.0], [0.0, np.nan, 1.0])
+    for eigenvalues in bad:
+        with pytest.raises(ParameterError, match="eigenvalues"):
+            draw("fixed_pair", 3, E.SeedState(0), {"eigenvalues": eigenvalues})
+
+
+# --- the samplers the table replaced, copied as references ------------------------
+
+
+def _old_positive_pair(dim, spectrum_range, seed):
+    """sample(PositivePair(dim, spectrum_range), seed): a stack of one."""
+    lo, hi = spectrum_range
+    lam = np.empty((1, 2, dim))
+    z = np.empty((1, 2, 2, dim, dim))
+    rng = seed.rng()
+    for j in range(2):
+        lam[0, j] = rng.uniform(lo, hi, dim)
+        rng.standard_normal(out=z[0, j])
+    lam.sort(axis=-1)
+    x, y = from_eigen(E._unitary_from_ginibre(E._complex_gaussian(z)), lam)[0]
+    return x, y
+
+
+def _old_pair(dim, seed, ens):
+    name = ens.get("name", "gaussian_pair")
+    if name == "gaussian_pair":
+        rng = seed.rng()
+        return [("herm", E.gaussian_hermitian(dim, rng)), ("herm", E.gaussian_hermitian(dim, rng))]
+    if name == "positive_pair":
+        lo, hi = ens.get("spectrum_range", [0.0, 1.0])
+        x, y = _old_positive_pair(dim, (lo, hi), seed)
+        return [("pos", x), ("pos", y)]
+    if name == "general_pair":
+        rng = seed.rng()
+        return [("general", E.ginibre(dim, rng)), ("general", E.ginibre(dim, rng))]
+    if name == "commuting_pair":
+        rng = seed.rng()
+        u = E.haar_unitary(dim, rng)
+        la = np.sort(rng.standard_normal(dim))
+        lb = np.sort(rng.standard_normal(dim))
+        return [("herm", from_eigen(u, la)), ("herm", from_eigen(u, lb))]
+    eigenvalues = ens["eigenvalues"]
+    kind = "pos" if min(eigenvalues) >= 0 else "herm"
+    rng = seed.rng()
+    x, _, _ = E.fixed_spectrum(eigenvalues, rng)
+    y, _, _ = E.fixed_spectrum(eigenvalues, rng)
+    return [(kind, x), (kind, y)]
+
+
+def _old_with_contraction(count):
+    def sample(dim, seed, ens):
+        rng = seed.rng()
+        herms = [("herm", E.gaussian_hermitian(dim, rng)) for _ in range(count)]
+        g = E.ginibre(dim, seed.child(1).rng())
+        return herms + [("contraction", g / hl.op_norm(g))]
+
+    return sample
+
+
+def _old_telescope_inputs(dim, seed, ens):
+    r = int(ens.get("rank", min(dim, 3)))
+    lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
+    b, xs, es = E.rank_r_steps(dim, r, (lo, hi), seed.rng())
+    return [("herm", b)] + [("step", (x, e)) for x, e in zip(xs, es)]
+
+
+OLD_SAMPLERS = {
+    "hermitian_contraction": _old_with_contraction(1),
+    "hermitian_pair_contraction": _old_with_contraction(2),
+    "rank_one_steps": _old_telescope_inputs,
+}
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+@pytest.mark.parametrize("name", sorted(ENSEMBLE_CONFIGS))
+def test_entries_draw_what_the_old_samplers_drew(name, dim):
+    configs = [ENSEMBLE_CONFIGS[name](dim)]
+    if name in ("positive_pair", "rank_one_steps"):
+        configs.append({})  # the defaults
+    if name == "fixed_pair":
+        configs.append({"eigenvalues": [0.25 * k for k in range(dim)]})  # a positive pair
+    old = OLD_SAMPLERS.get(name, _old_pair)
+    for ens in configs:
+        for path in [(0, 2, 5), (1,), (2,)]:
+            seed = E.SeedState(31, path)
+            _same(draw(name, dim, seed, ens), old(dim, seed, {"name": name, **ens}))

@@ -15,13 +15,7 @@ import holderlab as hl
 import holderlab.campaign as camp
 import holderlab.verify as V
 from holderlab.campaign import CampaignConfig, replay, run_campaign, trial_outcomes
-from holderlab.ensembles import (
-    PositivePair,
-    SeedState,
-    fixed_spectrum,
-    sample,
-    sample_positive_pairs,
-)
+from holderlab.ensembles import ENSEMBLES, SeedState, fixed_spectrum, sample_positive_pairs
 from holderlab.errors import DomainError, HolderLabError, ParameterError
 from holderlab.functions import GridSpec, ScalarFunction, d_of_p, parse_function_spec, seminorm
 from holderlab.norms import (
@@ -146,13 +140,14 @@ def test_rejected_stack_items_take_the_per_trial_path(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
 @pytest.mark.parametrize("spectrum_range", [(0.0, 1.0), (0.0, 1e-8), (1e7, 1e8)])
 def test_sampler_matches_per_seed_draws(dim, spectrum_range):
-    spec = PositivePair(dim, spectrum_range)
     seeds = [SeedState(9, (0, 4, t)) for t in range(5)]
-    pairs = sample_positive_pairs(spec, seeds)
+    pairs = sample_positive_pairs(dim, spectrum_range, seeds)
     assert pairs.shape == (5, 2, dim, dim)
     lo, hi = spectrum_range
+    draw, _ = ENSEMBLES["positive_pair"]
     for seed, pair in zip(seeds, pairs):
-        x, y = sample(spec, seed)
+        (kx, x), (ky, y) = draw(dim, seed, {"spectrum_range": spectrum_range})
+        assert (kx, ky) == ("pos", "pos")
         assert np.array_equal(x, pair[0]) and np.array_equal(y, pair[1])
         # the draws of two fixed_spectrum calls on one generator
         rng = seed.rng()
@@ -163,9 +158,11 @@ def test_sampler_matches_per_seed_draws(dim, spectrum_range):
 
 def test_sampler_rejects_bad_specs():
     with pytest.raises(ParameterError):
-        sample_positive_pairs(PositivePair(0), [SeedState(1)])
+        sample_positive_pairs(0, (0.0, 1.0), [SeedState(1)])
     with pytest.raises(ParameterError):
-        sample_positive_pairs(PositivePair(3, (1.0, 0.5)), [SeedState(1)])
+        sample_positive_pairs(3, (1.0, 0.5), [SeedState(1)])
+    with pytest.raises(ParameterError):
+        sample_positive_pairs(3, (-0.5, 1.0), [SeedState(1)])
 
 
 def _bks_per_matrix(theta, spec, x, y):
@@ -250,6 +247,8 @@ INVERSE_ENSEMBLES = {
     "huge-spectrum": {"name": "positive_pair", "spectrum_range": [1e7, 1e8]},
     "fixed-degenerate": {"name": "fixed_pair", "eigenvalues": [-1.0, -1.0, 0.0, 0.5, 0.5]},
 }
+# a fixed_pair spectrum sets the dim
+INVERSE_DIMS = {"fixed-degenerate": [5]}
 
 
 def _inverse_config(function, ensemble="gaussian", seed=101, **overrides):
@@ -260,7 +259,7 @@ def _inverse_config(function, ensemble="gaussian", seed=101, **overrides):
             "thetas": [1.5, 3.0],
             "ps": [1.0],
             "norms": ["schatten:1", "kyfan:2"],
-            "dims": [1, 3, 8],
+            "dims": INVERSE_DIMS.get(ensemble, [1, 3, 8]),
             "trials": 5,
             "seed": seed,
             "ensemble": INVERSE_ENSEMBLES[ensemble],
@@ -301,12 +300,13 @@ def test_inverse_trials_replay_bitwise(function):
 @pytest.mark.parametrize("function", ["spower:0.5", "slog1p", "sexpm1"])
 def test_inverse_ensembles_replay_bitwise(function, ensemble):
     failures = _replay_failures(_inverse_config(function, ensemble, thetas=[2.0]))
+    cells = 2 if ensemble == "fixed-degenerate" else 6  # dim 5, or dims 1/3/8
     if ensemble == "huge-spectrum" or function == "sexpm1":
         # f^{-1} leaves the bracket for spower and slog1p; sexpm1 has an
         # infinite seminorm
-        assert failures == [5] * 6
+        assert failures == [5] * cells
     else:
-        assert failures == [0] * 6
+        assert failures == [0] * cells
 
 
 def test_inverse_on_the_operator_norm_replays_bitwise():
