@@ -16,16 +16,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import doi
-from .ensembles import (
-    ENSEMBLES,
-    POSITIVE_SPECTRUM_RANGE,
-    SeedState,
-    gaussian_hermitian,
-    ginibre,
-    sample_positive_pairs,
-)
-from .errors import HolderLabError, ParameterError
-from .functions import ScalarFunction, parse_function_spec
+from .ensembles import ENSEMBLES, SeedState, gaussian_hermitian, ginibre
+from .errors import EigensolverError, HolderLabError, ParameterError
+from .functions import parse_function_spec
 from .norms import Schatten, parse_norm_spec
 from .spectral import as_hermitian, eig_hermitian, from_eigen, op_norm
 from . import verify as V
@@ -33,8 +26,8 @@ from . import verify as V
 # a record exceeds its verifier's claimed constant when ratio > claim + tol
 CONSTANT_ONE_TOL = 1e-8
 
-# complex matrix entries per stack of a batched kernel (both matrices of
-# every pair): 32 trials at dim 8, 2 at dim 32, 1 at dim 64
+# complex matrix entries per stack of trials, two matrices per trial: 32
+# trials at dim 8, 2 at dim 32, 1 at dim 64
 STACK_ENTRIES = 4096
 
 
@@ -113,7 +106,7 @@ class CampaignConfig:
             raise ParameterError(f"ensemble {ens['name']!r} reads only {keys}, not {bad}")
         for dim in sorted(set(self.dims)):
             try:
-                draw(dim, SeedState(self.seed, (2,)), ens)
+                draw(dim, [SeedState(self.seed, (2,))], ens)
             except (ParameterError, TypeError, ValueError) as exc:
                 raise ParameterError(f"ensemble {ens['name']!r} at dim {dim}: {exc}") from exc
 
@@ -210,14 +203,6 @@ class CampaignReport:
 # --- instance sampling ----------------------------------------------------------
 
 
-def sample_inputs(verifier: str, dim: int, seed: SeedState, ensemble: dict | None):
-    """Draw the matrices a verifier consumes, tagged with their structure so
-    the refinement stage knows how to perturb them."""
-    ens = _ensemble(verifier, ensemble)
-    draw, _ = ENSEMBLES[ens["name"]]
-    return draw(dim, seed, ens)
-
-
 def _ensemble(verifier: str, ensemble: dict | None) -> dict:
     """The config's ensemble with its name; without one, the verifier's default."""
     return {"name": VERIFIERS[verifier].ensembles[0], **(ensemble or {})}
@@ -248,7 +233,24 @@ def _perturb_inputs(inputs, sigma: float, rng: np.random.Generator):
     return out
 
 
-# --- per-trial evaluation: m holds the untagged sampled inputs -------------------
+# --- the kernels: a stack holds the untagged inputs of each trial ----------------
+
+
+def _per_trial(evaluate):
+    """The kernel that runs ``evaluate(f, theta, p, spec, m, digest,
+    sem_cache, variant)`` on the inputs m of each trial in turn; it returns
+    the trial's record or raises the trial's HolderLabError."""
+
+    def kernel(f, theta, p, spec, stack, digests, sem_cache, variant):
+        outcomes = []
+        for m, digest in zip(stack, digests):
+            try:
+                outcomes.append(evaluate(f, theta, p, spec, m, digest, sem_cache, variant))
+            except HolderLabError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    return kernel
 
 
 def _eval_main(f, theta, p, spec, m, digest, sem_cache, variant):
@@ -257,10 +259,6 @@ def _eval_main(f, theta, p, spec, m, digest, sem_cache, variant):
 
 def _eval_submaj(f, theta, p, spec, m, digest, sem_cache, variant):
     return V.verify_submajorization(f, theta, p, m[0], m[1], sem_cache, digest)[1]
-
-
-def _eval_bks(f, theta, p, spec, m, digest, sem_cache, variant):
-    return V.verify_bks(theta, spec, m[0], m[1], digest)
 
 
 def _estimate(name: str):
@@ -299,48 +297,19 @@ def _eval_telescope(f, theta, p, spec, m, digest, sem_cache, variant):
     return V.telescope_finite_rank(f, theta, p, m[0], m[1:], digest).record
 
 
-def _bks_chunk(config, cell_idx, cell, spec, trials, f, sem_cache):
-    """Inputs and records of a chunk of bks trials on positive pairs: the
-    pairs are drawn by the stacked sampler."""
-    theta, _, _, dim = cell
-    ens = _ensemble(config.verifier, config.ensemble)
-    spectrum_range = ens.get("spectrum_range", POSITIVE_SPECTRUM_RANGE)
-    seeds = [_trial_seed(config, cell_idx, t) for t in trials]
-    pairs = sample_positive_pairs(dim, spectrum_range, seeds)
-    digests = [_digest(config, cell_idx, t, dim) for t in trials]
-    records = V.verify_bks_stack(theta, spec, pairs, digests)
-    # kept inputs must not pin the stack
-    return [[("pos", x.copy()), ("pos", y.copy())] for x, y in pairs], records
+def _bks_kernel(f, theta, p, spec, stack, digests, sem_cache, variant):
+    return V.verify_bks_stack(theta, spec, np.asarray(stack), digests)
 
 
-def _inverse_chunk(config, cell_idx, cell, spec, trials, f, sem_cache):
-    """Inputs and records of a chunk of inverse trials: each trial draws its
-    own inputs, and the stacked kernel runs on the pairs they hold."""
-    theta, p, _, dim = cell
-    inputs = [
-        sample_inputs(config.verifier, dim, _trial_seed(config, cell_idx, t), config.ensemble)
-        for t in trials
-    ]
-    pairs = np.stack([[m for _, m in inp] for inp in inputs])
-    digests = [_digest(config, cell_idx, t, dim) for t in trials]
-    return inputs, V.verify_inverse_stack(f, theta, p, spec, pairs, digests, sem_cache)
-
-
-def _bks_stack_check(theta, spec, ens):
-    if ens["name"] != "positive_pair":
-        raise ParameterError("the bks kernel draws positive pairs")
-    V.check_bks_params(theta, spec)
+def _inverse_kernel(f, theta, p, spec, stack, digests, sem_cache, variant):
+    return V.verify_inverse_stack(f, theta, p, spec, np.asarray(stack), digests, sem_cache)
 
 
 # --- the verifier table ---------------------------------------------------------
 
-# the pair ensembles of Hermitian inputs, and all pair ensembles
+# the pair ensembles of Hermitian inputs, and those of positive inputs
 HERMITIAN_PAIRS = ("gaussian_pair", "positive_pair", "commuting_pair", "fixed_pair")
-PAIRS = HERMITIAN_PAIRS + ("general_pair",)
-
-
-def _default_first(name: str, names: tuple) -> tuple:
-    return (name,) + tuple(n for n in names if n != name)
+POSITIVE_PAIRS = ("positive_pair", "fixed_pair")
 
 
 @dataclass(frozen=True)
@@ -349,81 +318,54 @@ class Verifier:
     look ``verify`` up as ``V`` when they run, so rebinding ``campaign.V`` or a
     ``verify`` function (a test's spy, perfbench's tracer) reaches them."""
 
-    evaluate: Callable  # (f, theta, p, spec, m, digest, sem_cache, variant) -> record
+    # (f, theta, p, spec, stack, digests, sem_cache, variant) -> per trial of
+    # the stack, its record or its HolderLabError
+    kernel: Callable
     # the ensembles.ENSEMBLES names the verifier draws from; the first is the default
     ensembles: tuple = HERMITIAN_PAIRS
     needs_function: bool = False
-    uses_norm: bool = False  # else evaluate gets spec None
+    uses_norm: bool = False  # else the kernel gets spec None
     # (spec, p) -> the constant the ratio is claimed not to exceed, or None
     claim: Callable = lambda spec, p: None
-    stack: Optional[Callable] = None  # the chunk kernel of trial_outcomes
-    # (theta, spec, ensemble) -> None; ParameterError keeps a cell off the kernel
-    stack_check: Optional[Callable] = None
 
 
 VERIFIERS = {
-    "main": Verifier(_eval_main, needs_function=True),
-    "bks": Verifier(
-        _eval_bks,
-        _default_first("positive_pair", PAIRS),
-        uses_norm=True,
-        claim=lambda spec, p: 1.0,
-        stack=_bks_chunk,
-        stack_check=_bks_stack_check,
+    "main": Verifier(_per_trial(_eval_main), needs_function=True),
+    "bks": Verifier(_bks_kernel, POSITIVE_PAIRS, uses_norm=True, claim=lambda spec, p: 1.0),
+    "submaj": Verifier(_per_trial(_eval_submaj), needs_function=True),
+    "symmetric": Verifier(
+        _per_trial(_estimate("verify_symmetric")), needs_function=True, uses_norm=True
     ),
-    "submaj": Verifier(_eval_submaj, needs_function=True),
-    "symmetric": Verifier(_estimate("verify_symmetric"), needs_function=True, uses_norm=True),
-    "inverse": Verifier(
-        _estimate("verify_inverse"),
-        needs_function=True,
-        uses_norm=True,
-        stack=_inverse_chunk,
-        stack_check=lambda theta, spec, ens: V.check_inverse_params(theta, spec),
-    ),
-    "reverse": Verifier(_eval_reverse, uses_norm=True),
+    "inverse": Verifier(_inverse_kernel, needs_function=True, uses_norm=True),
+    "reverse": Verifier(_per_trial(_eval_reverse), uses_norm=True),
     "commutator": Verifier(
-        _estimate("verify_commutator"),
+        _per_trial(_estimate("verify_commutator")),
         ("hermitian_contraction",),
         needs_function=True,
         uses_norm=True,
     ),
     "quasicommutator": Verifier(
-        _estimate("verify_quasi_commutator"),
+        _per_trial(_estimate("verify_quasi_commutator")),
         ("hermitian_pair_contraction",),
         needs_function=True,
         uses_norm=True,
     ),
     # the classical constant 1 holds in the p-th power of S_q, which is S_qp, for qp >= 2
     "absmap": Verifier(
-        _eval_absmap,
-        _default_first("general_pair", PAIRS),
+        _per_trial(_eval_absmap),
+        ("general_pair",) + HERMITIAN_PAIRS,
         uses_norm=True,
         claim=lambda spec, p: 1.0 if isinstance(spec, Schatten) and spec.p * p >= 2.0 else None,
     ),
     # the claim is margin >= 0, recorded as ratio = max(0, -margin)
-    "alt": Verifier(_eval_alt, _default_first("positive_pair", PAIRS), claim=lambda spec, p: 0.0),
+    "alt": Verifier(_per_trial(_eval_alt), POSITIVE_PAIRS, claim=lambda spec, p: 0.0),
     "telescope": Verifier(
-        _eval_telescope, ("rank_one_steps",), needs_function=True, claim=lambda spec, p: 1.0
+        _per_trial(_eval_telescope),
+        ("rank_one_steps",),
+        needs_function=True,
+        claim=lambda spec, p: 1.0,
     ),
 }
-
-
-def run_single(
-    verifier: str,
-    f: ScalarFunction | None,
-    theta: float,
-    p: float,
-    spec,
-    inputs,
-    digest: str,
-    sem_cache: dict,
-    variant: str = "power",
-) -> V.VerificationRecord:
-    """Dispatch one verification on pre-sampled inputs; ``spec`` is the
-    cell's parsed norm (None for verifiers that use no norm) and ``variant``
-    the flavour of the reverse verifier."""
-    m = [payload for _, payload in inputs]
-    return VERIFIERS[verifier].evaluate(f, theta, p, spec, m, digest, sem_cache, variant)
 
 
 def _matrix_payload(m: np.ndarray):
@@ -442,72 +384,57 @@ def _digest(config: CampaignConfig, cell_idx: int, trial: int, dim) -> str:
     return f"{config.seed}:{cell_idx}:{trial}:dim{dim}"
 
 
-def _scalar_trial(config, f, cell_idx, cell, spec, trial, sem_cache):
-    """One trial on the per-trial path: (inputs, record).  This is the oracle
-    that replay runs; a failed trial raises its HolderLabError."""
-    theta, p, _, dim = cell
-    seed = _trial_seed(config, cell_idx, trial)
-    inputs = sample_inputs(config.verifier, dim, seed, config.ensemble)
-    digest = _digest(config, cell_idx, trial, dim)
-    record = run_single(
-        config.verifier, f, theta, p, spec, inputs, digest, sem_cache, config.variant
-    )
-    return inputs, record
-
-
-def _stack_size(config: CampaignConfig, theta, spec, dim) -> int:
-    """Trials per stack of the cell's batched kernel, or 0 when the cell
-    takes the per-trial path (a verifier or ensemble without one, or
-    parameters that fail every trial).  The config guarantees dim >= 1."""
-    entry = VERIFIERS[config.verifier]
-    if entry.stack is None:
-        return 0
-    try:
-        entry.stack_check(theta, spec, _ensemble(config.verifier, config.ensemble))
-    except ParameterError:
-        return 0
+def _stack_size(dim) -> int:
+    """Trials per stack at this dim; the config guarantees dim >= 1."""
     return max(1, STACK_ENTRIES // (2 * dim * dim))
 
 
-def trial_outcomes(config: CampaignConfig, cell_idx: int, f, sem_cache: dict):
-    """Yield (trial, inputs, record) for every trial of one cell, in trial
-    order; inputs and record are None for a failed trial.
+def _outcomes(config: CampaignConfig, f, theta, p, spec, stack, digests, sem_cache) -> list:
+    """Per trial of a stack, its record or its HolderLabError, by the
+    verifier's kernel.  A HolderLabError the kernel raises (a parameter or
+    seminorm check) is every trial's error.  A LinAlgError reruns a stack of
+    several trials one trial at a time, and is a stack of one's
+    EigensolverError."""
+    kernel = VERIFIERS[config.verifier].kernel
+    try:
+        return kernel(f, theta, p, spec, stack, digests, sem_cache, config.variant)
+    except HolderLabError as exc:
+        return [exc] * len(digests)
+    except np.linalg.LinAlgError as exc:
+        if len(digests) == 1:
+            return [EigensolverError(f"LAPACK failed to converge: {exc}")]
+        return [
+            outcome
+            for i in range(len(digests))
+            for outcome in _outcomes(
+                config, f, theta, p, spec, stack[i : i + 1], digests[i : i + 1], sem_cache
+            )
+        ]
 
-    Cells with a batched kernel (bks on positive pairs, inverse) are
-    evaluated chunk by chunk: each trial still draws from its own seed, and
-    the chunk runs through the kernel together.  A trial the kernel's checks
-    reject, every trial of a chunk that raises, and every trial of other
-    cells take the per-trial path that replay runs, so each record equals
-    replay(config, cell_idx, trial) bit for bit.
+
+def trial_outcomes(config: CampaignConfig, cell_idx: int, f, sem_cache: dict, trials=None):
+    """Yield (trial, inputs, outcome) for every trial of one cell, or for the
+    listed ``trials``, in that order; the outcome is the trial's record or
+    its HolderLabError.
+
+    The trials are drawn and evaluated in stacks of _stack_size(dim): the
+    ensemble draws each trial from its own seed, and the verifier's kernel
+    evaluates the stack.  replay is this on a stack of one, so each outcome
+    equals replay(config, cell_idx, trial) bit for bit.
     """
-    cell = config.cells()[cell_idx]
-    theta, _, norm_str, dim = cell
+    theta, p, norm_str, dim = config.cells()[cell_idx]
     spec = _cell_spec(config, norm_str)
-
-    def scalar(trial):
-        try:
-            return _scalar_trial(config, f, cell_idx, cell, spec, trial, sem_cache)
-        except HolderLabError:
-            return None, None
-
-    size = _stack_size(config, theta, spec, dim)
-    chunk = VERIFIERS[config.verifier].stack if size else None
-    size = size or config.trials  # without a kernel: one chunk, all per-trial
-    for start in range(0, config.trials, size):
-        trials = range(start, min(start + size, config.trials))
-        inputs, records = [None] * len(trials), [None] * len(trials)
-        if chunk is not None:
-            try:
-                inputs, records = chunk(config, cell_idx, cell, spec, trials, f, sem_cache)
-            except (HolderLabError, np.linalg.LinAlgError):
-                # e.g. a bad spectrum range or a failed SVD: the per-trial
-                # path reproduces the failure trial by trial
-                pass
-        for trial, inp, rec in zip(trials, inputs, records):
-            if rec is None:
-                yield (trial, *scalar(trial))
-            else:
-                yield trial, inp, rec
+    ens = _ensemble(config.verifier, config.ensemble)
+    draw, _ = ENSEMBLES[ens["name"]]
+    trials = range(config.trials) if trials is None else trials
+    size = _stack_size(dim)
+    for start in range(0, len(trials), size):
+        chunk = trials[start : start + size]
+        kinds, stack = draw(dim, [_trial_seed(config, cell_idx, t) for t in chunk], ens)
+        digests = [_digest(config, cell_idx, t, dim) for t in chunk]
+        outcomes = _outcomes(config, f, theta, p, spec, stack, digests, sem_cache)
+        for trial, m, outcome in zip(chunk, stack, outcomes):
+            yield trial, list(zip(kinds, m)), outcome
 
 
 def run_campaign(config: CampaignConfig):
@@ -527,7 +454,7 @@ def run_campaign(config: CampaignConfig):
         failures = 0
         best = (-np.inf, -1, None)  # ratio, trial, inputs
         for trial, inputs, rec in trial_outcomes(config, cell_idx, f, sem_cache):
-            if rec is None:
+            if isinstance(rec, HolderLabError):
                 failures += 1
                 continue
             # rhs = 0 records carry the 0/0 convention and stay out of the
@@ -586,10 +513,12 @@ def _greedy_refine(config, f, theta, p, spec, best, cell_idx, sem_cache):
         rng = SeedState(config.seed, (1, cell_idx, step)).rng()
         try:
             cand = _perturb_inputs(inputs, sigma, rng)
-            rec = run_single(
-                config.verifier, f, theta, p, spec, cand, "refine", sem_cache, config.variant
-            )
         except HolderLabError:
+            sigma *= 0.5
+            continue
+        stack = [[m for _, m in cand]]
+        (rec,) = _outcomes(config, f, theta, p, spec, stack, ["refine"], sem_cache)
+        if isinstance(rec, HolderLabError):
             sigma *= 0.5
             continue
         if rec.ratio > ratio:
@@ -602,8 +531,10 @@ def _greedy_refine(config, f, theta, p, spec, best, cell_idx, sem_cache):
 
 
 def replay(config: CampaignConfig, cell_idx: int, trial: int) -> V.VerificationRecord:
-    """Re-run one (cell, trial) pair of a campaign; reproduces the record."""
-    cell = config.cells()[cell_idx]
+    """Re-run one (cell, trial) pair of a campaign on a stack of one:
+    returns its record, or raises its HolderLabError."""
     f = parse_function_spec(config.function) if config.function else None
-    spec = _cell_spec(config, cell[2])
-    return _scalar_trial(config, f, cell_idx, cell, spec, trial, {})[1]
+    ((_, _, outcome),) = trial_outcomes(config, cell_idx, f, {}, [trial])
+    if isinstance(outcome, HolderLabError):
+        raise outcome
+    return outcome

@@ -18,7 +18,7 @@ from dataclasses import asdict
 from . import __version__, doi
 from .campaign import VERIFIERS, CampaignConfig, replay, run_campaign
 from .ensembles import SeedState
-from .errors import HolderLabError
+from .errors import HolderLabError, ParameterError
 from .functions import d_of_p, parse_function_spec, seminorm
 from .verify import REVERSE_VARIANTS
 
@@ -27,7 +27,10 @@ DEFAULT_SEED = 20240801
 
 def _seed_default() -> int:
     env = os.environ.get("HOLDERLAB_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ParameterError(f"HOLDERLAB_SEED must be an integer, got {env!r}") from None
 
 
 def _atomic_write(path: str, text: str):
@@ -149,7 +152,11 @@ def _build_symbol(args):
     if sym_spec.startswith("dyadic:"):
         if not args.f:
             raise HolderLabError("dyadic symbols need --f")
-        k = int(sym_spec.split(":", 1)[1])
+        text = sym_spec.split(":", 1)[1]
+        try:
+            k = int(text)
+        except ValueError:
+            raise ParameterError(f"dyadic:K needs an integer K, got {text!r}") from None
         f = parse_function_spec(args.f)
         g, _ = doi.dyadic_symbols(f, k)
         return g, f"dyadic:{k}"
@@ -264,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the parser reads HOLDERLAB_SEED while it is built
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except HolderLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

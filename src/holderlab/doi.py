@@ -35,6 +35,7 @@ from .spectral import (
     apply_function,
     as_hermitian,
     eig_hermitian,
+    from_eigen,
     op_norm,
 )
 from .ensembles import SeedState, ginibre, haar_unitary
@@ -432,6 +433,8 @@ def fourier_sobolev_bound(
     the p-power triangle inequality.  All torus L2 norms use normalized
     measure; quadrature is the uniform tensor trapezoid rule with a
     grid-doubling error estimate."""
+    if grid_n < 2:
+        raise ParameterError(f"the quadrature grid needs grid_n >= 2, got {grid_n}")
     upper, c_pb, wnorm = _fourier_upper_terms(sym, p, b, grid_n, with_wnorm)
     err = 0.0
     if richardson:
@@ -690,6 +693,8 @@ def empirical_mp_lower(
     symbol's sampling ranges, Haar eigenbases) and Gaussian V."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    if dim < 1:
+        raise ParameterError(f"dim must be >= 1, got {dim}")
     if isinstance(seed, int):
         seed = SeedState(seed)
     best = 0.0
@@ -803,8 +808,7 @@ def alt_check(x, z, theta: float, p: float, zero_tol: float | None = None):
             )
 
     def clip_power(dec, t):
-        vals = np.clip(dec.eigenvalues, 0.0, None) ** t
-        return (dec.basis * vals) @ dec.basis.conj().T
+        return from_eigen(dec.basis, np.clip(dec.eigenvalues, 0.0, None) ** t)
 
     zx = clip_power(dec_z, 1.0) @ clip_power(dec_x, 1.0)
     zx_theta = clip_power(dec_z, theta) @ clip_power(dec_x, theta)

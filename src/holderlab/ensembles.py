@@ -112,25 +112,38 @@ def sample_positive_pairs(dim: int, spectrum_range, seeds) -> np.ndarray:
 
 # --- the named ensembles of a campaign config -------------------------------------
 #
-# Each draw maps (dim, seed, ensemble dict) to the inputs of a verifier, tagged
-# with their structure ("herm", "pos", "general", "contraction" or "step") so
-# that a campaign's refinement knows how to perturb them.  A draw reads only the
-# config keys its entry lists, and its ParameterError checks define which
-# values are valid.  The public functions above are looked up as module globals
-# when a draw runs, so rebinding them (a tracer, a test's spy) reaches the draws.
+# Each draw maps (dim, seeds, ensemble dict) to the structure of a verifier's
+# inputs, one kind per input ("herm", "pos", "general", "contraction" or
+# "step", so that a campaign's refinement knows how to perturb them), and the
+# inputs of every seed, stacked in seed order.  A draw reads only the config
+# keys its entry lists, and its ParameterError checks define which values are
+# valid.  The public functions above are looked up as module globals when a
+# draw runs, so rebinding them (a tracer, a test's spy) reaches the draws.
 
 POSITIVE_SPECTRUM_RANGE = (0.0, 1.0)  # of positive_pair without a spectrum_range
+
+
+def _per_seed(draw):
+    """The stacked draw of a draw (dim, seed, ens) -> tagged inputs of one
+    seed: each seed makes its draws in turn, and the stack lists each seed's
+    inputs."""
+
+    def stacked(dim, seeds, ens):
+        drawn = [draw(dim, seed, ens) for seed in seeds]
+        return tuple(kind for kind, _ in drawn[0]), [[m for _, m in inp] for inp in drawn]
+
+    return stacked
+
+
+def _positive_pairs(dim, seeds, ens):
+    """The pairs of sample_positive_pairs, one array (len(seeds), 2, n, n)."""
+    spectrum_range = ens.get("spectrum_range", POSITIVE_SPECTRUM_RANGE)
+    return ("pos", "pos"), sample_positive_pairs(dim, spectrum_range, seeds)
 
 
 def _gaussian_pair(dim, seed, ens):
     rng = seed.rng()
     return [("herm", gaussian_hermitian(dim, rng)), ("herm", gaussian_hermitian(dim, rng))]
-
-
-def _positive_pair(dim, seed, ens):
-    spectrum_range = ens.get("spectrum_range", POSITIVE_SPECTRUM_RANGE)
-    x, y = sample_positive_pairs(dim, spectrum_range, [seed])[0]
-    return [("pos", x), ("pos", y)]
 
 
 def _general_pair(dim, seed, ens):
@@ -195,12 +208,12 @@ def _rank_one_steps(dim, seed, ens):
 
 # name -> (draw, the config keys besides "name" that the draw reads)
 ENSEMBLES = {
-    "gaussian_pair": (_gaussian_pair, ()),
-    "positive_pair": (_positive_pair, ("spectrum_range",)),
-    "general_pair": (_general_pair, ()),
-    "commuting_pair": (_commuting_pair, ()),
-    "fixed_pair": (_fixed_pair, ("eigenvalues",)),
-    "hermitian_contraction": (_hermitian_contraction(1), ()),
-    "hermitian_pair_contraction": (_hermitian_contraction(2), ()),
-    "rank_one_steps": (_rank_one_steps, ("rank", "magnitudes_range")),
+    "gaussian_pair": (_per_seed(_gaussian_pair), ()),
+    "positive_pair": (_positive_pairs, ("spectrum_range",)),
+    "general_pair": (_per_seed(_general_pair), ()),
+    "commuting_pair": (_per_seed(_commuting_pair), ()),
+    "fixed_pair": (_per_seed(_fixed_pair), ("eigenvalues",)),
+    "hermitian_contraction": (_per_seed(_hermitian_contraction(1)), ()),
+    "hermitian_pair_contraction": (_per_seed(_hermitian_contraction(2)), ()),
+    "rank_one_steps": (_per_seed(_rank_one_steps), ("rank", "magnitudes_range")),
 }

@@ -303,7 +303,11 @@ def parse_function_spec(text: str) -> ScalarFunction:
         raise ParameterError(
             f"function {name!r} takes {nargs} parameter(s), got {len(args)}"
         )
-    return ctor(*(float(a) for a in args))
+    try:
+        values = [float(a) for a in args]
+    except ValueError:
+        raise ParameterError(f"function {name!r} takes numbers, got {args}") from None
+    return ctor(*values)
 
 
 # --- seminorm estimation -----------------------------------------------------

@@ -149,29 +149,35 @@ def parse_norm_spec(text: str) -> NormSpec:
     def fail(pos, msg):
         raise ParameterError(f"bad norm spec {text!r} at token {pos}: {msg}")
 
+    def number(pos, convert=float):
+        try:
+            return convert(tokens[pos])
+        except ValueError:
+            fail(pos, f"{tokens[pos]!r} is not {'an integer' if convert is int else 'a number'}")
+
     if not tokens or not tokens[0]:
         fail(0, "empty spec")
     kind = tokens[0].lower()
     if kind == "schatten":
         if len(tokens) != 2:
             fail(1, "expected schatten:p")
-        p = np.inf if tokens[1].lower() in ("inf", "infinity") else float(tokens[1])
+        p = np.inf if tokens[1].lower() in ("inf", "infinity") else number(1)
         return Schatten(p)
     if kind == "weak":
         if len(tokens) != 2:
             fail(1, "expected weak:p")
-        return WeakLp(float(tokens[1]))
+        return WeakLp(number(1))
     if kind == "kyfan":
         if len(tokens) != 2:
             fail(1, "expected kyfan:k")
-        return KyFan(int(tokens[1]))
+        return KyFan(number(1, int))
     if kind == "power":
         if len(tokens) < 3:
             fail(1, "expected power:<base>:p")
         base = parse_norm_spec(":".join(tokens[1:-1]))
         if isinstance(base, (PowerOf, WeakLp)):
             fail(1, "power base must be kyfan or schatten with p >= 1")
-        return PowerOf(base, float(tokens[-1]))
+        return PowerOf(base, number(len(tokens) - 1))
     fail(0, f"unknown norm kind {kind!r}")
 
 

@@ -45,14 +45,19 @@ def hermitian_stack(a, tol: float = HERMITIAN_TOL):
     return 0.5 * (m + mh), ~(dev > tol * scale), dev, scale
 
 
+def _hermitian_error(dev, scale, tol: float = HERMITIAN_TOL) -> DomainError:
+    """The error of a matrix that fails the Hermitian check of hermitian_stack."""
+    return DomainError(
+        f"matrix is not Hermitian: deviation {dev:.3e} exceeds {tol:.1e} * {scale:.3e}"
+    )
+
+
 def as_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate that ``a`` is Hermitian within ``tol`` (relative) and return
     its symmetrization (a + a*)/2."""
     h, ok, dev, scale = hermitian_stack(as_square(a), tol)
     if not ok:
-        raise DomainError(
-            f"matrix is not Hermitian: deviation {dev:.3e} exceeds {tol:.1e} * {scale:.3e}"
-        )
+        raise _hermitian_error(dev, scale, tol)
     return h
 
 
@@ -107,6 +112,14 @@ def psd_stack(eigenvalues, tol: float = PSD_TOL) -> np.ndarray:
     return ~(eigenvalues.min(axis=-1, initial=0.0) < -bound)
 
 
+def _reconstruction_error(residual) -> EigensolverError:
+    """The error of a matrix that fails the reconstruction check of eigh_stack."""
+    return EigensolverError(
+        f"eigendecomposition reconstruction residual {residual:.3e} exceeds tolerance",
+        residual=float(residual),
+    )
+
+
 def eig_hermitian(a, tol: float = RECON_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with a reconstruction check."""
     m = as_hermitian(a)
@@ -115,10 +128,7 @@ def eig_hermitian(a, tol: float = RECON_TOL) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigh failed to converge: {exc}") from exc
     if not ok:
-        raise EigensolverError(
-            f"eigendecomposition reconstruction residual {residual:.3e} exceeds tolerance",
-            residual=float(residual),
-        )
+        raise _reconstruction_error(residual)
     return dec
 
 

@@ -15,7 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, ParameterError, PreconditionError
+from .errors import (
+    CapabilityError,
+    DomainError,
+    HolderLabError,
+    ParameterError,
+    PreconditionError,
+)
 from .functions import ScalarFunction, GridSpec, d_of_p, seminorm
 from .norms import (
     NormSpec,
@@ -29,6 +35,8 @@ from .norms import (
     submajorizes,
 )
 from .spectral import (
+    _hermitian_error,
+    _reconstruction_error,
     abs_matrix,
     apply_function,
     as_hermitian,
@@ -36,7 +44,6 @@ from .spectral import (
     cayley,
     commutator,
     dilate_2x2,
-    eig_hermitian,
     eigh_stack,
     from_eigen,
     hermitian_stack,
@@ -109,14 +116,12 @@ def _theta_profile(m, theta):
     return singular_values(m) ** theta
 
 
-def _check_positive(m, label):
-    """The checks verify_bks makes on one matrix, raising the first failure."""
-    dec = eig_hermitian(as_hermitian(m))
-    if not psd_stack(dec.eigenvalues):
-        raise DomainError(
-            f"{label} must be positive semidefinite (min eigenvalue "
-            f"{dec.eigenvalues.min():.3e})"
-        )
+def _raise_failed(outcomes):
+    """The record of a stack of one, or raise its error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, HolderLabError):
+        raise outcome
+    return outcome
 
 
 # --- the difference estimates ---------------------------------------------------
@@ -140,22 +145,21 @@ def check_bks_params(theta, spec: NormSpec):
 
 def verify_bks_stack(theta, spec: NormSpec, pairs, digests) -> list:
     """verify_bks over a stack (T, 2, n, n) of (X, Y) pairs in one batched
-    pass: one record per pair, or None where the Hermitian, reconstruction
-    or positivity check failed (verify_bks raises on that pair).
-    ``numpy.linalg.LinAlgError`` from the SVD propagates."""
+    pass: per pair its record, or the error verify_bks raises on it, from the
+    first failed check in the order X Hermitian, X reconstruction, X positive,
+    then the same for Y.  ``numpy.linalg.LinAlgError`` from the eigensolver
+    or the SVD propagates."""
     check_bks_params(theta, spec)
-    h, ok, _, _ = hermitian_stack(pairs)
-    try:
-        dec, recon, eig_ok, _ = eigh_stack(h)
-    except np.linalg.LinAlgError:
-        return [None] * len(pairs)
-    ok = (ok & eig_ok & psd_stack(dec.eigenvalues)).all(axis=-1)
+    h, herm_ok, dev, scale = hermitian_stack(pairs)
+    dec, recon, eig_ok, residual = eigh_stack(h)
+    ok = herm_ok & eig_ok & psd_stack(dec.eigenvalues)
+    good = ok.all(axis=-1)
     with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
         powered = from_eigen(dec.basis, np.clip(dec.eigenvalues, 0.0, None) ** theta)
         diffs = np.stack([powered[:, 0] - powered[:, 1], recon[:, 0] - recon[:, 1]], axis=1)
         sv = np.linalg.svd(diffs, compute_uv=False)
     n = pairs.shape[-1]
-    return [
+    out = [
         make_record(
             "bks",
             norm_of_profile(s_lhs, spec),
@@ -163,10 +167,22 @@ def verify_bks_stack(theta, spec: NormSpec, pairs, digests) -> list:
             _abs_tol(n, x, y),
             digest,
         )
-        if good
+        if g
         else None
-        for (s_lhs, s_rhs), good, (x, y), digest in zip(sv, ok, pairs, digests)
+        for (s_lhs, s_rhs), g, (x, y), digest in zip(sv, good, pairs, digests)
     ]
+    for i in np.flatnonzero(~good):
+        j = int(np.argmin(ok[i]))  # the first matrix that fails
+        if not herm_ok[i, j]:
+            out[i] = _hermitian_error(dev[i, j], scale[i, j])
+        elif not eig_ok[i, j]:
+            out[i] = _reconstruction_error(residual[i, j])
+        else:
+            out[i] = DomainError(
+                f"{'XY'[j]} must be positive semidefinite (min eigenvalue "
+                f"{dec.eigenvalues[i, j].min():.3e})"
+            )
+    return out
 
 
 def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
@@ -174,12 +190,7 @@ def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
     fully symmetric norm; the expected constant is exactly 1."""
     check_bks_params(theta, spec)
     pair = np.stack([as_square(x), as_square(y)])
-    (rec,) = verify_bks_stack(theta, spec, pair[None], [digest])
-    if rec is None:
-        # the per-matrix form of the failed check raises its exception
-        _check_positive(x, "X")
-        _check_positive(y, "Y")
-    return rec
+    return _raise_failed(verify_bks_stack(theta, spec, pair[None], [digest]))
 
 
 def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, digest=""):
@@ -289,21 +300,30 @@ def inverse_apply(f: ScalarFunction, h):
     strictly monotone around each spectrum: the scalar inverse is evaluated
     by one lockstep bisection over every eigenvalue of the stack.
 
-    Returns the stack of f^{-1}(M) and the per-matrix ok mask; an item is not
-    ok when its reconstruction check fails, f is not strictly monotone on its
-    probe, or an eigenvalue could not be bracketed.
+    Returns the stack of f^{-1}(M), the per-matrix ok mask, and a function
+    that maps the index of a matrix that is not ok to the error of its first
+    failed check: reconstruction, f strictly monotone on the probe, every
+    eigenvalue bracketed.
     ``numpy.linalg.LinAlgError`` from the eigensolver propagates."""
-    dec, _, ok, _ = eigh_stack(h)
+    dec, _, recon_ok, residual = eigh_stack(h)
     lam = dec.eigenvalues
     sign = _monotone_sign(f, lam)
-    ok = ok & (sign != 0.0)
+    ok = recon_ok & (sign != 0.0)
     signs = np.broadcast_to(sign[..., None], lam.shape)
     todo = np.broadcast_to(ok[..., None], lam.shape)
     vals = np.zeros(lam.shape)
     vals[todo], bracketed = _bisect_inverse(f, lam[todo], signs[todo])
     found = np.ones(lam.shape, dtype=bool)
     found[todo] = bracketed
-    return from_eigen(dec.basis, vals), ok & found.all(axis=-1)
+
+    def error(idx):
+        if not recon_ok[idx]:
+            return _reconstruction_error(residual[idx])
+        if sign[idx] == 0.0:
+            return DomainError(f"{f.name} is not strictly monotone on the sampled range")
+        return DomainError(f"{f.name}: could not bracket inverse at {lam[idx][~found[idx]][0]}")
+
+    return from_eigen(dec.basis, vals), ok & found.all(axis=-1), error
 
 
 def check_inverse_params(theta, base: NormSpec):
@@ -317,24 +337,22 @@ def verify_inverse_stack(
     f: ScalarFunction, theta, p, base: NormSpec, pairs, digests, sem_cache=None
 ) -> list:
     """verify_inverse over a stack (T, 2, n, n) of (X, Y) pairs in one
-    batched pass: one record per pair, or None where the Hermitian,
-    reconstruction, monotonicity or bracketing check failed (verify_inverse
-    raises on that pair).  ``numpy.linalg.LinAlgError`` from the SVD
+    batched pass: per pair its record, or the error verify_inverse raises on
+    it, from the first failed check in the order X Hermitian, Y Hermitian,
+    then inverse_apply's checks on X, then on Y.
+    ``numpy.linalg.LinAlgError`` from the eigensolver or the SVD
     propagates."""
     check_inverse_params(theta, base)
     spec = PowerOf(base, p)
-    h, ok, _, _ = hermitian_stack(pairs)
+    h, herm_ok, dev, scale = hermitian_stack(pairs)
     sem = _seminorm_value(f, d_of_p(p), 1.0 / theta, sem_cache)
-    try:
-        inv, inv_ok = inverse_apply(f, h)
-    except np.linalg.LinAlgError:
-        return [None] * len(pairs)
-    ok = (ok & inv_ok).all(axis=-1)
+    inv, inv_ok, inv_error = inverse_apply(f, h)
+    good = (herm_ok & inv_ok).all(axis=-1)
     with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
         diffs = np.stack([inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1]], axis=1)
         sv = np.linalg.svd(diffs, compute_uv=False)
     n = pairs.shape[-1]
-    return [
+    out = [
         make_record(
             "inverse",
             sem ** theta * norm_of_profile(s_lhs, spec),
@@ -342,22 +360,17 @@ def verify_inverse_stack(
             _abs_tol(n, xm, ym),
             digest,
         )
-        if good
+        if g
         else None
-        for (s_lhs, s_rhs), good, (xm, ym), digest in zip(sv, ok, h, digests)
+        for (s_lhs, s_rhs), g, (xm, ym), digest in zip(sv, good, h, digests)
     ]
-
-
-def _check_invertible(f: ScalarFunction, m):
-    """The checks inverse_apply makes on one Hermitian matrix, raising the
-    first failure."""
-    lam = eig_hermitian(m).eigenvalues
-    sign = _monotone_sign(f, lam)
-    if sign == 0.0:
-        raise DomainError(f"{f.name} is not strictly monotone on the sampled range")
-    _, bracketed = _bisect_inverse(f, lam, np.full(lam.shape, sign))
-    if not bracketed.all():
-        raise DomainError(f"{f.name}: could not bracket inverse at {lam[~bracketed][0]}")
+    for i in np.flatnonzero(~good):
+        if not herm_ok[i].all():
+            j = int(np.argmin(herm_ok[i]))
+            out[i] = _hermitian_error(dev[i, j], scale[i, j])
+        else:
+            out[i] = inv_error((i, int(np.argmin(inv_ok[i]))))
+    return out
 
 
 def verify_inverse(
@@ -368,13 +381,7 @@ def verify_inverse(
     rhs = || |X-Y|^theta ||_{E^(p)}; the estimate says ratio >= 1/C."""
     check_inverse_params(theta, base)
     pair = np.stack([as_square(x), as_square(y)])
-    (rec,) = verify_inverse_stack(f, theta, p, base, pair[None], [digest], sem_cache)
-    if rec is None:
-        # the per-matrix form of the failed check raises its exception
-        xm, ym = as_hermitian(x), as_hermitian(y)
-        _check_invertible(f, xm)
-        _check_invertible(f, ym)
-    return rec
+    return _raise_failed(verify_inverse_stack(f, theta, p, base, pair[None], [digest], sem_cache))
 
 
 def _signed_expm1(t):

@@ -12,8 +12,6 @@ from holderlab.campaign import (
     CampaignConfig,
     replay,
     run_campaign,
-    run_single,
-    sample_inputs,
 )
 from holderlab.cli import main
 from holderlab.ensembles import ENSEMBLES, SeedState
@@ -427,13 +425,15 @@ def test_cli_campaign_cell_without_valid_trials_exit_2(tmp_path, capsys):
     assert "theta=2 " not in err
 
 
-def test_run_single_dispatches_reverse_variants():
-    inputs = sample_inputs("reverse", 4, SeedState(3), None)
-    x, y = (m for _, m in inputs)
+def test_reverse_kernel_dispatches_variants():
+    draw, _ = ENSEMBLES["gaussian_pair"]
+    _, stack = draw(4, [SeedState(3)], {})
+    x, y = stack[0]
     for variant in REVERSE_VARIANTS:
-        rec = run_single("reverse", None, 1.5, 1.0, KyFan(2), inputs, "d", {}, variant)
+        (rec,) = VERIFIERS["reverse"].kernel(None, 1.5, 1.0, KyFan(2), stack, ["d"], {}, variant)
         assert rec == hl.verify_reverse_power(1.5, 1.0, KyFan(2), x, y, variant, "d")
-    assert run_single("reverse", None, 1.5, 1.0, KyFan(2), inputs, "d", {}).name == "reverse:power"
+    cfg = small_config(verifier="reverse", thetas=(1.5,), trials=1)
+    assert replay(cfg, 0, 0).name == "reverse:power"
 
 
 # --- ensembles and variants are checked at load ------------------------------------
@@ -485,10 +485,10 @@ def test_verifiers_draw_from_the_table():
     for name in ("main", "submaj", "symmetric", "inverse", "reverse"):
         assert VERIFIERS[name].ensembles[0] == "gaussian_pair"
         assert set(VERIFIERS[name].ensembles) == hermitian
-    defaults = {"bks": "positive_pair", "absmap": "general_pair", "alt": "positive_pair"}
-    for name, default in defaults.items():
-        assert VERIFIERS[name].ensembles[0] == default
-        assert set(VERIFIERS[name].ensembles) == hermitian | {"general_pair"}
+    assert VERIFIERS["absmap"].ensembles[0] == "general_pair"
+    assert set(VERIFIERS["absmap"].ensembles) == hermitian | {"general_pair"}
+    for name in ("bks", "alt"):  # they need positive inputs
+        assert VERIFIERS[name].ensembles == ("positive_pair", "fixed_pair")
     assert VERIFIERS["commutator"].ensembles == ("hermitian_contraction",)
     assert VERIFIERS["quasicommutator"].ensembles == ("hermitian_pair_contraction",)
     assert VERIFIERS["telescope"].ensembles == ("rank_one_steps",)
@@ -498,17 +498,17 @@ def test_config_draws_once_per_dim_from_the_reserved_stream(monkeypatch):
     real, keys = ENSEMBLES["gaussian_pair"]
     calls = []
 
-    def spy(dim, seed, ens):
-        calls.append((dim, seed, ens))
-        return real(dim, seed, ens)
+    def spy(dim, seeds, ens):
+        calls.append((dim, seeds, ens))
+        return real(dim, seeds, ens)
 
     monkeypatch.setitem(ENSEMBLES, "gaussian_pair", (spy, keys))
     cfg = small_config(**MAIN, dims=(3, 1, 3), seed=5)
-    assert calls == [(d, SeedState(5, (2,)), {"name": "gaussian_pair"}) for d in (1, 3)]
+    assert calls == [(d, [SeedState(5, (2,))], {"name": "gaussian_pair"}) for d in (1, 3)]
     calls.clear()
     run_campaign(dataclasses.replace(cfg, trials=2))
     # the trial streams, and the load check of the replaced config
-    assert {seed.path[0] for _, seed, _ in calls} == {0, 2}
+    assert {seed.path[0] for _, seeds, _ in calls for seed in seeds} == {0, 2}
 
 
 def test_nameless_ensemble_is_the_verifier_default():
@@ -535,3 +535,71 @@ def test_cli_verify_spectrum_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--ineq", "reverse", "--theta", "1.5", "--variant", "cube"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verifier", ["bks", "alt"])
+@pytest.mark.parametrize("name", ["gaussian_pair", "general_pair", "commuting_pair"])
+def test_positive_verifiers_reject_other_pairs_at_load(verifier, name, tmp_path, capsys):
+    raw = {**small_config(verifier=verifier).to_dict(), "ensemble": {"name": name}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "('positive_pair', 'fixed_pair')" in err
+    assert not (tmp_path / "out").exists()
+
+
+# --- malformed numbers and degenerate sizes exit 2 ---------------------------------
+
+BAD_NUMBERS = {
+    "verify-norm": (["verify", "--ineq", "bks", "--norm", "kyfan:x"], "kyfan:x"),
+    "verify-function": (["verify", "--ineq", "main", "--f", "power:x"], "'x'"),
+    "mpnorm-dyadic": (["mpnorm", "--symbol", "dyadic:x", "--f", "power:0.5"], "'x'"),
+    "mpnorm-grid-0": (["mpnorm", "--symbol", "b0", "--grid", "0", "--trials", "2"], "got 0"),
+    "mpnorm-grid-1": (["mpnorm", "--symbol", "b0", "--grid", "1", "--trials", "2"], "got 1"),
+    "mpnorm-grid-neg": (["mpnorm", "--symbol", "b0", "--grid", "-4", "--trials", "2"], "got -4"),
+    "mpnorm-dim-0": (["mpnorm", "--symbol", "alpha", "--dim", "0"], "got 0"),
+    "mpnorm-dim-neg": (["mpnorm", "--symbol", "alpha", "--dim", "-1"], "got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_cli_malformed_numbers_exit_2(case, capsys):
+    argv, text = BAD_NUMBERS[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err
+
+
+@pytest.mark.parametrize(
+    "overrides, text",
+    [
+        ({"norms": ["kyfan:x"]}, "kyfan:x"),
+        ({"norms": ["weak:x"]}, "weak:x"),
+        ({"norms": ["power:schatten:1:x"]}, "power:schatten:1:x"),
+        ({"verifier": "main", "function": "power:x"}, "'x'"),
+    ],
+)
+def test_cli_campaign_malformed_numbers_exit_2(overrides, text, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**small_config().to_dict(), **overrides}))
+    assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--ineq", "bks", "--trials", "2"],
+        ["mpnorm", "--symbol", "alpha", "--trials", "2"],
+        ["seminorm", "--f", "log1p", "--theta", "0.5", "--d", "2"],
+        ["campaign", "missing.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_bad_env_seed_exits_2(argv, monkeypatch, capsys):
+    monkeypatch.setenv("HOLDERLAB_SEED", "abc")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "HOLDERLAB_SEED" in err and "'abc'" in err

@@ -402,3 +402,13 @@ def test_alt_check_random_positive_pairs():
 def test_alt_check_rejects_negative():
     with pytest.raises(Exception):
         hl.alt_check(np.diag([1.0, -0.5]), np.eye(2), 0.5, 1.0)
+
+
+def test_degenerate_grid_and_dim_are_rejected():
+    sym = doi.localized_inverse_sum_periodic()
+    for grid_n in (-4, 0, 1):
+        with pytest.raises(ParameterError, match="grid_n"):
+            doi.fourier_sobolev_bound(sym, 1.0, 2, grid_n=grid_n)
+    for dim in (-1, 0):
+        with pytest.raises(ParameterError, match="dim"):
+            doi.empirical_mp_lower(doi.alpha_symbol(), 1.0, dim, 5, SeedState(1))

@@ -20,8 +20,10 @@ ENSEMBLE_CONFIGS = {
 
 
 def draw(name, dim, seed, ens=None):
+    """The tagged inputs that the entry draws for one seed."""
     fn, _ = E.ENSEMBLES[name]
-    return fn(dim, seed, ENSEMBLE_CONFIGS[name](dim) if ens is None else ens)
+    kinds, stack = fn(dim, [seed], ENSEMBLE_CONFIGS[name](dim) if ens is None else ens)
+    return list(zip(kinds, stack[0]))
 
 
 def _same(a, b):
@@ -62,6 +64,16 @@ def test_draws_read_only_their_keys(name):
     read = set()
     draw(name, 3, E.SeedState(1), Recording(ENSEMBLE_CONFIGS[name](3)))
     assert read == set(E.ENSEMBLES[name][1])
+
+
+@pytest.mark.parametrize("name", sorted(ENSEMBLE_CONFIGS))
+def test_a_stack_of_seeds_draws_what_each_seed_draws(name):
+    seeds = [E.SeedState(17, (0, 1, t)) for t in range(4)]
+    fn, _ = E.ENSEMBLES[name]
+    kinds, stack = fn(3, seeds, ENSEMBLE_CONFIGS[name](3))
+    assert len(stack) == len(seeds)
+    for seed, inputs in zip(seeds, stack):
+        _same(list(zip(kinds, inputs)), draw(name, 3, seed))
 
 
 def test_gaussian_hermitian_is_hermitian():

@@ -1,8 +1,8 @@
-"""The batched campaign engine against the per-trial path it replaces.
+"""The stacked campaign engine against stacks of one trial.
 
-bks cells on positive pairs and inverse cells are evaluated in stacks of
-trials; every record, statistic, counterexample and digest must equal what
-the per-trial path (replay) gives, bit for bit.
+Every cell is drawn and evaluated in stacks of trials; every outcome (a
+record, or the error of a failed trial), statistic, counterexample and digest
+must equal what a stack of one (replay) gives, bit for bit.
 """
 
 import json
@@ -10,13 +10,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holderlab as hl
 import holderlab.campaign as camp
 import holderlab.verify as V
 from holderlab.campaign import CampaignConfig, replay, run_campaign, trial_outcomes
 from holderlab.ensembles import ENSEMBLES, SeedState, fixed_spectrum, sample_positive_pairs
-from holderlab.errors import DomainError, HolderLabError, ParameterError
+from holderlab.errors import DomainError, EigensolverError, HolderLabError, ParameterError
 from holderlab.functions import GridSpec, ScalarFunction, d_of_p, parse_function_spec, seminorm
 from holderlab.norms import (
     KyFan,
@@ -26,7 +28,7 @@ from holderlab.norms import (
     norm_of_profile,
     singular_values,
 )
-from holderlab.spectral import as_hermitian, eig_hermitian, from_eigen
+from holderlab.spectral import as_hermitian, eig_hermitian, from_eigen, psd_stack
 
 NORMS = ["schatten:1", "kyfan:2", "schatten:inf"]
 
@@ -68,6 +70,20 @@ def _bits(rec):
     return (rec.name, *floats, rec.flagged, rec.inputs_digest)
 
 
+def _outcome(rec):
+    """A trial's outcome: its record's bits, or its error's class and message."""
+    if isinstance(rec, HolderLabError):
+        return type(rec).__name__, str(rec)
+    return _bits(rec)
+
+
+def _replayed(config, cell_idx, trial):
+    try:
+        return _outcome(replay(config, cell_idx, trial))
+    except HolderLabError as exc:
+        return _outcome(exc)
+
+
 def _outputs(config):
     report, counterexamples = run_campaign(config)
     return report.to_csv(), report.to_json(), json.dumps(counterexamples, sort_keys=True)
@@ -80,12 +96,8 @@ def test_every_trial_replays_bitwise(name):
     for cell_idx, cell in enumerate(report.cells):
         failures = 0
         for trial, inputs, rec in trial_outcomes(config, cell_idx, None, {}):
-            if rec is None:
-                failures += 1
-                with pytest.raises(HolderLabError):
-                    replay(config, cell_idx, trial)
-                continue
-            assert _bits(rec) == _bits(replay(config, cell_idx, trial))
+            failures += isinstance(rec, HolderLabError)
+            assert _outcome(rec) == _replayed(config, cell_idx, trial)
         assert failures == cell.failures
 
 
@@ -93,7 +105,7 @@ def test_every_trial_replays_bitwise(name):
 def test_reports_match_per_trial_path(name, monkeypatch):
     config = _config(name, seed=202)
     stacked = _outputs(config)
-    monkeypatch.setattr(camp, "_stack_size", lambda *args: 0)
+    monkeypatch.setattr(camp, "_stack_size", lambda dim: 1)
     assert stacked == _outputs(config)
 
 
@@ -109,17 +121,13 @@ def test_invalid_cells_fail_every_trial():
 
 
 def test_stack_sizes_are_bounded():
-    config = _config("small-dims")
-    sizes = {d: camp._stack_size(config, 0.5, Schatten(1), d) for d in (1, 8, 32, 64, 128)}
+    sizes = {d: camp._stack_size(d) for d in (1, 8, 32, 64, 128)}
     assert sizes == {1: 2048, 8: 32, 32: 2, 64: 1, 128: 1}
-    assert camp._stack_size(config, 1.5, Schatten(1), 8) == 0
-    assert camp._stack_size(config, 0.5, Schatten(0.5), 8) == 0
-    assert camp._stack_size(_config("fixed-degenerate"), 0.5, Schatten(1), 5) == 0
 
 
 def test_rejected_stack_items_take_the_per_trial_path(monkeypatch):
-    # drop every third record of each stack, and fail one whole stack with a
-    # LinAlgError: the report must not change
+    # fail one whole stack with a LinAlgError: its trials rerun one at a
+    # time, and the report must not change
     config = _config("chunk-65", seed=303)
     expected = _outputs(config)
     real = V.verify_bks_stack
@@ -129,12 +137,31 @@ def test_rejected_stack_items_take_the_per_trial_path(monkeypatch):
         calls.append(len(pairs))
         if len(calls) == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
-        recs = real(theta, spec, pairs, digests)
-        return [None if i % 3 == 0 else r for i, r in enumerate(recs)]
+        return real(theta, spec, pairs, digests)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
     assert _outputs(config) == expected
     assert calls[:3] == [32, 32, 1]
+
+
+def test_a_linalg_error_fails_only_its_trial(monkeypatch):
+    # a LinAlgError that recurs on the stack of one trial is its error
+    config = _config("chunk-65", seed=303)
+    real = V.verify_bks_stack
+
+    def flaky(theta, spec, pairs, digests):
+        if "303:0:5:dim8" in digests:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(theta, spec, pairs, digests)
+
+    monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
+    outcomes = {trial: rec for trial, _, rec in trial_outcomes(config, 0, None, {})}
+    failed = [t for t, rec in outcomes.items() if isinstance(rec, HolderLabError)]
+    assert failed == [5] and isinstance(outcomes[5], EigensolverError)
+    assert str(outcomes[5]) == "LAPACK failed to converge: SVD did not converge"
+    with pytest.raises(EigensolverError):
+        replay(config, 0, 5)
+    assert _bits(outcomes[6]) == _bits(replay(config, 0, 6))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
@@ -146,8 +173,8 @@ def test_sampler_matches_per_seed_draws(dim, spectrum_range):
     lo, hi = spectrum_range
     draw, _ = ENSEMBLES["positive_pair"]
     for seed, pair in zip(seeds, pairs):
-        (kx, x), (ky, y) = draw(dim, seed, {"spectrum_range": spectrum_range})
-        assert (kx, ky) == ("pos", "pos")
+        kinds, ((x, y),) = draw(dim, [seed], {"spectrum_range": spectrum_range})
+        assert kinds == ("pos", "pos")
         assert np.array_equal(x, pair[0]) and np.array_equal(y, pair[1])
         # the draws of two fixed_spectrum calls on one generator
         rng = seed.rng()
@@ -201,12 +228,13 @@ def test_stack_kernel_marks_failing_pairs():
     not_herm = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])]).astype(complex)
     pairs = np.stack([good, not_psd, not_herm])
     recs = V.verify_bks_stack(0.5, Schatten(1), pairs, ["a", "b", "c"])
-    assert recs[1] is None and recs[2] is None
     assert _bits(recs[0]) == _bits(hl.verify_bks(0.5, Schatten(1), *good, digest="a"))
-    with pytest.raises(DomainError, match="X must be positive"):
-        hl.verify_bks(0.5, Schatten(1), *not_psd)
-    with pytest.raises(DomainError, match="not Hermitian"):
-        hl.verify_bks(0.5, Schatten(1), *not_herm)
+    assert isinstance(recs[1], DomainError) and "X must be positive" in str(recs[1])
+    assert isinstance(recs[2], DomainError) and "not Hermitian" in str(recs[2])
+    for pair, rec in zip(pairs[1:], recs[1:]):
+        with pytest.raises(DomainError) as err:
+            hl.verify_bks(0.5, Schatten(1), *pair)
+        assert str(err.value) == str(rec)
 
 
 def test_verify_bks_keeps_its_exceptions():
@@ -270,19 +298,15 @@ def _inverse_config(function, ensemble="gaussian", seed=101, **overrides):
 
 def _replay_failures(config):
     """Per cell, the failure count of the campaign's trials, after checking
-    that every record equals replay bit for bit and every failed trial
-    raises in replay."""
+    that every outcome equals replay's: the record bit for bit, or the
+    error's class and message."""
     f = parse_function_spec(config.function)
     counts = []
     for cell_idx in range(len(config.cells())):
         failures = 0
         for trial, inputs, rec in trial_outcomes(config, cell_idx, f, {}):
-            if rec is None:
-                failures += 1
-                with pytest.raises(HolderLabError):
-                    replay(config, cell_idx, trial)
-                continue
-            assert _bits(rec) == _bits(replay(config, cell_idx, trial))
+            failures += isinstance(rec, HolderLabError)
+            assert _outcome(rec) == _replayed(config, cell_idx, trial)
         counts.append(failures)
     return counts
 
@@ -312,7 +336,7 @@ def test_inverse_ensembles_replay_bitwise(function, ensemble):
 def test_inverse_on_the_operator_norm_replays_bitwise():
     config = _inverse_config("spower:0.5", norms=["schatten:inf"], trials=33)
     assert _replay_failures(config) == [0] * 6
-    assert camp._stack_size(config, 1.5, Schatten(np.inf), 8) == 32
+    assert camp._stack_size(8) == 32
 
 
 def test_gauss_fails_through_the_fallback(monkeypatch):
@@ -327,7 +351,9 @@ def test_gauss_fails_through_the_fallback(monkeypatch):
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_inverse_stack": spy}))
     report, _ = run_campaign(_inverse_config("gauss", trials=33, dims=[8]))
     assert [c.failures for c in report.cells] == [33] * 4
-    assert len(stacked) == 4 * 33 and all(rec is None for rec in stacked)
+    assert len(stacked) == 4 * 33
+    assert all(isinstance(rec, DomainError) for rec in stacked)
+    assert str(stacked[0]) == "gauss is not strictly monotone on the sampled range"
 
 
 INVERSE_REPORT_CONFIGS = [dict(function=f) for f in INVERSE_FUNCTIONS] + [
@@ -343,7 +369,7 @@ INVERSE_REPORT_CONFIGS = [dict(function=f) for f in INVERSE_FUNCTIONS] + [
 def test_inverse_reports_match_per_trial_path(kwargs, monkeypatch):
     config = _inverse_config(seed=202, trials=9, refine_steps=2, **kwargs)
     stacked = _outputs(config)
-    monkeypatch.setattr(camp, "_stack_size", lambda *args: 0)
+    monkeypatch.setattr(camp, "_stack_size", lambda dim: 1)
     assert stacked == _outputs(config)
 
 
@@ -373,17 +399,16 @@ def test_inverse_invalid_cells_and_partial_stack(monkeypatch):
         (2.0, "schatten:0.5"): 33,
         (2.0, "kyfan:2"): 0,
     }
-    assert sizes == [32, 1]  # only the valid cell runs stacked, 33 = 32 + 1
+    # every cell runs stacked, 33 = 32 + 1; the invalid ones fail in the
+    # kernel's parameter check
+    assert sizes == [32, 1] * 6
     monkeypatch.undo()
     assert _replay_failures(config) == [33, 33, 33, 33, 33, 0]
 
 
 def test_inverse_stack_sizes():
-    config = _inverse_config("spower:0.5")
-    sizes = {d: camp._stack_size(config, 2.0, KyFan(2), d) for d in (1, 8, 64)}
+    sizes = {d: camp._stack_size(d) for d in (1, 8, 64)}
     assert sizes == {1: 2048, 8: 32, 64: 1}
-    assert camp._stack_size(config, 1.0, KyFan(2), 8) == 0
-    assert camp._stack_size(config, 2.0, Schatten(0.5), 8) == 0
 
 
 def _scalar_bisect(f, y, increasing, tol=1e-12):
@@ -511,11 +536,13 @@ def test_inverse_stack_kernel_marks_failing_pairs():
     flat = np.stack([1e17 * np.eye(3), herm([1.0, 2.0, 3.0])]).astype(complex)
     pairs = np.stack([good, not_herm, unbracketed, flat, good[::-1]])
     recs = V.verify_inverse_stack(f, 2.0, 1.0, KyFan(2), pairs, list("abcde"), {})
-    assert [rec is None for rec in recs] == [False, True, True, True, False]
+    failed = [isinstance(rec, DomainError) for rec in recs]
+    assert failed == [False, True, True, True, False]
     for (x, y), rec, digest in zip(pairs, recs, "abcde"):
-        if rec is None:
-            with pytest.raises(DomainError):
+        if isinstance(rec, DomainError):
+            with pytest.raises(DomainError) as err:
                 hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, y, {})
+            assert str(err.value) == str(rec)
         else:
             one = hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, y, {}, digest)
             assert _bits(rec) == _bits(one)
@@ -541,10 +568,169 @@ def test_inverse_apply_over_a_stack():
     rng = SeedState(14).rng()
     mats = np.stack([fixed_spectrum([-2.0, 0.25, 3.0], rng)[0] for _ in range(4)])
     h = as_hermitian(mats[0])[None]
-    same, ok = V.inverse_apply(parse_function_spec("linear"), h)
+    same, ok, _ = V.inverse_apply(parse_function_spec("linear"), h)
     assert ok.all() and np.allclose(same, h, atol=1e-10)
-    squared, ok = V.inverse_apply(parse_function_spec("spower:0.5"), np.stack([mats, mats]))
+    squared, ok, _ = V.inverse_apply(parse_function_spec("spower:0.5"), np.stack([mats, mats]))
     assert ok.shape == (2, 4) and ok.all()
     dec = eig_hermitian(mats[1])
     want = from_eigen(dec.basis, np.sign(dec.eigenvalues) * dec.eigenvalues**2)
     assert np.allclose(squared[1, 1], want, atol=1e-9)
+
+
+# --- one path for every verifier ------------------------------------------------------
+
+FUNCTION_OF = {
+    "main": "power:0.5",
+    "submaj": "power:0.5",
+    "symmetric": "power:0.5",
+    "inverse": "srational:1",  # fails the trials it cannot invert
+    "commutator": "power:0.5",
+    "quasicommutator": "power:0.5",
+    "telescope": "power:0.5",
+}
+
+
+@pytest.mark.parametrize("verifier", sorted(camp.VERIFIERS))
+@pytest.mark.parametrize("size", [1, 2])
+def test_every_verifier_reports_match_small_stacks(verifier, size, monkeypatch):
+    # theta 1.5, schatten:0.5 or p = 2 fails some cell of every verifier
+    config = CampaignConfig.from_dict(
+        {
+            "verifier": verifier,
+            "function": FUNCTION_OF.get(verifier),
+            "thetas": [0.5, 1.5],
+            "ps": [1.0, 2.0],
+            "norms": ["schatten:1", "schatten:0.5"],
+            "dims": [1, 3],
+            "trials": 5,
+            "seed": 404,
+            "refine_steps": 2,
+        }
+    )
+    default = _outputs(config)
+    report = json.loads(default[1])
+    failures = [c["failures"] for c in report["cells"]]
+    assert max(failures) == 5 and min(failures) < 5
+    monkeypatch.setattr(camp, "_stack_size", lambda dim: size)
+    assert _outputs(config) == default
+
+
+def test_per_trial_kernel_keeps_each_trials_outcome():
+    def evaluate(f, theta, p, spec, m, digest, sem_cache, variant):
+        if m < 0:
+            raise DomainError(f"{digest}: negative")
+        return m
+
+    kernel = camp._per_trial(evaluate)
+    outcomes = kernel(None, 0.5, 1.0, None, [1, -2, 3, -4], list("abcd"), {}, "power")
+    assert outcomes[0::2] == [1, 3]
+    assert [str(e) for e in outcomes[1::2]] == ["b: negative", "d: negative"]
+
+
+def test_reconstruction_is_checked_before_the_spectrum(monkeypatch):
+    # with a negative tolerance every reconstruction check fails: its error
+    # comes before the positivity (bks) and monotonicity (inverse) checks
+    real = V.eigh_stack
+    monkeypatch.setattr(V, "eigh_stack", lambda h: real(h, tol=-1.0))
+    x, y = np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex)
+    for outcome in (
+        V.verify_bks_stack(0.5, Schatten(1), np.stack([x, y])[None], ["a"])[0],
+        V.verify_inverse_stack(
+            parse_function_spec("gauss"), 2.0, 1.0, Schatten(1), np.stack([y, x])[None], ["a"], {}
+        )[0],
+    ):
+        assert isinstance(outcome, EigensolverError)
+        assert "reconstruction residual" in str(outcome)
+
+
+# matrices from spectra with zeros, negative entries, near-coincident
+# eigenvalues and scales from 1e-8 to 1e8, some of them slightly non-Hermitian
+SCALES = st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8])
+EIGENVALUE = st.one_of(st.just(0.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0))
+SKEW = st.sampled_from([0.0, 0.0, 0.0, 1e-13, 1e-10, 1e-7])
+
+
+@st.composite
+def pair_stacks(draw):
+    dim = draw(st.integers(1, 4))
+    rng = SeedState(draw(st.integers(0, 2**31))).rng()
+    skew = np.triu(np.ones((dim, dim)), 1)
+
+    def matrix():
+        scale = draw(SCALES)
+        lam = [draw(EIGENVALUE) * scale for _ in range(dim)]
+        if dim > 1 and draw(st.booleans()):
+            lam[1] = lam[0] * (1.0 + draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9])))
+        m = fixed_spectrum(lam, rng)[0]
+        return m + draw(SKEW) * max(1.0, scale) * skew
+
+    return np.stack([np.stack([matrix(), matrix()]) for _ in range(draw(st.integers(1, 5)))])
+
+
+def _same_as_stacks_of_one(kernel, pairs, checks):
+    """Each pair's outcome in the stack is its outcome in a stack of one; a
+    failed pair has the error that ``checks(x, y)``, the per-matrix checks
+    in the order the per-pair verifier makes them, raises first."""
+    digests = [f"d{i}" for i in range(len(pairs))]
+    outcomes = kernel(pairs, digests)
+    for i, outcome in enumerate(outcomes):
+        (one,) = kernel(pairs[i : i + 1], digests[i : i + 1])
+        assert _outcome(outcome) == _outcome(one)
+        try:
+            checks(*pairs[i])
+        except HolderLabError as exc:
+            assert _outcome(outcome) == _outcome(exc)
+        else:
+            assert not isinstance(outcome, HolderLabError)
+
+
+def _bks_checks(x, y):
+    for label, m in (("X", x), ("Y", y)):
+        dec = eig_hermitian(as_hermitian(m))
+        if not psd_stack(dec.eigenvalues):
+            raise DomainError(
+                f"{label} must be positive semidefinite (min eigenvalue "
+                f"{dec.eigenvalues.min():.3e})"
+            )
+
+
+def _inverse_checks(f, x, y):
+    for m in (as_hermitian(x), as_hermitian(y)):
+        lam = eig_hermitian(m).eigenvalues
+        sign = _scalar_probe_sign(f, lam)
+        if sign == 0.0:
+            raise DomainError(f"{f.name} is not strictly monotone on the sampled range")
+        with np.errstate(all="ignore"):
+            for v in lam:
+                _scalar_bisect(f, float(v), sign > 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=pair_stacks(),
+    theta=st.sampled_from([0.25, 0.5, 0.9]),
+    spec=st.sampled_from([Schatten(1), KyFan(2), Schatten(np.inf)]),
+)
+def test_bks_stack_outcomes_are_those_of_stacks_of_one(pairs, theta, spec):
+    _same_as_stacks_of_one(
+        lambda stack, digests: V.verify_bks_stack(theta, spec, stack, digests), pairs, _bks_checks
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=pair_stacks(),
+    function=st.sampled_from(["spower:0.5", "slog1p", "linear", "gauss"]),
+    theta=st.sampled_from([1.5, 3.0]),
+    base=st.sampled_from([Schatten(1), KyFan(2)]),
+)
+def test_inverse_stack_outcomes_are_those_of_stacks_of_one(pairs, function, theta, base):
+    f = parse_function_spec(function)
+    sem_cache = {}
+    _same_as_stacks_of_one(
+        lambda stack, digests: V.verify_inverse_stack(
+            f, theta, 1.0, base, stack, digests, sem_cache
+        ),
+        pairs,
+        lambda x, y: _inverse_checks(f, x, y),
+    )
