@@ -106,9 +106,14 @@ class CampaignConfig:
             raise ParameterError(f"ensemble {ens['name']!r} reads only {keys}, not {bad}")
         for dim in sorted(set(self.dims)):
             try:
-                draw(dim, [SeedState(self.seed, (2,))], ens)
+                kinds, _ = draw(dim, [SeedState(self.seed, (2,))], ens)
             except (ParameterError, TypeError, ValueError) as exc:
                 raise ParameterError(f"ensemble {ens['name']!r} at dim {dim}: {exc}") from exc
+            if VERIFIERS[self.verifier].positive and set(kinds) != {"pos"}:
+                raise ParameterError(
+                    f"verifier {self.verifier!r} needs positive semidefinite inputs, but "
+                    f"ensemble {ens!r} draws inputs of kinds {kinds} at dim {dim}"
+                )
 
     def cells(self) -> list:
         """The (theta, p, norm, dim) grid in cell-index order."""
@@ -324,6 +329,9 @@ class Verifier:
     # the ensembles.ENSEMBLES names the verifier draws from; the first is the default
     ensembles: tuple = HERMITIAN_PAIRS
     needs_function: bool = False
+    # the inputs must be positive semidefinite: a config whose draw tags its
+    # inputs otherwise is rejected at load
+    positive: bool = False
     uses_norm: bool = False  # else the kernel gets spec None
     # (spec, p) -> the constant the ratio is claimed not to exceed, or None
     claim: Callable = lambda spec, p: None
@@ -331,7 +339,9 @@ class Verifier:
 
 VERIFIERS = {
     "main": Verifier(_per_trial(_eval_main), needs_function=True),
-    "bks": Verifier(_bks_kernel, POSITIVE_PAIRS, uses_norm=True, claim=lambda spec, p: 1.0),
+    "bks": Verifier(
+        _bks_kernel, POSITIVE_PAIRS, positive=True, uses_norm=True, claim=lambda spec, p: 1.0
+    ),
     "submaj": Verifier(_per_trial(_eval_submaj), needs_function=True),
     "symmetric": Verifier(
         _per_trial(_estimate("verify_symmetric")), needs_function=True, uses_norm=True
@@ -358,7 +368,9 @@ VERIFIERS = {
         claim=lambda spec, p: 1.0 if isinstance(spec, Schatten) and spec.p * p >= 2.0 else None,
     ),
     # the claim is margin >= 0, recorded as ratio = max(0, -margin)
-    "alt": Verifier(_per_trial(_eval_alt), POSITIVE_PAIRS, claim=lambda spec, p: 0.0),
+    "alt": Verifier(
+        _per_trial(_eval_alt), POSITIVE_PAIRS, positive=True, claim=lambda spec, p: 0.0
+    ),
     "telescope": Verifier(
         _per_trial(_eval_telescope),
         ("rank_one_steps",),

@@ -235,7 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=1)
     pv.add_argument("--variant", default="power", choices=list(REVERSE_VARIANTS))
     pv.add_argument(
-        "--spectrum", type=_spectrum, default=None, help="fixed eigenvalues, comma separated"
+        "--spectrum",
+        type=_spectrum,
+        default=None,
+        help="fixed eigenvalues, comma separated; a list that starts with a negative "
+        "value takes the form --spectrum=-1,0,1",
     )
     pv.set_defaults(func=cmd_verify)
 

@@ -348,12 +348,12 @@ class SmoothBump:
 class PeriodicSymbol:
     """2*pi-periodic symbol with analytic mixed partials.
 
-    ``partial(m, n, x, y)`` is the derivative of order m in the second
-    argument and n in the first.
+    ``partials(orders, x, y)`` returns, for each (m, n) of ``orders``, the
+    derivative of order m in the second argument and n in the first.
     """
 
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    partial: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]
+    partials: Callable[[list, np.ndarray, np.ndarray], list]
     description: str
 
 
@@ -382,7 +382,6 @@ def fourier_coefficient_constant(p: float, b: int) -> float:
 class FourierSobolevBound:
     upper: float
     c_pb: float
-    sobolev_norm: float
     quadrature_error: float
     grid_n: int
 
@@ -396,26 +395,16 @@ def _l2_mean(vals) -> float:
     return float(math.sqrt(np.mean(np.abs(vals) ** 2)))
 
 
-def _fourier_upper_terms(sym: PeriodicSymbol, p: float, b: int, n: int, with_wnorm: bool):
-    x = _torus_grid(n)
-    xg, yg = x[:, None], x[None, :]
-    c_pb = fourier_coefficient_constant(p, b)
-
-    a_vals = sym.partial(0, 0, xg, yg)
-    d1_vals = sym.partial(0, 1, xg, yg)
+def _fourier_upper(vals, p: float, c_pb: float) -> float:
+    """The bound from the partials (0, 0), (0, 1), (b, 0), (b, 1) on a torus
+    grid."""
+    a_vals, d1_vals, db_vals, db1_vals = vals
     # mean over the second argument gives the zeroth Fourier coefficient a_0(x)
     a0 = np.mean(a_vals, axis=1)
     a0p = np.mean(d1_vals, axis=1)
     u0 = _l2_mean(a0) + PI_EMBED * _l2_mean(a0p)
-    u1 = c_pb * (_l2_mean(sym.partial(b, 0, xg, yg)) + PI_EMBED * _l2_mean(sym.partial(b, 1, xg, yg)))
-    upper = (u0 ** p + u1 ** p) ** (1.0 / p)
-
-    wnorm = 0.0
-    if with_wnorm:
-        for m in range(b + 2):
-            for nn in range(b + 2 - m):
-                wnorm += _l2_mean(sym.partial(m, nn, xg, yg))
-    return upper, c_pb, wnorm
+    u1 = c_pb * (_l2_mean(db_vals) + PI_EMBED * _l2_mean(db1_vals))
+    return (u0 ** p + u1 ** p) ** (1.0 / p)
 
 
 def fourier_sobolev_bound(
@@ -423,7 +412,6 @@ def fourier_sobolev_bound(
     p: float,
     b: int,
     grid_n: int = 256,
-    with_wnorm: bool = True,
     richardson: bool = True,
 ) -> FourierSobolevBound:
     """Multiplier-norm upper bound for a periodic symbol via its Fourier
@@ -431,23 +419,29 @@ def fourier_sobolev_bound(
     ||a_0||_2 + (pi^2/3)^{1/2} ||d_1 a_0||_2, the rest contribute
     c_{p,b} (||d_2^b a||_2 + (pi^2/3)^{1/2} ||d_2^b d_1 a||_2), combined with
     the p-power triangle inequality.  All torus L2 norms use normalized
-    measure; quadrature is the uniform tensor trapezoid rule with a
-    grid-doubling error estimate."""
+    measure; quadrature is the uniform tensor trapezoid rule.
+
+    With ``richardson`` the bound is taken on the 2*grid_n grid and its error
+    estimate is the change from the grid_n grid.  The partials are evaluated
+    once, on the finer grid: the grid_n grid is every other point of it."""
     if grid_n < 2:
         raise ParameterError(f"the quadrature grid needs grid_n >= 2, got {grid_n}")
-    upper, c_pb, wnorm = _fourier_upper_terms(sym, p, b, grid_n, with_wnorm)
+    c_pb = fourier_coefficient_constant(p, b)
+    n = 2 * grid_n if richardson else grid_n
+    x = _torus_grid(n)
+    vals = sym.partials([(0, 0), (0, 1), (b, 0), (b, 1)], x[:, None], x[None, :])
+    upper = _fourier_upper(vals, p, c_pb)
     err = 0.0
     if richardson:
-        upper2, _, wnorm2 = _fourier_upper_terms(sym, p, b, 2 * grid_n, with_wnorm)
-        err = abs(upper2 - upper)
-        upper, wnorm = upper2, wnorm2
-        grid_n = 2 * grid_n
+        # _torus_grid(2n)[::2] equals _torus_grid(n) bit for bit; the copies
+        # give the coarse means the memory layout of that grid's own arrays
+        coarse = [np.ascontiguousarray(v[::2, ::2]) for v in vals]
+        err = abs(upper - _fourier_upper(coarse, p, c_pb))
     return FourierSobolevBound(
         upper=float(upper),
         c_pb=c_pb,
-        sobolev_norm=float(wnorm),
         quadrature_error=float(err),
-        grid_n=grid_n,
+        grid_n=n,
     )
 
 
@@ -461,50 +455,70 @@ def _gauss_legendre_01(n: int):
     return _GL_CACHE[n]
 
 
+# masked grid points per derivative table of localized_dd_periodic: the
+# table holds one array of this many points per divided-difference part
+DD_BLOCK = 4096
+
+
+def _dd_table(f: ScalarFunction, parts, ts, ws, x, y) -> dict:
+    """d_1^i d_2^j dd f(x, y) = int t^i (1-t)^j f^(1+i+j)(t x + (1-t) y) dt
+    for every (i, j) of ``parts``, by the quadrature (ts, ws): per node, one
+    evaluation of each derivative order up to the highest the parts need."""
+    top = 1 + max(i + j for i, j in parts)
+    if top > f.max_order:
+        raise CapabilityError(
+            f"{f.name}: localized bound needs derivative order {f.max_order + 1}"
+        )
+    dd = {ij: np.zeros(x.shape, dtype=float) for ij in parts}
+    for t, w in zip(ts, ws):
+        z = t * x + (1.0 - t) * y
+        d = [f.deriv(k, z) for k in range(1, top + 1)]
+        for i, j in parts:
+            dd[i, j] += w * t ** i * (1.0 - t) ** j * d[i + j]
+    return dd
+
+
 def localized_dd_periodic(
     f: ScalarFunction, bump: SmoothBump | None = None, quad_nodes: int = 64
 ) -> PeriodicSymbol:
     """bump(x) bump(y) dd f(x, y), supported inside (0, pi]^2 and extended
     periodically.  Mixed partials of the divided difference come from its
-    integral representation: d_1^n d_2^m dd f = int t^n (1-t)^m f^(1+n+m)."""
+    integral representation: d_1^n d_2^m dd f = int t^n (1-t)^m f^(1+n+m).
+    One table of those parts, over blocks of DD_BLOCK points of the support,
+    serves every requested partial."""
     if bump is None:
         bump = SmoothBump(0.125, 0.25, 2.0, math.pi, order=6)
     ts, ws = _gauss_legendre_01(quad_nodes)
 
-    def dd_part(i, j, x, y, mask):
-        if 1 + i + j > f.max_order:
-            raise CapabilityError(
-                f"{f.name}: localized bound needs derivative order {1 + i + j}"
-            )
-        xm, ym = x[mask], y[mask]
-        out = np.zeros(xm.shape, dtype=float)
-        for t, w in zip(ts, ws):
-            out += w * t ** i * (1.0 - t) ** j * f.deriv(1 + i + j, t * xm + (1.0 - t) * ym)
-        return out
-
-    def partial(m, n, x, y):
+    def partials(orders, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         mask = (x > bump.lo) & (x < bump.hi) & (y > bump.lo) & (y < bump.hi)
-        out = np.zeros(x.shape, dtype=float)
+        outs = [np.zeros(x.shape, dtype=float) for _ in orders]
         if not np.any(mask):
-            return out
-        acc = np.zeros(int(mask.sum()), dtype=float)
-        for i in range(n + 1):
-            for j in range(m + 1):
-                fac = math.comb(n, i) * math.comb(m, j)
-                acc += (
-                    fac
-                    * bump.deriv(n - i, x[mask])
-                    * bump.deriv(m - j, y[mask])
-                    * dd_part(i, j, x, y, mask)
-                )
-        out[mask] = acc
-        return out
+            return outs
+        # the parts the product rule needs: a union of rectangles from (0, 0),
+        # so _dd_table uses every derivative order it evaluates
+        parts = {(i, j) for m, n in orders for i in range(n + 1) for j in range(m + 1)}
+        idx = np.flatnonzero(mask)
+        for s in range(0, idx.size, DD_BLOCK):
+            block = idx[s : s + DD_BLOCK]
+            xb, yb = x.flat[block], y.flat[block]
+            dd = _dd_table(f, parts, ts, ws, xb, yb)
+            bx = [bump.deriv(k, xb) for k in range(max(n for _, n in orders) + 1)]
+            by = [bump.deriv(k, yb) for k in range(max(m for m, _ in orders) + 1)]
+            for out, (m, n) in zip(outs, orders):
+                part = np.zeros(xb.shape, dtype=float)
+                for i in range(n + 1):
+                    for j in range(m + 1):
+                        fac = math.comb(n, i) * math.comb(m, j)
+                        part += fac * bx[n - i] * by[m - j] * dd[i, j]
+                out.flat[block] = part
+        return outs
 
     def ev(x, y):
-        return partial(0, 0, x, y)
+        return partials([(0, 0)], x, y)[0]
 
-    return PeriodicSymbol(ev, partial, f"bump*dd[{f.name}]")
+    return PeriodicSymbol(ev, partials, f"bump*dd[{f.name}]")
 
 
 def localized_inverse_sum_periodic(
@@ -517,26 +531,27 @@ def localized_inverse_sum_periodic(
     if bump_t is None:
         bump_t = SmoothBump(-0.25, 0.0, 2.0, 2.25, order=6)
 
-    def partial(m, n, x, y):
+    def partials(orders, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         mask = (x > bump_s.lo) & (x < bump_s.hi) & (y > bump_t.lo) & (y < bump_t.hi)
-        out = np.zeros(x.shape, dtype=float)
+        outs = [np.zeros(x.shape, dtype=float) for _ in orders]
         if not np.any(mask):
-            return out
+            return outs
         xm, ym = x[mask], y[mask]
-        acc = np.zeros(xm.shape, dtype=float)
-        for i in range(n + 1):
-            for j in range(m + 1):
-                fac = math.comb(n, i) * math.comb(m, j)
-                inv = (-1.0) ** (i + j) * math.factorial(i + j) / (xm + ym) ** (1 + i + j)
-                acc += fac * bump_s.deriv(n - i, xm) * bump_t.deriv(m - j, ym) * inv
-        out[mask] = acc
-        return out
+        for out, (m, n) in zip(outs, orders):
+            acc = np.zeros(xm.shape, dtype=float)
+            for i in range(n + 1):
+                for j in range(m + 1):
+                    fac = math.comb(n, i) * math.comb(m, j)
+                    inv = (-1.0) ** (i + j) * math.factorial(i + j) / (xm + ym) ** (1 + i + j)
+                    acc += fac * bump_s.deriv(n - i, xm) * bump_t.deriv(m - j, ym) * inv
+            out[mask] = acc
+        return outs
 
     def ev(x, y):
-        return partial(0, 0, x, y)
+        return partials([(0, 0)], x, y)[0]
 
-    return PeriodicSymbol(ev, partial, "phi1*phi2/(s+t)")
+    return PeriodicSymbol(ev, partials, "phi1*phi2/(s+t)")
 
 
 def default_b_for(p: float) -> int:
@@ -559,9 +574,7 @@ def local_dd_bound(
     if bump is None:
         bump = SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2)
     sym = localized_dd_periodic(f, bump)
-    return fourier_sobolev_bound(
-        sym, p, b, grid_n=grid_n, with_wnorm=False, richardson=richardson
-    ).upper
+    return fourier_sobolev_bound(sym, p, b, grid_n=grid_n, richardson=richardson).upper
 
 
 def b0_upper_bound(
@@ -589,7 +602,6 @@ def b0_upper_bound(
         p,
         b,
         grid_n=grid_n,
-        with_wnorm=False,
         richardson=richardson,
     ).upper
     # ring (k,l) contributes (2 c_phi a^{theta-1} 2^{-(1-theta) max(k,l)})^p;

@@ -460,6 +460,19 @@ CONFIG_REJECTIONS = {
         "eigenvalues",
     ),
     "unknown-variant": ({"verifier": "reverse", "thetas": [1.5], "variant": "cube"}, "cube"),
+    # bks and alt need positive semidefinite inputs
+    "negative-fixed-pair-for-bks": (
+        {"dims": [3], "ensemble": {"name": "fixed_pair", "eigenvalues": [-1, 0, 2]}},
+        "positive semidefinite",
+    ),
+    "negative-fixed-pair-for-alt": (
+        {
+            "verifier": "alt",
+            "dims": [3],
+            "ensemble": {"name": "fixed_pair", "eigenvalues": [0, -0.5, 2]},
+        },
+        "positive semidefinite",
+    ),
 }
 
 
@@ -535,6 +548,19 @@ def test_cli_verify_spectrum_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--ineq", "reverse", "--theta", "1.5", "--variant", "cube"])
     assert exc.value.code == 2
+
+
+def test_cli_verify_negative_spectrum_joined_with_equals(capsys):
+    # argparse reads a separate "-1,0,1" as an option
+    args = ["verify", "--ineq", "main", "--f", "power:0.5", "--dim", "3", "--spectrum=-1,0,1"]
+    assert main(args) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["name"] == "main" and rec["inputs_digest"].endswith(":dim3")
+    # bks needs positive semidefinite inputs: exit 2 at load, with the cause
+    assert main(["verify", "--ineq", "bks", "--dim", "3", "--spectrum=-1,0,2"]) == 2
+    err = capsys.readouterr().err
+    assert "positive semidefinite" in err and "[-1.0, 0.0, 2.0]" in err
+    assert "trial(s) failed" not in err
 
 
 @pytest.mark.parametrize("verifier", ["bks", "alt"])

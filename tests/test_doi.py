@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import holderlab as hl
 from holderlab import doi
 from holderlab import functions as F
 from holderlab.ensembles import SeedState, fixed_spectrum, gaussian_hermitian, ginibre
-from holderlab.errors import ParameterError, SingularityError
+from holderlab.errors import CapabilityError, ParameterError, SingularityError
 
 
 def decs_for(a, b):
@@ -232,11 +234,12 @@ def test_fourier_constant_requires_b_above_1_over_p():
 def _const_symbol():
     return doi.PeriodicSymbol(
         eval=lambda x, y: np.ones(np.broadcast(x, y).shape),
-        partial=lambda m, n, x, y: (
+        partials=lambda orders, x, y: [
             np.ones(np.broadcast(x, y).shape)
             if (m == 0 and n == 0)
             else np.zeros(np.broadcast(x, y).shape)
-        ),
+            for m, n in orders
+        ],
         description="one",
     )
 
@@ -258,7 +261,9 @@ def test_fourier_bound_exponential_symbol_dominates_empirical():
         x, y = np.broadcast_arrays(x, y)
         return (1j) ** n * np.exp(1j * x) * np.ones_like(np.real(y))
 
-    sym = doi.PeriodicSymbol(ev, partial, "e^ix")
+    sym = doi.PeriodicSymbol(
+        ev, lambda orders, x, y: [partial(m, n, x, y) for m, n in orders], "e^ix"
+    )
     bound = doi.fourier_sobolev_bound(sym, 1.0, 2, grid_n=64).upper
     biv = doi.BivariateSymbol(ev, "e^ix", lambda_range=(-3.0, 3.0), mu_range=(-3.0, 3.0))
     lower = doi.empirical_mp_lower(biv, 1.0, 5, 100, SeedState(12)).value
@@ -412,3 +417,197 @@ def test_degenerate_grid_and_dim_are_rejected():
     for dim in (-1, 0):
         with pytest.raises(ParameterError, match="dim"):
             doi.empirical_mp_lower(doi.alpha_symbol(), 1.0, dim, 5, SeedState(1))
+
+
+# --- the Fourier route against the per-partial reference ---------------------------
+#
+# Test-local copies of the evaluation that one derivative table per node
+# replaced: every partial recomputes each divided-difference part it needs,
+# every part calls f.deriv at each quadrature node, and the Richardson
+# estimate evaluates the grid_n and 2*grid_n grids separately.  The route
+# must equal them bit for bit.
+
+
+def _ref_l2_mean(vals):
+    return float(math.sqrt(np.mean(np.abs(vals) ** 2)))
+
+
+def _ref_dd_partial(f, bump, quad_nodes=64):
+    ts, ws = doi._gauss_legendre_01(quad_nodes)
+
+    def dd_part(i, j, x, y, mask):
+        xm, ym = x[mask], y[mask]
+        out = np.zeros(xm.shape, dtype=float)
+        for t, w in zip(ts, ws):
+            out += w * t ** i * (1.0 - t) ** j * f.deriv(1 + i + j, t * xm + (1.0 - t) * ym)
+        return out
+
+    def partial(m, n, x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        mask = (x > bump.lo) & (x < bump.hi) & (y > bump.lo) & (y < bump.hi)
+        out = np.zeros(x.shape, dtype=float)
+        if not np.any(mask):
+            return out
+        acc = np.zeros(int(mask.sum()), dtype=float)
+        for i in range(n + 1):
+            for j in range(m + 1):
+                fac = math.comb(n, i) * math.comb(m, j)
+                acc += (
+                    fac
+                    * bump.deriv(n - i, x[mask])
+                    * bump.deriv(m - j, y[mask])
+                    * dd_part(i, j, x, y, mask)
+                )
+        out[mask] = acc
+        return out
+
+    return partial
+
+
+def _ref_inverse_partial(bump_s, bump_t):
+    def partial(m, n, x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        mask = (x > bump_s.lo) & (x < bump_s.hi) & (y > bump_t.lo) & (y < bump_t.hi)
+        out = np.zeros(x.shape, dtype=float)
+        if not np.any(mask):
+            return out
+        xm, ym = x[mask], y[mask]
+        acc = np.zeros(xm.shape, dtype=float)
+        for i in range(n + 1):
+            for j in range(m + 1):
+                fac = math.comb(n, i) * math.comb(m, j)
+                inv = (-1.0) ** (i + j) * math.factorial(i + j) / (xm + ym) ** (1 + i + j)
+                acc += fac * bump_s.deriv(n - i, xm) * bump_t.deriv(m - j, ym) * inv
+        out[mask] = acc
+        return out
+
+    return partial
+
+
+def _ref_fourier(partial, p, b, grid_n, richardson):
+    c_pb = doi.fourier_coefficient_constant(p, b)
+
+    def upper_on(n):
+        x = doi._torus_grid(n)
+        xg, yg = x[:, None], x[None, :]
+        a0 = np.mean(partial(0, 0, xg, yg), axis=1)
+        a0p = np.mean(partial(0, 1, xg, yg), axis=1)
+        u0 = _ref_l2_mean(a0) + doi.PI_EMBED * _ref_l2_mean(a0p)
+        u1 = c_pb * (
+            _ref_l2_mean(partial(b, 0, xg, yg))
+            + doi.PI_EMBED * _ref_l2_mean(partial(b, 1, xg, yg))
+        )
+        return (u0 ** p + u1 ** p) ** (1.0 / p)
+
+    upper, err = upper_on(grid_n), 0.0
+    if richardson:
+        upper2 = upper_on(2 * grid_n)
+        err = abs(upper2 - upper)
+        upper, grid_n = upper2, 2 * grid_n
+    return float(upper), c_pb, float(err), grid_n
+
+
+def _use_reference_route(monkeypatch):
+    """Make doi's composed bounds run the reference evaluation."""
+    monkeypatch.setattr(
+        doi,
+        "localized_dd_periodic",
+        lambda f, bump: types.SimpleNamespace(partial=_ref_dd_partial(f, bump)),
+    )
+    monkeypatch.setattr(
+        doi,
+        "localized_inverse_sum_periodic",
+        lambda bump_s, bump_t: types.SimpleNamespace(
+            partial=_ref_inverse_partial(bump_s, bump_t)
+        ),
+    )
+    monkeypatch.setattr(
+        doi,
+        "fourier_sobolev_bound",
+        lambda sym, p, b, grid_n, richardson: doi.FourierSobolevBound(
+            *_ref_fourier(sym.partial, p, b, grid_n, richardson)
+        ),
+    )
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+REF_FUNCTIONS = ["power:0.5", "log1p", "slog1p", "rational:1", "gauss"]
+REF_PS = [0.4, 0.5, 0.7, 1.0]
+
+
+@pytest.mark.parametrize("block", [16, 4096])
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("p", REF_PS)
+@pytest.mark.parametrize("spec", REF_FUNCTIONS)
+def test_dd_bounds_equal_the_per_partial_reference(spec, p, richardson, block, monkeypatch):
+    f = F.parse_function_spec(spec)
+    b = doi.default_b_for(p)
+    bump = doi.SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2)
+    monkeypatch.setattr(doi, "DD_BLOCK", block)  # 16: 49 points make 4 blocks
+    sym, ref = doi.localized_dd_periodic(f, bump), _ref_dd_partial(f, bump)
+    x = doi._torus_grid(16)
+    xg, yg = x[:, None], x[None, :]
+    orders = [(0, 0), (0, 1), (b, 0), (b, 1)]
+    got = [v.tobytes() for v in sym.partials(orders, xg, yg)]
+    assert got == [ref(m, n, xg, yg).tobytes() for m, n in orders]
+    kw = dict(grid_n=8, richardson=richardson)
+    got = doi.fourier_sobolev_bound(sym, p, b, **kw)
+    upper, c_pb, err, grid_n = _ref_fourier(ref, p, b, **kw)
+    assert _bits(got.upper, got.quadrature_error, got.c_pb) == _bits(upper, err, c_pb)
+    assert got.grid_n == grid_n == (16 if richardson else 8)
+    new = _bits(doi.local_dd_bound(f, p, **kw), doi.dyadic_upper_bound(f, 2, 0.5, p, **kw))
+    _use_reference_route(monkeypatch)
+    assert new == _bits(doi.local_dd_bound(f, p, **kw), doi.dyadic_upper_bound(f, 2, 0.5, p, **kw))
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("p", REF_PS)
+def test_b0_bound_equals_the_per_partial_reference(p, richardson, monkeypatch):
+    b = doi.default_b_for(p)
+    bump_s = doi.SmoothBump(0.75, 1.0, 2.0, 2.25, order=b + 2)
+    bump_t = doi.SmoothBump(-0.25, 0.0, 2.0, 2.25, order=b + 2)
+    sym = doi.localized_inverse_sum_periodic(bump_s, bump_t)
+    ref = _ref_inverse_partial(bump_s, bump_t)
+    x = doi._torus_grid(32)
+    xg, yg = x[:, None], x[None, :]
+    orders = [(0, 0), (0, 1), (b, 0), (b, 1)]
+    got = [v.tobytes() for v in sym.partials(orders, xg, yg)]
+    assert got == [ref(m, n, xg, yg).tobytes() for m, n in orders]
+    kw = dict(grid_n=16, richardson=richardson)
+    new = _bits(doi.b0_upper_bound(0.5, 1.0, p, **kw), doi.b0_upper_bound(0.3, 2.0, p, **kw))
+    _use_reference_route(monkeypatch)
+    old = _bits(doi.b0_upper_bound(0.5, 1.0, p, **kw), doi.b0_upper_bound(0.3, 2.0, p, **kw))
+    assert new == old
+
+
+def test_richardson_evaluates_derivatives_on_the_finer_grid_only():
+    f = F.parse_function_spec("log1p")
+
+    def spied():
+        sizes = []
+
+        def deriv(k, z):
+            sizes.append((k, z.size))
+            return f.deriv(k, z)
+
+        return dataclasses.replace(f, deriv=deriv), sizes
+
+    g, with_richardson = spied()
+    doi.local_dd_bound(g, 1.0, grid_n=8, richardson=True)
+    g, fine_only = spied()
+    doi.local_dd_bound(g, 1.0, grid_n=16, richardson=False)
+    assert with_richardson == fine_only
+    # one call per node and derivative order 1..b+2 on the support's 7 x 7 points
+    x = doi._torus_grid(16)
+    side = int(np.sum((x > 0.125) & (x < math.pi)))
+    assert side == 7
+    assert with_richardson == [(k, side * side) for _ in range(64) for k in range(1, 5)]
+
+
+def test_dd_bound_names_the_first_missing_derivative_order():
+    # p = 0.25 needs b = 5, so the partial (5, 1) needs f^(7); the catalog has 6
+    with pytest.raises(CapabilityError, match="localized bound needs derivative order 7"):
+        doi.local_dd_bound(F.parse_function_spec("power:0.5"), 0.25, grid_n=8)
