@@ -24,13 +24,10 @@ from .spectral import (
     apply_function,
     as_hermitian,
     cayley,
-    cayley_inverse,
     commutator,
-    dilate_2x2,
     eig_hermitian,
     op_norm,
     spectral_projection,
-    support_parts,
 )
 from .norms import (
     KyFan,
@@ -39,23 +36,18 @@ from .norms import (
     SubmajorizationReport,
     WeakLp,
     distribution_function,
-    modulus_of_concavity,
     norm,
     norm_of_profile,
     parse_norm_spec,
-    power_submajorizes,
     singular_values,
     submajorizes,
 )
 from .functions import (
-    GridSpec,
     ScalarFunction,
     SeminormEstimate,
     catalog,
     d_of_p,
     dilate_function,
-    divided_difference,
-    holder_bound,
     parse_function_spec,
     scalar_sum_555,
     seminorm,
@@ -79,7 +71,6 @@ from .doi import (
 from .verify import (
     VerificationRecord,
     cayley_identity_residual,
-    dilation_singular_value_residual,
     telescope_finite_rank,
     verify_abs_map,
     verify_bks,

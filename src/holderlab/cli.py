@@ -88,7 +88,7 @@ def cmd_verify(args) -> int:
     report, counterexamples = run_campaign(config)
     cell = report.cells[0]
     if cell.argmax_digest == "none":
-        print(f"all {cell.trials} trial(s) failed", file=sys.stderr)
+        print(_no_ratio_reason(cell), file=sys.stderr)
         return 2
     argmax_trial = int(cell.argmax_digest.split(":")[2])
     record = replay(config, 0, argmax_trial)
@@ -97,6 +97,15 @@ def cmd_verify(args) -> int:
 
 
 # --- campaign -------------------------------------------------------------------
+
+
+def _no_ratio_reason(cell) -> str:
+    """Why a cell has no ratio to report (its argmax digest is "none"): every
+    trial failed, or every record had rhs = 0."""
+    if cell.failures == cell.trials:
+        return f"all {cell.trials} trial(s) failed"
+    reason = f"every record had rhs = 0 ({cell.trials - cell.failures} record(s)"
+    return reason + (f", {cell.failures} failed trial(s))" if cell.failures else ")")
 
 
 def cmd_campaign(args) -> int:
@@ -121,11 +130,10 @@ def cmd_campaign(args) -> int:
     manifest = _manifest("campaign", config.to_dict(), config.seed, outputs)
     _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     print(f"wrote {csv_path} ({len(report.cells)} cells)")
-    empty = [c for c in report.cells if c.failures == c.trials]
+    empty = [c for c in report.cells if c.argmax_digest == "none"]
     for c in empty:
         print(
-            f"cell theta={c.theta:g} p={c.p:g} norm={c.norm} dim={c.dim}: "
-            f"all {c.trials} trial(s) failed",
+            f"cell theta={c.theta:g} p={c.p:g} norm={c.norm} dim={c.dim}: {_no_ratio_reason(c)}",
             file=sys.stderr,
         )
     if empty:
@@ -183,7 +191,7 @@ def cmd_mpnorm(args) -> int:
     elif want in ("fourier", "auto") and kind.startswith("dyadic"):
         k = int(kind.split(":")[1])
         f = parse_function_spec(args.f)
-        upper = doi.dyadic_upper_bound(f, k, args.theta, args.p, grid_n=args.grid)
+        upper = doi.dyadic_upper_bound(f, k, args.theta, args.p, b=args.b, grid_n=args.grid)
         method = "fourier-composite"
     elif want == "fourier":
         raise HolderLabError(f"fourier route not applicable to {kind}")

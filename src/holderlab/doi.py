@@ -41,6 +41,14 @@ from .spectral import (
 from .ensembles import SeedState, ginibre, haar_unitary
 
 PI_EMBED = math.sqrt(math.pi ** 2 / 3.0)
+# terms kept by the geometric decompositions of alpha and beta
+DECOMPOSITION_TERMS = 64
+# Gauss-Legendre nodes of the divided difference's integral representation
+QUAD_NODES = 64
+# redraws of a sample that hits a singular spectrum in empirical_mp_lower
+MAX_RESAMPLE = 8
+# an eigenvalue within ZERO_TOL_COEFF * (1 + max|lambda|) of 0 counts as 0
+ZERO_TOL_COEFF = 1e-12
 
 
 # --- bivariate symbols --------------------------------------------------------
@@ -60,16 +68,6 @@ class BivariateSymbol:
     mu_range: tuple = (-1.0, 1.0)
 
 
-def one_variable_symbol(g, description="g(lambda)", lambda_range=(-1.0, 1.0)) -> BivariateSymbol:
-    """Symbol depending on the first argument only; acts by left multiplication."""
-
-    def ev(s, t):
-        s, t = np.broadcast_arrays(np.asarray(s), np.asarray(t))
-        return np.asarray(g(s)) * np.ones_like(t, dtype=float)
-
-    return BivariateSymbol(ev, description, lambda_range=lambda_range)
-
-
 def dd_symbol(f: ScalarFunction) -> BivariateSymbol:
     """The divided-difference symbol of f (derivative on the diagonal)."""
 
@@ -77,37 +75,6 @@ def dd_symbol(f: ScalarFunction) -> BivariateSymbol:
         return divided_difference_grid(f, np.real(s), np.real(t))
 
     return BivariateSymbol(ev, f"dd[{f.name}]")
-
-
-def dilate_symbol(a: BivariateSymbol, r: float) -> BivariateSymbol:
-    """(s, t) -> a(s/r, t/r)."""
-    if not r > 0:
-        raise ParameterError(f"dilation scale must be positive, got {r}")
-
-    def ev(s, t):
-        return a.eval(np.asarray(s) / r, np.asarray(t) / r)
-
-    def scale(rg):
-        return (r * rg[0], r * rg[1]) if r > 0 else rg
-
-    return BivariateSymbol(
-        ev,
-        f"dilate:{r}:{a.description}",
-        lambda_range=scale(a.lambda_range),
-        mu_range=scale(a.mu_range),
-    )
-
-
-def product_symbol(a: BivariateSymbol, b: BivariateSymbol) -> BivariateSymbol:
-    def ev(s, t):
-        return np.asarray(a.eval(s, t)) * np.asarray(b.eval(s, t))
-
-    return BivariateSymbol(
-        ev,
-        f"({a.description})*({b.description})",
-        lambda_range=a.lambda_range,
-        mu_range=a.mu_range,
-    )
 
 
 def alpha_symbol() -> BivariateSymbol:
@@ -261,37 +228,29 @@ def decomposition_bound(dec: MultiplierDecomposition, p: float) -> float:
     return dec.prefactor * sup_phi * psum ** (1.0 / p)
 
 
-def _geometric_tail(n_terms: int):
-    def tail(p):
-        return 2.0 ** (-n_terms * p) / (1.0 - 2.0 ** (-p))
+def _geometric_decomposition(prefactor: float, description: str) -> MultiplierDecomposition:
+    """prefactor * sum_n phi_n psi_n with phi sups 1 and psi sups 2^-n, over
+    DECOMPOSITION_TERMS terms and the analytic tail beyond them."""
+    n = DECOMPOSITION_TERMS
+    return MultiplierDecomposition(
+        phi_sup=np.ones(n),
+        psi_sup=2.0 ** (-np.arange(n).astype(float)),
+        psi_tail_psum=lambda p: 2.0 ** (-n * p) / (1.0 - 2.0 ** (-p)),
+        prefactor=prefactor,
+        description=description,
+    )
 
-    return tail
 
-
-def alpha_decomposition(n_terms: int = 64) -> MultiplierDecomposition:
+def alpha_decomposition() -> MultiplierDecomposition:
     """Geometric expansion of alpha: 1/(s-t) = (1/s) sum_n (t/s)^n on the
     support; after pulling the factor 2 out of 1/s the phi sups are 1 and the
     psi sups are 2^-n."""
-    n = np.arange(n_terms)
-    return MultiplierDecomposition(
-        phi_sup=np.ones(n_terms),
-        psi_sup=2.0 ** (-n.astype(float)),
-        psi_tail_psum=_geometric_tail(n_terms),
-        prefactor=2.0,
-        description="alpha geometric",
-    )
+    return _geometric_decomposition(2.0, "alpha geometric")
 
 
-def beta_decomposition(n_terms: int = 64) -> MultiplierDecomposition:
+def beta_decomposition() -> MultiplierDecomposition:
     """Geometric expansion of beta: t/(t-s) = sum_n s^n t^-n on the support."""
-    n = np.arange(n_terms)
-    return MultiplierDecomposition(
-        phi_sup=np.ones(n_terms),
-        psi_sup=2.0 ** (-n.astype(float)),
-        psi_tail_psum=_geometric_tail(n_terms),
-        prefactor=1.0,
-        description="beta geometric",
-    )
+    return _geometric_decomposition(1.0, "beta geometric")
 
 
 # --- Fourier route on the torus -------------------------------------------------
@@ -408,11 +367,7 @@ def _fourier_upper(vals, p: float, c_pb: float) -> float:
 
 
 def fourier_sobolev_bound(
-    sym: PeriodicSymbol,
-    p: float,
-    b: int,
-    grid_n: int = 256,
-    richardson: bool = True,
+    sym: PeriodicSymbol, p: float, b: int, grid_n: int = 256
 ) -> FourierSobolevBound:
     """Multiplier-norm upper bound for a periodic symbol via its Fourier
     expansion in the second argument: the zeroth coefficient contributes
@@ -421,22 +376,20 @@ def fourier_sobolev_bound(
     the p-power triangle inequality.  All torus L2 norms use normalized
     measure; quadrature is the uniform tensor trapezoid rule.
 
-    With ``richardson`` the bound is taken on the 2*grid_n grid and its error
-    estimate is the change from the grid_n grid.  The partials are evaluated
-    once, on the finer grid: the grid_n grid is every other point of it."""
+    The bound is taken on the (2 grid_n)^2 grid, and its quadrature error is
+    estimated as the change from the grid_n^2 grid, which is every other
+    point of it: the partials are evaluated once, on the finer grid."""
     if grid_n < 2:
         raise ParameterError(f"the quadrature grid needs grid_n >= 2, got {grid_n}")
     c_pb = fourier_coefficient_constant(p, b)
-    n = 2 * grid_n if richardson else grid_n
+    n = 2 * grid_n
     x = _torus_grid(n)
     vals = sym.partials([(0, 0), (0, 1), (b, 0), (b, 1)], x[:, None], x[None, :])
     upper = _fourier_upper(vals, p, c_pb)
-    err = 0.0
-    if richardson:
-        # _torus_grid(2n)[::2] equals _torus_grid(n) bit for bit; the copies
-        # give the coarse means the memory layout of that grid's own arrays
-        coarse = [np.ascontiguousarray(v[::2, ::2]) for v in vals]
-        err = abs(upper - _fourier_upper(coarse, p, c_pb))
+    # _torus_grid(2n)[::2] equals _torus_grid(n) bit for bit; the copies give
+    # the coarse means the memory layout of that grid's own arrays
+    coarse = [np.ascontiguousarray(v[::2, ::2]) for v in vals]
+    err = abs(upper - _fourier_upper(coarse, p, c_pb))
     return FourierSobolevBound(
         upper=float(upper),
         c_pb=c_pb,
@@ -478,9 +431,7 @@ def _dd_table(f: ScalarFunction, parts, ts, ws, x, y) -> dict:
     return dd
 
 
-def localized_dd_periodic(
-    f: ScalarFunction, bump: SmoothBump | None = None, quad_nodes: int = 64
-) -> PeriodicSymbol:
+def localized_dd_periodic(f: ScalarFunction, bump: SmoothBump | None = None) -> PeriodicSymbol:
     """bump(x) bump(y) dd f(x, y), supported inside (0, pi]^2 and extended
     periodically.  Mixed partials of the divided difference come from its
     integral representation: d_1^n d_2^m dd f = int t^n (1-t)^m f^(1+n+m).
@@ -488,7 +439,7 @@ def localized_dd_periodic(
     serves every requested partial."""
     if bump is None:
         bump = SmoothBump(0.125, 0.25, 2.0, math.pi, order=6)
-    ts, ws = _gauss_legendre_01(quad_nodes)
+    ts, ws = _gauss_legendre_01(QUAD_NODES)
 
     def partials(orders, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -561,29 +512,18 @@ def default_b_for(p: float) -> int:
 
 
 def local_dd_bound(
-    f: ScalarFunction,
-    p: float,
-    b: int | None = None,
-    bump: SmoothBump | None = None,
-    grid_n: int = 256,
-    richardson: bool = True,
+    f: ScalarFunction, p: float, b: int | None = None, grid_n: int = 256
 ) -> float:
-    """Upper bound for the multiplier norm of bump x bump times dd f."""
+    """Upper bound for the multiplier norm of bump x bump times dd f, with a
+    bump of order b + 2."""
     if b is None:
         b = default_b_for(p)
-    if bump is None:
-        bump = SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2)
-    sym = localized_dd_periodic(f, bump)
-    return fourier_sobolev_bound(sym, p, b, grid_n=grid_n, richardson=richardson).upper
+    sym = localized_dd_periodic(f, SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2))
+    return fourier_sobolev_bound(sym, p, b, grid_n=grid_n).upper
 
 
 def b0_upper_bound(
-    theta: float,
-    a: float,
-    p: float,
-    b: int | None = None,
-    grid_n: int = 256,
-    richardson: bool = True,
+    theta: float, a: float, p: float, b: int | None = None, grid_n: int = 256
 ) -> float:
     """Upper bound C * a^(theta-1) for the second/fourth-quadrant kernels
     |s|^theta/(s-t) and |t|^theta/(s-t): dyadic rings reduce every piece to a
@@ -598,11 +538,7 @@ def b0_upper_bound(
     bump_s = SmoothBump(0.75, 1.0, 2.0, 2.25, order=b + 2)
     bump_t = SmoothBump(-0.25, 0.0, 2.0, 2.25, order=b + 2)
     c_phi = fourier_sobolev_bound(
-        localized_inverse_sum_periodic(bump_s, bump_t),
-        p,
-        b,
-        grid_n=grid_n,
-        richardson=richardson,
+        localized_inverse_sum_periodic(bump_s, bump_t), p, b, grid_n=grid_n
     ).upper
     # ring (k,l) contributes (2 c_phi a^{theta-1} 2^{-(1-theta) max(k,l)})^p;
     # counting pairs with max = M gives 2M+2 of them.
@@ -617,13 +553,7 @@ def _positive_sup(f: ScalarFunction, theta: float) -> float:
 
 
 def band_upper_bound(
-    f: ScalarFunction,
-    theta: float,
-    p: float,
-    b: int | None = None,
-    bump: SmoothBump | None = None,
-    grid_n: int = 256,
-    richardson: bool = True,
+    f: ScalarFunction, theta: float, p: float, b: int | None = None, grid_n: int = 256
 ) -> float:
     """Upper bound for the multiplier norm of dd f restricted to
     [1/2, 1) x (0, inf): the three pieces (inner band, far-below band via the
@@ -634,30 +564,26 @@ def band_upper_bound(
     s0 = _positive_sup(f, theta)
     up_alpha = decomposition_bound(alpha_decomposition(), p)
     up_beta = decomposition_bound(beta_decomposition(), p)
-    loc = local_dd_bound(f, p, b=b, bump=bump, grid_n=grid_n, richardson=richardson)
+    loc = local_dd_bound(f, p, b=b, grid_n=grid_n)
     piece_low = 2.0 * s0 ** p * up_alpha ** p
     piece_high = 2.0 * s0 ** p * up_beta ** p
     return float((piece_low + piece_high + loc ** p) ** (1.0 / p))
 
 
 def dyadic_upper_bound(
-    f: ScalarFunction,
-    k: int,
-    theta: float,
-    p: float,
-    grid_n: int = 256,
-    richardson: bool = True,
+    f: ScalarFunction, k: int, theta: float, p: float, b: int | None = None, grid_n: int = 256
 ) -> float:
-    """Upper bound for the multiplier norm of g_k, scaling like 2^{k(1-theta)}.
+    """Upper bound for the multiplier norm of g_k, scaling like 2^{k(1-theta)},
+    with Fourier smoothness order b (default default_b_for(p)).
 
     For dilation-homogeneous f the band bound is computed once and scaled
     exactly; otherwise the dilated function is bounded directly.
     """
     if f.homogeneous and f.theta_hint == theta:
-        base = band_upper_bound(f, theta, p, grid_n=grid_n, richardson=richardson)
+        base = band_upper_bound(f, theta, p, b=b, grid_n=grid_n)
         return 2.0 ** (k * (1.0 - theta)) * base
     fk = dilate_function(f, 2.0 ** k)
-    return 2.0 ** k * band_upper_bound(fk, theta, p, grid_n=grid_n, richardson=richardson)
+    return 2.0 ** k * band_upper_bound(fk, theta, p, b=b, grid_n=grid_n)
 
 
 # --- empirical lower bounds -----------------------------------------------------
@@ -698,11 +624,11 @@ def empirical_mp_lower(
     dim: int,
     trials: int,
     seed: SeedState | int,
-    max_resample: int = 8,
 ) -> EmpiricalLower:
     """Finite-matrix lower bound for the multiplier norm: the max of
     ||T_a(V)||_p / ||V||_p over sampled eigenvalue grids (uniform in the
-    symbol's sampling ranges, Haar eigenbases) and Gaussian V."""
+    symbol's sampling ranges, Haar eigenbases) and Gaussian V.  A sample on
+    which the symbol is singular is redrawn up to MAX_RESAMPLE times."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if dim < 1:
@@ -712,7 +638,7 @@ def empirical_mp_lower(
     best = 0.0
     resampled = 0
     for t in range(trials):
-        for attempt in range(max_resample + 1):
+        for attempt in range(MAX_RESAMPLE + 1):
             rng = seed.child(t, attempt).rng()
             lam = np.sort(rng.uniform(*a.lambda_range, size=dim))
             mu = np.sort(rng.uniform(*a.mu_range, size=dim))
@@ -740,9 +666,13 @@ class ReconstructionResult:
     covered: bool
 
 
-def representation_reconstruct(
-    f: ScalarFunction, a, b, k_range, zero_tol: float | None = None
-) -> ReconstructionResult:
+def _zero_tol(*eigenvalues) -> float:
+    """The zero tolerance of the given spectra taken together."""
+    top = max(np.abs(lam).max(initial=0.0) for lam in eigenvalues)
+    return ZERO_TOL_COEFF * (1.0 + float(top))
+
+
+def representation_reconstruct(f: ScalarFunction, a, b, k_range) -> ReconstructionResult:
     """Reassemble s(A)_+ (f(A) - f(B)) s(B)_+ from the dyadic band terms
     T_{g_k}(V_k) + T_{h_k}(W_k), k in k_range = (k_min, k_max), and report the
     relative operator-norm gap.  ``covered`` records whether every strictly
@@ -753,9 +683,7 @@ def representation_reconstruct(
     am, bm = as_hermitian(a), as_hermitian(b)
     dec_a, dec_b = eig_hermitian(am), eig_hermitian(bm)
     lam, mu = dec_a.eigenvalues, dec_b.eigenvalues
-    if zero_tol is None:
-        top = max(np.abs(lam).max(initial=0.0), np.abs(mu).max(initial=0.0))
-        zero_tol = 1e-12 * (1.0 + float(top))
+    zero_tol = _zero_tol(lam, mu)
 
     pos_a, pos_b = lam > zero_tol, mu > zero_tol
     band_lo, band_hi = 2.0 ** (-k_max - 1), 2.0 ** (-k_min)
@@ -795,7 +723,7 @@ def representation_reconstruct(
 # --- Araki-Lieb-Thirring submajorization -----------------------------------------
 
 
-def alt_check(x, z, theta: float, p: float, zero_tol: float | None = None):
+def alt_check(x, z, theta: float, p: float):
     """Submajorization |Z^theta X^theta|^p << |Z X|^{theta p} for positive
     semidefinite X, Z."""
     from .norms import submajorizes
@@ -806,12 +734,7 @@ def alt_check(x, z, theta: float, p: float, zero_tol: float | None = None):
         raise ParameterError(f"p must be positive, got {p}")
     xm, zm = as_hermitian(x), as_hermitian(z)
     dec_x, dec_z = eig_hermitian(xm), eig_hermitian(zm)
-    if zero_tol is None:
-        top = max(
-            np.abs(dec_x.eigenvalues).max(initial=0.0),
-            np.abs(dec_z.eigenvalues).max(initial=0.0),
-        )
-        zero_tol = 1e-12 * (1.0 + float(top))
+    zero_tol = _zero_tol(dec_x.eigenvalues, dec_z.eigenvalues)
     for name, dec in (("X", dec_x), ("Z", dec_z)):
         if dec.eigenvalues.min(initial=0.0) < -zero_tol:
             raise DomainError(

@@ -313,12 +313,14 @@ def parse_function_spec(text: str) -> ScalarFunction:
 # --- seminorm estimation -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    n_points: int = 2048
-    x_min: float = 1e-8
-    x_max: float = 1e8
-    refine: bool = True
+# the seminorm grid: SEMINORM_POINTS log-spaced points per sign on
+# [SEMINORM_X_MIN, SEMINORM_X_MAX]
+SEMINORM_POINTS = 2048
+SEMINORM_X_MIN = 1e-8
+SEMINORM_X_MAX = 1e8
+SEMINORM_GRID = (
+    f"logspace[{SEMINORM_X_MIN:g},{SEMINORM_X_MAX:g}]x{SEMINORM_POINTS}/sign+golden"
+)
 
 
 @dataclass(frozen=True)
@@ -355,10 +357,10 @@ def _refine_max(f, k, theta, sign, u_lo, u_hi) -> float:
     return max(gc, gd)
 
 
-def seminorm(
-    f: ScalarFunction, d: int, theta: float, grid: GridSpec = GridSpec()
-) -> SeminormEstimate:
-    """Grid estimate (a lower bound) of max_{0<=k<=d} sup_x |x|^{k-theta}|f^(k)(x)|."""
+def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
+    """Grid estimate (a lower bound) of max_{0<=k<=d} sup_x |x|^{k-theta}|f^(k)(x)|
+    on the SEMINORM_GRID: per order and sign, the grid maximum, refined by
+    golden-section search between its neighbours when it is interior."""
     if d < 0:
         raise ParameterError("order d must be nonnegative")
     if d > f.max_order:
@@ -367,7 +369,9 @@ def seminorm(
         )
     if not 0.0 < theta <= 1.0:
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")
-    us = np.log(np.logspace(math.log10(grid.x_min), math.log10(grid.x_max), grid.n_points))
+    us = np.log(
+        np.logspace(math.log10(SEMINORM_X_MIN), math.log10(SEMINORM_X_MAX), SEMINORM_POINTS)
+    )
     per_order = np.zeros(d + 1)
     for k in range(d + 1):
         best = 0.0
@@ -380,49 +384,23 @@ def seminorm(
             if np.isinf(top):
                 best = np.inf
                 break
-            if grid.refine and 0 < i < us.size - 1:
+            if 0 < i < us.size - 1:
                 top = max(top, _refine_max(f, k, theta, sign, us[i - 1], us[i + 1]))
             best = max(best, top)
         per_order[k] = best
     return SeminormEstimate(
         value=float(np.max(per_order)),
         per_order=per_order,
-        grid=f"logspace[{grid.x_min:g},{grid.x_max:g}]x{grid.n_points}/sign"
-        + ("+golden" if grid.refine else ""),
+        grid=SEMINORM_GRID,
     )
-
-
-def holder_bound(f: ScalarFunction, theta: float, grid: GridSpec = GridSpec()) -> float:
-    """(2/theta) * first-order seminorm: a Holder constant valid for all pairs."""
-    if f.max_order < 1:
-        raise CapabilityError(f"{f.name}: needs at least one derivative")
-    return (2.0 / theta) * seminorm(f, 1, theta, grid).value
 
 
 # --- divided differences -----------------------------------------------------
 
 
-def divided_difference(f: ScalarFunction, x: float, y: float) -> float:
-    """(f(x) - f(y)) / (x - y), extended by f' at near-coincident points."""
-    x = float(x)
-    y = float(y)
-    if abs(x - y) > DD_SWITCH * (abs(x) + abs(y) + 1.0):
-        return float((f.eval(np.array([x]))[0] - f.eval(np.array([y]))[0]) / (x - y))
-    mid = 0.5 * (x + y)
-    if mid == 0.0:
-        if f.derivative_at_zero is None:
-            raise SingularityError(
-                f"{f.name}: divided difference at coincident zero has no finite value"
-            )
-        return f.derivative_at_zero
-    val = float(f.deriv(1, np.array([mid]))[0])
-    if not np.isfinite(val):
-        raise SingularityError(f"{f.name}: derivative not finite at {mid}")
-    return val
-
-
 def divided_difference_grid(f: ScalarFunction, xs, ys, mask=None) -> np.ndarray:
-    """Vectorized divided differences on a meshgrid of points.
+    """Divided differences (f(x) - f(y)) / (x - y) on broadcast points (scalars
+    give a 0-d array), extended by f' where x and y nearly coincide.
 
     ``mask`` (broadcastable to the output shape) limits where values are
     needed; masked-out entries are 0 and never evaluated, so indicator

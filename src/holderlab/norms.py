@@ -24,14 +24,6 @@ def singular_values(x) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def profile(values) -> np.ndarray:
-    """Coerce a vector into a valid profile (sorted descending, >= 0)."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size and v.min() < 0:
-        raise ParameterError("profiles must be nonnegative")
-    return np.sort(v)[::-1]
-
-
 def distribution_function(values, t: float) -> int:
     """d(t) = number of profile entries strictly above t (right-continuous)."""
     if t < 0:
@@ -126,19 +118,6 @@ def norm(x, spec: NormSpec) -> float:
     return norm_of_profile(singular_values(x), spec)
 
 
-def modulus_of_concavity(spec: NormSpec) -> float:
-    """Smallest K with ||X+Y|| <= K(||X|| + ||Y||) for the given spec."""
-    if isinstance(spec, Schatten):
-        return max(2.0 ** (1.0 / spec.p - 1.0), 1.0) if np.isfinite(spec.p) else 1.0
-    if isinstance(spec, WeakLp):
-        return 2.0 ** (1.0 / spec.p)
-    if isinstance(spec, KyFan):
-        return 1.0
-    if isinstance(spec, PowerOf):
-        return max(2.0 ** (1.0 / spec.p - 1.0), 1.0)
-    raise ParameterError(f"unknown norm spec {spec!r}")
-
-
 def parse_norm_spec(text: str) -> NormSpec:
     """Parse the spec grammar: schatten:p | weak:p | kyfan:k | power:<base>:p.
 
@@ -181,18 +160,6 @@ def parse_norm_spec(text: str) -> NormSpec:
     fail(0, f"unknown norm kind {kind!r}")
 
 
-def format_norm_spec(spec: NormSpec) -> str:
-    if isinstance(spec, Schatten):
-        return "schatten:inf" if np.isinf(spec.p) else f"schatten:{spec.p}"
-    if isinstance(spec, WeakLp):
-        return f"weak:{spec.p}"
-    if isinstance(spec, KyFan):
-        return f"kyfan:{spec.k}"
-    if isinstance(spec, PowerOf):
-        return f"power:{format_norm_spec(spec.base)}:{spec.p}"
-    raise ParameterError(f"unknown norm spec {spec!r}")
-
-
 # --- submajorization ---------------------------------------------------------
 
 
@@ -225,14 +192,6 @@ def submajorizes(upper, lower, tol: float = SUBMAJ_TOL) -> SubmajorizationReport
     worst = int(np.argmin(gaps))
     margin = float(gaps[worst])
     return SubmajorizationReport(holds=margin >= -tol, worst_index=worst, margin=margin)
-
-
-def power_submajorizes(upper, lower, p: float, tol: float = SUBMAJ_TOL) -> SubmajorizationReport:
-    """Submajorization of the entrywise p-th powers."""
-    if not p > 0:
-        raise ParameterError(f"power must be positive, got {p}")
-    up, lo = _pad_pair(upper, lower)
-    return submajorizes(up ** p, lo ** p, tol=tol)
 
 
 def least_domination_constant(upper, lower) -> float:

@@ -16,7 +16,6 @@ from .errors import DomainError, EigensolverError, ShapeError
 HERMITIAN_TOL = 1e-10
 RECON_TOL = 1e-10
 PSD_TOL = 1e-10
-ZERO_TOL_COEFF = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -161,24 +160,6 @@ def spectral_projection(dec: SpectralDecomposition, lo: float, hi: float) -> np.
     return from_eigen(dec.basis, mask.astype(float))
 
 
-def support_parts(dec: SpectralDecomposition, zero_tol: float | None = None):
-    """(s_plus, s_minus, n): projections onto the strictly positive part,
-    strictly negative part, and kernel.  Eigenvalues with |lam| <= zero_tol
-    count as zero."""
-    if zero_tol is None:
-        top = float(np.abs(dec.eigenvalues).max()) if dec.dim else 0.0
-        zero_tol = ZERO_TOL_COEFF * (1.0 + top)
-    lam = dec.eigenvalues
-    plus = lam > zero_tol
-    minus = lam < -zero_tol
-    kern = ~(plus | minus)
-
-    def proj(mask):
-        return from_eigen(dec.basis, mask.astype(float))
-
-    return proj(plus), proj(minus), proj(kern)
-
-
 def abs_matrix(x) -> np.ndarray:
     """|X| = (X* X)^{1/2} for a square matrix X."""
     m = as_square(x)
@@ -193,35 +174,6 @@ def cayley(b) -> np.ndarray:
     eye = np.eye(m.shape[0], dtype=complex)
     # (B - i) and (B + i)^{-1} commute, so the one-sided solve suffices.
     return np.linalg.solve(m + 1j * eye, m - 1j * eye)
-
-
-def cayley_inverse(u) -> np.ndarray:
-    """Recover B = 2i(1 - U)^{-1} - i from its Cayley transform, valid when
-    1 is not in the spectrum of U."""
-    m = as_square(u)
-    eye = np.eye(m.shape[0], dtype=complex)
-    b = 2j * np.linalg.inv(eye - m) - 1j * eye
-    return 0.5 * (b + b.conj().T)
-
-
-def dilate_2x2(a, b, r):
-    """Block constructions diag(A,B), diag(B,A), diag(R,R*).
-
-    The first two blocks are unitarily equivalent via the swap unitary, and
-    the singular values of the resulting quasi-commutator are the doubled
-    multiset of those of AR - RB.
-    """
-    am, bm, rm = as_square(a), as_square(b), as_square(r)
-    if not (am.shape == bm.shape == rm.shape):
-        raise ShapeError(
-            f"dilation requires equal shapes, got {am.shape}, {bm.shape}, {rm.shape}"
-        )
-    n = am.shape[0]
-    z = np.zeros((n, n), dtype=complex)
-    a_t = np.block([[am, z], [z, bm]])
-    b_t = np.block([[bm, z], [z, am]])
-    r_t = np.block([[rm, z], [z, rm.conj().T]])
-    return a_t, b_t, r_t
 
 
 def commutator(x, b) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .functions import ScalarFunction, GridSpec, d_of_p, seminorm
+from .functions import ScalarFunction, d_of_p, seminorm
 from .norms import (
     NormSpec,
     PowerOf,
@@ -43,7 +43,6 @@ from .spectral import (
     as_square,
     cayley,
     commutator,
-    dilate_2x2,
     eigh_stack,
     from_eigen,
     hermitian_stack,
@@ -99,13 +98,13 @@ def _abs_tol(dim, *mats):
     return tol
 
 
-def _seminorm_value(f, d, theta, cache=None, grid: GridSpec = GridSpec()):
+def _seminorm_value(f, d, theta, cache=None):
     """The seminorm every difference estimate scales by; raises
     CapabilityError when it is infinite or f lacks d derivatives."""
     cache = {} if cache is None else cache
     key = (f.name, d, theta)
     if key not in cache:
-        cache[key] = seminorm(f, d, theta, grid).value
+        cache[key] = seminorm(f, d, theta).value
     if not np.isfinite(cache[key]):
         raise CapabilityError(f"{f.name}: seminorm is infinite at theta={theta}, d={d}")
     return cache[key]
@@ -479,18 +478,6 @@ def cayley_identity_residual(f: ScalarFunction, x, b) -> float:
     n1 = op_norm(u.conj().T @ fx @ u - fx)
     n2 = op_norm(apply_function(f, u.conj().T @ xm @ u) - fx)
     return abs(n1 - n2) / (1.0 + max(n1, n2))
-
-
-def dilation_singular_value_residual(a, b, r) -> float:
-    """The 2x2 dilation bookkeeping: singular values of the dilated
-    quasi-commutator must be the doubled multiset of those of AR - RB."""
-    am, bm, rm = as_hermitian(a), as_hermitian(b), as_square(r)
-    a_t, b_t, r_t = dilate_2x2(am, bm, rm)
-    s_big = singular_values(a_t @ r_t - r_t @ b_t)
-    s_small = singular_values(am @ rm - rm @ bm)
-    s_expect = np.sort(np.concatenate([s_small, s_small]))[::-1]
-    top = float(s_expect[0]) if s_expect.size else 0.0
-    return float(np.abs(s_big - s_expect).max(initial=0.0)) / (1.0 + top)
 
 
 # --- finite-rank telescoping -------------------------------------------------------

@@ -193,7 +193,7 @@ def test_criterion_08_multiplier_bound_consistency():
     for k in range(-3, 4):
         g_k, _ = doi.dyadic_symbols(f, k)
         lower = doi.empirical_mp_lower(g_k, p, 6, 300, SeedState(1081)).value
-        upper = doi.dyadic_upper_bound(f, k, theta, p, grid_n=128, richardson=False)
+        upper = doi.dyadic_upper_bound(f, k, theta, p, grid_n=64)
         assert lower <= upper * (1.0 + 1e-8)
         normalized.append(2.0 ** (k * (theta - 1.0)) * lower)
     spread = max(normalized) / min(normalized)

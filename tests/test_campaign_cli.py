@@ -339,6 +339,33 @@ def test_cli_mpnorm_dyadic(capsys):
     assert rec["lower"] <= rec["upper"]
 
 
+DYADIC_B = ["mpnorm", "--symbol", "dyadic:2", "--f", "log1p", "--p", "1", "--grid", "8",
+            "--trials", "5"]
+
+
+@pytest.mark.parametrize(
+    "b, upper",
+    [(None, 27.435379186327616), ("2", 27.435379186327616), ("3", 26.182684340826132)],
+    ids=["default", "b2", "b3"],
+)
+def test_cli_mpnorm_dyadic_b_sets_the_fourier_order(b, upper, capsys):
+    # without --b the order is d(p) - 2 = 2 at p = 1
+    code = main(DYADIC_B + ([] if b is None else ["--b", b]))
+    rec = json.loads(capsys.readouterr().out.strip())
+    assert code == 0
+    assert rec["upper"] == upper
+
+
+@pytest.mark.parametrize(
+    "b, message",
+    [("1", "need b > 1/p (b=1, 1/p=1)"), ("7", "localized bound needs derivative order 7")],
+    ids=["b1", "b7"],
+)
+def test_cli_mpnorm_dyadic_b_out_of_range_exit_2(b, message, capsys):
+    assert main(DYADIC_B + ["--b", b]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_seminorm(capsys):
     code = main(["seminorm", "--f", "power:0.5", "--theta", "0.5", "--d", "2", "--p", "1"])
     rec = json.loads(capsys.readouterr().out.strip())
@@ -354,6 +381,28 @@ def test_cli_seminorm_log_entry_is_finite(capsys):
     per_order = np.array(rec["per_order"])
     assert per_order.shape == (5,)
     assert np.all(np.isfinite(per_order)) and np.all(per_order > 0)
+
+
+SEMINORM_GRID = "logspace[1e-08,1e+08]x2048/sign+golden"
+
+
+@pytest.mark.parametrize(
+    "f, d, per_order",
+    [
+        ("power:0.5", 2, [1.0000000000000002, 0.5000000000000001, 0.25000000000000006]),
+        ("power:0.5", 4, [1.0000000000000002, 0.5000000000000001, 0.25000000000000006,
+                          0.37500000000000006, 0.9375000000000002]),
+        ("log1p", 2, [0.8047423425494119, 0.5, 0.32475952641916456]),
+        ("log1p", 4, [0.8047423425494119, 0.5, 0.32475952641916456, 0.5176083281249513,
+                      1.329335009319075]),
+    ],
+    ids=["power-d2", "power-d4", "log1p-d2", "log1p-d4"],
+)
+def test_cli_seminorm_stdout_is_pinned(f, d, per_order, capsys):
+    assert main(["seminorm", "--f", f, "--theta", "0.5", "--d", str(d)]) == 0
+    want = {"d": d, "function": f, "grid": SEMINORM_GRID, "per_order": per_order,
+            "theta": 0.5, "value": max(per_order)}
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True) + "\n"
 
 
 def test_cli_seminorm_order_too_high(capsys):
@@ -423,6 +472,40 @@ def test_cli_campaign_cell_without_valid_trials_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "theta=0.5 p=1 norm=schatten:1 dim=4: all 4 trial(s) failed" in err
     assert "theta=2 " not in err
+
+
+ZERO_PAIR = {"name": "fixed_pair", "eigenvalues": [0, 0]}
+
+
+def test_cli_verify_every_record_rhs_zero_exit_2(capsys):
+    # A = B = 0: the one record has lhs = rhs = 0 and no ratio
+    argv = ["verify", "--ineq", "main", "--f", "power:0.5", "--dim", "2", "--spectrum", "0,0"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "every record had rhs = 0 (1 record(s))\n"
+
+
+def test_cli_campaign_every_record_rhs_zero_exit_2(tmp_path, capsys):
+    cfg = {
+        "verifier": "main",
+        "function": "power:0.5",
+        "thetas": [0.5],
+        "ps": [1.0],
+        "norms": ["schatten:1"],
+        "dims": [2],
+        "trials": 4,
+        "seed": 18,
+        "ensemble": ZERO_PAIR,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["campaign", str(cfg_path), "--out", str(out)]) == 2
+    rows = (out / "report.csv").read_text().splitlines()
+    assert rows[1] == "0.5,1,schatten:1,2,4,0,0,0,none"  # the reports are still written
+    err = capsys.readouterr().err
+    assert "theta=0.5 p=1 norm=schatten:1 dim=2: every record had rhs = 0 (4 record(s))" in err
 
 
 def test_reverse_kernel_dispatches_variants():

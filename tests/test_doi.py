@@ -30,11 +30,21 @@ def test_schur_apply_constant_symbol_is_identity():
     assert np.abs(doi.schur_apply(one, da, db, v) - v).max() <= 1e-12
 
 
+def _one_variable_symbol(g, lambda_range=(-1.0, 1.0)):
+    """The symbol (s, t) -> g(s), which acts by left multiplication by g(A)."""
+
+    def ev(s, t):
+        s, t = np.broadcast_arrays(np.asarray(s), np.asarray(t))
+        return np.asarray(g(s)) * np.ones_like(t, dtype=float)
+
+    return doi.BivariateSymbol(ev, "g(lambda)", lambda_range=lambda_range)
+
+
 def test_schur_apply_one_variable_symbol_left_multiplies():
     rng = np.random.default_rng(1)
     a, b = gaussian_hermitian(4, rng), gaussian_hermitian(4, rng)
     v = ginibre(4, rng)
-    sym = doi.one_variable_symbol(lambda s: np.tanh(s))
+    sym = _one_variable_symbol(lambda s: np.tanh(s))
     da, db = decs_for(a, b)
     got = doi.schur_apply(sym, da, db, v)
     want = hl.apply_function(lambda t: np.tanh(t), a, da) @ v
@@ -126,7 +136,7 @@ def test_empirical_lower_constant_symbol_is_one():
 
 
 def test_empirical_lower_one_variable_approaches_sup():
-    sym = doi.one_variable_symbol(lambda s: np.sin(s), lambda_range=(-6.0, 6.0))
+    sym = _one_variable_symbol(lambda s: np.sin(s), lambda_range=(-6.0, 6.0))
     res = doi.empirical_mp_lower(sym, 1.0, 6, 200, SeedState(6))
     assert res.value <= 1.0 + 1e-10
     assert res.value >= 0.9
@@ -166,8 +176,14 @@ def test_p_subadditive_combination_bounds_symbol_sum():
 
 
 def test_multiplicativity_floor():
-    g = doi.one_variable_symbol(lambda s: np.clip(s, -1.0, 1.0), lambda_range=(0.5, 1.0))
-    prod = doi.product_symbol(doi.alpha_symbol(), g)
+    # alpha times a one-variable symbol of sup norm 1
+    alpha = doi.alpha_symbol()
+    prod = doi.BivariateSymbol(
+        lambda s, t: alpha.eval(s, t) * np.clip(np.real(s), -1.0, 1.0),
+        "alpha*clip",
+        lambda_range=alpha.lambda_range,
+        mu_range=alpha.mu_range,
+    )
     lower = doi.empirical_mp_lower(prod, 1.0, 6, 300, SeedState(10)).value
     upper_alpha = doi.decomposition_bound(doi.alpha_decomposition(), 1.0)
     assert lower <= upper_alpha * 1.0 * (1.0 + 1e-8)
@@ -190,7 +206,8 @@ def test_dilation_covariance_term_by_term():
     db_r = hl.SpectralDecomposition(r * mu, u2)
     for p in (0.5, 1.0):
         r1 = doi.schur_ratio(sym, da, db, v, p)
-        r2 = doi.schur_ratio(doi.dilate_symbol(sym, r), da_r, db_r, v, p)
+        dilated = doi.BivariateSymbol(lambda s, t: sym.eval(s / r, t / r), "dilated")
+        r2 = doi.schur_ratio(dilated, da_r, db_r, v, p)
         assert r1 == pytest.approx(r2, rel=1e-13)
 
 
@@ -294,23 +311,23 @@ def test_dyadic_scaling_law():
 def test_dyadic_upper_dominates_lower():
     theta = 0.5
     f = F.power(theta)
-    up0 = doi.band_upper_bound(f, theta, 1.0, grid_n=64, richardson=False)
+    up0 = doi.band_upper_bound(f, theta, 1.0, grid_n=32)
     for k in (-2, 0, 2):
         g, _ = doi.dyadic_symbols(f, k)
         lower = doi.empirical_mp_lower(g, 1.0, 5, 100, SeedState(14)).value
-        upper = doi.dyadic_upper_bound(f, k, theta, 1.0, grid_n=64, richardson=False)
+        upper = doi.dyadic_upper_bound(f, k, theta, 1.0, grid_n=32)
         assert lower <= upper * (1.0 + 1e-8)
         assert upper == pytest.approx(2.0 ** (k * (1 - theta)) * up0, rel=1e-12)
 
 
 def test_b0_b1_bounds():
     theta, a, p = 0.5, 1.0, 1.0
-    upper = doi.b0_upper_bound(theta, a, p, grid_n=64, richardson=False)
+    upper = doi.b0_upper_bound(theta, a, p, grid_n=32)
     for sym in (doi.b0_symbol(theta, a), doi.b1_symbol(theta, a)):
         lower = doi.empirical_mp_lower(sym, p, 5, 100, SeedState(15)).value
         assert lower <= upper * (1.0 + 1e-8)
     # the bound scales like a^{theta-1}
-    upper2 = doi.b0_upper_bound(theta, 2.0, p, grid_n=64, richardson=False)
+    upper2 = doi.b0_upper_bound(theta, 2.0, p, grid_n=32)
     assert upper2 == pytest.approx(upper * 2.0 ** (theta - 1.0), rel=1e-12)
 
 
@@ -425,7 +442,8 @@ def test_degenerate_grid_and_dim_are_rejected():
 # replaced: every partial recomputes each divided-difference part it needs,
 # every part calls f.deriv at each quadrature node, and the Richardson
 # estimate evaluates the grid_n and 2*grid_n grids separately.  The route
-# must equal them bit for bit.
+# must equal them bit for bit.  Its bound on grid_n also equals, bit for bit,
+# the reference's bound on the 2*grid_n grid alone (without Richardson).
 
 
 def _ref_l2_mean(vals):
@@ -507,7 +525,13 @@ def _ref_fourier(partial, p, b, grid_n, richardson):
     return float(upper), c_pb, float(err), grid_n
 
 
-def _use_reference_route(monkeypatch):
+def _ref_grid(grid_n, richardson):
+    """The reference's (grid_n, richardson) whose bound is the route's bound
+    on grid_n: grid_n with Richardson, or 2*grid_n without it."""
+    return (grid_n, True) if richardson else (2 * grid_n, False)
+
+
+def _use_reference_route(monkeypatch, richardson=True):
     """Make doi's composed bounds run the reference evaluation."""
     monkeypatch.setattr(
         doi,
@@ -524,8 +548,8 @@ def _use_reference_route(monkeypatch):
     monkeypatch.setattr(
         doi,
         "fourier_sobolev_bound",
-        lambda sym, p, b, grid_n, richardson: doi.FourierSobolevBound(
-            *_ref_fourier(sym.partial, p, b, grid_n, richardson)
+        lambda sym, p, b, grid_n: doi.FourierSobolevBound(
+            *_ref_fourier(sym.partial, p, b, *_ref_grid(grid_n, richardson))
         ),
     )
 
@@ -539,10 +563,10 @@ REF_PS = [0.4, 0.5, 0.7, 1.0]
 
 
 @pytest.mark.parametrize("block", [16, 4096])
-@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("ref_richardson", [True, False])
 @pytest.mark.parametrize("p", REF_PS)
 @pytest.mark.parametrize("spec", REF_FUNCTIONS)
-def test_dd_bounds_equal_the_per_partial_reference(spec, p, richardson, block, monkeypatch):
+def test_dd_bounds_equal_the_per_partial_reference(spec, p, ref_richardson, block, monkeypatch):
     f = F.parse_function_spec(spec)
     b = doi.default_b_for(p)
     bump = doi.SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2)
@@ -553,19 +577,21 @@ def test_dd_bounds_equal_the_per_partial_reference(spec, p, richardson, block, m
     orders = [(0, 0), (0, 1), (b, 0), (b, 1)]
     got = [v.tobytes() for v in sym.partials(orders, xg, yg)]
     assert got == [ref(m, n, xg, yg).tobytes() for m, n in orders]
-    kw = dict(grid_n=8, richardson=richardson)
-    got = doi.fourier_sobolev_bound(sym, p, b, **kw)
-    upper, c_pb, err, grid_n = _ref_fourier(ref, p, b, **kw)
-    assert _bits(got.upper, got.quadrature_error, got.c_pb) == _bits(upper, err, c_pb)
-    assert got.grid_n == grid_n == (16 if richardson else 8)
+    got = doi.fourier_sobolev_bound(sym, p, b, grid_n=8)
+    upper, c_pb, err, grid_n = _ref_fourier(ref, p, b, *_ref_grid(8, ref_richardson))
+    assert _bits(got.upper, got.c_pb) == _bits(upper, c_pb)
+    assert got.grid_n == grid_n == 16
+    if ref_richardson:
+        assert _bits(got.quadrature_error) == _bits(err)
+    kw = dict(grid_n=8)
     new = _bits(doi.local_dd_bound(f, p, **kw), doi.dyadic_upper_bound(f, 2, 0.5, p, **kw))
-    _use_reference_route(monkeypatch)
+    _use_reference_route(monkeypatch, ref_richardson)
     assert new == _bits(doi.local_dd_bound(f, p, **kw), doi.dyadic_upper_bound(f, 2, 0.5, p, **kw))
 
 
-@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("ref_richardson", [True, False])
 @pytest.mark.parametrize("p", REF_PS)
-def test_b0_bound_equals_the_per_partial_reference(p, richardson, monkeypatch):
+def test_b0_bound_equals_the_per_partial_reference(p, ref_richardson, monkeypatch):
     b = doi.default_b_for(p)
     bump_s = doi.SmoothBump(0.75, 1.0, 2.0, 2.25, order=b + 2)
     bump_t = doi.SmoothBump(-0.25, 0.0, 2.0, 2.25, order=b + 2)
@@ -576,9 +602,9 @@ def test_b0_bound_equals_the_per_partial_reference(p, richardson, monkeypatch):
     orders = [(0, 0), (0, 1), (b, 0), (b, 1)]
     got = [v.tobytes() for v in sym.partials(orders, xg, yg)]
     assert got == [ref(m, n, xg, yg).tobytes() for m, n in orders]
-    kw = dict(grid_n=16, richardson=richardson)
+    kw = dict(grid_n=16)
     new = _bits(doi.b0_upper_bound(0.5, 1.0, p, **kw), doi.b0_upper_bound(0.3, 2.0, p, **kw))
-    _use_reference_route(monkeypatch)
+    _use_reference_route(monkeypatch, ref_richardson)
     old = _bits(doi.b0_upper_bound(0.5, 1.0, p, **kw), doi.b0_upper_bound(0.3, 2.0, p, **kw))
     assert new == old
 
@@ -586,25 +612,19 @@ def test_b0_bound_equals_the_per_partial_reference(p, richardson, monkeypatch):
 def test_richardson_evaluates_derivatives_on_the_finer_grid_only():
     f = F.parse_function_spec("log1p")
 
-    def spied():
-        sizes = []
+    sizes = []
 
-        def deriv(k, z):
-            sizes.append((k, z.size))
-            return f.deriv(k, z)
+    def deriv(k, z):
+        sizes.append((k, z.size))
+        return f.deriv(k, z)
 
-        return dataclasses.replace(f, deriv=deriv), sizes
-
-    g, with_richardson = spied()
-    doi.local_dd_bound(g, 1.0, grid_n=8, richardson=True)
-    g, fine_only = spied()
-    doi.local_dd_bound(g, 1.0, grid_n=16, richardson=False)
-    assert with_richardson == fine_only
-    # one call per node and derivative order 1..b+2 on the support's 7 x 7 points
+    doi.local_dd_bound(dataclasses.replace(f, deriv=deriv), 1.0, grid_n=8)
+    # one call per node and derivative order 1..b+2 on the support's 7 x 7
+    # points of the 16 x 16 grid, and none on the 8 x 8 grid
     x = doi._torus_grid(16)
     side = int(np.sum((x > 0.125) & (x < math.pi)))
     assert side == 7
-    assert with_richardson == [(k, side * side) for _ in range(64) for k in range(1, 5)]
+    assert sizes == [(k, side * side) for _ in range(64) for k in range(1, 5)]
 
 
 def test_dd_bound_names_the_first_missing_derivative_order():

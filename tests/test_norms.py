@@ -10,9 +10,7 @@ from holderlab.norms import (
     PowerOf,
     Schatten,
     WeakLp,
-    format_norm_spec,
     least_domination_constant,
-    modulus_of_concavity,
     mu_integral,
     norm_of_profile,
     parse_norm_spec,
@@ -114,11 +112,19 @@ def test_p_triangle_for_small_p():
 
 
 def test_quasi_triangle_with_modulus():
+    # ||X+Y|| <= K (||X|| + ||Y||) with the modulus of concavity K of each spec
     rng = np.random.default_rng(5)
-    specs = [Schatten(0.5), Schatten(1), Schatten(3), WeakLp(0.5), WeakLp(2),
-             KyFan(2), PowerOf(KyFan(3), 0.5), PowerOf(Schatten(1), 0.4)]
-    for spec in specs:
-        k = modulus_of_concavity(spec)
+    moduli = [
+        (Schatten(0.5), 2.0),
+        (Schatten(1), 1.0),
+        (Schatten(3), 1.0),
+        (WeakLp(0.5), 4.0),
+        (WeakLp(2), 2.0 ** 0.5),
+        (KyFan(2), 1.0),
+        (PowerOf(KyFan(3), 0.5), 2.0),
+        (PowerOf(Schatten(1), 0.4), 2.0 ** 1.5),
+    ]
+    for spec, k in moduli:
         for _ in range(30):
             x, y = random_matrix(4, rng), random_matrix(4, rng)
             assert hl.norm(x + y, spec) <= k * (hl.norm(x, spec) + hl.norm(y, spec)) * (
@@ -169,33 +175,23 @@ def test_triangle_submajorization_oracle():
         assert hl.submajorizes(rhs, lhs).holds
 
 
-def test_power_submajorizes():
-    up, lo = np.array([2.0, 1.0]), np.array([1.0, 1.0])
-    rep1 = hl.power_submajorizes(up, lo, 1.0)
-    assert rep1.holds == hl.submajorizes(up, lo).holds
-    rep2 = hl.power_submajorizes(lo, lo, 3.7)
-    assert rep2.holds and rep2.margin == 0.0
-    # p = 2: partial sums of (4, 1) dominate (1, 1) -> compare by hand
-    rep3 = hl.power_submajorizes(up, lo, 2.0)
-    assert rep3.holds
-    cu, cl = np.cumsum(up**2), np.cumsum(lo**2)
-    assert rep3.margin == pytest.approx(((cu - cl) / cu[-1]).min())
-    with pytest.raises(ParameterError):
-        hl.power_submajorizes(up, lo, 0.0)
-
-
 def test_least_domination_constant():
     assert least_domination_constant([2.0, 2.0], [1.0, 1.0]) == pytest.approx(0.5)
     assert least_domination_constant([1.0, 0.0], [2.0, 0.0]) == pytest.approx(2.0)
     assert least_domination_constant([0.0, 1.0], [1.0, 0.0]) == np.inf
 
 
-def test_parse_and_format_norm_specs():
-    cases = ["schatten:1", "schatten:inf", "weak:2.0", "kyfan:3", "power:kyfan:2:0.5",
-             "power:schatten:1.0:2.0"]
-    for text in cases:
-        spec = parse_norm_spec(text)
-        assert parse_norm_spec(format_norm_spec(spec)) == spec
+def test_parse_norm_specs():
+    cases = {
+        "schatten:1": Schatten(1.0),
+        "schatten:inf": Schatten(np.inf),
+        "weak:2.0": WeakLp(2.0),
+        "kyfan:3": KyFan(3),
+        "power:kyfan:2:0.5": PowerOf(KyFan(2), 0.5),
+        "power:schatten:1.0:2.0": PowerOf(Schatten(1.0), 2.0),
+    }
+    for text, spec in cases.items():
+        assert parse_norm_spec(text) == spec
 
 
 def test_parse_norm_spec_errors():

@@ -4,7 +4,7 @@ import pytest
 import holderlab as hl
 from holderlab.errors import DomainError, ShapeError
 from holderlab.functions import polynomial, power
-from holderlab.spectral import abs_matrix, cayley, cayley_inverse, dilate_2x2
+from holderlab.spectral import abs_matrix, cayley
 
 RNG = np.random.default_rng(20240810)
 
@@ -130,26 +130,6 @@ def test_spectral_projections_partition_and_orthogonality():
             assert np.abs(projs[i] @ projs[j]).max() <= 1e-10
 
 
-def test_support_parts():
-    dec = hl.eig_hermitian(np.diag([1.0, -1.0, 0.0]))
-    s_plus, s_minus, n = hl.support_parts(dec)
-    assert np.allclose(s_plus, np.diag([1.0, 0.0, 0.0]))
-    assert np.allclose(s_minus, np.diag([0.0, 1.0, 0.0]))
-    assert np.allclose(n, np.diag([0.0, 0.0, 1.0]))
-    assert np.abs(s_plus + s_minus + n - np.eye(3)).max() <= 1e-12
-
-    posdef = hl.eig_hermitian(np.diag([0.5, 1.5]))
-    sp, sm, nn = hl.support_parts(posdef)
-    assert np.allclose(sp, np.eye(2)) and np.abs(sm).max() == 0 and np.abs(nn).max() == 0
-
-
-def test_support_parts_threshold():
-    dec = hl.eig_hermitian(np.diag([1e-15, 2.0]))
-    s_plus, _, n = hl.support_parts(dec, zero_tol=1e-12)
-    assert np.allclose(s_plus, np.diag([0.0, 1.0]))
-    assert np.allclose(n, np.diag([1.0, 0.0]))
-
-
 def test_abs_matrix():
     assert np.allclose(abs_matrix(np.diag([-3.0, 4.0])), np.diag([3.0, 4.0]))
     rng = np.random.default_rng(11)
@@ -187,34 +167,9 @@ def test_cayley_unitary_and_bound():
 
 
 def test_cayley_inverse_roundtrip():
+    # B = 2i (1 - U)^{-1} - i recovers B from its Cayley transform U
     rng = np.random.default_rng(13)
     b = random_hermitian(4, rng)
-    assert np.abs(cayley_inverse(cayley(b)) - b).max() <= 1e-9 * (1.0 + np.abs(b).max())
-
-
-def test_dilate_2x2_trivial():
-    a = np.diag([2.0])
-    b = np.diag([3.0])
-    r = np.eye(1)
-    at, bt, rt = dilate_2x2(a, b, r)
-    assert np.allclose(at, np.diag([2.0, 3.0]))
-    assert np.allclose(bt, np.diag([3.0, 2.0]))
-    assert np.allclose(rt, np.eye(2))
-    same, same2, _ = dilate_2x2(a, a, r)
-    assert np.allclose(same, same2)
-
-
-def test_dilate_2x2_singular_values_doubled():
-    rng = np.random.default_rng(14)
-    a, b = random_hermitian(3, rng), random_hermitian(3, rng)
-    r = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    at, bt, rt = dilate_2x2(a, b, r)
-    s_big = np.linalg.svd(at @ rt - rt @ bt, compute_uv=False)
-    s = np.linalg.svd(a @ r - r @ b, compute_uv=False)
-    want = np.sort(np.concatenate([s, s]))[::-1]
-    assert np.abs(s_big - want).max() <= 1e-10 * (1.0 + want[0])
-
-
-def test_dilate_shape_mismatch():
-    with pytest.raises(ShapeError):
-        dilate_2x2(np.eye(2), np.eye(3), np.eye(2))
+    eye = np.eye(4)
+    back = 2j * np.linalg.inv(eye - cayley(b)) - 1j * eye
+    assert np.abs(back - b).max() <= 1e-9 * (1.0 + np.abs(b).max())

@@ -19,7 +19,7 @@ import holderlab.verify as V
 from holderlab.campaign import CampaignConfig, replay, run_campaign, trial_outcomes
 from holderlab.ensembles import ENSEMBLES, SeedState, fixed_spectrum, sample_positive_pairs
 from holderlab.errors import DomainError, EigensolverError, HolderLabError, ParameterError
-from holderlab.functions import GridSpec, ScalarFunction, d_of_p, parse_function_spec, seminorm
+from holderlab.functions import ScalarFunction, d_of_p, parse_function_spec, seminorm
 from holderlab.norms import (
     KyFan,
     PowerOf,
@@ -495,7 +495,7 @@ def _inverse_per_matrix(f, theta, p, base, x, y):
     at a time, with the scalar bisection and 2-D LAPACK calls."""
     spec = PowerOf(base, p)
     xm, ym = as_hermitian(x), as_hermitian(y)
-    sem = seminorm(f, d_of_p(p), 1.0 / theta, GridSpec()).value
+    sem = seminorm(f, d_of_p(p), 1.0 / theta).value
     inv = []
     for m in (xm, ym):
         dec = eig_hermitian(m)

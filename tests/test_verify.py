@@ -259,13 +259,6 @@ def test_quasi_commutator_reductions():
     assert quasi2.rhs == pytest.approx(comm.rhs, rel=1e-12)
 
 
-def test_dilation_residual():
-    rng = np.random.default_rng(11)
-    a, b = gaussian_hermitian(3, rng), gaussian_hermitian(3, rng)
-    r = ginibre(3, rng)
-    assert hl.dilation_singular_value_residual(a, b, r) <= 1e-12
-
-
 def test_verify_abs_map():
     rng = np.random.default_rng(12)
     a = ginibre(4, rng)
