@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import doi
-from .ensembles import ENSEMBLES, SeedState, gaussian_hermitian, ginibre
+from .ensembles import ENSEMBLES, STACK_ENTRIES, SeedState, gaussian_hermitian, ginibre
 from .errors import EigensolverError, HolderLabError, ParameterError
 from .functions import parse_function_spec
 from .norms import Schatten, parse_norm_spec
@@ -25,10 +25,6 @@ from . import verify as V
 
 # a record exceeds its verifier's claimed constant when ratio > claim + tol
 CONSTANT_ONE_TOL = 1e-8
-
-# complex matrix entries per stack of trials, two matrices per trial: 32
-# trials at dim 8, 2 at dim 32, 1 at dim 64
-STACK_ENTRIES = 4096
 
 
 # the grid axes of a config and the type of their entries
@@ -397,7 +393,8 @@ def _digest(config: CampaignConfig, cell_idx: int, trial: int, dim) -> str:
 
 
 def _stack_size(dim) -> int:
-    """Trials per stack at this dim; the config guarantees dim >= 1."""
+    """Trials per stack at this dim, two matrices per trial: 32 trials at
+    dim 8, 2 at dim 32, 1 at dim 64; the config guarantees dim >= 1."""
     return max(1, STACK_ENTRIES // (2 * dim * dim))
 
 

@@ -29,7 +29,7 @@ from .functions import (
     divided_difference_grid,
     seminorm,
 )
-from .norms import Schatten, norm, singular_values
+from .norms import Schatten, norm_of_profile, singular_values
 from .spectral import (
     SpectralDecomposition,
     apply_function,
@@ -38,7 +38,7 @@ from .spectral import (
     from_eigen,
     op_norm,
 )
-from .ensembles import SeedState, ginibre, haar_unitary
+from .ensembles import STACK_ENTRIES, SeedState, sample_schur_instances
 
 PI_EMBED = math.sqrt(math.pi ** 2 / 3.0)
 # terms kept by the geometric decompositions of alpha and beta
@@ -47,6 +47,10 @@ DECOMPOSITION_TERMS = 64
 QUAD_NODES = 64
 # redraws of a sample that hits a singular spectrum in empirical_mp_lower
 MAX_RESAMPLE = 8
+# the dyadic bands k the sampling ranges of dyadic_symbols hold: at k > 40
+# the range (1e-12, 2^(1-k)) of the other argument is empty, and at k < -1022
+# its upper end 2^(1-k) overflows
+DYADIC_K_RANGE = (-1022, 40)
 # an eigenvalue within ZERO_TOL_COEFF * (1 + max|lambda|) of 0 counts as 0
 ZERO_TOL_COEFF = 1e-12
 
@@ -141,6 +145,9 @@ def dyadic_symbols(f: ScalarFunction, k: int):
     """(g_k, h_k): the divided-difference symbol restricted to the dyadic band
     [2^-k-1, 2^-k) in the first (g) or second (h) argument, with the other
     argument on the positive half-line."""
+    k_min, k_max = DYADIC_K_RANGE
+    if not k_min <= k <= k_max:
+        raise ParameterError(f"dyadic band index must lie in [{k_min}, {k_max}], got {k}")
     lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
 
     def ev_g(s, t):
@@ -165,15 +172,32 @@ def dyadic_symbols(f: ScalarFunction, k: int):
 # --- the Schur-multiplier action ----------------------------------------------
 
 
+def _symbol_values(a: BivariateSymbol, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """[a(lam_i, mu_j)] over a stack (..., n) of spectrum pairs, as complex
+    matrices (..., n, n)."""
+    m = np.asarray(a.eval(lam[..., :, None], mu[..., None, :]), dtype=complex)
+    return np.broadcast_to(m, lam.shape + mu.shape[-1:])
+
+
 def symbol_matrix(a: BivariateSymbol, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Evaluate [a(lam_i, mu_j)] and fail loudly on singular pairs."""
-    m = np.asarray(a.eval(lam[:, None], mu[None, :]), dtype=complex)
-    if not np.all(np.isfinite(m)):
-        i, j = np.argwhere(~np.isfinite(m))[0]
+    """Evaluate [a(lam_i, mu_j)] over a stack (..., n) of spectrum pairs and
+    fail loudly on singular pairs."""
+    m = _symbol_values(a, lam, mu)
+    bad = ~np.isfinite(m)
+    if np.any(bad):
+        *k, i, j = np.argwhere(bad)[0]
         raise SingularityError(
-            f"symbol {a.description} singular at (lambda, mu) = ({lam[i]}, {mu[j]})"
+            f"symbol {a.description} singular at (lambda, mu) = "
+            f"({lam[(*k, i)]}, {mu[(*k, j)]})"
         )
     return m
+
+
+def _schur_action(m: np.ndarray, u: np.ndarray, w: np.ndarray, v) -> np.ndarray:
+    """U (m * (U* V W)) W* over a stack of symbol matrices m, bases U, W and
+    matrices V."""
+    g = np.swapaxes(u.conj(), -1, -2) @ np.asarray(v, dtype=complex) @ w
+    return u @ (m * g) @ np.swapaxes(w.conj(), -1, -2)
 
 
 def schur_apply(
@@ -182,10 +206,10 @@ def schur_apply(
     dec_b: SpectralDecomposition,
     v: np.ndarray,
 ) -> np.ndarray:
-    """T_a(V): entrywise multiplication by [a(lam_i, mu_j)] in the eigenbases."""
+    """T_a(V): entrywise multiplication by [a(lam_i, mu_j)] in the eigenbases,
+    over a stack of decomposition pairs and matrices V."""
     m = symbol_matrix(a, dec_a.eigenvalues, dec_b.eigenvalues)
-    g = dec_a.basis.conj().T @ np.asarray(v, dtype=complex) @ dec_b.basis
-    return dec_a.basis @ (m * g) @ dec_b.basis.conj().T
+    return _schur_action(m, dec_a.basis, dec_b.basis, v)
 
 
 def doi_lipschitz_identity(
@@ -431,14 +455,12 @@ def _dd_table(f: ScalarFunction, parts, ts, ws, x, y) -> dict:
     return dd
 
 
-def localized_dd_periodic(f: ScalarFunction, bump: SmoothBump | None = None) -> PeriodicSymbol:
+def localized_dd_periodic(f: ScalarFunction, bump: SmoothBump) -> PeriodicSymbol:
     """bump(x) bump(y) dd f(x, y), supported inside (0, pi]^2 and extended
     periodically.  Mixed partials of the divided difference come from its
     integral representation: d_1^n d_2^m dd f = int t^n (1-t)^m f^(1+n+m).
     One table of those parts, over blocks of DD_BLOCK points of the support,
     serves every requested partial."""
-    if bump is None:
-        bump = SmoothBump(0.125, 0.25, 2.0, math.pi, order=6)
     ts, ws = _gauss_legendre_01(QUAD_NODES)
 
     def partials(orders, x, y):
@@ -472,15 +494,9 @@ def localized_dd_periodic(f: ScalarFunction, bump: SmoothBump | None = None) -> 
     return PeriodicSymbol(ev, partials, f"bump*dd[{f.name}]")
 
 
-def localized_inverse_sum_periodic(
-    bump_s: SmoothBump | None = None, bump_t: SmoothBump | None = None
-) -> PeriodicSymbol:
+def localized_inverse_sum_periodic(bump_s: SmoothBump, bump_t: SmoothBump) -> PeriodicSymbol:
     """phi1(s) phi2(t) / (s + t): the smooth local model of the shifted
     inverse kernel, supported where s + t >= 1/2."""
-    if bump_s is None:
-        bump_s = SmoothBump(0.75, 1.0, 2.0, 2.25, order=6)
-    if bump_t is None:
-        bump_t = SmoothBump(-0.25, 0.0, 2.0, 2.25, order=6)
 
     def partials(orders, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -583,7 +599,16 @@ def dyadic_upper_bound(
         base = band_upper_bound(f, theta, p, b=b, grid_n=grid_n)
         return 2.0 ** (k * (1.0 - theta)) * base
     fk = dilate_function(f, 2.0 ** k)
-    return 2.0 ** k * band_upper_bound(fk, theta, p, b=b, grid_n=grid_n)
+    # far from k = 0 the dilated derivatives overflow or underflow: an
+    # infinite bound is still a bound, a NaN is none
+    with np.errstate(all="ignore"):
+        upper = 2.0 ** k * band_upper_bound(fk, theta, p, b=b, grid_n=grid_n)
+    if math.isnan(upper):
+        raise CapabilityError(
+            f"the upper bound of g_{k}[{f.name}] is not finite (NaN): "
+            f"the derivatives of {f.name} dilated by 2^{k} leave the float range"
+        )
+    return upper
 
 
 # --- empirical lower bounds -----------------------------------------------------
@@ -603,19 +628,34 @@ class EmpiricalLower:
     resampled: int
 
 
-def schur_ratio(
-    a: BivariateSymbol,
-    dec_a: SpectralDecomposition,
-    dec_b: SpectralDecomposition,
-    v: np.ndarray,
-    p: float,
-) -> float:
-    """||T_a(V)||_p / ||V||_p for one instance."""
-    out = schur_apply(a, dec_a, dec_b, v)
-    den = norm(v, Schatten(p))
-    if den == 0.0:
-        return 0.0
-    return norm(out, Schatten(p)) / den
+def _symbol_stack(a: BivariateSymbol, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The symbol matrices of a stack of spectrum pairs, NaN for a pair on
+    which the symbol raises SingularityError: a stack of several pairs on
+    which it raises is evaluated again one pair at a time."""
+    try:
+        return _symbol_values(a, lam, mu)
+    except SingularityError:
+        if len(lam) == 1:
+            return np.full((1, lam.shape[-1], mu.shape[-1]), np.nan, dtype=complex)
+        return np.concatenate(
+            [_symbol_stack(a, lam[i : i + 1], mu[i : i + 1]) for i in range(len(lam))]
+        )
+
+
+def _ratio_round(a: BivariateSymbol, spec: Schatten, dim: int, seeds):
+    """Draw one instance per seed; returns per seed whether its symbol matrix
+    is finite, and the ratios ||T_a(V)||_p / ||V||_p of the finite ones."""
+    lam, mu, bases, v = sample_schur_instances(dim, a.lambda_range, a.mu_range, seeds)
+    m = _symbol_stack(a, lam, mu)
+    ok = np.all(np.isfinite(m), axis=(-2, -1))
+    v = v[ok]
+    num = np.linalg.svd(_schur_action(m[ok], bases[ok, 0], bases[ok, 1], v), compute_uv=False)
+    den = np.linalg.svd(v, compute_uv=False)
+    ratios = []
+    for s_out, s_v in zip(num, den):
+        d = norm_of_profile(s_v, spec)
+        ratios.append(0.0 if d == 0.0 else norm_of_profile(s_out, spec) / d)
+    return ok, ratios
 
 
 def empirical_mp_lower(
@@ -627,29 +667,31 @@ def empirical_mp_lower(
 ) -> EmpiricalLower:
     """Finite-matrix lower bound for the multiplier norm: the max of
     ||T_a(V)||_p / ||V||_p over sampled eigenvalue grids (uniform in the
-    symbol's sampling ranges, Haar eigenbases) and Gaussian V.  A sample on
-    which the symbol is singular is redrawn up to MAX_RESAMPLE times."""
+    symbol's sampling ranges, Haar eigenbases) and Gaussian V.
+
+    Trial t draws from seed.child(t, attempt).  The trials run in stacks of
+    at most STACK_ENTRIES complex entries, three matrices per trial.  A
+    trial on which the symbol is singular is redrawn at the next attempt, in
+    a round of the trials that need it, up to MAX_RESAMPLE times."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
+    spec = Schatten(p)
     if isinstance(seed, int):
         seed = SeedState(seed)
+    size = max(1, STACK_ENTRIES // (3 * dim * dim))
     best = 0.0
     resampled = 0
-    for t in range(trials):
+    for start in range(0, trials, size):
+        pending = range(start, min(start + size, trials))
         for attempt in range(MAX_RESAMPLE + 1):
-            rng = seed.child(t, attempt).rng()
-            lam = np.sort(rng.uniform(*a.lambda_range, size=dim))
-            mu = np.sort(rng.uniform(*a.mu_range, size=dim))
-            dec_a = SpectralDecomposition(lam, haar_unitary(dim, rng))
-            dec_b = SpectralDecomposition(mu, haar_unitary(dim, rng))
-            v = ginibre(dim, rng)
-            try:
-                best = max(best, schur_ratio(a, dec_a, dec_b, v, p))
+            ok, ratios = _ratio_round(a, spec, dim, [seed.child(t, attempt) for t in pending])
+            best = max([best, *ratios])
+            pending = [t for t, good in zip(pending, ok) if not good]
+            resampled += len(pending)
+            if not pending:
                 break
-            except SingularityError:
-                resampled += 1
         else:
             raise SingularityError(
                 f"symbol {a.description}: sampling kept hitting singular spectra"

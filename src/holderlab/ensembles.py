@@ -15,6 +15,11 @@ import numpy as np
 from .errors import ParameterError
 from .spectral import from_eigen, op_norm
 
+# complex matrix entries per stack of trials: bounds the memory of every
+# stacked draw and evaluation, in campaign cells and in the empirical
+# multiplier-norm lower bound
+STACK_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class SeedState:
@@ -108,6 +113,31 @@ def sample_positive_pairs(dim: int, spectrum_range, seeds) -> np.ndarray:
             rng.standard_normal(out=z[i, j])  # the draws of ginibre(dim, rng)
     lam.sort(axis=-1)
     return from_eigen(_unitary_from_ginibre(_complex_gaussian(z)), lam)
+
+
+def sample_schur_instances(dim: int, lambda_range, mu_range, seeds):
+    """Draw one instance of a Schur-multiplier ratio per seed: returns the
+    ascending spectra lam and mu, each (len(seeds), n), the Haar bases of A
+    and B stacked as (len(seeds), 2, n, n), and the Ginibre matrices V,
+    (len(seeds), n, n).
+
+    Each seed draws lam uniformly from ``lambda_range``, then mu from
+    ``mu_range``, then the Ginibre matrices of A's basis, B's basis and V;
+    the QR and phase then run once over the whole stack.
+    """
+    _check_dim(dim)
+    lam = np.empty((len(seeds), dim))
+    mu = np.empty((len(seeds), dim))
+    z = np.empty((len(seeds), 3, 2, dim, dim))
+    for i, seed in enumerate(seeds):
+        rng = seed.rng()
+        lam[i] = rng.uniform(*lambda_range, dim)
+        mu[i] = rng.uniform(*mu_range, dim)
+        rng.standard_normal(out=z[i])  # the draws of three ginibre(dim, rng)
+    lam.sort(axis=-1)
+    mu.sort(axis=-1)
+    g = _complex_gaussian(z)
+    return lam, mu, _unitary_from_ginibre(g[:, :2]), g[:, 2]
 
 
 # --- the named ensembles of a campaign config -------------------------------------

@@ -50,6 +50,13 @@ class ScalarFunction:
         return self.deriv(k, np.asarray(x, dtype=float))
 
 
+def _sign_power(x, k: int) -> np.ndarray:
+    """np.sign(x) ** k for k >= 1, bit for bit (NaN and -0.0 included),
+    without a float power: the sign itself for odd k, its square for even k."""
+    s = np.sign(x)
+    return s if k % 2 else s * s
+
+
 def _falling(theta: float, k: int) -> float:
     """theta (theta-1) ... (theta-k+1)."""
     out = 1.0
@@ -71,7 +78,7 @@ def power(theta: float) -> ScalarFunction:
 
     def dv(k, x):
         c = _falling(theta, k)
-        return c * np.abs(x) ** (theta - k) * np.sign(x) ** k
+        return c * np.abs(x) ** (theta - k) * _sign_power(x, k)
 
     return ScalarFunction(
         name=f"power:{theta}",
@@ -94,7 +101,7 @@ def signed_power(theta: float) -> ScalarFunction:
 
     def dv(k, x):
         c = _falling(theta, k)
-        return c * np.abs(x) ** (theta - k) * np.sign(x) ** (k + 1)
+        return c * np.abs(x) ** (theta - k) * _sign_power(x, k + 1)
 
     return ScalarFunction(
         name=f"spower:{theta}",
@@ -115,7 +122,7 @@ def log1p_abs() -> ScalarFunction:
 
     def dv(k, x):
         base = (-1.0) ** (k - 1) * math.factorial(k - 1) / (1.0 + np.abs(x)) ** k
-        return base * np.sign(x) ** k
+        return base * _sign_power(x, k)
 
     return ScalarFunction(
         name="log1p", eval=ev, deriv=dv, derivative_at_zero=None
@@ -130,7 +137,7 @@ def signed_log1p() -> ScalarFunction:
 
     def dv(k, x):
         base = (-1.0) ** (k - 1) * math.factorial(k - 1) / (1.0 + np.abs(x)) ** k
-        return base * np.sign(x) ** (k + 1)
+        return base * _sign_power(x, k + 1)
 
     return ScalarFunction(
         name="slog1p", eval=ev, deriv=dv, derivative_at_zero=1.0
@@ -148,7 +155,7 @@ def rational_abs(r: float) -> ScalarFunction:
 
     def dv(k, x):
         base = (-1.0) ** (k + 1) * r * math.factorial(k) / (r + np.abs(x)) ** (k + 1)
-        return base * np.sign(x) ** k
+        return base * _sign_power(x, k)
 
     return ScalarFunction(
         name=f"rational:{r}", eval=ev, deriv=dv, derivative_at_zero=None
@@ -165,7 +172,7 @@ def rational_signed(r: float) -> ScalarFunction:
 
     def dv(k, x):
         base = (-1.0) ** (k + 1) * r * math.factorial(k) / (r + np.abs(x)) ** (k + 1)
-        return base * np.sign(x) ** (k + 1)
+        return base * _sign_power(x, k + 1)
 
     return ScalarFunction(
         name=f"srational:{r}", eval=ev, deriv=dv, derivative_at_zero=1.0 / r
@@ -181,7 +188,7 @@ def signed_expm1() -> ScalarFunction:
         return np.sign(x) * np.expm1(np.abs(x))
 
     def dv(k, x):
-        return np.exp(np.abs(x)) * np.sign(x) ** (k + 1)
+        return np.exp(np.abs(x)) * _sign_power(x, k + 1)
 
     return ScalarFunction(
         name="sexpm1", eval=ev, deriv=dv, derivative_at_zero=1.0

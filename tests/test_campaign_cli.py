@@ -366,6 +366,50 @@ def test_cli_mpnorm_dyadic_b_out_of_range_exit_2(b, message, capsys):
     assert message in capsys.readouterr().err
 
 
+DYADIC_K = ["mpnorm", "--f", "log1p", "--trials", "3", "--grid", "8", "--seed", "4"]
+
+
+@pytest.mark.parametrize("k", ["41", "50", "-1023", "-2000"])
+def test_cli_mpnorm_dyadic_k_outside_the_sampling_range_exit_2(k, capsys):
+    assert main(DYADIC_K + ["--symbol", f"dyadic:{k}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"dyadic band index must lie in [-1022, 40], got {k}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec, line",
+    [
+        (
+            ["--symbol", "dyadic:40"],
+            '{"lower": 0.9999999999989746, "lower_le_upper": true, "method": '
+            '"fourier-composite", "p": 1.0, "symbol": "dyadic:40", "upper": 120006.9296432273}',
+        ),
+        (
+            ["--symbol", "dyadic:2", "--f", "sexpm1"],
+            '{"lower": 1.285923214817276, "lower_le_upper": true, "method": '
+            '"fourier-composite", "p": 1.0, "symbol": "dyadic:2", "upper": Infinity}',
+        ),
+    ],
+    ids=["k40", "infinite-upper"],
+)
+def test_cli_mpnorm_dyadic_stdout_is_pinned(spec, line, capsys):
+    assert main(DYADIC_K + spec) == 0
+    captured = capsys.readouterr()
+    assert captured.out == line + "\n" and captured.err == ""
+
+
+def test_cli_mpnorm_nan_upper_bound_exit_2(capsys):
+    # the derivatives of log1p dilated by 2^-500 underflow to 0 / 0
+    assert main(DYADIC_K + ["--symbol", "dyadic:-500"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the upper bound of g_-500[log1p] is not finite (NaN): "
+        "the derivatives of log1p dilated by 2^-500 leave the float range\n"
+    )
+
+
 def test_cli_seminorm(capsys):
     code = main(["seminorm", "--f", "power:0.5", "--theta", "0.5", "--d", "2", "--p", "1"])
     rec = json.loads(capsys.readouterr().out.strip())

@@ -7,16 +7,29 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holderlab as hl
 from holderlab import doi
 from holderlab import functions as F
-from holderlab.ensembles import SeedState, fixed_spectrum, gaussian_hermitian, ginibre
+from holderlab.ensembles import (
+    SeedState,
+    fixed_spectrum,
+    gaussian_hermitian,
+    ginibre,
+    sample_schur_instances,
+)
 from holderlab.errors import CapabilityError, ParameterError, SingularityError
 
 
 def decs_for(a, b):
     return hl.eig_hermitian(a), hl.eig_hermitian(b)
+
+
+def _ratio(sym, da, db, v, p):
+    """||T_sym(V)||_p / ||V||_p for one instance."""
+    return hl.norm(doi.schur_apply(sym, da, db, v), hl.Schatten(p)) / hl.norm(v, hl.Schatten(p))
 
 
 def test_schur_apply_constant_symbol_is_identity():
@@ -205,9 +218,9 @@ def test_dilation_covariance_term_by_term():
     da_r = hl.SpectralDecomposition(r * lam, u1)
     db_r = hl.SpectralDecomposition(r * mu, u2)
     for p in (0.5, 1.0):
-        r1 = doi.schur_ratio(sym, da, db, v, p)
+        r1 = _ratio(sym, da, db, v, p)
         dilated = doi.BivariateSymbol(lambda s, t: sym.eval(s / r, t / r), "dilated")
-        r2 = doi.schur_ratio(dilated, da_r, db_r, v, p)
+        r2 = _ratio(dilated, da_r, db_r, v, p)
         assert r1 == pytest.approx(r2, rel=1e-13)
 
 
@@ -371,7 +384,7 @@ def test_unitary_phase_symbol_preserves_norms():
             a, b = gaussian_hermitian(5, rng), gaussian_hermitian(5, rng)
             da, db = decs_for(a, b)
             v = ginibre(5, rng)
-            assert doi.schur_ratio(sym, da, db, v, p) == pytest.approx(1.0, rel=1e-10)
+            assert _ratio(sym, da, db, v, p) == pytest.approx(1.0, rel=1e-10)
     res = doi.empirical_mp_lower(sym, 1.0, 5, 50, SeedState(42))
     assert res.value == pytest.approx(1.0, rel=1e-10)
 
@@ -427,7 +440,9 @@ def test_alt_check_rejects_negative():
 
 
 def test_degenerate_grid_and_dim_are_rejected():
-    sym = doi.localized_inverse_sum_periodic()
+    sym = doi.localized_inverse_sum_periodic(
+        doi.SmoothBump(0.75, 1.0, 2.0, 2.25), doi.SmoothBump(-0.25, 0.0, 2.0, 2.25)
+    )
     for grid_n in (-4, 0, 1):
         with pytest.raises(ParameterError, match="grid_n"):
             doi.fourier_sobolev_bound(sym, 1.0, 2, grid_n=grid_n)
@@ -631,3 +646,205 @@ def test_dd_bound_names_the_first_missing_derivative_order():
     # p = 0.25 needs b = 5, so the partial (5, 1) needs f^(7); the catalog has 6
     with pytest.raises(CapabilityError, match="localized bound needs derivative order 7"):
         doi.local_dd_bound(F.parse_function_spec("power:0.5"), 0.25, grid_n=8)
+
+
+# --- the stacked empirical lower bound against the per-trial loop ---------------------
+
+
+def _ref_empirical_lower(a, p, dim, trials, seed):
+    """The empirical lower bound one trial at a time: per (trial, attempt)
+    seed, the symbol on one spectrum pair, then ||T_a(V)||_p / ||V||_p."""
+    best, resampled = 0.0, 0
+    for t in range(trials):
+        for attempt in range(doi.MAX_RESAMPLE + 1):
+            rng = seed.child(t, attempt).rng()
+            lam = np.sort(rng.uniform(*a.lambda_range, size=dim))
+            mu = np.sort(rng.uniform(*a.mu_range, size=dim))
+            u, w = hl.haar_unitary(dim, rng), hl.haar_unitary(dim, rng)
+            v = ginibre(dim, rng)
+            try:
+                m = np.asarray(a.eval(lam[:, None], mu[None, :]), dtype=complex)
+            except SingularityError:
+                m = np.full((dim, dim), np.nan)
+            if not np.all(np.isfinite(m)):
+                resampled += 1
+                continue
+            out = u @ (m * (u.conj().T @ v @ w)) @ w.conj().T
+            den = hl.norm(v, hl.Schatten(p))
+            best = max(best, 0.0 if den == 0.0 else hl.norm(out, hl.Schatten(p)) / den)
+            break
+        else:
+            raise SingularityError(f"symbol {a.description}: sampling kept hitting singular spectra")
+    return doi.EmpiricalLower(value=best, trials=trials, resampled=resampled)
+
+
+LOWER_SYMBOLS = {
+    "alpha": doi.alpha_symbol(),
+    "beta": doi.beta_symbol(),
+    "b0": doi.b0_symbol(0.5),
+    "b1": doi.b1_symbol(0.3, 2.0),
+    "g_2[power:0.5]": doi.dyadic_symbols(F.power(0.5), 2)[0],
+    "h_-1[log1p]": doi.dyadic_symbols(F.log1p_abs(), -1)[1],
+    "g_0[slog1p]": doi.dyadic_symbols(F.signed_log1p(), 0)[0],
+    "dd[slog1p]": doi.dd_symbol(F.signed_log1p()),
+    "dd[gauss]": doi.dd_symbol(F.gauss_bump()),
+}
+LOWER_DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 16]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7, 1.0, 2.0])
+@pytest.mark.parametrize("name", LOWER_SYMBOLS)
+def test_empirical_lower_equals_the_per_trial_loop(name, p, monkeypatch):
+    # stacks of 3 trials, so 7 trials make two full stacks and one of 1
+    sym = LOWER_SYMBOLS[name]
+    for dim in LOWER_DIMS:
+        monkeypatch.setattr(doi, "STACK_ENTRIES", 3 * 3 * dim * dim)
+        seed = SeedState(200 + dim, (int(p * 10),))
+        assert doi.empirical_mp_lower(sym, p, dim, 7, seed) == _ref_empirical_lower(
+            sym, p, dim, 7, seed
+        )
+
+
+@pytest.mark.parametrize("dim, trials", [(6, 38), (8, 22), (16, 11)])
+def test_empirical_lower_crosses_the_real_stack_bound(dim, trials):
+    # STACK_ENTRIES // (3 dim^2) trials per stack: 37 at dim 6, 21 at 8, 5 at 16
+    assert max(1, doi.STACK_ENTRIES // (3 * dim * dim)) < trials
+    for name in ("alpha", "g_2[power:0.5]", "dd[slog1p]"):
+        sym, seed = LOWER_SYMBOLS[name], SeedState(300, (dim,))
+        got = doi.empirical_mp_lower(sym, 1.0, dim, trials, seed)
+        assert got == _ref_empirical_lower(sym, 1.0, dim, trials, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(LOWER_SYMBOLS)),
+    p=st.sampled_from([0.5, 0.7, 1.0, 2.0]),
+    dim=st.integers(1, 9),
+    trials=st.integers(1, 12),
+    size=st.integers(1, 5),
+    root=st.integers(0, 2**32 - 1),
+)
+def test_empirical_lower_equals_the_per_trial_loop_on_drawn_cases(
+    name, p, dim, trials, size, root
+):
+    sym, seed = LOWER_SYMBOLS[name], SeedState(root)
+    old = doi.STACK_ENTRIES
+    doi.STACK_ENTRIES = size * 3 * dim * dim
+    try:
+        got = doi.empirical_mp_lower(sym, p, dim, trials, seed)
+    finally:
+        doi.STACK_ENTRIES = old
+    assert got == _ref_empirical_lower(sym, p, dim, trials, seed)
+
+
+def _sometimes_infinite(s, t):
+    # not finite when some lambda of the draw exceeds 0.8
+    s, t = np.broadcast_arrays(np.asarray(s), np.asarray(t))
+    return np.where(s > 0.8, np.inf, np.cos(s - t))
+
+
+def test_empirical_lower_redraws_non_finite_symbol_matrices():
+    sym = doi.BivariateSymbol(_sometimes_infinite, "cos", lambda_range=(0.0, 1.0))
+    got = doi.empirical_mp_lower(sym, 1.0, 3, 40, SeedState(21))
+    assert got == _ref_empirical_lower(sym, 1.0, 3, 40, SeedState(21))
+    assert got.resampled >= 10
+
+
+def test_empirical_lower_evaluates_a_raising_stack_one_trial_at_a_time():
+    shapes = []
+
+    def ev(s, t):
+        shapes.append(np.shape(s)[0])
+        if np.any(np.asarray(s) > 0.9):
+            raise SingularityError("lambda above 0.9")
+        return np.cos(np.asarray(s) - np.asarray(t))
+
+    sym = doi.BivariateSymbol(ev, "cos", lambda_range=(0.0, 1.0))
+    got = doi.empirical_mp_lower(sym, 1.0, 3, 40, SeedState(22))
+    # the first stack holds all 40 trials and raises, so its round is redone
+    # one trial at a time
+    assert shapes[:2] == [40, 1] and shapes.count(1) >= 40
+    assert got == _ref_empirical_lower(sym, 1.0, 3, 40, SeedState(22))
+    assert got.resampled >= 10
+
+
+@pytest.mark.parametrize("dim, trials, stacks", [(6, 80, [37, 37, 6]), (64, 3, [1, 1, 1])])
+def test_empirical_lower_draws_bounded_stacks(dim, trials, stacks, monkeypatch):
+    sizes = []
+
+    def spy(dim, lambda_range, mu_range, seeds):
+        sizes.append(len(seeds))
+        return sample_schur_instances(dim, lambda_range, mu_range, seeds)
+
+    monkeypatch.setattr(doi, "sample_schur_instances", spy)
+    doi.empirical_mp_lower(doi.alpha_symbol(), 1.0, dim, trials, SeedState(26))
+    assert sizes == stacks
+
+
+@pytest.mark.parametrize("kind", ["nan", "raise"])
+def test_empirical_lower_always_singular_symbol_names_itself(kind):
+    def ev(s, t):
+        if kind == "raise":
+            raise SingularityError("never finite")
+        return np.full(np.broadcast(s, t).shape, np.nan)
+
+    sym = doi.BivariateSymbol(ev, "hopeless")
+    for trials in (1, 5):
+        with pytest.raises(SingularityError, match="hopeless: sampling kept hitting singular"):
+            doi.empirical_mp_lower(sym, 1.0, 2, trials, SeedState(23))
+        with pytest.raises(SingularityError, match="hopeless: sampling kept hitting singular"):
+            _ref_empirical_lower(sym, 1.0, 2, trials, SeedState(23))
+
+
+def test_schur_apply_over_a_stack_equals_each_instance():
+    rng = np.random.default_rng(24)
+    sym = LOWER_SYMBOLS["dd[slog1p]"]
+    decs = [decs_for(gaussian_hermitian(4, rng), gaussian_hermitian(4, rng)) for _ in range(5)]
+    vs = np.stack([ginibre(4, rng) for _ in range(5)])
+
+    def stacked(k):
+        return hl.SpectralDecomposition(
+            np.stack([d[k].eigenvalues for d in decs]), np.stack([d[k].basis for d in decs])
+        )
+
+    got = doi.schur_apply(sym, stacked(0), stacked(1), vs)
+    want = [doi.schur_apply(sym, da, db, v) for (da, db), v in zip(decs, vs)]
+    assert got.tobytes() == np.stack(want).tobytes()
+
+
+def test_schur_apply_over_a_stack_names_the_singular_pair():
+    def ev(s, t):
+        s, t = np.broadcast_arrays(np.asarray(s), np.asarray(t))
+        return np.where(s == 3.0, np.nan, 1.0)
+
+    sym = doi.BivariateSymbol(ev, "one")
+    lam = np.array([[0.0, 1.0], [2.0, 3.0]])
+    dec = hl.SpectralDecomposition(lam, np.stack([np.eye(2, dtype=complex)] * 2))
+    with pytest.raises(SingularityError, match=r"\(lambda, mu\) = \(3.0, 2.0\)"):
+        doi.schur_apply(sym, dec, dec, np.zeros((2, 2, 2)))
+
+
+def test_schur_instances_are_the_per_seed_draws():
+    seeds = [SeedState(25, (t,)) for t in range(4)]
+    lam, mu, bases, v = sample_schur_instances(3, (0.5, 1.0), (-2.0, 0.0), seeds)
+    for i, seed in enumerate(seeds):
+        rng = seed.rng()
+        assert lam[i].tobytes() == np.sort(rng.uniform(0.5, 1.0, size=3)).tobytes()
+        assert mu[i].tobytes() == np.sort(rng.uniform(-2.0, 0.0, size=3)).tobytes()
+        assert bases[i, 0].tobytes() == hl.haar_unitary(3, rng).tobytes()
+        assert bases[i, 1].tobytes() == hl.haar_unitary(3, rng).tobytes()
+        assert v[i].tobytes() == ginibre(3, rng).tobytes()
+
+
+@pytest.mark.parametrize("k", [41, 50, -1023, -2000])
+def test_dyadic_band_index_outside_the_sampling_range_is_rejected(k):
+    with pytest.raises(ParameterError, match=r"dyadic band index must lie in \[-1022, 40\]"):
+        doi.dyadic_symbols(F.log1p_abs(), k)
+
+
+def test_nan_dyadic_upper_bound_is_an_error():
+    # dilating log1p by 2^-500 underflows its derivatives to 0 / 0
+    with pytest.raises(CapabilityError, match=r"g_-500\[log1p\] is not finite \(NaN\)"):
+        doi.dyadic_upper_bound(F.log1p_abs(), -500, 0.5, 1.0, grid_n=8)
+    # an infinite bound stays a bound
+    assert doi.dyadic_upper_bound(F.signed_expm1(), 2, 0.5, 1.0, grid_n=8) == np.inf

@@ -49,6 +49,25 @@ def test_derivatives_match_finite_differences(f):
             assert got == pytest.approx(fd, rel=2e-6, abs=1e-9 * max(1.0, abs(fd)))
 
 
+SIGN_POINTS = np.concatenate(
+    [
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324],
+        np.random.default_rng(3).standard_normal(500),
+        np.random.default_rng(4).uniform(-1e300, 1e300, 500),
+    ]
+)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_sign_power_is_the_float_power_bit_for_bit(k):
+    want = np.sign(SIGN_POINTS) ** k
+    assert F._sign_power(SIGN_POINTS, k).tobytes() == want.tobytes()
+    for x in (0.0, -0.0, np.nan, -2.5, 3.0):
+        assert np.asarray(F._sign_power(np.float64(x), k)).tobytes() == np.asarray(
+            np.sign(np.float64(x)) ** k
+        ).tobytes()
+
+
 def test_power_weighted_derivative_is_constant():
     # |x|^{k - theta} |f^(k)(x)| for the power function is |theta (theta-1)...|
     f = F.power(0.5)
