@@ -174,8 +174,10 @@ def dyadic_symbols(f: ScalarFunction, k: int):
 
 def _symbol_values(a: BivariateSymbol, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """[a(lam_i, mu_j)] over a stack (..., n) of spectrum pairs, as complex
-    matrices (..., n, n)."""
-    m = np.asarray(a.eval(lam[..., :, None], mu[..., None, :]), dtype=complex)
+    matrices (..., n, n).  Overflow and invalid values pass silently; callers
+    check that the values are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.asarray(a.eval(lam[..., :, None], mu[..., None, :]), dtype=complex)
     return np.broadcast_to(m, lam.shape + mu.shape[-1:])
 
 

@@ -171,14 +171,24 @@ def _positive_pairs(dim, seeds, ens):
     return ("pos", "pos"), sample_positive_pairs(dim, spectrum_range, seeds)
 
 
-def _gaussian_pair(dim, seed, ens):
-    rng = seed.rng()
-    return [("herm", gaussian_hermitian(dim, rng)), ("herm", gaussian_hermitian(dim, rng))]
+def _ginibre_pairs(dim, seeds) -> np.ndarray:
+    """Two Ginibre matrices per seed, stacked as (len(seeds), 2, n, n): each
+    seed makes the draws of two ginibre(dim, rng) calls."""
+    z = np.empty((len(seeds), 2, 2, dim, dim))
+    for i, seed in enumerate(seeds):
+        seed.rng().standard_normal(out=z[i])
+    return _complex_gaussian(z)
 
 
-def _general_pair(dim, seed, ens):
-    rng = seed.rng()
-    return [("general", ginibre(dim, rng)), ("general", ginibre(dim, rng))]
+def _gaussian_pairs(dim, seeds, ens):
+    """Two gaussian_hermitian matrices per seed, one array (len(seeds), 2, n, n)."""
+    g = _ginibre_pairs(dim, seeds)
+    return ("herm", "herm"), 0.5 * (g + g.conj().swapaxes(-1, -2))
+
+
+def _general_pairs(dim, seeds, ens):
+    """Two ginibre matrices per seed, one array (len(seeds), 2, n, n)."""
+    return ("general", "general"), _ginibre_pairs(dim, seeds)
 
 
 def _commuting_pair(dim, seed, ens):
@@ -238,9 +248,9 @@ def _rank_one_steps(dim, seed, ens):
 
 # name -> (draw, the config keys besides "name" that the draw reads)
 ENSEMBLES = {
-    "gaussian_pair": (_per_seed(_gaussian_pair), ()),
+    "gaussian_pair": (_gaussian_pairs, ()),
     "positive_pair": (_positive_pairs, ("spectrum_range",)),
-    "general_pair": (_per_seed(_general_pair), ()),
+    "general_pair": (_general_pairs, ()),
     "commuting_pair": (_per_seed(_commuting_pair), ()),
     "fixed_pair": (_per_seed(_fixed_pair), ("eigenvalues",)),
     "hermitian_contraction": (_per_seed(_hermitian_contraction(1)), ()),

@@ -328,6 +328,12 @@ SEMINORM_X_MAX = 1e8
 SEMINORM_GRID = (
     f"logspace[{SEMINORM_X_MIN:g},{SEMINORM_X_MAX:g}]x{SEMINORM_POINTS}/sign+golden"
 )
+# the grid's log-abscissae u, and its points sign * exp(u) of each sign
+_GRID_U = np.log(
+    np.logspace(math.log10(SEMINORM_X_MIN), math.log10(SEMINORM_X_MAX), SEMINORM_POINTS)
+)
+_GRID_X = {1.0: np.exp(_GRID_U), -1.0: -np.exp(_GRID_U)}
+REFINE_STEPS = 60  # golden-section steps per refined grid maximum
 
 
 @dataclass(frozen=True)
@@ -338,36 +344,59 @@ class SeminormEstimate:
 
 
 def _weighted(f: ScalarFunction, k: int, theta: float, x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = f.eval(x) if k == 0 else f.deriv(k, x)
-        return np.abs(x) ** (k - theta) * np.abs(fx)
+    """|x|^{k - theta} |f^(k)(x)|; callers silence overflow and invalid values."""
+    fx = f.eval(x) if k == 0 else f.deriv(k, x)
+    return np.abs(x) ** (k - theta) * np.abs(fx)
 
 
-def _refine_max(f, k, theta, sign, u_lo, u_hi) -> float:
-    """Golden-section maximization of the weighted derivative on a log bracket."""
+def _refine_lockstep(f, theta, searches) -> list:
+    """Golden-section maximization of the weighted derivative on the log
+    bracket [u_lo, u_hi] of each search (k, sign, u_lo, u_hi), every search in
+    one loop: each step evaluates each order once, on the pending points of
+    its searches.  Returns each search's max(g(c), g(d)) of its last bracket."""
+    n = len(searches)
+    orders = {}  # k -> the searches of order k
+    for s, (k, _, _, _) in enumerate(searches):
+        orders.setdefault(k, []).append(s)
+
     def g(u):
-        return float(_weighted(f, k, theta, np.array([sign * math.exp(u)]))[0])
+        """The weighted derivative at sign * exp(u[s]) for each search s."""
+        out = [0.0] * n
+        for k, members in orders.items():
+            x = np.array([searches[s][1] * math.exp(u[s]) for s in members])
+            for s, v in zip(members, _weighted(f, k, theta, x).tolist()):
+                out[s] = v
+        return out
 
-    a, b = u_lo, u_hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
+    a = [u_lo for _, _, u_lo, _ in searches]
+    b = [u_hi for _, _, _, u_hi in searches]
+    c = [b[s] - GOLDEN * (b[s] - a[s]) for s in range(n)]
+    d = [a[s] + GOLDEN * (b[s] - a[s]) for s in range(n)]
     gc, gd = g(c), g(d)
-    for _ in range(60):
-        if gc < gd:
-            a, c, gc = c, d, gd
-            d = a + GOLDEN * (b - a)
-            gd = g(d)
-        else:
-            b, d, gd = d, c, gc
-            c = b - GOLDEN * (b - a)
-            gc = g(c)
-    return max(gc, gd)
+    for _ in range(REFINE_STEPS):
+        climb = [gc[s] < gd[s] for s in range(n)]
+        for s in range(n):
+            if climb[s]:
+                a[s], c[s], gc[s] = c[s], d[s], gd[s]
+                d[s] = a[s] + GOLDEN * (b[s] - a[s])
+            else:
+                b[s], d[s], gd[s] = d[s], c[s], gc[s]
+                c[s] = b[s] - GOLDEN * (b[s] - a[s])
+        new = g([d[s] if climb[s] else c[s] for s in range(n)])
+        for s in range(n):
+            if climb[s]:
+                gd[s] = new[s]
+            else:
+                gc[s] = new[s]
+    return [max(gc[s], gd[s]) for s in range(n)]
 
 
 def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
     """Grid estimate (a lower bound) of max_{0<=k<=d} sup_x |x|^{k-theta}|f^(k)(x)|
     on the SEMINORM_GRID: per order and sign, the grid maximum, refined by
-    golden-section search between its neighbours when it is interior."""
+    golden-section search between its neighbours when it is interior.  An
+    order whose grid maximum is infinite is inf, unrefined.  The searches of
+    every order and sign run in lockstep (_refine_lockstep)."""
     if d < 0:
         raise ParameterError("order d must be nonnegative")
     if d > f.max_order:
@@ -376,23 +405,33 @@ def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
         )
     if not 0.0 < theta <= 1.0:
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")
-    us = np.log(
-        np.logspace(math.log10(SEMINORM_X_MIN), math.log10(SEMINORM_X_MAX), SEMINORM_POINTS)
-    )
     per_order = np.zeros(d + 1)
-    for k in range(d + 1):
+    grid_tops = {}  # k -> {sign: grid maximum} of each order with finite maxima
+    searches = []  # (k, sign, u_lo, u_hi) of each interior grid maximum
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(d + 1):
+            tops, brackets = {}, []
+            for sign in (1.0, -1.0):
+                w = _weighted(f, k, theta, _GRID_X[sign])
+                w = np.where(np.isnan(w), 0.0, w)
+                i = int(np.argmax(w))
+                tops[sign] = float(w[i])
+                if math.isinf(tops[sign]):
+                    per_order[k] = np.inf
+                    break
+                if 0 < i < _GRID_U.size - 1:
+                    brackets.append((k, sign, float(_GRID_U[i - 1]), float(_GRID_U[i + 1])))
+            else:
+                grid_tops[k] = tops
+                searches += brackets
+        refined = dict(
+            zip([(k, sign) for k, sign, _, _ in searches], _refine_lockstep(f, theta, searches))
+        )
+    for k, tops in grid_tops.items():
         best = 0.0
-        for sign in (1.0, -1.0):
-            xs = sign * np.exp(us)
-            w = _weighted(f, k, theta, xs)
-            w = np.where(np.isnan(w), 0.0, w)
-            i = int(np.argmax(w))
-            top = float(w[i])
-            if np.isinf(top):
-                best = np.inf
-                break
-            if 0 < i < us.size - 1:
-                top = max(top, _refine_max(f, k, theta, sign, us[i - 1], us[i + 1]))
+        for sign, top in tops.items():
+            if (k, sign) in refined:
+                top = max(top, refined[k, sign])
             best = max(best, top)
         per_order[k] = best
     return SeminormEstimate(

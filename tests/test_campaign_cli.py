@@ -410,6 +410,17 @@ def test_cli_mpnorm_nan_upper_bound_exit_2(capsys):
     )
 
 
+@pytest.mark.parametrize("method", ["auto", "empirical"])
+def test_cli_mpnorm_singular_symbol_exit_2_without_warnings(method, capsys):
+    # e^|x| of sexpm1 dilated by 2^-100 overflows on every draw; under the
+    # suite's error::RuntimeWarning a warning would escape as an exception
+    args = ["mpnorm", "--f", "sexpm1", "--trials", "3", "--grid", "8", "--seed", "4"]
+    assert main(args + ["--symbol", "dyadic:-100", "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: symbol g_-100[sexpm1]: sampling kept hitting singular spectra\n"
+
+
 def test_cli_seminorm(capsys):
     code = main(["seminorm", "--f", "power:0.5", "--theta", "0.5", "--d", "2", "--p", "1"])
     rec = json.loads(capsys.readouterr().out.strip())

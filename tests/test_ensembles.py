@@ -237,3 +237,19 @@ def test_entries_draw_what_the_old_samplers_drew(name, dim):
         for path in [(0, 2, 5), (1,), (2,)]:
             seed = E.SeedState(31, path)
             _same(draw(name, dim, seed, ens), old(dim, seed, {"name": name, **ens}))
+
+
+@pytest.mark.parametrize("count", [1, 32, 33])
+@pytest.mark.parametrize("dim", [1, 2, 8, 33])
+@pytest.mark.parametrize("name", ["gaussian_pair", "general_pair"])
+def test_gaussian_pair_stacks_are_the_per_seed_draws(name, dim, count):
+    # one array for the stack, each seed's slice the draws of its own generator
+    seeds = [E.SeedState(17, (0, 3, t)) for t in range(count)]
+    fn, _ = E.ENSEMBLES[name]
+    kinds, stack = fn(dim, seeds, {})
+    assert stack.shape == (count, 2, dim, dim) and stack.dtype == np.complex128
+    for seed, pair in zip(seeds, stack):
+        old = _old_pair(dim, seed, {"name": name})
+        assert kinds == tuple(k for k, _ in old)
+        for m, (_, ref) in zip(pair, old):
+            assert m.tobytes() == ref.tobytes()

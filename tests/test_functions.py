@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holderlab import functions as F
 from holderlab.errors import CapabilityError, ParameterError, SingularityError
@@ -129,6 +131,155 @@ def test_seminorm_infinite_for_exponential():
 def test_seminorm_capability_error():
     with pytest.raises(CapabilityError):
         F.seminorm(F.power(0.5), 7, 0.5)
+
+
+# --- the seminorm's lockstep refinement against the per-search loop ----------------
+
+
+def _ref_weighted(f, k, theta, x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = f.eval(x) if k == 0 else f.deriv(k, x)
+        return np.abs(x) ** (k - theta) * np.abs(fx)
+
+
+def _ref_refine_max(f, k, theta, sign, u_lo, u_hi):
+    """One golden-section search, as seminorm ran it before its searches
+    went into lockstep."""
+
+    def g(u):
+        return float(_ref_weighted(f, k, theta, np.array([sign * math.exp(u)]))[0])
+
+    a, b = u_lo, u_hi
+    c = b - F.GOLDEN * (b - a)
+    d = a + F.GOLDEN * (b - a)
+    gc, gd = g(c), g(d)
+    for _ in range(60):
+        if gc < gd:
+            a, c, gc = c, d, gd
+            d = a + F.GOLDEN * (b - a)
+            gd = g(d)
+        else:
+            b, d, gd = d, c, gc
+            c = b - F.GOLDEN * (b - a)
+            gc = g(c)
+    return max(gc, gd)
+
+
+def _ref_seminorm(f, d, theta):
+    """seminorm with one search per (order, sign), run in turn."""
+    us = np.log(np.logspace(-8.0, 8.0, 2048))
+    per_order = np.zeros(d + 1)
+    for k in range(d + 1):
+        best = 0.0
+        for sign in (1.0, -1.0):
+            xs = sign * np.exp(us)
+            w = _ref_weighted(f, k, theta, xs)
+            w = np.where(np.isnan(w), 0.0, w)
+            i = int(np.argmax(w))
+            top = float(w[i])
+            if np.isinf(top):
+                best = np.inf
+                break
+            if 0 < i < us.size - 1:
+                top = max(top, _ref_refine_max(f, k, theta, sign, us[i - 1], us[i + 1]))
+            best = max(best, top)
+        per_order[k] = best
+    return float(np.max(per_order)), per_order
+
+
+def _speckled_bump_eval(x):
+    """exp(-log(|x|)^2), NaN at every x whose last mantissa bit is set, so
+    searches compare NaN with numbers and end on NaN at c, at d or at both."""
+    u = np.log(np.abs(x))
+    return np.where(x.view(np.int64) & 1 == 1, np.nan, np.exp(-u * u))
+
+
+def _left_overflow_eval(x):
+    """exp(-log(|x|)^2) for x > 0 (an interior grid maximum), e^|x| for x < 0
+    (an infinite one on the second sign)."""
+    return np.where(x < 0.0, np.exp(np.abs(x)), np.exp(-np.log(np.abs(x)) ** 2))
+
+
+def _edge_function(name, ev):
+    return F.ScalarFunction(name=name, eval=ev, deriv=lambda k, x: ev(x), max_order=2)
+
+
+# the catalog, with each homogeneous entry at an exponent of SEMINORM_THETAS
+# (where its weighted derivative is flat), a polynomial, two dilations, and
+# two functions for the NaN and the infinite grid maximum of the second sign
+SEMINORM_ENTRIES = [
+    F.power(0.5),
+    F.power(0.25),
+    F.signed_power(0.5),
+    F.signed_power(2.0 / 3.0),
+    F.signed_power(0.75),
+    F.log1p_abs(),
+    F.signed_log1p(),
+    F.rational_abs(1.0),
+    F.rational_signed(2.0),
+    F.signed_expm1(),
+    F.gauss_bump(),
+    F.linear(),
+    F.polynomial([1.0, -2.0, 0.5, 0.25]),
+    F.dilate_function(F.gauss_bump(), 0.01),
+    F.dilate_function(F.signed_power(0.5), 40.0),
+    _edge_function("speckled_bump", _speckled_bump_eval),
+    _edge_function("left_overflow", _left_overflow_eval),
+]
+SEMINORM_THETAS = (0.1, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 0.9, 1.0)
+
+
+def _assert_seminorm_is_reference(f, d, theta):
+    value, per_order = _ref_seminorm(f, d, theta)
+    est = F.seminorm(f, d, theta)
+    assert est.per_order.tobytes() == per_order.tobytes(), (f.name, d, theta)
+    assert np.asarray(est.value).tobytes() == np.asarray(value).tobytes(), (f.name, d, theta)
+
+
+@pytest.mark.parametrize("f", SEMINORM_ENTRIES, ids=lambda f: f.name)
+def test_seminorm_equals_the_per_search_loop_bit_for_bit(f):
+    for theta in SEMINORM_THETAS:
+        for d in range(f.max_order + 1):
+            _assert_seminorm_is_reference(f, d, theta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(SEMINORM_ENTRIES),
+    st.integers(0, F.MAX_ORDER),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(1e-3, 1e3),
+)
+def test_seminorm_of_dilations_equals_the_per_search_loop(f, d, theta, r):
+    _assert_seminorm_is_reference(F.dilate_function(f, r), min(d, f.max_order), theta)
+
+
+def _counted(f):
+    """f with its eval and deriv calls counted in ``calls``."""
+    calls = {"eval": 0, "deriv": 0}
+
+    def ev(x):
+        calls["eval"] += 1
+        return f.eval(x)
+
+    def dv(k, x):
+        calls["deriv"] += 1
+        return f.deriv(k, x)
+
+    return F.ScalarFunction(name=f.name, eval=ev, deriv=dv), calls
+
+
+def test_seminorm_evaluates_each_order_once_per_golden_step():
+    # spower:0.5 at its own exponent: every order and sign is refined, and each
+    # order is evaluated on its grid of each sign, at the starting points c
+    # and d, and once per step
+    f, calls = _counted(F.signed_power(0.5))
+    F.seminorm(f, 4, 0.5)
+    assert calls == {"eval": 2 + 2 + F.REFINE_STEPS, "deriv": 4 * (2 + 2 + F.REFINE_STEPS)}
+    # an infinite grid maximum of the first sign skips the second, and refinement
+    f, calls = _counted(F.signed_expm1())
+    assert F.seminorm(f, 3, 0.5).per_order.tolist() == [np.inf] * 4
+    assert calls == {"eval": 1, "deriv": 3}
 
 
 def _holder_bound(f, theta):

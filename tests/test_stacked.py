@@ -300,7 +300,7 @@ def _replay_failures(config):
     """Per cell, the failure count of the campaign's trials, after checking
     that every outcome equals replay's: the record bit for bit, or the
     error's class and message."""
-    f = parse_function_spec(config.function)
+    f = parse_function_spec(config.function) if config.function else None
     counts = []
     for cell_idx in range(len(config.cells())):
         failures = 0
@@ -331,6 +331,18 @@ def test_inverse_ensembles_replay_bitwise(function, ensemble):
         assert failures == [5] * cells
     else:
         assert failures == [0] * cells
+
+
+@pytest.mark.parametrize("verifier, function", [("inverse", "spower:0.5"), ("absmap", None)])
+def test_gaussian_pair_cells_replay_across_the_stack_boundary(verifier, function):
+    # inverse draws from gaussian_pair and absmap from general_pair by default;
+    # 33 trials at dim 8 are a stack of 32 and a stack of one
+    config = CampaignConfig.from_dict(
+        {"verifier": verifier, "function": function, "thetas": [2.0], "ps": [1.0],
+         "norms": ["schatten:1"], "dims": [8], "trials": 33, "seed": 303}
+    )
+    assert camp._stack_size(8) == 32
+    assert _replay_failures(config) == [0]
 
 
 def test_inverse_on_the_operator_norm_replays_bitwise():
