@@ -115,6 +115,17 @@ def sample_positive_pairs(dim: int, spectrum_range, seeds) -> np.ndarray:
     return from_eigen(_unitary_from_ginibre(_complex_gaussian(z)), lam)
 
 
+def sample_ginibre_pairs(dim: int, seeds) -> np.ndarray:
+    """Draw two Ginibre matrices per seed, stacked as (len(seeds), 2, n, n):
+    each seed makes the draws of two ginibre(dim, rng) calls, and the complex
+    matrices are then formed once over the whole stack."""
+    _check_dim(dim)
+    z = np.empty((len(seeds), 2, 2, dim, dim))
+    for i, seed in enumerate(seeds):
+        seed.rng().standard_normal(out=z[i])
+    return _complex_gaussian(z)
+
+
 def sample_schur_instances(dim: int, lambda_range, mu_range, seeds):
     """Draw one instance of a Schur-multiplier ratio per seed: returns the
     ascending spectra lam and mu, each (len(seeds), n), the Haar bases of A
@@ -171,24 +182,15 @@ def _positive_pairs(dim, seeds, ens):
     return ("pos", "pos"), sample_positive_pairs(dim, spectrum_range, seeds)
 
 
-def _ginibre_pairs(dim, seeds) -> np.ndarray:
-    """Two Ginibre matrices per seed, stacked as (len(seeds), 2, n, n): each
-    seed makes the draws of two ginibre(dim, rng) calls."""
-    z = np.empty((len(seeds), 2, 2, dim, dim))
-    for i, seed in enumerate(seeds):
-        seed.rng().standard_normal(out=z[i])
-    return _complex_gaussian(z)
-
-
 def _gaussian_pairs(dim, seeds, ens):
     """Two gaussian_hermitian matrices per seed, one array (len(seeds), 2, n, n)."""
-    g = _ginibre_pairs(dim, seeds)
+    g = sample_ginibre_pairs(dim, seeds)
     return ("herm", "herm"), 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
 def _general_pairs(dim, seeds, ens):
     """Two ginibre matrices per seed, one array (len(seeds), 2, n, n)."""
-    return ("general", "general"), _ginibre_pairs(dim, seeds)
+    return ("general", "general"), sample_ginibre_pairs(dim, seeds)
 
 
 def _commuting_pair(dim, seed, ens):

@@ -253,3 +253,8 @@ def test_gaussian_pair_stacks_are_the_per_seed_draws(name, dim, count):
         assert kinds == tuple(k for k, _ in old)
         for m, (_, ref) in zip(pair, old):
             assert m.tobytes() == ref.tobytes()
+
+
+def test_ginibre_pair_sampler_rejects_empty_dims():
+    with pytest.raises(ParameterError, match="dimension"):
+        E.sample_ginibre_pairs(0, [E.SeedState(1)])
