@@ -24,7 +24,6 @@ from .spectral import (
     apply_function,
     as_hermitian,
     cayley,
-    commutator,
     eig_hermitian,
     op_norm,
     spectral_projection,
@@ -57,7 +56,6 @@ from .doi import (
     BivariateSymbol,
     MpBound,
     alpha_symbol,
-    alt_check,
     beta_symbol,
     dd_symbol,
     decomposition_bound,
@@ -70,6 +68,7 @@ from .doi import (
 )
 from .verify import (
     VerificationRecord,
+    alt_check,
     cayley_identity_residual,
     telescope_finite_rank,
     verify_abs_map,

@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import doi
 from .ensembles import ENSEMBLES, STACK_ENTRIES, SeedState, gaussian_hermitian, ginibre
 from .errors import EigensolverError, HolderLabError, ParameterError
 from .functions import parse_function_spec
@@ -234,78 +233,6 @@ def _perturb_inputs(inputs, sigma: float, rng: np.random.Generator):
     return out
 
 
-# --- the kernels: a stack holds the untagged inputs of each trial ----------------
-
-
-def _per_trial(evaluate):
-    """The kernel that runs ``evaluate(f, theta, p, spec, m, digest,
-    sem_cache, variant)`` on the inputs m of each trial in turn; it returns
-    the trial's record or raises the trial's HolderLabError."""
-
-    def kernel(f, theta, p, spec, stack, digests, sem_cache, variant):
-        outcomes = []
-        for m, digest in zip(stack, digests):
-            try:
-                outcomes.append(evaluate(f, theta, p, spec, m, digest, sem_cache, variant))
-            except HolderLabError as exc:
-                outcomes.append(exc)
-        return outcomes
-
-    return kernel
-
-
-def _eval_main(f, theta, p, spec, m, digest, sem_cache, variant):
-    return V.verify_main(f, theta, p, m[0], m[1], sem_cache, digest)
-
-
-def _eval_submaj(f, theta, p, spec, m, digest, sem_cache, variant):
-    return V.verify_submajorization(f, theta, p, m[0], m[1], sem_cache, digest)[1]
-
-
-def _estimate(name: str):
-    """The evaluator of ``V.<name>(f, theta, p, spec, *m, sem_cache, digest)``,
-    the call shape of the seminorm estimates in a norm."""
-
-    def evaluate(f, theta, p, spec, m, digest, sem_cache, variant):
-        return getattr(V, name)(f, theta, p, spec, *m, sem_cache, digest)
-
-    return evaluate
-
-
-def _eval_reverse(f, theta, p, spec, m, digest, sem_cache, variant):
-    return V.verify_reverse_power(theta, p, spec, m[0], m[1], variant, digest)
-
-
-def _eval_absmap(f, theta, p, spec, m, digest, sem_cache, variant):
-    return V.verify_abs_map(spec, p, m[0], m[1], digest)
-
-
-def _eval_alt(f, theta, p, spec, m, digest, sem_cache, variant):
-    report = doi.alt_check(m[0], m[1], theta, p)
-    violation = max(0.0, -report.margin)
-    return V.VerificationRecord(
-        name="alt",
-        lhs=violation,
-        rhs=1.0,
-        ratio=violation,
-        holds_with_constant=report.margin,
-        inputs_digest=digest,
-        flagged=not report.holds,
-    )
-
-
-def _eval_telescope(f, theta, p, spec, m, digest, sem_cache, variant):
-    return V.telescope_finite_rank(f, theta, p, m[0], m[1:], digest).record
-
-
-def _bks_kernel(f, theta, p, spec, stack, digests, sem_cache, variant):
-    return V.verify_bks_stack(theta, spec, np.asarray(stack), digests)
-
-
-def _inverse_kernel(f, theta, p, spec, stack, digests, sem_cache, variant):
-    return V.verify_inverse_stack(f, theta, p, spec, np.asarray(stack), digests, sem_cache)
-
-
 # --- the verifier table ---------------------------------------------------------
 
 # the pair ensembles of Hermitian inputs, and those of positive inputs
@@ -315,13 +242,15 @@ POSITIVE_PAIRS = ("positive_pair", "fixed_pair")
 
 @dataclass(frozen=True)
 class Verifier:
-    """Everything the campaign engine knows about one verifier.  Its functions
-    look ``verify`` up as ``V`` when they run, so rebinding ``campaign.V`` or a
-    ``verify`` function (a test's spy, perfbench's tracer) reaches them."""
+    """Everything the campaign engine knows about one verifier.  Its kernel is
+    looked up on ``verify`` (as ``V``) when it runs, so rebinding
+    ``campaign.V`` or a ``verify`` function (a test's spy, perfbench's
+    tracer) reaches it."""
 
-    # (f, theta, p, spec, stack, digests, sem_cache, variant) -> per trial of
-    # the stack, its record or its HolderLabError
-    kernel: Callable
+    # the name of the verify.verify_<name>_stack kernel: (f, theta, p, spec,
+    # stack, digests, sem_cache, variant) -> per trial of the stack, its record
+    # or its HolderLabError
+    kernel: str
     # the ensembles.ENSEMBLES names the verifier draws from; the first is the default
     ensembles: tuple = HERMITIAN_PAIRS
     needs_function: bool = False
@@ -334,41 +263,39 @@ class Verifier:
 
 
 VERIFIERS = {
-    "main": Verifier(_per_trial(_eval_main), needs_function=True),
+    "main": Verifier("verify_main_stack", needs_function=True),
     "bks": Verifier(
-        _bks_kernel, POSITIVE_PAIRS, positive=True, uses_norm=True, claim=lambda spec, p: 1.0
+        "verify_bks_stack", POSITIVE_PAIRS, positive=True, uses_norm=True, claim=lambda spec, p: 1.0
     ),
-    "submaj": Verifier(_per_trial(_eval_submaj), needs_function=True),
-    "symmetric": Verifier(
-        _per_trial(_estimate("verify_symmetric")), needs_function=True, uses_norm=True
-    ),
-    "inverse": Verifier(_inverse_kernel, needs_function=True, uses_norm=True),
-    "reverse": Verifier(_per_trial(_eval_reverse), uses_norm=True),
+    "submaj": Verifier("verify_submaj_stack", needs_function=True),
+    "symmetric": Verifier("verify_symmetric_stack", needs_function=True, uses_norm=True),
+    "inverse": Verifier("verify_inverse_stack", needs_function=True, uses_norm=True),
+    "reverse": Verifier("verify_reverse_stack", uses_norm=True),
     "commutator": Verifier(
-        _per_trial(_estimate("verify_commutator")),
+        "verify_commutator_stack",
         ("hermitian_contraction",),
         needs_function=True,
         uses_norm=True,
     ),
     "quasicommutator": Verifier(
-        _per_trial(_estimate("verify_quasi_commutator")),
+        "verify_quasicommutator_stack",
         ("hermitian_pair_contraction",),
         needs_function=True,
         uses_norm=True,
     ),
     # the classical constant 1 holds in the p-th power of S_q, which is S_qp, for qp >= 2
     "absmap": Verifier(
-        _per_trial(_eval_absmap),
+        "verify_absmap_stack",
         ("general_pair",) + HERMITIAN_PAIRS,
         uses_norm=True,
         claim=lambda spec, p: 1.0 if isinstance(spec, Schatten) and spec.p * p >= 2.0 else None,
     ),
     # the claim is margin >= 0, recorded as ratio = max(0, -margin)
     "alt": Verifier(
-        _per_trial(_eval_alt), POSITIVE_PAIRS, positive=True, claim=lambda spec, p: 0.0
+        "verify_alt_stack", POSITIVE_PAIRS, positive=True, claim=lambda spec, p: 0.0
     ),
     "telescope": Verifier(
-        _per_trial(_eval_telescope),
+        "verify_telescope_stack",
         ("rank_one_steps",),
         needs_function=True,
         claim=lambda spec, p: 1.0,
@@ -404,7 +331,7 @@ def _outcomes(config: CampaignConfig, f, theta, p, spec, stack, digests, sem_cac
     seminorm check) is every trial's error.  A LinAlgError reruns a stack of
     several trials one trial at a time, and is a stack of one's
     EigensolverError."""
-    kernel = VERIFIERS[config.verifier].kernel
+    kernel = getattr(V, VERIFIERS[config.verifier].kernel)
     try:
         return kernel(f, theta, p, spec, stack, digests, sem_cache, config.variant)
     except HolderLabError as exc:

@@ -88,7 +88,7 @@ def cmd_verify(args) -> int:
     report, counterexamples = run_campaign(config)
     cell = report.cells[0]
     if cell.argmax_digest == "none":
-        print(_no_ratio_reason(cell), file=sys.stderr)
+        print(_no_ratio_reason(config, 0, cell), file=sys.stderr)
         return 2
     argmax_trial = int(cell.argmax_digest.split(":")[2])
     record = replay(config, 0, argmax_trial)
@@ -99,11 +99,17 @@ def cmd_verify(args) -> int:
 # --- campaign -------------------------------------------------------------------
 
 
-def _no_ratio_reason(cell) -> str:
+def _no_ratio_reason(config, cell_idx, cell) -> str:
     """Why a cell has no ratio to report (its argmax digest is "none"): every
-    trial failed, or every record had rhs = 0."""
+    trial failed, named by the error of its trial 0, or every record had
+    rhs = 0."""
     if cell.failures == cell.trials:
-        return f"all {cell.trials} trial(s) failed"
+        cause = ""
+        try:
+            replay(config, cell_idx, 0)
+        except HolderLabError as exc:
+            cause = f"; trial 0: {type(exc).__name__}: {exc}"
+        return f"all {cell.trials} trial(s) failed{cause}"
     reason = f"every record had rhs = 0 ({cell.trials - cell.failures} record(s)"
     return reason + (f", {cell.failures} failed trial(s))" if cell.failures else ")")
 
@@ -130,10 +136,11 @@ def cmd_campaign(args) -> int:
     manifest = _manifest("campaign", config.to_dict(), config.seed, outputs)
     _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     print(f"wrote {csv_path} ({len(report.cells)} cells)")
-    empty = [c for c in report.cells if c.argmax_digest == "none"]
-    for c in empty:
+    empty = [(i, c) for i, c in enumerate(report.cells) if c.argmax_digest == "none"]
+    for i, c in empty:
         print(
-            f"cell theta={c.theta:g} p={c.p:g} norm={c.norm} dim={c.dim}: {_no_ratio_reason(c)}",
+            f"cell theta={c.theta:g} p={c.p:g} norm={c.norm} dim={c.dim}: "
+            f"{_no_ratio_reason(config, i, c)}",
             file=sys.stderr,
         )
     if empty:

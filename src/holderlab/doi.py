@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     CapabilityError,
-    DomainError,
     ParameterError,
     SingularityError,
 )
@@ -29,13 +28,13 @@ from .functions import (
     divided_difference_grid,
     seminorm,
 )
-from .norms import Schatten, norm_of_profile, singular_values
+from .norms import Schatten, norm_of_profile
 from .spectral import (
+    ZERO_TOL_COEFF,
     SpectralDecomposition,
     apply_function,
     as_hermitian,
     eig_hermitian,
-    from_eigen,
     op_norm,
 )
 from .ensembles import STACK_ENTRIES, SeedState, sample_schur_instances
@@ -51,8 +50,6 @@ MAX_RESAMPLE = 8
 # the range (1e-12, 2^(1-k)) of the other argument is empty, and at k < -1022
 # its upper end 2^(1-k) overflows
 DYADIC_K_RANGE = (-1022, 40)
-# an eigenvalue within ZERO_TOL_COEFF * (1 + max|lambda|) of 0 counts as 0
-ZERO_TOL_COEFF = 1e-12
 
 
 # --- bivariate symbols --------------------------------------------------------
@@ -602,12 +599,15 @@ def dyadic_upper_bound(
         return 2.0 ** (k * (1.0 - theta)) * base
     fk = dilate_function(f, 2.0 ** k)
     # far from k = 0 the dilated derivatives overflow or underflow: an
-    # infinite bound is still a bound, a NaN is none
-    with np.errstate(all="ignore"):
+    # infinite bound is still a bound, but a NaN is none, and neither is a
+    # finite one taken after an overflow, which flushes its term to 0
+    overflows = []
+    with np.errstate(all="ignore", over="call", call=lambda *_: overflows.append(1)):
         upper = 2.0 ** k * band_upper_bound(fk, theta, p, b=b, grid_n=grid_n)
-    if math.isnan(upper):
+    if math.isnan(upper) or (overflows and math.isfinite(upper)):
+        reason = "is not finite (NaN)" if math.isnan(upper) else "lost terms to overflow"
         raise CapabilityError(
-            f"the upper bound of g_{k}[{f.name}] is not finite (NaN): "
+            f"the upper bound of g_{k}[{f.name}] {reason}: "
             f"the derivatives of {f.name} dilated by 2^{k} leave the float range"
         )
     return upper
@@ -710,12 +710,6 @@ class ReconstructionResult:
     covered: bool
 
 
-def _zero_tol(*eigenvalues) -> float:
-    """The zero tolerance of the given spectra taken together."""
-    top = max(np.abs(lam).max(initial=0.0) for lam in eigenvalues)
-    return ZERO_TOL_COEFF * (1.0 + float(top))
-
-
 def representation_reconstruct(f: ScalarFunction, a, b, k_range) -> ReconstructionResult:
     """Reassemble s(A)_+ (f(A) - f(B)) s(B)_+ from the dyadic band terms
     T_{g_k}(V_k) + T_{h_k}(W_k), k in k_range = (k_min, k_max), and report the
@@ -727,7 +721,8 @@ def representation_reconstruct(f: ScalarFunction, a, b, k_range) -> Reconstructi
     am, bm = as_hermitian(a), as_hermitian(b)
     dec_a, dec_b = eig_hermitian(am), eig_hermitian(bm)
     lam, mu = dec_a.eigenvalues, dec_b.eigenvalues
-    zero_tol = _zero_tol(lam, mu)
+    top = max(np.abs(lam).max(initial=0.0), np.abs(mu).max(initial=0.0))
+    zero_tol = ZERO_TOL_COEFF * (1.0 + float(top))  # of both spectra taken together
 
     pos_a, pos_b = lam > zero_tol, mu > zero_tol
     band_lo, band_hi = 2.0 ** (-k_max - 1), 2.0 ** (-k_min)
@@ -762,35 +757,3 @@ def representation_reconstruct(f: ScalarFunction, a, b, k_range) -> Reconstructi
     target = np.where(pos_a[:, None] & pos_b[None, :], target, 0.0)
     residual = op_norm(total - target) / (1.0 + op_norm(target))
     return ReconstructionResult(residual=float(residual), covered=covered)
-
-
-# --- Araki-Lieb-Thirring submajorization -----------------------------------------
-
-
-def alt_check(x, z, theta: float, p: float):
-    """Submajorization |Z^theta X^theta|^p << |Z X|^{theta p} for positive
-    semidefinite X, Z."""
-    from .norms import submajorizes
-
-    if not 0.0 < theta < 1.0:
-        raise ParameterError(f"theta must lie in (0,1), got {theta}")
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p}")
-    xm, zm = as_hermitian(x), as_hermitian(z)
-    dec_x, dec_z = eig_hermitian(xm), eig_hermitian(zm)
-    zero_tol = _zero_tol(dec_x.eigenvalues, dec_z.eigenvalues)
-    for name, dec in (("X", dec_x), ("Z", dec_z)):
-        if dec.eigenvalues.min(initial=0.0) < -zero_tol:
-            raise DomainError(
-                f"{name} is not positive semidefinite (min eigenvalue "
-                f"{dec.eigenvalues.min():.3e})"
-            )
-
-    def clip_power(dec, t):
-        return from_eigen(dec.basis, np.clip(dec.eigenvalues, 0.0, None) ** t)
-
-    zx = clip_power(dec_z, 1.0) @ clip_power(dec_x, 1.0)
-    zx_theta = clip_power(dec_z, theta) @ clip_power(dec_x, theta)
-    upper = singular_values(zx) ** (theta * p)
-    lower = singular_values(zx_theta) ** p
-    return submajorizes(upper, lower)

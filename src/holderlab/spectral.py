@@ -16,6 +16,8 @@ from .errors import DomainError, EigensolverError, ShapeError
 HERMITIAN_TOL = 1e-10
 RECON_TOL = 1e-10
 PSD_TOL = 1e-10
+# an eigenvalue within ZERO_TOL_COEFF * (1 + max|lambda|) of 0 counts as 0
+ZERO_TOL_COEFF = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -34,29 +36,29 @@ def as_square(a) -> np.ndarray:
 
 def hermitian_stack(a, tol: float = HERMITIAN_TOL):
     """Hermitian check on a stack (..., n, n): returns the symmetrizations
-    (a + a*)/2 and, per item, the ok mask, the deviation max|a - a*| and the
-    scale max(1, max|a|); an item is ok when its deviation is within ``tol``
-    times its scale."""
+    (a + a*)/2, the per-item ok mask, and a function from the index of an
+    item to its DomainError.  An item is ok when its deviation max|a - a*| is
+    within ``tol`` times its scale max(1, max|a|)."""
     m = np.asarray(a, dtype=complex)
     mh = np.swapaxes(m.conj(), -1, -2)
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     dev = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
-    return 0.5 * (m + mh), ~(dev > tol * scale), dev, scale
 
+    def error(idx):
+        return DomainError(
+            f"matrix is not Hermitian: deviation {dev[idx]:.3e} exceeds {tol:.1e} * "
+            f"{scale[idx]:.3e}"
+        )
 
-def _hermitian_error(dev, scale, tol: float = HERMITIAN_TOL) -> DomainError:
-    """The error of a matrix that fails the Hermitian check of hermitian_stack."""
-    return DomainError(
-        f"matrix is not Hermitian: deviation {dev:.3e} exceeds {tol:.1e} * {scale:.3e}"
-    )
+    return 0.5 * (m + mh), ~(dev > tol * scale), error
 
 
 def as_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate that ``a`` is Hermitian within ``tol`` (relative) and return
     its symmetrization (a + a*)/2."""
-    h, ok, dev, scale = hermitian_stack(as_square(a), tol)
+    h, ok, error = hermitian_stack(as_square(a), tol)
     if not ok:
-        raise _hermitian_error(dev, scale, tol)
+        raise error(())
     return h
 
 
@@ -82,10 +84,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray  # real, ascending
     basis: np.ndarray        # columns are eigenvectors
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
-
     def matrix(self) -> np.ndarray:
         return from_eigen(self.basis, self.eigenvalues)
 
@@ -93,15 +91,23 @@ class SpectralDecomposition:
 def eigh_stack(h, tol: float = RECON_TOL):
     """Eigendecomposition of a stack (..., n, n) of exactly Hermitian
     matrices with the reconstruction check: returns the decomposition, its
-    reconstruction, and per item the ok mask and the residual max|recon - h|;
-    an item is ok when its residual is within ``tol`` * (1 + max|lambda|).
+    reconstruction, the per-item ok mask, and a function from the index of an
+    item to its EigensolverError.  An item is ok when its residual
+    max|recon - h| is within ``tol`` * (1 + max|lambda|).
     ``numpy.linalg.LinAlgError`` from the eigensolver propagates."""
     vals, vecs = np.linalg.eigh(h)
     dec = SpectralDecomposition(vals, vecs)
     recon = dec.matrix()
     scale = 1.0 + np.abs(vals).max(axis=-1, initial=0.0)
     residual = np.abs(recon - h).max(axis=(-2, -1), initial=0.0)
-    return dec, recon, ~(residual > tol * scale), residual
+
+    def error(idx):
+        return EigensolverError(
+            f"eigendecomposition reconstruction residual {residual[idx]:.3e} exceeds tolerance",
+            residual=float(residual[idx]),
+        )
+
+    return dec, recon, ~(residual > tol * scale), error
 
 
 def psd_stack(eigenvalues, tol: float = PSD_TOL) -> np.ndarray:
@@ -111,29 +117,36 @@ def psd_stack(eigenvalues, tol: float = PSD_TOL) -> np.ndarray:
     return ~(eigenvalues.min(axis=-1, initial=0.0) < -bound)
 
 
-def _reconstruction_error(residual) -> EigensolverError:
-    """The error of a matrix that fails the reconstruction check of eigh_stack."""
-    return EigensolverError(
-        f"eigendecomposition reconstruction residual {residual:.3e} exceeds tolerance",
-        residual=float(residual),
-    )
-
-
 def eig_hermitian(a, tol: float = RECON_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with a reconstruction check."""
     m = as_hermitian(a)
     try:
-        dec, _, ok, residual = eigh_stack(m, tol)
+        dec, _, ok, error = eigh_stack(m, tol)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigh failed to converge: {exc}") from exc
     if not ok:
-        raise _reconstruction_error(residual)
+        raise error(())
     return dec
 
 
-def _as_eval(f):
-    """Accept a ScalarFunction-like object (with .eval) or a plain callable."""
-    return getattr(f, "eval", f)
+def apply_stack(f, dec: SpectralDecomposition):
+    """f(M) for a stack (..., n, n) of decompositions of Hermitian M: f is
+    applied to the eigenvalues in the eigenbasis.  Returns the stack, the
+    per-item ok mask (f is finite at every eigenvalue), and a function from
+    the index of an item to its DomainError; an item that is not ok holds
+    f(M) with its non-finite values of f replaced by 0."""
+    with np.errstate(all="ignore"):  # f: a ScalarFunction-like object or a plain callable
+        fv = np.asarray(getattr(f, "eval", f)(dec.eigenvalues), dtype=complex)
+    finite = np.isfinite(fv)
+    out = from_eigen(dec.basis, np.where(finite, fv, 0.0))
+    real = np.abs(fv.imag).max(axis=-1, initial=0.0) == 0.0
+    out = np.where(real[..., None, None], 0.5 * (out + np.swapaxes(out.conj(), -1, -2)), out)
+
+    def error(idx):
+        bad = dec.eigenvalues[idx][~finite[idx]]
+        return DomainError(f"function undefined at eigenvalue(s) {bad[:4]}")
+
+    return out, finite.all(axis=-1), error
 
 
 def apply_function(f, a, dec: SpectralDecomposition | None = None) -> np.ndarray:
@@ -143,14 +156,9 @@ def apply_function(f, a, dec: SpectralDecomposition | None = None) -> np.ndarray
     """
     if dec is None:
         dec = eig_hermitian(a)
-    with np.errstate(all="ignore"):
-        fv = np.asarray(_as_eval(f)(dec.eigenvalues), dtype=complex)
-    if not np.all(np.isfinite(fv)):
-        bad = dec.eigenvalues[~np.isfinite(fv)]
-        raise DomainError(f"function undefined at eigenvalue(s) {bad[:4]}")
-    out = from_eigen(dec.basis, fv)
-    if np.abs(fv.imag).max(initial=0.0) == 0.0:
-        out = 0.5 * (out + out.conj().T)
+    out, ok, error = apply_stack(f, dec)
+    if not ok:
+        raise error(())
     return out
 
 
@@ -161,11 +169,14 @@ def spectral_projection(dec: SpectralDecomposition, lo: float, hi: float) -> np.
 
 
 def abs_matrix(x) -> np.ndarray:
-    """|X| = (X* X)^{1/2} for a square matrix X."""
-    m = as_square(x)
-    u, s, vh = np.linalg.svd(m)
-    out = (vh.conj().T * s) @ vh
-    return 0.5 * (out + out.conj().T)
+    """|X| = (X* X)^{1/2} for a square matrix X, or for each matrix of a
+    stack (..., n, n) of them."""
+    m = np.asarray(x, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    _, s, vh = np.linalg.svd(m)
+    out = (np.swapaxes(vh.conj(), -1, -2) * s[..., None, :]) @ vh
+    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 
 def cayley(b) -> np.ndarray:
@@ -174,15 +185,3 @@ def cayley(b) -> np.ndarray:
     eye = np.eye(m.shape[0], dtype=complex)
     # (B - i) and (B + i)^{-1} commute, so the one-sided solve suffices.
     return np.linalg.solve(m + 1j * eye, m - 1j * eye)
-
-
-def commutator(x, b) -> np.ndarray:
-    return x @ b - b @ x
-
-
-def signed_power_matrix(a, theta: float, dec: SpectralDecomposition | None = None) -> np.ndarray:
-    """sgn(A)|A|^theta for Hermitian A."""
-    if dec is None:
-        dec = eig_hermitian(a)
-    fv = np.sign(dec.eigenvalues) * np.abs(dec.eigenvalues) ** theta
-    return from_eigen(dec.basis, fv)

@@ -18,15 +18,17 @@ import numpy as np
 from .errors import (
     CapabilityError,
     DomainError,
+    EigensolverError,
     HolderLabError,
     ParameterError,
     PreconditionError,
 )
-from .functions import ScalarFunction, d_of_p, seminorm
+from .functions import ScalarFunction, d_of_p, seminorm, signed_expm1
 from .norms import (
     NormSpec,
     PowerOf,
     Schatten,
+    SubmajorizationReport,
     check_fully_symmetric,
     least_domination_constant,
     norm,
@@ -35,20 +37,18 @@ from .norms import (
     submajorizes,
 )
 from .spectral import (
-    _hermitian_error,
-    _reconstruction_error,
+    ZERO_TOL_COEFF,
     abs_matrix,
     apply_function,
+    apply_stack,
     as_hermitian,
     as_square,
     cayley,
-    commutator,
     eigh_stack,
     from_eigen,
     hermitian_stack,
     op_norm,
     psd_stack,
-    signed_power_matrix,
 )
 
 ABS_TOL_COEFF = 1e-12
@@ -110,86 +110,166 @@ def _seminorm_value(f, d, theta, cache=None):
     return cache[key]
 
 
-def _theta_profile(m, theta):
-    """Profile of |M|^theta: the singular values of M raised entrywise."""
-    return singular_values(m) ** theta
-
-
-def _raise_failed(outcomes):
-    """The record of a stack of one, or raise its error."""
-    (outcome,) = outcomes
+def _one(kernel, f, theta, p, spec, mats, sem_cache, digest, variant):
+    """The outcome ``kernel`` gives the trial of square inputs ``mats`` in a
+    stack of one, or raise its error; LAPACK's failure to converge is the
+    EigensolverError a campaign records for it."""
+    stack = np.stack([as_square(m) for m in mats])[None]
+    try:
+        (outcome,) = kernel(f, theta, p, spec, stack, [digest], sem_cache, variant)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"LAPACK failed to converge: {exc}") from exc
     if isinstance(outcome, HolderLabError):
         raise outcome
     return outcome
 
 
+# --- the shared steps of the stack kernels ------------------------------------------
+#
+# A kernel verify_<name>_stack(f, theta, p, spec, stack, digests, sem_cache,
+# variant) maps a stack (T, k, n, n) of the inputs of T trials to each trial's
+# record, or to the HolderLabError of the first check the trial fails, in the
+# order its docstring gives; it ignores the arguments its verifier does not
+# take.  A HolderLabError it raises (a parameter check) is every trial's, and
+# numpy.linalg.LinAlgError from LAPACK propagates.  A check is a pair (ok
+# mask (T, k), function from an index (trial, input) to the error).
+
+
+def _first_failures(size, *groups) -> list:
+    """Per trial of a stack of ``size``, the error of its first failed check,
+    or None when it passes them all.  The groups of checks run in turn; within
+    a group, input 0 takes every check, then input 1, and so on."""
+    failed = [None] * size
+    for group in groups:
+        for j in range(group[0][0].shape[1]):
+            for ok, error in group:
+                for i in np.flatnonzero(~ok[:, j]):
+                    if failed[i] is None:
+                        failed[i] = error((i, j))
+    return failed
+
+
+def _profiles(*mats) -> np.ndarray:
+    """The singular values of every trial's matrices in one batched SVD:
+    (T, len(mats), n) for stacks (T, n, n)."""
+    return np.linalg.svd(np.stack(mats, axis=1), compute_uv=False)
+
+
+def _norms(profiles, spec) -> np.ndarray:
+    """norm_of_profile of each profile of a stack (T, n)."""
+    return np.array([norm_of_profile(s, spec) for s in profiles])
+
+
+def _records(name, failed, lhs, rhs, constants, mats, digests) -> list:
+    """Per trial of a stack, its error from ``failed``, or else its record
+    from lhs, rhs and, unless ``constants`` is None, its constant, flagged
+    against the trial's inputs mats[i]."""
+    n = mats.shape[-1]
+    constants = [None] * len(failed) if constants is None else constants
+    return [
+        make_record(name, left, right, _abs_tol(n, *m), digest, c) if error is None else error
+        for error, left, right, c, m, digest in zip(failed, lhs, rhs, constants, mats, digests)
+    ]
+
+
+def _renamed(name, outcomes) -> list:
+    """The outcomes of a stack, each record renamed ``name``."""
+    return [replace(o, name=name) if isinstance(o, VerificationRecord) else o for o in outcomes]
+
+
+def _checked_images(f, theta, p, mats, sem_cache):
+    """The shared front of the seminorm estimates on a stack (T, k, n, n) of
+    Hermitian inputs.  Returns per trial the error of its first failed check
+    or None, in the order: each input Hermitian, the seminorm at d_of_p(p),
+    then per input its reconstruction and f finite on its spectrum; the
+    symmetrized inputs; their images under f; and the seminorm."""
+    h, *hermitian = hermitian_stack(mats)
+    try:
+        sem = _seminorm_value(f, d_of_p(p), theta, sem_cache)
+    except HolderLabError as exc:  # every trial that is Hermitian fails here
+        seminorm = (np.zeros((len(h), 1), dtype=bool), lambda idx: exc)
+        return _first_failures(len(h), [hermitian], [seminorm]), h, h, math.nan
+    dec, _, *reconstructed = eigh_stack(h)
+    images, *defined = apply_stack(f, dec)
+    return _first_failures(len(h), [hermitian], [reconstructed, defined]), h, images, sem
+
+
 # --- the difference estimates ---------------------------------------------------
+
+
+def verify_main_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """verify_symmetric_stack on the base S_1, its records named "main"."""
+    outcomes = verify_symmetric_stack(f, theta, p, Schatten(1), stack, digests, sem_cache, variant)
+    return _renamed("main", outcomes)
 
 
 def verify_main(f: ScalarFunction, theta, p, a, b, sem_cache=None, digest="") -> VerificationRecord:
     """||f(A) - f(B)||_p versus seminorm(f) * || |A-B|^theta ||_p: the
     symmetric estimate in E^(p) for E = S_1, since ||X||_p is the p-th power
     norm of the trace class."""
-    rec = verify_symmetric(f, theta, p, Schatten(1), a, b, sem_cache, digest)
-    return replace(rec, name="main")
+    return _one(verify_main_stack, f, theta, p, None, (a, b), sem_cache, digest, None)
 
 
-def check_bks_params(theta, spec: NormSpec):
-    """Raise ParameterError unless theta lies in (0,1) and spec is fully
-    symmetric."""
+def verify_bks_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """verify_bks over a stack (T, 2, n, n) of (X, Y), with the checks X
+    Hermitian, X reconstruction, X positive, then the same for Y."""
     if not 0.0 < theta < 1.0:
         raise ParameterError(f"theta must lie in (0,1), got {theta}")
     check_fully_symmetric(spec)
-
-
-def verify_bks_stack(theta, spec: NormSpec, pairs, digests) -> list:
-    """verify_bks over a stack (T, 2, n, n) of (X, Y) pairs in one batched
-    pass: per pair its record, or the error verify_bks raises on it, from the
-    first failed check in the order X Hermitian, X reconstruction, X positive,
-    then the same for Y.  ``numpy.linalg.LinAlgError`` from the eigensolver
-    or the SVD propagates."""
-    check_bks_params(theta, spec)
-    h, herm_ok, dev, scale = hermitian_stack(pairs)
-    dec, recon, eig_ok, residual = eigh_stack(h)
-    ok = herm_ok & eig_ok & psd_stack(dec.eigenvalues)
-    good = ok.all(axis=-1)
+    stack = np.asarray(stack, dtype=complex)
+    h, *hermitian = hermitian_stack(stack)
+    dec, recon, *reconstructed = eigh_stack(h)
+    lam = dec.eigenvalues
+    positive = (
+        psd_stack(lam),
+        lambda idx: DomainError(
+            f"{'XY'[idx[1]]} must be positive semidefinite (min eigenvalue "
+            f"{lam[idx].min():.3e})"
+        ),
+    )
+    failed = _first_failures(len(h), [hermitian, reconstructed, positive])
     with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
-        powered = from_eigen(dec.basis, np.clip(dec.eigenvalues, 0.0, None) ** theta)
-        diffs = np.stack([powered[:, 0] - powered[:, 1], recon[:, 0] - recon[:, 1]], axis=1)
-        sv = np.linalg.svd(diffs, compute_uv=False)
-    n = pairs.shape[-1]
-    out = [
-        make_record(
-            "bks",
-            norm_of_profile(s_lhs, spec),
-            norm_of_profile(s_rhs ** theta, spec),
-            _abs_tol(n, x, y),
-            digest,
-        )
-        if g
-        else None
-        for (s_lhs, s_rhs), g, (x, y), digest in zip(sv, good, pairs, digests)
-    ]
-    for i in np.flatnonzero(~good):
-        j = int(np.argmin(ok[i]))  # the first matrix that fails
-        if not herm_ok[i, j]:
-            out[i] = _hermitian_error(dev[i, j], scale[i, j])
-        elif not eig_ok[i, j]:
-            out[i] = _reconstruction_error(residual[i, j])
-        else:
-            out[i] = DomainError(
-                f"{'XY'[j]} must be positive semidefinite (min eigenvalue "
-                f"{dec.eigenvalues[i, j].min():.3e})"
-            )
-    return out
+        powered = from_eigen(dec.basis, np.clip(lam, 0.0, None) ** theta)
+    sv = _profiles(powered[:, 0] - powered[:, 1], recon[:, 0] - recon[:, 1])
+    lhs, rhs = _norms(sv[:, 0], spec), _norms(sv[:, 1] ** theta, spec)
+    return _records("bks", failed, lhs, rhs, None, stack, digests)
 
 
 def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
     """||X^theta - Y^theta|| versus || |X-Y|^theta || for positive X, Y in a
     fully symmetric norm; the expected constant is exactly 1."""
-    check_bks_params(theta, spec)
-    pair = np.stack([as_square(x), as_square(y)])
-    return _raise_failed(verify_bks_stack(theta, spec, pair[None], [digest]))
+    return _one(verify_bks_stack, None, theta, None, spec, (x, y), None, digest, None)
+
+
+def _submaj(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """Per trial of a stack (T, 2, n, n) of (X, Y), the error of its first
+    failed check of _checked_images, or its submaj record with the profiles
+    it compares, upper = seminorm^p * mu(|X-Y|^theta)^p and lower =
+    mu(f(X) - f(Y))^p.  A record's constant is the least c making the
+    domination hold, and its lhs and rhs are the partial sums of lower and
+    upper where their ratio peaks (the totals when c is 0 or infinite)."""
+    failed, h, fh, sem = _checked_images(f, theta, p, stack, sem_cache)
+    sv = _profiles(fh[:, 0] - fh[:, 1], h[:, 0] - h[:, 1])
+    upper, lower = (sem ** p) * (sv[:, 1] ** theta) ** p, sv[:, 0] ** p
+    lhs, rhs, constants = [], [], []
+    for u, lo in zip(upper, lower):
+        c = least_domination_constant(u, lo)
+        cu, cl = np.cumsum(u), np.cumsum(lo)
+        k = -1
+        if np.isfinite(c) and c > 0.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = int(np.argmax(np.where(cu > 0.0, cl / cu, 0.0)))
+        lhs.append(cl[k])
+        rhs.append(cu[k])
+        constants.append(c)
+    records = _records("submaj", failed, lhs, rhs, constants, h, digests)
+    return [(r, u, lo) if e is None else e for e, r, u, lo in zip(failed, records, upper, lower)]
+
+
+def verify_submaj_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """The records of verify_submajorization over a stack (T, 2, n, n) of (X, Y)."""
+    outcomes = _submaj(f, theta, p, spec, stack, digests, sem_cache, variant)
+    return [o if isinstance(o, HolderLabError) else o[0] for o in outcomes]
 
 
 def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, digest=""):
@@ -197,35 +277,25 @@ def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, di
     submajorization report at constant 1 plus a record whose ratio is the
     least constant making the domination hold (the empirical constant to the
     p-th power), realized at the worst partial sum."""
-    xm, ym = as_hermitian(x), as_hermitian(y)
-    d = d_of_p(p)
-    sem = _seminorm_value(f, d, theta, sem_cache)
-    lower = singular_values(apply_function(f, xm) - apply_function(f, ym)) ** p
-    upper = (sem ** p) * _theta_profile(xm - ym, theta) ** p
-    report = submajorizes(upper, lower)
-    c = least_domination_constant(upper, lower)
-    cu, cl = np.cumsum(upper), np.cumsum(lower)
-    abs_tol = _abs_tol(xm.shape[0], xm, ym)
-    if np.isfinite(c) and c > 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(cu > 0.0, cl / cu, 0.0)
-        k = int(np.argmax(ratios))
-        rec = make_record("submaj", cl[k], cu[k], abs_tol, digest, constant=c)
-    else:
-        rec = make_record("submaj", float(cl[-1]), float(cu[-1]), abs_tol, digest, constant=c)
-    return report, rec
+    rec, upper, lower = _one(_submaj, f, theta, p, None, (x, y), sem_cache, digest, None)
+    return submajorizes(upper, lower), rec
+
+
+def verify_symmetric_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """verify_symmetric over a stack (T, 2, n, n) of (X, Y), with the checks
+    of _checked_images."""
+    power = PowerOf(spec, p)
+    failed, h, fh, sem = _checked_images(f, theta, p, stack, sem_cache)
+    sv = _profiles(fh[:, 0] - fh[:, 1], h[:, 0] - h[:, 1])
+    rhs = sem * _norms(sv[:, 1] ** theta, power)
+    return _records("symmetric", failed, _norms(sv[:, 0], power), rhs, None, h, digests)
 
 
 def verify_symmetric(
     f: ScalarFunction, theta, p, base: NormSpec, x, y, sem_cache=None, digest=""
 ) -> VerificationRecord:
     """The main estimate in the p-th power norm of a fully symmetric base."""
-    spec = PowerOf(base, p)
-    xm, ym = as_hermitian(x), as_hermitian(y)
-    sem = _seminorm_value(f, d_of_p(p), theta, sem_cache)
-    lhs = norm(apply_function(f, xm) - apply_function(f, ym), spec)
-    rhs = sem * norm_of_profile(_theta_profile(xm - ym, theta), spec)
-    return make_record("symmetric", lhs, rhs, _abs_tol(xm.shape[0], xm, ym), digest)
+    return _one(verify_symmetric_stack, f, theta, p, base, (x, y), sem_cache, digest, None)
 
 
 # --- reverse-direction estimates -------------------------------------------------
@@ -304,7 +374,7 @@ def inverse_apply(f: ScalarFunction, h):
     failed check: reconstruction, f strictly monotone on the probe, every
     eigenvalue bracketed.
     ``numpy.linalg.LinAlgError`` from the eigensolver propagates."""
-    dec, _, recon_ok, residual = eigh_stack(h)
+    dec, _, recon_ok, recon_error = eigh_stack(h)
     lam = dec.eigenvalues
     sign = _monotone_sign(f, lam)
     ok = recon_ok & (sign != 0.0)
@@ -317,7 +387,7 @@ def inverse_apply(f: ScalarFunction, h):
 
     def error(idx):
         if not recon_ok[idx]:
-            return _reconstruction_error(residual[idx])
+            return recon_error(idx)
         if sign[idx] == 0.0:
             return DomainError(f"{f.name} is not strictly monotone on the sampled range")
         return DomainError(f"{f.name}: could not bracket inverse at {lam[idx][~found[idx]][0]}")
@@ -325,51 +395,21 @@ def inverse_apply(f: ScalarFunction, h):
     return from_eigen(dec.basis, vals), ok & found.all(axis=-1), error
 
 
-def check_inverse_params(theta, base: NormSpec):
-    """Raise ParameterError unless theta > 1 and base is fully symmetric."""
+def verify_inverse_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """verify_inverse over a stack (T, 2, n, n) of (X, Y), spec the base
+    norm, with the checks X Hermitian, Y Hermitian, then inverse_apply's
+    checks on X, then on Y."""
     if not theta > 1.0:
         raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
-    check_fully_symmetric(base)
-
-
-def verify_inverse_stack(
-    f: ScalarFunction, theta, p, base: NormSpec, pairs, digests, sem_cache=None
-) -> list:
-    """verify_inverse over a stack (T, 2, n, n) of (X, Y) pairs in one
-    batched pass: per pair its record, or the error verify_inverse raises on
-    it, from the first failed check in the order X Hermitian, Y Hermitian,
-    then inverse_apply's checks on X, then on Y.
-    ``numpy.linalg.LinAlgError`` from the eigensolver or the SVD
-    propagates."""
-    check_inverse_params(theta, base)
-    spec = PowerOf(base, p)
-    h, herm_ok, dev, scale = hermitian_stack(pairs)
+    check_fully_symmetric(spec)
+    power = PowerOf(spec, p)
+    h, *hermitian = hermitian_stack(stack)
     sem = _seminorm_value(f, d_of_p(p), 1.0 / theta, sem_cache)
-    inv, inv_ok, inv_error = inverse_apply(f, h)
-    good = (herm_ok & inv_ok).all(axis=-1)
-    with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
-        diffs = np.stack([inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1]], axis=1)
-        sv = np.linalg.svd(diffs, compute_uv=False)
-    n = pairs.shape[-1]
-    out = [
-        make_record(
-            "inverse",
-            sem ** theta * norm_of_profile(s_lhs, spec),
-            norm_of_profile(s_rhs ** theta, spec),
-            _abs_tol(n, xm, ym),
-            digest,
-        )
-        if g
-        else None
-        for (s_lhs, s_rhs), g, (xm, ym), digest in zip(sv, good, h, digests)
-    ]
-    for i in np.flatnonzero(~good):
-        if not herm_ok[i].all():
-            j = int(np.argmin(herm_ok[i]))
-            out[i] = _hermitian_error(dev[i, j], scale[i, j])
-        else:
-            out[i] = inv_error((i, int(np.argmin(inv_ok[i]))))
-    return out
+    inv, *inverted = inverse_apply(f, h)
+    failed = _first_failures(len(h), [hermitian], [inverted])
+    sv = _profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
+    lhs, rhs = sem ** theta * _norms(sv[:, 0], power), _norms(sv[:, 1] ** theta, power)
+    return _records("inverse", failed, lhs, rhs, None, h, digests)
 
 
 def verify_inverse(
@@ -378,20 +418,34 @@ def verify_inverse(
     """For invertible f in the 1/theta class (theta > 1):
     lhs = seminorm(f)^theta * ||f^{-1}(X) - f^{-1}(Y)||_{E^(p)},
     rhs = || |X-Y|^theta ||_{E^(p)}; the estimate says ratio >= 1/C."""
-    check_inverse_params(theta, base)
-    pair = np.stack([as_square(x), as_square(y)])
-    return _raise_failed(verify_inverse_stack(f, theta, p, base, pair[None], [digest], sem_cache))
+    return _one(verify_inverse_stack, f, theta, p, base, (x, y), sem_cache, digest, None)
 
 
-def _signed_expm1(t):
-    return np.sign(t) * np.expm1(np.abs(t))
+# the maps g(t) of the reverse verifier: sgn(t)|t|^theta, sgn(t) expm1(|t|)
+REVERSE_VARIANTS = ("power", "expm1")
 
 
-# variant -> (Hermitian X, theta) -> g(X), the map the reverse verifier applies
-REVERSE_VARIANTS = {
-    "power": lambda xm, theta: signed_power_matrix(xm, theta),  # sgn(X)|X|^theta
-    "expm1": lambda xm, theta: apply_function(_signed_expm1, xm),
-}
+def verify_reverse_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """verify_reverse_power over a stack (T, 2, n, n) of (X, Y), spec the
+    base norm, with the checks X Hermitian, Y Hermitian, then per matrix its
+    reconstruction and, for "expm1", g finite on its spectrum."""
+    if not theta > 1.0:
+        raise ParameterError(f"reverse power needs theta > 1, got {theta}")
+    power = PowerOf(spec, p)
+    if variant not in REVERSE_VARIANTS:
+        raise ParameterError(f"unknown reverse variant {variant!r}")
+    h, *hermitian = hermitian_stack(stack)
+    dec, _, *reconstructed = eigh_stack(h)
+    lam = dec.eigenvalues
+    if variant == "power":  # sgn(M)|M|^theta: finite on finite spectra, not symmetrized
+        g, checks = from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta), [reconstructed]
+    else:
+        g, *defined = apply_stack(signed_expm1(), dec)
+        checks = [reconstructed, defined]
+    failed = _first_failures(len(h), [hermitian], checks)
+    sv = _profiles(g[:, 0] - g[:, 1], h[:, 0] - h[:, 1])
+    lhs, rhs = _norms(sv[:, 0], power), _norms(sv[:, 1] ** theta, power)
+    return _records(f"reverse:{variant}", failed, lhs, rhs, None, h, digests)
 
 
 def verify_reverse_power(
@@ -400,20 +454,17 @@ def verify_reverse_power(
     """||g(X) - g(Y)|| versus || |X-Y|^theta || for theta > 1, with g(t) =
     sgn(t)|t|^theta (variant "power") or sgn(t) expm1(|t|) (variant "expm1");
     the estimate says the ratio stays above a positive constant."""
-    if not theta > 1.0:
-        raise ParameterError(f"reverse power needs theta > 1, got {theta}")
-    spec = PowerOf(base, p)
-    xm, ym = as_hermitian(x), as_hermitian(y)
-    if variant not in REVERSE_VARIANTS:
-        raise ParameterError(f"unknown reverse variant {variant!r}")
-    g = REVERSE_VARIANTS[variant]
-    gx, gy = g(xm, theta), g(ym, theta)
-    lhs = norm(gx - gy, spec)
-    rhs = norm_of_profile(_theta_profile(xm - ym, theta), spec)
-    return make_record(f"reverse:{variant}", lhs, rhs, _abs_tol(xm.shape[0], xm, ym), digest)
+    return _one(verify_reverse_stack, None, theta, p, base, (x, y), None, digest, variant)
 
 
 # --- commutators, quasi-commutators, absolute value ------------------------------
+
+
+def verify_commutator_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """verify_quasicommutator_stack on a stack (T, 2, n, n) of (X, B), its
+    records named "commutator"."""
+    outcomes = verify_quasicommutator_stack(f, theta, p, spec, stack, digests, sem_cache, variant)
+    return _renamed("commutator", outcomes)
 
 
 def verify_commutator(
@@ -421,45 +472,105 @@ def verify_commutator(
 ) -> VerificationRecord:
     """||[f(X), B]|| versus seminorm * || |[X,B]|^theta || * ||B||^(1-theta)
     in the p-th power norm of the base."""
-    spec = PowerOf(base, p)
-    xm = as_hermitian(x)
-    bm = as_square(b)
-    sem = _seminorm_value(f, d_of_p(p), theta, sem_cache)
-    lhs = norm(commutator(apply_function(f, xm), bm), spec)
-    rhs = (
-        sem
-        * norm_of_profile(_theta_profile(commutator(xm, bm), theta), spec)
-        * op_norm(bm) ** (1.0 - theta)
-    )
-    return make_record("commutator", lhs, rhs, _abs_tol(xm.shape[0], xm, bm), digest)
+    return _one(verify_commutator_stack, f, theta, p, base, (x, b), sem_cache, digest, None)
+
+
+def verify_quasicommutator_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """verify_quasi_commutator over a stack (T, 3, n, n) of (A, B, R), or
+    (T, 2, n, n) of (A, R) with B = A, spec the base norm; with the checks of
+    _checked_images on the Hermitian inputs."""
+    power = PowerOf(spec, p)
+    stack = np.asarray(stack, dtype=complex)
+    failed, h, fh, sem = _checked_images(f, theta, p, stack[:, :-1], sem_cache)
+    r = stack[:, -1]
+    sv = _profiles(fh[:, 0] @ r - r @ fh[:, -1], h[:, 0] @ r - r @ h[:, -1], r)
+    # ||R||^(1-theta) as a float power, on the trials that pass their checks
+    norms_r = zip(failed, sv[:, 2, 0])
+    weights = np.array([float(s) ** (1.0 - theta) if e is None else math.nan for e, s in norms_r])
+    rhs = sem * _norms(sv[:, 1] ** theta, power) * weights
+    mats = np.concatenate([h, stack[:, -1:]], axis=1)
+    return _records("quasicommutator", failed, _norms(sv[:, 0], power), rhs, None, mats, digests)
 
 
 def verify_quasi_commutator(
     f: ScalarFunction, theta, p, base: NormSpec, a, b, r, sem_cache=None, digest=""
 ) -> VerificationRecord:
     """||f(A)R - Rf(B)|| versus seminorm * || |AR-RB|^theta || * ||R||^(1-theta)."""
-    spec = PowerOf(base, p)
-    am, bm, rm = as_hermitian(a), as_hermitian(b), as_square(r)
-    sem = _seminorm_value(f, d_of_p(p), theta, sem_cache)
-    lhs = norm(apply_function(f, am) @ rm - rm @ apply_function(f, bm), spec)
-    rhs = (
-        sem
-        * norm_of_profile(_theta_profile(am @ rm - rm @ bm, theta), spec)
-        * op_norm(rm) ** (1.0 - theta)
-    )
-    return make_record("quasicommutator", lhs, rhs, _abs_tol(am.shape[0], am, bm, rm), digest)
+    kernel = verify_quasicommutator_stack
+    return _one(kernel, f, theta, p, base, (a, b, r), sem_cache, digest, None)
+
+
+def verify_absmap_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """verify_abs_map over a stack (T, 2, n, n) of (A, B), spec the base norm."""
+    power = PowerOf(spec, p)
+    stack = np.asarray(stack, dtype=complex)
+    a, b = stack[:, 0], stack[:, 1]
+    absolute = abs_matrix(stack)
+    sv = _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
+    rhs = np.sqrt(_norms(sv[:, 1], power) * _norms(sv[:, 2], power))
+    lhs = _norms(sv[:, 0], power)
+    return _records("absmap", [None] * len(stack), lhs, rhs, None, stack, digests)
 
 
 def verify_abs_map(base: NormSpec, p, a, b, digest="") -> VerificationRecord:
     """|| |A| - |B| || versus sqrt(||A+B|| ||A-B||) in the p-th power norm;
     for Schatten p >= 2 the classical constant is 1."""
-    spec = PowerOf(base, p)
     am, bm = as_square(a), as_square(b)
     if am.shape != bm.shape:
         raise ParameterError(f"shape mismatch {am.shape} vs {bm.shape}")
-    lhs = norm(abs_matrix(am) - abs_matrix(bm), spec)
-    rhs = math.sqrt(norm(am + bm, spec) * norm(am - bm, spec))
-    return make_record("absmap", lhs, rhs, _abs_tol(am.shape[0], am, bm), digest)
+    return _one(verify_absmap_stack, None, None, p, base, (am, bm), None, digest, None)
+
+
+# --- Araki-Lieb-Thirring submajorization -----------------------------------------
+
+
+def _alt_reports(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """Per trial of a stack (T, 2, n, n) of (X, Z), the report of
+    mu(Z^theta X^theta)^p << mu(ZX)^(theta p), or the error of its first
+    failed check in the order X Hermitian, Z Hermitian, X reconstruction, Z
+    reconstruction, X positive, Z positive (within the zero tolerance of both
+    spectra)."""
+    if not 0.0 < theta < 1.0:
+        raise ParameterError(f"theta must lie in (0,1), got {theta}")
+    if not p > 0:
+        raise ParameterError(f"p must be positive, got {p}")
+    h, *hermitian = hermitian_stack(stack)
+    dec, _, *reconstructed = eigh_stack(h)
+    lam = dec.eigenvalues
+    zero_tol = ZERO_TOL_COEFF * (1.0 + np.abs(lam).max(axis=(-2, -1), initial=0.0))
+    positive = (
+        ~(lam.min(axis=-1, initial=0.0) < -zero_tol[:, None]),
+        lambda idx: DomainError(
+            f"{'XZ'[idx[1]]} is not positive semidefinite (min eigenvalue "
+            f"{lam[idx].min():.3e})"
+        ),
+    )
+    failed = _first_failures(len(h), [hermitian], [reconstructed], [positive])
+    clipped = np.clip(lam, 0.0, None)
+    one, powered = from_eigen(dec.basis, clipped), from_eigen(dec.basis, clipped ** theta)
+    sv = _profiles(one[:, 1] @ one[:, 0], powered[:, 1] @ powered[:, 0])
+    upper, lower = sv[:, 0] ** (theta * p), sv[:, 1] ** p
+    return [submajorizes(u, lo) if e is None else e for e, u, lo in zip(failed, upper, lower)]
+
+
+def verify_alt_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """alt_check over a stack (T, 2, n, n) of (X, Z), as records: lhs and
+    ratio are the violation max(0, -margin), rhs is 1, the constant is the
+    margin, and a record is flagged when the submajorization fails."""
+    outcomes = []
+    reports = _alt_reports(f, theta, p, spec, stack, digests, sem_cache, variant)
+    for report, digest in zip(reports, digests):
+        if isinstance(report, SubmajorizationReport):
+            rec = make_record("alt", max(0.0, -report.margin), 1.0, 0.0, digest, report.margin)
+            report = replace(rec, flagged=not report.holds)
+        outcomes.append(report)
+    return outcomes
+
+
+def alt_check(x, z, theta: float, p: float):
+    """Submajorization |Z^theta X^theta|^p << |Z X|^{theta p} for positive
+    semidefinite X, Z."""
+    return _one(_alt_reports, None, theta, p, None, (x, z), None, "", None)
 
 
 # --- structural companions --------------------------------------------------------
@@ -534,3 +645,16 @@ def telescope_finite_rank(
     return TelescopeResult(
         record=rec, chain_lhs=chain_lhs, chain_rhs=chain_rhs, rhs_exact_residual=residual
     )
+
+
+def verify_telescope_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """The records of telescope_finite_rank over a stack of trials, each the
+    list [B, (x_1, e_1), ...]: the inputs of a trial are not one array, so
+    the trials run in turn."""
+    outcomes = []
+    for (b, *steps), digest in zip(stack, digests):
+        try:
+            outcomes.append(telescope_finite_rank(f, theta, p, b, steps, digest).record)
+        except HolderLabError as exc:
+            outcomes.append(exc)
+    return outcomes

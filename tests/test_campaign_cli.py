@@ -529,6 +529,21 @@ def test_cli_campaign_cell_without_valid_trials_exit_2(tmp_path, capsys):
     assert "theta=2 " not in err
 
 
+def test_cli_cells_whose_trials_all_fail_name_the_error_of_trial_0(tmp_path, capsys):
+    # d_of_p(0.25) = 7 exceeds the 6 derivatives of the catalog functions
+    args = ["verify", "--ineq", "main", "--f", "power:0.5", "--p", "0.25", "--trials", "5"]
+    assert main(args) == 2
+    cause = "trial 0: CapabilityError: power:0.5: seminorm order 7 exceeds max_order 6"
+    assert capsys.readouterr().err == f"all 5 trial(s) failed; {cause}\n"
+    cfg = {"verifier": "main", "function": "power:0.5", "thetas": [0.5], "ps": [0.25, 1.0],
+           "norms": ["schatten:1"], "dims": [3], "trials": 4, "seed": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cell theta=0.5 p=0.25 norm=schatten:1 dim=3: all 4 trial(s) failed; {cause}\n"
+
+
 ZERO_PAIR = {"name": "fixed_pair", "eigenvalues": [0, 0]}
 
 
@@ -568,7 +583,8 @@ def test_reverse_kernel_dispatches_variants():
     _, stack = draw(4, [SeedState(3)], {})
     x, y = stack[0]
     for variant in REVERSE_VARIANTS:
-        (rec,) = VERIFIERS["reverse"].kernel(None, 1.5, 1.0, KyFan(2), stack, ["d"], {}, variant)
+        kernel = getattr(hl.verify, VERIFIERS["reverse"].kernel)
+        (rec,) = kernel(None, 1.5, 1.0, KyFan(2), stack, ["d"], {}, variant)
         assert rec == hl.verify_reverse_power(1.5, 1.0, KyFan(2), x, y, variant, "d")
     cfg = small_config(verifier="reverse", thetas=(1.5,), trials=1)
     assert replay(cfg, 0, 0).name == "reverse:power"

@@ -848,3 +848,47 @@ def test_nan_dyadic_upper_bound_is_an_error():
         doi.dyadic_upper_bound(F.log1p_abs(), -500, 0.5, 1.0, grid_n=8)
     # an infinite bound stays a bound
     assert doi.dyadic_upper_bound(F.signed_expm1(), 2, 0.5, 1.0, grid_n=8) == np.inf
+
+
+CATALOG = ["power:0.5", "spower:0.5", "log1p", "slog1p", "rational:1", "srational:1", "sexpm1",
+           "gauss", "linear"]
+
+
+def test_dyadic_upper_bounds_are_not_taken_from_flushed_terms(monkeypatch):
+    # far below K = 0 a derivative of the dilation overflows and is flushed to
+    # 0, so a finite bound would miss its term; each evaluation of the dilation
+    # is first probed for an overflow, then made again under the caller's
+    # error state, so the bound computed is the one without the probe
+    overflowed = []
+    dilate = doi.dilate_function
+
+    def probe(fn):
+        def evaluate(*args):
+            with np.errstate(all="ignore", over="raise"):
+                try:
+                    fn(*args)
+                except FloatingPointError:
+                    overflowed.append(True)
+            return fn(*args)
+
+        return evaluate
+
+    def probed(f, r):
+        fk = dilate(f, r)
+        return dataclasses.replace(fk, eval=probe(fk.eval), deriv=probe(fk.deriv))
+
+    monkeypatch.setattr(doi, "dilate_function", probed)
+    refused = []
+    for name in CATALOG:
+        f = F.parse_function_spec(name)
+        for k in range(-1022, 41, 13):
+            overflowed.clear()
+            try:
+                upper = doi.dyadic_upper_bound(f, k, 0.5, 1.0, grid_n=2)
+            except CapabilityError:
+                refused.append((name, k))
+                continue
+            assert not (overflowed and math.isfinite(upper)), (name, k, upper)
+    # rational:1 at K = -229 gave 1.39e-64 with its flushed terms missing
+    assert ("rational:1", -229) in refused
+

@@ -5,6 +5,7 @@ record, or the error of a failed trial), statistic, counterexample and digest
 must equal what a stack of one (replay) gives, bit for bit.
 """
 
+import inspect
 import json
 from types import SimpleNamespace
 
@@ -59,6 +60,65 @@ CONFIGS = {
 }
 
 
+FUNCTION_OF = {
+    "main": "power:0.5",
+    "submaj": "power:0.5",
+    "symmetric": "power:0.5",
+    "inverse": "srational:1",  # fails the trials it cannot invert
+    "commutator": "power:0.5",
+    "quasicommutator": "power:0.5",
+    "telescope": "power:0.5",
+}
+
+# the ensembles of every verifier, the edge spectra of the bks configs included:
+# a fixed_pair with zero and repeated eigenvalues, positive_pair spectra near
+# 1e-8 and 1e8
+ENSEMBLE_OF = {
+    "gaussian": {"name": "gaussian_pair"},
+    "commuting": {"name": "commuting_pair"},
+    "general": {"name": "general_pair"},
+    "positive": {"name": "positive_pair"},
+    "tiny": CONFIGS["tiny-spectrum"]["ensemble"],
+    "huge": CONFIGS["huge-spectrum"]["ensemble"],
+    "fixed": CONFIGS["fixed-degenerate"]["ensemble"],
+    "contraction": {"name": "hermitian_contraction"},
+    "pair-contraction": {"name": "hermitian_pair_contraction"},
+    "steps": {"name": "rank_one_steps"},
+}
+
+
+def _accepts(verifier, ensemble):
+    return ensemble["name"] in camp.VERIFIERS[verifier].ensembles
+
+
+def _dims(ensemble, dims):
+    """A fixed_pair spectrum sets the dim."""
+    return [len(ensemble["eigenvalues"])] if "eigenvalues" in ensemble else dims
+
+
+# every verifier but bks on each ensemble it draws from, 33 trials at dim 8
+# being a stack of 32 and a stack of one
+CONFIGS.update(
+    {
+        f"{verifier}-{key}": dict(
+            verifier=verifier,
+            function=FUNCTION_OF.get(verifier),
+            thetas=[1.5] if verifier in ("inverse", "reverse") else [0.5],
+            norms=["kyfan:2"],
+            dims=_dims(ensemble, [8]),
+            trials=33,
+            ensemble=ensemble,
+            refine_steps=2,
+        )
+        for verifier in sorted(set(camp.VERIFIERS) - {"bks"})
+        for key, ensemble in ENSEMBLE_OF.items()
+        if _accepts(verifier, ensemble)
+    }
+)
+CONFIGS["reverse-expm1-gaussian"] = dict(CONFIGS["reverse-gaussian"], variant="expm1")
+CONFIGS["reverse-expm1-huge"] = dict(CONFIGS["reverse-huge"], variant="expm1")
+
+
 def _config(name, seed=101):
     return CampaignConfig.from_dict(
         {"verifier": "bks", "ps": [1.0], "seed": seed, **CONFIGS[name]}
@@ -93,12 +153,7 @@ def _outputs(config):
 def test_every_trial_replays_bitwise(name):
     config = _config(name)
     report, _ = run_campaign(config)
-    for cell_idx, cell in enumerate(report.cells):
-        failures = 0
-        for trial, inputs, rec in trial_outcomes(config, cell_idx, None, {}):
-            failures += isinstance(rec, HolderLabError)
-            assert _outcome(rec) == _replayed(config, cell_idx, trial)
-        assert failures == cell.failures
+    assert _replay_failures(config) == [cell.failures for cell in report.cells]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -133,11 +188,11 @@ def test_rejected_stack_items_take_the_per_trial_path(monkeypatch):
     real = V.verify_bks_stack
     calls = []
 
-    def flaky(theta, spec, pairs, digests):
+    def flaky(f, theta, p, spec, pairs, digests, sem_cache, variant):
         calls.append(len(pairs))
         if len(calls) == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(theta, spec, pairs, digests)
+        return real(f, theta, p, spec, pairs, digests, sem_cache, variant)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
     assert _outputs(config) == expected
@@ -149,10 +204,10 @@ def test_a_linalg_error_fails_only_its_trial(monkeypatch):
     config = _config("chunk-65", seed=303)
     real = V.verify_bks_stack
 
-    def flaky(theta, spec, pairs, digests):
+    def flaky(f, theta, p, spec, pairs, digests, sem_cache, variant):
         if "303:0:5:dim8" in digests:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(theta, spec, pairs, digests)
+        return real(f, theta, p, spec, pairs, digests, sem_cache, variant)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
     outcomes = {trial: rec for trial, _, rec in trial_outcomes(config, 0, None, {})}
@@ -215,7 +270,7 @@ def test_stack_kernel_matches_per_matrix_math(eigenvalues):
         [np.stack([fixed_spectrum(eigenvalues, rng)[0] for _ in range(2)]) for _ in range(7)]
     )
     for spec in (Schatten(1), Schatten(2), Schatten(np.inf), KyFan(2)):
-        recs = V.verify_bks_stack(0.5, spec, pairs, [""] * len(pairs))
+        recs = V.verify_bks_stack(None, 0.5, None, spec, pairs, [""] * len(pairs), None, None)
         for (x, y), rec in zip(pairs, recs):
             lhs, rhs = _bks_per_matrix(0.5, spec, x, y)
             assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex())
@@ -227,7 +282,7 @@ def test_stack_kernel_marks_failing_pairs():
     not_psd = np.stack([np.diag([1.0, -1.0]), np.eye(2)]).astype(complex)
     not_herm = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])]).astype(complex)
     pairs = np.stack([good, not_psd, not_herm])
-    recs = V.verify_bks_stack(0.5, Schatten(1), pairs, ["a", "b", "c"])
+    recs = V.verify_bks_stack(None, 0.5, None, Schatten(1), pairs, ["a", "b", "c"], None, None)
     assert _bits(recs[0]) == _bits(hl.verify_bks(0.5, Schatten(1), *good, digest="a"))
     assert isinstance(recs[1], DomainError) and "X must be positive" in str(recs[1])
     assert isinstance(recs[2], DomainError) and "not Hermitian" in str(recs[2])
@@ -396,9 +451,9 @@ def test_inverse_invalid_cells_and_partial_stack(monkeypatch):
     real = V.verify_inverse_stack
     sizes = []
 
-    def spy(f, theta, p, base, pairs, digests, sem_cache):
+    def spy(f, theta, p, base, pairs, digests, sem_cache, variant):
         sizes.append(len(pairs))
-        return real(f, theta, p, base, pairs, digests, sem_cache)
+        return real(f, theta, p, base, pairs, digests, sem_cache, variant)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_inverse_stack": spy}))
     report, _ = run_campaign(config)
@@ -529,7 +584,7 @@ def test_inverse_stack_kernel_matches_per_matrix_math(function):
         + [np.stack([fixed_spectrum([-0.5, 0.0, 0.0, 0.5], rng)[0] for _ in range(2)])]
     )
     for theta, p, base in ((1.5, 1.0, Schatten(1)), (3.0, 0.5, KyFan(2)), (2.0, 2.0, Schatten(2))):
-        recs = V.verify_inverse_stack(f, theta, p, base, pairs, [""] * len(pairs), {})
+        recs = V.verify_inverse_stack(f, theta, p, base, pairs, [""] * len(pairs), {}, None)
         for (x, y), rec in zip(pairs, recs):
             lhs, rhs = _inverse_per_matrix(f, theta, p, base, x, y)
             assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex())
@@ -547,7 +602,7 @@ def test_inverse_stack_kernel_marks_failing_pairs():
     unbracketed = np.stack([herm([1.0, 2.0, 3.0]), herm([1.0, 2.0, 1e7])])
     flat = np.stack([1e17 * np.eye(3), herm([1.0, 2.0, 3.0])]).astype(complex)
     pairs = np.stack([good, not_herm, unbracketed, flat, good[::-1]])
-    recs = V.verify_inverse_stack(f, 2.0, 1.0, KyFan(2), pairs, list("abcde"), {})
+    recs = V.verify_inverse_stack(f, 2.0, 1.0, KyFan(2), pairs, list("abcde"), {}, None)
     failed = [isinstance(rec, DomainError) for rec in recs]
     assert failed == [False, True, True, True, False]
     for (x, y), rec, digest in zip(pairs, recs, "abcde"):
@@ -591,52 +646,51 @@ def test_inverse_apply_over_a_stack():
 
 # --- one path for every verifier ------------------------------------------------------
 
-FUNCTION_OF = {
-    "main": "power:0.5",
-    "submaj": "power:0.5",
-    "symmetric": "power:0.5",
-    "inverse": "srational:1",  # fails the trials it cannot invert
-    "commutator": "power:0.5",
-    "quasicommutator": "power:0.5",
-    "telescope": "power:0.5",
-}
-
-
 @pytest.mark.parametrize("verifier", sorted(camp.VERIFIERS))
 @pytest.mark.parametrize("size", [1, 2])
 def test_every_verifier_reports_match_small_stacks(verifier, size, monkeypatch):
-    # theta 1.5, schatten:0.5 or p = 2 fails some cell of every verifier
-    config = CampaignConfig.from_dict(
-        {
-            "verifier": verifier,
-            "function": FUNCTION_OF.get(verifier),
-            "thetas": [0.5, 1.5],
-            "ps": [1.0, 2.0],
-            "norms": ["schatten:1", "schatten:0.5"],
-            "dims": [1, 3],
-            "trials": 5,
-            "seed": 404,
-            "refine_steps": 2,
-        }
-    )
-    default = _outputs(config)
-    report = json.loads(default[1])
+    # theta 1.5, schatten:0.5 or p = 2 fails some cell of every verifier on
+    # its default ensemble; the verifier's other ensembles follow
+    configs = [
+        CampaignConfig.from_dict(
+            {
+                "verifier": verifier,
+                "function": FUNCTION_OF.get(verifier),
+                "thetas": [0.5, 1.5],
+                "ps": [1.0, 2.0],
+                "norms": ["schatten:1", "schatten:0.5"],
+                "dims": _dims(ensemble or {}, [1, 3]),
+                "trials": 5,
+                "seed": 404,
+                "ensemble": ensemble,
+                "refine_steps": 2,
+            }
+        )
+        for ensemble in [None] + [
+            e
+            for e in ENSEMBLE_OF.values()
+            if _accepts(verifier, e) and e != {"name": camp.VERIFIERS[verifier].ensembles[0]}
+        ]
+    ]
+    default = [_outputs(config) for config in configs]
+    report = json.loads(default[0][1])
     failures = [c["failures"] for c in report["cells"]]
     assert max(failures) == 5 and min(failures) < 5
     monkeypatch.setattr(camp, "_stack_size", lambda dim: size)
-    assert _outputs(config) == default
+    assert [_outputs(config) for config in configs] == default
 
 
-def test_per_trial_kernel_keeps_each_trials_outcome():
-    def evaluate(f, theta, p, spec, m, digest, sem_cache, variant):
-        if m < 0:
-            raise DomainError(f"{digest}: negative")
-        return m
-
-    kernel = camp._per_trial(evaluate)
-    outcomes = kernel(None, 0.5, 1.0, None, [1, -2, 3, -4], list("abcd"), {}, "power")
-    assert outcomes[0::2] == [1, 3]
-    assert [str(e) for e in outcomes[1::2]] == ["b: negative", "d: negative"]
+def test_every_kernel_is_a_verify_stack_function():
+    # perfbench's verify.calls counts verify.verify_* spans: each verifier's
+    # kernel is called directly, with no adapter in between
+    shared = ["f", "theta", "p", "spec", "stack", "digests", "sem_cache", "variant"]
+    for name, verifier in camp.VERIFIERS.items():
+        kernel = getattr(V, verifier.kernel)
+        assert verifier.kernel == kernel.__name__ == f"verify_{name}_stack"
+        assert inspect.isfunction(kernel) and kernel.__module__ == V.__name__
+        params = inspect.signature(kernel).parameters.values()
+        assert [q.name for q in params] == shared
+        assert all(q.default is q.empty and q.kind is q.POSITIONAL_OR_KEYWORD for q in params)
 
 
 def test_reconstruction_is_checked_before_the_spectrum(monkeypatch):
@@ -646,13 +700,144 @@ def test_reconstruction_is_checked_before_the_spectrum(monkeypatch):
     monkeypatch.setattr(V, "eigh_stack", lambda h: real(h, tol=-1.0))
     x, y = np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex)
     for outcome in (
-        V.verify_bks_stack(0.5, Schatten(1), np.stack([x, y])[None], ["a"])[0],
+        V.verify_bks_stack(
+            None, 0.5, None, Schatten(1), np.stack([x, y])[None], ["a"], None, None
+        )[0],
         V.verify_inverse_stack(
-            parse_function_spec("gauss"), 2.0, 1.0, Schatten(1), np.stack([y, x])[None], ["a"], {}
+            parse_function_spec("gauss"), 2.0, 1.0, Schatten(1), np.stack([y, x])[None], ["a"], {},
+            None,
         )[0],
     ):
         assert isinstance(outcome, EigensolverError)
         assert "reconstruction residual" in str(outcome)
+
+
+# --- the error order of every stack kernel ----------------------------------------------
+
+# a Hermitian matrix whose [0, 0] entry is MARK fails its reconstruction check
+# under _marked_reconstruction
+MARK = 0.3125
+
+
+def _marked_reconstruction(monkeypatch):
+    """Make every reconstruction check of a matrix with [0, 0] entry MARK
+    fail, by a negative tolerance, in verify's kernels and in spectral's
+    per-matrix functions alike."""
+    import holderlab.spectral as S
+
+    real = S.eigh_stack
+
+    def marked(h, tol=S.RECON_TOL):
+        return real(h, tol=np.where(np.asarray(h)[..., 0, 0].real == MARK, -1.0, tol))
+
+    monkeypatch.setattr(S, "eigh_stack", marked)
+    monkeypatch.setattr(V, "eigh_stack", marked)
+
+
+def _holey():
+    """|t|^0.5, undefined (NaN) where |t| > 5; its seminorms are those of power:0.5."""
+    f = parse_function_spec("power:0.5")
+    return ScalarFunction(
+        name="holey", eval=lambda t: np.where(np.abs(t) > 5.0, np.nan, f.eval(t)), deriv=f.deriv
+    )
+
+
+def _error_order_cases():
+    """Per verifier: (f, theta, p, spec, variant, the inputs of each trial).
+    Good trials mix with a non-Hermitian input (N), a marked reconstruction
+    failure (M), an eigenvalue where f is undefined (U for f, E for sgn(t)
+    expm1(|t|)), a non-positive input (Q), and pairs of these."""
+    rng = SeedState(21).rng()
+    g = [fixed_spectrum(rng.uniform(0.1, 0.9, 3), rng)[0] for _ in range(4)]
+    c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    c /= np.linalg.norm(c, 2)
+    n = np.triu(np.ones((3, 3))).astype(complex)
+    m, u, e, q = (np.diag(v).astype(complex) for v in (
+        [MARK, 0.5, 0.75], [6.0, 1.0, 0.5], [800.0, 1.0, 0.5], [-1.0, 0.5, 0.25]
+    ))
+
+    def pairs(bad):
+        return [
+            (g[0], g[1]), (n, g[0]), (g[0], n), (m, g[1]), (g[1], m), (bad, g[2]),
+            (g[2], bad), (bad, n), (n, m), (m, bad), (bad, m), (g[2], g[3]),
+        ]
+
+    frame = np.linalg.qr(g[0])[0]
+    steps = [(0.5, np.outer(frame[:, k], frame[:, k].conj())) for k in range(2)]
+    kyfan = KyFan(2)
+    return {
+        "main": (_holey(), 0.5, 1.0, None, None, pairs(u)),
+        # d_of_p(0.25) = 7 exceeds the derivatives f has
+        "main:seminorm": (_holey(), 0.5, 0.25, None, None, [(g[0], g[1]), (g[0], n), (m, g[1])]),
+        "submaj": (_holey(), 0.5, 1.0, None, None, pairs(u)),
+        "symmetric": (_holey(), 0.5, 1.0, kyfan, None, pairs(u)),
+        "reverse:power": (None, 1.5, 1.0, kyfan, "power", pairs(e)),
+        "reverse:expm1": (None, 1.5, 1.0, kyfan, "expm1", pairs(e)),
+        "commutator": (
+            _holey(), 0.5, 1.0, kyfan, None, [(g[0], c), (n, c), (m, c), (u, c), (g[1], n)]
+        ),
+        "quasicommutator": (_holey(), 0.5, 1.0, kyfan, None, [
+            (g[0], g[1], c), (n, g[0], c), (g[0], n, c), (m, g[1], c), (g[1], m, c),
+            (u, g[2], c), (g[2], u, c), (u, n, c), (m, u, c), (g[3], g[3], n),
+        ]),
+        "absmap": (None, 0.5, 1.0, kyfan, None, [(g[0], n), (n, m), (u, q)]),
+        "alt": (None, 0.5, 1.0, None, None, [
+            (g[0], g[1]), (n, g[0]), (g[0], n), (m, g[1]), (g[1], m), (q, g[0]),
+            (g[0], q), (q, n), (q, m), (m, q),
+        ]),
+        "telescope": (_holey(), 0.5, 1.0, None, None, [
+            [g[0], *steps], [n, *steps], [m, *steps], [u, *steps], [g[1], (0.5, 2.0 * steps[0][1])],
+        ]),
+    }
+
+
+NOT_HERMITIAN = (
+    "DomainError", "matrix is not Hermitian: deviation 1.000e+00 exceeds 1.0e-10 * 1.000e+00"
+)
+NOT_RECONSTRUCTED = (
+    "EigensolverError", "eigendecomposition reconstruction residual 0.000e+00 exceeds tolerance"
+)
+UNDEFINED = ("DomainError", "function undefined at eigenvalue(s) [6.]")
+NO_SEMINORM = ("CapabilityError", "holey: seminorm order 7 exceeds max_order 6")
+OVERFLOWED = ("DomainError", "function undefined at eigenvalue(s) [800.]")
+# per verifier, the class and message of each failed trial, as the per-trial
+# verifiers that the stack kernels replaced raised them ("record" otherwise)
+R = "record"
+PAIR_ERRORS = [R, NOT_HERMITIAN, NOT_HERMITIAN, NOT_RECONSTRUCTED, NOT_RECONSTRUCTED, UNDEFINED,
+               UNDEFINED, NOT_HERMITIAN, NOT_HERMITIAN, NOT_RECONSTRUCTED, UNDEFINED, R]
+EXPECTED_ERRORS = {
+    "main": PAIR_ERRORS,
+    "main:seminorm": [NO_SEMINORM, NOT_HERMITIAN, NO_SEMINORM],
+    "submaj": PAIR_ERRORS,
+    "symmetric": PAIR_ERRORS,
+    "reverse:power": [R, NOT_HERMITIAN, NOT_HERMITIAN, NOT_RECONSTRUCTED, NOT_RECONSTRUCTED,
+                      R, R, NOT_HERMITIAN, NOT_HERMITIAN, NOT_RECONSTRUCTED, NOT_RECONSTRUCTED, R],
+    "reverse:expm1": [OVERFLOWED if e == UNDEFINED else e for e in PAIR_ERRORS],
+    "commutator": [R, NOT_HERMITIAN, NOT_RECONSTRUCTED, UNDEFINED, R],
+    "quasicommutator": [R, NOT_HERMITIAN, NOT_HERMITIAN, NOT_RECONSTRUCTED, NOT_RECONSTRUCTED,
+                        UNDEFINED, UNDEFINED, NOT_HERMITIAN, NOT_RECONSTRUCTED, R],
+    "absmap": [R, R, R],
+    "alt": [R, NOT_HERMITIAN, NOT_HERMITIAN, NOT_RECONSTRUCTED, NOT_RECONSTRUCTED,
+            ("DomainError", "X is not positive semidefinite (min eigenvalue -1.000e+00)"),
+            ("DomainError", "Z is not positive semidefinite (min eigenvalue -1.000e+00)"),
+            NOT_HERMITIAN, NOT_RECONSTRUCTED, NOT_RECONSTRUCTED],
+    "telescope": [R, NOT_HERMITIAN, NOT_RECONSTRUCTED, UNDEFINED,
+                  ("PreconditionError", "step 0: not a projection")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTED_ERRORS))
+def test_kernel_error_order_is_that_of_stacks_of_one(case, monkeypatch):
+    _marked_reconstruction(monkeypatch)
+    f, theta, p, spec, variant, trials = _error_order_cases()[case]
+    kernel = getattr(V, camp.VERIFIERS[case.split(":")[0]].kernel)
+    stack = trials if case == "telescope" else np.stack([np.stack(t) for t in trials])
+    digests = [f"d{i}" for i in range(len(trials))]
+    outcomes = kernel(f, theta, p, spec, stack, digests, {}, variant)
+    for i, (outcome, expected) in enumerate(zip(outcomes, EXPECTED_ERRORS[case], strict=True)):
+        (one,) = kernel(f, theta, p, spec, stack[i : i + 1], digests[i : i + 1], {}, variant)
+        assert _outcome(outcome) == _outcome(one)
+        assert (R if isinstance(one, V.VerificationRecord) else _outcome(one)) == expected
 
 
 # matrices from spectra with zeros, negative entries, near-coincident
@@ -725,7 +910,11 @@ def _inverse_checks(f, x, y):
 )
 def test_bks_stack_outcomes_are_those_of_stacks_of_one(pairs, theta, spec):
     _same_as_stacks_of_one(
-        lambda stack, digests: V.verify_bks_stack(theta, spec, stack, digests), pairs, _bks_checks
+        lambda stack, digests: V.verify_bks_stack(
+            None, theta, None, spec, stack, digests, None, None
+        ),
+        pairs,
+        _bks_checks,
     )
 
 
@@ -741,7 +930,7 @@ def test_inverse_stack_outcomes_are_those_of_stacks_of_one(pairs, function, thet
     sem_cache = {}
     _same_as_stacks_of_one(
         lambda stack, digests: V.verify_inverse_stack(
-            f, theta, 1.0, base, stack, digests, sem_cache
+            f, theta, 1.0, base, stack, digests, sem_cache, None
         ),
         pairs,
         lambda x, y: _inverse_checks(f, x, y),
