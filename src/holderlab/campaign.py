@@ -452,7 +452,7 @@ def _greedy_refine(config, f, theta, p, spec, best, cell_idx, sem_cache):
         except HolderLabError:
             sigma *= 0.5
             continue
-        stack = [[m for _, m in cand]]
+        stack = np.array([[m for _, m in cand]])
         (rec,) = _outcomes(config, f, theta, p, spec, stack, ["refine"], sem_cache)
         if isinstance(rec, HolderLabError):
             sigma *= 0.5

@@ -156,22 +156,24 @@ def sample_schur_instances(dim: int, lambda_range, mu_range, seeds):
 # Each draw maps (dim, seeds, ensemble dict) to the structure of a verifier's
 # inputs, one kind per input ("herm", "pos", "general", "contraction" or
 # "step", so that a campaign's refinement knows how to perturb them), and the
-# inputs of every seed, stacked in seed order.  A draw reads only the config
-# keys its entry lists, and its ParameterError checks define which values are
-# valid.  The public functions above are looked up as module globals when a
-# draw runs, so rebinding them (a tracer, a test's spy) reaches the draws.
+# inputs of every seed as one complex array (len(seeds), k, n, n) in seed
+# order.  A draw reads only the config keys its entry lists, and its
+# ParameterError checks define which values are valid.  The public functions
+# above are looked up as module globals when a draw runs, so rebinding them
+# (a tracer, a test's spy) reaches the draws.
 
 POSITIVE_SPECTRUM_RANGE = (0.0, 1.0)  # of positive_pair without a spectrum_range
 
 
 def _per_seed(draw):
     """The stacked draw of a draw (dim, seed, ens) -> tagged inputs of one
-    seed: each seed makes its draws in turn, and the stack lists each seed's
+    seed: each seed makes its draws in turn, and the stack holds each seed's
     inputs."""
 
     def stacked(dim, seeds, ens):
         drawn = [draw(dim, seed, ens) for seed in seeds]
-        return tuple(kind for kind, _ in drawn[0]), [[m for _, m in inp] for inp in drawn]
+        stack = np.array([[m for _, m in inp] for inp in drawn])
+        return tuple(kind for kind, _ in drawn[0]), stack
 
     return stacked
 
@@ -239,13 +241,15 @@ def _hermitian_contraction(count):
 
 
 def _rank_one_steps(dim, seed, ens):
-    """B and the rank-one steps (x_k, e_k) of a finite-rank telescope."""
+    """B and the rank-one steps x_k e_k of a finite-rank telescope."""
     r = ens.get("rank", min(dim, 3))
     if isinstance(r, bool) or not isinstance(r, Integral) or r < 1:
         raise ParameterError(f"rank must be an integer >= 1, got {r!r}")
     lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
     b, xs, es = rank_r_steps(dim, r, (lo, hi), seed.rng())
-    return [("herm", b)] + [("step", (x, e)) for x, e in zip(xs, es)]
+    # (e + e*)/2 is exactly Hermitian, so a verifier's symmetrization keeps
+    # each step's bits
+    return [("herm", b)] + [("step", x * (0.5 * (e + e.conj().T))) for x, e in zip(xs, es)]
 
 
 # name -> (draw, the config keys besides "name" that the draw reads)

@@ -22,6 +22,7 @@ from .errors import (
     HolderLabError,
     ParameterError,
     PreconditionError,
+    ShapeError,
 )
 from .functions import ScalarFunction, d_of_p, seminorm, signed_expm1
 from .norms import (
@@ -31,9 +32,7 @@ from .norms import (
     SubmajorizationReport,
     check_fully_symmetric,
     least_domination_constant,
-    norm,
     norm_of_profile,
-    singular_values,
     submajorizes,
 )
 from .spectral import (
@@ -110,11 +109,20 @@ def _seminorm_value(f, d, theta, cache=None):
     return cache[key]
 
 
+def _stack_of_one(mats) -> np.ndarray:
+    """The inputs ``mats`` of one trial as a stack (1, k, n, n); raises
+    ShapeError unless they are square matrices of one size."""
+    mats = [as_square(m) for m in mats]
+    if len({m.shape for m in mats}) > 1:
+        raise ShapeError(f"inputs of different shapes {[m.shape for m in mats]}")
+    return np.stack(mats)[None]
+
+
 def _one(kernel, f, theta, p, spec, mats, sem_cache, digest, variant):
-    """The outcome ``kernel`` gives the trial of square inputs ``mats`` in a
-    stack of one, or raise its error; LAPACK's failure to converge is the
+    """The outcome ``kernel`` gives the trial of inputs ``mats`` in a stack of
+    one, or raise its error; LAPACK's failure to converge is the
     EigensolverError a campaign records for it."""
-    stack = np.stack([as_square(m) for m in mats])[None]
+    stack = _stack_of_one(mats)
     try:
         (outcome,) = kernel(f, theta, p, spec, stack, [digest], sem_cache, variant)
     except np.linalg.LinAlgError as exc:
@@ -127,12 +135,13 @@ def _one(kernel, f, theta, p, spec, mats, sem_cache, digest, variant):
 # --- the shared steps of the stack kernels ------------------------------------------
 #
 # A kernel verify_<name>_stack(f, theta, p, spec, stack, digests, sem_cache,
-# variant) maps a stack (T, k, n, n) of the inputs of T trials to each trial's
-# record, or to the HolderLabError of the first check the trial fails, in the
-# order its docstring gives; it ignores the arguments its verifier does not
-# take.  A HolderLabError it raises (a parameter check) is every trial's, and
-# numpy.linalg.LinAlgError from LAPACK propagates.  A check is a pair (ok
-# mask (T, k), function from an index (trial, input) to the error).
+# variant) maps a stack of T trials, one complex array (T, k, n, n) as an
+# ensembles draw yields it, to each trial's record, or to the HolderLabError
+# of the first check the trial fails, in the order its docstring gives; it
+# ignores the arguments its verifier does not take.  A HolderLabError it
+# raises (a parameter check) is every trial's, and numpy.linalg.LinAlgError
+# from LAPACK propagates.  A check is a pair (ok mask (T, k), function from an
+# index (trial, input) to the error).
 
 
 def _first_failures(size, *groups) -> list:
@@ -216,7 +225,6 @@ def verify_bks_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> l
     if not 0.0 < theta < 1.0:
         raise ParameterError(f"theta must lie in (0,1), got {theta}")
     check_fully_symmetric(spec)
-    stack = np.asarray(stack, dtype=complex)
     h, *hermitian = hermitian_stack(stack)
     dec, recon, *reconstructed = eigh_stack(h)
     lam = dec.eigenvalues
@@ -480,7 +488,6 @@ def verify_quasicommutator_stack(f, theta, p, spec, stack, digests, sem_cache, v
     (T, 2, n, n) of (A, R) with B = A, spec the base norm; with the checks of
     _checked_images on the Hermitian inputs."""
     power = PowerOf(spec, p)
-    stack = np.asarray(stack, dtype=complex)
     failed, h, fh, sem = _checked_images(f, theta, p, stack[:, :-1], sem_cache)
     r = stack[:, -1]
     sv = _profiles(fh[:, 0] @ r - r @ fh[:, -1], h[:, 0] @ r - r @ h[:, -1], r)
@@ -503,7 +510,6 @@ def verify_quasi_commutator(
 def verify_absmap_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
     """verify_abs_map over a stack (T, 2, n, n) of (A, B), spec the base norm."""
     power = PowerOf(spec, p)
-    stack = np.asarray(stack, dtype=complex)
     a, b = stack[:, 0], stack[:, 1]
     absolute = abs_matrix(stack)
     sv = _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
@@ -515,10 +521,7 @@ def verify_absmap_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -
 def verify_abs_map(base: NormSpec, p, a, b, digest="") -> VerificationRecord:
     """|| |A| - |B| || versus sqrt(||A+B|| ||A-B||) in the p-th power norm;
     for Schatten p >= 2 the classical constant is 1."""
-    am, bm = as_square(a), as_square(b)
-    if am.shape != bm.shape:
-        raise ParameterError(f"shape mismatch {am.shape} vs {bm.shape}")
-    return _one(verify_absmap_stack, None, None, p, base, (am, bm), None, digest, None)
+    return _one(verify_absmap_stack, None, None, p, base, (a, b), None, digest, None)
 
 
 # --- Araki-Lieb-Thirring submajorization -----------------------------------------
@@ -594,25 +597,37 @@ def cayley_identity_residual(f: ScalarFunction, x, b) -> float:
 # --- finite-rank telescoping -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TelescopeResult:
-    record: VerificationRecord
-    chain_lhs: float      # ||f(A_n) - f(B)||_p^p
-    chain_rhs: float      # sum of the step terms ||f(A_{m+1}) - f(A_m)||_p^p
-    rhs_exact_residual: float
-
-
-def telescope_finite_rank(
-    f: ScalarFunction, theta, p, b, steps, digest=""
-) -> TelescopeResult:
-    """p-triangle chain along rank-one steps A_m = B + sum x_k e_k, plus the
-    exact identity || |A-B|^theta ||_p^p = sum |x_k|^{theta p} rank(e_k)."""
+def verify_telescope_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+    """telescope_finite_rank over a stack (T, 1 + r, n, n) of [B, x_1 e_1,
+    ..., x_r e_r], with the checks every input Hermitian, then per chain
+    matrix A_m = B + x_1 e_1 + ... + x_m e_m its reconstruction and f finite
+    on its spectrum, in the order B, A_r, A_1, ..., A_{r-1}."""
     if not 0.0 < p <= 1.0:
         raise ParameterError(f"telescoping needs p in (0,1], got {p}")
-    bm = as_hermitian(b)
-    n = bm.shape[0]
-    projs = [as_hermitian(e) for _, e in steps]
-    xs = [float(x) for x, _ in steps]
+    h, *hermitian = hermitian_stack(stack)
+    r = h.shape[1] - 1
+    order = [0, r, *range(1, r)]  # B, A_r, A_1, ..., A_{r-1}
+    chain = np.cumsum(h, axis=1)[:, order]
+    dec, _, *reconstructed = eigh_stack(chain)
+    images, *defined = apply_stack(f, dec)
+    failed = _first_failures(len(h), [hermitian], [reconstructed, defined])
+    fa = images[:, np.argsort(order)]  # f(A_0), ..., f(A_r)
+    sv = _profiles(images[:, 1] - images[:, 0], *(fa[:, 1:] - fa[:, :-1]).swapaxes(0, 1))
+    schatten = Schatten(p)
+    powers = np.array([[norm_of_profile(s, schatten) ** p for s in trial] for trial in sv])
+    # a running total of the step terms, rounded after each step
+    rhs = sum(powers[:, 1:].T, np.zeros(len(h)))
+    return _records("telescope", failed, powers[:, 0], rhs, None, chain[:, :2], digests)
+
+
+def telescope_finite_rank(f: ScalarFunction, theta, p, b, steps, digest="") -> VerificationRecord:
+    """||f(A_r) - f(B)||_p^p versus the sum of the step terms
+    ||f(A_m) - f(A_{m-1})||_p^p along the chain A_m = B + x_1 e_1 + ... +
+    x_m e_m of the steps (x_k, e_k), for 0 < p <= 1 and mutually orthogonal
+    projections e_k; the p-triangle inequality says ratio <= 1.  theta is
+    not used."""
+    _, *es = _stack_of_one([b, *(e for _, e in steps)])[0]
+    projs = [as_hermitian(e) for e in es]
     tol = 1e-8
     for i, e in enumerate(projs):
         if op_norm(e @ e - e) > tol:
@@ -620,41 +635,5 @@ def telescope_finite_rank(
         for j in range(i):
             if op_norm(projs[i] @ projs[j]) > tol:
                 raise PreconditionError(f"steps {j},{i}: projections not orthogonal")
-    mats = [bm]
-    for x, e in zip(xs, projs):
-        mats.append(mats[-1] + x * e)
-    a_final = mats[-1]
-    fb = apply_function(f, bm)
-    chain_lhs = norm(apply_function(f, a_final) - fb, Schatten(p)) ** p
-    chain_rhs = 0.0
-    for m in range(len(xs)):
-        chain_rhs += norm(
-            apply_function(f, mats[m + 1]) - apply_function(f, mats[m]), Schatten(p)
-        ) ** p
-    # the difference has rank sum(rank e_k); a zero floor keeps subtraction
-    # noise at the kernel from being inflated by the theta power
-    sv = singular_values(a_final - bm)
-    sv[sv < 1e-12 * (1.0 + sv.max(initial=0.0))] = 0.0
-    lhs_norm = norm_of_profile(sv ** theta, Schatten(p)) ** p
-    rhs_exact = sum(
-        abs(x) ** (theta * p) * round(float(np.trace(e).real)) for x, e in zip(xs, projs)
-    )
-    denom = max(lhs_norm, rhs_exact, 1e-300)
-    residual = abs(lhs_norm - rhs_exact) / denom
-    rec = make_record("telescope", chain_lhs, chain_rhs, _abs_tol(n, bm, a_final), digest)
-    return TelescopeResult(
-        record=rec, chain_lhs=chain_lhs, chain_rhs=chain_rhs, rhs_exact_residual=residual
-    )
-
-
-def verify_telescope_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
-    """The records of telescope_finite_rank over a stack of trials, each the
-    list [B, (x_1, e_1), ...]: the inputs of a trial are not one array, so
-    the trials run in turn."""
-    outcomes = []
-    for (b, *steps), digest in zip(stack, digests):
-        try:
-            outcomes.append(telescope_finite_rank(f, theta, p, b, steps, digest).record)
-        except HolderLabError as exc:
-            outcomes.append(exc)
-    return outcomes
+    mats = [b] + [float(x) * e for (x, _), e in zip(steps, projs)]
+    return _one(verify_telescope_stack, f, theta, p, None, mats, None, digest, None)

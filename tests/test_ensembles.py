@@ -29,11 +29,8 @@ def draw(name, dim, seed, ens=None):
 def _same(a, b):
     """Tagged inputs equal bit for bit."""
     assert [k for k, _ in a] == [k for k, _ in b]
-    for (kind, x), (_, y) in zip(a, b):
-        if kind == "step":
-            assert x[0] == y[0] and np.array_equal(x[1], y[1])
-        else:
-            assert x.dtype == y.dtype and np.array_equal(x, y)
+    for (_, x), (_, y) in zip(a, b):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_the_table_names_every_ensemble_once():
@@ -71,7 +68,9 @@ def test_a_stack_of_seeds_draws_what_each_seed_draws(name):
     seeds = [E.SeedState(17, (0, 1, t)) for t in range(4)]
     fn, _ = E.ENSEMBLES[name]
     kinds, stack = fn(3, seeds, ENSEMBLE_CONFIGS[name](3))
-    assert len(stack) == len(seeds)
+    # every entry draws the stack as one complex array
+    assert isinstance(stack, np.ndarray) and stack.dtype == np.complex128
+    assert stack.shape == (len(seeds), len(kinds), 3, 3)
     for seed, inputs in zip(seeds, stack):
         _same(list(zip(kinds, inputs)), draw(name, 3, seed))
 
@@ -124,6 +123,29 @@ def test_rank_r_difference_profile():
         want = np.sort(np.abs(xs))[::-1]
         assert np.abs(prof[:3] - want).max() <= 1e-12
         assert np.abs(prof[3:]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 1), (3, 3), (8, 2)])
+def test_rank_one_steps_are_orthogonal_rank_one_projections(dim, rank):
+    lo, hi = 0.05, 0.8
+    for i in range(5):
+        ens = {"rank": rank, "magnitudes_range": [lo, hi]}
+        _, *steps = draw("rank_one_steps", dim, E.SeedState(9, (i,)), ens)
+        assert len(steps) == rank
+        projections = []
+        for kind, step in steps:
+            assert kind == "step"
+            # step = x e with e a rank-one projection, so trace(step) = x
+            x = np.trace(step).real
+            assert lo - 1e-12 <= abs(x) <= hi + 1e-12
+            e = step / x
+            assert np.abs(e - e.conj().T).max() <= 1e-12
+            assert np.abs(e @ e - e).max() <= 1e-12
+            assert np.linalg.matrix_rank(e, tol=1e-12) == 1
+            projections.append(e)
+        for j, e in enumerate(projections):
+            for f in projections[:j]:
+                assert np.abs(e @ f).max() <= 1e-12
 
 
 def test_degenerate_spectrum_multiplicities():
@@ -214,7 +236,7 @@ def _old_telescope_inputs(dim, seed, ens):
     r = int(ens.get("rank", min(dim, 3)))
     lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
     b, xs, es = E.rank_r_steps(dim, r, (lo, hi), seed.rng())
-    return [("herm", b)] + [("step", (x, e)) for x, e in zip(xs, es)]
+    return [("herm", b)] + [("step", x * hl.as_hermitian(e)) for x, e in zip(xs, es)]
 
 
 OLD_SAMPLERS = {

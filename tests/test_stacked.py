@@ -117,6 +117,16 @@ CONFIGS.update(
 )
 CONFIGS["reverse-expm1-gaussian"] = dict(CONFIGS["reverse-gaussian"], variant="expm1")
 CONFIGS["reverse-expm1-huge"] = dict(CONFIGS["reverse-huge"], variant="expm1")
+# the edge shapes of telescope's chain: rank 1 (no middle chain matrix), rank
+# = dim, dim 1, and p 0.5
+CONFIGS["telescope-rank-1"] = dict(
+    CONFIGS["telescope-steps"], ensemble={"name": "rank_one_steps", "rank": 1}
+)
+CONFIGS["telescope-rank-8"] = dict(
+    CONFIGS["telescope-steps"], ensemble={"name": "rank_one_steps", "rank": 8}
+)
+CONFIGS["telescope-dim-1"] = dict(CONFIGS["telescope-steps"], dims=[1])
+CONFIGS["telescope-p-0.5"] = dict(CONFIGS["telescope-steps"], ps=[0.5])
 
 
 def _config(name, seed=101):
@@ -712,6 +722,30 @@ def test_reconstruction_is_checked_before_the_spectrum(monkeypatch):
         assert "reconstruction residual" in str(outcome)
 
 
+def test_telescope_decomposes_each_chain_matrix_once(monkeypatch):
+    # a stack of 32 rank-3 trials: one eigendecomposition call over the
+    # 1 + 3 chain matrices of every trial, and no other
+    import holderlab.spectral as S
+
+    real = S.eigh_stack
+    shapes = []
+
+    def spy(h, *args, **kwargs):
+        shapes.append(np.shape(h))
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(S, "eigh_stack", spy)
+    monkeypatch.setattr(V, "eigh_stack", spy)
+    config = CampaignConfig.from_dict(
+        {"verifier": "telescope", "function": "power:0.5", "thetas": [0.5], "ps": [1.0],
+         "norms": ["schatten:1"], "dims": [8], "trials": 32, "seed": 5,
+         "ensemble": {"name": "rank_one_steps", "rank": 3}}
+    )
+    report, _ = run_campaign(config)
+    assert report.cells[0].failures == 0
+    assert shapes == [(32, 4, 8, 8)]
+
+
 # --- the error order of every stack kernel ----------------------------------------------
 
 # a Hermitian matrix whose [0, 0] entry is MARK fails its reconstruction check
@@ -763,7 +797,12 @@ def _error_order_cases():
         ]
 
     frame = np.linalg.qr(g[0])[0]
-    steps = [(0.5, np.outer(frame[:, k], frame[:, k].conj())) for k in range(2)]
+    steps = [0.5 * as_hermitian(np.outer(frame[:, k], frame[:, k].conj())) for k in range(2)]
+    # a chain whose A_1 is marked and whose A_2 has an eigenvalue where f is
+    # undefined: A_2 is checked first
+    halves = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    other = np.diag([1.0, 1.0, 0.0]) - halves
+    chain = [np.diag([MARK - 0.25, 1.0, 0.5]), 0.5 * halves, 12.0 * other]
     kyfan = KyFan(2)
     return {
         "main": (_holey(), 0.5, 1.0, None, None, pairs(u)),
@@ -786,7 +825,7 @@ def _error_order_cases():
             (g[0], q), (q, n), (q, m), (m, q),
         ]),
         "telescope": (_holey(), 0.5, 1.0, None, None, [
-            [g[0], *steps], [n, *steps], [m, *steps], [u, *steps], [g[1], (0.5, 2.0 * steps[0][1])],
+            [g[0], *steps], [n, *steps], [m, *steps], [u, *steps], chain,
         ]),
     }
 
@@ -822,7 +861,7 @@ EXPECTED_ERRORS = {
             ("DomainError", "Z is not positive semidefinite (min eigenvalue -1.000e+00)"),
             NOT_HERMITIAN, NOT_RECONSTRUCTED, NOT_RECONSTRUCTED],
     "telescope": [R, NOT_HERMITIAN, NOT_RECONSTRUCTED, UNDEFINED,
-                  ("PreconditionError", "step 0: not a projection")],
+                  ("DomainError", "function undefined at eigenvalue(s) [12.55032502]")],
 }
 
 
@@ -831,7 +870,7 @@ def test_kernel_error_order_is_that_of_stacks_of_one(case, monkeypatch):
     _marked_reconstruction(monkeypatch)
     f, theta, p, spec, variant, trials = _error_order_cases()[case]
     kernel = getattr(V, camp.VERIFIERS[case.split(":")[0]].kernel)
-    stack = trials if case == "telescope" else np.stack([np.stack(t) for t in trials])
+    stack = np.stack([np.stack(t) for t in trials])
     digests = [f"d{i}" for i in range(len(trials))]
     outcomes = kernel(f, theta, p, spec, stack, digests, {}, variant)
     for i, (outcome, expected) in enumerate(zip(outcomes, EXPECTED_ERRORS[case], strict=True)):

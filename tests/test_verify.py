@@ -278,19 +278,17 @@ def test_telescope():
     rng = np.random.default_rng(14)
     b, xs, es = rank_r_steps(5, 1, (0.1, 1.0), rng)
     single = hl.telescope_finite_rank(f, 0.5, 1.0, b, list(zip(xs, es)))
-    assert single.record.ratio == pytest.approx(1.0, rel=1e-10)  # one step: equality
-    assert single.rhs_exact_residual <= 1e-12
+    assert single.ratio == pytest.approx(1.0, rel=1e-10)  # one step: equality
 
     b2, xs2, es2 = rank_r_steps(6, 2, (0.1, 1.0), rng)
     two = hl.telescope_finite_rank(f, 0.5, 1.0, b2, list(zip(xs2, es2)))
-    assert two.rhs_exact_residual <= 1e-12
+    assert 0.0 < two.ratio <= 1.0 + 1e-10
 
     for i in range(100):
         rng_i = SeedState(15, (i,)).rng()
         b_i, xs_i, es_i = rank_r_steps(6, 4, (1e-2, 1.0), rng_i)
         res = hl.telescope_finite_rank(f, 0.5, 1.0, b_i, list(zip(xs_i, es_i)))
-        assert res.record.ratio <= 1.0 + 1e-10
-        assert res.rhs_exact_residual <= 1e-10
+        assert res.ratio <= 1.0 + 1e-10
 
 
 def test_telescope_rejects_bad_steps():
@@ -300,3 +298,32 @@ def test_telescope_rejects_bad_steps():
         hl.telescope_finite_rank(f, 0.5, 1.0, np.zeros((2, 2)), [(1.0, e), (1.0, e)])
     with pytest.raises(ParameterError):
         hl.telescope_finite_rank(f, 0.5, 2.0, np.zeros((2, 2)), [(1.0, e)])
+    frame = np.linalg.qr(gaussian_hermitian(3, np.random.default_rng(21)))[0]
+    step = np.outer(frame[:, 0], frame[:, 0].conj())
+    with pytest.raises(PreconditionError, match="^step 0: not a projection$"):
+        hl.telescope_finite_rank(f, 0.5, 1.0, np.eye(3), [(0.5, 2.0 * step)])
+
+
+def _mismatched_calls():
+    """Every public verifier called on a 2x2 and a 3x3 input."""
+    f, kyfan = F.power(0.5), KyFan(1)
+    a, b = np.eye(2), np.eye(3)
+    return {
+        "main": lambda: hl.verify_main(f, 0.5, 1.0, a, b),
+        "bks": lambda: hl.verify_bks(0.5, kyfan, a, b),
+        "submajorization": lambda: hl.verify_submajorization(f, 0.5, 1.0, a, b),
+        "symmetric": lambda: hl.verify_symmetric(f, 0.5, 1.0, kyfan, a, b),
+        "inverse": lambda: hl.verify_inverse(F.signed_power(0.5), 2.0, 1.0, kyfan, a, b),
+        "reverse_power": lambda: hl.verify_reverse_power(1.5, 1.0, kyfan, a, b),
+        "commutator": lambda: hl.verify_commutator(f, 0.5, 1.0, kyfan, a, b),
+        "quasi_commutator": lambda: hl.verify_quasi_commutator(f, 0.5, 1.0, kyfan, a, a, b),
+        "abs_map": lambda: hl.verify_abs_map(kyfan, 1.0, a, b),
+        "alt": lambda: hl.alt_check(a, b, 0.5, 1.0),
+        "telescope": lambda: hl.telescope_finite_rank(f, 0.5, 1.0, a, [(1.0, np.diag(b[0]))]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_mismatched_calls()))
+def test_public_verifiers_reject_inputs_of_different_sizes(name):
+    with pytest.raises(hl.ShapeError, match="different shapes"):
+        _mismatched_calls()[name]()
