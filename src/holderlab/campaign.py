@@ -1,8 +1,11 @@
 """Randomized verification campaigns over (theta, p, norm, dim) grids.
 
-A campaign is a pure function of its config: every trial derives its own
-sub-seed from (root seed, cell index, trial index), so reports are
-reproducible bit-for-bit and the max ratio is monotone in the trial count.
+A campaign is a pure function of its config.  Trial t at dim n draws its
+inputs from the sub-seed (root seed, 3, n, t), and every (theta, p, norm)
+cell of that dim is evaluated on those same inputs (common random numbers),
+so reports are reproducible bit for bit, the max ratio is monotone in the
+trial count, and the cells of one dim compare paired samples.  A cell's
+records do not depend on the other cells of the config.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ensembles import ENSEMBLES, STACK_ENTRIES, SeedState, gaussian_hermitian, ginibre
+from .ensembles import (
+    ENSEMBLES,
+    STACK_ENTRIES,
+    SeedState,
+    gaussian_hermitian,
+    ginibre,
+    inputs_per_trial,
+)
 from .errors import EigensolverError, HolderLabError, ParameterError
 from .functions import parse_function_spec
 from .norms import Schatten, parse_norm_spec
@@ -24,6 +34,10 @@ from . import verify as V
 
 # a record exceeds its verifier's claimed constant when ratio > claim + tol
 CONSTANT_ONE_TOL = 1e-8
+
+# the format of report.json and manifest.json: 2 since every cell of a dim
+# evaluates the trials drawn once for that dim
+REPORT_FORMAT = 2
 
 
 # the grid axes of a config and the type of their entries
@@ -179,6 +193,7 @@ class CampaignReport:
 
     def to_dict(self) -> dict:
         return {
+            "report_format": REPORT_FORMAT,
             "config": self.config.to_dict(),
             "cells": [
                 {**asdict(c), "trajectory": list(c.trajectory)} for c in self.cells
@@ -247,9 +262,9 @@ class Verifier:
     ``campaign.V`` or a ``verify`` function (a test's spy, perfbench's
     tracer) reaches it."""
 
-    # the name of the verify.verify_<name>_stack kernel: (f, theta, p, spec,
-    # stack, digests, sem_cache, variant) -> per trial of the stack, its record
-    # or its HolderLabError
+    # the name of the verify.verify_<name>_stack kernel: (f, cells, stack,
+    # digests, sem_cache, variant) -> per (theta, p, spec) cell and per trial
+    # of the stack, its record or its HolderLabError
     kernel: str
     # the ensembles.ENSEMBLES names the verifier draws from; the first is the default
     ensembles: tuple = HERMITIAN_PAIRS
@@ -311,112 +326,144 @@ def _cell_spec(config: CampaignConfig, norm_str: str):
     return parse_norm_spec(norm_str) if VERIFIERS[config.verifier].uses_norm else None
 
 
-def _trial_seed(config: CampaignConfig, cell_idx: int, trial: int) -> SeedState:
-    return SeedState(config.seed, (0, cell_idx, trial))
+def _trial_seed(config: CampaignConfig, dim, trial: int) -> SeedState:
+    """The sub-seed trial ``trial`` draws its inputs from at ``dim``, shared
+    by every cell of that dim; tag 3 keeps it apart from the load draw (2)
+    and refinement (1)."""
+    return SeedState(config.seed, (3, dim, trial))
 
 
 def _digest(config: CampaignConfig, cell_idx: int, trial: int, dim) -> str:
     return f"{config.seed}:{cell_idx}:{trial}:dim{dim}"
 
 
-def _stack_size(dim) -> int:
-    """Trials per stack at this dim, two matrices per trial: 32 trials at
-    dim 8, 2 at dim 32, 1 at dim 64; the config guarantees dim >= 1."""
-    return max(1, STACK_ENTRIES // (2 * dim * dim))
+def _stack_size(dim, inputs=2) -> int:
+    """Trials per stack at this dim, for ``inputs`` matrices per trial: 32
+    pairs at dim 8, 2 at dim 32, 1 at dim 64; the config guarantees dim >= 1."""
+    return max(1, STACK_ENTRIES // (inputs * dim * dim))
 
 
-def _outcomes(config: CampaignConfig, f, theta, p, spec, stack, digests, sem_cache) -> list:
-    """Per trial of a stack, its record or its HolderLabError, by the
-    verifier's kernel.  A HolderLabError the kernel raises (a parameter or
-    seminorm check) is every trial's error.  A LinAlgError reruns a stack of
-    several trials one trial at a time, and is a stack of one's
-    EigensolverError."""
+def _outcomes(config: CampaignConfig, f, cells, stack, digests, sem_cache) -> list:
+    """Per (theta, p, spec) cell and per trial of a stack, its record or its
+    HolderLabError, by the verifier's kernel.  A LinAlgError reruns a stack
+    of several trials one trial at a time, then a trial of several cells one
+    cell at a time, and is the EigensolverError of one trial in one cell."""
     kernel = getattr(V, VERIFIERS[config.verifier].kernel)
     try:
-        return kernel(f, theta, p, spec, stack, digests, sem_cache, config.variant)
-    except HolderLabError as exc:
-        return [exc] * len(digests)
+        return kernel(f, cells, stack, digests, sem_cache, config.variant)
     except np.linalg.LinAlgError as exc:
-        if len(digests) == 1:
-            return [EigensolverError(f"LAPACK failed to converge: {exc}")]
-        return [
-            outcome
-            for i in range(len(digests))
-            for outcome in _outcomes(
-                config, f, theta, p, spec, stack[i : i + 1], digests[i : i + 1], sem_cache
-            )
-        ]
+        if len(stack) > 1:
+            parts = [
+                _outcomes(config, f, cells, stack[i : i + 1], [[d[i]] for d in digests], sem_cache)
+                for i in range(len(stack))
+            ]
+            return [[part[c][0] for part in parts] for c in range(len(cells))]
+        if len(cells) > 1:
+            return [
+                _outcomes(config, f, [cell], stack, [d], sem_cache)[0]
+                for cell, d in zip(cells, digests)
+            ]
+        return [[EigensolverError(f"LAPACK failed to converge: {exc}")]]
+
+
+def _stacks(config: CampaignConfig, cell_idxs, f, sem_cache, trials=None):
+    """Yield (trials, inputs, outcomes) for every stack of trials of the
+    cells ``cell_idxs``, which share one dim: the trials of the stack, each
+    one's inputs as (kind, matrix) pairs, and per cell each trial's record or
+    HolderLabError.  All trials, or the listed ``trials`` in that order, are
+    drawn in stacks of _stack_size(dim, inputs per trial), each from its own
+    sub-seed, once for all the cells."""
+    grid = config.cells()
+    dim = grid[cell_idxs[0]][3]
+    cells = [(grid[i][0], grid[i][1], _cell_spec(config, grid[i][2])) for i in cell_idxs]
+    ens = _ensemble(config.verifier, config.ensemble)
+    draw, _ = ENSEMBLES[ens["name"]]
+    trials = range(config.trials) if trials is None else trials
+    size = _stack_size(dim, inputs_per_trial(ens, dim))
+    for start in range(0, len(trials), size):
+        chunk = trials[start : start + size]
+        kinds, stack = draw(dim, [_trial_seed(config, dim, t) for t in chunk], ens)
+        digests = [[_digest(config, c, t, dim) for t in chunk] for c in cell_idxs]
+        outcomes = _outcomes(config, f, cells, stack, digests, sem_cache)
+        yield chunk, [list(zip(kinds, m)) for m in stack], outcomes
 
 
 def trial_outcomes(config: CampaignConfig, cell_idx: int, f, sem_cache: dict, trials=None):
     """Yield (trial, inputs, outcome) for every trial of one cell, or for the
     listed ``trials``, in that order; the outcome is the trial's record or
-    its HolderLabError.
+    its HolderLabError.  This is the campaign's path restricted to one cell,
+    so each outcome equals the campaign's and replay(config, cell_idx,
+    trial)'s bit for bit."""
+    for chunk, inputs, (outcomes,) in _stacks(config, [cell_idx], f, sem_cache, trials):
+        yield from zip(chunk, inputs, outcomes)
 
-    The trials are drawn and evaluated in stacks of _stack_size(dim): the
-    ensemble draws each trial from its own seed, and the verifier's kernel
-    evaluates the stack.  replay is this on a stack of one, so each outcome
-    equals replay(config, cell_idx, trial) bit for bit.
-    """
-    theta, p, norm_str, dim = config.cells()[cell_idx]
-    spec = _cell_spec(config, norm_str)
-    ens = _ensemble(config.verifier, config.ensemble)
-    draw, _ = ENSEMBLES[ens["name"]]
-    trials = range(config.trials) if trials is None else trials
-    size = _stack_size(dim)
-    for start in range(0, len(trials), size):
-        chunk = trials[start : start + size]
-        kinds, stack = draw(dim, [_trial_seed(config, cell_idx, t) for t in chunk], ens)
-        digests = [_digest(config, cell_idx, t, dim) for t in chunk]
-        outcomes = _outcomes(config, f, theta, p, spec, stack, digests, sem_cache)
-        for trial, m, outcome in zip(chunk, stack, outcomes):
-            yield trial, list(zip(kinds, m)), outcome
+
+class _Tally:
+    """The statistics of one cell's outcomes, trial by trial."""
+
+    def __init__(self, config: CampaignConfig, cell):
+        self.cell = cell  # (theta, p, norm, dim)
+        self.spec = _cell_spec(config, self.cell[2])
+        self.claim = VERIFIERS[config.verifier].claim(self.spec, self.cell[1])
+        self.ratios = []
+        self.failures = 0
+        self.best = (-np.inf, -1, None)  # ratio, trial, inputs
+        self.counterexamples = []
+
+    def add(self, trial, inputs, rec):
+        if isinstance(rec, HolderLabError):
+            self.failures += 1
+            return
+        # rhs = 0 records carry the 0/0 convention and stay out of the
+        # max/min statistics (flagged ones are persisted below instead)
+        if rec.rhs > 0.0:
+            self.ratios.append(rec.ratio)
+            if rec.ratio > self.best[0]:
+                self.best = (rec.ratio, trial, inputs)
+        if rec.flagged or (self.claim is not None and rec.ratio > self.claim + CONSTANT_ONE_TOL):
+            theta, p, norm_str, dim = self.cell
+            self.counterexamples.append(
+                {
+                    "record": asdict(rec),
+                    "cell": {"theta": theta, "p": p, "norm": norm_str, "dim": dim},
+                    "inputs": [
+                        {"kind": k, "matrix": _matrix_payload(m)} for k, m in inputs if k != "step"
+                    ],
+                }
+            )
 
 
 def run_campaign(config: CampaignConfig):
     """Execute the campaign; returns (CampaignReport, counterexamples).
 
+    The cells of each dim are evaluated together on one draw per trial.
     Counterexamples are flagged records and records above their cell's claimed
-    constant beyond tolerance, serialized with their full inputs for replay.
+    constant beyond tolerance, serialized with their full inputs for replay,
+    in cell order.
     """
     f = parse_function_spec(config.function) if config.function else None
     sem_cache: dict = {}
+    grid = config.cells()
+    tallies = [_Tally(config, cell) for cell in grid]
+    by_dim: dict = {}
+    for cell_idx, cell in enumerate(grid):
+        by_dim.setdefault(cell[3], []).append(cell_idx)
+    for cell_idxs in by_dim.values():
+        for chunk, inputs, outcomes in _stacks(config, cell_idxs, f, sem_cache):
+            for cell_idx, cell_outcomes in zip(cell_idxs, outcomes):
+                add = tallies[cell_idx].add
+                for trial, trial_inputs, rec in zip(chunk, inputs, cell_outcomes):
+                    add(trial, trial_inputs, rec)
     cells = []
-    counterexamples = []
-    for cell_idx, (theta, p, norm_str, dim) in enumerate(config.cells()):
-        spec = _cell_spec(config, norm_str)
-        claim = VERIFIERS[config.verifier].claim(spec, p)
-        ratios = []
-        failures = 0
-        best = (-np.inf, -1, None)  # ratio, trial, inputs
-        for trial, inputs, rec in trial_outcomes(config, cell_idx, f, sem_cache):
-            if isinstance(rec, HolderLabError):
-                failures += 1
-                continue
-            # rhs = 0 records carry the 0/0 convention and stay out of the
-            # max/min statistics (flagged ones are persisted below instead)
-            if rec.rhs > 0.0:
-                ratios.append(rec.ratio)
-                if rec.ratio > best[0]:
-                    best = (rec.ratio, trial, inputs)
-            if rec.flagged or (claim is not None and rec.ratio > claim + CONSTANT_ONE_TOL):
-                counterexamples.append(
-                    {
-                        "record": asdict(rec),
-                        "cell": {"theta": theta, "p": p, "norm": norm_str, "dim": dim},
-                        "inputs": [
-                            {"kind": k, "matrix": _matrix_payload(m)}
-                            for k, m in inputs
-                            if k != "step"
-                        ],
-                    }
-                )
-        arr = np.array(ratios) if ratios else np.array([0.0])
+    for cell_idx, ((theta, p, norm_str, dim), tally) in enumerate(zip(grid, tallies)):
+        arr = np.array(tally.ratios) if tally.ratios else np.array([0.0])
+        q50, q99 = np.quantile(arr, [0.5, 0.99])
         refined_max = None
         trajectory = ()
+        best = tally.best
         if config.refine_steps > 0 and best[2] is not None:
             refined_max, trajectory = _greedy_refine(
-                config, f, theta, p, spec, best, cell_idx, sem_cache
+                config, f, theta, p, tally.spec, best, cell_idx, sem_cache
             )
         digest = _digest(config, cell_idx, best[1], dim) if best[1] >= 0 else "none"
         cells.append(
@@ -426,16 +473,17 @@ def run_campaign(config: CampaignConfig):
                 norm=norm_str,
                 dim=int(dim),
                 trials=config.trials,
-                failures=failures,
+                failures=tally.failures,
                 max_ratio=float(arr.max()),
                 min_ratio=float(arr.min()),
-                q50=float(np.quantile(arr, 0.5)),
-                q99=float(np.quantile(arr, 0.99)),
+                q50=float(q50),
+                q99=float(q99),
                 argmax_digest=digest,
                 refined_max=refined_max,
                 trajectory=trajectory,
             )
         )
+    counterexamples = [cx for tally in tallies for cx in tally.counterexamples]
     return CampaignReport(config=config, cells=tuple(cells)), counterexamples
 
 
@@ -453,7 +501,7 @@ def _greedy_refine(config, f, theta, p, spec, best, cell_idx, sem_cache):
             sigma *= 0.5
             continue
         stack = np.array([[m for _, m in cand]])
-        (rec,) = _outcomes(config, f, theta, p, spec, stack, ["refine"], sem_cache)
+        ((rec,),) = _outcomes(config, f, [(theta, p, spec)], stack, [["refine"]], sem_cache)
         if isinstance(rec, HolderLabError):
             sigma *= 0.5
             continue

@@ -16,7 +16,7 @@ import tempfile
 from dataclasses import asdict
 
 from . import __version__, doi
-from .campaign import VERIFIERS, CampaignConfig, replay, run_campaign
+from .campaign import REPORT_FORMAT, VERIFIERS, CampaignConfig, replay, run_campaign
 from .ensembles import SeedState
 from .errors import HolderLabError, ParameterError
 from .functions import d_of_p, parse_function_spec, seminorm
@@ -53,6 +53,7 @@ def _manifest(command: str, config: dict, seed: int, outputs: list) -> dict:
         "argv": sys.argv[1:],
         "config": config,
         "version": __version__,
+        "report_format": REPORT_FORMAT,
         "seed": seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": outputs,

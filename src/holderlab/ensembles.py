@@ -240,13 +240,18 @@ def _hermitian_contraction(count):
     return draw
 
 
-def _rank_one_steps(dim, seed, ens):
-    """B and the rank-one steps x_k e_k of a finite-rank telescope."""
+def _rank(dim, ens):
+    """The number of rank-one steps of a rank_one_steps draw at this dim."""
     r = ens.get("rank", min(dim, 3))
     if isinstance(r, bool) or not isinstance(r, Integral) or r < 1:
         raise ParameterError(f"rank must be an integer >= 1, got {r!r}")
+    return r
+
+
+def _rank_one_steps(dim, seed, ens):
+    """B and the rank-one steps x_k e_k of a finite-rank telescope."""
     lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
-    b, xs, es = rank_r_steps(dim, r, (lo, hi), seed.rng())
+    b, xs, es = rank_r_steps(dim, _rank(dim, ens), (lo, hi), seed.rng())
     # (e + e*)/2 is exactly Hermitian, so a verifier's symmetrization keeps
     # each step's bits
     return [("herm", b)] + [("step", x * (0.5 * (e + e.conj().T))) for x, e in zip(xs, es)]
@@ -263,3 +268,11 @@ ENSEMBLES = {
     "hermitian_pair_contraction": (_per_seed(_hermitian_contraction(2)), ()),
     "rank_one_steps": (_per_seed(_rank_one_steps), ("rank", "magnitudes_range")),
 }
+
+
+def inputs_per_trial(ens: dict, dim: int) -> int:
+    """The number of matrices the draw of the ensemble ``ens`` (its dict with
+    its name) stacks per trial at this dim."""
+    if ens["name"] == "rank_one_steps":
+        return 1 + _rank(dim, ens)
+    return 3 if ens["name"] == "hermitian_pair_contraction" else 2

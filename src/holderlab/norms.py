@@ -96,22 +96,37 @@ def check_fully_symmetric(spec: NormSpec):
     raise ParameterError(f"{spec!r} is not fully symmetric (need Ky Fan or Schatten with p >= 1)")
 
 
-def norm_of_profile(values, spec: NormSpec) -> float:
+def norm_of_profile(values, spec: NormSpec):
+    """The norm ``spec`` of a profile (n,), a float; or of every profile of a
+    stack (..., n), an array (...) whose entries have the bits of each
+    profile's own norm."""
     v = np.asarray(values, dtype=float)
-    if isinstance(spec, Schatten):
+    if not v.shape[-1]:
+        out = np.zeros(v.shape[:-1])
+    elif isinstance(spec, Schatten):
         if np.isinf(spec.p):
-            return float(v[0]) if v.size else 0.0
-        return float(np.sum(v ** spec.p) ** (1.0 / spec.p))
-    if isinstance(spec, WeakLp):
-        if not v.size:
-            return 0.0
-        weights = (np.arange(v.size) + 1.0) ** (1.0 / spec.p)
-        return float(np.max(weights * v))
-    if isinstance(spec, KyFan):
-        return float(v[: spec.k].sum())
-    if isinstance(spec, PowerOf):
-        return float(norm_of_profile(v ** spec.p, spec.base) ** (1.0 / spec.p))
-    raise ParameterError(f"unknown norm spec {spec!r}")
+            out = v[..., 0]
+        else:
+            out = _root(np.sum(v ** spec.p, axis=-1), spec.p)
+    elif isinstance(spec, WeakLp):
+        weights = (np.arange(v.shape[-1]) + 1.0) ** (1.0 / spec.p)
+        out = np.max(weights * v, axis=-1)
+    elif isinstance(spec, KyFan):
+        out = v[..., : spec.k].sum(axis=-1)
+    elif isinstance(spec, PowerOf):
+        out = _root(norm_of_profile(v ** spec.p, spec.base), spec.p)
+    else:
+        raise ParameterError(f"unknown norm spec {spec!r}")
+    return float(out) if v.ndim == 1 else out
+
+
+def _root(x, p):
+    """x ** (1/p) for a number or an array x, entry by entry as a scalar
+    power: numpy's vectorized power rounds some entries differently."""
+    e = 1.0 / p
+    if np.ndim(x) == 0:
+        return x ** e
+    return np.array([s ** e for s in x.ravel()]).reshape(x.shape)
 
 
 def norm(x, spec: NormSpec) -> float:

@@ -9,6 +9,7 @@ constant; each docstring states the orientation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -120,11 +121,11 @@ def _stack_of_one(mats) -> np.ndarray:
 
 def _one(kernel, f, theta, p, spec, mats, sem_cache, digest, variant):
     """The outcome ``kernel`` gives the trial of inputs ``mats`` in a stack of
-    one, or raise its error; LAPACK's failure to converge is the
-    EigensolverError a campaign records for it."""
+    one trial and the one cell (theta, p, spec), or raise its error; LAPACK's
+    failure to converge is the EigensolverError a campaign records for it."""
     stack = _stack_of_one(mats)
     try:
-        (outcome,) = kernel(f, theta, p, spec, stack, [digest], sem_cache, variant)
+        ((outcome,),) = kernel(f, [(theta, p, spec)], stack, [[digest]], sem_cache, variant)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"LAPACK failed to converge: {exc}") from exc
     if isinstance(outcome, HolderLabError):
@@ -134,14 +135,32 @@ def _one(kernel, f, theta, p, spec, mats, sem_cache, digest, variant):
 
 # --- the shared steps of the stack kernels ------------------------------------------
 #
-# A kernel verify_<name>_stack(f, theta, p, spec, stack, digests, sem_cache,
-# variant) maps a stack of T trials, one complex array (T, k, n, n) as an
-# ensembles draw yields it, to each trial's record, or to the HolderLabError
-# of the first check the trial fails, in the order its docstring gives; it
-# ignores the arguments its verifier does not take.  A HolderLabError it
-# raises (a parameter check) is every trial's, and numpy.linalg.LinAlgError
-# from LAPACK propagates.  A check is a pair (ok mask (T, k), function from an
-# index (trial, input) to the error).
+# A kernel verify_<name>_stack(f, cells, stack, digests, sem_cache, variant)
+# evaluates a stack of T trials, one complex array (T, k, n, n) as an
+# ensembles draw yields it, in every cell of ``cells``, a list of (theta, p,
+# spec); ``digests`` holds per cell the digest of each trial.  It returns per
+# cell each trial's record, or the HolderLabError of the first check the
+# trial fails, in the order its docstring gives; it ignores the parameters its
+# verifier does not take.  A cell whose parameter check raises a
+# HolderLabError has that error on every trial, and numpy.linalg.LinAlgError
+# from LAPACK propagates.  The work that does not depend on the cell (checks,
+# eigendecompositions, images, SVDs) runs once per stack, when the first cell
+# that passes its parameter checks needs it, so a cell's outcomes do not
+# depend on the other cells.  A check is a pair (ok mask (T, k), function from
+# an index (trial, input) to the error).
+
+
+def _each_cell(cells, digests, evaluate) -> list:
+    """Per cell (theta, p, spec) and its trials' digests, the outcomes
+    ``evaluate(theta, p, spec, digests)`` returns, or the HolderLabError it
+    raises as every trial's outcome."""
+    outcomes = []
+    for (theta, p, spec), cell_digests in zip(cells, digests, strict=True):
+        try:
+            outcomes.append(evaluate(theta, p, spec, cell_digests))
+        except HolderLabError as exc:
+            outcomes.append([exc] * len(cell_digests))
+    return outcomes
 
 
 def _first_failures(size, *groups) -> list:
@@ -164,11 +183,6 @@ def _profiles(*mats) -> np.ndarray:
     return np.linalg.svd(np.stack(mats, axis=1), compute_uv=False)
 
 
-def _norms(profiles, spec) -> np.ndarray:
-    """norm_of_profile of each profile of a stack (T, n)."""
-    return np.array([norm_of_profile(s, spec) for s in profiles])
-
-
 def _records(name, failed, lhs, rhs, constants, mats, digests) -> list:
     """Per trial of a stack, its error from ``failed``, or else its record
     from lhs, rhs and, unless ``constants`` is None, its constant, flagged
@@ -182,33 +196,54 @@ def _records(name, failed, lhs, rhs, constants, mats, digests) -> list:
 
 
 def _renamed(name, outcomes) -> list:
-    """The outcomes of a stack, each record renamed ``name``."""
-    return [replace(o, name=name) if isinstance(o, VerificationRecord) else o for o in outcomes]
+    """The outcomes of a stack per cell, each record renamed ``name``."""
+    return [
+        [replace(o, name=name) if isinstance(o, VerificationRecord) else o for o in cell]
+        for cell in outcomes
+    ]
 
 
-def _checked_images(f, theta, p, mats, sem_cache):
+def _seminorm_front(f, mats, sem_cache, profiles):
     """The shared front of the seminorm estimates on a stack (T, k, n, n) of
-    Hermitian inputs.  Returns per trial the error of its first failed check
-    or None, in the order: each input Hermitian, the seminorm at d_of_p(p),
-    then per input its reconstruction and f finite on its spectrum; the
-    symmetrized inputs; their images under f; and the seminorm."""
+    Hermitian inputs.  Returns the symmetrized inputs h and a function of
+    (theta, p) that gives per trial the error of its first failed check or
+    None, in the order: each input Hermitian, the seminorm at d_of_p(p), then
+    per input its reconstruction and f finite on its spectrum; the seminorm;
+    and ``profiles(h, images of h under f)``, or None when the seminorm
+    fails.  The images and profiles are computed once, for the first (theta,
+    p) whose seminorm is finite."""
     h, *hermitian = hermitian_stack(mats)
-    try:
-        sem = _seminorm_value(f, d_of_p(p), theta, sem_cache)
-    except HolderLabError as exc:  # every trial that is Hermitian fails here
-        seminorm = (np.zeros((len(h), 1), dtype=bool), lambda idx: exc)
-        return _first_failures(len(h), [hermitian], [seminorm]), h, h, math.nan
-    dec, _, *reconstructed = eigh_stack(h)
-    images, *defined = apply_stack(f, dec)
-    return _first_failures(len(h), [hermitian], [reconstructed, defined]), h, images, sem
+
+    @functools.cache
+    def images():
+        dec, _, *reconstructed = eigh_stack(h)
+        fh, *defined = apply_stack(f, dec)
+        return _first_failures(len(h), [hermitian], [reconstructed, defined]), profiles(h, fh)
+
+    def front(theta, p):
+        try:
+            sem = _seminorm_value(f, d_of_p(p), theta, sem_cache)
+        except HolderLabError as exc:  # every trial that is Hermitian fails here
+            seminorm = (np.zeros((len(h), 1), dtype=bool), lambda idx: exc)
+            return _first_failures(len(h), [hermitian], [seminorm]), math.nan, None
+        failed, sv = images()
+        return failed, sem, sv
+
+    return h, front
+
+
+def _difference_profiles(h, fh) -> np.ndarray:
+    """The profiles of f(X) - f(Y) and X - Y, (T, 2, n)."""
+    return _profiles(fh[:, 0] - fh[:, 1], h[:, 0] - h[:, 1])
 
 
 # --- the difference estimates ---------------------------------------------------
 
 
-def verify_main_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+def verify_main_stack(f, cells, stack, digests, sem_cache, variant) -> list:
     """verify_symmetric_stack on the base S_1, its records named "main"."""
-    outcomes = verify_symmetric_stack(f, theta, p, Schatten(1), stack, digests, sem_cache, variant)
+    cells = [(theta, p, Schatten(1)) for theta, p, _ in cells]
+    outcomes = verify_symmetric_stack(f, cells, stack, digests, sem_cache, variant)
     return _renamed("main", outcomes)
 
 
@@ -219,28 +254,44 @@ def verify_main(f: ScalarFunction, theta, p, a, b, sem_cache=None, digest="") ->
     return _one(verify_main_stack, f, theta, p, None, (a, b), sem_cache, digest, None)
 
 
-def verify_bks_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+def verify_bks_stack(f, cells, stack, digests, sem_cache, variant) -> list:
     """verify_bks over a stack (T, 2, n, n) of (X, Y), with the checks X
-    Hermitian, X reconstruction, X positive, then the same for Y."""
-    if not 0.0 < theta < 1.0:
-        raise ParameterError(f"theta must lie in (0,1), got {theta}")
-    check_fully_symmetric(spec)
-    h, *hermitian = hermitian_stack(stack)
-    dec, recon, *reconstructed = eigh_stack(h)
-    lam = dec.eigenvalues
-    positive = (
-        psd_stack(lam),
-        lambda idx: DomainError(
-            f"{'XY'[idx[1]]} must be positive semidefinite (min eigenvalue "
-            f"{lam[idx].min():.3e})"
-        ),
-    )
-    failed = _first_failures(len(h), [hermitian, reconstructed, positive])
-    with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
-        powered = from_eigen(dec.basis, np.clip(lam, 0.0, None) ** theta)
-    sv = _profiles(powered[:, 0] - powered[:, 1], recon[:, 0] - recon[:, 1])
-    lhs, rhs = _norms(sv[:, 0], spec), _norms(sv[:, 1] ** theta, spec)
-    return _records("bks", failed, lhs, rhs, None, stack, digests)
+    Hermitian, X reconstruction, X positive, then the same for Y.  One
+    eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
+    X^theta - Y^theta every cell of that theta."""
+
+    @functools.cache
+    def decomposed():
+        h, *hermitian = hermitian_stack(stack)
+        dec, recon, *reconstructed = eigh_stack(h)
+        lam = dec.eigenvalues
+        positive = (
+            psd_stack(lam),
+            lambda idx: DomainError(
+                f"{'XY'[idx[1]]} must be positive semidefinite (min eigenvalue "
+                f"{lam[idx].min():.3e})"
+            ),
+        )
+        failed = _first_failures(len(h), [hermitian, reconstructed, positive])
+        return failed, dec, _profiles(recon[:, 0] - recon[:, 1])[:, 0]
+
+    @functools.cache
+    def powered_profiles(theta):
+        _, dec, _ = decomposed()
+        with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
+            powered = from_eigen(dec.basis, np.clip(dec.eigenvalues, 0.0, None) ** theta)
+        return _profiles(powered[:, 0] - powered[:, 1])[:, 0]
+
+    def evaluate(theta, p, spec, cell_digests):
+        if not 0.0 < theta < 1.0:
+            raise ParameterError(f"theta must lie in (0,1), got {theta}")
+        check_fully_symmetric(spec)
+        failed, _, difference = decomposed()
+        lhs = norm_of_profile(powered_profiles(theta), spec)
+        rhs = norm_of_profile(difference ** theta, spec)
+        return _records("bks", failed, lhs, rhs, None, stack, cell_digests)
+
+    return _each_cell(cells, digests, evaluate)
 
 
 def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
@@ -249,35 +300,42 @@ def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
     return _one(verify_bks_stack, None, theta, None, spec, (x, y), None, digest, None)
 
 
-def _submaj(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
-    """Per trial of a stack (T, 2, n, n) of (X, Y), the error of its first
-    failed check of _checked_images, or its submaj record with the profiles
-    it compares, upper = seminorm^p * mu(|X-Y|^theta)^p and lower =
+def _submaj(f, cells, stack, digests, sem_cache, variant) -> list:
+    """Per cell and per trial of a stack (T, 2, n, n) of (X, Y), the error of
+    its first failed check of _seminorm_front, or its submaj record with the
+    profiles it compares, upper = seminorm^p * mu(|X-Y|^theta)^p and lower =
     mu(f(X) - f(Y))^p.  A record's constant is the least c making the
     domination hold, and its lhs and rhs are the partial sums of lower and
     upper where their ratio peaks (the totals when c is 0 or infinite)."""
-    failed, h, fh, sem = _checked_images(f, theta, p, stack, sem_cache)
-    sv = _profiles(fh[:, 0] - fh[:, 1], h[:, 0] - h[:, 1])
-    upper, lower = (sem ** p) * (sv[:, 1] ** theta) ** p, sv[:, 0] ** p
-    lhs, rhs, constants = [], [], []
-    for u, lo in zip(upper, lower):
-        c = least_domination_constant(u, lo)
-        cu, cl = np.cumsum(u), np.cumsum(lo)
-        k = -1
-        if np.isfinite(c) and c > 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                k = int(np.argmax(np.where(cu > 0.0, cl / cu, 0.0)))
-        lhs.append(cl[k])
-        rhs.append(cu[k])
-        constants.append(c)
-    records = _records("submaj", failed, lhs, rhs, constants, h, digests)
-    return [(r, u, lo) if e is None else e for e, r, u, lo in zip(failed, records, upper, lower)]
+    h, front = _seminorm_front(f, stack, sem_cache, _difference_profiles)
+
+    def evaluate(theta, p, spec, cell_digests):
+        failed, sem, sv = front(theta, p)
+        if sv is None:
+            return failed
+        upper, lower = (sem ** p) * (sv[:, 1] ** theta) ** p, sv[:, 0] ** p
+        lhs, rhs, constants = [], [], []
+        for u, lo in zip(upper, lower):
+            c = least_domination_constant(u, lo)
+            cu, cl = np.cumsum(u), np.cumsum(lo)
+            k = -1
+            if np.isfinite(c) and c > 0.0:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    k = int(np.argmax(np.where(cu > 0.0, cl / cu, 0.0)))
+            lhs.append(cl[k])
+            rhs.append(cu[k])
+            constants.append(c)
+        records = _records("submaj", failed, lhs, rhs, constants, h, cell_digests)
+        outcomes = zip(failed, records, upper, lower)
+        return [(r, u, lo) if e is None else e for e, r, u, lo in outcomes]
+
+    return _each_cell(cells, digests, evaluate)
 
 
-def verify_submaj_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+def verify_submaj_stack(f, cells, stack, digests, sem_cache, variant) -> list:
     """The records of verify_submajorization over a stack (T, 2, n, n) of (X, Y)."""
-    outcomes = _submaj(f, theta, p, spec, stack, digests, sem_cache, variant)
-    return [o if isinstance(o, HolderLabError) else o[0] for o in outcomes]
+    outcomes = _submaj(f, cells, stack, digests, sem_cache, variant)
+    return [[o if isinstance(o, HolderLabError) else o[0] for o in cell] for cell in outcomes]
 
 
 def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, digest=""):
@@ -289,14 +347,21 @@ def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, di
     return submajorizes(upper, lower), rec
 
 
-def verify_symmetric_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+def verify_symmetric_stack(f, cells, stack, digests, sem_cache, variant) -> list:
     """verify_symmetric over a stack (T, 2, n, n) of (X, Y), with the checks
-    of _checked_images."""
-    power = PowerOf(spec, p)
-    failed, h, fh, sem = _checked_images(f, theta, p, stack, sem_cache)
-    sv = _profiles(fh[:, 0] - fh[:, 1], h[:, 0] - h[:, 1])
-    rhs = sem * _norms(sv[:, 1] ** theta, power)
-    return _records("symmetric", failed, _norms(sv[:, 0], power), rhs, None, h, digests)
+    of _seminorm_front; one SVD of f(X) - f(Y) and X - Y serves every cell."""
+    h, front = _seminorm_front(f, stack, sem_cache, _difference_profiles)
+
+    def evaluate(theta, p, spec, cell_digests):
+        power = PowerOf(spec, p)
+        failed, sem, sv = front(theta, p)
+        if sv is None:
+            return failed
+        rhs = sem * norm_of_profile(sv[:, 1] ** theta, power)
+        lhs = norm_of_profile(sv[:, 0], power)
+        return _records("symmetric", failed, lhs, rhs, None, h, cell_digests)
+
+    return _each_cell(cells, digests, evaluate)
 
 
 def verify_symmetric(
@@ -403,21 +468,30 @@ def inverse_apply(f: ScalarFunction, h):
     return from_eigen(dec.basis, vals), ok & found.all(axis=-1), error
 
 
-def verify_inverse_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+def verify_inverse_stack(f, cells, stack, digests, sem_cache, variant) -> list:
     """verify_inverse over a stack (T, 2, n, n) of (X, Y), spec the base
     norm, with the checks X Hermitian, Y Hermitian, then inverse_apply's
-    checks on X, then on Y."""
-    if not theta > 1.0:
-        raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
-    check_fully_symmetric(spec)
-    power = PowerOf(spec, p)
+    checks on X, then on Y.  One inverse_apply and one SVD serve every cell."""
     h, *hermitian = hermitian_stack(stack)
-    sem = _seminorm_value(f, d_of_p(p), 1.0 / theta, sem_cache)
-    inv, *inverted = inverse_apply(f, h)
-    failed = _first_failures(len(h), [hermitian], [inverted])
-    sv = _profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
-    lhs, rhs = sem ** theta * _norms(sv[:, 0], power), _norms(sv[:, 1] ** theta, power)
-    return _records("inverse", failed, lhs, rhs, None, h, digests)
+
+    @functools.cache
+    def inverted():
+        inv, *invertible = inverse_apply(f, h)
+        failed = _first_failures(len(h), [hermitian], [invertible])
+        return failed, _profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
+
+    def evaluate(theta, p, spec, cell_digests):
+        if not theta > 1.0:
+            raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
+        check_fully_symmetric(spec)
+        power = PowerOf(spec, p)
+        sem = _seminorm_value(f, d_of_p(p), 1.0 / theta, sem_cache)
+        failed, sv = inverted()
+        lhs = sem ** theta * norm_of_profile(sv[:, 0], power)
+        rhs = norm_of_profile(sv[:, 1] ** theta, power)
+        return _records("inverse", failed, lhs, rhs, None, h, cell_digests)
+
+    return _each_cell(cells, digests, evaluate)
 
 
 def verify_inverse(
@@ -433,27 +507,43 @@ def verify_inverse(
 REVERSE_VARIANTS = ("power", "expm1")
 
 
-def verify_reverse_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+def verify_reverse_stack(f, cells, stack, digests, sem_cache, variant) -> list:
     """verify_reverse_power over a stack (T, 2, n, n) of (X, Y), spec the
     base norm, with the checks X Hermitian, Y Hermitian, then per matrix its
-    reconstruction and, for "expm1", g finite on its spectrum."""
-    if not theta > 1.0:
-        raise ParameterError(f"reverse power needs theta > 1, got {theta}")
-    power = PowerOf(spec, p)
-    if variant not in REVERSE_VARIANTS:
-        raise ParameterError(f"unknown reverse variant {variant!r}")
+    reconstruction and, for "expm1", g finite on its spectrum.  One
+    eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
+    g(X) - g(Y) every cell (for "expm1") or every cell of that theta."""
     h, *hermitian = hermitian_stack(stack)
-    dec, _, *reconstructed = eigh_stack(h)
-    lam = dec.eigenvalues
-    if variant == "power":  # sgn(M)|M|^theta: finite on finite spectra, not symmetrized
-        g, checks = from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta), [reconstructed]
-    else:
-        g, *defined = apply_stack(signed_expm1(), dec)
-        checks = [reconstructed, defined]
-    failed = _first_failures(len(h), [hermitian], checks)
-    sv = _profiles(g[:, 0] - g[:, 1], h[:, 0] - h[:, 1])
-    lhs, rhs = _norms(sv[:, 0], power), _norms(sv[:, 1] ** theta, power)
-    return _records(f"reverse:{variant}", failed, lhs, rhs, None, h, digests)
+
+    @functools.cache
+    def decomposed():
+        dec, _, *reconstructed = eigh_stack(h)
+        return dec, reconstructed, _profiles(h[:, 0] - h[:, 1])[:, 0]
+
+    @functools.cache
+    def mapped_profiles(theta):
+        dec, reconstructed, _ = decomposed()
+        lam = dec.eigenvalues
+        if variant == "power":  # sgn(M)|M|^theta: finite on finite spectra, not symmetrized
+            g, checks = from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta), [reconstructed]
+        else:
+            g, *defined = apply_stack(signed_expm1(), dec)
+            checks = [reconstructed, defined]
+        failed = _first_failures(len(h), [hermitian], checks)
+        return failed, _profiles(g[:, 0] - g[:, 1])[:, 0]
+
+    def evaluate(theta, p, spec, cell_digests):
+        if not theta > 1.0:
+            raise ParameterError(f"reverse power needs theta > 1, got {theta}")
+        power = PowerOf(spec, p)
+        if variant not in REVERSE_VARIANTS:
+            raise ParameterError(f"unknown reverse variant {variant!r}")
+        failed, mapped = mapped_profiles(theta if variant == "power" else None)
+        lhs = norm_of_profile(mapped, power)
+        rhs = norm_of_profile(decomposed()[2] ** theta, power)
+        return _records(f"reverse:{variant}", failed, lhs, rhs, None, h, cell_digests)
+
+    return _each_cell(cells, digests, evaluate)
 
 
 def verify_reverse_power(
@@ -468,10 +558,10 @@ def verify_reverse_power(
 # --- commutators, quasi-commutators, absolute value ------------------------------
 
 
-def verify_commutator_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+def verify_commutator_stack(f, cells, stack, digests, sem_cache, variant) -> list:
     """verify_quasicommutator_stack on a stack (T, 2, n, n) of (X, B), its
     records named "commutator"."""
-    outcomes = verify_quasicommutator_stack(f, theta, p, spec, stack, digests, sem_cache, variant)
+    outcomes = verify_quasicommutator_stack(f, cells, stack, digests, sem_cache, variant)
     return _renamed("commutator", outcomes)
 
 
@@ -483,20 +573,34 @@ def verify_commutator(
     return _one(verify_commutator_stack, f, theta, p, base, (x, b), sem_cache, digest, None)
 
 
-def verify_quasicommutator_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+def verify_quasicommutator_stack(f, cells, stack, digests, sem_cache, variant) -> list:
     """verify_quasi_commutator over a stack (T, 3, n, n) of (A, B, R), or
     (T, 2, n, n) of (A, R) with B = A, spec the base norm; with the checks of
-    _checked_images on the Hermitian inputs."""
-    power = PowerOf(spec, p)
-    failed, h, fh, sem = _checked_images(f, theta, p, stack[:, :-1], sem_cache)
+    _seminorm_front on the Hermitian inputs.  One SVD of f(A)R - Rf(B), AR -
+    RB and R serves every cell."""
     r = stack[:, -1]
-    sv = _profiles(fh[:, 0] @ r - r @ fh[:, -1], h[:, 0] @ r - r @ h[:, -1], r)
-    # ||R||^(1-theta) as a float power, on the trials that pass their checks
-    norms_r = zip(failed, sv[:, 2, 0])
-    weights = np.array([float(s) ** (1.0 - theta) if e is None else math.nan for e, s in norms_r])
-    rhs = sem * _norms(sv[:, 1] ** theta, power) * weights
+
+    def profiles(h, fh):
+        return _profiles(fh[:, 0] @ r - r @ fh[:, -1], h[:, 0] @ r - r @ h[:, -1], r)
+
+    h, front = _seminorm_front(f, stack[:, :-1], sem_cache, profiles)
     mats = np.concatenate([h, stack[:, -1:]], axis=1)
-    return _records("quasicommutator", failed, _norms(sv[:, 0], power), rhs, None, mats, digests)
+
+    def evaluate(theta, p, spec, cell_digests):
+        power = PowerOf(spec, p)
+        failed, sem, sv = front(theta, p)
+        if sv is None:
+            return failed
+        # ||R||^(1-theta) as a float power, on the trials that pass their checks
+        norms_r = zip(failed, sv[:, 2, 0])
+        weights = np.array(
+            [float(s) ** (1.0 - theta) if e is None else math.nan for e, s in norms_r]
+        )
+        rhs = sem * norm_of_profile(sv[:, 1] ** theta, power) * weights
+        lhs = norm_of_profile(sv[:, 0], power)
+        return _records("quasicommutator", failed, lhs, rhs, None, mats, cell_digests)
+
+    return _each_cell(cells, digests, evaluate)
 
 
 def verify_quasi_commutator(
@@ -507,15 +611,24 @@ def verify_quasi_commutator(
     return _one(kernel, f, theta, p, base, (a, b, r), sem_cache, digest, None)
 
 
-def verify_absmap_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
-    """verify_abs_map over a stack (T, 2, n, n) of (A, B), spec the base norm."""
-    power = PowerOf(spec, p)
-    a, b = stack[:, 0], stack[:, 1]
-    absolute = abs_matrix(stack)
-    sv = _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
-    rhs = np.sqrt(_norms(sv[:, 1], power) * _norms(sv[:, 2], power))
-    lhs = _norms(sv[:, 0], power)
-    return _records("absmap", [None] * len(stack), lhs, rhs, None, stack, digests)
+def verify_absmap_stack(f, cells, stack, digests, sem_cache, variant) -> list:
+    """verify_abs_map over a stack (T, 2, n, n) of (A, B), spec the base
+    norm; one SVD of |A| - |B|, A + B and A - B serves every cell."""
+
+    @functools.cache
+    def profiles():
+        absolute = abs_matrix(stack)
+        a, b = stack[:, 0], stack[:, 1]
+        return _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
+
+    def evaluate(theta, p, spec, cell_digests):
+        power = PowerOf(spec, p)
+        sv = profiles()
+        rhs = np.sqrt(norm_of_profile(sv[:, 1], power) * norm_of_profile(sv[:, 2], power))
+        lhs = norm_of_profile(sv[:, 0], power)
+        return _records("absmap", [None] * len(stack), lhs, rhs, None, stack, cell_digests)
+
+    return _each_cell(cells, digests, evaluate)
 
 
 def verify_abs_map(base: NormSpec, p, a, b, digest="") -> VerificationRecord:
@@ -527,47 +640,63 @@ def verify_abs_map(base: NormSpec, p, a, b, digest="") -> VerificationRecord:
 # --- Araki-Lieb-Thirring submajorization -----------------------------------------
 
 
-def _alt_reports(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
-    """Per trial of a stack (T, 2, n, n) of (X, Z), the report of
-    mu(Z^theta X^theta)^p << mu(ZX)^(theta p), or the error of its first
+def _alt_reports(f, cells, stack, digests, sem_cache, variant) -> list:
+    """Per cell and per trial of a stack (T, 2, n, n) of (X, Z), the report
+    of mu(Z^theta X^theta)^p << mu(ZX)^(theta p), or the error of its first
     failed check in the order X Hermitian, Z Hermitian, X reconstruction, Z
     reconstruction, X positive, Z positive (within the zero tolerance of both
-    spectra)."""
-    if not 0.0 < theta < 1.0:
-        raise ParameterError(f"theta must lie in (0,1), got {theta}")
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p}")
-    h, *hermitian = hermitian_stack(stack)
-    dec, _, *reconstructed = eigh_stack(h)
-    lam = dec.eigenvalues
-    zero_tol = ZERO_TOL_COEFF * (1.0 + np.abs(lam).max(axis=(-2, -1), initial=0.0))
-    positive = (
-        ~(lam.min(axis=-1, initial=0.0) < -zero_tol[:, None]),
-        lambda idx: DomainError(
-            f"{'XZ'[idx[1]]} is not positive semidefinite (min eigenvalue "
-            f"{lam[idx].min():.3e})"
-        ),
-    )
-    failed = _first_failures(len(h), [hermitian], [reconstructed], [positive])
-    clipped = np.clip(lam, 0.0, None)
-    one, powered = from_eigen(dec.basis, clipped), from_eigen(dec.basis, clipped ** theta)
-    sv = _profiles(one[:, 1] @ one[:, 0], powered[:, 1] @ powered[:, 0])
-    upper, lower = sv[:, 0] ** (theta * p), sv[:, 1] ** p
-    return [submajorizes(u, lo) if e is None else e for e, u, lo in zip(failed, upper, lower)]
+    spectra).  One eigendecomposition and one SVD of ZX serve every cell, and
+    one SVD of Z^theta X^theta every cell of that theta."""
+
+    @functools.cache
+    def decomposed():
+        h, *hermitian = hermitian_stack(stack)
+        dec, _, *reconstructed = eigh_stack(h)
+        lam = dec.eigenvalues
+        zero_tol = ZERO_TOL_COEFF * (1.0 + np.abs(lam).max(axis=(-2, -1), initial=0.0))
+        positive = (
+            ~(lam.min(axis=-1, initial=0.0) < -zero_tol[:, None]),
+            lambda idx: DomainError(
+                f"{'XZ'[idx[1]]} is not positive semidefinite (min eigenvalue "
+                f"{lam[idx].min():.3e})"
+            ),
+        )
+        failed = _first_failures(len(h), [hermitian], [reconstructed], [positive])
+        clipped = np.clip(lam, 0.0, None)
+        one = from_eigen(dec.basis, clipped)
+        return failed, dec.basis, clipped, _profiles(one[:, 1] @ one[:, 0])[:, 0]
+
+    @functools.cache
+    def powered_profiles(theta):
+        _, basis, clipped, _ = decomposed()
+        powered = from_eigen(basis, clipped ** theta)
+        return _profiles(powered[:, 1] @ powered[:, 0])[:, 0]
+
+    def evaluate(theta, p, spec, cell_digests):
+        if not 0.0 < theta < 1.0:
+            raise ParameterError(f"theta must lie in (0,1), got {theta}")
+        if not p > 0:
+            raise ParameterError(f"p must be positive, got {p}")
+        failed, _, _, product = decomposed()
+        upper, lower = product ** (theta * p), powered_profiles(theta) ** p
+        return [submajorizes(u, lo) if e is None else e for e, u, lo in zip(failed, upper, lower)]
+
+    return _each_cell(cells, digests, evaluate)
 
 
-def verify_alt_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+def verify_alt_stack(f, cells, stack, digests, sem_cache, variant) -> list:
     """alt_check over a stack (T, 2, n, n) of (X, Z), as records: lhs and
     ratio are the violation max(0, -margin), rhs is 1, the constant is the
     margin, and a record is flagged when the submajorization fails."""
-    outcomes = []
-    reports = _alt_reports(f, theta, p, spec, stack, digests, sem_cache, variant)
-    for report, digest in zip(reports, digests):
-        if isinstance(report, SubmajorizationReport):
-            rec = make_record("alt", max(0.0, -report.margin), 1.0, 0.0, digest, report.margin)
-            report = replace(rec, flagged=not report.holds)
-        outcomes.append(report)
-    return outcomes
+
+    def record(report, digest):
+        if not isinstance(report, SubmajorizationReport):
+            return report
+        rec = make_record("alt", max(0.0, -report.margin), 1.0, 0.0, digest, report.margin)
+        return replace(rec, flagged=not report.holds)
+
+    reports = _alt_reports(f, cells, stack, digests, sem_cache, variant)
+    return [list(map(record, cell, cell_digests)) for cell, cell_digests in zip(reports, digests)]
 
 
 def alt_check(x, z, theta: float, p: float):
@@ -597,27 +726,43 @@ def cayley_identity_residual(f: ScalarFunction, x, b) -> float:
 # --- finite-rank telescoping -------------------------------------------------------
 
 
-def verify_telescope_stack(f, theta, p, spec, stack, digests, sem_cache, variant) -> list:
+def verify_telescope_stack(f, cells, stack, digests, sem_cache, variant) -> list:
     """telescope_finite_rank over a stack (T, 1 + r, n, n) of [B, x_1 e_1,
     ..., x_r e_r], with the checks every input Hermitian, then per chain
     matrix A_m = B + x_1 e_1 + ... + x_m e_m its reconstruction and f finite
-    on its spectrum, in the order B, A_r, A_1, ..., A_{r-1}."""
-    if not 0.0 < p <= 1.0:
-        raise ParameterError(f"telescoping needs p in (0,1], got {p}")
-    h, *hermitian = hermitian_stack(stack)
-    r = h.shape[1] - 1
-    order = [0, r, *range(1, r)]  # B, A_r, A_1, ..., A_{r-1}
-    chain = np.cumsum(h, axis=1)[:, order]
-    dec, _, *reconstructed = eigh_stack(chain)
-    images, *defined = apply_stack(f, dec)
-    failed = _first_failures(len(h), [hermitian], [reconstructed, defined])
-    fa = images[:, np.argsort(order)]  # f(A_0), ..., f(A_r)
-    sv = _profiles(images[:, 1] - images[:, 0], *(fa[:, 1:] - fa[:, :-1]).swapaxes(0, 1))
-    schatten = Schatten(p)
-    powers = np.array([[norm_of_profile(s, schatten) ** p for s in trial] for trial in sv])
-    # a running total of the step terms, rounded after each step
-    rhs = sum(powers[:, 1:].T, np.zeros(len(h)))
-    return _records("telescope", failed, powers[:, 0], rhs, None, chain[:, :2], digests)
+    on its spectrum, in the order B, A_r, A_1, ..., A_{r-1}.  One
+    eigendecomposition and one SVD of the chain serve every cell, and the
+    sides of the estimate every cell of that p; theta is not used."""
+
+    @functools.cache
+    def chain_profiles():
+        h, *hermitian = hermitian_stack(stack)
+        r = h.shape[1] - 1
+        order = [0, r, *range(1, r)]  # B, A_r, A_1, ..., A_{r-1}
+        chain = np.cumsum(h, axis=1)[:, order]
+        dec, _, *reconstructed = eigh_stack(chain)
+        images, *defined = apply_stack(f, dec)
+        failed = _first_failures(len(h), [hermitian], [reconstructed, defined])
+        fa = images[:, np.argsort(order)]  # f(A_0), ..., f(A_r)
+        sv = _profiles(images[:, 1] - images[:, 0], *(fa[:, 1:] - fa[:, :-1]).swapaxes(0, 1))
+        return failed, chain[:, :2], sv
+
+    @functools.cache
+    def sides(p):
+        _, _, sv = chain_profiles()
+        norms = norm_of_profile(sv, Schatten(p)).tolist()
+        powers = np.array([[s ** p for s in trial] for trial in norms])
+        # a running total of the step terms, rounded after each step
+        return powers[:, 0], sum(powers[:, 1:].T, np.zeros(len(sv)))
+
+    def evaluate(theta, p, spec, cell_digests):
+        if not 0.0 < p <= 1.0:
+            raise ParameterError(f"telescoping needs p in (0,1], got {p}")
+        failed, mats, _ = chain_profiles()
+        lhs, rhs = sides(p)
+        return _records("telescope", failed, lhs, rhs, None, mats, cell_digests)
+
+    return _each_cell(cells, digests, evaluate)
 
 
 def telescope_finite_rank(f: ScalarFunction, theta, p, b, steps, digest="") -> VerificationRecord:

@@ -218,6 +218,15 @@ def test_cli_campaign_end_to_end(tmp_path, capsys):
     assert not (out1 / "counterexamples.json").exists()
 
 
+def test_reports_carry_the_report_format(tmp_path, capsys):
+    # format 2: every cell of a dim evaluates one draw per (dim, trial)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(trials=3).to_dict()))
+    assert main(["campaign", str(cfg_path), "--out", str(tmp_path)]) == 0
+    for name in ("report.json", "manifest.json"):
+        assert json.loads((tmp_path / name).read_text())["report_format"] == 2
+
+
 def test_cli_campaign_malformed_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"verifier": "bks", "wrong_key": True}))
@@ -584,7 +593,7 @@ def test_reverse_kernel_dispatches_variants():
     x, y = stack[0]
     for variant in REVERSE_VARIANTS:
         kernel = getattr(hl.verify, VERIFIERS["reverse"].kernel)
-        (rec,) = kernel(None, 1.5, 1.0, KyFan(2), stack, ["d"], {}, variant)
+        ((rec,),) = kernel(None, [(1.5, 1.0, KyFan(2))], stack, [["d"]], {}, variant)
         assert rec == hl.verify_reverse_power(1.5, 1.0, KyFan(2), x, y, variant, "d")
     cfg = small_config(verifier="reverse", thetas=(1.5,), trials=1)
     assert replay(cfg, 0, 0).name == "reverse:power"
@@ -675,7 +684,7 @@ def test_config_draws_once_per_dim_from_the_reserved_stream(monkeypatch):
     calls.clear()
     run_campaign(dataclasses.replace(cfg, trials=2))
     # the trial streams, and the load check of the replaced config
-    assert {seed.path[0] for _, seeds, _ in calls for seed in seeds} == {0, 2}
+    assert {seed.path[0] for _, seeds, _ in calls for seed in seeds} == {2, 3}
 
 
 def test_nameless_ensemble_is_the_verifier_default():

@@ -218,3 +218,28 @@ def test_spec_validation():
         PowerOf(Schatten(0.5), 1.0)  # base not fully symmetric
     with pytest.raises(ParameterError):
         PowerOf(KyFan(1), 0.0)
+
+
+STACK_SPECS = [
+    Schatten(1), Schatten(2), Schatten(1.5), Schatten(np.inf), KyFan(1), KyFan(3), KyFan(9),
+    WeakLp(0.5), WeakLp(2.0), PowerOf(Schatten(1), 0.5), PowerOf(Schatten(2), 0.75),
+    PowerOf(KyFan(2), 2.0), PowerOf(Schatten(np.inf), 0.3), PowerOf(Schatten(1), 1.0),
+]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 17, 64])
+def test_norm_of_a_stack_is_the_norm_of_each_profile(n):
+    # the reference is the loop over 1-D profiles, bit for bit: the stacks are
+    # SVD outputs at scales from 1e-8 to 1e8, their slices and their powers
+    rng = np.random.default_rng(n)
+    for scale in (1e-8, 1.0, 1e8):
+        m = scale * (rng.standard_normal((6, 3, n, n)) + 1j * rng.standard_normal((6, 3, n, n)))
+        sv = np.linalg.svd(m, compute_uv=False)
+        for stack in (sv, sv[:, 1], sv[:, 2] ** 0.7, sv[:1, 0], np.zeros((2, n))):
+            for spec in STACK_SPECS:
+                got = norm_of_profile(stack, spec)
+                want = [norm_of_profile(s, spec) for s in stack.reshape(-1, n)]
+                assert isinstance(want[0], float) and got.shape == stack.shape[:-1]
+                assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want]
+    assert norm_of_profile(np.zeros((4, 0)), Schatten(1)).tolist() == [0.0] * 4
+    assert norm_of_profile([], WeakLp(1.0)) == 0.0

@@ -5,6 +5,7 @@ record, or the error of a failed trial), statistic, counterexample and digest
 must equal what a stack of one (replay) gives, bit for bit.
 """
 
+import dataclasses
 import inspect
 import json
 from types import SimpleNamespace
@@ -135,6 +136,12 @@ def _config(name, seed=101):
     )
 
 
+def _cell(kernel, f, theta, p, spec, stack, digests, sem_cache, variant):
+    """The outcomes of a stack kernel in the one cell (theta, p, spec)."""
+    (outcomes,) = kernel(f, [(theta, p, spec)], stack, [digests], sem_cache, variant)
+    return outcomes
+
+
 def _bits(rec):
     floats = (rec.lhs.hex(), rec.rhs.hex(), rec.ratio.hex())
     return (rec.name, *floats, rec.flagged, rec.inputs_digest)
@@ -170,7 +177,7 @@ def test_every_trial_replays_bitwise(name):
 def test_reports_match_per_trial_path(name, monkeypatch):
     config = _config(name, seed=202)
     stacked = _outputs(config)
-    monkeypatch.setattr(camp, "_stack_size", lambda dim: 1)
+    monkeypatch.setattr(camp, "_stack_size", lambda dim, inputs: 1)
     assert stacked == _outputs(config)
 
 
@@ -192,41 +199,45 @@ def test_stack_sizes_are_bounded():
 
 def test_rejected_stack_items_take_the_per_trial_path(monkeypatch):
     # fail one whole stack with a LinAlgError: its trials rerun one at a
-    # time, and the report must not change
+    # time, in both cells of the dim at once, and the report must not change
     config = _config("chunk-65", seed=303)
     expected = _outputs(config)
     real = V.verify_bks_stack
     calls = []
 
-    def flaky(f, theta, p, spec, pairs, digests, sem_cache, variant):
-        calls.append(len(pairs))
+    def flaky(f, cells, pairs, digests, sem_cache, variant):
+        calls.append((len(cells), len(pairs)))
         if len(calls) == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(f, theta, p, spec, pairs, digests, sem_cache, variant)
+        return real(f, cells, pairs, digests, sem_cache, variant)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
     assert _outputs(config) == expected
-    assert calls[:3] == [32, 32, 1]
+    assert calls[:3] == [(2, 32), (2, 32), (2, 1)]
 
 
 def test_a_linalg_error_fails_only_its_trial(monkeypatch):
-    # a LinAlgError that recurs on the stack of one trial is its error
+    # a LinAlgError that recurs on the stack of one trial is its error, in
+    # every cell of its dim
     config = _config("chunk-65", seed=303)
     real = V.verify_bks_stack
 
-    def flaky(f, theta, p, spec, pairs, digests, sem_cache, variant):
-        if "303:0:5:dim8" in digests:
+    def flaky(f, cells, pairs, digests, sem_cache, variant):
+        if any(digest.split(":")[2] == "5" for cell in digests for digest in cell):
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(f, theta, p, spec, pairs, digests, sem_cache, variant)
+        return real(f, cells, pairs, digests, sem_cache, variant)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
-    outcomes = {trial: rec for trial, _, rec in trial_outcomes(config, 0, None, {})}
-    failed = [t for t, rec in outcomes.items() if isinstance(rec, HolderLabError)]
-    assert failed == [5] and isinstance(outcomes[5], EigensolverError)
-    assert str(outcomes[5]) == "LAPACK failed to converge: SVD did not converge"
-    with pytest.raises(EigensolverError):
-        replay(config, 0, 5)
-    assert _bits(outcomes[6]) == _bits(replay(config, 0, 6))
+    report, _ = run_campaign(config)
+    assert [c.failures for c in report.cells] == [1, 1]
+    for cell_idx in (0, 1):
+        outcomes = {trial: rec for trial, _, rec in trial_outcomes(config, cell_idx, None, {})}
+        failed = [t for t, rec in outcomes.items() if isinstance(rec, HolderLabError)]
+        assert failed == [5] and isinstance(outcomes[5], EigensolverError)
+        assert str(outcomes[5]) == "LAPACK failed to converge: SVD did not converge"
+        with pytest.raises(EigensolverError):
+            replay(config, cell_idx, 5)
+        assert _bits(outcomes[6]) == _bits(replay(config, cell_idx, 6))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
@@ -280,7 +291,8 @@ def test_stack_kernel_matches_per_matrix_math(eigenvalues):
         [np.stack([fixed_spectrum(eigenvalues, rng)[0] for _ in range(2)]) for _ in range(7)]
     )
     for spec in (Schatten(1), Schatten(2), Schatten(np.inf), KyFan(2)):
-        recs = V.verify_bks_stack(None, 0.5, None, spec, pairs, [""] * len(pairs), None, None)
+        digests = [""] * len(pairs)
+        recs = _cell(V.verify_bks_stack, None, 0.5, None, spec, pairs, digests, None, None)
         for (x, y), rec in zip(pairs, recs):
             lhs, rhs = _bks_per_matrix(0.5, spec, x, y)
             assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex())
@@ -292,7 +304,7 @@ def test_stack_kernel_marks_failing_pairs():
     not_psd = np.stack([np.diag([1.0, -1.0]), np.eye(2)]).astype(complex)
     not_herm = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])]).astype(complex)
     pairs = np.stack([good, not_psd, not_herm])
-    recs = V.verify_bks_stack(None, 0.5, None, Schatten(1), pairs, ["a", "b", "c"], None, None)
+    recs = _cell(V.verify_bks_stack, None, 0.5, None, Schatten(1), pairs, list("abc"), None, None)
     assert _bits(recs[0]) == _bits(hl.verify_bks(0.5, Schatten(1), *good, digest="a"))
     assert isinstance(recs[1], DomainError) and "X must be positive" in str(recs[1])
     assert isinstance(recs[2], DomainError) and "not Hermitian" in str(recs[2])
@@ -421,9 +433,9 @@ def test_gauss_fails_through_the_fallback(monkeypatch):
     stacked = []
 
     def spy(*args):
-        recs = real(*args)
-        stacked.extend(recs)
-        return recs
+        outcomes = real(*args)
+        stacked.extend(rec for cell in outcomes for rec in cell)
+        return outcomes
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_inverse_stack": spy}))
     report, _ = run_campaign(_inverse_config("gauss", trials=33, dims=[8]))
@@ -446,7 +458,7 @@ INVERSE_REPORT_CONFIGS = [dict(function=f) for f in INVERSE_FUNCTIONS] + [
 def test_inverse_reports_match_per_trial_path(kwargs, monkeypatch):
     config = _inverse_config(seed=202, trials=9, refine_steps=2, **kwargs)
     stacked = _outputs(config)
-    monkeypatch.setattr(camp, "_stack_size", lambda dim: 1)
+    monkeypatch.setattr(camp, "_stack_size", lambda dim, inputs: 1)
     assert stacked == _outputs(config)
 
 
@@ -461,9 +473,9 @@ def test_inverse_invalid_cells_and_partial_stack(monkeypatch):
     real = V.verify_inverse_stack
     sizes = []
 
-    def spy(f, theta, p, base, pairs, digests, sem_cache, variant):
-        sizes.append(len(pairs))
-        return real(f, theta, p, base, pairs, digests, sem_cache, variant)
+    def spy(f, cells, pairs, digests, sem_cache, variant):
+        sizes.append((len(cells), len(pairs)))
+        return real(f, cells, pairs, digests, sem_cache, variant)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_inverse_stack": spy}))
     report, _ = run_campaign(config)
@@ -476,9 +488,9 @@ def test_inverse_invalid_cells_and_partial_stack(monkeypatch):
         (2.0, "schatten:0.5"): 33,
         (2.0, "kyfan:2"): 0,
     }
-    # every cell runs stacked, 33 = 32 + 1; the invalid ones fail in the
-    # kernel's parameter check
-    assert sizes == [32, 1] * 6
+    # the six cells of the dim run stacked together, 33 = 32 + 1; the invalid
+    # ones fail in the kernel's parameter check
+    assert sizes == [(6, 32), (6, 1)]
     monkeypatch.undo()
     assert _replay_failures(config) == [33, 33, 33, 33, 33, 0]
 
@@ -594,7 +606,7 @@ def test_inverse_stack_kernel_matches_per_matrix_math(function):
         + [np.stack([fixed_spectrum([-0.5, 0.0, 0.0, 0.5], rng)[0] for _ in range(2)])]
     )
     for theta, p, base in ((1.5, 1.0, Schatten(1)), (3.0, 0.5, KyFan(2)), (2.0, 2.0, Schatten(2))):
-        recs = V.verify_inverse_stack(f, theta, p, base, pairs, [""] * len(pairs), {}, None)
+        recs = _cell(V.verify_inverse_stack, f, theta, p, base, pairs, [""] * len(pairs), {}, None)
         for (x, y), rec in zip(pairs, recs):
             lhs, rhs = _inverse_per_matrix(f, theta, p, base, x, y)
             assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex())
@@ -612,7 +624,7 @@ def test_inverse_stack_kernel_marks_failing_pairs():
     unbracketed = np.stack([herm([1.0, 2.0, 3.0]), herm([1.0, 2.0, 1e7])])
     flat = np.stack([1e17 * np.eye(3), herm([1.0, 2.0, 3.0])]).astype(complex)
     pairs = np.stack([good, not_herm, unbracketed, flat, good[::-1]])
-    recs = V.verify_inverse_stack(f, 2.0, 1.0, KyFan(2), pairs, list("abcde"), {}, None)
+    recs = _cell(V.verify_inverse_stack, f, 2.0, 1.0, KyFan(2), pairs, list("abcde"), {}, None)
     failed = [isinstance(rec, DomainError) for rec in recs]
     assert failed == [False, True, True, True, False]
     for (x, y), rec, digest in zip(pairs, recs, "abcde"):
@@ -686,14 +698,14 @@ def test_every_verifier_reports_match_small_stacks(verifier, size, monkeypatch):
     report = json.loads(default[0][1])
     failures = [c["failures"] for c in report["cells"]]
     assert max(failures) == 5 and min(failures) < 5
-    monkeypatch.setattr(camp, "_stack_size", lambda dim: size)
+    monkeypatch.setattr(camp, "_stack_size", lambda dim, inputs: size)
     assert [_outputs(config) for config in configs] == default
 
 
 def test_every_kernel_is_a_verify_stack_function():
     # perfbench's verify.calls counts verify.verify_* spans: each verifier's
     # kernel is called directly, with no adapter in between
-    shared = ["f", "theta", "p", "spec", "stack", "digests", "sem_cache", "variant"]
+    shared = ["f", "cells", "stack", "digests", "sem_cache", "variant"]
     for name, verifier in camp.VERIFIERS.items():
         kernel = getattr(V, verifier.kernel)
         assert verifier.kernel == kernel.__name__ == f"verify_{name}_stack"
@@ -710,12 +722,13 @@ def test_reconstruction_is_checked_before_the_spectrum(monkeypatch):
     monkeypatch.setattr(V, "eigh_stack", lambda h: real(h, tol=-1.0))
     x, y = np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex)
     for outcome in (
-        V.verify_bks_stack(
-            None, 0.5, None, Schatten(1), np.stack([x, y])[None], ["a"], None, None
-        )[0],
-        V.verify_inverse_stack(
-            parse_function_spec("gauss"), 2.0, 1.0, Schatten(1), np.stack([y, x])[None], ["a"], {},
+        _cell(
+            V.verify_bks_stack, None, 0.5, None, Schatten(1), np.stack([x, y])[None], ["a"], None,
             None,
+        )[0],
+        _cell(
+            V.verify_inverse_stack, parse_function_spec("gauss"), 2.0, 1.0, Schatten(1),
+            np.stack([y, x])[None], ["a"], {}, None,
         )[0],
     ):
         assert isinstance(outcome, EigensolverError)
@@ -723,8 +736,9 @@ def test_reconstruction_is_checked_before_the_spectrum(monkeypatch):
 
 
 def test_telescope_decomposes_each_chain_matrix_once(monkeypatch):
-    # a stack of 32 rank-3 trials: one eigendecomposition call over the
-    # 1 + 3 chain matrices of every trial, and no other
+    # 32 rank-3 trials, in stacks of 16 (4096 entries of 4 matrices of 8x8
+    # per trial): one eigendecomposition call per stack over the 1 + 3 chain
+    # matrices of every trial, and no other
     import holderlab.spectral as S
 
     real = S.eigh_stack
@@ -743,7 +757,7 @@ def test_telescope_decomposes_each_chain_matrix_once(monkeypatch):
     )
     report, _ = run_campaign(config)
     assert report.cells[0].failures == 0
-    assert shapes == [(32, 4, 8, 8)]
+    assert shapes == [(16, 4, 8, 8)] * 2
 
 
 # --- the error order of every stack kernel ----------------------------------------------
@@ -872,9 +886,9 @@ def test_kernel_error_order_is_that_of_stacks_of_one(case, monkeypatch):
     kernel = getattr(V, camp.VERIFIERS[case.split(":")[0]].kernel)
     stack = np.stack([np.stack(t) for t in trials])
     digests = [f"d{i}" for i in range(len(trials))]
-    outcomes = kernel(f, theta, p, spec, stack, digests, {}, variant)
+    outcomes = _cell(kernel, f, theta, p, spec, stack, digests, {}, variant)
     for i, (outcome, expected) in enumerate(zip(outcomes, EXPECTED_ERRORS[case], strict=True)):
-        (one,) = kernel(f, theta, p, spec, stack[i : i + 1], digests[i : i + 1], {}, variant)
+        (one,) = _cell(kernel, f, theta, p, spec, stack[i : i + 1], digests[i : i + 1], {}, variant)
         assert _outcome(outcome) == _outcome(one)
         assert (R if isinstance(one, V.VerificationRecord) else _outcome(one)) == expected
 
@@ -949,8 +963,8 @@ def _inverse_checks(f, x, y):
 )
 def test_bks_stack_outcomes_are_those_of_stacks_of_one(pairs, theta, spec):
     _same_as_stacks_of_one(
-        lambda stack, digests: V.verify_bks_stack(
-            None, theta, None, spec, stack, digests, None, None
+        lambda stack, digests: _cell(
+            V.verify_bks_stack, None, theta, None, spec, stack, digests, None, None
         ),
         pairs,
         _bks_checks,
@@ -968,9 +982,182 @@ def test_inverse_stack_outcomes_are_those_of_stacks_of_one(pairs, function, thet
     f = parse_function_spec(function)
     sem_cache = {}
     _same_as_stacks_of_one(
-        lambda stack, digests: V.verify_inverse_stack(
-            f, theta, 1.0, base, stack, digests, sem_cache, None
+        lambda stack, digests: _cell(
+            V.verify_inverse_stack, f, theta, 1.0, base, stack, digests, sem_cache, None
         ),
         pairs,
         lambda x, y: _inverse_checks(f, x, y),
     )
+
+
+# --- one draw per (dim, trial), shared by every cell -----------------------------------
+
+# per verifier, a theta it accepts and two more; p 2 fails telescope, theta
+# 1.5 bks and alt, theta 0.5 inverse and reverse, and schatten:0.5 every
+# verifier that takes a fully symmetric norm
+THETAS = {"inverse": [1.5, 3.0, 0.5], "reverse": [1.5, 3.0, 0.5]}
+
+
+def _neighbour_config(verifier, thetas, ps, norms, dims):
+    return CampaignConfig.from_dict(
+        {"verifier": verifier, "function": FUNCTION_OF.get(verifier), "thetas": thetas,
+         "ps": ps, "norms": norms, "dims": dims, "trials": 9, "seed": 505}
+    )
+
+
+def _campaign_outcomes(config):
+    """Per cell, each trial's outcome as the campaign evaluates it (the cells
+    of a dim together), with the cell index taken out of the digest."""
+    f = parse_function_spec(config.function) if config.function else None
+    grid = config.cells()
+    out = {}
+    for dim in dict.fromkeys(cell[3] for cell in grid):
+        idxs = [i for i, cell in enumerate(grid) if cell[3] == dim]
+        for chunk, _, outcomes in camp._stacks(config, idxs, f, {}):
+            for i, cell_outcomes in zip(idxs, outcomes):
+                for trial, rec in zip(chunk, cell_outcomes):
+                    if not isinstance(rec, HolderLabError):
+                        seed, _, t, d = rec.inputs_digest.split(":")
+                        rec = dataclasses.replace(rec, inputs_digest=f"{seed}:{t}:{d}")
+                    out.setdefault(grid[i], []).append(_outcome(rec))
+    return out
+
+
+@pytest.mark.parametrize("verifier", sorted(camp.VERIFIERS))
+def test_a_cells_records_do_not_depend_on_its_neighbours(verifier):
+    thetas = THETAS.get(verifier, [0.5, 0.9, 1.5])
+    norms = ["kyfan:2", "schatten:1", "schatten:0.5"]
+    full = _campaign_outcomes(_neighbour_config(verifier, thetas, [1.0, 0.5, 2.0], norms, [3, 1]))
+    for sub in (
+        _neighbour_config(verifier, thetas[:1], [1.0], norms[:1], [3]),
+        _neighbour_config(verifier, thetas[1:], [2.0, 0.5], norms[::-1], [1, 3]),
+    ):
+        outcomes = _campaign_outcomes(sub)
+        assert outcomes and all(outcomes[cell] == full[cell] for cell in outcomes)
+    # the full config has cells that fail every trial and cells with records
+    kinds = {all(o[0] in ("DomainError", "ParameterError", "CapabilityError") for o in v)
+             for v in full.values()}
+    assert kinds == {True, False}
+
+
+def test_each_dim_and_trial_is_drawn_once_from_the_shared_stream(monkeypatch):
+    real, keys = ENSEMBLES["gaussian_pair"]
+    config = CampaignConfig.from_dict(
+        {"verifier": "symmetric", "function": "power:0.5", "thetas": [0.5, 0.9],
+         "ps": [1.0, 0.5], "norms": ["schatten:1", "kyfan:2"], "dims": [3, 1, 3],
+         "trials": 40, "seed": 7}
+    )
+    drawn = []
+
+    def spy(dim, seeds, ens):
+        drawn.extend((dim, seed) for seed in seeds)
+        return real(dim, seeds, ens)
+
+    monkeypatch.setitem(ENSEMBLES, "gaussian_pair", (spy, keys))
+    report, _ = run_campaign(config)
+    assert len(report.cells) == 24
+    assert sorted((dim, seed.path) for dim, seed in drawn) == sorted(
+        (dim, (3, dim, t)) for dim in (1, 3) for t in range(40)
+    )
+    assert all(seed.root == 7 for _, seed in drawn)
+
+
+def _spy(monkeypatch, module, name, record):
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        record.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_a_bks_stack_decomposes_once_for_every_cell(monkeypatch):
+    # campaign-small's shape: 3 theta x 11 norms at dim 8, 16 trials in one
+    # stack; one eigendecomposition, one SVD of X - Y and one of
+    # X^theta - Y^theta per theta
+    config = CampaignConfig.from_dict(
+        {"verifier": "bks", "thetas": [0.25, 0.5, 0.75], "ps": [1.0],
+         "norms": [f"kyfan:{k}" for k in range(1, 9)]
+         + ["schatten:1", "schatten:2", "schatten:inf"],
+         "dims": [8], "trials": 16, "seed": 11}
+    )
+    eighs, svds = [], []
+    _spy(monkeypatch, V, "eigh_stack", eighs)
+    _spy(monkeypatch, V, "_profiles", svds)
+    report, cx = run_campaign(config)
+    assert len(report.cells) == 33 and not cx
+    assert [np.shape(args[0]) for args in eighs] == [(16, 2, 8, 8)]
+    assert len(svds) == 4
+
+
+def test_an_inverse_stack_inverts_once_for_every_theta(monkeypatch):
+    config = CampaignConfig.from_dict(
+        {"verifier": "inverse", "function": "spower:0.5", "thetas": [1.5, 2.0, 3.0],
+         "ps": [1.0], "norms": ["schatten:1"], "dims": [8], "trials": 32, "seed": 11}
+    )
+    calls = []
+    _spy(monkeypatch, V, "inverse_apply", calls)
+    report, _ = run_campaign(config)
+    assert [c.failures for c in report.cells] == [0, 0, 0]
+    assert [np.shape(args[1]) for args in calls] == [(32, 2, 8, 8)]
+
+
+def test_telescope_cells_of_one_p_are_one_verification(monkeypatch):
+    # theta does not enter telescope: its cells of one p have equal lhs, rhs
+    # and ratio on every trial, and each p's sides are computed once a stack
+    config = CampaignConfig.from_dict(
+        {"verifier": "telescope", "function": "power:0.5", "thetas": [0.5, 0.9, 7.0],
+         "ps": [1.0, 0.5], "norms": ["schatten:1"], "dims": [4], "trials": 20, "seed": 3}
+    )
+    norms = []
+    _spy(monkeypatch, V, "norm_of_profile", norms)
+    outcomes = _campaign_outcomes(config)
+    assert len(norms) == 2  # one stack, two distinct p
+    for p in (1.0, 0.5):
+        sides = [
+            [o[1:4] for o in outcomes[(theta, p, "schatten:1", 4)]] for theta in (0.5, 0.9, 7.0)
+        ]
+        assert sides[0] == sides[1] == sides[2]
+    assert outcomes[(0.5, 1.0, "schatten:1", 4)] != outcomes[(0.5, 0.5, "schatten:1", 4)]
+
+
+@pytest.mark.parametrize(
+    "verifier, ensemble, dim",
+    [
+        ("bks", None, 8),
+        ("bks", None, 64),
+        ("quasicommutator", None, 8),
+        ("telescope", {"name": "rank_one_steps", "rank": 8}, 8),
+        ("telescope", {"name": "rank_one_steps", "rank": 3}, 3),
+        ("inverse", None, 5),
+    ],
+)
+def test_stacks_hold_at_most_the_entry_budget(verifier, ensemble, dim, monkeypatch):
+    # every draw and every eigendecomposition holds at most STACK_ENTRIES
+    # complex entries, or one trial
+    from holderlab.ensembles import STACK_ENTRIES
+    import holderlab.spectral as S
+
+    config = CampaignConfig.from_dict(
+        {"verifier": verifier, "function": FUNCTION_OF.get(verifier) or "spower:0.5",
+         "thetas": [1.5] if verifier == "inverse" else [0.5], "ps": [1.0],
+         "norms": ["schatten:1"], "dims": [dim], "trials": 40, "seed": 9, "ensemble": ensemble}
+    )
+    name = camp._ensemble(verifier, ensemble)["name"]
+    real, keys = ENSEMBLES[name]
+    stacks, eighs = [], []
+
+    def draw(dim, seeds, ens):
+        kinds, stack = real(dim, seeds, ens)
+        stacks.append(stack.shape)
+        return kinds, stack
+
+    monkeypatch.setitem(ENSEMBLES, name, (draw, keys))
+    _spy(monkeypatch, V, "eigh_stack", eighs)
+    _spy(monkeypatch, S, "eigh_stack", eighs)
+    run_campaign(config)
+    shapes = stacks + [np.shape(args[0]) for args in eighs]
+    assert stacks and eighs
+    assert all(np.prod(s) <= STACK_ENTRIES or s[0] == 1 for s in shapes), shapes
+    assert sum(s[0] for s in stacks) == 40
