@@ -5,12 +5,13 @@ inputs from the sub-seed (root seed, 3, n, t), and every (theta, p, norm)
 cell of that dim is evaluated on those same inputs (common random numbers),
 so reports are reproducible bit for bit, the max ratio is monotone in the
 trial count, and the cells of one dim compare paired samples.  A cell's
-records do not depend on the other cells of the config.
+outcomes do not depend on the other cells of the config.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from itertools import product
 from numbers import Integral, Real
@@ -79,6 +80,11 @@ class CampaignConfig:
                     raise ParameterError(f"{key} holds {v!r}, not a {kind.__name__}")
         if min(self.dims) < 1:
             raise ParameterError(f"dims must be >= 1, got {min(self.dims)}")
+        for v in (*self.thetas, *self.ps):
+            if not math.isfinite(v):
+                raise ParameterError(f"thetas and ps must be finite, got {v!r}")
+        if min(self.ps) <= 0:
+            raise ParameterError(f"ps must be positive, got {min(self.ps)!r}")
         for key, least in (("trials", 1), ("seed", 0), ("refine_steps", 0)):
             _check_integer(key, getattr(self, key), least)
         if not isinstance(self.function, (str, type(None))):
@@ -263,8 +269,8 @@ class Verifier:
     tracer) reaches it."""
 
     # the name of the verify.verify_<name>_stack kernel: (f, cells, stack,
-    # digests, sem_cache, variant) -> per (theta, p, spec) cell and per trial
-    # of the stack, its record or its HolderLabError
+    # sem_cache, variant) -> per (theta, p, spec) cell the Outcomes of the
+    # stack's trials
     kernel: str
     # the ensembles.ENSEMBLES names the verifier draws from; the first is the default
     ensembles: tuple = HERMITIAN_PAIRS
@@ -286,8 +292,9 @@ VERIFIERS = {
     "symmetric": Verifier("verify_symmetric_stack", needs_function=True, uses_norm=True),
     "inverse": Verifier("verify_inverse_stack", needs_function=True, uses_norm=True),
     "reverse": Verifier("verify_reverse_stack", uses_norm=True),
+    # a commutator [f(X), B] is the quasi-commutator f(X)B - Bf(X)
     "commutator": Verifier(
-        "verify_commutator_stack",
+        "verify_quasicommutator_stack",
         ("hermitian_contraction",),
         needs_function=True,
         uses_norm=True,
@@ -343,36 +350,42 @@ def _stack_size(dim, inputs=2) -> int:
     return max(1, STACK_ENTRIES // (inputs * dim * dim))
 
 
-def _outcomes(config: CampaignConfig, f, cells, stack, digests, sem_cache) -> list:
-    """Per (theta, p, spec) cell and per trial of a stack, its record or its
-    HolderLabError, by the verifier's kernel.  A LinAlgError reruns a stack
-    of several trials one trial at a time, then a trial of several cells one
-    cell at a time, and is the EigensolverError of one trial in one cell."""
+def _record_name(config: CampaignConfig) -> str:
+    """The name of the verifier's records; reverse's carry its variant."""
+    return f"reverse:{config.variant}" if config.verifier == "reverse" else config.verifier
+
+
+def _outcomes(config: CampaignConfig, f, cells, trials, stack, sem_cache):
+    """Yield (trials, stack, outcomes): per (theta, p, spec) cell the
+    Outcomes of a stack of ``trials`` by the verifier's kernel.  A
+    LinAlgError reruns a stack of several trials one trial at a time, each
+    yielded on its own, then a trial of several cells one cell at a time, and
+    is the EigensolverError of one trial in one cell."""
     kernel = getattr(V, VERIFIERS[config.verifier].kernel)
     try:
-        return kernel(f, cells, stack, digests, sem_cache, config.variant)
+        outcomes = kernel(f, cells, stack, sem_cache, config.variant)
     except np.linalg.LinAlgError as exc:
         if len(stack) > 1:
-            parts = [
-                _outcomes(config, f, cells, stack[i : i + 1], [[d[i]] for d in digests], sem_cache)
-                for i in range(len(stack))
-            ]
-            return [[part[c][0] for part in parts] for c in range(len(cells))]
+            for i in range(len(stack)):
+                part = slice(i, i + 1)
+                yield from _outcomes(config, f, cells, trials[part], stack[part], sem_cache)
+            return
         if len(cells) > 1:
-            return [
-                _outcomes(config, f, [cell], stack, [d], sem_cache)[0]
-                for cell, d in zip(cells, digests)
+            outcomes = [
+                next(_outcomes(config, f, [cell], trials, stack, sem_cache))[2][0] for cell in cells
             ]
-        return [[EigensolverError(f"LAPACK failed to converge: {exc}")]]
+        else:
+            outcomes = [V.Outcomes.failing([EigensolverError(f"LAPACK failed to converge: {exc}")])]
+    yield trials, stack, outcomes
 
 
 def _stacks(config: CampaignConfig, cell_idxs, f, sem_cache, trials=None):
-    """Yield (trials, inputs, outcomes) for every stack of trials of the
-    cells ``cell_idxs``, which share one dim: the trials of the stack, each
-    one's inputs as (kind, matrix) pairs, and per cell each trial's record or
-    HolderLabError.  All trials, or the listed ``trials`` in that order, are
-    drawn in stacks of _stack_size(dim, inputs per trial), each from its own
-    sub-seed, once for all the cells."""
+    """Yield (trials, kinds, stack, outcomes) for every stack of trials of the
+    cells ``cell_idxs``, which share one dim: the trials of the stack, the
+    kinds of their inputs, the inputs (T, k, n, n), and per cell the
+    Outcomes of the trials.  All trials, or the listed ``trials`` in that
+    order, are drawn in stacks of _stack_size(dim, inputs per trial), each
+    from its own sub-seed, once for all the cells."""
     grid = config.cells()
     dim = grid[cell_idxs[0]][3]
     cells = [(grid[i][0], grid[i][1], _cell_spec(config, grid[i][2])) for i in cell_idxs]
@@ -383,25 +396,15 @@ def _stacks(config: CampaignConfig, cell_idxs, f, sem_cache, trials=None):
     for start in range(0, len(trials), size):
         chunk = trials[start : start + size]
         kinds, stack = draw(dim, [_trial_seed(config, dim, t) for t in chunk], ens)
-        digests = [[_digest(config, c, t, dim) for t in chunk] for c in cell_idxs]
-        outcomes = _outcomes(config, f, cells, stack, digests, sem_cache)
-        yield chunk, [list(zip(kinds, m)) for m in stack], outcomes
-
-
-def trial_outcomes(config: CampaignConfig, cell_idx: int, f, sem_cache: dict, trials=None):
-    """Yield (trial, inputs, outcome) for every trial of one cell, or for the
-    listed ``trials``, in that order; the outcome is the trial's record or
-    its HolderLabError.  This is the campaign's path restricted to one cell,
-    so each outcome equals the campaign's and replay(config, cell_idx,
-    trial)'s bit for bit."""
-    for chunk, inputs, (outcomes,) in _stacks(config, [cell_idx], f, sem_cache, trials):
-        yield from zip(chunk, inputs, outcomes)
+        for part, part_stack, outcomes in _outcomes(config, f, cells, chunk, stack, sem_cache):
+            yield part, kinds, part_stack, outcomes
 
 
 class _Tally:
-    """The statistics of one cell's outcomes, trial by trial."""
+    """The statistics of one cell's outcomes, stack by stack."""
 
-    def __init__(self, config: CampaignConfig, cell):
+    def __init__(self, config: CampaignConfig, cell_idx: int, cell):
+        self.config, self.cell_idx = config, cell_idx
         self.cell = cell  # (theta, p, norm, dim)
         self.spec = _cell_spec(config, self.cell[2])
         self.claim = VERIFIERS[config.verifier].claim(self.spec, self.cell[1])
@@ -410,21 +413,29 @@ class _Tally:
         self.best = (-np.inf, -1, None)  # ratio, trial, inputs
         self.counterexamples = []
 
-    def add(self, trial, inputs, rec):
-        if isinstance(rec, HolderLabError):
-            self.failures += 1
-            return
+    def add(self, trials, kinds, stack, outcomes):
+        ok = np.array([e is None for e in outcomes.failed])
+        self.failures += int(np.count_nonzero(~ok))
+        ratio = outcomes.ratio
         # rhs = 0 records carry the 0/0 convention and stay out of the
         # max/min statistics (flagged ones are persisted below instead)
-        if rec.rhs > 0.0:
-            self.ratios.append(rec.ratio)
-            if rec.ratio > self.best[0]:
-                self.best = (rec.ratio, trial, inputs)
-        if rec.flagged or (self.claim is not None and rec.ratio > self.claim + CONSTANT_ONE_TOL):
-            theta, p, norm_str, dim = self.cell
+        counted = ok & (outcomes.rhs > 0.0)
+        self.ratios.append(ratio[counted])
+        # the first trial with the strictly largest ratio; NaN is never one
+        candidates = np.where(counted & ~np.isnan(ratio), ratio, -np.inf)
+        i = int(np.argmax(candidates))
+        if candidates[i] > self.best[0]:
+            self.best = (float(candidates[i]), trials[i], list(zip(kinds, stack[i])))
+        bad = outcomes.flagged
+        if self.claim is not None:
+            bad = bad | (ratio > self.claim + CONSTANT_ONE_TOL)
+        theta, p, norm_str, dim = self.cell
+        for i in np.flatnonzero(ok & bad):
+            digest = _digest(self.config, self.cell_idx, trials[i], dim)
+            inputs = zip(kinds, stack[i])
             self.counterexamples.append(
                 {
-                    "record": asdict(rec),
+                    "record": asdict(outcomes.record(i, _record_name(self.config), digest)),
                     "cell": {"theta": theta, "p": p, "norm": norm_str, "dim": dim},
                     "inputs": [
                         {"kind": k, "matrix": _matrix_payload(m)} for k, m in inputs if k != "step"
@@ -444,19 +455,18 @@ def run_campaign(config: CampaignConfig):
     f = parse_function_spec(config.function) if config.function else None
     sem_cache: dict = {}
     grid = config.cells()
-    tallies = [_Tally(config, cell) for cell in grid]
+    tallies = [_Tally(config, cell_idx, cell) for cell_idx, cell in enumerate(grid)]
     by_dim: dict = {}
     for cell_idx, cell in enumerate(grid):
         by_dim.setdefault(cell[3], []).append(cell_idx)
     for cell_idxs in by_dim.values():
-        for chunk, inputs, outcomes in _stacks(config, cell_idxs, f, sem_cache):
+        for trials, kinds, stack, outcomes in _stacks(config, cell_idxs, f, sem_cache):
             for cell_idx, cell_outcomes in zip(cell_idxs, outcomes):
-                add = tallies[cell_idx].add
-                for trial, trial_inputs, rec in zip(chunk, inputs, cell_outcomes):
-                    add(trial, trial_inputs, rec)
+                tallies[cell_idx].add(trials, kinds, stack, cell_outcomes)
     cells = []
     for cell_idx, ((theta, p, norm_str, dim), tally) in enumerate(zip(grid, tallies)):
-        arr = np.array(tally.ratios) if tally.ratios else np.array([0.0])
+        arr = np.concatenate(tally.ratios)
+        arr = arr if arr.size else np.array([0.0])
         q50, q99 = np.quantile(arr, [0.5, 0.99])
         refined_max = None
         trajectory = ()
@@ -501,12 +511,12 @@ def _greedy_refine(config, f, theta, p, spec, best, cell_idx, sem_cache):
             sigma *= 0.5
             continue
         stack = np.array([[m for _, m in cand]])
-        ((rec,),) = _outcomes(config, f, [(theta, p, spec)], stack, [["refine"]], sem_cache)
-        if isinstance(rec, HolderLabError):
+        ((_, _, (outcomes,)),) = _outcomes(config, f, [(theta, p, spec)], [0], stack, sem_cache)
+        if outcomes.failed[0] is not None:
             sigma *= 0.5
             continue
-        if rec.ratio > ratio:
-            ratio, inputs = rec.ratio, cand
+        if outcomes.ratio[0] > ratio:
+            ratio, inputs = float(outcomes.ratio[0]), cand
             sigma *= 0.9
         else:
             sigma *= 0.6
@@ -518,7 +528,6 @@ def replay(config: CampaignConfig, cell_idx: int, trial: int) -> V.VerificationR
     """Re-run one (cell, trial) pair of a campaign on a stack of one:
     returns its record, or raises its HolderLabError."""
     f = parse_function_spec(config.function) if config.function else None
-    ((_, _, outcome),) = trial_outcomes(config, cell_idx, f, {}, [trial])
-    if isinstance(outcome, HolderLabError):
-        raise outcome
-    return outcome
+    ((_, _, _, (outcomes,)),) = _stacks(config, [cell_idx], f, {}, [trial])
+    dim = config.cells()[cell_idx][3]
+    return outcomes.record(0, _record_name(config), _digest(config, cell_idx, trial, dim))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
@@ -102,8 +103,8 @@ def cmd_verify(args) -> int:
 
 def _no_ratio_reason(config, cell_idx, cell) -> str:
     """Why a cell has no ratio to report (its argmax digest is "none"): every
-    trial failed, named by the error of its trial 0, or every record had
-    rhs = 0."""
+    trial failed, named by the error of its trial 0, every ratio is NaN, or
+    every record had rhs = 0."""
     if cell.failures == cell.trials:
         cause = ""
         try:
@@ -111,7 +112,10 @@ def _no_ratio_reason(config, cell_idx, cell) -> str:
         except HolderLabError as exc:
             cause = f"; trial 0: {type(exc).__name__}: {exc}"
         return f"all {cell.trials} trial(s) failed{cause}"
-    reason = f"every record had rhs = 0 ({cell.trials - cell.failures} record(s)"
+    reason = "every record had rhs = 0"
+    if math.isnan(cell.max_ratio):
+        reason = "every ratio is NaN, since lhs and rhs are not finite"
+    reason += f" ({cell.trials - cell.failures} record(s)"
     return reason + (f", {cell.failures} failed trial(s))" if cell.failures else ")")
 
 

@@ -80,8 +80,8 @@ class PowerOf:
     p: float
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ParameterError(f"power exponent must be positive, got {self.p}")
+        if not (self.p > 0 and np.isfinite(self.p)):
+            raise ParameterError(f"power exponent must be finite positive, got {self.p}")
         check_fully_symmetric(self.base)
 
 
@@ -101,22 +101,23 @@ def norm_of_profile(values, spec: NormSpec):
     stack (..., n), an array (...) whose entries have the bits of each
     profile's own norm."""
     v = np.asarray(values, dtype=float)
-    if not v.shape[-1]:
-        out = np.zeros(v.shape[:-1])
-    elif isinstance(spec, Schatten):
-        if np.isinf(spec.p):
-            out = v[..., 0]
+    with np.errstate(over="ignore"):  # a p-th power may overflow to inf
+        if not v.shape[-1]:
+            out = np.zeros(v.shape[:-1])
+        elif isinstance(spec, Schatten):
+            if np.isinf(spec.p):
+                out = v[..., 0]
+            else:
+                out = _root(np.sum(v ** spec.p, axis=-1), spec.p)
+        elif isinstance(spec, WeakLp):
+            weights = (np.arange(v.shape[-1]) + 1.0) ** (1.0 / spec.p)
+            out = np.max(weights * v, axis=-1)
+        elif isinstance(spec, KyFan):
+            out = v[..., : spec.k].sum(axis=-1)
+        elif isinstance(spec, PowerOf):
+            out = _root(norm_of_profile(v ** spec.p, spec.base), spec.p)
         else:
-            out = _root(np.sum(v ** spec.p, axis=-1), spec.p)
-    elif isinstance(spec, WeakLp):
-        weights = (np.arange(v.shape[-1]) + 1.0) ** (1.0 / spec.p)
-        out = np.max(weights * v, axis=-1)
-    elif isinstance(spec, KyFan):
-        out = v[..., : spec.k].sum(axis=-1)
-    elif isinstance(spec, PowerOf):
-        out = _root(norm_of_profile(v ** spec.p, spec.base), spec.p)
-    else:
-        raise ParameterError(f"unknown norm spec {spec!r}")
+            raise ParameterError(f"unknown norm spec {spec!r}")
     return float(out) if v.ndim == 1 else out
 
 

@@ -30,7 +30,6 @@ from .norms import (
     NormSpec,
     PowerOf,
     Schatten,
-    SubmajorizationReport,
     check_fully_symmetric,
     least_domination_constant,
     norm_of_profile,
@@ -65,37 +64,52 @@ class VerificationRecord:
     flagged: bool = False
 
 
-def make_record(name, lhs, rhs, abs_tol, digest="", constant=None) -> VerificationRecord:
-    """Record with ratio = lhs / rhs, 0/0 -> 0.  A record with rhs <= 0 is
-    flagged when lhs exceeds ``abs_tol``: a float, or a zero-argument
-    callable that computes it, called only for such records."""
-    lhs, rhs = float(lhs), float(rhs)
-    if rhs > 0.0:
-        ratio = lhs / rhs
-        flagged = False
-    else:
-        ratio = 0.0
-        flagged = lhs > (abs_tol() if callable(abs_tol) else abs_tol)
-    return VerificationRecord(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        holds_with_constant=constant,
-        inputs_digest=digest,
-        flagged=flagged,
-    )
+@dataclass(frozen=True)
+class Outcomes:
+    """One cell's outcomes on a stack of T trials: per trial the error of its
+    first failed check, or None (``failed``), and arrays (T,) of the sides,
+    ratios, flags and, for some verifiers, constants, whose entries mean
+    nothing for a failed trial.  ``profiles`` holds the stacks (upper, lower)
+    that the submajorization verifiers compare."""
 
+    failed: list
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ratio: np.ndarray
+    flagged: np.ndarray
+    constants: Optional[np.ndarray] = None
+    profiles: Optional[tuple] = None
 
-def _abs_tol(dim, *mats):
-    """The flagging tolerance of a record on these inputs, deferred: it costs
-    an SVD per matrix and make_record needs it only when rhs <= 0."""
+    @classmethod
+    def judged(cls, failed, lhs, rhs, mats, constants=None, profiles=None) -> "Outcomes":
+        """The ratio and flag conventions: ratio = lhs / rhs with 0/0 -> 0,
+        and a trial with rhs <= 0 is flagged when lhs exceeds ABS_TOL_COEFF *
+        n * (1 + the largest operator norm of its inputs mats[i]), which is
+        computed only for such trials."""
+        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        positive = rhs > 0.0
+        with np.errstate(all="ignore"):
+            ratio = np.where(positive, lhs / rhs, 0.0)
+        flagged = np.zeros(len(failed), dtype=bool)
+        for i in np.flatnonzero(~positive):
+            if failed[i] is None:
+                scale = max((op_norm(m) for m in mats[i]), default=0.0)
+                flagged[i] = lhs[i] > ABS_TOL_COEFF * mats.shape[-1] * (1.0 + scale)
+        return cls(list(failed), lhs, rhs, ratio, flagged, constants, profiles)
 
-    def tol():
-        scale = max((op_norm(m) for m in mats), default=0.0)
-        return ABS_TOL_COEFF * dim * (1.0 + scale)
+    @classmethod
+    def failing(cls, failed) -> "Outcomes":
+        """The outcomes of trials that each failed with its error in ``failed``."""
+        nan = np.full(len(failed), math.nan)
+        return cls(list(failed), nan, nan, nan, np.zeros(len(failed), dtype=bool))
 
-    return tol
+    def record(self, i, name, digest="") -> VerificationRecord:
+        """Trial i's record, named ``name``; raises the trial's error when it failed."""
+        if self.failed[i] is not None:
+            raise self.failed[i]
+        constant = None if self.constants is None else float(self.constants[i])
+        sides = (float(self.lhs[i]), float(self.rhs[i]), float(self.ratio[i]))
+        return VerificationRecord(name, *sides, constant, digest, bool(self.flagged[i]))
 
 
 def _seminorm_value(f, d, theta, cache=None):
@@ -119,47 +133,48 @@ def _stack_of_one(mats) -> np.ndarray:
     return np.stack(mats)[None]
 
 
-def _one(kernel, f, theta, p, spec, mats, sem_cache, digest, variant):
-    """The outcome ``kernel`` gives the trial of inputs ``mats`` in a stack of
+def _one(kernel, f, theta, p, spec, mats, sem_cache, variant) -> Outcomes:
+    """The outcomes ``kernel`` gives the trial of inputs ``mats`` in a stack of
     one trial and the one cell (theta, p, spec), or raise its error; LAPACK's
     failure to converge is the EigensolverError a campaign records for it."""
     stack = _stack_of_one(mats)
     try:
-        ((outcome,),) = kernel(f, [(theta, p, spec)], stack, [[digest]], sem_cache, variant)
+        (outcomes,) = kernel(f, [(theta, p, spec)], stack, sem_cache, variant)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"LAPACK failed to converge: {exc}") from exc
-    if isinstance(outcome, HolderLabError):
-        raise outcome
-    return outcome
+    if outcomes.failed[0] is not None:
+        raise outcomes.failed[0]
+    return outcomes
 
 
 # --- the shared steps of the stack kernels ------------------------------------------
 #
-# A kernel verify_<name>_stack(f, cells, stack, digests, sem_cache, variant)
-# evaluates a stack of T trials, one complex array (T, k, n, n) as an
-# ensembles draw yields it, in every cell of ``cells``, a list of (theta, p,
-# spec); ``digests`` holds per cell the digest of each trial.  It returns per
-# cell each trial's record, or the HolderLabError of the first check the
-# trial fails, in the order its docstring gives; it ignores the parameters its
-# verifier does not take.  A cell whose parameter check raises a
-# HolderLabError has that error on every trial, and numpy.linalg.LinAlgError
-# from LAPACK propagates.  The work that does not depend on the cell (checks,
-# eigendecompositions, images, SVDs) runs once per stack, when the first cell
-# that passes its parameter checks needs it, so a cell's outcomes do not
-# depend on the other cells.  A check is a pair (ok mask (T, k), function from
-# an index (trial, input) to the error).
+# A kernel verify_<name>_stack(f, cells, stack, sem_cache, variant) evaluates
+# a stack of T trials, one complex array (T, k, n, n) as an ensembles draw
+# yields it, in every cell of ``cells``, a list of (theta, p, spec).  It
+# returns per cell one Outcomes: per trial the HolderLabError of the first
+# check the trial fails, in the order its docstring gives, and the arrays of
+# its sides.  Records, with their names and digests, are built from these
+# only where one is read.  A kernel ignores the parameters its verifier does
+# not take.  A cell whose parameter check raises a HolderLabError has that
+# error on every trial, and numpy.linalg.LinAlgError from LAPACK propagates.
+# The work that does not depend on the cell (checks, eigendecompositions,
+# images, SVDs) runs once per stack, when the first cell that passes its
+# parameter checks needs it, so a cell's outcomes do not depend on the other
+# cells.  A check is a pair (ok mask (T, k), function from an index (trial,
+# input) to the error).
 
 
-def _each_cell(cells, digests, evaluate) -> list:
-    """Per cell (theta, p, spec) and its trials' digests, the outcomes
-    ``evaluate(theta, p, spec, digests)`` returns, or the HolderLabError it
-    raises as every trial's outcome."""
+def _each_cell(cells, size, evaluate) -> list:
+    """Per cell (theta, p, spec), the Outcomes ``evaluate(theta, p, spec)``
+    returns, or the HolderLabError it raises as the outcome of each of the
+    ``size`` trials."""
     outcomes = []
-    for (theta, p, spec), cell_digests in zip(cells, digests, strict=True):
+    for theta, p, spec in cells:
         try:
-            outcomes.append(evaluate(theta, p, spec, cell_digests))
+            outcomes.append(evaluate(theta, p, spec))
         except HolderLabError as exc:
-            outcomes.append([exc] * len(cell_digests))
+            outcomes.append(Outcomes.failing([exc] * size))
     return outcomes
 
 
@@ -181,26 +196,6 @@ def _profiles(*mats) -> np.ndarray:
     """The singular values of every trial's matrices in one batched SVD:
     (T, len(mats), n) for stacks (T, n, n)."""
     return np.linalg.svd(np.stack(mats, axis=1), compute_uv=False)
-
-
-def _records(name, failed, lhs, rhs, constants, mats, digests) -> list:
-    """Per trial of a stack, its error from ``failed``, or else its record
-    from lhs, rhs and, unless ``constants`` is None, its constant, flagged
-    against the trial's inputs mats[i]."""
-    n = mats.shape[-1]
-    constants = [None] * len(failed) if constants is None else constants
-    return [
-        make_record(name, left, right, _abs_tol(n, *m), digest, c) if error is None else error
-        for error, left, right, c, m, digest in zip(failed, lhs, rhs, constants, mats, digests)
-    ]
-
-
-def _renamed(name, outcomes) -> list:
-    """The outcomes of a stack per cell, each record renamed ``name``."""
-    return [
-        [replace(o, name=name) if isinstance(o, VerificationRecord) else o for o in cell]
-        for cell in outcomes
-    ]
 
 
 def _seminorm_front(f, mats, sem_cache, profiles):
@@ -240,21 +235,21 @@ def _difference_profiles(h, fh) -> np.ndarray:
 # --- the difference estimates ---------------------------------------------------
 
 
-def verify_main_stack(f, cells, stack, digests, sem_cache, variant) -> list:
-    """verify_symmetric_stack on the base S_1, its records named "main"."""
+def verify_main_stack(f, cells, stack, sem_cache, variant) -> list:
+    """verify_symmetric_stack on the base S_1."""
     cells = [(theta, p, Schatten(1)) for theta, p, _ in cells]
-    outcomes = verify_symmetric_stack(f, cells, stack, digests, sem_cache, variant)
-    return _renamed("main", outcomes)
+    return verify_symmetric_stack(f, cells, stack, sem_cache, variant)
 
 
 def verify_main(f: ScalarFunction, theta, p, a, b, sem_cache=None, digest="") -> VerificationRecord:
     """||f(A) - f(B)||_p versus seminorm(f) * || |A-B|^theta ||_p: the
     symmetric estimate in E^(p) for E = S_1, since ||X||_p is the p-th power
     norm of the trace class."""
-    return _one(verify_main_stack, f, theta, p, None, (a, b), sem_cache, digest, None)
+    outcomes = _one(verify_main_stack, f, theta, p, None, (a, b), sem_cache, None)
+    return outcomes.record(0, "main", digest)
 
 
-def verify_bks_stack(f, cells, stack, digests, sem_cache, variant) -> list:
+def verify_bks_stack(f, cells, stack, sem_cache, variant) -> list:
     """verify_bks over a stack (T, 2, n, n) of (X, Y), with the checks X
     Hermitian, X reconstruction, X positive, then the same for Y.  One
     eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
@@ -282,37 +277,38 @@ def verify_bks_stack(f, cells, stack, digests, sem_cache, variant) -> list:
             powered = from_eigen(dec.basis, np.clip(dec.eigenvalues, 0.0, None) ** theta)
         return _profiles(powered[:, 0] - powered[:, 1])[:, 0]
 
-    def evaluate(theta, p, spec, cell_digests):
+    def evaluate(theta, p, spec):
         if not 0.0 < theta < 1.0:
             raise ParameterError(f"theta must lie in (0,1), got {theta}")
         check_fully_symmetric(spec)
         failed, _, difference = decomposed()
         lhs = norm_of_profile(powered_profiles(theta), spec)
         rhs = norm_of_profile(difference ** theta, spec)
-        return _records("bks", failed, lhs, rhs, None, stack, cell_digests)
+        return Outcomes.judged(failed, lhs, rhs, stack)
 
-    return _each_cell(cells, digests, evaluate)
+    return _each_cell(cells, len(stack), evaluate)
 
 
 def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
     """||X^theta - Y^theta|| versus || |X-Y|^theta || for positive X, Y in a
     fully symmetric norm; the expected constant is exactly 1."""
-    return _one(verify_bks_stack, None, theta, None, spec, (x, y), None, digest, None)
+    outcomes = _one(verify_bks_stack, None, theta, None, spec, (x, y), None, None)
+    return outcomes.record(0, "bks", digest)
 
 
-def _submaj(f, cells, stack, digests, sem_cache, variant) -> list:
-    """Per cell and per trial of a stack (T, 2, n, n) of (X, Y), the error of
-    its first failed check of _seminorm_front, or its submaj record with the
-    profiles it compares, upper = seminorm^p * mu(|X-Y|^theta)^p and lower =
-    mu(f(X) - f(Y))^p.  A record's constant is the least c making the
-    domination hold, and its lhs and rhs are the partial sums of lower and
-    upper where their ratio peaks (the totals when c is 0 or infinite)."""
+def verify_submaj_stack(f, cells, stack, sem_cache, variant) -> list:
+    """verify_submajorization over a stack (T, 2, n, n) of (X, Y), with the
+    checks of _seminorm_front.  The profiles compared are upper = seminorm^p
+    * mu(|X-Y|^theta)^p and lower = mu(f(X) - f(Y))^p.  A trial's constant is
+    the least c making the domination hold, and its lhs and rhs are the
+    partial sums of lower and upper where their ratio peaks (the totals when
+    c is 0 or infinite)."""
     h, front = _seminorm_front(f, stack, sem_cache, _difference_profiles)
 
-    def evaluate(theta, p, spec, cell_digests):
+    def evaluate(theta, p, spec):
         failed, sem, sv = front(theta, p)
         if sv is None:
-            return failed
+            return Outcomes.failing(failed)
         upper, lower = (sem ** p) * (sv[:, 1] ** theta) ** p, sv[:, 0] ** p
         lhs, rhs, constants = [], [], []
         for u, lo in zip(upper, lower):
@@ -325,17 +321,9 @@ def _submaj(f, cells, stack, digests, sem_cache, variant) -> list:
             lhs.append(cl[k])
             rhs.append(cu[k])
             constants.append(c)
-        records = _records("submaj", failed, lhs, rhs, constants, h, cell_digests)
-        outcomes = zip(failed, records, upper, lower)
-        return [(r, u, lo) if e is None else e for e, r, u, lo in outcomes]
+        return Outcomes.judged(failed, lhs, rhs, h, np.array(constants), (upper, lower))
 
-    return _each_cell(cells, digests, evaluate)
-
-
-def verify_submaj_stack(f, cells, stack, digests, sem_cache, variant) -> list:
-    """The records of verify_submajorization over a stack (T, 2, n, n) of (X, Y)."""
-    outcomes = _submaj(f, cells, stack, digests, sem_cache, variant)
-    return [[o if isinstance(o, HolderLabError) else o[0] for o in cell] for cell in outcomes]
+    return _each_cell(cells, len(stack), evaluate)
 
 
 def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, digest=""):
@@ -343,32 +331,34 @@ def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, di
     submajorization report at constant 1 plus a record whose ratio is the
     least constant making the domination hold (the empirical constant to the
     p-th power), realized at the worst partial sum."""
-    rec, upper, lower = _one(_submaj, f, theta, p, None, (x, y), sem_cache, digest, None)
-    return submajorizes(upper, lower), rec
+    outcomes = _one(verify_submaj_stack, f, theta, p, None, (x, y), sem_cache, None)
+    upper, lower = outcomes.profiles
+    return submajorizes(upper[0], lower[0]), outcomes.record(0, "submaj", digest)
 
 
-def verify_symmetric_stack(f, cells, stack, digests, sem_cache, variant) -> list:
+def verify_symmetric_stack(f, cells, stack, sem_cache, variant) -> list:
     """verify_symmetric over a stack (T, 2, n, n) of (X, Y), with the checks
     of _seminorm_front; one SVD of f(X) - f(Y) and X - Y serves every cell."""
     h, front = _seminorm_front(f, stack, sem_cache, _difference_profiles)
 
-    def evaluate(theta, p, spec, cell_digests):
+    def evaluate(theta, p, spec):
         power = PowerOf(spec, p)
         failed, sem, sv = front(theta, p)
         if sv is None:
-            return failed
+            return Outcomes.failing(failed)
         rhs = sem * norm_of_profile(sv[:, 1] ** theta, power)
         lhs = norm_of_profile(sv[:, 0], power)
-        return _records("symmetric", failed, lhs, rhs, None, h, cell_digests)
+        return Outcomes.judged(failed, lhs, rhs, h)
 
-    return _each_cell(cells, digests, evaluate)
+    return _each_cell(cells, len(stack), evaluate)
 
 
 def verify_symmetric(
     f: ScalarFunction, theta, p, base: NormSpec, x, y, sem_cache=None, digest=""
 ) -> VerificationRecord:
     """The main estimate in the p-th power norm of a fully symmetric base."""
-    return _one(verify_symmetric_stack, f, theta, p, base, (x, y), sem_cache, digest, None)
+    outcomes = _one(verify_symmetric_stack, f, theta, p, base, (x, y), sem_cache, None)
+    return outcomes.record(0, "symmetric", digest)
 
 
 # --- reverse-direction estimates -------------------------------------------------
@@ -468,7 +458,7 @@ def inverse_apply(f: ScalarFunction, h):
     return from_eigen(dec.basis, vals), ok & found.all(axis=-1), error
 
 
-def verify_inverse_stack(f, cells, stack, digests, sem_cache, variant) -> list:
+def verify_inverse_stack(f, cells, stack, sem_cache, variant) -> list:
     """verify_inverse over a stack (T, 2, n, n) of (X, Y), spec the base
     norm, with the checks X Hermitian, Y Hermitian, then inverse_apply's
     checks on X, then on Y.  One inverse_apply and one SVD serve every cell."""
@@ -480,7 +470,7 @@ def verify_inverse_stack(f, cells, stack, digests, sem_cache, variant) -> list:
         failed = _first_failures(len(h), [hermitian], [invertible])
         return failed, _profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
 
-    def evaluate(theta, p, spec, cell_digests):
+    def evaluate(theta, p, spec):
         if not theta > 1.0:
             raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
         check_fully_symmetric(spec)
@@ -489,9 +479,9 @@ def verify_inverse_stack(f, cells, stack, digests, sem_cache, variant) -> list:
         failed, sv = inverted()
         lhs = sem ** theta * norm_of_profile(sv[:, 0], power)
         rhs = norm_of_profile(sv[:, 1] ** theta, power)
-        return _records("inverse", failed, lhs, rhs, None, h, cell_digests)
+        return Outcomes.judged(failed, lhs, rhs, h)
 
-    return _each_cell(cells, digests, evaluate)
+    return _each_cell(cells, len(stack), evaluate)
 
 
 def verify_inverse(
@@ -500,14 +490,15 @@ def verify_inverse(
     """For invertible f in the 1/theta class (theta > 1):
     lhs = seminorm(f)^theta * ||f^{-1}(X) - f^{-1}(Y)||_{E^(p)},
     rhs = || |X-Y|^theta ||_{E^(p)}; the estimate says ratio >= 1/C."""
-    return _one(verify_inverse_stack, f, theta, p, base, (x, y), sem_cache, digest, None)
+    outcomes = _one(verify_inverse_stack, f, theta, p, base, (x, y), sem_cache, None)
+    return outcomes.record(0, "inverse", digest)
 
 
 # the maps g(t) of the reverse verifier: sgn(t)|t|^theta, sgn(t) expm1(|t|)
 REVERSE_VARIANTS = ("power", "expm1")
 
 
-def verify_reverse_stack(f, cells, stack, digests, sem_cache, variant) -> list:
+def verify_reverse_stack(f, cells, stack, sem_cache, variant) -> list:
     """verify_reverse_power over a stack (T, 2, n, n) of (X, Y), spec the
     base norm, with the checks X Hermitian, Y Hermitian, then per matrix its
     reconstruction and, for "expm1", g finite on its spectrum.  One
@@ -532,7 +523,7 @@ def verify_reverse_stack(f, cells, stack, digests, sem_cache, variant) -> list:
         failed = _first_failures(len(h), [hermitian], checks)
         return failed, _profiles(g[:, 0] - g[:, 1])[:, 0]
 
-    def evaluate(theta, p, spec, cell_digests):
+    def evaluate(theta, p, spec):
         if not theta > 1.0:
             raise ParameterError(f"reverse power needs theta > 1, got {theta}")
         power = PowerOf(spec, p)
@@ -541,9 +532,9 @@ def verify_reverse_stack(f, cells, stack, digests, sem_cache, variant) -> list:
         failed, mapped = mapped_profiles(theta if variant == "power" else None)
         lhs = norm_of_profile(mapped, power)
         rhs = norm_of_profile(decomposed()[2] ** theta, power)
-        return _records(f"reverse:{variant}", failed, lhs, rhs, None, h, cell_digests)
+        return Outcomes.judged(failed, lhs, rhs, h)
 
-    return _each_cell(cells, digests, evaluate)
+    return _each_cell(cells, len(stack), evaluate)
 
 
 def verify_reverse_power(
@@ -552,17 +543,11 @@ def verify_reverse_power(
     """||g(X) - g(Y)|| versus || |X-Y|^theta || for theta > 1, with g(t) =
     sgn(t)|t|^theta (variant "power") or sgn(t) expm1(|t|) (variant "expm1");
     the estimate says the ratio stays above a positive constant."""
-    return _one(verify_reverse_stack, None, theta, p, base, (x, y), None, digest, variant)
+    outcomes = _one(verify_reverse_stack, None, theta, p, base, (x, y), None, variant)
+    return outcomes.record(0, f"reverse:{variant}", digest)
 
 
 # --- commutators, quasi-commutators, absolute value ------------------------------
-
-
-def verify_commutator_stack(f, cells, stack, digests, sem_cache, variant) -> list:
-    """verify_quasicommutator_stack on a stack (T, 2, n, n) of (X, B), its
-    records named "commutator"."""
-    outcomes = verify_quasicommutator_stack(f, cells, stack, digests, sem_cache, variant)
-    return _renamed("commutator", outcomes)
 
 
 def verify_commutator(
@@ -570,10 +555,11 @@ def verify_commutator(
 ) -> VerificationRecord:
     """||[f(X), B]|| versus seminorm * || |[X,B]|^theta || * ||B||^(1-theta)
     in the p-th power norm of the base."""
-    return _one(verify_commutator_stack, f, theta, p, base, (x, b), sem_cache, digest, None)
+    outcomes = _one(verify_quasicommutator_stack, f, theta, p, base, (x, b), sem_cache, None)
+    return outcomes.record(0, "commutator", digest)
 
 
-def verify_quasicommutator_stack(f, cells, stack, digests, sem_cache, variant) -> list:
+def verify_quasicommutator_stack(f, cells, stack, sem_cache, variant) -> list:
     """verify_quasi_commutator over a stack (T, 3, n, n) of (A, B, R), or
     (T, 2, n, n) of (A, R) with B = A, spec the base norm; with the checks of
     _seminorm_front on the Hermitian inputs.  One SVD of f(A)R - Rf(B), AR -
@@ -586,11 +572,11 @@ def verify_quasicommutator_stack(f, cells, stack, digests, sem_cache, variant) -
     h, front = _seminorm_front(f, stack[:, :-1], sem_cache, profiles)
     mats = np.concatenate([h, stack[:, -1:]], axis=1)
 
-    def evaluate(theta, p, spec, cell_digests):
+    def evaluate(theta, p, spec):
         power = PowerOf(spec, p)
         failed, sem, sv = front(theta, p)
         if sv is None:
-            return failed
+            return Outcomes.failing(failed)
         # ||R||^(1-theta) as a float power, on the trials that pass their checks
         norms_r = zip(failed, sv[:, 2, 0])
         weights = np.array(
@@ -598,20 +584,20 @@ def verify_quasicommutator_stack(f, cells, stack, digests, sem_cache, variant) -
         )
         rhs = sem * norm_of_profile(sv[:, 1] ** theta, power) * weights
         lhs = norm_of_profile(sv[:, 0], power)
-        return _records("quasicommutator", failed, lhs, rhs, None, mats, cell_digests)
+        return Outcomes.judged(failed, lhs, rhs, mats)
 
-    return _each_cell(cells, digests, evaluate)
+    return _each_cell(cells, len(stack), evaluate)
 
 
 def verify_quasi_commutator(
     f: ScalarFunction, theta, p, base: NormSpec, a, b, r, sem_cache=None, digest=""
 ) -> VerificationRecord:
     """||f(A)R - Rf(B)|| versus seminorm * || |AR-RB|^theta || * ||R||^(1-theta)."""
-    kernel = verify_quasicommutator_stack
-    return _one(kernel, f, theta, p, base, (a, b, r), sem_cache, digest, None)
+    outcomes = _one(verify_quasicommutator_stack, f, theta, p, base, (a, b, r), sem_cache, None)
+    return outcomes.record(0, "quasicommutator", digest)
 
 
-def verify_absmap_stack(f, cells, stack, digests, sem_cache, variant) -> list:
+def verify_absmap_stack(f, cells, stack, sem_cache, variant) -> list:
     """verify_abs_map over a stack (T, 2, n, n) of (A, B), spec the base
     norm; one SVD of |A| - |B|, A + B and A - B serves every cell."""
 
@@ -621,32 +607,36 @@ def verify_absmap_stack(f, cells, stack, digests, sem_cache, variant) -> list:
         a, b = stack[:, 0], stack[:, 1]
         return _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
 
-    def evaluate(theta, p, spec, cell_digests):
+    def evaluate(theta, p, spec):
         power = PowerOf(spec, p)
         sv = profiles()
         rhs = np.sqrt(norm_of_profile(sv[:, 1], power) * norm_of_profile(sv[:, 2], power))
         lhs = norm_of_profile(sv[:, 0], power)
-        return _records("absmap", [None] * len(stack), lhs, rhs, None, stack, cell_digests)
+        return Outcomes.judged([None] * len(stack), lhs, rhs, stack)
 
-    return _each_cell(cells, digests, evaluate)
+    return _each_cell(cells, len(stack), evaluate)
 
 
 def verify_abs_map(base: NormSpec, p, a, b, digest="") -> VerificationRecord:
     """|| |A| - |B| || versus sqrt(||A+B|| ||A-B||) in the p-th power norm;
     for Schatten p >= 2 the classical constant is 1."""
-    return _one(verify_absmap_stack, None, None, p, base, (a, b), None, digest, None)
+    outcomes = _one(verify_absmap_stack, None, None, p, base, (a, b), None, None)
+    return outcomes.record(0, "absmap", digest)
 
 
 # --- Araki-Lieb-Thirring submajorization -----------------------------------------
 
 
-def _alt_reports(f, cells, stack, digests, sem_cache, variant) -> list:
-    """Per cell and per trial of a stack (T, 2, n, n) of (X, Z), the report
-    of mu(Z^theta X^theta)^p << mu(ZX)^(theta p), or the error of its first
-    failed check in the order X Hermitian, Z Hermitian, X reconstruction, Z
-    reconstruction, X positive, Z positive (within the zero tolerance of both
-    spectra).  One eigendecomposition and one SVD of ZX serve every cell, and
-    one SVD of Z^theta X^theta every cell of that theta."""
+def verify_alt_stack(f, cells, stack, sem_cache, variant) -> list:
+    """alt_check over a stack (T, 2, n, n) of (X, Z), with the checks X
+    Hermitian, Z Hermitian, X reconstruction, Z reconstruction, X positive, Z
+    positive (within the zero tolerance of both spectra).  The profiles
+    compared are upper = mu(ZX)^(theta p) and lower = mu(Z^theta X^theta)^p;
+    a trial's lhs and ratio are the violation max(0, -margin) of their
+    submajorization report, its rhs is 1, its constant the margin, and it is
+    flagged when the submajorization fails.  One eigendecomposition and one
+    SVD of ZX serve every cell, and one SVD of Z^theta X^theta every cell of
+    that theta."""
 
     @functools.cache
     def decomposed():
@@ -672,37 +662,30 @@ def _alt_reports(f, cells, stack, digests, sem_cache, variant) -> list:
         powered = from_eigen(basis, clipped ** theta)
         return _profiles(powered[:, 1] @ powered[:, 0])[:, 0]
 
-    def evaluate(theta, p, spec, cell_digests):
+    def evaluate(theta, p, spec):
         if not 0.0 < theta < 1.0:
             raise ParameterError(f"theta must lie in (0,1), got {theta}")
         if not p > 0:
             raise ParameterError(f"p must be positive, got {p}")
         failed, _, _, product = decomposed()
         upper, lower = product ** (theta * p), powered_profiles(theta) ** p
-        return [submajorizes(u, lo) if e is None else e for e, u, lo in zip(failed, upper, lower)]
+        margins = np.full(len(stack), math.nan)
+        holds = np.ones(len(stack), dtype=bool)
+        for i in np.flatnonzero([e is None for e in failed]):
+            report = submajorizes(upper[i], lower[i])
+            margins[i], holds[i] = report.margin, report.holds
+        violation = np.where(-margins > 0.0, -margins, 0.0)
+        outcomes = Outcomes.judged(failed, violation, np.ones(len(stack)), stack, margins)
+        return replace(outcomes, flagged=~holds, profiles=(upper, lower))
 
-    return _each_cell(cells, digests, evaluate)
-
-
-def verify_alt_stack(f, cells, stack, digests, sem_cache, variant) -> list:
-    """alt_check over a stack (T, 2, n, n) of (X, Z), as records: lhs and
-    ratio are the violation max(0, -margin), rhs is 1, the constant is the
-    margin, and a record is flagged when the submajorization fails."""
-
-    def record(report, digest):
-        if not isinstance(report, SubmajorizationReport):
-            return report
-        rec = make_record("alt", max(0.0, -report.margin), 1.0, 0.0, digest, report.margin)
-        return replace(rec, flagged=not report.holds)
-
-    reports = _alt_reports(f, cells, stack, digests, sem_cache, variant)
-    return [list(map(record, cell, cell_digests)) for cell, cell_digests in zip(reports, digests)]
+    return _each_cell(cells, len(stack), evaluate)
 
 
 def alt_check(x, z, theta: float, p: float):
     """Submajorization |Z^theta X^theta|^p << |Z X|^{theta p} for positive
     semidefinite X, Z."""
-    return _one(_alt_reports, None, theta, p, None, (x, z), None, "", None)
+    upper, lower = _one(verify_alt_stack, None, theta, p, None, (x, z), None, None).profiles
+    return submajorizes(upper[0], lower[0])
 
 
 # --- structural companions --------------------------------------------------------
@@ -726,7 +709,7 @@ def cayley_identity_residual(f: ScalarFunction, x, b) -> float:
 # --- finite-rank telescoping -------------------------------------------------------
 
 
-def verify_telescope_stack(f, cells, stack, digests, sem_cache, variant) -> list:
+def verify_telescope_stack(f, cells, stack, sem_cache, variant) -> list:
     """telescope_finite_rank over a stack (T, 1 + r, n, n) of [B, x_1 e_1,
     ..., x_r e_r], with the checks every input Hermitian, then per chain
     matrix A_m = B + x_1 e_1 + ... + x_m e_m its reconstruction and f finite
@@ -755,14 +738,14 @@ def verify_telescope_stack(f, cells, stack, digests, sem_cache, variant) -> list
         # a running total of the step terms, rounded after each step
         return powers[:, 0], sum(powers[:, 1:].T, np.zeros(len(sv)))
 
-    def evaluate(theta, p, spec, cell_digests):
+    def evaluate(theta, p, spec):
         if not 0.0 < p <= 1.0:
             raise ParameterError(f"telescoping needs p in (0,1], got {p}")
         failed, mats, _ = chain_profiles()
         lhs, rhs = sides(p)
-        return _records("telescope", failed, lhs, rhs, None, mats, cell_digests)
+        return Outcomes.judged(failed, lhs, rhs, mats)
 
-    return _each_cell(cells, digests, evaluate)
+    return _each_cell(cells, len(stack), evaluate)
 
 
 def telescope_finite_rank(f: ScalarFunction, theta, p, b, steps, digest="") -> VerificationRecord:
@@ -781,4 +764,5 @@ def telescope_finite_rank(f: ScalarFunction, theta, p, b, steps, digest="") -> V
             if op_norm(projs[i] @ projs[j]) > tol:
                 raise PreconditionError(f"steps {j},{i}: projections not orthogonal")
     mats = [b] + [float(x) * e for (x, _), e in zip(steps, projs)]
-    return _one(verify_telescope_stack, f, theta, p, None, mats, None, digest, None)
+    outcomes = _one(verify_telescope_stack, f, theta, p, None, mats, None, None)
+    return outcomes.record(0, "telescope", digest)

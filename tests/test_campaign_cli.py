@@ -587,13 +587,25 @@ def test_cli_campaign_every_record_rhs_zero_exit_2(tmp_path, capsys):
     assert "theta=0.5 p=1 norm=schatten:1 dim=2: every record had rhs = 0 (4 record(s))" in err
 
 
+def test_cli_verify_overflowing_norms_name_the_nan_ratios(capsys):
+    # at p = 400 every p-th power overflows to inf: each ratio is inf / inf,
+    # and no numpy warning reaches stderr
+    argv = ["verify", "--ineq", "symmetric", "--f", "power:0.5", "--p", "400", "--dim", "4",
+            "--trials", "5", "--seed", "1", "--spectrum", "1e7,2e7,5e7,1e8"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "every ratio is NaN, since lhs and rhs are not finite (5 record(s))\n"
+
+
 def test_reverse_kernel_dispatches_variants():
     draw, _ = ENSEMBLES["gaussian_pair"]
     _, stack = draw(4, [SeedState(3)], {})
     x, y = stack[0]
     for variant in REVERSE_VARIANTS:
         kernel = getattr(hl.verify, VERIFIERS["reverse"].kernel)
-        ((rec,),) = kernel(None, [(1.5, 1.0, KyFan(2))], stack, [["d"]], {}, variant)
+        (outcomes,) = kernel(None, [(1.5, 1.0, KyFan(2))], stack, {}, variant)
+        rec = outcomes.record(0, f"reverse:{variant}", "d")
         assert rec == hl.verify_reverse_power(1.5, 1.0, KyFan(2), x, y, variant, "d")
     cfg = small_config(verifier="reverse", thetas=(1.5,), trials=1)
     assert replay(cfg, 0, 0).name == "reverse:power"
@@ -749,6 +761,8 @@ BAD_NUMBERS = {
     "mpnorm-grid-neg": (["mpnorm", "--symbol", "b0", "--grid", "-4", "--trials", "2"], "got -4"),
     "mpnorm-dim-0": (["mpnorm", "--symbol", "alpha", "--dim", "0"], "got 0"),
     "mpnorm-dim-neg": (["mpnorm", "--symbol", "alpha", "--dim", "-1"], "got -1"),
+    "verify-p-inf": (["verify", "--ineq", "main", "--f", "power:0.5", "--p", "inf"], "got inf"),
+    "verify-p-nan": (["verify", "--ineq", "bks", "--p", "nan"], "got nan"),
 }
 
 
@@ -767,6 +781,12 @@ def test_cli_malformed_numbers_exit_2(case, capsys):
         ({"norms": ["weak:x"]}, "weak:x"),
         ({"norms": ["power:schatten:1:x"]}, "power:schatten:1:x"),
         ({"verifier": "main", "function": "power:x"}, "'x'"),
+        # p-th power norms mean nothing at p = inf or nan
+        ({"ps": [1.0, float("inf")]}, "got inf"),
+        ({"ps": [float("nan")]}, "got nan"),
+        ({"thetas": [float("nan")]}, "got nan"),
+        ({"ps": [0.0]}, "got 0.0"),
+        ({"norms": ["power:schatten:1:inf"]}, "power exponent must be finite"),
     ],
 )
 def test_cli_campaign_malformed_numbers_exit_2(overrides, text, tmp_path, capsys):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import holderlab as hl
 import holderlab.campaign as camp
 import holderlab.verify as V
-from holderlab.campaign import CampaignConfig, replay, run_campaign, trial_outcomes
+from holderlab.campaign import CampaignConfig, replay, run_campaign
 from holderlab.ensembles import ENSEMBLES, SeedState, fixed_spectrum, sample_positive_pairs
 from holderlab.errors import DomainError, EigensolverError, HolderLabError, ParameterError
 from holderlab.functions import ScalarFunction, d_of_p, parse_function_spec, seminorm
@@ -136,10 +136,31 @@ def _config(name, seed=101):
     )
 
 
+def _record_or_error(outcomes, i, name, digest=""):
+    """Trial i's record from a cell's Outcomes, or its error."""
+    try:
+        return outcomes.record(i, name, digest)
+    except HolderLabError as exc:
+        return exc
+
+
 def _cell(kernel, f, theta, p, spec, stack, digests, sem_cache, variant):
-    """The outcomes of a stack kernel in the one cell (theta, p, spec)."""
-    (outcomes,) = kernel(f, [(theta, p, spec)], stack, [digests], sem_cache, variant)
-    return outcomes
+    """Per trial, the record (named after the kernel, with the trial's digest)
+    or the error of a stack kernel in the one cell (theta, p, spec)."""
+    (outcomes,) = kernel(f, [(theta, p, spec)], stack, sem_cache, variant)
+    name = kernel.__name__.removeprefix("verify_").removesuffix("_stack")
+    return [_record_or_error(outcomes, i, name, d) for i, d in enumerate(digests)]
+
+
+def _trial_outcomes(config, cell_idx, f):
+    """Yield (trial, outcome) for every trial of one cell as the campaign
+    evaluates it in stacks: its record, named and digested as replay's, or
+    its error."""
+    dim = config.cells()[cell_idx][3]
+    for trials, _, _, (outcomes,) in camp._stacks(config, [cell_idx], f, {}):
+        for i, trial in enumerate(trials):
+            digest = camp._digest(config, cell_idx, trial, dim)
+            yield trial, _record_or_error(outcomes, i, camp._record_name(config), digest)
 
 
 def _bits(rec):
@@ -205,11 +226,11 @@ def test_rejected_stack_items_take_the_per_trial_path(monkeypatch):
     real = V.verify_bks_stack
     calls = []
 
-    def flaky(f, cells, pairs, digests, sem_cache, variant):
+    def flaky(f, cells, pairs, sem_cache, variant):
         calls.append((len(cells), len(pairs)))
         if len(calls) == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(f, cells, pairs, digests, sem_cache, variant)
+        return real(f, cells, pairs, sem_cache, variant)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
     assert _outputs(config) == expected
@@ -221,17 +242,20 @@ def test_a_linalg_error_fails_only_its_trial(monkeypatch):
     # every cell of its dim
     config = _config("chunk-65", seed=303)
     real = V.verify_bks_stack
+    # trial 5 is found by its inputs, wherever it sits in a stack
+    draw, _ = ENSEMBLES["positive_pair"]
+    _, (five,) = draw(8, [camp._trial_seed(config, 8, 5)], camp._ensemble("bks", None))
 
-    def flaky(f, cells, pairs, digests, sem_cache, variant):
-        if any(digest.split(":")[2] == "5" for cell in digests for digest in cell):
+    def flaky(f, cells, pairs, sem_cache, variant):
+        if any(np.array_equal(pair, five) for pair in pairs):
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(f, cells, pairs, digests, sem_cache, variant)
+        return real(f, cells, pairs, sem_cache, variant)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
     report, _ = run_campaign(config)
     assert [c.failures for c in report.cells] == [1, 1]
     for cell_idx in (0, 1):
-        outcomes = {trial: rec for trial, _, rec in trial_outcomes(config, cell_idx, None, {})}
+        outcomes = dict(_trial_outcomes(config, cell_idx, None))
         failed = [t for t, rec in outcomes.items() if isinstance(rec, HolderLabError)]
         assert failed == [5] and isinstance(outcomes[5], EigensolverError)
         assert str(outcomes[5]) == "LAPACK failed to converge: SVD did not converge"
@@ -338,8 +362,16 @@ def test_abs_tol_is_computed_only_for_degenerate_records(monkeypatch):
     rec = hl.verify_bks(0.5, Schatten(1), x, x)
     assert (rec.ratio, rec.flagged) == (0.0, False)
     assert len(calls) == 2
-    assert V.make_record("x", 1.0, 0.0, abs_tol=lambda: 2.0).flagged is False
-    assert V.make_record("x", 1.0, 0.0, abs_tol=0.5).flagged is True
+    # in a stack, only the trials with rhs <= 0 that pass their checks take
+    # the tolerance, one operator norm per input: lhs 1 over rhs 0 is flagged
+    # against 1e-12 * 2 * (1 + 0), not against 1e-12 * 2 * (1 + 1e12)
+    calls.clear()
+    mats = np.stack([np.zeros((2, 2, 2)), np.full((2, 2, 2), 0.5e12), np.zeros((2, 2, 2))] * 2)
+    failed = [None, None, DomainError("x"), None, None, None]
+    outcomes = V.Outcomes.judged(failed, [1.0] * 6, [0.0, 0.0, 0.0, 2.0, 2.0, -1.0], mats)
+    assert outcomes.flagged.tolist() == [True, False, False, False, False, True]
+    assert outcomes.ratio.tolist() == [0.0, 0.0, 0.0, 0.5, 0.5, 0.0]
+    assert len(calls) == 6  # trials 0, 1 and 5
 
 
 # --- inverse ------------------------------------------------------------------------
@@ -381,7 +413,7 @@ def _replay_failures(config):
     counts = []
     for cell_idx in range(len(config.cells())):
         failures = 0
-        for trial, inputs, rec in trial_outcomes(config, cell_idx, f, {}):
+        for trial, rec in _trial_outcomes(config, cell_idx, f):
             failures += isinstance(rec, HolderLabError)
             assert _outcome(rec) == _replayed(config, cell_idx, trial)
         counts.append(failures)
@@ -434,7 +466,7 @@ def test_gauss_fails_through_the_fallback(monkeypatch):
 
     def spy(*args):
         outcomes = real(*args)
-        stacked.extend(rec for cell in outcomes for rec in cell)
+        stacked.extend(error for cell in outcomes for error in cell.failed)
         return outcomes
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_inverse_stack": spy}))
@@ -473,9 +505,9 @@ def test_inverse_invalid_cells_and_partial_stack(monkeypatch):
     real = V.verify_inverse_stack
     sizes = []
 
-    def spy(f, cells, pairs, digests, sem_cache, variant):
+    def spy(f, cells, pairs, sem_cache, variant):
         sizes.append((len(cells), len(pairs)))
-        return real(f, cells, pairs, digests, sem_cache, variant)
+        return real(f, cells, pairs, sem_cache, variant)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_inverse_stack": spy}))
     report, _ = run_campaign(config)
@@ -704,11 +736,13 @@ def test_every_verifier_reports_match_small_stacks(verifier, size, monkeypatch):
 
 def test_every_kernel_is_a_verify_stack_function():
     # perfbench's verify.calls counts verify.verify_* spans: each verifier's
-    # kernel is called directly, with no adapter in between
-    shared = ["f", "cells", "stack", "digests", "sem_cache", "variant"]
+    # kernel is called directly, with no adapter in between; a commutator is
+    # a quasi-commutator, and records are named outside the kernels
+    shared = ["f", "cells", "stack", "sem_cache", "variant"]
     for name, verifier in camp.VERIFIERS.items():
         kernel = getattr(V, verifier.kernel)
-        assert verifier.kernel == kernel.__name__ == f"verify_{name}_stack"
+        owner = "quasicommutator" if name == "commutator" else name
+        assert verifier.kernel == kernel.__name__ == f"verify_{owner}_stack"
         assert inspect.isfunction(kernel) and kernel.__module__ == V.__name__
         params = inspect.signature(kernel).parameters.values()
         assert [q.name for q in params] == shared
@@ -1007,18 +1041,18 @@ def _neighbour_config(verifier, thetas, ps, norms, dims):
 
 def _campaign_outcomes(config):
     """Per cell, each trial's outcome as the campaign evaluates it (the cells
-    of a dim together), with the cell index taken out of the digest."""
+    of a dim together), with a digest that leaves out the cell index."""
     f = parse_function_spec(config.function) if config.function else None
     grid = config.cells()
+    name = camp._record_name(config)
     out = {}
     for dim in dict.fromkeys(cell[3] for cell in grid):
         idxs = [i for i, cell in enumerate(grid) if cell[3] == dim]
-        for chunk, _, outcomes in camp._stacks(config, idxs, f, {}):
+        for trials, _, _, outcomes in camp._stacks(config, idxs, f, {}):
             for i, cell_outcomes in zip(idxs, outcomes):
-                for trial, rec in zip(chunk, cell_outcomes):
-                    if not isinstance(rec, HolderLabError):
-                        seed, _, t, d = rec.inputs_digest.split(":")
-                        rec = dataclasses.replace(rec, inputs_digest=f"{seed}:{t}:{d}")
+                for j, trial in enumerate(trials):
+                    digest = f"{config.seed}:{trial}:dim{dim}"
+                    rec = _record_or_error(cell_outcomes, j, name, digest)
                     out.setdefault(grid[i], []).append(_outcome(rec))
     return out
 
@@ -1161,3 +1195,61 @@ def test_stacks_hold_at_most_the_entry_budget(verifier, ensemble, dim, monkeypat
     assert stacks and eighs
     assert all(np.prod(s) <= STACK_ENTRIES or s[0] == 1 for s in shapes), shapes
     assert sum(s[0] for s in stacks) == 40
+
+
+# --- records are built only where one is read -------------------------------------------
+
+
+def test_a_campaign_builds_records_only_where_one_is_read(monkeypatch):
+    # campaign-small's shape: 33 cells of 16 trials keep their outcomes as
+    # arrays; a replay builds one record, and a counterexample one each
+    config = CampaignConfig.from_dict(
+        {"verifier": "bks", "thetas": [0.25, 0.5, 0.75], "ps": [1.0],
+         "norms": [f"kyfan:{k}" for k in range(1, 9)]
+         + ["schatten:1", "schatten:2", "schatten:inf"],
+         "dims": [8], "trials": 16, "seed": 11,
+         "ensemble": {"name": "positive_pair", "spectrum_range": [0.0, 1.0]}}
+    )
+    built = []
+    real = V.VerificationRecord
+    monkeypatch.setattr(V, "VerificationRecord", lambda *args: built.append(args) or real(*args))
+    report, cx = run_campaign(config)
+    assert len(report.cells) == 33 and not cx
+    assert built == []
+    replay(config, 0, int(report.cells[0].argmax_digest.split(":")[2]))
+    assert len(built) == 1
+    bks = dataclasses.replace(camp.VERIFIERS["bks"], claim=lambda spec, p: -np.inf)
+    monkeypatch.setitem(camp.VERIFIERS, "bks", bks)
+    _, cx = run_campaign(config)
+    assert len(cx) == len(built) - 1 == 33 * 16
+    # in cell order, then trial order
+    digests = [c["record"]["inputs_digest"] for c in cx]
+    assert digests == [f"11:{c}:{t}:dim8" for c in range(33) for t in range(16)]
+
+
+# an absmap campaign whose p-th powers overflow: at p = 40 some ratios are NaN
+# (inf / inf) and others finite, at p = 400 all are NaN
+MIXED_NAN = {
+    "verifier": "absmap", "thetas": [0.5], "ps": [20.0, 40.0, 400.0],
+    "norms": ["schatten:1", "kyfan:2"], "dims": [4, 8], "trials": 40, "seed": 1,
+    "ensemble": {"name": "positive_pair", "spectrum_range": [1e3, 1e8]},
+}
+
+
+def test_a_nan_ratio_is_never_the_argmax():
+    config = CampaignConfig.from_dict(MIXED_NAN)
+    report, _ = run_campaign(config)
+    rows = report.to_csv().splitlines()[1:]
+    assert rows[4] == "0.5,40,schatten:1,4,40,nan,nan,nan,1:4:5:dim4"
+    assert [row.split(",")[-1] for row in rows[4:]] == [
+        "1:4:5:dim4", "1:5:16:dim8", "1:6:5:dim4", "1:7:16:dim8", "none", "none", "none", "none"
+    ]
+    for cell_idx, cell in enumerate(report.cells):
+        # the first trial with the largest ratio that is not NaN, among the
+        # records with rhs > 0
+        best, argmax = -np.inf, "none"
+        for _, rec in _trial_outcomes(config, cell_idx, None):
+            if rec.rhs > 0.0 and rec.ratio > best:
+                best, argmax = rec.ratio, rec.inputs_digest
+        assert cell.argmax_digest == argmax
+    assert replay(config, 4, 5).ratio == 0.0
