@@ -67,6 +67,8 @@ class CampaignConfig:
     variant: str = "power"  # reverse verifier flavour
 
     def __post_init__(self):
+        if not isinstance(self.verifier, str):
+            raise ParameterError(f"verifier must be a string, got {self.verifier!r}")
         if self.verifier not in VERIFIERS:
             raise ParameterError(f"unknown verifier {self.verifier!r}; known: {tuple(VERIFIERS)}")
         for key, kind in GRID_KEYS.items():
@@ -142,6 +144,8 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
+        if not isinstance(d, dict):
+            raise ParameterError(f"config must be a JSON object, got {d!r}")
         known = {f.name for f in cls.__dataclass_fields__.values()}
         bad = sorted(set(d) - known)
         if bad:
@@ -201,9 +205,7 @@ class CampaignReport:
         return {
             "report_format": REPORT_FORMAT,
             "config": self.config.to_dict(),
-            "cells": [
-                {**asdict(c), "trajectory": list(c.trajectory)} for c in self.cells
-            ],
+            "cells": [{**vars(c), "trajectory": list(c.trajectory)} for c in self.cells],
             "dimension_trend": self.dimension_trend(),
         }
 
@@ -329,8 +331,13 @@ def _matrix_payload(m: np.ndarray):
     return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
 
 
-def _cell_spec(config: CampaignConfig, norm_str: str):
-    return parse_norm_spec(norm_str) if VERIFIERS[config.verifier].uses_norm else None
+def _kernel_cells(config: CampaignConfig) -> list:
+    """Per cell of the grid, the (theta, p, spec) its kernel gets: the parsed
+    norm, or None for a verifier that takes no norm; each distinct norm is
+    parsed once."""
+    uses_norm = VERIFIERS[config.verifier].uses_norm
+    specs = {norm: parse_norm_spec(norm) if uses_norm else None for norm in config.norms}
+    return [(theta, p, specs[norm]) for theta, p, norm, _ in config.cells()]
 
 
 def _trial_seed(config: CampaignConfig, dim, trial: int) -> SeedState:
@@ -379,69 +386,118 @@ def _outcomes(config: CampaignConfig, f, cells, trials, stack, sem_cache):
     yield trials, stack, outcomes
 
 
-def _stacks(config: CampaignConfig, cell_idxs, f, sem_cache, trials=None):
-    """Yield (trials, kinds, stack, outcomes) for every stack of trials of the
-    cells ``cell_idxs``, which share one dim: the trials of the stack, the
-    kinds of their inputs, the inputs (T, k, n, n), and per cell the
-    Outcomes of the trials.  All trials, or the listed ``trials`` in that
-    order, are drawn in stacks of _stack_size(dim, inputs per trial), each
-    from its own sub-seed, once for all the cells."""
-    grid = config.cells()
-    dim = grid[cell_idxs[0]][3]
-    cells = [(grid[i][0], grid[i][1], _cell_spec(config, grid[i][2])) for i in cell_idxs]
+def _draw(config: CampaignConfig, dim, trials):
+    """The kinds and the stack (T, k, n, n) of the inputs of ``trials`` at
+    ``dim``.  Each trial draws from its own sub-seed, so its inputs are the
+    same bits whichever trials are drawn with it."""
     ens = _ensemble(config.verifier, config.ensemble)
     draw, _ = ENSEMBLES[ens["name"]]
+    return draw(dim, [_trial_seed(config, dim, t) for t in trials], ens)
+
+
+def _stacks(config: CampaignConfig, dim, cells, f, sem_cache, trials=None):
+    """Yield (trials, kinds, stack, outcomes) for every stack of trials at
+    ``dim`` evaluated in ``cells``, (theta, p, spec) cells of that dim: the
+    trials of the stack, the kinds of their inputs, the inputs (T, k, n, n),
+    and per cell the Outcomes of the trials.  All trials, or the listed
+    ``trials`` in that order, are drawn in stacks of _stack_size(dim, inputs
+    per trial), once for all the cells."""
+    ens = _ensemble(config.verifier, config.ensemble)
     trials = range(config.trials) if trials is None else trials
     size = _stack_size(dim, inputs_per_trial(ens, dim))
     for start in range(0, len(trials), size):
         chunk = trials[start : start + size]
-        kinds, stack = draw(dim, [_trial_seed(config, dim, t) for t in chunk], ens)
+        kinds, stack = _draw(config, dim, chunk)
         for part, part_stack, outcomes in _outcomes(config, f, cells, chunk, stack, sem_cache):
             yield part, kinds, part_stack, outcomes
 
 
-class _Tally:
-    """The statistics of one cell's outcomes, stack by stack."""
+# the quantiles a cell reports, taken as numpy's default (linear) method does
+QUANTILES = np.array([0.5, 0.99])
 
-    def __init__(self, config: CampaignConfig, cell_idx: int, cell):
-        self.config, self.cell_idx = config, cell_idx
-        self.cell = cell  # (theta, p, norm, dim)
-        self.spec = _cell_spec(config, self.cell[2])
-        self.claim = VERIFIERS[config.verifier].claim(self.spec, self.cell[1])
-        self.ratios = []
-        self.failures = 0
-        self.best = (-np.inf, -1, None)  # ratio, trial, inputs
-        self.counterexamples = []
+
+def _ratio_statistics(ratios: np.ndarray, counted: np.ndarray) -> np.ndarray:
+    """Per row of ``ratios`` (cells, N), the (max, min, q50, q99) of its
+    ``counted`` entries, from one sort of the rows.  They are the bits of
+    arr.max(), arr.min() and np.quantile(arr, [0.5, 0.99]) on the row's
+    counted entries arr, -0.0 aside: the virtual index (n - 1) q, its
+    neighbours, and numpy's lerp.  A row with a NaN counted entry reads NaN
+    in all four, and a row with none reads those of [0.0]."""
+    rows = np.arange(len(ratios))
+    n = np.count_nonzero(counted, axis=1)
+    has_nan = np.any(counted & np.isnan(ratios), axis=1)
+    # uncounted entries sort last as NaN; a row with none holds [0.0]
+    ordered = np.sort(np.where(counted, ratios, np.nan), axis=1)
+    ordered[n == 0, 0] = 0.0
+    last = np.maximum(n, 1)[:, None] - 1
+    virtual = last * QUANTILES
+    below = np.floor(virtual)
+    gamma = virtual - below
+    lo = below.astype(np.intp)
+    a, b = ordered[rows[:, None], lo], ordered[rows[:, None], np.minimum(lo + 1, last)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = b - a
+        quantiles = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    stats = np.column_stack([ordered[rows, last[:, 0]], ordered[:, 0], quantiles])
+    stats[has_nan] = np.nan
+    return stats
+
+
+class _Tally:
+    """The bookkeeping of the cells of one dim as arrays (cells, trials), so
+    a stack costs a fixed number of array operations whatever its number of
+    cells.  ``cells`` are the (theta, p, spec) of the grid cells ``cell_idxs``."""
+
+    def __init__(self, config: CampaignConfig, cell_idxs, cells):
+        self.config, self.cell_idxs, self.cells = config, cell_idxs, cells
+        grid = config.cells()
+        self.grid_cells = [grid[i] for i in cell_idxs]  # (theta, p, norm, dim)
+        claim = VERIFIERS[config.verifier].claim
+        claims = [claim(spec, p) for _, p, spec in cells]
+        # a ratio above its cell's limit breaches the claim; no claim, no limit
+        self.limit = np.array([np.inf if c is None else c + CONSTANT_ONE_TOL for c in claims])
+        shape = (len(cells), config.trials)
+        self.ok = np.zeros(shape, dtype=bool)
+        self.counted = np.zeros(shape, dtype=bool)
+        self.ratio = np.zeros(shape)
+        self.counterexamples = [[] for _ in cells]  # per cell, in trial order
 
     def add(self, trials, kinds, stack, outcomes):
-        ok = np.array([e is None for e in outcomes.failed])
-        self.failures += int(np.count_nonzero(~ok))
-        ratio = outcomes.ratio
+        ok = np.array([[e is None for e in o.failed] for o in outcomes])
+        ratio = np.array([o.ratio for o in outcomes])
+        self.ok[:, trials] = ok
         # rhs = 0 records carry the 0/0 convention and stay out of the
-        # max/min statistics (flagged ones are persisted below instead)
-        counted = ok & (outcomes.rhs > 0.0)
-        self.ratios.append(ratio[counted])
-        # the first trial with the strictly largest ratio; NaN is never one
-        candidates = np.where(counted & ~np.isnan(ratio), ratio, -np.inf)
-        i = int(np.argmax(candidates))
-        if candidates[i] > self.best[0]:
-            self.best = (float(candidates[i]), trials[i], list(zip(kinds, stack[i])))
-        bad = outcomes.flagged
-        if self.claim is not None:
-            bad = bad | (ratio > self.claim + CONSTANT_ONE_TOL)
-        theta, p, norm_str, dim = self.cell
-        for i in np.flatnonzero(ok & bad):
-            digest = _digest(self.config, self.cell_idx, trials[i], dim)
-            inputs = zip(kinds, stack[i])
-            self.counterexamples.append(
+        # statistics (flagged ones are persisted below instead)
+        self.counted[:, trials] = ok & (np.array([o.rhs for o in outcomes]) > 0.0)
+        self.ratio[:, trials] = ratio
+        bad = ok & (np.array([o.flagged for o in outcomes]) | (ratio > self.limit[:, None]))
+        for c, i in zip(*np.nonzero(bad)):
+            theta, p, norm_str, dim = self.grid_cells[c]
+            digest = _digest(self.config, self.cell_idxs[c], trials[i], dim)
+            record = outcomes[c].record(i, _record_name(self.config), digest)
+            self.counterexamples[c].append(
                 {
-                    "record": asdict(outcomes.record(i, _record_name(self.config), digest)),
+                    "record": asdict(record),
                     "cell": {"theta": theta, "p": p, "norm": norm_str, "dim": dim},
                     "inputs": [
-                        {"kind": k, "matrix": _matrix_payload(m)} for k, m in inputs if k != "step"
+                        {"kind": k, "matrix": _matrix_payload(m)}
+                        for k, m in zip(kinds, stack[i])
+                        if k != "step"
                     ],
                 }
             )
+
+    def summary(self):
+        """Per cell (failures, (max, min, q50, q99), argmax ratio, argmax
+        trial), the argmax the first trial with the strictly largest counted
+        ratio, never a NaN one; trial -1 when there is none."""
+        failures = np.count_nonzero(~self.ok, axis=1)
+        candidates = np.where(self.counted & ~np.isnan(self.ratio), self.ratio, -np.inf)
+        best = np.argmax(candidates, axis=1)
+        best_ratio = candidates[np.arange(len(best)), best]
+        best = np.where(best_ratio > -np.inf, best, -1)
+        stats = _ratio_statistics(self.ratio, self.counted)
+        return zip(failures.tolist(), stats.tolist(), best_ratio.tolist(), best.tolist())
 
 
 def run_campaign(config: CampaignConfig):
@@ -455,27 +511,26 @@ def run_campaign(config: CampaignConfig):
     f = parse_function_spec(config.function) if config.function else None
     sem_cache: dict = {}
     grid = config.cells()
-    tallies = [_Tally(config, cell_idx, cell) for cell_idx, cell in enumerate(grid)]
+    kernel_cells = _kernel_cells(config)
     by_dim: dict = {}
     for cell_idx, cell in enumerate(grid):
         by_dim.setdefault(cell[3], []).append(cell_idx)
-    for cell_idxs in by_dim.values():
-        for trials, kinds, stack, outcomes in _stacks(config, cell_idxs, f, sem_cache):
-            for cell_idx, cell_outcomes in zip(cell_idxs, outcomes):
-                tallies[cell_idx].add(trials, kinds, stack, cell_outcomes)
+    summaries, counterexamples = [None] * len(grid), [None] * len(grid)
+    for dim, cell_idxs in by_dim.items():
+        tally = _Tally(config, cell_idxs, [kernel_cells[i] for i in cell_idxs])
+        for trials, kinds, stack, outcomes in _stacks(config, dim, tally.cells, f, sem_cache):
+            tally.add(trials, kinds, stack, outcomes)
+        for cell_idx, summary, cxs in zip(cell_idxs, tally.summary(), tally.counterexamples):
+            summaries[cell_idx], counterexamples[cell_idx] = summary, cxs
     cells = []
-    for cell_idx, ((theta, p, norm_str, dim), tally) in enumerate(zip(grid, tallies)):
-        arr = np.concatenate(tally.ratios)
-        arr = arr if arr.size else np.array([0.0])
-        q50, q99 = np.quantile(arr, [0.5, 0.99])
+    for cell_idx, (theta, p, norm_str, dim) in enumerate(grid):
+        failures, (max_ratio, min_ratio, q50, q99), ratio, trial = summaries[cell_idx]
         refined_max = None
         trajectory = ()
-        best = tally.best
-        if config.refine_steps > 0 and best[2] is not None:
+        if config.refine_steps > 0 and trial >= 0:
             refined_max, trajectory = _greedy_refine(
-                config, f, theta, p, tally.spec, best, cell_idx, sem_cache
+                config, f, kernel_cells[cell_idx], dim, ratio, trial, cell_idx, sem_cache
             )
-        digest = _digest(config, cell_idx, best[1], dim) if best[1] >= 0 else "none"
         cells.append(
             CellReport(
                 theta=float(theta),
@@ -483,26 +538,29 @@ def run_campaign(config: CampaignConfig):
                 norm=norm_str,
                 dim=int(dim),
                 trials=config.trials,
-                failures=tally.failures,
-                max_ratio=float(arr.max()),
-                min_ratio=float(arr.min()),
-                q50=float(q50),
-                q99=float(q99),
-                argmax_digest=digest,
+                failures=failures,
+                max_ratio=max_ratio,
+                min_ratio=min_ratio,
+                q50=q50,
+                q99=q99,
+                argmax_digest=_digest(config, cell_idx, trial, dim) if trial >= 0 else "none",
                 refined_max=refined_max,
                 trajectory=trajectory,
             )
         )
-    counterexamples = [cx for tally in tallies for cx in tally.counterexamples]
+    counterexamples = [cx for cxs in counterexamples for cx in cxs]
     return CampaignReport(config=config, cells=tuple(cells)), counterexamples
 
 
-def _greedy_refine(config, f, theta, p, spec, best, cell_idx, sem_cache):
-    """Hill-climb from the argmax instance with shrinking Gaussian steps."""
-    ratio, _, inputs = best
+def _greedy_refine(config, f, cell, dim, ratio, trial, cell_idx, sem_cache):
+    """Hill-climb with shrinking Gaussian steps from the argmax instance, trial
+    ``trial`` of ratio ``ratio`` in the kernel cell ``cell``, whose inputs are
+    redrawn from the trial's own sub-seed."""
+    kinds, (mats,) = _draw(config, dim, [trial])
+    inputs = list(zip(kinds, mats))
     scale = max((op_norm(m) for k, m in inputs if k != "step"), default=1.0)
     sigma = 0.1 * scale
-    trajectory = [float(ratio)]
+    trajectory = [ratio]
     for step in range(config.refine_steps):
         rng = SeedState(config.seed, (1, cell_idx, step)).rng()
         try:
@@ -511,7 +569,7 @@ def _greedy_refine(config, f, theta, p, spec, best, cell_idx, sem_cache):
             sigma *= 0.5
             continue
         stack = np.array([[m for _, m in cand]])
-        ((_, _, (outcomes,)),) = _outcomes(config, f, [(theta, p, spec)], [0], stack, sem_cache)
+        ((_, _, (outcomes,)),) = _outcomes(config, f, [cell], [0], stack, sem_cache)
         if outcomes.failed[0] is not None:
             sigma *= 0.5
             continue
@@ -528,6 +586,7 @@ def replay(config: CampaignConfig, cell_idx: int, trial: int) -> V.VerificationR
     """Re-run one (cell, trial) pair of a campaign on a stack of one:
     returns its record, or raises its HolderLabError."""
     f = parse_function_spec(config.function) if config.function else None
-    ((_, _, _, (outcomes,)),) = _stacks(config, [cell_idx], f, {}, [trial])
     dim = config.cells()[cell_idx][3]
+    cell = _kernel_cells(config)[cell_idx]
+    ((_, _, _, (outcomes,)),) = _stacks(config, dim, [cell], f, {}, [trial])
     return outcomes.record(0, _record_name(config), _digest(config, cell_idx, trial, dim))

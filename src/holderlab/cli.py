@@ -134,10 +134,13 @@ def cmd_campaign(args) -> int:
     payload = report.to_dict()
     payload["manifest"] = os.path.basename(manifest_path)
     _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True))
+    cx_path = os.path.join(out, "counterexamples.json")
     if counterexamples:
-        cx_path = os.path.join(out, "counterexamples.json")
         _atomic_write(cx_path, json.dumps(counterexamples, indent=2, sort_keys=True))
         outputs.append(cx_path)
+    elif os.path.exists(cx_path):
+        # a file left by an earlier run into this directory is not this run's
+        os.remove(cx_path)
     manifest = _manifest("campaign", config.to_dict(), config.seed, outputs)
     _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     print(f"wrote {csv_path} ({len(report.cells)} cells)")

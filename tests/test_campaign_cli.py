@@ -303,6 +303,26 @@ def test_campaign_counterexample_persistence(monkeypatch, tmp_path, capsys):
     assert rec.ratio == pytest.approx(entry["record"]["ratio"], rel=1e-12)
 
 
+def test_a_clean_rerun_removes_stale_counterexamples(monkeypatch, tmp_path, capsys):
+    # a forced-claim run leaves counterexamples.json; an honest rerun into the
+    # same directory has none, so the file goes and the manifest omits it
+    import holderlab.campaign as camp
+
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(small_config(dims=(4,), trials=3).to_dict()))
+    out = tmp_path / "out"
+    argv = ["campaign", str(cfg_path), "--out", str(out)]
+    with monkeypatch.context() as m:
+        forced = dataclasses.replace(camp.VERIFIERS["bks"], claim=lambda spec, p: -np.inf)
+        m.setitem(camp.VERIFIERS, "bks", forced)
+        assert main(argv) == 3
+    assert (out / "counterexamples.json").exists()
+    assert main(argv) == 0
+    assert not (out / "counterexamples.json").exists()
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(os.path.basename(o) for o in outputs) == ["report.csv", "report.json"]
+
+
 def test_cli_mpnorm_alpha(capsys):
     code = main(["mpnorm", "--symbol", "alpha", "--p", "1", "--trials", "50", "--seed", "4"])
     rec = json.loads(capsys.readouterr().out.strip())
@@ -794,6 +814,25 @@ def test_cli_campaign_malformed_numbers_exit_2(overrides, text, tmp_path, capsys
     cfg_path.write_text(json.dumps({**small_config().to_dict(), **overrides}))
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3", "config must be a JSON object, got 3"),
+        ("null", "config must be a JSON object, got None"),
+        ('"abc"', "config must be a JSON object, got 'abc'"),
+        ("[1, 2]", "config must be a JSON object, got [1, 2]"),
+        (json.dumps({**small_config().to_dict(), "verifier": ["bks"]}), "verifier must be a string"),
+    ],
+)
+def test_cli_campaign_config_must_be_an_object(text, message, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
 
 

@@ -157,7 +157,8 @@ def _trial_outcomes(config, cell_idx, f):
     evaluates it in stacks: its record, named and digested as replay's, or
     its error."""
     dim = config.cells()[cell_idx][3]
-    for trials, _, _, (outcomes,) in camp._stacks(config, [cell_idx], f, {}):
+    cell = camp._kernel_cells(config)[cell_idx]
+    for trials, _, _, (outcomes,) in camp._stacks(config, dim, [cell], f, {}):
         for i, trial in enumerate(trials):
             digest = camp._digest(config, cell_idx, trial, dim)
             yield trial, _record_or_error(outcomes, i, camp._record_name(config), digest)
@@ -1044,11 +1045,13 @@ def _campaign_outcomes(config):
     of a dim together), with a digest that leaves out the cell index."""
     f = parse_function_spec(config.function) if config.function else None
     grid = config.cells()
+    kernel_cells = camp._kernel_cells(config)
     name = camp._record_name(config)
     out = {}
     for dim in dict.fromkeys(cell[3] for cell in grid):
         idxs = [i for i, cell in enumerate(grid) if cell[3] == dim]
-        for trials, _, _, outcomes in camp._stacks(config, idxs, f, {}):
+        cells = [kernel_cells[i] for i in idxs]
+        for trials, _, _, outcomes in camp._stacks(config, dim, cells, f, {}):
             for i, cell_outcomes in zip(idxs, outcomes):
                 for j, trial in enumerate(trials):
                     digest = f"{config.seed}:{trial}:dim{dim}"
@@ -1253,3 +1256,114 @@ def test_a_nan_ratio_is_never_the_argmax():
                 best, argmax = rec.ratio, rec.inputs_digest
         assert cell.argmax_digest == argmax
     assert replay(config, 4, 5).ratio == 0.0
+
+
+# --- each cell's statistics from one sort ---------------------------------------------
+
+
+def _same_bits(a, b):
+    """Bit-equal floats, any NaN equal to any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all((np.isnan(a) & np.isnan(b)) | (a.view(np.int64) == b.view(np.int64))))
+
+
+def _numpy_statistics(arr):
+    """(max, min, q50, q99) of the counted ratios ``arr`` as numpy gives them,
+    [0.0] standing for none."""
+    arr = arr if arr.size else np.array([0.0])
+    with np.errstate(all="ignore"):
+        return [arr.max(), arr.min(), *np.quantile(arr, [0.5, 0.99])]
+
+
+# ratios >= +0 as a campaign counts them, with NaN, inf and ties; -0.0 is
+# left out, since a counted ratio is lhs >= +0 over rhs > 0
+RATIO = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True).map(lambda x: x + 0.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.tuples(RATIO, st.booleans()), min_size=n, max_size=n),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_ratio_statistics_are_numpys_bit_for_bit(rows):
+    ratios = np.array([[r for r, _ in row] for row in rows])
+    counted = np.array([[c for _, c in row] for row in rows])
+    stats = camp._ratio_statistics(ratios, counted)
+    for row, mask, got in zip(ratios, counted, stats):
+        assert _same_bits(got, _numpy_statistics(row[mask]))
+
+
+@pytest.mark.parametrize(
+    "row, want",
+    [
+        ([], [0.0] * 4),  # no counted ratio: those of [0.0]
+        ([3.0], [3.0] * 4),  # n = 1
+        ([np.inf], [np.inf, np.inf, np.nan, np.nan]),  # numpy's lerp of inf and inf
+        ([1.0, np.nan, 2.0], [np.nan] * 4),
+        ([2.0, 2.0, 2.0, 1.0], [2.0, 1.0, 2.0, 2.0]),  # ties
+    ],
+)
+def test_ratio_statistics_edges(row, want):
+    ratios = np.array([row + [7.0]])  # an uncounted entry rides along
+    counted = np.array([[True] * len(row) + [False]])
+    (got,) = camp._ratio_statistics(ratios, counted)
+    assert _same_bits(got, want)
+    assert _same_bits(got, _numpy_statistics(np.array(row)))
+
+
+SMALL_SHAPE = {
+    "verifier": "bks", "thetas": [0.25, 0.5, 0.75], "ps": [1.0],
+    "norms": [f"kyfan:{k}" for k in range(1, 9)] + ["schatten:1", "schatten:2", "schatten:inf"],
+    "dims": [8], "trials": 16, "seed": 11,
+    "ensemble": {"name": "positive_pair", "spectrum_range": [0.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("cfg", [SMALL_SHAPE, MIXED_NAN], ids=["small", "mixed-nan"])
+def test_cell_statistics_are_numpys_on_the_trial_outcomes(cfg):
+    config = CampaignConfig.from_dict(cfg)
+    report, _ = run_campaign(config)
+    for cell_idx, cell in enumerate(report.cells):
+        ratios = np.array(
+            [
+                rec.ratio
+                for _, rec in _trial_outcomes(config, cell_idx, None)
+                if not isinstance(rec, HolderLabError) and rec.rhs > 0.0
+            ]
+        )
+        got = [cell.max_ratio, cell.min_ratio, cell.q50, cell.q99]
+        assert _same_bits(got, _numpy_statistics(ratios))
+
+
+@pytest.mark.parametrize("name", ["refine", "telescope-steps", "main-gaussian", "alt-positive"])
+def test_refinement_starts_from_the_inputs_its_stack_held(name, monkeypatch):
+    # refinement redraws the argmax trial's inputs from its own sub-seed; they
+    # are the bits the campaign's stack held, and climbing from the stack's
+    # own arrays (as a tally that kept them would) gives the same report
+    config = _config(name)
+    redrawn = _outputs(config)
+    real = camp._draw
+    held, starts = {}, []
+
+    def draw(config, dim, trials):
+        kinds, stack = real(config, dim, trials)
+        if len(trials) == 1 and (dim, trials[0]) in held:
+            starts.append(stack[0].tobytes() == held[dim, trials[0]].tobytes())
+            return kinds, held[dim, trials[0]][None]
+        held.update({(dim, t): m for t, m in zip(trials, stack)})
+        return kinds, stack
+
+    monkeypatch.setattr(camp, "_draw", draw)
+    report, cx = run_campaign(config)
+    assert (report.to_csv(), report.to_json(), json.dumps(cx, sort_keys=True)) == redrawn
+    refined = [c for c in report.cells if c.refined_max is not None]
+    assert refined and len(starts) == len(refined) and all(starts)
+    assert any(len(c.trajectory) > 1 for c in refined)
