@@ -271,8 +271,7 @@ class Verifier:
     tracer) reaches it."""
 
     # the name of the verify.verify_<name>_stack kernel: (f, cells, stack,
-    # sem_cache, variant) -> per (theta, p, spec) cell the Outcomes of the
-    # stack's trials
+    # sem_cache, variant) -> the Outcomes (cells, trials) of the stack
     kernel: str
     # the ensembles.ENSEMBLES names the verifier draws from; the first is the default
     ensembles: tuple = HERMITIAN_PAIRS
@@ -363,11 +362,11 @@ def _record_name(config: CampaignConfig) -> str:
 
 
 def _outcomes(config: CampaignConfig, f, cells, trials, stack, sem_cache):
-    """Yield (trials, stack, outcomes): per (theta, p, spec) cell the
-    Outcomes of a stack of ``trials`` by the verifier's kernel.  A
-    LinAlgError reruns a stack of several trials one trial at a time, each
-    yielded on its own, then a trial of several cells one cell at a time, and
-    is the EigensolverError of one trial in one cell."""
+    """Yield (trials, stack, outcomes): the Outcomes (cells, trials) of a
+    stack of ``trials`` in ``cells`` by the verifier's kernel.  A LinAlgError
+    reruns a stack of several trials one trial at a time, each yielded on its
+    own, then a trial of several cells one cell at a time, reassembling the
+    rows, and is the EigensolverError of one trial in one cell."""
     kernel = getattr(V, VERIFIERS[config.verifier].kernel)
     try:
         outcomes = kernel(f, cells, stack, sem_cache, config.variant)
@@ -378,11 +377,12 @@ def _outcomes(config: CampaignConfig, f, cells, trials, stack, sem_cache):
                 yield from _outcomes(config, f, cells, trials[part], stack[part], sem_cache)
             return
         if len(cells) > 1:
-            outcomes = [
-                next(_outcomes(config, f, [cell], trials, stack, sem_cache))[2][0] for cell in cells
-            ]
+            outcomes = V.Outcomes.of_cells(
+                [next(_outcomes(config, f, [cell], trials, stack, sem_cache))[2] for cell in cells]
+            )
         else:
-            outcomes = [V.Outcomes.failing([EigensolverError(f"LAPACK failed to converge: {exc}")])]
+            error = EigensolverError(f"LAPACK failed to converge: {exc}")
+            outcomes = V.Outcomes.failing([error], 1)
     yield trials, stack, outcomes
 
 
@@ -397,11 +397,10 @@ def _draw(config: CampaignConfig, dim, trials):
 
 def _stacks(config: CampaignConfig, dim, cells, f, sem_cache, trials=None):
     """Yield (trials, kinds, stack, outcomes) for every stack of trials at
-    ``dim`` evaluated in ``cells``, (theta, p, spec) cells of that dim: the
-    trials of the stack, the kinds of their inputs, the inputs (T, k, n, n),
-    and per cell the Outcomes of the trials.  All trials, or the listed
-    ``trials`` in that order, are drawn in stacks of _stack_size(dim, inputs
-    per trial), once for all the cells."""
+    ``dim`` in ``cells``, the (theta, p, spec) cells of that dim: the trials
+    of the stack, the kinds of their inputs, the inputs (T, k, n, n) and the
+    Outcomes (cells, T).  All trials, or the listed ``trials`` in that order,
+    are drawn once for all the cells, in stacks of _stack_size(dim, inputs)."""
     ens = _ensemble(config.verifier, config.ensemble)
     trials = range(config.trials) if trials is None else trials
     size = _stack_size(dim, inputs_per_trial(ens, dim))
@@ -463,18 +462,17 @@ class _Tally:
         self.counterexamples = [[] for _ in cells]  # per cell, in trial order
 
     def add(self, trials, kinds, stack, outcomes):
-        ok = np.array([[e is None for e in o.failed] for o in outcomes])
-        ratio = np.array([o.ratio for o in outcomes])
+        ok, ratio = outcomes.ok, outcomes.ratio
         self.ok[:, trials] = ok
         # rhs = 0 records carry the 0/0 convention and stay out of the
         # statistics (flagged ones are persisted below instead)
-        self.counted[:, trials] = ok & (np.array([o.rhs for o in outcomes]) > 0.0)
+        self.counted[:, trials] = ok & (outcomes.rhs > 0.0)
         self.ratio[:, trials] = ratio
-        bad = ok & (np.array([o.flagged for o in outcomes]) | (ratio > self.limit[:, None]))
+        bad = ok & (outcomes.flagged | (ratio > self.limit[:, None]))
         for c, i in zip(*np.nonzero(bad)):
             theta, p, norm_str, dim = self.grid_cells[c]
             digest = _digest(self.config, self.cell_idxs[c], trials[i], dim)
-            record = outcomes[c].record(i, _record_name(self.config), digest)
+            record = outcomes.record(c, i, _record_name(self.config), digest)
             self.counterexamples[c].append(
                 {
                     "record": asdict(record),
@@ -569,12 +567,12 @@ def _greedy_refine(config, f, cell, dim, ratio, trial, cell_idx, sem_cache):
             sigma *= 0.5
             continue
         stack = np.array([[m for _, m in cand]])
-        ((_, _, (outcomes,)),) = _outcomes(config, f, [cell], [0], stack, sem_cache)
-        if outcomes.failed[0] is not None:
+        ((_, _, outcomes),) = _outcomes(config, f, [cell], [0], stack, sem_cache)
+        if not outcomes.ok[0, 0]:
             sigma *= 0.5
             continue
-        if outcomes.ratio[0] > ratio:
-            ratio, inputs = float(outcomes.ratio[0]), cand
+        if outcomes.ratio[0, 0] > ratio:
+            ratio, inputs = float(outcomes.ratio[0, 0]), cand
             sigma *= 0.9
         else:
             sigma *= 0.6
@@ -588,5 +586,5 @@ def replay(config: CampaignConfig, cell_idx: int, trial: int) -> V.VerificationR
     f = parse_function_spec(config.function) if config.function else None
     dim = config.cells()[cell_idx][3]
     cell = _kernel_cells(config)[cell_idx]
-    ((_, _, _, (outcomes,)),) = _stacks(config, dim, [cell], f, {}, [trial])
-    return outcomes.record(0, _record_name(config), _digest(config, cell_idx, trial, dim))
+    ((_, _, _, outcomes),) = _stacks(config, dim, [cell], f, {}, [trial])
+    return outcomes.record(0, 0, _record_name(config), _digest(config, cell_idx, trial, dim))

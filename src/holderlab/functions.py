@@ -68,20 +68,20 @@ def _falling(theta: float, k: int) -> float:
 # --- catalog -----------------------------------------------------------------
 
 
-def power(theta: float) -> ScalarFunction:
-    """|t|^theta, theta in (0, 1)."""
+def _power(theta: float, odd: bool) -> ScalarFunction:
+    """|t|^theta, or sgn(t)|t|^theta when ``odd``, theta in (0, 1)."""
     if not 0.0 < theta < 1.0:
         raise ParameterError(f"power exponent must lie in (0,1), got {theta}")
 
     def ev(x):
-        return np.abs(x) ** theta
+        return np.sign(x) * np.abs(x) ** theta if odd else np.abs(x) ** theta
 
     def dv(k, x):
         c = _falling(theta, k)
-        return c * np.abs(x) ** (theta - k) * _sign_power(x, k)
+        return c * np.abs(x) ** (theta - k) * _sign_power(x, k + odd)
 
     return ScalarFunction(
-        name=f"power:{theta}",
+        name=f"{'s' * odd}power:{theta}",
         eval=ev,
         deriv=dv,
         theta_hint=theta,
@@ -89,29 +89,16 @@ def power(theta: float) -> ScalarFunction:
         derivative_at_zero=None,
         exact_order_sup=lambda k, th: (abs(_falling(theta, k)) if th == theta else np.inf),
     )
+
+
+def power(theta: float) -> ScalarFunction:
+    """|t|^theta, theta in (0, 1)."""
+    return _power(theta, False)
 
 
 def signed_power(theta: float) -> ScalarFunction:
     """sgn(t)|t|^theta, theta in (0, 1)."""
-    if not 0.0 < theta < 1.0:
-        raise ParameterError(f"power exponent must lie in (0,1), got {theta}")
-
-    def ev(x):
-        return np.sign(x) * np.abs(x) ** theta
-
-    def dv(k, x):
-        c = _falling(theta, k)
-        return c * np.abs(x) ** (theta - k) * _sign_power(x, k + 1)
-
-    return ScalarFunction(
-        name=f"spower:{theta}",
-        eval=ev,
-        deriv=dv,
-        theta_hint=theta,
-        homogeneous=True,
-        derivative_at_zero=None,
-        exact_order_sup=lambda k, th: (abs(_falling(theta, k)) if th == theta else np.inf),
-    )
+    return _power(theta, True)
 
 
 def log1p_abs() -> ScalarFunction:

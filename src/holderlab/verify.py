@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,13 +66,14 @@ class VerificationRecord:
 
 @dataclass(frozen=True)
 class Outcomes:
-    """One cell's outcomes on a stack of T trials: per trial the error of its
-    first failed check, or None (``failed``), and arrays (T,) of the sides,
-    ratios, flags and, for some verifiers, constants, whose entries mean
-    nothing for a failed trial.  ``profiles`` holds the stacks (upper, lower)
-    that the submajorization verifiers compare."""
+    """The outcomes of a stack of T trials in C cells: the ok mask (C, T) of
+    the pairs that pass every check, a function from a failed pair (c, i) to
+    the error of its first failed check, and arrays (C, T) of the sides,
+    ratios, flags and constants, which mean nothing for a failed pair.
+    ``profiles`` are the (upper, lower) (C, T, n) submajorizations compare."""
 
-    failed: list
+    ok: np.ndarray
+    error: Callable
     lhs: np.ndarray
     rhs: np.ndarray
     ratio: np.ndarray
@@ -81,35 +82,52 @@ class Outcomes:
     profiles: Optional[tuple] = None
 
     @classmethod
-    def judged(cls, failed, lhs, rhs, mats, constants=None, profiles=None) -> "Outcomes":
-        """The ratio and flag conventions: ratio = lhs / rhs with 0/0 -> 0,
-        and a trial with rhs <= 0 is flagged when lhs exceeds ABS_TOL_COEFF *
-        n * (1 + the largest operator norm of its inputs mats[i]), which is
-        computed only for such trials."""
+    def judged(cls, rows, lhs, rhs, mats, constants=None, profiles=None) -> "Outcomes":
+        """The outcomes of sides ``lhs`` and ``rhs`` (C, T) whose cell rows are
+        in ``rows``.  Ratio = lhs / rhs with 0/0 -> 0; a pair (c, i) that
+        passes its checks with rhs <= 0 is flagged when lhs exceeds
+        ABS_TOL_COEFF * n * (1 + the largest operator norm of trial i's inputs
+        mats[i]), computed once per such trial, however many cells share it."""
         lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        fail = np.zeros(lhs.shape[1], dtype=bool)
+        rows = [(fail, lambda i, e=r: e) if isinstance(r, HolderLabError) else r for r in rows]
+        ok = np.array([row[0] for row in rows])
         positive = rhs > 0.0
         with np.errstate(all="ignore"):
             ratio = np.where(positive, lhs / rhs, 0.0)
-        flagged = np.zeros(len(failed), dtype=bool)
-        for i in np.flatnonzero(~positive):
-            if failed[i] is None:
-                scale = max((op_norm(m) for m in mats[i]), default=0.0)
-                flagged[i] = lhs[i] > ABS_TOL_COEFF * mats.shape[-1] * (1.0 + scale)
-        return cls(list(failed), lhs, rhs, ratio, flagged, constants, profiles)
+        degenerate = ok & ~positive
+        flagged = np.zeros(ok.shape, dtype=bool)
+        for i in np.flatnonzero(degenerate.any(axis=0)):
+            scale = max((op_norm(m) for m in mats[i]), default=0.0)
+            tol = ABS_TOL_COEFF * mats.shape[-1] * (1.0 + scale)
+            flagged[:, i] = degenerate[:, i] & (lhs[:, i] > tol)
+        error = lambda idx: rows[idx[0]][1](idx[1])
+        return cls(ok, error, lhs, rhs, ratio, flagged, constants, profiles)
 
     @classmethod
-    def failing(cls, failed) -> "Outcomes":
-        """The outcomes of trials that each failed with its error in ``failed``."""
-        nan = np.full(len(failed), math.nan)
-        return cls(list(failed), nan, nan, nan, np.zeros(len(failed), dtype=bool))
+    def failing(cls, errors, size) -> "Outcomes":
+        """The outcomes of cells that fail all ``size`` trials with their ``errors``."""
+        return cls.judged(errors, *np.full((2, len(errors), size), math.nan), None)
 
-    def record(self, i, name, digest="") -> VerificationRecord:
-        """Trial i's record, named ``name``; raises the trial's error when it failed."""
-        if self.failed[i] is not None:
-            raise self.failed[i]
-        constant = None if self.constants is None else float(self.constants[i])
-        sides = (float(self.lhs[i]), float(self.rhs[i]), float(self.ratio[i]))
-        return VerificationRecord(name, *sides, constant, digest, bool(self.flagged[i]))
+    @classmethod
+    def of_cells(cls, parts) -> "Outcomes":
+        """The outcomes of a stack whose cell rows are those of ``parts``, the
+        one-cell Outcomes of that stack; profiles are left out."""
+        keys = ("ok", "lhs", "rhs", "ratio", "flagged")
+        rows = {k: np.concatenate([getattr(o, k) for o in parts]) for k in keys}
+        if any(o.constants is not None for o in parts):
+            nan = np.full(parts[0].ok.shape, math.nan)
+            constants = [nan if o.constants is None else o.constants for o in parts]
+            rows["constants"] = np.concatenate(constants)
+        return cls(error=lambda idx: parts[idx[0]].error((0, idx[1])), **rows)
+
+    def record(self, c, i, name, digest="") -> VerificationRecord:
+        """The record of trial i in cell c, named ``name``; raises its error if it failed."""
+        if not self.ok[c, i]:
+            raise self.error((c, i))
+        constant = None if self.constants is None else float(self.constants[c, i])
+        sides = (float(self.lhs[c, i]), float(self.rhs[c, i]), float(self.ratio[c, i]))
+        return VerificationRecord(name, *sides, constant, digest, bool(self.flagged[c, i]))
 
 
 def _seminorm_value(f, d, theta, cache=None):
@@ -139,11 +157,11 @@ def _one(kernel, f, theta, p, spec, mats, sem_cache, variant) -> Outcomes:
     failure to converge is the EigensolverError a campaign records for it."""
     stack = _stack_of_one(mats)
     try:
-        (outcomes,) = kernel(f, [(theta, p, spec)], stack, sem_cache, variant)
+        outcomes = kernel(f, [(theta, p, spec)], stack, sem_cache, variant)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"LAPACK failed to converge: {exc}") from exc
-    if outcomes.failed[0] is not None:
-        raise outcomes.failed[0]
+    if not outcomes.ok[0, 0]:
+        raise outcomes.error((0, 0))
     return outcomes
 
 
@@ -151,37 +169,35 @@ def _one(kernel, f, theta, p, spec, mats, sem_cache, variant) -> Outcomes:
 #
 # A kernel verify_<name>_stack(f, cells, stack, sem_cache, variant) evaluates
 # a stack of T trials, one complex array (T, k, n, n) as an ensembles draw
-# yields it, in every cell of ``cells``, a list of (theta, p, spec).  It
-# returns per cell one Outcomes: per trial the HolderLabError of the first
-# check the trial fails, in the order its docstring gives, and the arrays of
-# its sides.  Records, with their names and digests, are built from these
-# only where one is read.  A kernel ignores the parameters its verifier does
-# not take.  A cell whose parameter check raises a HolderLabError has that
-# error on every trial, and numpy.linalg.LinAlgError from LAPACK propagates.
-# The work that does not depend on the cell (checks, eigendecompositions,
-# images, SVDs) runs once per stack, when the first cell that passes its
-# parameter checks needs it, so a cell's outcomes do not depend on the other
-# cells.  A check is a pair (ok mask (T, k), function from an index (trial,
-# input) to the error).
+# yields it, in the C (theta, p, spec) ``cells``, and returns one Outcomes
+# (C, T), judged once.  A pair fails with the error of the first check it
+# fails, in the order the kernel's docstring gives; a cell whose parameter
+# check raises fails every trial with that error, and no other cell is
+# affected.  A kernel ignores the parameters its verifier does not take, and
+# numpy.linalg.LinAlgError propagates.  The work that does not depend on the
+# cell (checks, eigendecompositions, images, SVDs) runs once per stack if
+# some cell passes its parameter checks, and each norm once over the profiles
+# of every theta (_norm_rows).  A check is a pair (ok mask (T, k), function
+# from an index (trial, input) to the error); a row is a pair (ok mask (T,),
+# function from a trial to the error), or the error of a cell's every trial.
 
 
-def _each_cell(cells, size, evaluate) -> list:
-    """Per cell (theta, p, spec), the Outcomes ``evaluate(theta, p, spec)``
-    returns, or the HolderLabError it raises as the outcome of each of the
-    ``size`` trials."""
-    outcomes = []
-    for theta, p, spec in cells:
+def _per_cell(cells, check):
+    """Per cell (theta, p, spec), the HolderLabError ``check(theta, p, spec)``
+    raises or None, and what it returns or None."""
+    errors, values = [None] * len(cells), [None] * len(cells)
+    for c, cell in enumerate(cells):
         try:
-            outcomes.append(evaluate(theta, p, spec))
+            values[c] = check(*cell)
         except HolderLabError as exc:
-            outcomes.append(Outcomes.failing([exc] * size))
-    return outcomes
+            errors[c] = exc
+    return errors, values
 
 
-def _first_failures(size, *groups) -> list:
-    """Per trial of a stack of ``size``, the error of its first failed check,
-    or None when it passes them all.  The groups of checks run in turn; within
-    a group, input 0 takes every check, then input 1, and so on."""
+def _first_failures(size, *groups):
+    """The row of the first failed check of each of ``size`` trials.  The
+    groups of checks run in turn; within a group, input 0 takes every check,
+    then input 1, and so on."""
     failed = [None] * size
     for group in groups:
         for j in range(group[0][0].shape[1]):
@@ -189,7 +205,25 @@ def _first_failures(size, *groups) -> list:
                 for i in np.flatnonzero(~ok[:, j]):
                     if failed[i] is None:
                         failed[i] = error((i, j))
-    return failed
+    return np.array([e is None for e in failed]), failed.__getitem__
+
+
+def _norm_rows(entries, size, *profiles) -> list:
+    """Per function ``profiles``, the rows (C, size): per cell the norms
+    ``spec`` of the profiles (size, n) ``profiles(key)`` of its entry (spec,
+    key), or NaN for an entry None.  A function is called once per key, and
+    each spec takes one norm_of_profile call over the profiles of every key."""
+    specs, keys = {}, {}
+    for entry in filter(None, entries):
+        specs.setdefault(entry[0], len(specs))
+        keys.setdefault(entry[1], len(keys))
+    index = [-1 if e is None else specs[e[0]] * len(keys) + keys[e[1]] for e in entries]
+    rows = []
+    for profile in profiles:
+        stacked = np.stack([profile(key) for key in keys]) if keys else None
+        table = [norm_of_profile(stacked, spec) for spec in specs]
+        rows.append(np.concatenate(table + [np.full((1, size), math.nan)])[index])
+    return rows
 
 
 def _profiles(*mats) -> np.ndarray:
@@ -198,33 +232,33 @@ def _profiles(*mats) -> np.ndarray:
     return np.linalg.svd(np.stack(mats, axis=1), compute_uv=False)
 
 
-def _seminorm_front(f, mats, sem_cache, profiles):
+def _seminorm_front(f, mats, sem_cache, profiles, cells, norm=PowerOf):
     """The shared front of the seminorm estimates on a stack (T, k, n, n) of
-    Hermitian inputs.  Returns the symmetrized inputs h and a function of
-    (theta, p) that gives per trial the error of its first failed check or
-    None, in the order: each input Hermitian, the seminorm at d_of_p(p), then
-    per input its reconstruction and f finite on its spectrum; the seminorm;
-    and ``profiles(h, images of h under f)``, or None when the seminorm
-    fails.  The images and profiles are computed once, for the first (theta,
-    p) whose seminorm is finite."""
+    Hermitian inputs in ``cells``: the symmetrized inputs h, the profiles
+    ``profiles(h, images of h under f)`` or None, and per cell its row, its
+    entry (norm(spec, p), theta) or None, and its seminorm.  A cell fails
+    every trial with the error of norm(spec, p), else each trial with that of
+    its first failed check: each input Hermitian, the seminorm at d_of_p(p),
+    then per input its reconstruction and f finite on its spectrum."""
     h, *hermitian = hermitian_stack(mats)
-
-    @functools.cache
-    def images():
-        dec, _, *reconstructed = eigh_stack(h)
-        fh, *defined = apply_stack(f, dec)
-        return _first_failures(len(h), [hermitian], [reconstructed, defined]), profiles(h, fh)
-
-    def front(theta, p):
+    rows, entries = _per_cell(cells, lambda theta, p, spec: (norm(spec, p), theta))
+    sems, sv = [math.nan] * len(cells), None
+    for c, (theta, p, _) in enumerate(cells):
+        if rows[c]:
+            continue
         try:
-            sem = _seminorm_value(f, d_of_p(p), theta, sem_cache)
+            sems[c] = _seminorm_value(f, d_of_p(p), theta, sem_cache)
         except HolderLabError as exc:  # every trial that is Hermitian fails here
-            seminorm = (np.zeros((len(h), 1), dtype=bool), lambda idx: exc)
-            return _first_failures(len(h), [hermitian], [seminorm]), math.nan, None
-        failed, sv = images()
-        return failed, sem, sv
-
-    return h, front
+            seminorm = (np.zeros((len(h), 1), dtype=bool), lambda idx, exc=exc: exc)
+            rows[c], entries[c] = _first_failures(len(h), [hermitian], [seminorm]), None
+            continue
+        if sv is None:
+            dec, _, *reconstructed = eigh_stack(h)
+            fh, *defined = apply_stack(f, dec)
+            row = _first_failures(len(h), [hermitian], [reconstructed, defined])
+            sv = profiles(h, fh)
+        rows[c] = row
+    return h, sv, rows, entries, sems
 
 
 def _difference_profiles(h, fh) -> np.ndarray:
@@ -235,7 +269,7 @@ def _difference_profiles(h, fh) -> np.ndarray:
 # --- the difference estimates ---------------------------------------------------
 
 
-def verify_main_stack(f, cells, stack, sem_cache, variant) -> list:
+def verify_main_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """verify_symmetric_stack on the base S_1."""
     cells = [(theta, p, Schatten(1)) for theta, p, _ in cells]
     return verify_symmetric_stack(f, cells, stack, sem_cache, variant)
@@ -246,84 +280,80 @@ def verify_main(f: ScalarFunction, theta, p, a, b, sem_cache=None, digest="") ->
     symmetric estimate in E^(p) for E = S_1, since ||X||_p is the p-th power
     norm of the trace class."""
     outcomes = _one(verify_main_stack, f, theta, p, None, (a, b), sem_cache, None)
-    return outcomes.record(0, "main", digest)
+    return outcomes.record(0, 0, "main", digest)
 
 
-def verify_bks_stack(f, cells, stack, sem_cache, variant) -> list:
+def verify_bks_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """verify_bks over a stack (T, 2, n, n) of (X, Y), with the checks X
     Hermitian, X reconstruction, X positive, then the same for Y.  One
     eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
-    X^theta - Y^theta every cell of that theta."""
+    X^theta - Y^theta and one |X - Y|^theta every cell of that theta."""
 
-    @functools.cache
-    def decomposed():
-        h, *hermitian = hermitian_stack(stack)
-        dec, recon, *reconstructed = eigh_stack(h)
-        lam = dec.eigenvalues
-        positive = (
-            psd_stack(lam),
-            lambda idx: DomainError(
-                f"{'XY'[idx[1]]} must be positive semidefinite (min eigenvalue "
-                f"{lam[idx].min():.3e})"
-            ),
-        )
-        failed = _first_failures(len(h), [hermitian, reconstructed, positive])
-        return failed, dec, _profiles(recon[:, 0] - recon[:, 1])[:, 0]
-
-    @functools.cache
-    def powered_profiles(theta):
-        _, dec, _ = decomposed()
-        with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
-            powered = from_eigen(dec.basis, np.clip(dec.eigenvalues, 0.0, None) ** theta)
-        return _profiles(powered[:, 0] - powered[:, 1])[:, 0]
-
-    def evaluate(theta, p, spec):
+    def check(theta, p, spec):
         if not 0.0 < theta < 1.0:
             raise ParameterError(f"theta must lie in (0,1), got {theta}")
         check_fully_symmetric(spec)
-        failed, _, difference = decomposed()
-        lhs = norm_of_profile(powered_profiles(theta), spec)
-        rhs = norm_of_profile(difference ** theta, spec)
-        return Outcomes.judged(failed, lhs, rhs, stack)
+        return spec, theta
 
-    return _each_cell(cells, len(stack), evaluate)
+    errors, entries = _per_cell(cells, check)
+    if all(errors):
+        return Outcomes.failing(errors, len(stack))
+    h, *hermitian = hermitian_stack(stack)
+    dec, recon, *reconstructed = eigh_stack(h)
+    lam = dec.eigenvalues
+    positive = (
+        psd_stack(lam),
+        lambda idx: DomainError(
+            f"{'XY'[idx[1]]} must be positive semidefinite (min eigenvalue "
+            f"{lam[idx].min():.3e})"
+        ),
+    )
+    row = _first_failures(len(h), [hermitian, reconstructed, positive])
+    difference = _profiles(recon[:, 0] - recon[:, 1])[:, 0]
+
+    def powered_profiles(theta):
+        with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
+            powered = from_eigen(dec.basis, np.clip(lam, 0.0, None) ** theta)
+        return _profiles(powered[:, 0] - powered[:, 1])[:, 0]
+
+    lhs, rhs = _norm_rows(entries, len(h), powered_profiles, lambda theta: difference ** theta)
+    return Outcomes.judged([e or row for e in errors], lhs, rhs, stack)
 
 
 def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
     """||X^theta - Y^theta|| versus || |X-Y|^theta || for positive X, Y in a
     fully symmetric norm; the expected constant is exactly 1."""
     outcomes = _one(verify_bks_stack, None, theta, None, spec, (x, y), None, None)
-    return outcomes.record(0, "bks", digest)
+    return outcomes.record(0, 0, "bks", digest)
 
 
-def verify_submaj_stack(f, cells, stack, sem_cache, variant) -> list:
+def verify_submaj_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """verify_submajorization over a stack (T, 2, n, n) of (X, Y), with the
     checks of _seminorm_front.  The profiles compared are upper = seminorm^p
     * mu(|X-Y|^theta)^p and lower = mu(f(X) - f(Y))^p.  A trial's constant is
     the least c making the domination hold, and its lhs and rhs are the
     partial sums of lower and upper where their ratio peaks (the totals when
     c is 0 or infinite)."""
-    h, front = _seminorm_front(f, stack, sem_cache, _difference_profiles)
-
-    def evaluate(theta, p, spec):
-        failed, sem, sv = front(theta, p)
-        if sv is None:
-            return Outcomes.failing(failed)
-        upper, lower = (sem ** p) * (sv[:, 1] ** theta) ** p, sv[:, 0] ** p
-        lhs, rhs, constants = [], [], []
-        for u, lo in zip(upper, lower):
-            c = least_domination_constant(u, lo)
+    h, sv, rows, entries, sems = _seminorm_front(
+        f, stack, sem_cache, _difference_profiles, cells, lambda spec, p: p
+    )
+    lhs, rhs, constants = (np.full((len(cells), len(h)), math.nan) for _ in range(3))
+    profiles = np.full((2, len(cells), *h.shape[::2]), math.nan)
+    for c, entry in enumerate(entries):
+        if entry is None:
+            continue
+        p, theta = entry
+        upper, lower = (sems[c] ** p) * (sv[:, 1] ** theta) ** p, sv[:, 0] ** p
+        profiles[:, c] = upper, lower
+        for i, (u, lo) in enumerate(zip(upper, lower)):
+            constants[c, i] = least_domination_constant(u, lo)
             cu, cl = np.cumsum(u), np.cumsum(lo)
             k = -1
-            if np.isfinite(c) and c > 0.0:
+            if np.isfinite(constants[c, i]) and constants[c, i] > 0.0:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     k = int(np.argmax(np.where(cu > 0.0, cl / cu, 0.0)))
-            lhs.append(cl[k])
-            rhs.append(cu[k])
-            constants.append(c)
-        return Outcomes.judged(failed, lhs, rhs, h, np.array(constants), (upper, lower))
-
-    return _each_cell(cells, len(stack), evaluate)
+            lhs[c, i], rhs[c, i] = cl[k], cu[k]
+    return Outcomes.judged(rows, lhs, rhs, h, constants, tuple(profiles))
 
 
 def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, digest=""):
@@ -333,24 +363,16 @@ def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, di
     p-th power), realized at the worst partial sum."""
     outcomes = _one(verify_submaj_stack, f, theta, p, None, (x, y), sem_cache, None)
     upper, lower = outcomes.profiles
-    return submajorizes(upper[0], lower[0]), outcomes.record(0, "submaj", digest)
+    return submajorizes(upper[0, 0], lower[0, 0]), outcomes.record(0, 0, "submaj", digest)
 
 
-def verify_symmetric_stack(f, cells, stack, sem_cache, variant) -> list:
+def verify_symmetric_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """verify_symmetric over a stack (T, 2, n, n) of (X, Y), with the checks
     of _seminorm_front; one SVD of f(X) - f(Y) and X - Y serves every cell."""
-    h, front = _seminorm_front(f, stack, sem_cache, _difference_profiles)
-
-    def evaluate(theta, p, spec):
-        power = PowerOf(spec, p)
-        failed, sem, sv = front(theta, p)
-        if sv is None:
-            return Outcomes.failing(failed)
-        rhs = sem * norm_of_profile(sv[:, 1] ** theta, power)
-        lhs = norm_of_profile(sv[:, 0], power)
-        return Outcomes.judged(failed, lhs, rhs, h)
-
-    return _each_cell(cells, len(stack), evaluate)
+    h, sv, rows, entries, sems = _seminorm_front(f, stack, sem_cache, _difference_profiles, cells)
+    (lhs,) = _norm_rows([e and (e[0], None) for e in entries], len(h), lambda _: sv[:, 0])
+    (rhs,) = _norm_rows(entries, len(h), lambda theta: sv[:, 1] ** theta)
+    return Outcomes.judged(rows, lhs, np.array(sems)[:, None] * rhs, h)
 
 
 def verify_symmetric(
@@ -358,7 +380,7 @@ def verify_symmetric(
 ) -> VerificationRecord:
     """The main estimate in the p-th power norm of a fully symmetric base."""
     outcomes = _one(verify_symmetric_stack, f, theta, p, base, (x, y), sem_cache, None)
-    return outcomes.record(0, "symmetric", digest)
+    return outcomes.record(0, 0, "symmetric", digest)
 
 
 # --- reverse-direction estimates -------------------------------------------------
@@ -458,30 +480,29 @@ def inverse_apply(f: ScalarFunction, h):
     return from_eigen(dec.basis, vals), ok & found.all(axis=-1), error
 
 
-def verify_inverse_stack(f, cells, stack, sem_cache, variant) -> list:
+def verify_inverse_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """verify_inverse over a stack (T, 2, n, n) of (X, Y), spec the base
     norm, with the checks X Hermitian, Y Hermitian, then inverse_apply's
     checks on X, then on Y.  One inverse_apply and one SVD serve every cell."""
-    h, *hermitian = hermitian_stack(stack)
 
-    @functools.cache
-    def inverted():
-        inv, *invertible = inverse_apply(f, h)
-        failed = _first_failures(len(h), [hermitian], [invertible])
-        return failed, _profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
-
-    def evaluate(theta, p, spec):
+    def check(theta, p, spec):
         if not theta > 1.0:
             raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
         check_fully_symmetric(spec)
         power = PowerOf(spec, p)
-        sem = _seminorm_value(f, d_of_p(p), 1.0 / theta, sem_cache)
-        failed, sv = inverted()
-        lhs = sem ** theta * norm_of_profile(sv[:, 0], power)
-        rhs = norm_of_profile(sv[:, 1] ** theta, power)
-        return Outcomes.judged(failed, lhs, rhs, h)
+        return power, theta, _seminorm_value(f, d_of_p(p), 1.0 / theta, sem_cache) ** theta
 
-    return _each_cell(cells, len(stack), evaluate)
+    errors, checked = _per_cell(cells, check)
+    h, *hermitian = hermitian_stack(stack)
+    if all(errors):
+        return Outcomes.failing(errors, len(h))
+    inv, *invertible = inverse_apply(f, h)
+    row = _first_failures(len(h), [hermitian], [invertible])
+    sv = _profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
+    factors = np.array([math.nan if e is None else e[2] for e in checked])[:, None]
+    (lhs,) = _norm_rows([e and (e[0], None) for e in checked], len(h), lambda _: sv[:, 0])
+    (rhs,) = _norm_rows([e and e[:2] for e in checked], len(h), lambda theta: sv[:, 1] ** theta)
+    return Outcomes.judged([e or row for e in errors], factors * lhs, rhs, h)
 
 
 def verify_inverse(
@@ -491,50 +512,50 @@ def verify_inverse(
     lhs = seminorm(f)^theta * ||f^{-1}(X) - f^{-1}(Y)||_{E^(p)},
     rhs = || |X-Y|^theta ||_{E^(p)}; the estimate says ratio >= 1/C."""
     outcomes = _one(verify_inverse_stack, f, theta, p, base, (x, y), sem_cache, None)
-    return outcomes.record(0, "inverse", digest)
+    return outcomes.record(0, 0, "inverse", digest)
 
 
 # the maps g(t) of the reverse verifier: sgn(t)|t|^theta, sgn(t) expm1(|t|)
 REVERSE_VARIANTS = ("power", "expm1")
 
 
-def verify_reverse_stack(f, cells, stack, sem_cache, variant) -> list:
+def verify_reverse_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """verify_reverse_power over a stack (T, 2, n, n) of (X, Y), spec the
     base norm, with the checks X Hermitian, Y Hermitian, then per matrix its
     reconstruction and, for "expm1", g finite on its spectrum.  One
     eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
     g(X) - g(Y) every cell (for "expm1") or every cell of that theta."""
-    h, *hermitian = hermitian_stack(stack)
 
-    @functools.cache
-    def decomposed():
-        dec, _, *reconstructed = eigh_stack(h)
-        return dec, reconstructed, _profiles(h[:, 0] - h[:, 1])[:, 0]
-
-    @functools.cache
-    def mapped_profiles(theta):
-        dec, reconstructed, _ = decomposed()
-        lam = dec.eigenvalues
-        if variant == "power":  # sgn(M)|M|^theta: finite on finite spectra, not symmetrized
-            g, checks = from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta), [reconstructed]
-        else:
-            g, *defined = apply_stack(signed_expm1(), dec)
-            checks = [reconstructed, defined]
-        failed = _first_failures(len(h), [hermitian], checks)
-        return failed, _profiles(g[:, 0] - g[:, 1])[:, 0]
-
-    def evaluate(theta, p, spec):
+    def check(theta, p, spec):
         if not theta > 1.0:
             raise ParameterError(f"reverse power needs theta > 1, got {theta}")
         power = PowerOf(spec, p)
         if variant not in REVERSE_VARIANTS:
             raise ParameterError(f"unknown reverse variant {variant!r}")
-        failed, mapped = mapped_profiles(theta if variant == "power" else None)
-        lhs = norm_of_profile(mapped, power)
-        rhs = norm_of_profile(decomposed()[2] ** theta, power)
-        return Outcomes.judged(failed, lhs, rhs, h)
+        return power, theta
 
-    return _each_cell(cells, len(stack), evaluate)
+    errors, entries = _per_cell(cells, check)
+    h, *hermitian = hermitian_stack(stack)
+    if all(errors):
+        return Outcomes.failing(errors, len(h))
+    dec, _, *reconstructed = eigh_stack(h)
+    lam = dec.eigenvalues
+    checks = [reconstructed]
+    if variant == "expm1":
+        image, *defined = apply_stack(signed_expm1(), dec)
+        checks.append(defined)
+    row = _first_failures(len(h), [hermitian], checks)
+    difference = _profiles(h[:, 0] - h[:, 1])[:, 0]
+
+    def mapped_profiles(theta):
+        # sgn(M)|M|^theta: finite on finite spectra, not symmetrized
+        g = image if theta is None else from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta)
+        return _profiles(g[:, 0] - g[:, 1])[:, 0]
+
+    mapped = [e and (e[0], e[1] if variant == "power" else None) for e in entries]
+    (lhs,) = _norm_rows(mapped, len(h), mapped_profiles)
+    (rhs,) = _norm_rows(entries, len(h), lambda theta: difference ** theta)
+    return Outcomes.judged([e or row for e in errors], lhs, rhs, h)
 
 
 def verify_reverse_power(
@@ -544,7 +565,7 @@ def verify_reverse_power(
     sgn(t)|t|^theta (variant "power") or sgn(t) expm1(|t|) (variant "expm1");
     the estimate says the ratio stays above a positive constant."""
     outcomes = _one(verify_reverse_stack, None, theta, p, base, (x, y), None, variant)
-    return outcomes.record(0, f"reverse:{variant}", digest)
+    return outcomes.record(0, 0, f"reverse:{variant}", digest)
 
 
 # --- commutators, quasi-commutators, absolute value ------------------------------
@@ -556,10 +577,10 @@ def verify_commutator(
     """||[f(X), B]|| versus seminorm * || |[X,B]|^theta || * ||B||^(1-theta)
     in the p-th power norm of the base."""
     outcomes = _one(verify_quasicommutator_stack, f, theta, p, base, (x, b), sem_cache, None)
-    return outcomes.record(0, "commutator", digest)
+    return outcomes.record(0, 0, "commutator", digest)
 
 
-def verify_quasicommutator_stack(f, cells, stack, sem_cache, variant) -> list:
+def verify_quasicommutator_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """verify_quasi_commutator over a stack (T, 3, n, n) of (A, B, R), or
     (T, 2, n, n) of (A, R) with B = A, spec the base norm; with the checks of
     _seminorm_front on the Hermitian inputs.  One SVD of f(A)R - Rf(B), AR -
@@ -569,24 +590,18 @@ def verify_quasicommutator_stack(f, cells, stack, sem_cache, variant) -> list:
     def profiles(h, fh):
         return _profiles(fh[:, 0] @ r - r @ fh[:, -1], h[:, 0] @ r - r @ h[:, -1], r)
 
-    h, front = _seminorm_front(f, stack[:, :-1], sem_cache, profiles)
+    h, sv, rows, entries, sems = _seminorm_front(f, stack[:, :-1], sem_cache, profiles, cells)
     mats = np.concatenate([h, stack[:, -1:]], axis=1)
-
-    def evaluate(theta, p, spec):
-        power = PowerOf(spec, p)
-        failed, sem, sv = front(theta, p)
-        if sv is None:
-            return Outcomes.failing(failed)
-        # ||R||^(1-theta) as a float power, on the trials that pass their checks
-        norms_r = zip(failed, sv[:, 2, 0])
-        weights = np.array(
-            [float(s) ** (1.0 - theta) if e is None else math.nan for e, s in norms_r]
-        )
-        rhs = sem * norm_of_profile(sv[:, 1] ** theta, power) * weights
-        lhs = norm_of_profile(sv[:, 0], power)
-        return Outcomes.judged(failed, lhs, rhs, mats)
-
-    return _each_cell(cells, len(stack), evaluate)
+    # ||R||^(1-theta) as a float power, on the trials that pass their checks
+    weights = np.full((len(cells), len(h)), math.nan)
+    for c, entry in enumerate(entries):
+        if entry is not None:
+            good = rows[c][0]
+            weights[c, good] = [float(s) ** (1.0 - entry[1]) for s in sv[good, 2, 0]]
+    (rhs,) = _norm_rows(entries, len(h), lambda theta: sv[:, 1] ** theta)
+    rhs = np.array(sems)[:, None] * rhs * weights
+    (lhs,) = _norm_rows([e and (e[0], None) for e in entries], len(h), lambda _: sv[:, 0])
+    return Outcomes.judged(rows, lhs, rhs, mats)
 
 
 def verify_quasi_commutator(
@@ -594,40 +609,35 @@ def verify_quasi_commutator(
 ) -> VerificationRecord:
     """||f(A)R - Rf(B)|| versus seminorm * || |AR-RB|^theta || * ||R||^(1-theta)."""
     outcomes = _one(verify_quasicommutator_stack, f, theta, p, base, (a, b, r), sem_cache, None)
-    return outcomes.record(0, "quasicommutator", digest)
+    return outcomes.record(0, 0, "quasicommutator", digest)
 
 
-def verify_absmap_stack(f, cells, stack, sem_cache, variant) -> list:
+def verify_absmap_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """verify_abs_map over a stack (T, 2, n, n) of (A, B), spec the base
     norm; one SVD of |A| - |B|, A + B and A - B serves every cell."""
-
-    @functools.cache
-    def profiles():
-        absolute = abs_matrix(stack)
-        a, b = stack[:, 0], stack[:, 1]
-        return _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
-
-    def evaluate(theta, p, spec):
-        power = PowerOf(spec, p)
-        sv = profiles()
-        rhs = np.sqrt(norm_of_profile(sv[:, 1], power) * norm_of_profile(sv[:, 2], power))
-        lhs = norm_of_profile(sv[:, 0], power)
-        return Outcomes.judged([None] * len(stack), lhs, rhs, stack)
-
-    return _each_cell(cells, len(stack), evaluate)
+    errors, powers = _per_cell(cells, lambda theta, p, spec: PowerOf(spec, p))
+    if all(errors):
+        return Outcomes.failing(errors, len(stack))
+    absolute = abs_matrix(stack)
+    a, b = stack[:, 0], stack[:, 1]
+    sv = _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
+    entries = [e and (e, None) for e in powers]
+    lhs, plus, minus = _norm_rows(entries, len(stack), *(lambda _, k=k: sv[:, k] for k in range(3)))
+    row = (np.ones(len(stack), dtype=bool), None)
+    return Outcomes.judged([e or row for e in errors], lhs, np.sqrt(plus * minus), stack)
 
 
 def verify_abs_map(base: NormSpec, p, a, b, digest="") -> VerificationRecord:
     """|| |A| - |B| || versus sqrt(||A+B|| ||A-B||) in the p-th power norm;
     for Schatten p >= 2 the classical constant is 1."""
     outcomes = _one(verify_absmap_stack, None, None, p, base, (a, b), None, None)
-    return outcomes.record(0, "absmap", digest)
+    return outcomes.record(0, 0, "absmap", digest)
 
 
 # --- Araki-Lieb-Thirring submajorization -----------------------------------------
 
 
-def verify_alt_stack(f, cells, stack, sem_cache, variant) -> list:
+def verify_alt_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """alt_check over a stack (T, 2, n, n) of (X, Z), with the checks X
     Hermitian, Z Hermitian, X reconstruction, Z reconstruction, X positive, Z
     positive (within the zero tolerance of both spectra).  The profiles
@@ -638,54 +648,59 @@ def verify_alt_stack(f, cells, stack, sem_cache, variant) -> list:
     SVD of ZX serve every cell, and one SVD of Z^theta X^theta every cell of
     that theta."""
 
-    @functools.cache
-    def decomposed():
-        h, *hermitian = hermitian_stack(stack)
-        dec, _, *reconstructed = eigh_stack(h)
-        lam = dec.eigenvalues
-        zero_tol = ZERO_TOL_COEFF * (1.0 + np.abs(lam).max(axis=(-2, -1), initial=0.0))
-        positive = (
-            ~(lam.min(axis=-1, initial=0.0) < -zero_tol[:, None]),
-            lambda idx: DomainError(
-                f"{'XZ'[idx[1]]} is not positive semidefinite (min eigenvalue "
-                f"{lam[idx].min():.3e})"
-            ),
-        )
-        failed = _first_failures(len(h), [hermitian], [reconstructed], [positive])
-        clipped = np.clip(lam, 0.0, None)
-        one = from_eigen(dec.basis, clipped)
-        return failed, dec.basis, clipped, _profiles(one[:, 1] @ one[:, 0])[:, 0]
-
-    @functools.cache
-    def powered_profiles(theta):
-        _, basis, clipped, _ = decomposed()
-        powered = from_eigen(basis, clipped ** theta)
-        return _profiles(powered[:, 1] @ powered[:, 0])[:, 0]
-
-    def evaluate(theta, p, spec):
+    def check(theta, p, spec):
         if not 0.0 < theta < 1.0:
             raise ParameterError(f"theta must lie in (0,1), got {theta}")
         if not p > 0:
             raise ParameterError(f"p must be positive, got {p}")
-        failed, _, _, product = decomposed()
-        upper, lower = product ** (theta * p), powered_profiles(theta) ** p
-        margins = np.full(len(stack), math.nan)
-        holds = np.ones(len(stack), dtype=bool)
-        for i in np.flatnonzero([e is None for e in failed]):
-            report = submajorizes(upper[i], lower[i])
-            margins[i], holds[i] = report.margin, report.holds
-        violation = np.where(-margins > 0.0, -margins, 0.0)
-        outcomes = Outcomes.judged(failed, violation, np.ones(len(stack)), stack, margins)
-        return replace(outcomes, flagged=~holds, profiles=(upper, lower))
+        return theta, p
 
-    return _each_cell(cells, len(stack), evaluate)
+    errors, checked = _per_cell(cells, check)
+    if all(errors):
+        return Outcomes.failing(errors, len(stack))
+    h, *hermitian = hermitian_stack(stack)
+    dec, _, *reconstructed = eigh_stack(h)
+    lam = dec.eigenvalues
+    zero_tol = ZERO_TOL_COEFF * (1.0 + np.abs(lam).max(axis=(-2, -1), initial=0.0))
+    positive = (
+        ~(lam.min(axis=-1, initial=0.0) < -zero_tol[:, None]),
+        lambda idx: DomainError(
+            f"{'XZ'[idx[1]]} is not positive semidefinite (min eigenvalue "
+            f"{lam[idx].min():.3e})"
+        ),
+    )
+    row = _first_failures(len(h), [hermitian], [reconstructed], [positive])
+    clipped = np.clip(lam, 0.0, None)
+    one = from_eigen(dec.basis, clipped)
+    product = _profiles(one[:, 1] @ one[:, 0])[:, 0]
+
+    @functools.cache
+    def powered_profiles(theta):
+        powered = from_eigen(dec.basis, clipped ** theta)
+        return _profiles(powered[:, 1] @ powered[:, 0])[:, 0]
+
+    shape = (len(cells), len(h))
+    margins, holds = np.full(shape, math.nan), np.ones(shape, dtype=bool)
+    profiles = np.full((2, *shape, h.shape[-1]), math.nan)
+    for c, entry in enumerate(checked):
+        if entry is None:
+            continue
+        theta, p = entry
+        profiles[:, c] = product ** (theta * p), powered_profiles(theta) ** p
+        for i in np.flatnonzero(row[0]):
+            report = submajorizes(profiles[0, c, i], profiles[1, c, i])
+            margins[c, i], holds[c, i] = report.margin, report.holds
+    violation = np.where(-margins > 0.0, -margins, 0.0)
+    rows = [e or row for e in errors]
+    outcomes = Outcomes.judged(rows, violation, np.ones(shape), stack, margins)
+    return replace(outcomes, flagged=~holds, profiles=tuple(profiles))
 
 
 def alt_check(x, z, theta: float, p: float):
     """Submajorization |Z^theta X^theta|^p << |Z X|^{theta p} for positive
     semidefinite X, Z."""
     upper, lower = _one(verify_alt_stack, None, theta, p, None, (x, z), None, None).profiles
-    return submajorizes(upper[0], lower[0])
+    return submajorizes(upper[0, 0], lower[0, 0])
 
 
 # --- structural companions --------------------------------------------------------
@@ -709,7 +724,7 @@ def cayley_identity_residual(f: ScalarFunction, x, b) -> float:
 # --- finite-rank telescoping -------------------------------------------------------
 
 
-def verify_telescope_stack(f, cells, stack, sem_cache, variant) -> list:
+def verify_telescope_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """telescope_finite_rank over a stack (T, 1 + r, n, n) of [B, x_1 e_1,
     ..., x_r e_r], with the checks every input Hermitian, then per chain
     matrix A_m = B + x_1 e_1 + ... + x_m e_m its reconstruction and f finite
@@ -717,35 +732,34 @@ def verify_telescope_stack(f, cells, stack, sem_cache, variant) -> list:
     eigendecomposition and one SVD of the chain serve every cell, and the
     sides of the estimate every cell of that p; theta is not used."""
 
-    @functools.cache
-    def chain_profiles():
-        h, *hermitian = hermitian_stack(stack)
-        r = h.shape[1] - 1
-        order = [0, r, *range(1, r)]  # B, A_r, A_1, ..., A_{r-1}
-        chain = np.cumsum(h, axis=1)[:, order]
-        dec, _, *reconstructed = eigh_stack(chain)
-        images, *defined = apply_stack(f, dec)
-        failed = _first_failures(len(h), [hermitian], [reconstructed, defined])
-        fa = images[:, np.argsort(order)]  # f(A_0), ..., f(A_r)
-        sv = _profiles(images[:, 1] - images[:, 0], *(fa[:, 1:] - fa[:, :-1]).swapaxes(0, 1))
-        return failed, chain[:, :2], sv
+    def check(theta, p, spec):
+        if not 0.0 < p <= 1.0:
+            raise ParameterError(f"telescoping needs p in (0,1], got {p}")
+        return p
+
+    errors, ps = _per_cell(cells, check)
+    if all(errors):
+        return Outcomes.failing(errors, len(stack))
+    h, *hermitian = hermitian_stack(stack)
+    r = h.shape[1] - 1
+    order = [0, r, *range(1, r)]  # B, A_r, A_1, ..., A_{r-1}
+    chain = np.cumsum(h, axis=1)[:, order]
+    dec, _, *reconstructed = eigh_stack(chain)
+    images, *defined = apply_stack(f, dec)
+    row = _first_failures(len(h), [hermitian], [reconstructed, defined])
+    fa = images[:, np.argsort(order)]  # f(A_0), ..., f(A_r)
+    sv = _profiles(images[:, 1] - images[:, 0], *(fa[:, 1:] - fa[:, :-1]).swapaxes(0, 1))
 
     @functools.cache
     def sides(p):
-        _, _, sv = chain_profiles()
         norms = norm_of_profile(sv, Schatten(p)).tolist()
         powers = np.array([[s ** p for s in trial] for trial in norms])
         # a running total of the step terms, rounded after each step
         return powers[:, 0], sum(powers[:, 1:].T, np.zeros(len(sv)))
 
-    def evaluate(theta, p, spec):
-        if not 0.0 < p <= 1.0:
-            raise ParameterError(f"telescoping needs p in (0,1], got {p}")
-        failed, mats, _ = chain_profiles()
-        lhs, rhs = sides(p)
-        return Outcomes.judged(failed, lhs, rhs, mats)
-
-    return _each_cell(cells, len(stack), evaluate)
+    nan = np.full((2, len(h)), math.nan)
+    lhs, rhs = np.stack([nan if p is None else sides(p) for p in ps], axis=1)
+    return Outcomes.judged([e or row for e in errors], lhs, rhs, chain[:, :2])
 
 
 def telescope_finite_rank(f: ScalarFunction, theta, p, b, steps, digest="") -> VerificationRecord:
@@ -765,4 +779,4 @@ def telescope_finite_rank(f: ScalarFunction, theta, p, b, steps, digest="") -> V
                 raise PreconditionError(f"steps {j},{i}: projections not orthogonal")
     mats = [b] + [float(x) * e for (x, _), e in zip(steps, projs)]
     outcomes = _one(verify_telescope_stack, f, theta, p, None, mats, None, None)
-    return outcomes.record(0, "telescope", digest)
+    return outcomes.record(0, 0, "telescope", digest)

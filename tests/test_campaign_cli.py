@@ -624,8 +624,8 @@ def test_reverse_kernel_dispatches_variants():
     x, y = stack[0]
     for variant in REVERSE_VARIANTS:
         kernel = getattr(hl.verify, VERIFIERS["reverse"].kernel)
-        (outcomes,) = kernel(None, [(1.5, 1.0, KyFan(2))], stack, {}, variant)
-        rec = outcomes.record(0, f"reverse:{variant}", "d")
+        outcomes = kernel(None, [(1.5, 1.0, KyFan(2))], stack, {}, variant)
+        rec = outcomes.record(0, 0, f"reverse:{variant}", "d")
         assert rec == hl.verify_reverse_power(1.5, 1.0, KyFan(2), x, y, variant, "d")
     cfg = small_config(verifier="reverse", thetas=(1.5,), trials=1)
     assert replay(cfg, 0, 0).name == "reverse:power"

@@ -8,6 +8,7 @@ must equal what a stack of one (replay) gives, bit for bit.
 import dataclasses
 import inspect
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,10 +137,10 @@ def _config(name, seed=101):
     )
 
 
-def _record_or_error(outcomes, i, name, digest=""):
-    """Trial i's record from a cell's Outcomes, or its error."""
+def _record_or_error(outcomes, c, i, name, digest=""):
+    """The record of trial i in cell c from a stack's Outcomes, or its error."""
     try:
-        return outcomes.record(i, name, digest)
+        return outcomes.record(c, i, name, digest)
     except HolderLabError as exc:
         return exc
 
@@ -147,9 +148,9 @@ def _record_or_error(outcomes, i, name, digest=""):
 def _cell(kernel, f, theta, p, spec, stack, digests, sem_cache, variant):
     """Per trial, the record (named after the kernel, with the trial's digest)
     or the error of a stack kernel in the one cell (theta, p, spec)."""
-    (outcomes,) = kernel(f, [(theta, p, spec)], stack, sem_cache, variant)
+    outcomes = kernel(f, [(theta, p, spec)], stack, sem_cache, variant)
     name = kernel.__name__.removeprefix("verify_").removesuffix("_stack")
-    return [_record_or_error(outcomes, i, name, d) for i, d in enumerate(digests)]
+    return [_record_or_error(outcomes, 0, i, name, d) for i, d in enumerate(digests)]
 
 
 def _trial_outcomes(config, cell_idx, f):
@@ -158,10 +159,10 @@ def _trial_outcomes(config, cell_idx, f):
     its error."""
     dim = config.cells()[cell_idx][3]
     cell = camp._kernel_cells(config)[cell_idx]
-    for trials, _, _, (outcomes,) in camp._stacks(config, dim, [cell], f, {}):
+    for trials, _, _, outcomes in camp._stacks(config, dim, [cell], f, {}):
         for i, trial in enumerate(trials):
             digest = camp._digest(config, cell_idx, trial, dim)
-            yield trial, _record_or_error(outcomes, i, camp._record_name(config), digest)
+            yield trial, _record_or_error(outcomes, 0, i, camp._record_name(config), digest)
 
 
 def _bits(rec):
@@ -263,6 +264,60 @@ def test_a_linalg_error_fails_only_its_trial(monkeypatch):
         with pytest.raises(EigensolverError):
             replay(config, cell_idx, 5)
         assert _bits(outcomes[6]) == _bits(replay(config, cell_idx, 6))
+
+
+@pytest.mark.parametrize("verifier", ["bks", "submaj"])
+def test_a_linalg_error_in_one_cell_fails_only_that_cell(verifier, monkeypatch):
+    # a LinAlgError that recurs on the stack of trial 5 only while the cell
+    # CELL is among the cells: the stack of one trial reruns cell by cell, so
+    # only (CELL, 5) fails, and the other cells of trial 5 keep replay's bits;
+    # submaj takes no norm, so its six cells differ in p
+    ps, norms = ([1.0, 0.5], ["schatten:1"]) if verifier == "submaj" else ([1.0], NORMS[:2])
+    config = CampaignConfig.from_dict(
+        {"verifier": verifier, "function": FUNCTION_OF.get(verifier), "thetas": [0.25, 0.5, 0.75],
+         "ps": ps, "norms": norms, "dims": [8], "trials": 33, "seed": 303}
+    )
+    cell_idx = 3
+    f = parse_function_spec(config.function) if config.function else None
+    kernel_cells = camp._kernel_cells(config)
+    baseline, _ = run_campaign(config)
+    real = getattr(V, camp.VERIFIERS[verifier].kernel)
+    draw, _ = ENSEMBLES[camp._ensemble(verifier, None)["name"]]
+    _, (five,) = draw(8, [camp._trial_seed(config, 8, 5)], camp._ensemble(verifier, None))
+    calls = []
+
+    def flaky(f, cells, stack, sem_cache, variant):
+        calls.append((len(cells), len(stack)))
+        if kernel_cells[cell_idx] in cells and any(np.array_equal(t, five) for t in stack):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(f, cells, stack, sem_cache, variant)
+
+    spied = {**vars(V), camp.VERIFIERS[verifier].kernel: flaky}
+    monkeypatch.setattr(camp, "V", SimpleNamespace(**spied))
+    report, _ = run_campaign(config)
+    assert [c.failures for c in report.cells] == [int(i == cell_idx) for i in range(6)]
+    for i, (cell, base) in enumerate(zip(report.cells, baseline.cells)):
+        if i != cell_idx:
+            assert cell == base
+    # the stack of trial 5 alone holds every cell, then each cell on its own
+    assert (6, 1) in calls and calls.count((1, 1)) == 6
+    name = camp._record_name(config)
+    for trials, _, _, outcomes in camp._stacks(config, 8, kernel_cells, f, {}):
+        assert outcomes.ok.shape == (6, len(trials))
+        for c in range(6):
+            for j, trial in enumerate(trials):
+                rec = _record_or_error(outcomes, c, j, name, camp._digest(config, c, trial, 8))
+                if (c, trial) == (cell_idx, 5):
+                    assert isinstance(rec, EigensolverError)
+                    assert str(rec) == "LAPACK failed to converge: SVD did not converge"
+                elif trial == 5:
+                    assert _bits(rec) == _bits(replay(config, c, trial))
+                    if outcomes.constants is not None:
+                        assert rec.holds_with_constant == replay(config, c, trial).holds_with_constant
+                else:
+                    assert not isinstance(rec, HolderLabError)
+    with pytest.raises(EigensolverError):
+        replay(config, cell_idx, 5)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
@@ -368,11 +423,45 @@ def test_abs_tol_is_computed_only_for_degenerate_records(monkeypatch):
     # against 1e-12 * 2 * (1 + 0), not against 1e-12 * 2 * (1 + 1e12)
     calls.clear()
     mats = np.stack([np.zeros((2, 2, 2)), np.full((2, 2, 2), 0.5e12), np.zeros((2, 2, 2))] * 2)
-    failed = [None, None, DomainError("x"), None, None, None]
-    outcomes = V.Outcomes.judged(failed, [1.0] * 6, [0.0, 0.0, 0.0, 2.0, 2.0, -1.0], mats)
-    assert outcomes.flagged.tolist() == [True, False, False, False, False, True]
-    assert outcomes.ratio.tolist() == [0.0, 0.0, 0.0, 0.5, 0.5, 0.0]
+    rows = [(np.array([True, True, False, True, True, True]), lambda i: DomainError("x"))]
+    outcomes = V.Outcomes.judged(rows, [[1.0] * 6], [[0.0, 0.0, 0.0, 2.0, 2.0, -1.0]], mats)
+    assert outcomes.flagged.tolist() == [[True, False, False, False, False, True]]
+    assert outcomes.ratio.tolist() == [[0.0, 0.0, 0.0, 0.5, 0.5, 0.0]]
     assert len(calls) == 6  # trials 0, 1 and 5
+
+
+def test_judged_takes_the_tolerance_once_per_trial_for_every_cell(monkeypatch):
+    # three cells with rhs <= 0 on trials 0, 1 and 5, and a cell whose every
+    # trial failed: each of those trials takes one operator norm per input,
+    # however many cells share it, and each row is judged as on its own
+    calls = []
+    real = V.op_norm
+    monkeypatch.setattr(V, "op_norm", lambda m: calls.append(1) or real(m))
+    mats = np.stack([np.zeros((2, 2, 2)), np.full((2, 2, 2), 0.5e12), np.zeros((2, 2, 2))] * 2)
+    nan = math.nan
+    checked = (np.array([True, True, False, True, True, True]), lambda i: DomainError("x"))
+    rows = [checked] * 3 + [ParameterError("y")]
+    lhs = [[1.0] * 6, [0.0, 3.0, 1.0, 4.0, 1.0, 1e-13], [2e-12, 1.0, 0.0, 0.0, 3.0, 5.0], [nan] * 6]
+    rhs = [[0.0, 0.0, 0.0, 2.0, 2.0, -1.0], [0.0, 0.0, 0.0, 2.0, 4.0, 0.0],
+           [0.0, -2.0, 1.0, 2.0, 0.5, 0.0], [nan] * 6]
+    outcomes = V.Outcomes.judged(rows, lhs, rhs, mats)
+    assert len(calls) == 6
+    assert outcomes.flagged.tolist() == [
+        [True, False, False, False, False, True],
+        [False, True, False, False, False, False],
+        [False, False, False, False, False, True],  # 2e-12 is not above 2e-12
+        [False] * 6,
+    ]
+    assert outcomes.ratio[:3].tolist() == [
+        [0.0, 0.0, 0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 2.0, 0.25, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 6.0, 0.0],
+    ]
+    assert outcomes.ok.tolist() == [[True, True, False, True, True, True]] * 3 + [[False] * 6]
+    assert str(outcomes.error((1, 2))) == "x" and str(outcomes.error((3, 0))) == "y"
+    for c in range(4):
+        one = V.Outcomes.judged(rows[c : c + 1], lhs[c : c + 1], rhs[c : c + 1], mats)
+        assert one.flagged.tolist() == outcomes.flagged[c : c + 1].tolist()
+        assert one.ratio.tobytes() == outcomes.ratio[c : c + 1].tobytes()
 
 
 # --- inverse ------------------------------------------------------------------------
@@ -467,7 +556,8 @@ def test_gauss_fails_through_the_fallback(monkeypatch):
 
     def spy(*args):
         outcomes = real(*args)
-        stacked.extend(error for cell in outcomes for error in cell.failed)
+        for idx, ok in np.ndenumerate(outcomes.ok):
+            stacked.append(None if ok else outcomes.error(idx))
         return outcomes
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_inverse_stack": spy}))
@@ -733,6 +823,69 @@ def test_every_verifier_reports_match_small_stacks(verifier, size, monkeypatch):
     assert max(failures) == 5 and min(failures) < 5
     monkeypatch.setattr(camp, "_stack_size", lambda dim, inputs: size)
     assert [_outputs(config) for config in configs] == default
+
+
+# per verifier, a cell whose parameter check raises, and the start of its
+# message: theta out of range, a norm that is not fully symmetric, a p-th
+# power norm at p <= 0, p above 1 for telescope, and a seminorm of an order f
+# lacks (submaj)
+NOT_FULLY_SYMMETRIC = ((0.5, 1.0, Schatten(0.5)), "Schatten(p=0.5) is not fully symmetric")
+BAD_CELL = {
+    "main": ((0.5, -1.0, None), "power exponent must be finite positive, got -1.0"),
+    "bks": ((1.5, 1.0, KyFan(2)), "theta must lie in (0,1), got 1.5"),
+    "submaj": ((0.5, 0.25, None), "power:0.5: seminorm order 7 exceeds max_order 6"),
+    "symmetric": NOT_FULLY_SYMMETRIC,
+    "inverse": ((0.5, 1.0, KyFan(2)), "inverse verifier needs theta > 1, got 0.5"),
+    "reverse": ((0.5, 1.0, KyFan(2)), "reverse power needs theta > 1, got 0.5"),
+    "commutator": NOT_FULLY_SYMMETRIC,
+    "quasicommutator": NOT_FULLY_SYMMETRIC,
+    "absmap": NOT_FULLY_SYMMETRIC,
+    "alt": ((1.5, 1.0, None), "theta must lie in (0,1), got 1.5"),
+    "telescope": ((0.5, 2.0, None), "telescoping needs p in (0,1], got 2.0"),
+}
+
+
+def _entry(outcomes, c, i):
+    """The (c, i) entry of a stack's Outcomes: its sides, ratio and constant
+    by float.hex and its flag, or its error's class and message."""
+    if not outcomes.ok[c, i]:
+        error = outcomes.error((c, i))
+        return type(error).__name__, str(error)
+    sides = [float(a[c, i]).hex() for a in (outcomes.lhs, outcomes.rhs, outcomes.ratio)]
+    constant = None if outcomes.constants is None else float(outcomes.constants[c, i]).hex()
+    return (*sides, constant, bool(outcomes.flagged[c, i]))
+
+
+@pytest.mark.parametrize("verifier", sorted(camp.VERIFIERS))
+def test_a_kernels_rows_are_its_one_cell_runs(verifier):
+    # a cell whose check raises, three theta on one (spec, p), another spec
+    # and a repeated cell, on a stack whose trial 1 is not Hermitian: each row
+    # of the stack's Outcomes (cells, trials) is the kernel run on that cell
+    thetas = [1.5, 2.0, 3.0] if verifier in ("inverse", "reverse") else [0.25, 0.5, 0.75]
+    good = [(theta, 1.0, KyFan(2)) for theta in thetas] + [(thetas[1], 0.5, Schatten(1))]
+    bad, message = BAD_CELL[verifier]
+    cells = [good[0], bad, *good, good[1]]
+    ens = camp._ensemble(verifier, None)
+    draw, _ = ENSEMBLES[ens["name"]]
+    _, stack = draw(4, [SeedState(17, (t,)) for t in range(5)], ens)
+    stack = stack.copy()
+    stack[1, 0] += np.triu(np.ones((4, 4)), 1)
+    # spower:0.5 inverts every trial that srational:1 cannot
+    function = "spower:0.5" if verifier == "inverse" else FUNCTION_OF.get(verifier)
+    f = parse_function_spec(function) if function else None
+    kernel = getattr(V, camp.VERIFIERS[verifier].kernel)
+    outcomes = kernel(f, cells, stack, {}, "power")
+    assert outcomes.ok.shape == outcomes.lhs.shape == (len(cells), len(stack))
+    assert not outcomes.ok[1].any() and outcomes.ok.any()
+    assert str(outcomes.error((1, 0))).startswith(message)
+    for c, cell in enumerate(cells):
+        one = kernel(f, [cell], stack, {}, "power")
+        for i in range(len(stack)):
+            assert _entry(outcomes, c, i) == _entry(one, 0, i)
+    for c, repeat in ((0, 2), (3, 6)):  # a repeated cell gives the same row
+        assert [_entry(outcomes, c, i) for i in range(5)] == [
+            _entry(outcomes, repeat, i) for i in range(5)
+        ]
 
 
 def test_every_kernel_is_a_verify_stack_function():
@@ -1052,10 +1205,10 @@ def _campaign_outcomes(config):
         idxs = [i for i, cell in enumerate(grid) if cell[3] == dim]
         cells = [kernel_cells[i] for i in idxs]
         for trials, _, _, outcomes in camp._stacks(config, dim, cells, f, {}):
-            for i, cell_outcomes in zip(idxs, outcomes):
+            for c, i in enumerate(idxs):
                 for j, trial in enumerate(trials):
                     digest = f"{config.seed}:{trial}:dim{dim}"
-                    rec = _record_or_error(cell_outcomes, j, name, digest)
+                    rec = _record_or_error(outcomes, c, j, name, digest)
                     out.setdefault(grid[i], []).append(_outcome(rec))
     return out
 

@@ -11,10 +11,11 @@ from holderlab.norms import KyFan, Schatten
 
 def test_record_conventions():
     # inputs of norm 0 at dim 2: the flagging tolerance is 2e-12
-    outcomes = V.Outcomes.judged([None, None], [0.0, 1.0], [0.0, 0.0], np.zeros((2, 2, 2, 2)))
-    rec = outcomes.record(0, "x")
+    rows = [(np.ones(2, dtype=bool), None)]
+    outcomes = V.Outcomes.judged(rows, [[0.0, 1.0]], [[0.0, 0.0]], np.zeros((2, 2, 2, 2)))
+    rec = outcomes.record(0, 0, "x")
     assert rec.ratio == 0.0 and not rec.flagged
-    rec2 = outcomes.record(1, "x")
+    rec2 = outcomes.record(0, 1, "x")
     assert rec2.ratio == 0.0 and rec2.flagged
 
 
@@ -53,8 +54,9 @@ def _main_reference(f, theta, p, a, b):
     sem = F.seminorm(f, F.d_of_p(p), theta).value
     lhs = hl.norm(hl.apply_function(f, am) - hl.apply_function(f, bm), Schatten(p))
     rhs = sem * hl.norm_of_profile(hl.singular_values(am - bm) ** theta, Schatten(p))
-    outcomes = V.Outcomes.judged([None], [lhs], [rhs], np.stack([am, bm])[None])
-    return outcomes.record(0, "main", "d")
+    rows = [(np.ones(1, dtype=bool), None)]
+    outcomes = V.Outcomes.judged(rows, [[lhs]], [[rhs]], np.stack([am, bm])[None])
+    return outcomes.record(0, 0, "main", "d")
 
 
 def _bits(rec):

@@ -1,0 +1,260 @@
+"""Write the golden set: the deterministic outputs of 145 campaign configs and
+13 ``holderlab verify`` calls, and print one sha256 over all of them.
+
+    python3 tools/golden.py OUT_DIR
+
+Run it in two checkouts and compare the printed hashes (or ``diff -r`` the
+two directories): a change that keeps every report byte-identical prints the
+hash its parent prints.  The holderlab under test is the one in this
+checkout's ``src``.  BLAS runs on one thread.
+
+Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
+``counterexamples.json`` (``error.txt`` for a config refused at load), and
+``forced-counterexamples.json``: the counterexamples of a second run with
+every claim set to -inf, so that every record that passes its checks is
+written with its inputs.  Per verify call, OUT_DIR/verify-<name>/ holds
+``stdout``, ``stderr`` and ``exit``.
+
+The configs: every entry of CONFIGS below, at seeds 101 and 7 (all 11
+verifiers on every ensemble each draws from, edge spectra, invalid cells,
+stack boundaries); the three perfbench campaign workloads at seeds 1-3; 12
+configs whose p-th powers overflow and an absmap config whose ratios are
+partly NaN; main, submaj, alt and telescope grids with refinement; a cell
+with no ratio; and refine_steps 5 and 6.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+from holderlab import campaign  # noqa: E402
+from holderlab.campaign import CampaignConfig, run_campaign  # noqa: E402
+from holderlab.cli import main as cli_main  # noqa: E402
+from holderlab.errors import HolderLabError  # noqa: E402
+from perfbench.workloads import CAMPAIGNS, campaign_config  # noqa: E402
+
+NORMS = ["schatten:1", "kyfan:2", "schatten:inf"]
+TINY = {"name": "positive_pair", "spectrum_range": [0.0, 1e-8]}
+HUGE = {"name": "positive_pair", "spectrum_range": [1e7, 1e8]}
+FIXED = {"name": "fixed_pair", "eigenvalues": [0.0, 0.0, 0.5, 0.5, 1.0]}
+
+CONFIGS = {
+    "small-dims": dict(thetas=[0.5], norms=["schatten:1", "kyfan:2"], dims=[1, 2, 3, 8], trials=33),
+    "chunk-65": dict(thetas=[0.25, 0.75], norms=["schatten:inf"], dims=[8], trials=65),
+    "dims-32-64": dict(thetas=[0.5], norms=["schatten:1"], dims=[32, 64], trials=3),
+    "tiny-spectrum": dict(thetas=[0.3], norms=NORMS, dims=[3, 8], trials=33, ensemble=TINY),
+    "huge-spectrum": dict(thetas=[0.7], norms=NORMS, dims=[3, 8], trials=33, ensemble=HUGE),
+    "fixed-degenerate": dict(thetas=[0.5], norms=NORMS, dims=[5], trials=20, ensemble=FIXED),
+    "invalid-cells": dict(
+        thetas=[1.5, 0.5], norms=["schatten:0.5", "schatten:1"], dims=[8], trials=5
+    ),
+    "refine": dict(
+        thetas=[0.5], norms=["schatten:1", "kyfan:2"], dims=[3, 8], trials=40, refine_steps=4
+    ),
+}
+FUNCTION_OF = {
+    "main": "power:0.5",
+    "submaj": "power:0.5",
+    "symmetric": "power:0.5",
+    "inverse": "srational:1",
+    "commutator": "power:0.5",
+    "quasicommutator": "power:0.5",
+    "telescope": "power:0.5",
+}
+ENSEMBLE_OF = {
+    "gaussian": {"name": "gaussian_pair"},
+    "commuting": {"name": "commuting_pair"},
+    "general": {"name": "general_pair"},
+    "positive": {"name": "positive_pair"},
+    "tiny": TINY,
+    "huge": HUGE,
+    "fixed": FIXED,
+    "contraction": {"name": "hermitian_contraction"},
+    "pair-contraction": {"name": "hermitian_pair_contraction"},
+    "steps": {"name": "rank_one_steps"},
+}
+# every verifier but bks on each ensemble it draws from, 33 trials at dim 8
+for _verifier in sorted(set(campaign.VERIFIERS) - {"bks"}):
+    for _key, _ens in ENSEMBLE_OF.items():
+        if _ens["name"] in campaign.VERIFIERS[_verifier].ensembles:
+            CONFIGS[f"{_verifier}-{_key}"] = dict(
+                verifier=_verifier,
+                function=FUNCTION_OF.get(_verifier),
+                thetas=[1.5] if _verifier in ("inverse", "reverse") else [0.5],
+                norms=["kyfan:2"],
+                dims=[len(_ens["eigenvalues"])] if "eigenvalues" in _ens else [8],
+                trials=33,
+                ensemble=_ens,
+                refine_steps=2,
+            )
+CONFIGS["reverse-expm1-gaussian"] = dict(CONFIGS["reverse-gaussian"], variant="expm1")
+CONFIGS["reverse-expm1-huge"] = dict(CONFIGS["reverse-huge"], variant="expm1")
+CONFIGS["telescope-rank-1"] = dict(
+    CONFIGS["telescope-steps"], ensemble={"name": "rank_one_steps", "rank": 1}
+)
+CONFIGS["telescope-rank-8"] = dict(
+    CONFIGS["telescope-steps"], ensemble={"name": "rank_one_steps", "rank": 8}
+)
+CONFIGS["telescope-dim-1"] = dict(CONFIGS["telescope-steps"], dims=[1])
+CONFIGS["telescope-p-0.5"] = dict(CONFIGS["telescope-steps"], ps=[0.5])
+
+
+def campaigns() -> dict:
+    """Every golden campaign config by name."""
+    out = {}
+    for name, cfg in CONFIGS.items():
+        for seed in (101, 7):
+            out[f"stacked-{name}-s{seed}"] = {"verifier": "bks", "ps": [1.0], "seed": seed, **cfg}
+    for workload in CAMPAIGNS:
+        for seed in (1, 2, 3):
+            out[f"{workload}-s{seed}"] = campaign_config(workload, seed)
+    for verifier in ("main", "submaj", "symmetric", "absmap", "reverse", "inverse"):
+        for low in (1e7, 1e3):
+            out[f"overflow-{verifier}-{low:g}"] = {
+                "verifier": verifier,
+                "function": {"inverse": "spower:0.5"}.get(verifier, "power:0.5"),
+                "thetas": [1.5] if verifier in ("inverse", "reverse") else [0.5],
+                "ps": [20.0, 40.0, 400.0],
+                "norms": ["schatten:1", "kyfan:2"],
+                "dims": [4, 8],
+                "trials": 40,
+                "seed": 1,
+                "ensemble": {"name": "positive_pair", "spectrum_range": [low, 1e8]},
+            }
+    out["mixed-nan"] = {
+        "verifier": "absmap", "thetas": [0.5], "ps": [20.0, 40.0, 400.0],
+        "norms": ["schatten:1", "kyfan:2"], "dims": [4, 8], "trials": 40, "seed": 1,
+        "ensemble": {"name": "positive_pair", "spectrum_range": [1e3, 1e8]},
+    }
+    for verifier, ensemble in (
+        ("main", None), ("submaj", None), ("alt", None),
+        ("telescope", {"name": "rank_one_steps", "rank": 3}),
+    ):
+        out[f"refine-grid-{verifier}"] = {
+            "verifier": verifier, "function": FUNCTION_OF.get(verifier),
+            "thetas": [0.25, 0.5, 0.75], "ps": [1.0, 0.5], "norms": ["schatten:1"],
+            "dims": [3, 8], "trials": 12, "seed": 5, "ensemble": ensemble, "refine_steps": 3,
+        }
+    out["no-ratio"] = {
+        "verifier": "bks", "thetas": [0.5], "ps": [1.0], "norms": ["schatten:1"], "dims": [2],
+        "trials": 4, "seed": 7, "ensemble": {"name": "fixed_pair", "eigenvalues": [0.0, 0.0]},
+    }
+    for steps in (5, 6):
+        out[f"refine-{steps}"] = {
+            "verifier": "bks", "thetas": [0.5], "ps": [1.0], "norms": ["schatten:1", "kyfan:2"],
+            "dims": [3, 8], "trials": 20, "seed": 9, "refine_steps": steps,
+        }
+    return out
+
+
+def verify_calls() -> dict:
+    """Every golden ``holderlab verify`` call by name."""
+    common = ["--dim", "6", "--trials", "20", "--seed", "7", "--norm", "kyfan:2"]
+    calls = {}
+    for verifier in campaign.VERIFIERS:
+        argv = ["verify", "--ineq", verifier, *common]
+        argv += ["--theta", "1.5" if verifier in ("inverse", "reverse") else "0.5"]
+        if verifier in FUNCTION_OF:
+            argv += ["--f", "spower:0.5" if verifier == "inverse" else FUNCTION_OF[verifier]]
+        calls[verifier] = argv
+    calls["reverse-expm1"] = calls["reverse"] + ["--variant", "expm1"]
+    calls["symmetric-overflow"] = [
+        "verify", "--ineq", "symmetric", "--f", "power:0.5", "--p", "400", "--dim", "4",
+        "--trials", "5", "--seed", "1", "--spectrum", "1e7,2e7,5e7,1e8",
+    ]
+    return calls
+
+
+def _write(path, text):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _counterexamples(cxs) -> str:
+    return json.dumps(cxs, indent=2, sort_keys=True)
+
+
+def _forced(verifiers):
+    """The verifier table with every claim set to -inf."""
+    return {
+        name: dataclasses.replace(v, claim=lambda spec, p: -math.inf)
+        for name, v in verifiers.items()
+    }
+
+
+def write_campaign(out, name, cfg):
+    d = os.path.join(out, name)
+    try:
+        config = CampaignConfig.from_dict(cfg)
+    except HolderLabError as exc:
+        _write(os.path.join(d, "error.txt"), f"{type(exc).__name__}: {exc}\n")
+        return
+    report, cxs = run_campaign(config)
+    _write(os.path.join(d, "report.csv"), report.to_csv())
+    _write(os.path.join(d, "report.json"), report.to_json())
+    _write(os.path.join(d, "counterexamples.json"), _counterexamples(cxs))
+    real = campaign.VERIFIERS
+    campaign.VERIFIERS = _forced(real)
+    try:
+        _, forced = run_campaign(config)
+    finally:
+        campaign.VERIFIERS = real
+    _write(os.path.join(d, "forced-counterexamples.json"), _counterexamples(forced))
+
+
+def write_verify(out, name, argv):
+    d = os.path.join(out, f"verify-{name}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli_main(argv)
+    _write(os.path.join(d, "stdout"), stdout.getvalue())
+    _write(os.path.join(d, "stderr"), stderr.getvalue())
+    _write(os.path.join(d, "exit"), f"{rc}\n")
+
+
+def digest(out) -> str:
+    """sha256 over every file of ``out``: its relative path and its bytes,
+    in path order."""
+    h = hashlib.sha256()
+    paths = sorted(
+        os.path.relpath(os.path.join(root, f), out)
+        for root, _, files in os.walk(out)
+        for f in files
+    )
+    for rel in paths:
+        h.update(rel.encode() + b"\0")
+        with open(os.path.join(out, rel), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/golden.py OUT_DIR", file=sys.stderr)
+        return 2
+    (out,) = argv
+    if os.path.exists(out) and os.listdir(out):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    for name, cfg in campaigns().items():
+        write_campaign(out, name, cfg)
+    for name, call in verify_calls().items():
+        write_verify(out, name, call)
+    print(digest(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
