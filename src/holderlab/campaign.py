@@ -36,9 +36,9 @@ from . import verify as V
 # a record exceeds its verifier's claimed constant when ratio > claim + tol
 CONSTANT_ONE_TOL = 1e-8
 
-# the format of report.json and manifest.json: 2 since every cell of a dim
-# evaluates the trials drawn once for that dim
-REPORT_FORMAT = 2
+# the format of report.json and manifest.json: 3 since Hermitian profiles come
+# from eigvalsh and p-th power norms scale each profile by its largest entry
+REPORT_FORMAT = 3
 
 
 # the grid axes of a config and the type of their entries

@@ -651,13 +651,10 @@ def _ratio_round(a: BivariateSymbol, spec: Schatten, dim: int, seeds):
     m = _symbol_stack(a, lam, mu)
     ok = np.all(np.isfinite(m), axis=(-2, -1))
     v = v[ok]
-    num = np.linalg.svd(_schur_action(m[ok], bases[ok, 0], bases[ok, 1], v), compute_uv=False)
-    den = np.linalg.svd(v, compute_uv=False)
-    ratios = []
-    for s_out, s_v in zip(num, den):
-        d = norm_of_profile(s_v, spec)
-        ratios.append(0.0 if d == 0.0 else norm_of_profile(s_out, spec) / d)
-    return ok, ratios
+    out = np.linalg.svd(_schur_action(m[ok], bases[ok, 0], bases[ok, 1], v), compute_uv=False)
+    num, den = (norm_of_profile(sv, spec) for sv in (out, np.linalg.svd(v, compute_uv=False)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ok, np.where(den == 0.0, 0.0, num / den).tolist()
 
 
 def empirical_mp_lower(

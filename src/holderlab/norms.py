@@ -99,35 +99,38 @@ def check_fully_symmetric(spec: NormSpec):
 def norm_of_profile(values, spec: NormSpec):
     """The norm ``spec`` of a profile (n,), a float; or of every profile of a
     stack (..., n), an array (...) whose entries have the bits of each
-    profile's own norm."""
+    profile's own norm; p-th powers scale each profile first (_power_norm)."""
     v = np.asarray(values, dtype=float)
-    with np.errstate(over="ignore"):  # a p-th power may overflow to inf
-        if not v.shape[-1]:
-            out = np.zeros(v.shape[:-1])
+    s = np.atleast_2d(v)  # a single profile takes the path of a stack
+    with np.errstate(over="ignore"):  # a norm may exceed the float range
+        if not s.shape[-1]:
+            out = np.zeros(s.shape[:-1])
         elif isinstance(spec, Schatten):
             if np.isinf(spec.p):
-                out = v[..., 0]
+                out = s[..., 0]
             else:
-                out = _root(np.sum(v ** spec.p, axis=-1), spec.p)
+                out = _power_norm(s, spec.p, lambda w: np.sum(w, axis=-1))
         elif isinstance(spec, WeakLp):
-            weights = (np.arange(v.shape[-1]) + 1.0) ** (1.0 / spec.p)
-            out = np.max(weights * v, axis=-1)
+            weights = (np.arange(s.shape[-1]) + 1.0) ** (1.0 / spec.p)
+            out = np.max(weights * s, axis=-1)
         elif isinstance(spec, KyFan):
-            out = v[..., : spec.k].sum(axis=-1)
+            out = s[..., : spec.k].sum(axis=-1)
         elif isinstance(spec, PowerOf):
-            out = _root(norm_of_profile(v ** spec.p, spec.base), spec.p)
+            out = _power_norm(s, spec.p, lambda w: norm_of_profile(w, spec.base))
         else:
             raise ParameterError(f"unknown norm spec {spec!r}")
-    return float(out) if v.ndim == 1 else out
+    return float(out[0]) if v.ndim == 1 else out
 
 
-def _root(x, p):
-    """x ** (1/p) for a number or an array x, entry by entry as a scalar
-    power: numpy's vectorized power rounds some entries differently."""
-    e = 1.0 / p
-    if np.ndim(x) == 0:
-        return x ** e
-    return np.array([s ** e for s in x.ravel()]).reshape(x.shape)
+def _power_norm(s, p, base):
+    """base(s^p)^(1/p) over profiles (..., n) as s_max base((s / s_max)^p)^(1/p)
+    unless p is 1, so no power overflows; if s_max is 0, inf or NaN, it is that."""
+    if p == 1.0:
+        return base(s)
+    top = np.max(s, axis=-1)
+    scaled = (top > 0.0) & (top < np.inf)
+    unit = np.where(scaled, top, 1.0)
+    return np.where(scaled, unit * base((s / unit[..., None]) ** p) ** (1.0 / p), top)
 
 
 def norm(x, spec: NormSpec) -> float:
@@ -187,13 +190,9 @@ class SubmajorizationReport:
 
 
 def _pad_pair(a, b):
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    n = max(a.size, b.size)
-    return (
-        np.pad(a, (0, n - a.size)),
-        np.pad(b, (0, n - b.size)),
-    )
+    a, b = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b))
+    n = max(a.shape[-1], b.shape[-1])
+    return tuple(np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]) for x in (a, b))
 
 
 def submajorizes(upper, lower, tol: float = SUBMAJ_TOL) -> SubmajorizationReport:
@@ -210,18 +209,14 @@ def submajorizes(upper, lower, tol: float = SUBMAJ_TOL) -> SubmajorizationReport
     return SubmajorizationReport(holds=margin >= -tol, worst_index=worst, margin=margin)
 
 
-def least_domination_constant(upper, lower) -> float:
-    """Smallest c >= 0 such that lower's partial sums are <= c * upper's.
-
-    Returns inf when some partial sum of ``lower`` is positive while the
-    matching partial sum of ``upper`` vanishes.
-    """
+def least_domination_constant(upper, lower):
+    """Smallest c >= 0 such that lower's partial sums are <= c * upper's, a
+    float for profiles (n,) or an array (...) for stacks (..., n).  It is inf
+    when a partial sum of ``lower`` is positive while upper's is not; a NaN
+    partial-sum ratio is skipped."""
     up, lo = _pad_pair(upper, lower)
-    cu, cl = np.cumsum(up), np.cumsum(lo)
-    c = 0.0
-    for num, den in zip(cl, cu):
-        if den > 0.0:
-            c = max(c, num / den)
-        elif num > 0.0:
-            return np.inf
-    return c
+    cu, cl = np.cumsum(up, axis=-1), np.cumsum(lo, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(cu > 0.0, cl / cu, np.where(cl > 0.0, np.inf, np.nan))
+    c = np.fmax.reduce(ratios, axis=-1, initial=0.0)
+    return float(c) if up.ndim == 1 else c

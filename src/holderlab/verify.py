@@ -232,6 +232,16 @@ def _profiles(*mats) -> np.ndarray:
     return np.linalg.svd(np.stack(mats, axis=1), compute_uv=False)
 
 
+def _hermitian_profiles(*mats) -> np.ndarray:
+    """_profiles of Hermitian matrices: |eigvalsh| sorted descending, C-contiguous,
+    as a reversed view would change the order the norms sum in.  A non-finite
+    eigenvalue raises numpy.linalg.LinAlgError, as the SVD does."""
+    w = np.abs(np.linalg.eigvalsh(np.stack(mats, axis=1)))
+    if not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("eigvalsh of a non-finite matrix")
+    return -np.sort(-w, axis=-1)
+
+
 def _seminorm_front(f, mats, sem_cache, profiles, cells, norm=PowerOf):
     """The shared front of the seminorm estimates on a stack (T, k, n, n) of
     Hermitian inputs in ``cells``: the symmetrized inputs h, the profiles
@@ -263,7 +273,7 @@ def _seminorm_front(f, mats, sem_cache, profiles, cells, norm=PowerOf):
 
 def _difference_profiles(h, fh) -> np.ndarray:
     """The profiles of f(X) - f(Y) and X - Y, (T, 2, n)."""
-    return _profiles(fh[:, 0] - fh[:, 1], h[:, 0] - h[:, 1])
+    return _hermitian_profiles(fh[:, 0] - fh[:, 1], h[:, 0] - h[:, 1])
 
 
 # --- the difference estimates ---------------------------------------------------
@@ -309,12 +319,12 @@ def verify_bks_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
         ),
     )
     row = _first_failures(len(h), [hermitian, reconstructed, positive])
-    difference = _profiles(recon[:, 0] - recon[:, 1])[:, 0]
+    difference = _hermitian_profiles(recon[:, 0] - recon[:, 1])[:, 0]
 
     def powered_profiles(theta):
         with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
             powered = from_eigen(dec.basis, np.clip(lam, 0.0, None) ** theta)
-        return _profiles(powered[:, 0] - powered[:, 1])[:, 0]
+        return _hermitian_profiles(powered[:, 0] - powered[:, 1])[:, 0]
 
     lhs, rhs = _norm_rows(entries, len(h), powered_profiles, lambda theta: difference ** theta)
     return Outcomes.judged([e or row for e in errors], lhs, rhs, stack)
@@ -329,30 +339,29 @@ def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
 
 def verify_submaj_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """verify_submajorization over a stack (T, 2, n, n) of (X, Y), with the
-    checks of _seminorm_front.  The profiles compared are upper = seminorm^p
-    * mu(|X-Y|^theta)^p and lower = mu(f(X) - f(Y))^p.  A trial's constant is
-    the least c making the domination hold, and its lhs and rhs are the
-    partial sums of lower and upper where their ratio peaks (the totals when
-    c is 0 or infinite)."""
+    checks of _seminorm_front.  The profiles compared are upper = (seminorm
+    * mu(|X-Y|^theta) / s)^p and lower = (mu(f(X) - f(Y)) / s)^p, s the
+    larger of the two bases' first entries (1 if that is 0), so that no
+    power overflows.  A trial's constant is the least c making the
+    domination hold, and its lhs and rhs are the partial sums of lower and
+    upper where their ratio peaks (the totals when c is 0 or infinite)."""
     h, sv, rows, entries, sems = _seminorm_front(
         f, stack, sem_cache, _difference_profiles, cells, lambda spec, p: p
     )
-    lhs, rhs, constants = (np.full((len(cells), len(h)), math.nan) for _ in range(3))
     profiles = np.full((2, len(cells), *h.shape[::2]), math.nan)
     for c, entry in enumerate(entries):
-        if entry is None:
-            continue
-        p, theta = entry
-        upper, lower = (sems[c] ** p) * (sv[:, 1] ** theta) ** p, sv[:, 0] ** p
-        profiles[:, c] = upper, lower
-        for i, (u, lo) in enumerate(zip(upper, lower)):
-            constants[c, i] = least_domination_constant(u, lo)
-            cu, cl = np.cumsum(u), np.cumsum(lo)
-            k = -1
-            if np.isfinite(constants[c, i]) and constants[c, i] > 0.0:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    k = int(np.argmax(np.where(cu > 0.0, cl / cu, 0.0)))
-            lhs[c, i], rhs[c, i] = cl[k], cu[k]
+        if entry is not None:
+            p, theta = entry
+            bases = np.stack([sems[c] * sv[:, 1] ** theta, sv[:, 0]])
+            # one scale per trial for both, so that no p-th power overflows
+            top = bases[..., :1].max(axis=0)
+            profiles[:, c] = (bases / np.where((top > 0.0) & (top < np.inf), top, 1.0)) ** p
+    constants = least_domination_constant(*profiles)
+    cu, cl = np.cumsum(profiles, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peak = np.argmax(np.where(cu > 0.0, cl / cu, 0.0), axis=-1)
+    k = np.where(np.isfinite(constants) & (constants > 0.0), peak, -1)[..., None]
+    lhs, rhs = (np.take_along_axis(x, k, axis=-1)[..., 0] for x in (cl, cu))
     return Outcomes.judged(rows, lhs, rhs, h, constants, tuple(profiles))
 
 
@@ -498,7 +507,7 @@ def verify_inverse_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
         return Outcomes.failing(errors, len(h))
     inv, *invertible = inverse_apply(f, h)
     row = _first_failures(len(h), [hermitian], [invertible])
-    sv = _profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
+    sv = _hermitian_profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
     factors = np.array([math.nan if e is None else e[2] for e in checked])[:, None]
     (lhs,) = _norm_rows([e and (e[0], None) for e in checked], len(h), lambda _: sv[:, 0])
     (rhs,) = _norm_rows([e and e[:2] for e in checked], len(h), lambda theta: sv[:, 1] ** theta)
@@ -545,12 +554,12 @@ def verify_reverse_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
         image, *defined = apply_stack(signed_expm1(), dec)
         checks.append(defined)
     row = _first_failures(len(h), [hermitian], checks)
-    difference = _profiles(h[:, 0] - h[:, 1])[:, 0]
+    difference = _hermitian_profiles(h[:, 0] - h[:, 1])[:, 0]
 
     def mapped_profiles(theta):
         # sgn(M)|M|^theta: finite on finite spectra, not symmetrized
         g = image if theta is None else from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta)
-        return _profiles(g[:, 0] - g[:, 1])[:, 0]
+        return _hermitian_profiles(g[:, 0] - g[:, 1])[:, 0]
 
     mapped = [e and (e[0], e[1] if variant == "power" else None) for e in entries]
     (lhs,) = _norm_rows(mapped, len(h), mapped_profiles)
@@ -592,12 +601,8 @@ def verify_quasicommutator_stack(f, cells, stack, sem_cache, variant) -> Outcome
 
     h, sv, rows, entries, sems = _seminorm_front(f, stack[:, :-1], sem_cache, profiles, cells)
     mats = np.concatenate([h, stack[:, -1:]], axis=1)
-    # ||R||^(1-theta) as a float power, on the trials that pass their checks
-    weights = np.full((len(cells), len(h)), math.nan)
-    for c, entry in enumerate(entries):
-        if entry is not None:
-            good = rows[c][0]
-            weights[c, good] = [float(s) ** (1.0 - entry[1]) for s in sv[good, 2, 0]]
+    nan = np.full(len(h), math.nan)
+    weights = np.array([nan if e is None else sv[:, 2, 0] ** (1.0 - e[1]) for e in entries])
     (rhs,) = _norm_rows(entries, len(h), lambda theta: sv[:, 1] ** theta)
     rhs = np.array(sems)[:, None] * rhs * weights
     (lhs,) = _norm_rows([e and (e[0], None) for e in entries], len(h), lambda _: sv[:, 0])
@@ -748,12 +753,12 @@ def verify_telescope_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     images, *defined = apply_stack(f, dec)
     row = _first_failures(len(h), [hermitian], [reconstructed, defined])
     fa = images[:, np.argsort(order)]  # f(A_0), ..., f(A_r)
-    sv = _profiles(images[:, 1] - images[:, 0], *(fa[:, 1:] - fa[:, :-1]).swapaxes(0, 1))
+    steps = fa[:, 1:] - fa[:, :-1]
+    sv = _hermitian_profiles(images[:, 1] - images[:, 0], *steps.swapaxes(0, 1))
 
     @functools.cache
     def sides(p):
-        norms = norm_of_profile(sv, Schatten(p)).tolist()
-        powers = np.array([[s ** p for s in trial] for trial in norms])
+        powers = norm_of_profile(sv, Schatten(p)) ** p
         # a running total of the step terms, rounded after each step
         return powers[:, 0], sum(powers[:, 1:].T, np.zeros(len(sv)))
 

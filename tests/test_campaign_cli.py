@@ -219,12 +219,12 @@ def test_cli_campaign_end_to_end(tmp_path, capsys):
 
 
 def test_reports_carry_the_report_format(tmp_path, capsys):
-    # format 2: every cell of a dim evaluates one draw per (dim, trial)
+    # format 3: Hermitian profiles from eigvalsh, p-th powers scaled
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(trials=3).to_dict()))
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path)]) == 0
     for name in ("report.json", "manifest.json"):
-        assert json.loads((tmp_path / name).read_text())["report_format"] == 2
+        assert json.loads((tmp_path / name).read_text())["report_format"] == 3
 
 
 def test_cli_campaign_malformed_config(tmp_path, capsys):
@@ -607,15 +607,25 @@ def test_cli_campaign_every_record_rhs_zero_exit_2(tmp_path, capsys):
     assert "theta=0.5 p=1 norm=schatten:1 dim=2: every record had rhs = 0 (4 record(s))" in err
 
 
-def test_cli_verify_overflowing_norms_name_the_nan_ratios(capsys):
-    # at p = 400 every p-th power overflows to inf: each ratio is inf / inf,
-    # and no numpy warning reaches stderr
-    argv = ["verify", "--ineq", "symmetric", "--f", "power:0.5", "--p", "400", "--dim", "4",
-            "--trials", "5", "--seed", "1", "--spectrum", "1e7,2e7,5e7,1e8"]
-    assert main(argv) == 2
+OVERFLOW_ARGV = ["verify", "--ineq", "symmetric", "--f", "power:0.5", "--p", "400", "--dim",
+                 "4", "--trials", "5", "--seed", "1", "--spectrum", "1e7,2e7,5e7,1e8"]
+
+
+def test_cli_verify_overflowing_norms_name_the_nan_ratios(capsys, overflowing_norms):
+    # with unscaled p-th powers, at p = 400 every one overflows to inf: each
+    # ratio is inf / inf, and no numpy warning reaches stderr
+    assert main(OVERFLOW_ARGV) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "every ratio is NaN, since lhs and rhs are not finite (5 record(s))\n"
+
+
+def test_cli_verify_p_th_power_norms_do_not_overflow(capsys):
+    # the norms scale each profile by its largest entry before the p-th power
+    assert main(OVERFLOW_ARGV) == 0
+    out = capsys.readouterr()
+    record = json.loads(out.out)
+    assert out.err == "" and 0.0 < record["ratio"] < 1.0 and not record["flagged"]
 
 
 def test_reverse_kernel_dispatches_variants():

@@ -181,6 +181,49 @@ def test_least_domination_constant():
     assert least_domination_constant([0.0, 1.0], [1.0, 0.0]) == np.inf
 
 
+def _domination_loop(upper, lower):
+    """least_domination_constant as a loop over the partial sums: Python's
+    max skips a NaN ratio, and a positive sum over one that is not gives inf."""
+    cu, cl = np.cumsum(upper), np.cumsum(lower)
+    c = 0.0
+    for num, den in zip(cl, cu):
+        if den > 0.0:
+            c = max(c, num / den)
+        elif num > 0.0:
+            return np.inf
+    return c
+
+
+def test_least_domination_constant_of_a_stack_is_the_loop():
+    rng = np.random.default_rng(3)
+    edges = [0.0, 1.0, np.inf, np.nan]
+    upper = rng.choice(edges + list(rng.random(4)), size=(4, 50, 5))
+    lower = rng.choice(edges + list(rng.random(4)), size=(4, 50, 5))
+    with np.errstate(all="ignore"):
+        pairs = zip(upper.reshape(-1, 5), lower.reshape(-1, 5))
+        want = [_domination_loop(u, lo) for u, lo in pairs]
+    got = least_domination_constant(upper, lower)
+    assert got.shape == (4, 50)
+    assert [v.hex() for v in got.ravel().tolist()] == [float(v).hex() for v in want]
+    assert least_domination_constant([1.0, 1.0], [3.0]) == 3.0  # the shorter pads with 0
+
+
+def test_p_th_power_norms_do_not_overflow():
+    # scaled by the largest entry, s^p stays in range at any p
+    profile = np.array([1e8, 5e7, 1e3])
+    for spec in (Schatten(400), PowerOf(Schatten(1), 400), PowerOf(KyFan(2), 40)):
+        got = norm_of_profile(profile, spec)
+        assert got == pytest.approx(1e8, rel=1e-12)
+    assert norm_of_profile(profile, Schatten(2)) == pytest.approx(math.hypot(1e8, 5e7, 1e3))
+    # a profile of zeros has norm 0, one with an inf entry inf, one with NaN NaN
+    for spec in (Schatten(2), PowerOf(KyFan(2), 0.5)):
+        assert norm_of_profile([0.0, 0.0], spec) == 0.0
+        assert norm_of_profile([np.inf, 1.0], spec) == np.inf
+        assert math.isnan(norm_of_profile([np.nan, 1.0], spec))
+    # p = 1 is no power: the Schatten-1 norm is the plain sum
+    assert norm_of_profile(profile, Schatten(1)) == float(profile.sum())
+
+
 def test_parse_norm_specs():
     cases = {
         "schatten:1": Schatten(1.0),

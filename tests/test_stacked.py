@@ -6,9 +6,11 @@ must equal what a stack of one (replay) gives, bit for bit.
 """
 
 import dataclasses
+import importlib.util
 import inspect
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,14 +24,13 @@ import holderlab.verify as V
 from holderlab.campaign import CampaignConfig, replay, run_campaign
 from holderlab.ensembles import ENSEMBLES, SeedState, fixed_spectrum, sample_positive_pairs
 from holderlab.errors import DomainError, EigensolverError, HolderLabError, ParameterError
-from holderlab.functions import ScalarFunction, d_of_p, parse_function_spec, seminorm
+from holderlab.functions import DD_SWITCH, ScalarFunction, d_of_p, parse_function_spec, seminorm
 from holderlab.norms import (
     KyFan,
     PowerOf,
     Schatten,
-    norm,
+    least_domination_constant,
     norm_of_profile,
-    singular_values,
 )
 from holderlab.spectral import as_hermitian, eig_hermitian, from_eigen, psd_stack
 
@@ -348,6 +349,11 @@ def test_sampler_rejects_bad_specs():
         sample_positive_pairs(3, (-0.5, 1.0), [SeedState(1)])
 
 
+def _hermitian_sv(m):
+    """The singular values of one Hermitian matrix, from a 2-D eigvalsh."""
+    return np.ascontiguousarray(np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1])
+
+
 def _bks_per_matrix(theta, spec, x, y):
     """verify_bks computed one matrix at a time with 2-D LAPACK calls."""
     sides = []
@@ -357,8 +363,8 @@ def _bks_per_matrix(theta, spec, x, y):
     (dx, vx), (dy, vy) = sides
     x_t = (dx.basis * vx ** theta) @ dx.basis.conj().T
     y_t = (dy.basis * vy ** theta) @ dy.basis.conj().T
-    lhs = norm(x_t - y_t, spec)
-    rhs = norm_of_profile(singular_values(dx.matrix() - dy.matrix()) ** theta, spec)
+    lhs = norm_of_profile(_hermitian_sv(x_t - y_t), spec)
+    rhs = norm_of_profile(_hermitian_sv(dx.matrix() - dy.matrix()) ** theta, spec)
     return lhs, rhs
 
 
@@ -708,8 +714,8 @@ def _inverse_per_matrix(f, theta, p, base, x, y):
         increasing = _scalar_probe_sign(f, dec.eigenvalues) > 0
         vals = np.array([_scalar_bisect(f, float(v), increasing) for v in dec.eigenvalues])
         inv.append((dec.basis * vals) @ dec.basis.conj().T)
-    lhs = sem**theta * norm(inv[0] - inv[1], spec)
-    rhs = norm_of_profile(singular_values(xm - ym) ** theta, spec)
+    lhs = sem**theta * norm_of_profile(_hermitian_sv(inv[0] - inv[1]), spec)
+    rhs = norm_of_profile(_hermitian_sv(xm - ym) ** theta, spec)
     return lhs, rhs
 
 
@@ -1258,7 +1264,7 @@ def _spy(monkeypatch, module, name, record):
 
 def test_a_bks_stack_decomposes_once_for_every_cell(monkeypatch):
     # campaign-small's shape: 3 theta x 11 norms at dim 8, 16 trials in one
-    # stack; one eigendecomposition, one SVD of X - Y and one of
+    # stack; one eigendecomposition, one eigvalsh of X - Y and one of
     # X^theta - Y^theta per theta
     config = CampaignConfig.from_dict(
         {"verifier": "bks", "thetas": [0.25, 0.5, 0.75], "ps": [1.0],
@@ -1268,7 +1274,7 @@ def test_a_bks_stack_decomposes_once_for_every_cell(monkeypatch):
     )
     eighs, svds = [], []
     _spy(monkeypatch, V, "eigh_stack", eighs)
-    _spy(monkeypatch, V, "_profiles", svds)
+    _spy(monkeypatch, V, "_hermitian_profiles", svds)
     report, cx = run_campaign(config)
     assert len(report.cells) == 33 and not cx
     assert [np.shape(args[0]) for args in eighs] == [(16, 2, 8, 8)]
@@ -1377,8 +1383,8 @@ def test_a_campaign_builds_records_only_where_one_is_read(monkeypatch):
     assert digests == [f"11:{c}:{t}:dim8" for c in range(33) for t in range(16)]
 
 
-# an absmap campaign whose p-th powers overflow: at p = 40 some ratios are NaN
-# (inf / inf) and others finite, at p = 400 all are NaN
+# an absmap campaign whose p-th powers, taken unscaled, overflow: at p = 40
+# some ratios are NaN (inf / inf) and others finite, at p = 400 all are NaN
 MIXED_NAN = {
     "verifier": "absmap", "thetas": [0.5], "ps": [20.0, 40.0, 400.0],
     "norms": ["schatten:1", "kyfan:2"], "dims": [4, 8], "trials": 40, "seed": 1,
@@ -1386,7 +1392,7 @@ MIXED_NAN = {
 }
 
 
-def test_a_nan_ratio_is_never_the_argmax():
+def test_a_nan_ratio_is_never_the_argmax(overflowing_norms):
     config = CampaignConfig.from_dict(MIXED_NAN)
     report, _ = run_campaign(config)
     rows = report.to_csv().splitlines()[1:]
@@ -1475,7 +1481,9 @@ SMALL_SHAPE = {
 
 
 @pytest.mark.parametrize("cfg", [SMALL_SHAPE, MIXED_NAN], ids=["small", "mixed-nan"])
-def test_cell_statistics_are_numpys_on_the_trial_outcomes(cfg):
+def test_cell_statistics_are_numpys_on_the_trial_outcomes(cfg, request):
+    if cfg is MIXED_NAN:
+        request.getfixturevalue("overflowing_norms")
     config = CampaignConfig.from_dict(cfg)
     report, _ = run_campaign(config)
     for cell_idx, cell in enumerate(report.cells):
@@ -1514,3 +1522,119 @@ def test_refinement_starts_from_the_inputs_its_stack_held(name, monkeypatch):
     refined = [c for c in report.cells if c.refined_max is not None]
     assert refined and len(starts) == len(refined) and all(starts)
     assert any(len(c.trajectory) > 1 for c in refined)
+
+
+# --- Hermitian profiles and overflow-safe p-th powers (report format 3) ------------------
+
+# Hermitian spectra at the numerical edges: repeated and zero eigenvalues,
+# +-lambda pairs whose moduli tie, eigenvalues that nearly coincide across
+# DD_SWITCH, and a dim-64 spread
+HERMITIAN_SPECTRA = {
+    "degenerate": [1.0, 1.0, 1.0, 0.5, 0.5, -0.5, -0.5, 0.0],
+    "zero": [0.0] * 5,
+    "rank-one": [0.0, 0.0, 0.0, 1.0],
+    "dd-switch": [1.0, 1.0 + 0.5 * DD_SWITCH, 1.0 + 2.0 * DD_SWITCH, -1.0, -1.0 - DD_SWITCH, 0.0],
+    "dim-64": list(np.linspace(-1.0, 1.0, 64)),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("name", sorted(HERMITIAN_SPECTRA))
+def test_hermitian_profiles_are_the_singular_values(name, scale):
+    # both are backward stable: they agree within 4 n eps of the largest
+    # singular value; the profiles are C-contiguous, descending and
+    # nonnegative, and a matrix's profile has the same bits in a stack of 1,
+    # 16 or 32
+    spectrum = scale * np.array(HERMITIAN_SPECTRA[name])
+    rng = SeedState(21, (len(spectrum),)).rng()
+    mats = np.stack([fixed_spectrum(spectrum, rng)[0] for _ in range(32)])
+    got = V._hermitian_profiles(mats, 0.5 * mats)
+    assert got.shape == (32, 2, len(spectrum)) and got.flags.c_contiguous
+    assert np.all(got >= 0.0) and np.all(np.diff(got, axis=-1) <= 0.0)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    bound = 4 * len(spectrum) * np.finfo(float).eps * sv[:, :1]
+    assert np.all(np.abs(got[:, 0] - sv) <= bound)
+    assert np.array_equal(got[:16], V._hermitian_profiles(mats[:16], 0.5 * mats[:16]))
+    for i in range(32):
+        one = V._hermitian_profiles(mats[i : i + 1], 0.5 * mats[i : i + 1])
+        assert np.array_equal(got[i], one[0])
+
+
+def test_hermitian_profiles_refuse_a_non_finite_matrix():
+    # as the SVD does, so that campaign's fallback fails the trial
+    mats = np.stack([np.eye(2), np.full((2, 2), np.nan)]).astype(complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        V._hermitian_profiles(mats)
+
+
+def _overflow_config(verifier, low, trials=12):
+    """A campaign at p 20, 40 and 400 on spectra up to 1e8, whose p-th powers
+    overflow when taken unscaled."""
+    return CampaignConfig.from_dict(
+        {"verifier": verifier, "function": {"inverse": "spower:0.5"}.get(verifier, "power:0.5"),
+         "thetas": [1.5] if verifier in ("inverse", "reverse") else [0.5],
+         "ps": [20.0, 40.0, 400.0], "norms": ["schatten:1", "kyfan:2"], "dims": [4, 8],
+         "trials": trials, "seed": 1,
+         "ensemble": {"name": "positive_pair", "spectrum_range": [low, 1e8]}}
+    )
+
+
+@pytest.mark.parametrize("low", [1e7, 1e3])
+@pytest.mark.parametrize(
+    "verifier", ["main", "submaj", "symmetric", "absmap", "reverse", "inverse"]
+)
+def test_p_th_powers_do_not_overflow(verifier, low):
+    # no numpy warning (RuntimeWarning is an error here), no NaN statistic,
+    # and every argmax digest replays to its cell's max_ratio
+    config = _overflow_config(verifier, low)
+    report, _ = run_campaign(config)
+    for idx, cell in enumerate(report.cells):
+        if cell.failures == cell.trials:
+            continue
+        assert np.isfinite([cell.max_ratio, cell.q50, cell.q99]).all()
+        trial = int(cell.argmax_digest.split(":")[2])
+        assert replay(config, idx, trial).ratio.hex() == cell.max_ratio.hex()
+
+
+def test_the_mixed_nan_campaign_is_finite():
+    # MIXED_NAN wrote 8 NaN rows when its p-th powers were taken unscaled
+    report, _ = run_campaign(CampaignConfig.from_dict(MIXED_NAN))
+    assert all(np.isfinite([c.max_ratio, c.q50, c.q99]).all() for c in report.cells)
+    assert "none" not in [c.argmax_digest for c in report.cells]
+
+
+def test_submaj_constant_is_unchanged_by_the_common_scale():
+    # the least domination constant of the scaled profiles is that of the
+    # unscaled ones wherever those do not overflow
+    x, y = np.diag([3.0, 1.0, 0.5]), np.diag([1.0, 2.0, 0.25])
+    f = parse_function_spec("power:0.5")
+    for p in (0.5, 1.0, 2.0):
+        _, rec = hl.verify_submajorization(f, 0.5, p, x, y, {})
+        sv = [_hermitian_sv(m) for m in (np.sqrt(x) - np.sqrt(y), x - y)]
+        sem = seminorm(f, d_of_p(p), 0.5).value
+        want = least_domination_constant((sem * sv[1] ** 0.5) ** p, sv[0] ** p)
+        assert rec.ratio == pytest.approx(want, rel=1e-13) and rec.ratio == rec.holds_with_constant
+
+
+def _workloads():
+    """perfbench/workloads.py, which imports only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["campaign-small", "campaign-dim64", "campaign-inverse"])
+def test_benchmark_campaigns_replay_at_many_seeds(workload):
+    # the benchmark replays every cell's argmax digest and requires its
+    # max_ratio bit for bit; the norms' sums depend on the profiles' strides
+    workloads = _workloads()
+    for seed in range(1, 11):
+        cfg = workloads.campaign_config(workload, seed)
+        config = CampaignConfig.from_dict(cfg)
+        report, cx = run_campaign(config)
+        assert not (cx and workload in workloads.CONSTANT_ONE)
+        for idx, cell in enumerate(report.cells):
+            trial = int(cell.argmax_digest.split(":")[2])
+            assert replay(config, idx, trial).ratio.hex() == cell.max_ratio.hex(), (seed, idx)

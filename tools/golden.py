@@ -2,11 +2,19 @@
 13 ``holderlab verify`` calls, and print one sha256 over all of them.
 
     python3 tools/golden.py OUT_DIR
+    python3 tools/golden.py --compare DIR_A DIR_B [--bound 1e-12]
 
 Run it in two checkouts and compare the printed hashes (or ``diff -r`` the
 two directories): a change that keeps every report byte-identical prints the
 hash its parent prints.  The holderlab under test is the one in this
 checkout's ``src``.  BLAS runs on one thread.
+
+``--compare`` reads the ``report.csv`` rows of two golden sets and prints
+how many rows changed, the largest relative change of each statistic
+(max_ratio, q50, q99), every row whose statistic went from NaN to finite or
+back, and every finite statistic that moved by more than ``--bound``
+relative.  It exits 1 when a statistic moved beyond the bound or became NaN,
+else 0.
 
 Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
 ``counterexamples.json`` (``error.txt`` for a config refused at load), and
@@ -25,7 +33,9 @@ with no ratio; and refine_steps 5 and 6.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -240,11 +250,69 @@ def digest(out) -> str:
     return h.hexdigest()
 
 
+STATISTICS = ("max_ratio", "q50", "q99")
+
+
+def _rows(out) -> dict:
+    """Every report.csv row of the golden set ``out``, by (config, row)."""
+    rows = {}
+    for name in sorted(os.listdir(out)):
+        path = os.path.join(out, name, "report.csv")
+        if os.path.exists(path):
+            with open(path, newline="") as fh:
+                for i, row in enumerate(csv.DictReader(fh)):
+                    rows[(name, i)] = row
+    return rows
+
+
+def _relative(a, b) -> float:
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def compare(dir_a, dir_b, bound) -> int:
+    """Print how the report rows of ``dir_b`` differ from those of ``dir_a``."""
+    a, b = _rows(dir_a), _rows(dir_b)
+    if a.keys() != b.keys():
+        print(f"the golden sets differ in their rows: {sorted(a.keys() ^ b.keys())[:10]}")
+        return 1
+    changed = [key for key in a if a[key] != b[key]]
+    moved = sum(a[key]["argmax_digest"] != b[key]["argmax_digest"] for key in changed)
+    print(f"{len(changed)} of {len(a)} rows changed ({moved} in their argmax_digest)")
+    worst, flips, beyond = dict.fromkeys(STATISTICS, 0.0), [], []
+    for key in changed:
+        for stat in STATISTICS:
+            x, y = float(a[key][stat]), float(b[key][stat])
+            where = f"{key[0]} row {key[1]} {stat}: {x!r} -> {y!r}"
+            if math.isnan(x) != math.isnan(y):
+                flips.append((math.isnan(y), where))
+            elif not math.isnan(x):
+                worst[stat] = max(worst[stat], _relative(x, y))
+                if _relative(x, y) > bound:
+                    beyond.append(f"{where} ({_relative(x, y):.3g} relative)")
+    for stat in STATISTICS:
+        print(f"largest relative change of {stat}: {worst[stat]:.3g}")
+    print(f"{len(flips)} statistic(s) changed between NaN and finite")
+    for _, where in flips:
+        print(f"  {where}")
+    print(f"{len(beyond)} finite statistic(s) moved by more than {bound:g} relative")
+    for where in beyond:
+        print(f"  {where}")
+    return 1 if beyond or any(to_nan for to_nan, _ in flips) else 0
+
+
 def main(argv) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tools/golden.py OUT_DIR", file=sys.stderr)
-        return 2
-    (out,) = argv
+    parser = argparse.ArgumentParser(prog="tools/golden.py")
+    parser.add_argument("out", nargs="?", help="the empty directory to write the golden set to")
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"))
+    parser.add_argument("--bound", type=float, default=1e-12)
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.bound)
+    if args.out is None:
+        parser.error("give OUT_DIR or --compare DIR_A DIR_B")
+    out = args.out
     if os.path.exists(out) and os.listdir(out):
         print(f"{out} is not empty", file=sys.stderr)
         return 2
