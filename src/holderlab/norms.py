@@ -128,9 +128,13 @@ def _power_norm(s, p, base):
     if p == 1.0:
         return base(s)
     top = np.max(s, axis=-1)
-    scaled = (top > 0.0) & (top < np.inf)
-    unit = np.where(scaled, top, 1.0)
-    return np.where(scaled, unit * base((s / unit[..., None]) ** p) ** (1.0 / p), top)
+    unit = _unit(top)
+    return np.where(unit == top, unit * base((s / unit[..., None]) ** p) ** (1.0 / p), top)
+
+
+def _unit(top):
+    """The scale of profiles whose largest entries are top: 1 where top is 0, inf or NaN."""
+    return np.where((top > 0.0) & (top < np.inf), top, 1.0)
 
 
 def norm(x, spec: NormSpec) -> float:

@@ -30,6 +30,7 @@ from .norms import (
     NormSpec,
     PowerOf,
     Schatten,
+    _unit,
     check_fully_symmetric,
     least_domination_constant,
     norm_of_profile,
@@ -341,7 +342,7 @@ def verify_submaj_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     """verify_submajorization over a stack (T, 2, n, n) of (X, Y), with the
     checks of _seminorm_front.  The profiles compared are upper = (seminorm
     * mu(|X-Y|^theta) / s)^p and lower = (mu(f(X) - f(Y)) / s)^p, s the
-    larger of the two bases' first entries (1 if that is 0), so that no
+    larger of the two bases' first entries (norms._unit), so that no
     power overflows.  A trial's constant is the least c making the
     domination hold, and its lhs and rhs are the partial sums of lower and
     upper where their ratio peaks (the totals when c is 0 or infinite)."""
@@ -353,9 +354,7 @@ def verify_submaj_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
         if entry is not None:
             p, theta = entry
             bases = np.stack([sems[c] * sv[:, 1] ** theta, sv[:, 0]])
-            # one scale per trial for both, so that no p-th power overflows
-            top = bases[..., :1].max(axis=0)
-            profiles[:, c] = (bases / np.where((top > 0.0) & (top < np.inf), top, 1.0)) ** p
+            profiles[:, c] = (bases / _unit(bases[..., :1].max(axis=0))) ** p
     constants = least_domination_constant(*profiles)
     cu, cl = np.cumsum(profiles, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -17,3 +17,9 @@ def overflowing_norms(monkeypatch):
         return np.where(overflows, np.inf, real(values, spec))
 
     monkeypatch.setattr(V, "norm_of_profile", norm_of_profile)
+
+
+def hermitian_sv(m):
+    """The singular values of one Hermitian matrix, from a 2-D eigvalsh: the
+    per-matrix reference of the kernels' batched Hermitian profiles."""
+    return np.ascontiguousarray(np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1])

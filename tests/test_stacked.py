@@ -34,6 +34,8 @@ from holderlab.norms import (
 )
 from holderlab.spectral import as_hermitian, eig_hermitian, from_eigen, psd_stack
 
+from conftest import hermitian_sv
+
 NORMS = ["schatten:1", "kyfan:2", "schatten:inf"]
 
 CONFIGS = {
@@ -349,11 +351,6 @@ def test_sampler_rejects_bad_specs():
         sample_positive_pairs(3, (-0.5, 1.0), [SeedState(1)])
 
 
-def _hermitian_sv(m):
-    """The singular values of one Hermitian matrix, from a 2-D eigvalsh."""
-    return np.ascontiguousarray(np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1])
-
-
 def _bks_per_matrix(theta, spec, x, y):
     """verify_bks computed one matrix at a time with 2-D LAPACK calls."""
     sides = []
@@ -363,8 +360,8 @@ def _bks_per_matrix(theta, spec, x, y):
     (dx, vx), (dy, vy) = sides
     x_t = (dx.basis * vx ** theta) @ dx.basis.conj().T
     y_t = (dy.basis * vy ** theta) @ dy.basis.conj().T
-    lhs = norm_of_profile(_hermitian_sv(x_t - y_t), spec)
-    rhs = norm_of_profile(_hermitian_sv(dx.matrix() - dy.matrix()) ** theta, spec)
+    lhs = norm_of_profile(hermitian_sv(x_t - y_t), spec)
+    rhs = norm_of_profile(hermitian_sv(dx.matrix() - dy.matrix()) ** theta, spec)
     return lhs, rhs
 
 
@@ -714,8 +711,8 @@ def _inverse_per_matrix(f, theta, p, base, x, y):
         increasing = _scalar_probe_sign(f, dec.eigenvalues) > 0
         vals = np.array([_scalar_bisect(f, float(v), increasing) for v in dec.eigenvalues])
         inv.append((dec.basis * vals) @ dec.basis.conj().T)
-    lhs = sem**theta * norm_of_profile(_hermitian_sv(inv[0] - inv[1]), spec)
-    rhs = norm_of_profile(_hermitian_sv(xm - ym) ** theta, spec)
+    lhs = sem**theta * norm_of_profile(hermitian_sv(inv[0] - inv[1]), spec)
+    rhs = norm_of_profile(hermitian_sv(xm - ym) ** theta, spec)
     return lhs, rhs
 
 
@@ -1610,7 +1607,7 @@ def test_submaj_constant_is_unchanged_by_the_common_scale():
     f = parse_function_spec("power:0.5")
     for p in (0.5, 1.0, 2.0):
         _, rec = hl.verify_submajorization(f, 0.5, p, x, y, {})
-        sv = [_hermitian_sv(m) for m in (np.sqrt(x) - np.sqrt(y), x - y)]
+        sv = [hermitian_sv(m) for m in (np.sqrt(x) - np.sqrt(y), x - y)]
         sem = seminorm(f, d_of_p(p), 0.5).value
         want = least_domination_constant((sem * sv[1] ** 0.5) ** p, sv[0] ** p)
         assert rec.ratio == pytest.approx(want, rel=1e-13) and rec.ratio == rec.holds_with_constant

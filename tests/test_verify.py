@@ -8,6 +8,8 @@ from holderlab.ensembles import SeedState, fixed_spectrum, gaussian_hermitian, g
 from holderlab.errors import CapabilityError, DomainError, ParameterError, PreconditionError
 from holderlab.norms import KyFan, Schatten
 
+from conftest import hermitian_sv
+
 
 def test_record_conventions():
     # inputs of norm 0 at dim 2: the flagging tolerance is 2e-12
@@ -48,18 +50,13 @@ def test_verify_main_capability_errors():
         hl.verify_main(F.signed_expm1(), 0.5, 1.0, np.eye(2), np.zeros((2, 2)), {})
 
 
-def _hermitian_sv(m):
-    """The singular values of one Hermitian matrix, from a 2-D eigvalsh."""
-    return np.ascontiguousarray(np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1])
-
-
 def _main_reference(f, theta, p, a, b):
     """verify_main as written before it became verify_symmetric on S_1."""
     am, bm = hl.as_hermitian(a), hl.as_hermitian(b)
     sem = F.seminorm(f, F.d_of_p(p), theta).value
     fa, fb = hl.apply_function(f, am), hl.apply_function(f, bm)
-    lhs = hl.norm_of_profile(_hermitian_sv(fa - fb), Schatten(p))
-    rhs = sem * hl.norm_of_profile(_hermitian_sv(am - bm) ** theta, Schatten(p))
+    lhs = hl.norm_of_profile(hermitian_sv(fa - fb), Schatten(p))
+    rhs = sem * hl.norm_of_profile(hermitian_sv(am - bm) ** theta, Schatten(p))
     rows = [(np.ones(1, dtype=bool), None)]
     outcomes = V.Outcomes.judged(rows, [[lhs]], [[rhs]], np.stack([am, bm])[None])
     return outcomes.record(0, 0, "main", "d")

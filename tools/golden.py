@@ -2,7 +2,7 @@
 13 ``holderlab verify`` calls, and print one sha256 over all of them.
 
     python3 tools/golden.py OUT_DIR
-    python3 tools/golden.py --compare DIR_A DIR_B [--bound 1e-12]
+    python3 tools/golden.py --compare DIR_A DIR_B
 
 Run it in two checkouts and compare the printed hashes (or ``diff -r`` the
 two directories): a change that keeps every report byte-identical prints the
@@ -12,7 +12,7 @@ checkout's ``src``.  BLAS runs on one thread.
 ``--compare`` reads the ``report.csv`` rows of two golden sets and prints
 how many rows changed, the largest relative change of each statistic
 (max_ratio, q50, q99), every row whose statistic went from NaN to finite or
-back, and every finite statistic that moved by more than ``--bound``
+back, and every finite statistic that moved by more than BOUND (1e-12)
 relative.  It exits 1 when a statistic moved beyond the bound or became NaN,
 else 0.
 
@@ -251,6 +251,7 @@ def digest(out) -> str:
 
 
 STATISTICS = ("max_ratio", "q50", "q99")
+BOUND = 1e-12  # the largest relative change of a finite statistic compare accepts
 
 
 def _rows(out) -> dict:
@@ -271,7 +272,7 @@ def _relative(a, b) -> float:
     return abs(b - a) / abs(a) if a else math.inf
 
 
-def compare(dir_a, dir_b, bound) -> int:
+def compare(dir_a, dir_b) -> int:
     """Print how the report rows of ``dir_b`` differ from those of ``dir_a``."""
     a, b = _rows(dir_a), _rows(dir_b)
     if a.keys() != b.keys():
@@ -289,14 +290,14 @@ def compare(dir_a, dir_b, bound) -> int:
                 flips.append((math.isnan(y), where))
             elif not math.isnan(x):
                 worst[stat] = max(worst[stat], _relative(x, y))
-                if _relative(x, y) > bound:
+                if _relative(x, y) > BOUND:
                     beyond.append(f"{where} ({_relative(x, y):.3g} relative)")
     for stat in STATISTICS:
         print(f"largest relative change of {stat}: {worst[stat]:.3g}")
     print(f"{len(flips)} statistic(s) changed between NaN and finite")
     for _, where in flips:
         print(f"  {where}")
-    print(f"{len(beyond)} finite statistic(s) moved by more than {bound:g} relative")
+    print(f"{len(beyond)} finite statistic(s) moved by more than {BOUND:g} relative")
     for where in beyond:
         print(f"  {where}")
     return 1 if beyond or any(to_nan for to_nan, _ in flips) else 0
@@ -306,10 +307,9 @@ def main(argv) -> int:
     parser = argparse.ArgumentParser(prog="tools/golden.py")
     parser.add_argument("out", nargs="?", help="the empty directory to write the golden set to")
     parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"))
-    parser.add_argument("--bound", type=float, default=1e-12)
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare, args.bound)
+        return compare(*args.compare)
     if args.out is None:
         parser.error("give OUT_DIR or --compare DIR_A DIR_B")
     out = args.out
