@@ -163,15 +163,16 @@ def cmd_campaign(args) -> int:
 
 
 def _build_symbol(args):
+    """The symbol --symbol names, its kind, and (f, K) for dyadic:K, else None."""
     sym_spec = args.symbol.lower()
     if sym_spec == "alpha":
-        return doi.alpha_symbol(), "alpha"
+        return doi.alpha_symbol(), "alpha", None
     if sym_spec == "beta":
-        return doi.beta_symbol(), "beta"
+        return doi.beta_symbol(), "beta", None
     if sym_spec == "b0":
-        return doi.b0_symbol(args.theta, args.a), "b0"
+        return doi.b0_symbol(args.theta, args.a), "b0", None
     if sym_spec == "b1":
-        return doi.b1_symbol(args.theta, args.a), "b1"
+        return doi.b1_symbol(args.theta, args.a), "b1", None
     if sym_spec.startswith("dyadic:"):
         if not args.f:
             raise HolderLabError("dyadic symbols need --f")
@@ -182,31 +183,27 @@ def _build_symbol(args):
             raise ParameterError(f"dyadic:K needs an integer K, got {text!r}") from None
         f = parse_function_spec(args.f)
         g, _ = doi.dyadic_symbols(f, k)
-        return g, f"dyadic:{k}"
+        return g, f"dyadic:{k}", (f, k)
     raise HolderLabError(f"unknown symbol {args.symbol!r}")
 
 
 def cmd_mpnorm(args) -> int:
-    sym, kind = _build_symbol(args)
+    sym, kind, dyadic = _build_symbol(args)
     lower = doi.empirical_mp_lower(sym, args.p, args.dim, args.trials, SeedState(args.seed)).value
     upper = None
     method = "empirical"
     want = args.method
-    if want in ("decomposition", "auto") and kind == "alpha":
-        upper = doi.decomposition_bound(doi.alpha_decomposition(), args.p)
-        method = "decomposition"
-    elif want in ("decomposition", "auto") and kind == "beta":
-        upper = doi.decomposition_bound(doi.beta_decomposition(), args.p)
+    decompositions = {"alpha": doi.alpha_decomposition, "beta": doi.beta_decomposition}
+    if want in ("decomposition", "auto") and kind in decompositions:
+        upper = doi.decomposition_bound(decompositions[kind](), args.p)
         method = "decomposition"
     elif want == "decomposition":
         raise HolderLabError(f"no separable decomposition built in for {kind}")
     elif want in ("fourier", "auto") and kind in ("b0", "b1"):
         upper = doi.b0_upper_bound(args.theta, args.a, args.p, b=args.b, grid_n=args.grid)
         method = "fourier-dyadic"
-    elif want in ("fourier", "auto") and kind.startswith("dyadic"):
-        k = int(kind.split(":")[1])
-        f = parse_function_spec(args.f)
-        upper = doi.dyadic_upper_bound(f, k, args.theta, args.p, b=args.b, grid_n=args.grid)
+    elif want in ("fourier", "auto") and dyadic:
+        upper = doi.dyadic_upper_bound(*dyadic, args.theta, args.p, b=args.b, grid_n=args.grid)
         method = "fourier-composite"
     elif want == "fourier":
         raise HolderLabError(f"fourier route not applicable to {kind}")

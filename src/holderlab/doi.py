@@ -10,6 +10,7 @@ is never claimed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -78,64 +79,59 @@ def dd_symbol(f: ScalarFunction) -> BivariateSymbol:
     return BivariateSymbol(ev, f"dd[{f.name}]")
 
 
-def alpha_symbol() -> BivariateSymbol:
-    """1/(s-t) on |s| in [1/2,1), 0 < |t| < 1/4."""
+def _region_symbol(region, value, description, lambda_range, mu_range) -> BivariateSymbol:
+    """value(s, t) where region(s, t) holds and 0 elsewhere: value sees only
+    the points of the region, so a symbol singular off it is never evaluated."""
 
     def ev(s, t):
         s, t = np.broadcast_arrays(np.real(s).astype(float), np.real(t).astype(float))
-        mask = (np.abs(s) >= 0.5) & (np.abs(s) < 1.0) & (np.abs(t) > 0.0) & (np.abs(t) < 0.25)
+        mask = region(s, t)
         out = np.zeros(s.shape, dtype=float)
-        out[mask] = 1.0 / (s[mask] - t[mask])
+        out[mask] = value(s[mask], t[mask])
         return out
 
-    return BivariateSymbol(ev, "alpha", lambda_range=(0.5, 1.0), mu_range=(1e-6, 0.25))
+    return BivariateSymbol(ev, description, lambda_range, mu_range)
+
+
+def alpha_symbol() -> BivariateSymbol:
+    """1/(s-t) on |s| in [1/2,1), 0 < |t| < 1/4."""
+    return _region_symbol(
+        lambda s, t: (
+            (np.abs(s) >= 0.5) & (np.abs(s) < 1.0) & (np.abs(t) > 0.0) & (np.abs(t) < 0.25)
+        ),
+        lambda s, t: 1.0 / (s - t),
+        "alpha", (0.5, 1.0), (1e-6, 0.25),
+    )
 
 
 def beta_symbol() -> BivariateSymbol:
     """t/(t-s) on |s| in [1/2,1), |t| > 2."""
+    return _region_symbol(
+        lambda s, t: (np.abs(s) >= 0.5) & (np.abs(s) < 1.0) & (np.abs(t) > 2.0),
+        lambda s, t: t / (t - s),
+        "beta", (0.5, 1.0), (2.0, 8.0),
+    )
 
-    def ev(s, t):
-        s, t = np.broadcast_arrays(np.real(s).astype(float), np.real(t).astype(float))
-        mask = (np.abs(s) >= 0.5) & (np.abs(s) < 1.0) & (np.abs(t) > 2.0)
-        out = np.zeros(s.shape, dtype=float)
-        out[mask] = t[mask] / (t[mask] - s[mask])
-        return out
 
-    return BivariateSymbol(ev, "beta", lambda_range=(0.5, 1.0), mu_range=(2.0, 8.0))
+def _quadrant_symbol(name: str, side: int, theta: float, a: float) -> BivariateSymbol:
+    """|s|^theta / (s - t) (side 0) or |t|^theta / (s - t) (side 1) on s < -a, t > 0."""
+    if not (0.0 < theta < 1.0 and a > 0):
+        raise ParameterError(f"{name} symbol needs theta in (0,1) and a > 0")
+    return _region_symbol(
+        lambda s, t: (s < -a) & (t > 0.0),
+        lambda s, t: np.abs((s, t)[side]) ** theta / (s - t),
+        f"{name}[theta={theta},a={a}]", (-4.0 * a, -a), (1e-6, 4.0 * a),
+    )
 
 
 def b0_symbol(theta: float, a: float = 1.0) -> BivariateSymbol:
     """|s|^theta / (s - t) on s < -a, t > 0."""
-    if not (0.0 < theta < 1.0 and a > 0):
-        raise ParameterError("b0 symbol needs theta in (0,1) and a > 0")
-
-    def ev(s, t):
-        s, t = np.broadcast_arrays(np.real(s).astype(float), np.real(t).astype(float))
-        mask = (s < -a) & (t > 0.0)
-        out = np.zeros(s.shape, dtype=float)
-        out[mask] = np.abs(s[mask]) ** theta / (s[mask] - t[mask])
-        return out
-
-    return BivariateSymbol(
-        ev, f"b0[theta={theta},a={a}]", lambda_range=(-4.0 * a, -a), mu_range=(1e-6, 4.0 * a)
-    )
+    return _quadrant_symbol("b0", 0, theta, a)
 
 
 def b1_symbol(theta: float, a: float = 1.0) -> BivariateSymbol:
     """|t|^theta / (s - t) on s < -a, t > 0."""
-    if not (0.0 < theta < 1.0 and a > 0):
-        raise ParameterError("b1 symbol needs theta in (0,1) and a > 0")
-
-    def ev(s, t):
-        s, t = np.broadcast_arrays(np.real(s).astype(float), np.real(t).astype(float))
-        mask = (s < -a) & (t > 0.0)
-        out = np.zeros(s.shape, dtype=float)
-        out[mask] = np.abs(t[mask]) ** theta / (s[mask] - t[mask])
-        return out
-
-    return BivariateSymbol(
-        ev, f"b1[theta={theta},a={a}]", lambda_range=(-4.0 * a, -a), mu_range=(1e-6, 4.0 * a)
-    )
+    return _quadrant_symbol("b1", 1, theta, a)
 
 
 def dyadic_symbols(f: ScalarFunction, k: int):
@@ -146,22 +142,14 @@ def dyadic_symbols(f: ScalarFunction, k: int):
     if not k_min <= k <= k_max:
         raise ParameterError(f"dyadic band index must lie in [{k_min}, {k_max}], got {k}")
     lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
-
-    def ev_g(s, t):
-        s, t = np.broadcast_arrays(np.real(s).astype(float), np.real(t).astype(float))
-        mask = (s >= lo) & (s < hi) & (t > 0.0)
-        return divided_difference_grid(f, s, t, mask=mask)
-
-    def ev_h(s, t):
-        s, t = np.broadcast_arrays(np.real(s).astype(float), np.real(t).astype(float))
-        mask = (t >= lo) & (t < hi) & (s > 0.0)
-        return divided_difference_grid(f, s, t, mask=mask)
-
-    g = BivariateSymbol(
-        ev_g, f"g_{k}[{f.name}]", lambda_range=(lo, hi), mu_range=(1e-12, 2.0 * hi)
+    dd = functools.partial(divided_difference_grid, f)
+    g = _region_symbol(
+        lambda s, t: (s >= lo) & (s < hi) & (t > 0.0),
+        dd, f"g_{k}[{f.name}]", (lo, hi), (1e-12, 2.0 * hi),
     )
-    h = BivariateSymbol(
-        ev_h, f"h_{k}[{f.name}]", lambda_range=(1e-12, 2.0 * hi), mu_range=(lo, hi)
+    h = _region_symbol(
+        lambda s, t: (t >= lo) & (t < hi) & (s > 0.0),
+        dd, f"h_{k}[{f.name}]", (1e-12, 2.0 * hi), (lo, hi),
     )
     return g, h
 
@@ -421,32 +409,29 @@ def fourier_sobolev_bound(
     )
 
 
-_GL_CACHE = {}
-
-
+@functools.cache
 def _gauss_legendre_01(n: int):
-    if n not in _GL_CACHE:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (0.5 * (nodes + 1.0), 0.5 * weights)
-    return _GL_CACHE[n]
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-# masked grid points per derivative table of localized_dd_periodic: the
-# table holds one array of this many points per divided-difference part
+# masked grid points per block of the localized symbols: a block holds one
+# array of this many points per part of the kernel (_localized_periodic)
 DD_BLOCK = 4096
 
 
-def _dd_table(f: ScalarFunction, parts, ts, ws, x, y) -> dict:
+def _dd_table(f: ScalarFunction, parts, x, y) -> dict:
     """d_1^i d_2^j dd f(x, y) = int t^i (1-t)^j f^(1+i+j)(t x + (1-t) y) dt
-    for every (i, j) of ``parts``, by the quadrature (ts, ws): per node, one
-    evaluation of each derivative order up to the highest the parts need."""
+    for every (i, j) of ``parts``, by QUAD_NODES-point Gauss-Legendre
+    quadrature: per node, one evaluation of each derivative order up to the
+    highest the parts need."""
     top = 1 + max(i + j for i, j in parts)
     if top > f.max_order:
         raise CapabilityError(
             f"{f.name}: localized bound needs derivative order {f.max_order + 1}"
         )
     dd = {ij: np.zeros(x.shape, dtype=float) for ij in parts}
-    for t, w in zip(ts, ws):
+    for t, w in zip(*_gauss_legendre_01(QUAD_NODES)):
         z = t * x + (1.0 - t) * y
         d = [f.deriv(k, z) for k in range(1, top + 1)]
         for i, j in parts:
@@ -454,17 +439,17 @@ def _dd_table(f: ScalarFunction, parts, ts, ws, x, y) -> dict:
     return dd
 
 
-def localized_dd_periodic(f: ScalarFunction, bump: SmoothBump) -> PeriodicSymbol:
-    """bump(x) bump(y) dd f(x, y), supported inside (0, pi]^2 and extended
-    periodically.  Mixed partials of the divided difference come from its
-    integral representation: d_1^n d_2^m dd f = int t^n (1-t)^m f^(1+n+m).
-    One table of those parts, over blocks of DD_BLOCK points of the support,
-    serves every requested partial."""
-    ts, ws = _gauss_legendre_01(QUAD_NODES)
+def _localized_periodic(bump_x, bump_y, kernel, description) -> PeriodicSymbol:
+    """bump_x(x) bump_y(y) k(x, y), supported where both bumps are and
+    extended periodically, from ``kernel(parts, x, y)``: the mixed partials
+    d_1^i d_2^j k at the points (x, y) for every (i, j) of ``parts``.  The
+    partials of the product follow by the Leibniz rule, over blocks of
+    DD_BLOCK points of the support: per block, one kernel table and one
+    derivative of each bump per order serve every requested partial."""
 
     def partials(orders, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        mask = (x > bump.lo) & (x < bump.hi) & (y > bump.lo) & (y < bump.hi)
+        mask = (x > bump_x.lo) & (x < bump_x.hi) & (y > bump_y.lo) & (y < bump_y.hi)
         outs = [np.zeros(x.shape, dtype=float) for _ in orders]
         if not np.any(mask):
             return outs
@@ -475,49 +460,43 @@ def localized_dd_periodic(f: ScalarFunction, bump: SmoothBump) -> PeriodicSymbol
         for s in range(0, idx.size, DD_BLOCK):
             block = idx[s : s + DD_BLOCK]
             xb, yb = x.flat[block], y.flat[block]
-            dd = _dd_table(f, parts, ts, ws, xb, yb)
-            bx = [bump.deriv(k, xb) for k in range(max(n for _, n in orders) + 1)]
-            by = [bump.deriv(k, yb) for k in range(max(m for m, _ in orders) + 1)]
+            table = kernel(parts, xb, yb)
+            bx = [bump_x.deriv(k, xb) for k in range(max(n for _, n in orders) + 1)]
+            by = [bump_y.deriv(k, yb) for k in range(max(m for m, _ in orders) + 1)]
             for out, (m, n) in zip(outs, orders):
                 part = np.zeros(xb.shape, dtype=float)
                 for i in range(n + 1):
                     for j in range(m + 1):
                         fac = math.comb(n, i) * math.comb(m, j)
-                        part += fac * bx[n - i] * by[m - j] * dd[i, j]
+                        part += fac * bx[n - i] * by[m - j] * table[i, j]
                 out.flat[block] = part
         return outs
 
     def ev(x, y):
         return partials([(0, 0)], x, y)[0]
 
-    return PeriodicSymbol(ev, partials, f"bump*dd[{f.name}]")
+    return PeriodicSymbol(ev, partials, description)
+
+
+def localized_dd_periodic(f: ScalarFunction, bump: SmoothBump) -> PeriodicSymbol:
+    """bump(x) bump(y) dd f(x, y), supported inside (0, pi]^2 and extended
+    periodically.  Mixed partials of the divided difference come from its
+    integral representation: d_1^n d_2^m dd f = int t^n (1-t)^m f^(1+n+m)."""
+    return _localized_periodic(bump, bump, functools.partial(_dd_table, f), f"bump*dd[{f.name}]")
 
 
 def localized_inverse_sum_periodic(bump_s: SmoothBump, bump_t: SmoothBump) -> PeriodicSymbol:
     """phi1(s) phi2(t) / (s + t): the smooth local model of the shifted
     inverse kernel, supported where s + t >= 1/2."""
 
-    def partials(orders, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        mask = (x > bump_s.lo) & (x < bump_s.hi) & (y > bump_t.lo) & (y < bump_t.hi)
-        outs = [np.zeros(x.shape, dtype=float) for _ in orders]
-        if not np.any(mask):
-            return outs
-        xm, ym = x[mask], y[mask]
-        for out, (m, n) in zip(outs, orders):
-            acc = np.zeros(xm.shape, dtype=float)
-            for i in range(n + 1):
-                for j in range(m + 1):
-                    fac = math.comb(n, i) * math.comb(m, j)
-                    inv = (-1.0) ** (i + j) * math.factorial(i + j) / (xm + ym) ** (1 + i + j)
-                    acc += fac * bump_s.deriv(n - i, xm) * bump_t.deriv(m - j, ym) * inv
-            out[mask] = acc
-        return outs
+    def table(parts, x, y):
+        # d_1^i d_2^j 1/(x + y) = (-1)^(i+j) (i+j)! / (x + y)^(1+i+j)
+        return {
+            (i, j): (-1.0) ** (i + j) * math.factorial(i + j) / (x + y) ** (1 + i + j)
+            for i, j in parts
+        }
 
-    def ev(x, y):
-        return partials([(0, 0)], x, y)[0]
-
-    return PeriodicSymbol(ev, partials, "phi1*phi2/(s+t)")
+    return _localized_periodic(bump_s, bump_t, table, "phi1*phi2/(s+t)")
 
 
 def default_b_for(p: float) -> int:
@@ -591,10 +570,11 @@ def dyadic_upper_bound(
     """Upper bound for the multiplier norm of g_k, scaling like 2^{k(1-theta)},
     with Fourier smoothness order b (default default_b_for(p)).
 
-    For dilation-homogeneous f the band bound is computed once and scaled
-    exactly; otherwise the dilated function is bounded directly.
+    For f homogeneous of degree theta (its theta_hint) the band bound is
+    computed once and scaled exactly; otherwise the dilated function is
+    bounded directly.
     """
-    if f.homogeneous and f.theta_hint == theta:
+    if f.theta_hint == theta:
         base = band_upper_bound(f, theta, p, b=b, grid_n=grid_n)
         return 2.0 ** (k * (1.0 - theta)) * base
     fk = dilate_function(f, 2.0 ** k)

@@ -28,7 +28,8 @@ class ScalarFunction:
     ``derivative(k, x)`` is defined for 1 <= k <= max_order and x != 0;
     ``derivative_at_zero`` is the two-sided f'(0) when it exists, else None.
     ``exact_order_sup(k, theta)``, when present, returns the analytic value of
-    sup_{x != 0} |x|^{k - theta} |f^(k)(x)|.
+    sup_{x != 0} |x|^{k - theta} |f^(k)(x)|.  ``theta_hint``, when present, is
+    the degree theta of a homogeneous f: f(r x) = r^theta f(x) for r > 0.
     """
 
     name: str
@@ -36,7 +37,6 @@ class ScalarFunction:
     deriv: Callable[[int, np.ndarray], np.ndarray]
     max_order: int = MAX_ORDER
     theta_hint: Optional[float] = None
-    homogeneous: bool = False
     derivative_at_zero: Optional[float] = None
     exact_order_sup: Optional[Callable[[int, float], float]] = None
 
@@ -85,7 +85,6 @@ def _power(theta: float, odd: bool) -> ScalarFunction:
         eval=ev,
         deriv=dv,
         theta_hint=theta,
-        homogeneous=True,
         derivative_at_zero=None,
         exact_order_sup=lambda k, th: (abs(_falling(theta, k)) if th == theta else np.inf),
     )
@@ -101,69 +100,57 @@ def signed_power(theta: float) -> ScalarFunction:
     return _power(theta, True)
 
 
-def log1p_abs() -> ScalarFunction:
-    """log(1 + |t|)."""
+def _log1p(odd: bool) -> ScalarFunction:
+    """log(1 + |t|), or sgn(t) log(1 + |t|) when ``odd``."""
 
     def ev(x):
-        return np.log1p(np.abs(x))
+        return np.sign(x) * np.log1p(np.abs(x)) if odd else np.log1p(np.abs(x))
 
     def dv(k, x):
         base = (-1.0) ** (k - 1) * math.factorial(k - 1) / (1.0 + np.abs(x)) ** k
-        return base * _sign_power(x, k)
+        return base * _sign_power(x, k + odd)
 
     return ScalarFunction(
-        name="log1p", eval=ev, deriv=dv, derivative_at_zero=None
+        name=f"{'s' * odd}log1p", eval=ev, deriv=dv, derivative_at_zero=1.0 if odd else None
     )
+
+
+def log1p_abs() -> ScalarFunction:
+    """log(1 + |t|)."""
+    return _log1p(False)
 
 
 def signed_log1p() -> ScalarFunction:
     """sgn(t) log(1 + |t|); inverse of sgn(t)(e^|t| - 1)."""
+    return _log1p(True)
+
+
+def _rational(r: float, odd: bool) -> ScalarFunction:
+    """|t| / (r + |t|), or t / (r + |t|) when ``odd``, r > 0."""
+    if not r > 0:
+        raise ParameterError(f"rational scale must be positive, got {r}")
 
     def ev(x):
-        return np.sign(x) * np.log1p(np.abs(x))
+        return (x if odd else np.abs(x)) / (r + np.abs(x))
 
     def dv(k, x):
-        base = (-1.0) ** (k - 1) * math.factorial(k - 1) / (1.0 + np.abs(x)) ** k
-        return base * _sign_power(x, k + 1)
+        base = (-1.0) ** (k + 1) * r * math.factorial(k) / (r + np.abs(x)) ** (k + 1)
+        return base * _sign_power(x, k + odd)
 
     return ScalarFunction(
-        name="slog1p", eval=ev, deriv=dv, derivative_at_zero=1.0
+        name=f"{'s' * odd}rational:{r}", eval=ev, deriv=dv,
+        derivative_at_zero=1.0 / r if odd else None,
     )
 
 
 def rational_abs(r: float) -> ScalarFunction:
     """|t| / (r + |t|), r > 0."""
-    if not r > 0:
-        raise ParameterError(f"rational scale must be positive, got {r}")
-
-    def ev(x):
-        a = np.abs(x)
-        return a / (r + a)
-
-    def dv(k, x):
-        base = (-1.0) ** (k + 1) * r * math.factorial(k) / (r + np.abs(x)) ** (k + 1)
-        return base * _sign_power(x, k)
-
-    return ScalarFunction(
-        name=f"rational:{r}", eval=ev, deriv=dv, derivative_at_zero=None
-    )
+    return _rational(r, False)
 
 
 def rational_signed(r: float) -> ScalarFunction:
     """t / (r + |t|), r > 0."""
-    if not r > 0:
-        raise ParameterError(f"rational scale must be positive, got {r}")
-
-    def ev(x):
-        return x / (r + np.abs(x))
-
-    def dv(k, x):
-        base = (-1.0) ** (k + 1) * r * math.factorial(k) / (r + np.abs(x)) ** (k + 1)
-        return base * _sign_power(x, k + 1)
-
-    return ScalarFunction(
-        name=f"srational:{r}", eval=ev, deriv=dv, derivative_at_zero=1.0 / r
-    )
+    return _rational(r, True)
 
 
 def signed_expm1() -> ScalarFunction:
@@ -214,7 +201,6 @@ def linear() -> ScalarFunction:
         eval=ev,
         deriv=dv,
         theta_hint=1.0,
-        homogeneous=True,
         derivative_at_zero=1.0,
         exact_order_sup=lambda k, th: (1.0 if (th == 1.0 and k <= 1) else (0.0 if k > 1 else np.inf)),
     )
@@ -260,7 +246,6 @@ def dilate_function(f: ScalarFunction, r: float) -> ScalarFunction:
         deriv=dv,
         max_order=f.max_order,
         theta_hint=f.theta_hint,
-        homogeneous=f.homogeneous,
         derivative_at_zero=dz,
     )
 

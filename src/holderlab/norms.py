@@ -193,24 +193,31 @@ class SubmajorizationReport:
     margin: float  # min over k of (upper - lower) partial sums, normalized
 
 
-def _pad_pair(a, b):
+def _partial_sums(a, b):
+    """The partial sums of profiles a and b (..., n), zero-padded to one length n >= 1."""
     a, b = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b))
-    n = max(a.shape[-1], b.shape[-1])
-    return tuple(np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]) for x in (a, b))
+    n = max(a.shape[-1], b.shape[-1], 1)
+    padded = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]) for x in (a, b))
+    return tuple(np.cumsum(x, axis=-1) for x in padded)
+
+
+def _submajorization_margin(upper, lower):
+    """The margin and worst index of submajorizes for every pair of profiles
+    (..., n), arrays (...): the least gap of the partial sums over the larger
+    total, taken as Python's max takes it (a NaN total of upper wins, one of
+    lower does not), and margin 0 at index 0 where that total is <= 0."""
+    cu, cl = _partial_sums(upper, lower)
+    scale = np.where(cl[..., -1] > cu[..., -1], cl[..., -1], cu[..., -1])[..., None]
+    gaps = np.divide(cu - cl, scale, out=np.zeros(cu.shape), where=~(scale <= 0.0))
+    worst = np.argmin(gaps, axis=-1)
+    return np.take_along_axis(gaps, worst[..., None], axis=-1)[..., 0], worst
 
 
 def submajorizes(upper, lower, tol: float = SUBMAJ_TOL) -> SubmajorizationReport:
     """Check that all partial sums of ``lower`` are dominated by those of
     ``upper``.  Margin is normalized by the larger total sum."""
-    up, lo = _pad_pair(upper, lower)
-    cu, cl = np.cumsum(up), np.cumsum(lo)
-    scale = max(float(cu[-1]) if cu.size else 0.0, float(cl[-1]) if cl.size else 0.0)
-    if scale <= 0.0:
-        return SubmajorizationReport(holds=True, worst_index=0, margin=0.0)
-    gaps = (cu - cl) / scale
-    worst = int(np.argmin(gaps))
-    margin = float(gaps[worst])
-    return SubmajorizationReport(holds=margin >= -tol, worst_index=worst, margin=margin)
+    margin, worst = _submajorization_margin(upper, lower)
+    return SubmajorizationReport(bool(margin >= -tol), int(worst), float(margin))
 
 
 def least_domination_constant(upper, lower):
@@ -218,9 +225,8 @@ def least_domination_constant(upper, lower):
     float for profiles (n,) or an array (...) for stacks (..., n).  It is inf
     when a partial sum of ``lower`` is positive while upper's is not; a NaN
     partial-sum ratio is skipped."""
-    up, lo = _pad_pair(upper, lower)
-    cu, cl = np.cumsum(up, axis=-1), np.cumsum(lo, axis=-1)
+    cu, cl = _partial_sums(upper, lower)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(cu > 0.0, cl / cu, np.where(cl > 0.0, np.inf, np.nan))
     c = np.fmax.reduce(ratios, axis=-1, initial=0.0)
-    return float(c) if up.ndim == 1 else c
+    return float(c) if cu.ndim == 1 else c

@@ -27,9 +27,11 @@ from .errors import (
 )
 from .functions import ScalarFunction, d_of_p, seminorm, signed_expm1
 from .norms import (
+    SUBMAJ_TOL,
     NormSpec,
     PowerOf,
     Schatten,
+    _submajorization_margin,
     _unit,
     check_fully_symmetric,
     least_domination_constant,
@@ -649,8 +651,8 @@ def verify_alt_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     a trial's lhs and ratio are the violation max(0, -margin) of their
     submajorization report, its rhs is 1, its constant the margin, and it is
     flagged when the submajorization fails.  One eigendecomposition and one
-    SVD of ZX serve every cell, and one SVD of Z^theta X^theta every cell of
-    that theta."""
+    SVD of ZX serve every cell, one SVD of Z^theta X^theta every cell of that
+    theta, and one pass the margins of every cell and trial that pass."""
 
     def check(theta, p, spec):
         if not 0.0 < theta < 1.0:
@@ -684,20 +686,19 @@ def verify_alt_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
         return _profiles(powered[:, 1] @ powered[:, 0])[:, 0]
 
     shape = (len(cells), len(h))
-    margins, holds = np.full(shape, math.nan), np.ones(shape, dtype=bool)
     profiles = np.full((2, *shape, h.shape[-1]), math.nan)
     for c, entry in enumerate(checked):
-        if entry is None:
-            continue
-        theta, p = entry
-        profiles[:, c] = product ** (theta * p), powered_profiles(theta) ** p
-        for i in np.flatnonzero(row[0]):
-            report = submajorizes(profiles[0, c, i], profiles[1, c, i])
-            margins[c, i], holds[c, i] = report.margin, report.holds
+        if entry is not None:
+            theta, p = entry
+            profiles[:, c] = product ** (theta * p), powered_profiles(theta) ** p
+    judged = np.array([e is None for e in errors])[:, None] & row[0]
+    margins = np.full(shape, math.nan)
+    margins[judged] = _submajorization_margin(profiles[0][judged], profiles[1][judged])[0]
     violation = np.where(-margins > 0.0, -margins, 0.0)
     rows = [e or row for e in errors]
     outcomes = Outcomes.judged(rows, violation, np.ones(shape), stack, margins)
-    return replace(outcomes, flagged=~holds, profiles=tuple(profiles))
+    flagged = judged & ~(margins >= -SUBMAJ_TOL)  # a NaN margin fails
+    return replace(outcomes, flagged=flagged, profiles=tuple(profiles))
 
 
 def alt_check(x, z, theta: float, p: float):

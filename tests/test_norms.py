@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 import holderlab as hl
+from holderlab import campaign, verify
+from holderlab.campaign import CampaignConfig
 from holderlab.errors import ParameterError
 from holderlab.norms import (
+    SUBMAJ_TOL,
     KyFan,
     PowerOf,
     Schatten,
+    SubmajorizationReport,
     WeakLp,
+    _submajorization_margin,
     least_domination_constant,
     mu_integral,
     norm_of_profile,
@@ -286,3 +291,79 @@ def test_norm_of_a_stack_is_the_norm_of_each_profile(n):
                 assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want]
     assert norm_of_profile(np.zeros((4, 0)), Schatten(1)).tolist() == [0.0] * 4
     assert norm_of_profile([], WeakLp(1.0)) == 0.0
+
+
+# --- the stacked submajorization margin against the per-pair computation -----------
+
+
+def _margin_loop(upper, lower):
+    """submajorizes's (margin, worst index) of one pair as a loop computes it:
+    the gaps of the zero-padded partial sums over Python's max of the two
+    totals, and (0.0, 0) when that total is <= 0."""
+    n = max(len(upper), len(lower))
+    padded = (np.pad(np.asarray(x, dtype=float), (0, n - len(x))) for x in (upper, lower))
+    cu, cl = (np.cumsum(x) for x in padded)
+    scale = max(float(cu[-1]) if n else 0.0, float(cl[-1]) if n else 0.0)
+    if scale <= 0.0:
+        return 0.0, 0
+    gaps = (cu - cl) / scale
+    worst = int(np.argmin(gaps))
+    return float(gaps[worst]), worst
+
+
+def _check_stacked_margins(upper, lower):
+    """Assert that the stacked margins and worst indices of every pair of
+    ``upper`` (..., n) and ``lower`` (..., m) are, bit for bit, those of the
+    loop and of submajorizes; return the per-pair reports."""
+    with np.errstate(all="ignore"):
+        margins, worst = _submajorization_margin(upper, lower)
+        pairs = list(zip(upper.reshape(-1, upper.shape[-1]), lower.reshape(-1, lower.shape[-1])))
+        loop = [_margin_loop(u, lo) for u, lo in pairs]
+        reports = [hl.submajorizes(u, lo) for u, lo in pairs]
+    assert margins.shape == worst.shape == upper.shape[:-1]
+    got = [(m.hex(), w) for m, w in zip(margins.ravel().tolist(), worst.ravel().tolist())]
+    assert got == [(m.hex(), w) for m, w in loop]
+    assert got == [(r.margin.hex(), r.worst_index) for r in reports]
+    return reports
+
+
+def test_stacked_margin_is_the_per_pair_margin():
+    rng = np.random.default_rng(7)
+    edges = [0.0, 1.0, -1.0, np.inf, np.nan]
+    for n, m in ((5, 5), (5, 3), (2, 6), (1, 1)):  # unequal lengths pad with 0
+        upper = rng.choice(edges + list(rng.random(4)), size=(4, 60, n))
+        lower = rng.choice(edges + list(rng.random(4)), size=(4, 60, m))
+        upper[0, :10], lower[0, :10] = 0.0, 0.0  # zero totals
+        upper[0, 10:20, 0], lower[0, 10:20, 0] = np.inf, np.inf  # inf - inf gaps
+        upper[0, 20:30, 0] = np.nan  # a NaN total of upper wins the larger total
+        lower[0, 30:40, 0] = np.nan  # and one of lower does not
+        reports = _check_stacked_margins(upper, lower)
+        margins = np.array([r.margin for r in reports])
+        assert np.isnan(margins).any() and (margins == 0.0).any() and (margins < 0.0).any()
+        for r in reports:
+            assert r.holds == (r.margin >= -SUBMAJ_TOL)  # a NaN margin does not hold
+        assert not any(r.holds for r in reports if math.isnan(r.margin))
+    assert hl.submajorizes([], []) == SubmajorizationReport(True, 0, 0.0)
+
+
+def test_stacked_margin_of_overflowing_alt_profiles():
+    # p-th powers of profiles up to 1e8 overflow to inf at p = 40 and 400, so
+    # many margins are inf / inf = NaN; the stacked alt kernel keeps each
+    # pair's margin and flag
+    config = CampaignConfig.from_dict({
+        "verifier": "alt", "thetas": [0.5], "ps": [40.0, 400.0], "norms": ["schatten:1"],
+        "dims": [4, 8], "trials": 40, "seed": 1,
+        "ensemble": {"name": "positive_pair", "spectrum_range": [1e3, 1e8]},
+    })
+    cells = [(0.5, p, Schatten(1)) for p in (40.0, 400.0)]
+    for dim in (4, 8):
+        _, stack = campaign._draw(config, dim, range(config.trials))
+        with np.errstate(all="ignore"):
+            outcomes = verify.verify_alt_stack(None, cells, stack, None, None)
+        assert outcomes.ok.all()
+        upper, lower = outcomes.profiles
+        reports = _check_stacked_margins(upper, lower)
+        margins = [r.margin for r in reports]
+        assert any(map(math.isnan, margins))
+        assert [v.hex() for v in outcomes.constants.ravel().tolist()] == [v.hex() for v in margins]
+        assert outcomes.flagged.ravel().tolist() == [not r.holds for r in reports]

@@ -1,5 +1,6 @@
-"""Write the golden set: the deterministic outputs of 145 campaign configs and
-13 ``holderlab verify`` calls, and print one sha256 over all of them.
+"""Write the golden set: the deterministic outputs of 145 campaign configs,
+13 ``holderlab verify`` calls and 27 other CLI calls, and print one sha256
+over all of them.
 
     python3 tools/golden.py OUT_DIR
     python3 tools/golden.py --compare DIR_A DIR_B
@@ -21,7 +22,11 @@ Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
 ``forced-counterexamples.json``: the counterexamples of a second run with
 every claim set to -inf, so that every record that passes its checks is
 written with its inputs.  Per verify call, OUT_DIR/verify-<name>/ holds
-``stdout``, ``stderr`` and ``exit``.
+``stdout``, ``stderr`` and ``exit``, and so does OUT_DIR/cli-<name>/ per CLI
+call: the benchmark's one-shot calls at seed 1, ``mpnorm`` on b1, every
+``--method`` on alpha and b0, and the bands dyadic:K for K in {-3, 0, 7} of
+log1p, rational:1 and gauss, so that the symbols and bounds of ``doi`` that
+``mpnorm`` reaches are checked byte for byte.
 
 The configs: every entry of CONFIGS below, at seeds 101 and 7 (all 11
 verifiers on every ensemble each draws from, edge spectra, invalid cells,
@@ -52,7 +57,7 @@ from holderlab import campaign  # noqa: E402
 from holderlab.campaign import CampaignConfig, run_campaign  # noqa: E402
 from holderlab.cli import main as cli_main  # noqa: E402
 from holderlab.errors import HolderLabError  # noqa: E402
-from perfbench.workloads import CAMPAIGNS, campaign_config  # noqa: E402
+from perfbench.workloads import CAMPAIGNS, campaign_config, oneshot_calls  # noqa: E402
 
 NORMS = ["schatten:1", "kyfan:2", "schatten:inf"]
 TINY = {"name": "positive_pair", "spectrum_range": [0.0, 1e-8]}
@@ -186,6 +191,22 @@ def verify_calls() -> dict:
     return calls
 
 
+def cli_calls() -> dict:
+    """Every golden ``holderlab mpnorm`` and one-shot call by name."""
+    calls = {f"oneshot-{i}": argv for i, argv in enumerate(oneshot_calls(1))}
+    seed = ["--seed", "11"]
+    calls["b1"] = ["mpnorm", "--symbol", "b1", "--theta", "0.3", "--a", "2", "--p", "0.7", *seed]
+    for symbol in ("alpha", "b0"):
+        for method in ("auto", "decomposition", "fourier", "empirical"):
+            argv = ["mpnorm", "--symbol", symbol, "--method", method, "--p", "1", *seed]
+            calls[f"{symbol}-{method}"] = argv
+    for k in (-3, 0, 7):
+        for f in ("log1p", "rational:1", "gauss"):
+            argv = ["mpnorm", "--symbol", f"dyadic:{k}", "--f", f, "--grid", "32", *seed]
+            calls[f"dyadic{k}-{f.replace(':', '')}"] = argv
+    return calls
+
+
 def _write(path, text):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
@@ -224,8 +245,9 @@ def write_campaign(out, name, cfg):
     _write(os.path.join(d, "forced-counterexamples.json"), _counterexamples(forced))
 
 
-def write_verify(out, name, argv):
-    d = os.path.join(out, f"verify-{name}")
+def write_call(out, name, argv):
+    """The stdout, stderr and exit code of the CLI call ``argv`` in OUT_DIR/``name``/."""
+    d = os.path.join(out, name)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         rc = cli_main(argv)
@@ -319,7 +341,9 @@ def main(argv) -> int:
     for name, cfg in campaigns().items():
         write_campaign(out, name, cfg)
     for name, call in verify_calls().items():
-        write_verify(out, name, call)
+        write_call(out, f"verify-{name}", call)
+    for name, call in cli_calls().items():
+        write_call(out, f"cli-{name}", call)
     print(digest(out))
     return 0
 
