@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -48,10 +49,10 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _manifest(command: str, config: dict, seed: int, outputs: list) -> dict:
+def _manifest(command: str, argv: list, config: dict, seed: int, outputs: list) -> dict:
     return {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": argv,
         "config": config,
         "version": __version__,
         "report_format": REPORT_FORMAT,
@@ -123,9 +124,10 @@ def cmd_campaign(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
     config = CampaignConfig.from_dict(raw)
-    report, counterexamples = run_campaign(config)
     out = args.out
+    # an --out that cannot be a directory fails here, before any trial runs
     os.makedirs(out, exist_ok=True)
+    report, counterexamples = run_campaign(config)
     csv_path = os.path.join(out, "report.csv")
     json_path = os.path.join(out, "report.json")
     manifest_path = os.path.join(out, "manifest.json")
@@ -141,7 +143,7 @@ def cmd_campaign(args) -> int:
     elif os.path.exists(cx_path):
         # a file left by an earlier run into this directory is not this run's
         os.remove(cx_path)
-    manifest = _manifest("campaign", config.to_dict(), config.seed, outputs)
+    manifest = _manifest("campaign", args.argv, config.to_dict(), config.seed, outputs)
     _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     print(f"wrote {csv_path} ({len(report.cells)} cells)")
     empty = [(i, c) for i, c in enumerate(report.cells) if c.argmax_digest == "none"]
@@ -237,7 +239,10 @@ def cmd_seminorm(args) -> int:
 # --- argument parsing --------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.  A ``--seed``
+    left out parses as None: ``main`` fills in the HOLDERLAB_SEED default."""
     parser = argparse.ArgumentParser(
         prog="holderlab",
         description="Matrix laboratory for operator Holder-type inequalities",
@@ -251,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--p", type=float, default=1.0)
     pv.add_argument("--norm", default="schatten:1", help="norm spec, e.g. kyfan:3")
     pv.add_argument("--dim", type=int, default=6)
-    pv.add_argument("--seed", type=int, default=_seed_default())
+    pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--trials", type=int, default=1)
     pv.add_argument("--variant", default="power", choices=list(REVERSE_VARIANTS))
     pv.add_argument(
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--dim", type=int, default=6)
     pm.add_argument("--trials", type=int, default=200)
     pm.add_argument("--grid", type=int, default=256)
-    pm.add_argument("--seed", type=int, default=_seed_default())
+    pm.add_argument("--seed", type=int, default=None)
     pm.set_defaults(func=cmd_mpnorm)
 
     ps = sub.add_parser("seminorm", help="weighted-derivative seminorm report")
@@ -295,14 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line; ``argv`` defaults to ``sys.argv[1:]``.  It may be
+    called repeatedly in one process: HOLDERLAB_SEED is read on every call."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # the parser reads HOLDERLAB_SEED while it is built
+        # read before parsing, so that a bad value exits 2 whatever the subcommand
+        seed = _seed_default()
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:
+            args.seed = seed
+        args.argv = argv
         return args.func(args)
     except HolderLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

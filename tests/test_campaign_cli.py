@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -186,7 +187,7 @@ def test_cli_bad_norm_spec(capsys):
     assert "banana" in capsys.readouterr().err
 
 
-def test_cli_campaign_end_to_end(tmp_path, capsys):
+def test_cli_campaign_end_to_end(monkeypatch, tmp_path, capsys):
     cfg = {
         "verifier": "bks",
         "thetas": [0.5],
@@ -211,6 +212,12 @@ def test_cli_campaign_end_to_end(tmp_path, capsys):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 12
     assert str(out1 / "report.csv") in manifest["outputs"]
+    # the argv main parsed, not that of the process hosting it
+    monkeypatch.setattr("sys.argv", ["host", "--host-flag"])
+    assert main(["campaign", str(cfg_path), "--out", str(out2)]) == 0
+    assert json.loads((out2 / "manifest.json").read_text())["argv"] == [
+        "campaign", str(cfg_path), "--out", str(out2)
+    ]
     payload = json.loads((out1 / "report.json").read_text())
     again = CampaignConfig.from_dict(payload["config"])
     rep, _ = run_campaign(again)
@@ -233,6 +240,22 @@ def test_cli_campaign_malformed_config(tmp_path, capsys):
     assert main(["campaign", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "wrong_key" in err
+
+
+@pytest.mark.parametrize("bad", ["out-is-a-file", "config-is-a-directory"])
+def test_cli_campaign_bad_paths_exit_2_before_any_trial(bad, monkeypatch, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(trials=3).to_dict()))
+    out = tmp_path / "out"
+    if bad == "out-is-a-file":
+        out.write_text("not a directory")
+    else:
+        cfg_path = tmp_path / "cfg-dir"
+        cfg_path.mkdir()
+    monkeypatch.setattr("holderlab.cli.run_campaign", lambda config: pytest.fail("trials ran"))
+    assert main(["campaign", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.exists() == (bad == "out-is-a-file")
 
 
 def test_symmetric_and_quasicommutator_campaigns_finite():
@@ -494,11 +517,28 @@ def test_cli_seminorm_order_too_high(capsys):
 
 
 def test_cli_env_seed(monkeypatch, capsys):
-    monkeypatch.setenv("HOLDERLAB_SEED", "777")
-    code = main(["verify", "--ineq", "bks", "--trials", "2"])
-    rec = json.loads(capsys.readouterr().out.strip())
-    assert code == 0
-    assert rec["inputs_digest"].startswith("777:")
+    # read on every call: a change takes effect on the next in-process call
+    for seed in ("777", "778"):
+        monkeypatch.setenv("HOLDERLAB_SEED", seed)
+        code = main(["verify", "--ineq", "bks", "--trials", "2"])
+        rec = json.loads(capsys.readouterr().out.strip())
+        assert code == 0
+        assert rec["inputs_digest"].startswith(f"{seed}:")
+
+
+def test_cli_parser_is_built_once(monkeypatch, capsys):
+    argv = ["seminorm", "--f", "power:0.5", "--theta", "0.5", "--d", "2"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(argv) == 0
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -857,6 +897,9 @@ def test_cli_campaign_config_must_be_an_object(text, message, tmp_path, capsys):
     ids=lambda argv: argv[0],
 )
 def test_cli_bad_env_seed_exits_2(argv, monkeypatch, capsys):
+    # after a successful call has built the parser, the value is still checked
+    monkeypatch.delenv("HOLDERLAB_SEED", raising=False)
+    assert main(["seminorm", "--f", "log1p", "--theta", "0.5", "--d", "2"]) == 0
     monkeypatch.setenv("HOLDERLAB_SEED", "abc")
     assert main(argv) == 2
     err = capsys.readouterr().err
