@@ -121,12 +121,19 @@ def _no_ratio_reason(config, cell_idx, cell) -> str:
 
 
 def cmd_campaign(args) -> int:
-    with open(args.config) as fh:
+    try:
+        fh = open(args.config)
+    except OSError as exc:
+        raise HolderLabError(str(exc)) from exc
+    with fh:
         raw = json.load(fh)
     config = CampaignConfig.from_dict(raw)
     out = args.out
-    # an --out that cannot be a directory fails here, before any trial runs
-    os.makedirs(out, exist_ok=True)
+    try:
+        # an --out that cannot be a directory fails here, before any trial runs
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise HolderLabError(str(exc)) from exc
     report, counterexamples = run_campaign(config)
     csv_path = os.path.join(out, "report.csv")
     json_path = os.path.join(out, "report.json")
@@ -314,7 +321,7 @@ def main(argv=None) -> int:
     except HolderLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
