@@ -270,8 +270,8 @@ class Verifier:
     ``campaign.V`` or a ``verify`` function (a test's spy, perfbench's
     tracer) reaches it."""
 
-    # the name of the verify.verify_<name>_stack kernel: (f, cells, stack,
-    # sem_cache, variant) -> the Outcomes (cells, trials) of the stack
+    # the name of the verify.verify_<name>_stack kernel: (f, entries, stack) ->
+    # the Outcomes (cells, trials) of the stack; verify._check_<name> is its cell check
     kernel: str
     # the ensembles.ENSEMBLES names the verifier draws from; the first is the default
     ensembles: tuple = HERMITIAN_PAIRS
@@ -331,12 +331,26 @@ def _matrix_payload(m: np.ndarray):
 
 
 def _kernel_cells(config: CampaignConfig) -> list:
-    """Per cell of the grid, the (theta, p, spec) its kernel gets: the parsed
+    """Per cell of the grid, the (theta, p, spec) its check gets: the parsed
     norm, or None for a verifier that takes no norm; each distinct norm is
     parsed once."""
     uses_norm = VERIFIERS[config.verifier].uses_norm
     specs = {norm: parse_norm_spec(norm) if uses_norm else None for norm in config.norms}
     return [(theta, p, specs[norm]) for theta, p, norm, _ in config.cells()]
+
+
+def _entries(config: CampaignConfig, f, cells) -> list:
+    """Per (theta, p, spec) of ``cells``, the entry the verifier's check gives
+    its kernel, or the HolderLabError that makes the cell fail every trial;
+    f's seminorm is estimated once per distinct (d, theta)."""
+    check, sem = V._check_of(VERIFIERS[config.verifier].kernel), V._seminorms(f)
+    entries = []
+    for cell in cells:
+        try:
+            entries.append(check(sem, *cell, config.variant))
+        except HolderLabError as exc:
+            entries.append(exc)
+    return entries
 
 
 def _trial_seed(config: CampaignConfig, dim, trial: int) -> SeedState:
@@ -361,28 +375,27 @@ def _record_name(config: CampaignConfig) -> str:
     return f"reverse:{config.variant}" if config.verifier == "reverse" else config.verifier
 
 
-def _outcomes(config: CampaignConfig, f, cells, trials, stack, sem_cache):
-    """Yield (trials, stack, outcomes): the Outcomes (cells, trials) of a
-    stack of ``trials`` in ``cells`` by the verifier's kernel.  A LinAlgError
-    reruns a stack of several trials one trial at a time, each yielded on its
-    own, then a trial of several cells one cell at a time, reassembling the
-    rows, and is the EigensolverError of one trial in one cell."""
+def _outcomes(config: CampaignConfig, f, entries, trials, stack):
+    """Yield (trials, stack, outcomes): the Outcomes (cells, trials) of a stack
+    of ``trials`` in the cells of ``entries`` by the verifier's kernel.  A
+    LinAlgError reruns a stack of several trials one trial at a time, each
+    yielded on its own, then a trial of several cells one cell at a time,
+    reassembling the rows, and is the EigensolverError of one trial in one cell."""
     kernel = getattr(V, VERIFIERS[config.verifier].kernel)
     try:
-        outcomes = kernel(f, cells, stack, sem_cache, config.variant)
+        outcomes = kernel(f, entries, stack)
     except np.linalg.LinAlgError as exc:
         if len(stack) > 1:
             for i in range(len(stack)):
                 part = slice(i, i + 1)
-                yield from _outcomes(config, f, cells, trials[part], stack[part], sem_cache)
+                yield from _outcomes(config, f, entries, trials[part], stack[part])
             return
-        if len(cells) > 1:
+        if len(entries) > 1:
             outcomes = V.Outcomes.of_cells(
-                [next(_outcomes(config, f, [cell], trials, stack, sem_cache))[2] for cell in cells]
+                [next(_outcomes(config, f, [entry], trials, stack))[2] for entry in entries]
             )
         else:
-            error = EigensolverError(f"LAPACK failed to converge: {exc}")
-            outcomes = V.Outcomes.failing([error], 1)
+            outcomes = V.Outcomes.failing(EigensolverError(f"LAPACK failed to converge: {exc}"))
     yield trials, stack, outcomes
 
 
@@ -395,9 +408,9 @@ def _draw(config: CampaignConfig, dim, trials):
     return draw(dim, [_trial_seed(config, dim, t) for t in trials], ens)
 
 
-def _stacks(config: CampaignConfig, dim, cells, f, sem_cache, trials=None):
+def _stacks(config: CampaignConfig, dim, entries, f, trials=None):
     """Yield (trials, kinds, stack, outcomes) for every stack of trials at
-    ``dim`` in ``cells``, the (theta, p, spec) cells of that dim: the trials
+    ``dim`` in the cells of ``entries``, valid cells of that dim: the trials
     of the stack, the kinds of their inputs, the inputs (T, k, n, n) and the
     Outcomes (cells, T).  All trials, or the listed ``trials`` in that order,
     are drawn once for all the cells, in stacks of _stack_size(dim, inputs)."""
@@ -407,7 +420,7 @@ def _stacks(config: CampaignConfig, dim, cells, f, sem_cache, trials=None):
     for start in range(0, len(trials), size):
         chunk = trials[start : start + size]
         kinds, stack = _draw(config, dim, chunk)
-        for part, part_stack, outcomes in _outcomes(config, f, cells, chunk, stack, sem_cache):
+        for part, part_stack, outcomes in _outcomes(config, f, entries, chunk, stack):
             yield part, kinds, part_stack, outcomes
 
 
@@ -501,22 +514,25 @@ class _Tally:
 def run_campaign(config: CampaignConfig):
     """Execute the campaign; returns (CampaignReport, counterexamples).
 
-    The cells of each dim are evaluated together on one draw per trial.
-    Counterexamples are flagged records and records above their cell's claimed
-    constant beyond tolerance, serialized with their full inputs for replay,
-    in cell order.
+    Each cell is judged once, before any draw, and one its check refuses
+    fails every trial; the valid cells of each dim are evaluated together on
+    one draw per trial.  Counterexamples are flagged records and records
+    above their cell's claimed constant beyond tolerance, serialized with
+    their full inputs for replay, in cell order.
     """
     f = parse_function_spec(config.function) if config.function else None
-    sem_cache: dict = {}
     grid = config.cells()
     kernel_cells = _kernel_cells(config)
-    by_dim: dict = {}
+    entries = _entries(config, f, kernel_cells)
+    groups: dict = {}  # the valid cells of a dim, and the others
     for cell_idx, cell in enumerate(grid):
-        by_dim.setdefault(cell[3], []).append(cell_idx)
+        valid = not isinstance(entries[cell_idx], HolderLabError)
+        groups.setdefault((cell[3], valid), []).append(cell_idx)
     summaries, counterexamples = [None] * len(grid), [None] * len(grid)
-    for dim, cell_idxs in by_dim.items():
+    for (dim, valid), cell_idxs in groups.items():
         tally = _Tally(config, cell_idxs, [kernel_cells[i] for i in cell_idxs])
-        for trials, kinds, stack, outcomes in _stacks(config, dim, tally.cells, f, sem_cache):
+        stacks = _stacks(config, dim, [entries[i] for i in cell_idxs], f) if valid else ()
+        for trials, kinds, stack, outcomes in stacks:
             tally.add(trials, kinds, stack, outcomes)
         for cell_idx, summary, cxs in zip(cell_idxs, tally.summary(), tally.counterexamples):
             summaries[cell_idx], counterexamples[cell_idx] = summary, cxs
@@ -527,7 +543,7 @@ def run_campaign(config: CampaignConfig):
         trajectory = ()
         if config.refine_steps > 0 and trial >= 0:
             refined_max, trajectory = _greedy_refine(
-                config, f, kernel_cells[cell_idx], dim, ratio, trial, cell_idx, sem_cache
+                config, f, entries[cell_idx], dim, ratio, trial, cell_idx
             )
         cells.append(
             CellReport(
@@ -550,9 +566,9 @@ def run_campaign(config: CampaignConfig):
     return CampaignReport(config=config, cells=tuple(cells)), counterexamples
 
 
-def _greedy_refine(config, f, cell, dim, ratio, trial, cell_idx, sem_cache):
+def _greedy_refine(config, f, entry, dim, ratio, trial, cell_idx):
     """Hill-climb with shrinking Gaussian steps from the argmax instance, trial
-    ``trial`` of ratio ``ratio`` in the kernel cell ``cell``, whose inputs are
+    ``trial`` of ratio ``ratio`` in the cell of ``entry``, whose inputs are
     redrawn from the trial's own sub-seed."""
     kinds, (mats,) = _draw(config, dim, [trial])
     inputs = list(zip(kinds, mats))
@@ -567,7 +583,7 @@ def _greedy_refine(config, f, cell, dim, ratio, trial, cell_idx, sem_cache):
             sigma *= 0.5
             continue
         stack = np.array([[m for _, m in cand]])
-        ((_, _, outcomes),) = _outcomes(config, f, [cell], [0], stack, sem_cache)
+        ((_, _, outcomes),) = _outcomes(config, f, [entry], [0], stack)
         if not outcomes.ok[0, 0]:
             sigma *= 0.5
             continue
@@ -585,6 +601,8 @@ def replay(config: CampaignConfig, cell_idx: int, trial: int) -> V.VerificationR
     returns its record, or raises its HolderLabError."""
     f = parse_function_spec(config.function) if config.function else None
     dim = config.cells()[cell_idx][3]
-    cell = _kernel_cells(config)[cell_idx]
-    ((_, _, _, outcomes),) = _stacks(config, dim, [cell], f, {}, [trial])
+    (entry,) = _entries(config, f, [_kernel_cells(config)[cell_idx]])
+    if isinstance(entry, HolderLabError):
+        raise entry
+    ((_, _, _, outcomes),) = _stacks(config, dim, [entry], f, [trial])
     return outcomes.record(0, 0, _record_name(config), _digest(config, cell_idx, trial, dim))

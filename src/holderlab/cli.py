@@ -126,7 +126,10 @@ def cmd_campaign(args) -> int:
     except OSError as exc:
         raise HolderLabError(str(exc)) from exc
     with fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise HolderLabError(f"malformed config: {exc}") from exc
     config = CampaignConfig.from_dict(raw)
     out = args.out
     try:

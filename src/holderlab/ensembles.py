@@ -134,9 +134,14 @@ def sample_schur_instances(dim: int, lambda_range, mu_range, seeds):
 
     Each seed draws lam uniformly from ``lambda_range``, then mu from
     ``mu_range``, then the Ginibre matrices of A's basis, B's basis and V;
-    the QR and phase then run once over the whole stack.
+    the QR and phase then run once over the whole stack.  Raises
+    ParameterError unless each range (lo, hi) is finite with lo <= hi (a
+    range of one point draws that point).
     """
     _check_dim(dim)
+    for name, (lo, hi) in (("lambda", lambda_range), ("mu", mu_range)):
+        if not 0.0 <= hi - lo < np.inf:
+            raise ParameterError(f"bad {name} range {(lo, hi)}: need finite lo <= hi")
     lam = np.empty((len(seeds), dim))
     mu = np.empty((len(seeds), dim))
     z = np.empty((len(seeds), 3, 2, dim, dim))

@@ -20,7 +20,6 @@ from .errors import (
     CapabilityError,
     DomainError,
     EigensolverError,
-    HolderLabError,
     ParameterError,
     PreconditionError,
     ShapeError,
@@ -85,16 +84,14 @@ class Outcomes:
     profiles: Optional[tuple] = None
 
     @classmethod
-    def judged(cls, rows, lhs, rhs, mats, constants=None, profiles=None) -> "Outcomes":
-        """The outcomes of sides ``lhs`` and ``rhs`` (C, T) whose cell rows are
-        in ``rows``.  Ratio = lhs / rhs with 0/0 -> 0; a pair (c, i) that
-        passes its checks with rhs <= 0 is flagged when lhs exceeds
+    def judged(cls, row, lhs, rhs, mats, constants=None, profiles=None) -> "Outcomes":
+        """The outcomes of sides ``lhs`` and ``rhs`` (C, T) whose cells share
+        the stack's ``row``.  Ratio = lhs / rhs with 0/0 -> 0; a pair (c, i)
+        that passes its checks with rhs <= 0 is flagged when lhs exceeds
         ABS_TOL_COEFF * n * (1 + the largest operator norm of trial i's inputs
         mats[i]), computed once per such trial, however many cells share it."""
         lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-        fail = np.zeros(lhs.shape[1], dtype=bool)
-        rows = [(fail, lambda i, e=r: e) if isinstance(r, HolderLabError) else r for r in rows]
-        ok = np.array([row[0] for row in rows])
+        ok = np.broadcast_to(row[0], lhs.shape)
         positive = rhs > 0.0
         with np.errstate(all="ignore"):
             ratio = np.where(positive, lhs / rhs, 0.0)
@@ -104,13 +101,14 @@ class Outcomes:
             scale = max((op_norm(m) for m in mats[i]), default=0.0)
             tol = ABS_TOL_COEFF * mats.shape[-1] * (1.0 + scale)
             flagged[:, i] = degenerate[:, i] & (lhs[:, i] > tol)
-        error = lambda idx: rows[idx[0]][1](idx[1])
+        error = lambda idx: row[1](idx[1])
         return cls(ok, error, lhs, rhs, ratio, flagged, constants, profiles)
 
     @classmethod
-    def failing(cls, errors, size) -> "Outcomes":
-        """The outcomes of cells that fail all ``size`` trials with their ``errors``."""
-        return cls.judged(errors, *np.full((2, len(errors), size), math.nan), None)
+    def failing(cls, error) -> "Outcomes":
+        """The outcomes of one cell that fails its one trial with ``error``."""
+        row = (np.zeros(1, dtype=bool), lambda i: error)
+        return cls.judged(row, *np.full((2, 1, 1), math.nan), None)
 
     @classmethod
     def of_cells(cls, parts) -> "Outcomes":
@@ -133,16 +131,18 @@ class Outcomes:
         return VerificationRecord(name, *sides, constant, digest, bool(self.flagged[c, i]))
 
 
-def _seminorm_value(f, d, theta, cache=None):
-    """The seminorm every difference estimate scales by; raises
-    CapabilityError when it is infinite or f lacks d derivatives."""
-    cache = {} if cache is None else cache
-    key = (f.name, d, theta)
-    if key not in cache:
-        cache[key] = seminorm(f, d, theta).value
-    if not np.isfinite(cache[key]):
-        raise CapabilityError(f"{f.name}: seminorm is infinite at theta={theta}, d={d}")
-    return cache[key]
+def _seminorms(f):
+    """The seminorm of f at (d, theta) that every difference estimate scales
+    by, as a function of (d, theta) that estimates each pair once; it raises
+    CapabilityError when the seminorm is infinite or f lacks d derivatives."""
+    estimate = functools.cache(lambda d, theta: seminorm(f, d, theta).value)
+
+    def value(d, theta):
+        if not np.isfinite(estimate(d, theta)):
+            raise CapabilityError(f"{f.name}: seminorm is infinite at theta={theta}, d={d}")
+        return estimate(d, theta)
+
+    return value
 
 
 def _stack_of_one(mats) -> np.ndarray:
@@ -154,13 +154,20 @@ def _stack_of_one(mats) -> np.ndarray:
     return np.stack(mats)[None]
 
 
-def _one(kernel, f, theta, p, spec, mats, sem_cache, variant) -> Outcomes:
+def _check_of(kernel: str) -> Callable:
+    """The cell check _check_<name> of the kernel named verify_<name>_stack."""
+    return globals()["_check_" + kernel.removeprefix("verify_").removesuffix("_stack")]
+
+
+def _one(kernel, f, theta, p, spec, mats, variant=None) -> Outcomes:
     """The outcomes ``kernel`` gives the trial of inputs ``mats`` in a stack of
-    one trial and the one cell (theta, p, spec), or raise its error; LAPACK's
-    failure to converge is the EigensolverError a campaign records for it."""
+    one trial and the one cell (theta, p, spec), or raise the error of the
+    cell's check, else of the trial; LAPACK's failure to converge is the
+    EigensolverError a campaign records for it."""
+    entry = _check_of(kernel.__name__)(_seminorms(f), theta, p, spec, variant)
     stack = _stack_of_one(mats)
     try:
-        outcomes = kernel(f, [(theta, p, spec)], stack, sem_cache, variant)
+        outcomes = kernel(f, [entry], stack)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"LAPACK failed to converge: {exc}") from exc
     if not outcomes.ok[0, 0]:
@@ -170,31 +177,21 @@ def _one(kernel, f, theta, p, spec, mats, sem_cache, variant) -> Outcomes:
 
 # --- the shared steps of the stack kernels ------------------------------------------
 #
-# A kernel verify_<name>_stack(f, cells, stack, sem_cache, variant) evaluates
-# a stack of T trials, one complex array (T, k, n, n) as an ensembles draw
-# yields it, in the C (theta, p, spec) ``cells``, and returns one Outcomes
-# (C, T), judged once.  A pair fails with the error of the first check it
-# fails, in the order the kernel's docstring gives; a cell whose parameter
-# check raises fails every trial with that error, and no other cell is
-# affected.  A kernel ignores the parameters its verifier does not take, and
-# numpy.linalg.LinAlgError propagates.  The work that does not depend on the
-# cell (checks, eigendecompositions, images, SVDs) runs once per stack if
-# some cell passes its parameter checks, and each norm once over the profiles
-# of every theta (_norm_rows).  A check is a pair (ok mask (T, k), function
-# from an index (trial, input) to the error); a row is a pair (ok mask (T,),
-# function from a trial to the error), or the error of a cell's every trial.
-
-
-def _per_cell(cells, check):
-    """Per cell (theta, p, spec), the HolderLabError ``check(theta, p, spec)``
-    raises or None, and what it returns or None."""
-    errors, values = [None] * len(cells), [None] * len(cells)
-    for c, cell in enumerate(cells):
-        try:
-            values[c] = check(*cell)
-        except HolderLabError as exc:
-            errors[c] = exc
-    return errors, values
+# Each kernel verify_<name>_stack has its cell check _check_<name>(sem, theta,
+# p, spec, variant) beside it, sem the seminorm of f (_seminorms).  The check
+# raises the HolderLabError that makes the cell fail every trial, or returns
+# the cell's entry: what the kernel needs of it, such as its p-th power norm,
+# theta and seminorm.  The kernel (f, entries, stack) evaluates a stack of T
+# trials, one complex array (T, k, n, n) as an ensembles draw yields it, in
+# the C valid cells of ``entries``, and returns one Outcomes (C, T), judged
+# once.  A trial fails with the error of the first check of its inputs it
+# fails, in the order the kernel's docstring gives: one row of checks serves
+# every cell.  numpy.linalg.LinAlgError propagates.  The work that does not
+# depend on the cell (checks, eigendecompositions, images, SVDs) runs once per
+# stack, and each norm once over the profiles of every theta (_norm_rows).  A
+# check of the inputs is a pair (ok mask (T, k), function from an index
+# (trial, input) to the error); a row is a pair (ok mask (T,), function from a
+# trial to the error).
 
 
 def _first_failures(size, *groups):
@@ -211,21 +208,20 @@ def _first_failures(size, *groups):
     return np.array([e is None for e in failed]), failed.__getitem__
 
 
-def _norm_rows(entries, size, *profiles) -> list:
-    """Per function ``profiles``, the rows (C, size): per cell the norms
-    ``spec`` of the profiles (size, n) ``profiles(key)`` of its entry (spec,
-    key), or NaN for an entry None.  A function is called once per key, and
-    each spec takes one norm_of_profile call over the profiles of every key."""
+def _norm_rows(pairs, *profiles) -> list:
+    """Per function ``profiles``, the rows (C, T): per cell the norms ``spec``
+    of the profiles (T, n) ``profiles(key)`` of its pair (spec, key).  A
+    function is called once per key, and each spec takes one norm_of_profile
+    call over the profiles of every key."""
     specs, keys = {}, {}
-    for entry in filter(None, entries):
-        specs.setdefault(entry[0], len(specs))
-        keys.setdefault(entry[1], len(keys))
-    index = [-1 if e is None else specs[e[0]] * len(keys) + keys[e[1]] for e in entries]
+    for spec, key in pairs:
+        specs.setdefault(spec, len(specs))
+        keys.setdefault(key, len(keys))
+    index = [specs[spec] * len(keys) + keys[key] for spec, key in pairs]
     rows = []
     for profile in profiles:
-        stacked = np.stack([profile(key) for key in keys]) if keys else None
-        table = [norm_of_profile(stacked, spec) for spec in specs]
-        rows.append(np.concatenate(table + [np.full((1, size), math.nan)])[index])
+        stacked = np.stack([profile(key) for key in keys])
+        rows.append(np.concatenate([norm_of_profile(stacked, spec) for spec in specs])[index])
     return rows
 
 
@@ -245,33 +241,23 @@ def _hermitian_profiles(*mats) -> np.ndarray:
     return -np.sort(-w, axis=-1)
 
 
-def _seminorm_front(f, mats, sem_cache, profiles, cells, norm=PowerOf):
+def _seminorm_front(f, mats, profiles):
     """The shared front of the seminorm estimates on a stack (T, k, n, n) of
-    Hermitian inputs in ``cells``: the symmetrized inputs h, the profiles
-    ``profiles(h, images of h under f)`` or None, and per cell its row, its
-    entry (norm(spec, p), theta) or None, and its seminorm.  A cell fails
-    every trial with the error of norm(spec, p), else each trial with that of
-    its first failed check: each input Hermitian, the seminorm at d_of_p(p),
-    then per input its reconstruction and f finite on its spectrum."""
+    Hermitian inputs: the symmetrized inputs h, the profiles ``profiles(h,
+    images of h under f)``, and the row of checks: each input Hermitian, then
+    per input its reconstruction and f finite on its spectrum."""
     h, *hermitian = hermitian_stack(mats)
-    rows, entries = _per_cell(cells, lambda theta, p, spec: (norm(spec, p), theta))
-    sems, sv = [math.nan] * len(cells), None
-    for c, (theta, p, _) in enumerate(cells):
-        if rows[c]:
-            continue
-        try:
-            sems[c] = _seminorm_value(f, d_of_p(p), theta, sem_cache)
-        except HolderLabError as exc:  # every trial that is Hermitian fails here
-            seminorm = (np.zeros((len(h), 1), dtype=bool), lambda idx, exc=exc: exc)
-            rows[c], entries[c] = _first_failures(len(h), [hermitian], [seminorm]), None
-            continue
-        if sv is None:
-            dec, _, *reconstructed = eigh_stack(h)
-            fh, *defined = apply_stack(f, dec)
-            row = _first_failures(len(h), [hermitian], [reconstructed, defined])
-            sv = profiles(h, fh)
-        rows[c] = row
-    return h, sv, rows, entries, sems
+    dec, _, *reconstructed = eigh_stack(h)
+    fh, *defined = apply_stack(f, dec)
+    return h, profiles(h, fh), _first_failures(len(h), [hermitian], [reconstructed, defined])
+
+
+def _scaled_sides(entries, sv) -> tuple:
+    """For entries (p-th power norm, theta, factor), the rows of the norms of
+    the profiles sv[:, 0] and of sv[:, 1] ** theta, and the factors (C, 1)."""
+    (first,) = _norm_rows([(power, None) for power, _, _ in entries], lambda _: sv[:, 0])
+    (second,) = _norm_rows([e[:2] for e in entries], lambda theta: sv[:, 1] ** theta)
+    return first, second, np.array([factor for _, _, factor in entries])[:, None]
 
 
 def _difference_profiles(h, fh) -> np.ndarray:
@@ -282,35 +268,37 @@ def _difference_profiles(h, fh) -> np.ndarray:
 # --- the difference estimates ---------------------------------------------------
 
 
-def verify_main_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
-    """verify_symmetric_stack on the base S_1."""
-    cells = [(theta, p, Schatten(1)) for theta, p, _ in cells]
-    return verify_symmetric_stack(f, cells, stack, sem_cache, variant)
+def _check_main(sem, theta, p, spec, variant):
+    """_check_symmetric on the base S_1."""
+    return _check_symmetric(sem, theta, p, Schatten(1), variant)
 
 
-def verify_main(f: ScalarFunction, theta, p, a, b, sem_cache=None, digest="") -> VerificationRecord:
+def verify_main_stack(f, entries, stack) -> Outcomes:
+    """verify_symmetric_stack in the cells of _check_main."""
+    return verify_symmetric_stack(f, entries, stack)
+
+
+def verify_main(f: ScalarFunction, theta, p, a, b, digest="") -> VerificationRecord:
     """||f(A) - f(B)||_p versus seminorm(f) * || |A-B|^theta ||_p: the
     symmetric estimate in E^(p) for E = S_1, since ||X||_p is the p-th power
     norm of the trace class."""
-    outcomes = _one(verify_main_stack, f, theta, p, None, (a, b), sem_cache, None)
+    outcomes = _one(verify_main_stack, f, theta, p, None, (a, b))
     return outcomes.record(0, 0, "main", digest)
 
 
-def verify_bks_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
+def _check_bks(sem, theta, p, spec, variant):
+    """The entry (spec, theta) of a bks cell."""
+    if not 0.0 < theta < 1.0:
+        raise ParameterError(f"theta must lie in (0,1), got {theta}")
+    check_fully_symmetric(spec)
+    return spec, theta
+
+
+def verify_bks_stack(f, entries, stack) -> Outcomes:
     """verify_bks over a stack (T, 2, n, n) of (X, Y), with the checks X
     Hermitian, X reconstruction, X positive, then the same for Y.  One
     eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
     X^theta - Y^theta and one |X - Y|^theta every cell of that theta."""
-
-    def check(theta, p, spec):
-        if not 0.0 < theta < 1.0:
-            raise ParameterError(f"theta must lie in (0,1), got {theta}")
-        check_fully_symmetric(spec)
-        return spec, theta
-
-    errors, entries = _per_cell(cells, check)
-    if all(errors):
-        return Outcomes.failing(errors, len(stack))
     h, *hermitian = hermitian_stack(stack)
     dec, recon, *reconstructed = eigh_stack(h)
     lam = dec.eigenvalues
@@ -329,18 +317,23 @@ def verify_bks_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
             powered = from_eigen(dec.basis, np.clip(lam, 0.0, None) ** theta)
         return _hermitian_profiles(powered[:, 0] - powered[:, 1])[:, 0]
 
-    lhs, rhs = _norm_rows(entries, len(h), powered_profiles, lambda theta: difference ** theta)
-    return Outcomes.judged([e or row for e in errors], lhs, rhs, stack)
+    lhs, rhs = _norm_rows(entries, powered_profiles, lambda theta: difference ** theta)
+    return Outcomes.judged(row, lhs, rhs, stack)
 
 
 def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
     """||X^theta - Y^theta|| versus || |X-Y|^theta || for positive X, Y in a
     fully symmetric norm; the expected constant is exactly 1."""
-    outcomes = _one(verify_bks_stack, None, theta, None, spec, (x, y), None, None)
+    outcomes = _one(verify_bks_stack, None, theta, None, spec, (x, y))
     return outcomes.record(0, 0, "bks", digest)
 
 
-def verify_submaj_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
+def _check_submaj(sem, theta, p, spec, variant):
+    """The entry (p, theta, the seminorm at d_of_p(p)) of a submaj cell."""
+    return p, theta, sem(d_of_p(p), theta)
+
+
+def verify_submaj_stack(f, entries, stack) -> Outcomes:
     """verify_submajorization over a stack (T, 2, n, n) of (X, Y), with the
     checks of _seminorm_front.  The profiles compared are upper = (seminorm
     * mu(|X-Y|^theta) / s)^p and lower = (mu(f(X) - f(Y)) / s)^p, s the
@@ -348,48 +341,49 @@ def verify_submaj_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     power overflows.  A trial's constant is the least c making the
     domination hold, and its lhs and rhs are the partial sums of lower and
     upper where their ratio peaks (the totals when c is 0 or infinite)."""
-    h, sv, rows, entries, sems = _seminorm_front(
-        f, stack, sem_cache, _difference_profiles, cells, lambda spec, p: p
-    )
-    profiles = np.full((2, len(cells), *h.shape[::2]), math.nan)
-    for c, entry in enumerate(entries):
-        if entry is not None:
-            p, theta = entry
-            bases = np.stack([sems[c] * sv[:, 1] ** theta, sv[:, 0]])
-            profiles[:, c] = (bases / _unit(bases[..., :1].max(axis=0))) ** p
+    h, sv, row = _seminorm_front(f, stack, _difference_profiles)
+    profiles = np.empty((2, len(entries), *h.shape[::2]))
+    for c, (p, theta, sem) in enumerate(entries):
+        bases = np.stack([sem * sv[:, 1] ** theta, sv[:, 0]])
+        profiles[:, c] = (bases / _unit(bases[..., :1].max(axis=0))) ** p
     constants = least_domination_constant(*profiles)
     cu, cl = np.cumsum(profiles, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         peak = np.argmax(np.where(cu > 0.0, cl / cu, 0.0), axis=-1)
     k = np.where(np.isfinite(constants) & (constants > 0.0), peak, -1)[..., None]
     lhs, rhs = (np.take_along_axis(x, k, axis=-1)[..., 0] for x in (cl, cu))
-    return Outcomes.judged(rows, lhs, rhs, h, constants, tuple(profiles))
+    return Outcomes.judged(row, lhs, rhs, h, constants, tuple(profiles))
 
 
-def verify_submajorization(f: ScalarFunction, theta, p, x, y, sem_cache=None, digest=""):
+def verify_submajorization(f: ScalarFunction, theta, p, x, y, digest=""):
     """mu(f(X) - f(Y))^p against seminorm^p * mu(|X-Y|^theta)^p: returns the
     submajorization report at constant 1 plus a record whose ratio is the
     least constant making the domination hold (the empirical constant to the
     p-th power), realized at the worst partial sum."""
-    outcomes = _one(verify_submaj_stack, f, theta, p, None, (x, y), sem_cache, None)
+    outcomes = _one(verify_submaj_stack, f, theta, p, None, (x, y))
     upper, lower = outcomes.profiles
     return submajorizes(upper[0, 0], lower[0, 0]), outcomes.record(0, 0, "submaj", digest)
 
 
-def verify_symmetric_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
+def _check_symmetric(sem, theta, p, spec, variant):
+    """The entry (the p-th power norm of spec, theta, the seminorm at
+    d_of_p(p)) of a cell of an estimate that scales by the seminorm."""
+    return PowerOf(spec, p), theta, sem(d_of_p(p), theta)
+
+
+def verify_symmetric_stack(f, entries, stack) -> Outcomes:
     """verify_symmetric over a stack (T, 2, n, n) of (X, Y), with the checks
     of _seminorm_front; one SVD of f(X) - f(Y) and X - Y serves every cell."""
-    h, sv, rows, entries, sems = _seminorm_front(f, stack, sem_cache, _difference_profiles, cells)
-    (lhs,) = _norm_rows([e and (e[0], None) for e in entries], len(h), lambda _: sv[:, 0])
-    (rhs,) = _norm_rows(entries, len(h), lambda theta: sv[:, 1] ** theta)
-    return Outcomes.judged(rows, lhs, np.array(sems)[:, None] * rhs, h)
+    h, sv, row = _seminorm_front(f, stack, _difference_profiles)
+    lhs, rhs, sems = _scaled_sides(entries, sv)
+    return Outcomes.judged(row, lhs, sems * rhs, h)
 
 
 def verify_symmetric(
-    f: ScalarFunction, theta, p, base: NormSpec, x, y, sem_cache=None, digest=""
+    f: ScalarFunction, theta, p, base: NormSpec, x, y, digest=""
 ) -> VerificationRecord:
     """The main estimate in the p-th power norm of a fully symmetric base."""
-    outcomes = _one(verify_symmetric_stack, f, theta, p, base, (x, y), sem_cache, None)
+    outcomes = _one(verify_symmetric_stack, f, theta, p, base, (x, y))
     return outcomes.record(0, 0, "symmetric", digest)
 
 
@@ -490,38 +484,34 @@ def inverse_apply(f: ScalarFunction, h):
     return from_eigen(dec.basis, vals), ok & found.all(axis=-1), error
 
 
-def verify_inverse_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
-    """verify_inverse over a stack (T, 2, n, n) of (X, Y), spec the base
-    norm, with the checks X Hermitian, Y Hermitian, then inverse_apply's
-    checks on X, then on Y.  One inverse_apply and one SVD serve every cell."""
+def _check_inverse(sem, theta, p, spec, variant):
+    """The entry (the p-th power norm of spec, theta, the seminorm at
+    (d_of_p(p), 1/theta) to the power theta) of an inverse cell."""
+    if not theta > 1.0:
+        raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
+    check_fully_symmetric(spec)
+    return PowerOf(spec, p), theta, sem(d_of_p(p), 1.0 / theta) ** theta
 
-    def check(theta, p, spec):
-        if not theta > 1.0:
-            raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
-        check_fully_symmetric(spec)
-        power = PowerOf(spec, p)
-        return power, theta, _seminorm_value(f, d_of_p(p), 1.0 / theta, sem_cache) ** theta
 
-    errors, checked = _per_cell(cells, check)
+def verify_inverse_stack(f, entries, stack) -> Outcomes:
+    """verify_inverse over a stack (T, 2, n, n) of (X, Y), with the checks X
+    Hermitian, Y Hermitian, then inverse_apply's checks on X, then on Y.
+    One inverse_apply and one SVD serve every cell."""
     h, *hermitian = hermitian_stack(stack)
-    if all(errors):
-        return Outcomes.failing(errors, len(h))
     inv, *invertible = inverse_apply(f, h)
     row = _first_failures(len(h), [hermitian], [invertible])
     sv = _hermitian_profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
-    factors = np.array([math.nan if e is None else e[2] for e in checked])[:, None]
-    (lhs,) = _norm_rows([e and (e[0], None) for e in checked], len(h), lambda _: sv[:, 0])
-    (rhs,) = _norm_rows([e and e[:2] for e in checked], len(h), lambda theta: sv[:, 1] ** theta)
-    return Outcomes.judged([e or row for e in errors], factors * lhs, rhs, h)
+    lhs, rhs, factors = _scaled_sides(entries, sv)
+    return Outcomes.judged(row, factors * lhs, rhs, h)
 
 
 def verify_inverse(
-    f: ScalarFunction, theta, p, base: NormSpec, x, y, sem_cache=None, digest=""
+    f: ScalarFunction, theta, p, base: NormSpec, x, y, digest=""
 ) -> VerificationRecord:
     """For invertible f in the 1/theta class (theta > 1):
     lhs = seminorm(f)^theta * ||f^{-1}(X) - f^{-1}(Y)||_{E^(p)},
     rhs = || |X-Y|^theta ||_{E^(p)}; the estimate says ratio >= 1/C."""
-    outcomes = _one(verify_inverse_stack, f, theta, p, base, (x, y), sem_cache, None)
+    outcomes = _one(verify_inverse_stack, f, theta, p, base, (x, y))
     return outcomes.record(0, 0, "inverse", digest)
 
 
@@ -529,29 +519,27 @@ def verify_inverse(
 REVERSE_VARIANTS = ("power", "expm1")
 
 
-def verify_reverse_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
-    """verify_reverse_power over a stack (T, 2, n, n) of (X, Y), spec the
-    base norm, with the checks X Hermitian, Y Hermitian, then per matrix its
-    reconstruction and, for "expm1", g finite on its spectrum.  One
+def _check_reverse(sem, theta, p, spec, variant):
+    """The entry (the p-th power norm of spec, theta, variant) of a reverse cell."""
+    if not theta > 1.0:
+        raise ParameterError(f"reverse power needs theta > 1, got {theta}")
+    power = PowerOf(spec, p)
+    if variant not in REVERSE_VARIANTS:
+        raise ParameterError(f"unknown reverse variant {variant!r}")
+    return power, theta, variant
+
+
+def verify_reverse_stack(f, entries, stack) -> Outcomes:
+    """verify_reverse_power over a stack (T, 2, n, n) of (X, Y), with the
+    checks X Hermitian, Y Hermitian, then per matrix its reconstruction and,
+    if some entry is of variant "expm1", g finite on its spectrum.  One
     eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
     g(X) - g(Y) every cell (for "expm1") or every cell of that theta."""
-
-    def check(theta, p, spec):
-        if not theta > 1.0:
-            raise ParameterError(f"reverse power needs theta > 1, got {theta}")
-        power = PowerOf(spec, p)
-        if variant not in REVERSE_VARIANTS:
-            raise ParameterError(f"unknown reverse variant {variant!r}")
-        return power, theta
-
-    errors, entries = _per_cell(cells, check)
     h, *hermitian = hermitian_stack(stack)
-    if all(errors):
-        return Outcomes.failing(errors, len(h))
     dec, _, *reconstructed = eigh_stack(h)
     lam = dec.eigenvalues
     checks = [reconstructed]
-    if variant == "expm1":
+    if any(variant == "expm1" for _, _, variant in entries):
         image, *defined = apply_stack(signed_expm1(), dec)
         checks.append(defined)
     row = _first_failures(len(h), [hermitian], checks)
@@ -562,10 +550,10 @@ def verify_reverse_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
         g = image if theta is None else from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta)
         return _hermitian_profiles(g[:, 0] - g[:, 1])[:, 0]
 
-    mapped = [e and (e[0], e[1] if variant == "power" else None) for e in entries]
-    (lhs,) = _norm_rows(mapped, len(h), mapped_profiles)
-    (rhs,) = _norm_rows(entries, len(h), lambda theta: difference ** theta)
-    return Outcomes.judged([e or row for e in errors], lhs, rhs, h)
+    mapped = [(power, theta if variant == "power" else None) for power, theta, variant in entries]
+    (lhs,) = _norm_rows(mapped, mapped_profiles)
+    (rhs,) = _norm_rows([e[:2] for e in entries], lambda theta: difference ** theta)
+    return Outcomes.judged(row, lhs, rhs, h)
 
 
 def verify_reverse_power(
@@ -574,7 +562,7 @@ def verify_reverse_power(
     """||g(X) - g(Y)|| versus || |X-Y|^theta || for theta > 1, with g(t) =
     sgn(t)|t|^theta (variant "power") or sgn(t) expm1(|t|) (variant "expm1");
     the estimate says the ratio stays above a positive constant."""
-    outcomes = _one(verify_reverse_stack, None, theta, p, base, (x, y), None, variant)
+    outcomes = _one(verify_reverse_stack, None, theta, p, base, (x, y), variant)
     return outcomes.record(0, 0, f"reverse:{variant}", digest)
 
 
@@ -582,68 +570,78 @@ def verify_reverse_power(
 
 
 def verify_commutator(
-    f: ScalarFunction, theta, p, base: NormSpec, x, b, sem_cache=None, digest=""
+    f: ScalarFunction, theta, p, base: NormSpec, x, b, digest=""
 ) -> VerificationRecord:
     """||[f(X), B]|| versus seminorm * || |[X,B]|^theta || * ||B||^(1-theta)
     in the p-th power norm of the base."""
-    outcomes = _one(verify_quasicommutator_stack, f, theta, p, base, (x, b), sem_cache, None)
+    outcomes = _one(verify_quasicommutator_stack, f, theta, p, base, (x, b))
     return outcomes.record(0, 0, "commutator", digest)
 
 
-def verify_quasicommutator_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
+_check_quasicommutator = _check_symmetric
+
+
+def verify_quasicommutator_stack(f, entries, stack) -> Outcomes:
     """verify_quasi_commutator over a stack (T, 3, n, n) of (A, B, R), or
-    (T, 2, n, n) of (A, R) with B = A, spec the base norm; with the checks of
-    _seminorm_front on the Hermitian inputs.  One SVD of f(A)R - Rf(B), AR -
-    RB and R serves every cell."""
+    (T, 2, n, n) of (A, R) with B = A; with the checks of _seminorm_front on
+    the Hermitian inputs.  One SVD of f(A)R - Rf(B), AR - RB and R serves
+    every cell."""
     r = stack[:, -1]
 
     def profiles(h, fh):
         return _profiles(fh[:, 0] @ r - r @ fh[:, -1], h[:, 0] @ r - r @ h[:, -1], r)
 
-    h, sv, rows, entries, sems = _seminorm_front(f, stack[:, :-1], sem_cache, profiles, cells)
+    h, sv, row = _seminorm_front(f, stack[:, :-1], profiles)
     mats = np.concatenate([h, stack[:, -1:]], axis=1)
-    nan = np.full(len(h), math.nan)
-    weights = np.array([nan if e is None else sv[:, 2, 0] ** (1.0 - e[1]) for e in entries])
-    (rhs,) = _norm_rows(entries, len(h), lambda theta: sv[:, 1] ** theta)
-    rhs = np.array(sems)[:, None] * rhs * weights
-    (lhs,) = _norm_rows([e and (e[0], None) for e in entries], len(h), lambda _: sv[:, 0])
-    return Outcomes.judged(rows, lhs, rhs, mats)
+    weights = np.array([sv[:, 2, 0] ** (1.0 - theta) for _, theta, _ in entries])
+    lhs, rhs, sems = _scaled_sides(entries, sv)
+    return Outcomes.judged(row, lhs, sems * rhs * weights, mats)
 
 
 def verify_quasi_commutator(
-    f: ScalarFunction, theta, p, base: NormSpec, a, b, r, sem_cache=None, digest=""
+    f: ScalarFunction, theta, p, base: NormSpec, a, b, r, digest=""
 ) -> VerificationRecord:
     """||f(A)R - Rf(B)|| versus seminorm * || |AR-RB|^theta || * ||R||^(1-theta)."""
-    outcomes = _one(verify_quasicommutator_stack, f, theta, p, base, (a, b, r), sem_cache, None)
+    outcomes = _one(verify_quasicommutator_stack, f, theta, p, base, (a, b, r))
     return outcomes.record(0, 0, "quasicommutator", digest)
 
 
-def verify_absmap_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
-    """verify_abs_map over a stack (T, 2, n, n) of (A, B), spec the base
-    norm; one SVD of |A| - |B|, A + B and A - B serves every cell."""
-    errors, powers = _per_cell(cells, lambda theta, p, spec: PowerOf(spec, p))
-    if all(errors):
-        return Outcomes.failing(errors, len(stack))
+def _check_absmap(sem, theta, p, spec, variant):
+    """The entry (the p-th power norm of spec, None) of an absmap cell."""
+    return PowerOf(spec, p), None
+
+
+def verify_absmap_stack(f, entries, stack) -> Outcomes:
+    """verify_abs_map over a stack (T, 2, n, n) of (A, B), which every trial
+    passes; one SVD of |A| - |B|, A + B and A - B serves every cell."""
     absolute = abs_matrix(stack)
     a, b = stack[:, 0], stack[:, 1]
     sv = _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
-    entries = [e and (e, None) for e in powers]
-    lhs, plus, minus = _norm_rows(entries, len(stack), *(lambda _, k=k: sv[:, k] for k in range(3)))
+    lhs, plus, minus = _norm_rows(entries, *(lambda _, k=k: sv[:, k] for k in range(3)))
     row = (np.ones(len(stack), dtype=bool), None)
-    return Outcomes.judged([e or row for e in errors], lhs, np.sqrt(plus * minus), stack)
+    return Outcomes.judged(row, lhs, np.sqrt(plus * minus), stack)
 
 
 def verify_abs_map(base: NormSpec, p, a, b, digest="") -> VerificationRecord:
     """|| |A| - |B| || versus sqrt(||A+B|| ||A-B||) in the p-th power norm;
     for Schatten p >= 2 the classical constant is 1."""
-    outcomes = _one(verify_absmap_stack, None, None, p, base, (a, b), None, None)
+    outcomes = _one(verify_absmap_stack, None, None, p, base, (a, b))
     return outcomes.record(0, 0, "absmap", digest)
 
 
 # --- Araki-Lieb-Thirring submajorization -----------------------------------------
 
 
-def verify_alt_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
+def _check_alt(sem, theta, p, spec, variant):
+    """The entry (theta, p) of an alt cell."""
+    if not 0.0 < theta < 1.0:
+        raise ParameterError(f"theta must lie in (0,1), got {theta}")
+    if not p > 0:
+        raise ParameterError(f"p must be positive, got {p}")
+    return theta, p
+
+
+def verify_alt_stack(f, entries, stack) -> Outcomes:
     """alt_check over a stack (T, 2, n, n) of (X, Z), with the checks X
     Hermitian, Z Hermitian, X reconstruction, Z reconstruction, X positive, Z
     positive (within the zero tolerance of both spectra).  The profiles
@@ -653,17 +651,6 @@ def verify_alt_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
     flagged when the submajorization fails.  One eigendecomposition and one
     SVD of ZX serve every cell, one SVD of Z^theta X^theta every cell of that
     theta, and one pass the margins of every cell and trial that pass."""
-
-    def check(theta, p, spec):
-        if not 0.0 < theta < 1.0:
-            raise ParameterError(f"theta must lie in (0,1), got {theta}")
-        if not p > 0:
-            raise ParameterError(f"p must be positive, got {p}")
-        return theta, p
-
-    errors, checked = _per_cell(cells, check)
-    if all(errors):
-        return Outcomes.failing(errors, len(stack))
     h, *hermitian = hermitian_stack(stack)
     dec, _, *reconstructed = eigh_stack(h)
     lam = dec.eigenvalues
@@ -685,26 +672,23 @@ def verify_alt_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
         powered = from_eigen(dec.basis, clipped ** theta)
         return _profiles(powered[:, 1] @ powered[:, 0])[:, 0]
 
-    shape = (len(cells), len(h))
-    profiles = np.full((2, *shape, h.shape[-1]), math.nan)
-    for c, entry in enumerate(checked):
-        if entry is not None:
-            theta, p = entry
-            profiles[:, c] = product ** (theta * p), powered_profiles(theta) ** p
-    judged = np.array([e is None for e in errors])[:, None] & row[0]
+    shape = (len(entries), len(h))
+    profiles = np.empty((2, *shape, h.shape[-1]))
+    for c, (theta, p) in enumerate(entries):
+        profiles[:, c] = product ** (theta * p), powered_profiles(theta) ** p
+    ok = row[0]
     margins = np.full(shape, math.nan)
-    margins[judged] = _submajorization_margin(profiles[0][judged], profiles[1][judged])[0]
+    margins[:, ok] = _submajorization_margin(profiles[0][:, ok], profiles[1][:, ok])[0]
     violation = np.where(-margins > 0.0, -margins, 0.0)
-    rows = [e or row for e in errors]
-    outcomes = Outcomes.judged(rows, violation, np.ones(shape), stack, margins)
-    flagged = judged & ~(margins >= -SUBMAJ_TOL)  # a NaN margin fails
+    outcomes = Outcomes.judged(row, violation, np.ones(shape), stack, margins)
+    flagged = ok & ~(margins >= -SUBMAJ_TOL)  # a NaN margin fails
     return replace(outcomes, flagged=flagged, profiles=tuple(profiles))
 
 
 def alt_check(x, z, theta: float, p: float):
     """Submajorization |Z^theta X^theta|^p << |Z X|^{theta p} for positive
     semidefinite X, Z."""
-    upper, lower = _one(verify_alt_stack, None, theta, p, None, (x, z), None, None).profiles
+    upper, lower = _one(verify_alt_stack, None, theta, p, None, (x, z)).profiles
     return submajorizes(upper[0, 0], lower[0, 0])
 
 
@@ -729,22 +713,20 @@ def cayley_identity_residual(f: ScalarFunction, x, b) -> float:
 # --- finite-rank telescoping -------------------------------------------------------
 
 
-def verify_telescope_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
+def _check_telescope(sem, theta, p, spec, variant):
+    """The entry p of a telescope cell."""
+    if not 0.0 < p <= 1.0:
+        raise ParameterError(f"telescoping needs p in (0,1], got {p}")
+    return p
+
+
+def verify_telescope_stack(f, entries, stack) -> Outcomes:
     """telescope_finite_rank over a stack (T, 1 + r, n, n) of [B, x_1 e_1,
     ..., x_r e_r], with the checks every input Hermitian, then per chain
     matrix A_m = B + x_1 e_1 + ... + x_m e_m its reconstruction and f finite
     on its spectrum, in the order B, A_r, A_1, ..., A_{r-1}.  One
     eigendecomposition and one SVD of the chain serve every cell, and the
-    sides of the estimate every cell of that p; theta is not used."""
-
-    def check(theta, p, spec):
-        if not 0.0 < p <= 1.0:
-            raise ParameterError(f"telescoping needs p in (0,1], got {p}")
-        return p
-
-    errors, ps = _per_cell(cells, check)
-    if all(errors):
-        return Outcomes.failing(errors, len(stack))
+    sides of the estimate every cell of that p."""
     h, *hermitian = hermitian_stack(stack)
     r = h.shape[1] - 1
     order = [0, r, *range(1, r)]  # B, A_r, A_1, ..., A_{r-1}
@@ -762,9 +744,8 @@ def verify_telescope_stack(f, cells, stack, sem_cache, variant) -> Outcomes:
         # a running total of the step terms, rounded after each step
         return powers[:, 0], sum(powers[:, 1:].T, np.zeros(len(sv)))
 
-    nan = np.full((2, len(h)), math.nan)
-    lhs, rhs = np.stack([nan if p is None else sides(p) for p in ps], axis=1)
-    return Outcomes.judged([e or row for e in errors], lhs, rhs, chain[:, :2])
+    lhs, rhs = np.stack([sides(p) for p in entries], axis=1)
+    return Outcomes.judged(row, lhs, rhs, chain[:, :2])
 
 
 def telescope_finite_rank(f: ScalarFunction, theta, p, b, steps, digest="") -> VerificationRecord:
@@ -783,5 +764,5 @@ def telescope_finite_rank(f: ScalarFunction, theta, p, b, steps, digest="") -> V
             if op_norm(projs[i] @ projs[j]) > tol:
                 raise PreconditionError(f"steps {j},{i}: projections not orthogonal")
     mats = [b] + [float(x) * e for (x, _), e in zip(steps, projs)]
-    outcomes = _one(verify_telescope_stack, f, theta, p, None, mats, None, None)
+    outcomes = _one(verify_telescope_stack, f, theta, p, None, mats)
     return outcomes.record(0, 0, "telescope", digest)

@@ -162,12 +162,11 @@ def test_criterion_07_main_stability():
             assert slope <= 0.1
     # homogeneous scaling invariance of the ratio for the power function
     f = F.power(0.5)
-    cache = {}
     rng = np.random.default_rng(1070)
     a, b = gaussian_hermitian(6, rng), gaussian_hermitian(6, rng)
-    base = hl.verify_main(f, 0.5, 1.0, a, b, cache).ratio
+    base = hl.verify_main(f, 0.5, 1.0, a, b).ratio
     drift = max(
-        abs(hl.verify_main(f, 0.5, 1.0, r * a, r * b, cache).ratio - base)
+        abs(hl.verify_main(f, 0.5, 1.0, r * a, r * b).ratio - base)
         for r in (0.01, 0.125, 8.0, 117.0)
     )
     assert drift <= 1e-10
@@ -232,15 +231,14 @@ def test_criterion_10_cayley_and_commutator_invariance():
         worst = max(worst, hl.cayley_identity_residual(f, x, b))
     assert worst <= 1e-10
 
-    cache = {}
     drift = 0.0
     rng = np.random.default_rng(1100)
     for _ in range(20):
         x = gaussian_hermitian(5, rng)
         b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        base = hl.verify_commutator(f, 0.5, 1.0, KyFan(5), x, b, cache).ratio
+        base = hl.verify_commutator(f, 0.5, 1.0, KyFan(5), x, b).ratio
         for c in (0.25, 9.0):
-            scaled = hl.verify_commutator(f, 0.5, 1.0, KyFan(5), x, c * b, cache).ratio
+            scaled = hl.verify_commutator(f, 0.5, 1.0, KyFan(5), x, c * b).ratio
             drift = max(drift, abs(scaled - base))
     assert drift <= 1e-10
     _report(10, f"unitary-conjugation identity residual {worst:.2e} on 500 instances; "

@@ -242,6 +242,16 @@ def test_cli_campaign_malformed_config(tmp_path, capsys):
     assert "wrong_key" in err
 
 
+def test_cli_campaign_config_not_utf8_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b"\xff\xfe\x00")
+    out = tmp_path / "out"
+    assert main(["campaign", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: malformed config: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("bad", ["out-is-a-file", "config-is-a-directory"])
 def test_cli_campaign_bad_paths_exit_2_before_any_trial(bad, monkeypatch, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -419,6 +429,23 @@ def test_cli_mpnorm_dyadic_b_out_of_range_exit_2(b, message, capsys):
 
 
 DYADIC_K = ["mpnorm", "--f", "log1p", "--trials", "3", "--grid", "8", "--seed", "4"]
+
+
+@pytest.mark.parametrize(
+    "symbol, a, message",
+    [
+        ("b0", "inf", "bad lambda range (-inf, -inf)"),
+        ("b1", "inf", "bad lambda range (-inf, -inf)"),
+        ("b0", "1e-7", "bad mu range (1e-06, 4e-07)"),
+        ("b1", "1e-7", "bad mu range (1e-06, 4e-07)"),
+    ],
+)
+def test_cli_mpnorm_quadrant_a_outside_the_sampling_range_exit_2(symbol, a, message, capsys):
+    # lambda is drawn from (-4a, -a) and mu from (1e-6, 4a)
+    assert main(["mpnorm", "--symbol", symbol, "--a", a, "--trials", "3", "--seed", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}: need finite lo <= hi\n"
 
 
 @pytest.mark.parametrize("k", ["41", "50", "-1023", "-2000"])
@@ -674,7 +701,8 @@ def test_reverse_kernel_dispatches_variants():
     x, y = stack[0]
     for variant in REVERSE_VARIANTS:
         kernel = getattr(hl.verify, VERIFIERS["reverse"].kernel)
-        outcomes = kernel(None, [(1.5, 1.0, KyFan(2))], stack, {}, variant)
+        entry = hl.verify._check_reverse(None, 1.5, 1.0, KyFan(2), variant)
+        outcomes = kernel(None, [entry], stack)
         rec = outcomes.record(0, 0, f"reverse:{variant}", "d")
         assert rec == hl.verify_reverse_power(1.5, 1.0, KyFan(2), x, y, variant, "d")
     cfg = small_config(verifier="reverse", thetas=(1.5,), trials=1)

@@ -836,6 +836,28 @@ def test_schur_instances_are_the_per_seed_draws():
         assert v[i].tobytes() == ginibre(3, rng).tobytes()
 
 
+@pytest.mark.parametrize(
+    "lambda_range, mu_range, message",
+    [
+        ((-np.inf, -np.inf), (1e-6, np.inf), "bad lambda range"),
+        ((0.5, 1.0), (1e-6, np.inf), "bad mu range"),
+        ((0.5, 1.0), (1e-6, 4e-7), "bad mu range"),
+        ((1.0, 0.5), (0.0, 1.0), "bad lambda range"),
+        ((-1e308, 1e308), (0.0, 1.0), "bad lambda range"),
+        ((0.5, 1.0), (np.nan, 1.0), "bad mu range"),
+    ],
+)
+def test_schur_instances_need_finite_ranges(lambda_range, mu_range, message):
+    with pytest.raises(ParameterError, match=message):
+        sample_schur_instances(3, lambda_range, mu_range, [SeedState(25)])
+
+
+def test_a_schur_range_of_one_point_draws_that_point():
+    # b0 and b1 at a = 2.5e-7 draw mu from (1e-6, 4a) = (1e-6, 1e-6)
+    _, mu, _, _ = sample_schur_instances(3, (0.5, 1.0), (1e-6, 4 * 2.5e-7), [SeedState(25)])
+    assert mu.tolist() == [[1e-6] * 3]
+
+
 @pytest.mark.parametrize("k", [41, 50, -1023, -2000])
 def test_dyadic_band_index_outside_the_sampling_range_is_rejected(k):
     with pytest.raises(ParameterError, match=r"dyadic band index must lie in \[-1022, 40\]"):

@@ -355,11 +355,11 @@ def test_stacked_margin_of_overflowing_alt_profiles():
         "dims": [4, 8], "trials": 40, "seed": 1,
         "ensemble": {"name": "positive_pair", "spectrum_range": [1e3, 1e8]},
     })
-    cells = [(0.5, p, Schatten(1)) for p in (40.0, 400.0)]
+    entries = [verify._check_alt(None, 0.5, p, Schatten(1), None) for p in (40.0, 400.0)]
     for dim in (4, 8):
         _, stack = campaign._draw(config, dim, range(config.trials))
         with np.errstate(all="ignore"):
-            outcomes = verify.verify_alt_stack(None, cells, stack, None, None)
+            outcomes = verify.verify_alt_stack(None, entries, stack)
         assert outcomes.ok.all()
         upper, lower = outcomes.profiles
         reports = _check_stacked_margins(upper, lower)

@@ -9,7 +9,6 @@ import dataclasses
 import importlib.util
 import inspect
 import json
-import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +21,7 @@ import holderlab as hl
 import holderlab.campaign as camp
 import holderlab.verify as V
 from holderlab.campaign import CampaignConfig, replay, run_campaign
+from holderlab.cli import main as cli_main
 from holderlab.ensembles import ENSEMBLES, SeedState, fixed_spectrum, sample_positive_pairs
 from holderlab.errors import DomainError, EigensolverError, HolderLabError, ParameterError
 from holderlab.functions import DD_SWITCH, ScalarFunction, d_of_p, parse_function_spec, seminorm
@@ -148,21 +148,31 @@ def _record_or_error(outcomes, c, i, name, digest=""):
         return exc
 
 
-def _cell(kernel, f, theta, p, spec, stack, digests, sem_cache, variant):
+def _cell(verifier, f, theta, p, spec, stack, digests, variant=None):
     """Per trial, the record (named after the kernel, with the trial's digest)
-    or the error of a stack kernel in the one cell (theta, p, spec)."""
-    outcomes = kernel(f, [(theta, p, spec)], stack, sem_cache, variant)
-    name = kernel.__name__.removeprefix("verify_").removesuffix("_stack")
+    or the error of a verifier's stack kernel in the one cell (theta, p,
+    spec); a cell that its check refuses fails every trial with that error."""
+    kernel = camp.VERIFIERS[verifier].kernel
+    check = V._check_of(kernel)
+    try:
+        entry = check(V._seminorms(f), theta, p, spec, variant)
+    except HolderLabError as exc:
+        return [exc] * len(digests)
+    outcomes = getattr(V, kernel)(f, [entry], stack)
+    name = kernel.removeprefix("verify_").removesuffix("_stack")
     return [_record_or_error(outcomes, 0, i, name, d) for i, d in enumerate(digests)]
 
 
 def _trial_outcomes(config, cell_idx, f):
     """Yield (trial, outcome) for every trial of one cell as the campaign
     evaluates it in stacks: its record, named and digested as replay's, or
-    its error."""
+    its error; a cell that its check refuses fails every trial undrawn."""
     dim = config.cells()[cell_idx][3]
-    cell = camp._kernel_cells(config)[cell_idx]
-    for trials, _, _, outcomes in camp._stacks(config, dim, [cell], f, {}):
+    (entry,) = camp._entries(config, f, [camp._kernel_cells(config)[cell_idx]])
+    if isinstance(entry, HolderLabError):
+        yield from ((trial, entry) for trial in range(config.trials))
+        return
+    for trials, _, _, outcomes in camp._stacks(config, dim, [entry], f):
         for i, trial in enumerate(trials):
             digest = camp._digest(config, cell_idx, trial, dim)
             yield trial, _record_or_error(outcomes, 0, i, camp._record_name(config), digest)
@@ -218,6 +228,52 @@ def test_invalid_cells_fail_every_trial():
     }
 
 
+def test_a_config_with_no_valid_cell_draws_nothing(monkeypatch, capsys):
+    # theta 1.5 fails bks's cell check: every cell fails every trial with
+    # statistics 0 and no argmax, judged before any draw or kernel call, and
+    # replay and `holderlab verify` name the check's error
+    config = CampaignConfig.from_dict(
+        {"verifier": "bks", "thetas": [1.5], "ps": [1.0], "norms": ["schatten:1", "kyfan:2"],
+         "dims": [3, 8], "trials": 20, "seed": 7}
+    )
+    calls = []
+    monkeypatch.setattr(camp, "_draw", lambda *args: calls.append(args) or pytest.fail("drawn"))
+    spied = {**vars(V), "verify_bks_stack": lambda *args: calls.append(args) or pytest.fail()}
+    monkeypatch.setattr(camp, "V", SimpleNamespace(**spied))
+    report, cx = run_campaign(config)
+    assert calls == [] and cx == []
+    assert [(c.failures, c.max_ratio, c.min_ratio, c.q50, c.q99, c.argmax_digest)
+            for c in report.cells] == [(20, 0.0, 0.0, 0.0, 0.0, "none")] * 4
+    with pytest.raises(ParameterError, match=r"theta must lie in \(0,1\), got 1.5"):
+        replay(config, 3, 0)
+    assert cli_main(["verify", "--ineq", "bks", "--theta", "1.5", "--trials", "20"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "all 20 trial(s) failed; trial 0: ParameterError: theta must lie in (0,1), got 1.5\n"
+    )
+
+
+def test_the_seminorm_is_estimated_once_per_order_and_theta(monkeypatch):
+    # ps 1 and 0.6 share d_of_p = 4, and 0.5 has 5; two norms, two dims and
+    # three stacks (40 trials at dim 8 are 32 + 8) take the four seminorms once
+    config = CampaignConfig.from_dict(
+        {"verifier": "symmetric", "function": "power:0.5", "thetas": [0.5, 0.9],
+         "ps": [1.0, 0.6, 0.5], "norms": ["schatten:1", "kyfan:2"], "dims": [3, 8],
+         "trials": 40, "seed": 7}
+    )
+    estimated = []
+    _spy(monkeypatch, V, "seminorm", estimated)
+    stacks = []
+    _spy(monkeypatch, camp, "_draw", stacks)
+    report, _ = run_campaign(config)
+    assert len(stacks) == 3 and all(c.failures == 0 for c in report.cells)
+    keys = sorted((d, theta) for _, d, theta in estimated)
+    assert keys == [(4, 0.5), (4, 0.9), (5, 0.5), (5, 0.9)]
+    estimated.clear()
+    replay(config, 9, 33)  # theta 0.5, p 0.5, schatten:1, dim 8
+    assert [(d, theta) for _, d, theta in estimated] == [(5, 0.5)]
+
+
 def test_stack_sizes_are_bounded():
     sizes = {d: camp._stack_size(d) for d in (1, 8, 32, 64, 128)}
     assert sizes == {1: 2048, 8: 32, 32: 2, 64: 1, 128: 1}
@@ -231,11 +287,11 @@ def test_rejected_stack_items_take_the_per_trial_path(monkeypatch):
     real = V.verify_bks_stack
     calls = []
 
-    def flaky(f, cells, pairs, sem_cache, variant):
-        calls.append((len(cells), len(pairs)))
+    def flaky(f, entries, pairs):
+        calls.append((len(entries), len(pairs)))
         if len(calls) == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(f, cells, pairs, sem_cache, variant)
+        return real(f, entries, pairs)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
     assert _outputs(config) == expected
@@ -251,10 +307,10 @@ def test_a_linalg_error_fails_only_its_trial(monkeypatch):
     draw, _ = ENSEMBLES["positive_pair"]
     _, (five,) = draw(8, [camp._trial_seed(config, 8, 5)], camp._ensemble("bks", None))
 
-    def flaky(f, cells, pairs, sem_cache, variant):
+    def flaky(f, entries, pairs):
         if any(np.array_equal(pair, five) for pair in pairs):
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(f, cells, pairs, sem_cache, variant)
+        return real(f, entries, pairs)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
     report, _ = run_campaign(config)
@@ -282,18 +338,18 @@ def test_a_linalg_error_in_one_cell_fails_only_that_cell(verifier, monkeypatch):
     )
     cell_idx = 3
     f = parse_function_spec(config.function) if config.function else None
-    kernel_cells = camp._kernel_cells(config)
+    entries = camp._entries(config, f, camp._kernel_cells(config))
     baseline, _ = run_campaign(config)
     real = getattr(V, camp.VERIFIERS[verifier].kernel)
     draw, _ = ENSEMBLES[camp._ensemble(verifier, None)["name"]]
     _, (five,) = draw(8, [camp._trial_seed(config, 8, 5)], camp._ensemble(verifier, None))
     calls = []
 
-    def flaky(f, cells, stack, sem_cache, variant):
-        calls.append((len(cells), len(stack)))
-        if kernel_cells[cell_idx] in cells and any(np.array_equal(t, five) for t in stack):
+    def flaky(f, cell_entries, stack):
+        calls.append((len(cell_entries), len(stack)))
+        if entries[cell_idx] in cell_entries and any(np.array_equal(t, five) for t in stack):
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(f, cells, stack, sem_cache, variant)
+        return real(f, cell_entries, stack)
 
     spied = {**vars(V), camp.VERIFIERS[verifier].kernel: flaky}
     monkeypatch.setattr(camp, "V", SimpleNamespace(**spied))
@@ -305,7 +361,7 @@ def test_a_linalg_error_in_one_cell_fails_only_that_cell(verifier, monkeypatch):
     # the stack of trial 5 alone holds every cell, then each cell on its own
     assert (6, 1) in calls and calls.count((1, 1)) == 6
     name = camp._record_name(config)
-    for trials, _, _, outcomes in camp._stacks(config, 8, kernel_cells, f, {}):
+    for trials, _, _, outcomes in camp._stacks(config, 8, entries, f):
         assert outcomes.ok.shape == (6, len(trials))
         for c in range(6):
             for j, trial in enumerate(trials):
@@ -375,7 +431,7 @@ def test_stack_kernel_matches_per_matrix_math(eigenvalues):
     )
     for spec in (Schatten(1), Schatten(2), Schatten(np.inf), KyFan(2)):
         digests = [""] * len(pairs)
-        recs = _cell(V.verify_bks_stack, None, 0.5, None, spec, pairs, digests, None, None)
+        recs = _cell("bks", None, 0.5, None, spec, pairs, digests)
         for (x, y), rec in zip(pairs, recs):
             lhs, rhs = _bks_per_matrix(0.5, spec, x, y)
             assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex())
@@ -387,7 +443,7 @@ def test_stack_kernel_marks_failing_pairs():
     not_psd = np.stack([np.diag([1.0, -1.0]), np.eye(2)]).astype(complex)
     not_herm = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])]).astype(complex)
     pairs = np.stack([good, not_psd, not_herm])
-    recs = _cell(V.verify_bks_stack, None, 0.5, None, Schatten(1), pairs, list("abc"), None, None)
+    recs = _cell("bks", None, 0.5, None, Schatten(1), pairs, list("abc"))
     assert _bits(recs[0]) == _bits(hl.verify_bks(0.5, Schatten(1), *good, digest="a"))
     assert isinstance(recs[1], DomainError) and "X must be positive" in str(recs[1])
     assert isinstance(recs[2], DomainError) and "not Hermitian" in str(recs[2])
@@ -426,37 +482,34 @@ def test_abs_tol_is_computed_only_for_degenerate_records(monkeypatch):
     # against 1e-12 * 2 * (1 + 0), not against 1e-12 * 2 * (1 + 1e12)
     calls.clear()
     mats = np.stack([np.zeros((2, 2, 2)), np.full((2, 2, 2), 0.5e12), np.zeros((2, 2, 2))] * 2)
-    rows = [(np.array([True, True, False, True, True, True]), lambda i: DomainError("x"))]
-    outcomes = V.Outcomes.judged(rows, [[1.0] * 6], [[0.0, 0.0, 0.0, 2.0, 2.0, -1.0]], mats)
+    row = (np.array([True, True, False, True, True, True]), lambda i: DomainError("x"))
+    outcomes = V.Outcomes.judged(row, [[1.0] * 6], [[0.0, 0.0, 0.0, 2.0, 2.0, -1.0]], mats)
     assert outcomes.flagged.tolist() == [[True, False, False, False, False, True]]
     assert outcomes.ratio.tolist() == [[0.0, 0.0, 0.0, 0.5, 0.5, 0.0]]
     assert len(calls) == 6  # trials 0, 1 and 5
-    # over (cells, trials): three cells with rhs <= 0 on trials 0, 1 and 5, and
-    # a cell whose every trial failed; each of those trials still takes one
+    # over (cells, trials): three cells with rhs <= 0 on trials 0, 1 and 5,
+    # sharing the stack's row of checks; each of those trials still takes one
     # operator norm per input, however many cells share it, and each row is
     # judged as on its own
     calls.clear()
-    nan = math.nan
-    rows = rows * 3 + [ParameterError("y")]
-    lhs = [[1.0] * 6, [0.0, 3.0, 1.0, 4.0, 1.0, 1e-13], [2e-12, 1.0, 0.0, 0.0, 3.0, 5.0], [nan] * 6]
+    lhs = [[1.0] * 6, [0.0, 3.0, 1.0, 4.0, 1.0, 1e-13], [2e-12, 1.0, 0.0, 0.0, 3.0, 5.0]]
     rhs = [[0.0, 0.0, 0.0, 2.0, 2.0, -1.0], [0.0, 0.0, 0.0, 2.0, 4.0, 0.0],
-           [0.0, -2.0, 1.0, 2.0, 0.5, 0.0], [nan] * 6]
-    outcomes = V.Outcomes.judged(rows, lhs, rhs, mats)
+           [0.0, -2.0, 1.0, 2.0, 0.5, 0.0]]
+    outcomes = V.Outcomes.judged(row, lhs, rhs, mats)
     assert len(calls) == 6
     assert outcomes.flagged.tolist() == [
         [True, False, False, False, False, True],
         [False, True, False, False, False, False],
         [False, False, False, False, False, True],  # 2e-12 is not above 2e-12
-        [False] * 6,
     ]
-    assert outcomes.ratio[:3].tolist() == [
+    assert outcomes.ratio.tolist() == [
         [0.0, 0.0, 0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 2.0, 0.25, 0.0],
         [0.0, 0.0, 0.0, 0.0, 6.0, 0.0],
     ]
-    assert outcomes.ok.tolist() == [[True, True, False, True, True, True]] * 3 + [[False] * 6]
-    assert str(outcomes.error((1, 2))) == "x" and str(outcomes.error((3, 0))) == "y"
-    for c in range(4):
-        one = V.Outcomes.judged(rows[c : c + 1], lhs[c : c + 1], rhs[c : c + 1], mats)
+    assert outcomes.ok.tolist() == [[True, True, False, True, True, True]] * 3
+    assert str(outcomes.error((1, 2))) == "x"
+    for c in range(3):
+        one = V.Outcomes.judged(row, lhs[c : c + 1], rhs[c : c + 1], mats)
         assert one.flagged.tolist() == outcomes.flagged[c : c + 1].tolist()
         assert one.ratio.tobytes() == outcomes.ratio[c : c + 1].tobytes()
 
@@ -593,9 +646,9 @@ def test_inverse_invalid_cells_and_partial_stack(monkeypatch):
     real = V.verify_inverse_stack
     sizes = []
 
-    def spy(f, cells, pairs, sem_cache, variant):
-        sizes.append((len(cells), len(pairs)))
-        return real(f, cells, pairs, sem_cache, variant)
+    def spy(f, entries, pairs):
+        sizes.append((len(entries), len(pairs)))
+        return real(f, entries, pairs)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_inverse_stack": spy}))
     report, _ = run_campaign(config)
@@ -608,9 +661,9 @@ def test_inverse_invalid_cells_and_partial_stack(monkeypatch):
         (2.0, "schatten:0.5"): 33,
         (2.0, "kyfan:2"): 0,
     }
-    # the six cells of the dim run stacked together, 33 = 32 + 1; the invalid
-    # ones fail in the kernel's parameter check
-    assert sizes == [(6, 32), (6, 1)]
+    # the one valid cell of the dim runs in stacks, 33 = 32 + 1; the invalid
+    # ones fail in their cell check, before any draw
+    assert sizes == [(1, 32), (1, 1)]
     monkeypatch.undo()
     assert _replay_failures(config) == [33, 33, 33, 33, 33, 0]
 
@@ -726,7 +779,7 @@ def test_inverse_stack_kernel_matches_per_matrix_math(function):
         + [np.stack([fixed_spectrum([-0.5, 0.0, 0.0, 0.5], rng)[0] for _ in range(2)])]
     )
     for theta, p, base in ((1.5, 1.0, Schatten(1)), (3.0, 0.5, KyFan(2)), (2.0, 2.0, Schatten(2))):
-        recs = _cell(V.verify_inverse_stack, f, theta, p, base, pairs, [""] * len(pairs), {}, None)
+        recs = _cell("inverse", f, theta, p, base, pairs, [""] * len(pairs))
         for (x, y), rec in zip(pairs, recs):
             lhs, rhs = _inverse_per_matrix(f, theta, p, base, x, y)
             assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex())
@@ -744,16 +797,16 @@ def test_inverse_stack_kernel_marks_failing_pairs():
     unbracketed = np.stack([herm([1.0, 2.0, 3.0]), herm([1.0, 2.0, 1e7])])
     flat = np.stack([1e17 * np.eye(3), herm([1.0, 2.0, 3.0])]).astype(complex)
     pairs = np.stack([good, not_herm, unbracketed, flat, good[::-1]])
-    recs = _cell(V.verify_inverse_stack, f, 2.0, 1.0, KyFan(2), pairs, list("abcde"), {}, None)
+    recs = _cell("inverse", f, 2.0, 1.0, KyFan(2), pairs, list("abcde"))
     failed = [isinstance(rec, DomainError) for rec in recs]
     assert failed == [False, True, True, True, False]
     for (x, y), rec, digest in zip(pairs, recs, "abcde"):
         if isinstance(rec, DomainError):
             with pytest.raises(DomainError) as err:
-                hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, y, {})
+                hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, y)
             assert str(err.value) == str(rec)
         else:
-            one = hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, y, {}, digest)
+            one = hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, y, digest)
             assert _bits(rec) == _bits(one)
 
 
@@ -855,9 +908,10 @@ def _entry(outcomes, c, i):
 
 @pytest.mark.parametrize("verifier", sorted(camp.VERIFIERS))
 def test_a_kernels_rows_are_its_one_cell_runs(verifier):
-    # a cell whose check raises, three theta on one (spec, p), another spec
-    # and a repeated cell, on a stack whose trial 1 is not Hermitian: each row
-    # of the stack's Outcomes (cells, trials) is the kernel run on that cell
+    # a cell whose check raises, and the entries of three theta on one (spec,
+    # p), another spec and a repeated cell, on a stack whose trial 1 is not
+    # Hermitian: each row of the stack's Outcomes (cells, trials) is the
+    # kernel run on that cell
     thetas = [1.5, 2.0, 3.0] if verifier in ("inverse", "reverse") else [0.25, 0.5, 0.75]
     good = [(theta, 1.0, KyFan(2)) for theta in thetas] + [(thetas[1], 0.5, Schatten(1))]
     bad, message = BAD_CELL[verifier]
@@ -871,15 +925,20 @@ def test_a_kernels_rows_are_its_one_cell_runs(verifier):
     function = "spower:0.5" if verifier == "inverse" else FUNCTION_OF.get(verifier)
     f = parse_function_spec(function) if function else None
     kernel = getattr(V, camp.VERIFIERS[verifier].kernel)
-    outcomes = kernel(f, cells, stack, {}, "power")
-    assert outcomes.ok.shape == outcomes.lhs.shape == (len(cells), len(stack))
-    assert not outcomes.ok[1].any() and outcomes.ok.any()
-    assert str(outcomes.error((1, 0))).startswith(message)
-    for c, cell in enumerate(cells):
-        one = kernel(f, [cell], stack, {}, "power")
+    check = V._check_of(kernel.__name__)
+    sem = V._seminorms(f)
+    with pytest.raises(HolderLabError) as err:
+        check(sem, *bad, "power")
+    assert str(err.value).startswith(message)
+    entries = [check(sem, *cell, "power") for cell in cells if cell != bad]
+    outcomes = kernel(f, entries, stack)
+    assert outcomes.ok.shape == outcomes.lhs.shape == (len(entries), len(stack))
+    assert outcomes.ok.any()
+    for c, entry in enumerate(entries):
+        one = kernel(f, [entry], stack)
         for i in range(len(stack)):
             assert _entry(outcomes, c, i) == _entry(one, 0, i)
-    for c, repeat in ((0, 2), (3, 6)):  # a repeated cell gives the same row
+    for c, repeat in ((0, 1), (2, 5)):  # a repeated cell gives the same row
         assert [_entry(outcomes, c, i) for i in range(5)] == [
             _entry(outcomes, repeat, i) for i in range(5)
         ]
@@ -888,13 +947,18 @@ def test_a_kernels_rows_are_its_one_cell_runs(verifier):
 def test_every_kernel_is_a_verify_stack_function():
     # perfbench's verify.calls counts verify.verify_* spans: each verifier's
     # kernel is called directly, with no adapter in between; a commutator is
-    # a quasi-commutator, and records are named outside the kernels
-    shared = ["f", "cells", "stack", "sem_cache", "variant"]
+    # a quasi-commutator, and records are named outside the kernels.  Each
+    # kernel's cell check stands beside it as a private function of verify,
+    # so no span counts it
+    shared = ["f", "entries", "stack"]
     for name, verifier in camp.VERIFIERS.items():
         kernel = getattr(V, verifier.kernel)
         owner = "quasicommutator" if name == "commutator" else name
         assert verifier.kernel == kernel.__name__ == f"verify_{owner}_stack"
         assert inspect.isfunction(kernel) and kernel.__module__ == V.__name__
+        check = V._check_of(verifier.kernel)
+        assert inspect.isfunction(check) and check.__module__ == V.__name__
+        assert check is getattr(V, f"_check_{owner}")
         params = inspect.signature(kernel).parameters.values()
         assert [q.name for q in params] == shared
         assert all(q.default is q.empty and q.kind is q.POSITIONAL_OR_KEYWORD for q in params)
@@ -907,13 +971,10 @@ def test_reconstruction_is_checked_before_the_spectrum(monkeypatch):
     monkeypatch.setattr(V, "eigh_stack", lambda h: real(h, tol=-1.0))
     x, y = np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex)
     for outcome in (
+        _cell("bks", None, 0.5, None, Schatten(1), np.stack([x, y])[None], ["a"])[0],
         _cell(
-            V.verify_bks_stack, None, 0.5, None, Schatten(1), np.stack([x, y])[None], ["a"], None,
-            None,
-        )[0],
-        _cell(
-            V.verify_inverse_stack, parse_function_spec("gauss"), 2.0, 1.0, Schatten(1),
-            np.stack([y, x])[None], ["a"], {}, None,
+            "inverse", parse_function_spec("gauss"), 2.0, 1.0, Schatten(1),
+            np.stack([y, x])[None], ["a"],
         )[0],
     ):
         assert isinstance(outcome, EigensolverError)
@@ -1045,7 +1106,8 @@ PAIR_ERRORS = [R, NOT_HERMITIAN, NOT_HERMITIAN, NOT_RECONSTRUCTED, NOT_RECONSTRU
                UNDEFINED, NOT_HERMITIAN, NOT_HERMITIAN, NOT_RECONSTRUCTED, UNDEFINED, R]
 EXPECTED_ERRORS = {
     "main": PAIR_ERRORS,
-    "main:seminorm": [NO_SEMINORM, NOT_HERMITIAN, NO_SEMINORM],
+    # the cell check comes before every check of the inputs
+    "main:seminorm": [NO_SEMINORM] * 3,
     "submaj": PAIR_ERRORS,
     "symmetric": PAIR_ERRORS,
     "reverse:power": [R, NOT_HERMITIAN, NOT_HERMITIAN, NOT_RECONSTRUCTED, NOT_RECONSTRUCTED,
@@ -1068,12 +1130,12 @@ EXPECTED_ERRORS = {
 def test_kernel_error_order_is_that_of_stacks_of_one(case, monkeypatch):
     _marked_reconstruction(monkeypatch)
     f, theta, p, spec, variant, trials = _error_order_cases()[case]
-    kernel = getattr(V, camp.VERIFIERS[case.split(":")[0]].kernel)
+    verifier = case.split(":")[0]
     stack = np.stack([np.stack(t) for t in trials])
     digests = [f"d{i}" for i in range(len(trials))]
-    outcomes = _cell(kernel, f, theta, p, spec, stack, digests, {}, variant)
+    outcomes = _cell(verifier, f, theta, p, spec, stack, digests, variant)
     for i, (outcome, expected) in enumerate(zip(outcomes, EXPECTED_ERRORS[case], strict=True)):
-        (one,) = _cell(kernel, f, theta, p, spec, stack[i : i + 1], digests[i : i + 1], {}, variant)
+        (one,) = _cell(verifier, f, theta, p, spec, stack[i : i + 1], digests[i : i + 1], variant)
         assert _outcome(outcome) == _outcome(one)
         assert (R if isinstance(one, V.VerificationRecord) else _outcome(one)) == expected
 
@@ -1148,9 +1210,7 @@ def _inverse_checks(f, x, y):
 )
 def test_bks_stack_outcomes_are_those_of_stacks_of_one(pairs, theta, spec):
     _same_as_stacks_of_one(
-        lambda stack, digests: _cell(
-            V.verify_bks_stack, None, theta, None, spec, stack, digests, None, None
-        ),
+        lambda stack, digests: _cell("bks", None, theta, None, spec, stack, digests),
         pairs,
         _bks_checks,
     )
@@ -1165,11 +1225,8 @@ def test_bks_stack_outcomes_are_those_of_stacks_of_one(pairs, theta, spec):
 )
 def test_inverse_stack_outcomes_are_those_of_stacks_of_one(pairs, function, theta, base):
     f = parse_function_spec(function)
-    sem_cache = {}
     _same_as_stacks_of_one(
-        lambda stack, digests: _cell(
-            V.verify_inverse_stack, f, theta, 1.0, base, stack, digests, sem_cache, None
-        ),
+        lambda stack, digests: _cell("inverse", f, theta, 1.0, base, stack, digests),
         pairs,
         lambda x, y: _inverse_checks(f, x, y),
     )
@@ -1191,17 +1248,20 @@ def _neighbour_config(verifier, thetas, ps, norms, dims):
 
 
 def _campaign_outcomes(config):
-    """Per cell, each trial's outcome as the campaign evaluates it (the cells
-    of a dim together), with a digest that leaves out the cell index."""
+    """Per cell, each trial's outcome as the campaign evaluates it (the valid
+    cells of a dim together, each other cell failing every trial with its
+    check's error), with a digest that leaves out the cell index."""
     f = parse_function_spec(config.function) if config.function else None
     grid = config.cells()
-    kernel_cells = camp._kernel_cells(config)
+    entries = camp._entries(config, f, camp._kernel_cells(config))
     name = camp._record_name(config)
     out = {}
+    for i, entry in enumerate(entries):
+        if isinstance(entry, HolderLabError):
+            out[grid[i]] = [_outcome(entry)] * config.trials
     for dim in dict.fromkeys(cell[3] for cell in grid):
-        idxs = [i for i, cell in enumerate(grid) if cell[3] == dim]
-        cells = [kernel_cells[i] for i in idxs]
-        for trials, _, _, outcomes in camp._stacks(config, dim, cells, f, {}):
+        idxs = [i for i, cell in enumerate(grid) if cell[3] == dim and grid[i] not in out]
+        for trials, _, _, outcomes in camp._stacks(config, dim, [entries[i] for i in idxs], f):
             for c, i in enumerate(idxs):
                 for j, trial in enumerate(trials):
                     digest = f"{config.seed}:{trial}:dim{dim}"
@@ -1606,7 +1666,7 @@ def test_submaj_constant_is_unchanged_by_the_common_scale():
     x, y = np.diag([3.0, 1.0, 0.5]), np.diag([1.0, 2.0, 0.25])
     f = parse_function_spec("power:0.5")
     for p in (0.5, 1.0, 2.0):
-        _, rec = hl.verify_submajorization(f, 0.5, p, x, y, {})
+        _, rec = hl.verify_submajorization(f, 0.5, p, x, y)
         sv = [hermitian_sv(m) for m in (np.sqrt(x) - np.sqrt(y), x - y)]
         sem = seminorm(f, d_of_p(p), 0.5).value
         want = least_domination_constant((sem * sv[1] ** 0.5) ** p, sv[0] ** p)

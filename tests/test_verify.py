@@ -13,8 +13,8 @@ from conftest import hermitian_sv
 
 def test_record_conventions():
     # inputs of norm 0 at dim 2: the flagging tolerance is 2e-12
-    rows = [(np.ones(2, dtype=bool), None)]
-    outcomes = V.Outcomes.judged(rows, [[0.0, 1.0]], [[0.0, 0.0]], np.zeros((2, 2, 2, 2)))
+    row = (np.ones(2, dtype=bool), None)
+    outcomes = V.Outcomes.judged(row, [[0.0, 1.0]], [[0.0, 0.0]], np.zeros((2, 2, 2, 2)))
     rec = outcomes.record(0, 0, "x")
     assert rec.ratio == 0.0 and not rec.flagged
     rec2 = outcomes.record(0, 1, "x")
@@ -23,12 +23,11 @@ def test_record_conventions():
 
 def test_verify_main_trivial_and_powers_stormer_instance():
     f = F.power(0.5)
-    cache = {}
     a = gaussian_hermitian(4, np.random.default_rng(0))
-    same = hl.verify_main(f, 0.5, 1.0, a, a, cache)
+    same = hl.verify_main(f, 0.5, 1.0, a, a)
     assert same.ratio == 0.0
-    ps = hl.verify_main(f, 0.5, 2.0, np.diag([1.0, 0.0]), np.zeros((2, 2)), cache)
-    sem = cache[("power:0.5", 4, 0.5)]
+    ps = hl.verify_main(f, 0.5, 2.0, np.diag([1.0, 0.0]), np.zeros((2, 2)))
+    sem = F.seminorm(f, 4, 0.5).value
     assert ps.lhs == pytest.approx(1.0, abs=1e-14)
     assert ps.rhs == pytest.approx(sem, rel=1e-14)
     assert ps.ratio * sem == pytest.approx(1.0, rel=1e-12)
@@ -36,18 +35,17 @@ def test_verify_main_trivial_and_powers_stormer_instance():
 
 def test_verify_main_scale_invariance():
     f = F.power(0.5)
-    cache = {}
     rng = np.random.default_rng(1)
     a, b = gaussian_hermitian(5, rng), gaussian_hermitian(5, rng)
-    r0 = hl.verify_main(f, 0.5, 1.0, a, b, cache).ratio
+    r0 = hl.verify_main(f, 0.5, 1.0, a, b).ratio
     for r in (0.125, 8.0, 31.7):
-        rr = hl.verify_main(f, 0.5, 1.0, r * a, r * b, cache).ratio
+        rr = hl.verify_main(f, 0.5, 1.0, r * a, r * b).ratio
         assert abs(rr - r0) <= 1e-10
 
 
 def test_verify_main_capability_errors():
     with pytest.raises(CapabilityError):
-        hl.verify_main(F.signed_expm1(), 0.5, 1.0, np.eye(2), np.zeros((2, 2)), {})
+        hl.verify_main(F.signed_expm1(), 0.5, 1.0, np.eye(2), np.zeros((2, 2)))
 
 
 def _main_reference(f, theta, p, a, b):
@@ -57,8 +55,8 @@ def _main_reference(f, theta, p, a, b):
     fa, fb = hl.apply_function(f, am), hl.apply_function(f, bm)
     lhs = hl.norm_of_profile(hermitian_sv(fa - fb), Schatten(p))
     rhs = sem * hl.norm_of_profile(hermitian_sv(am - bm) ** theta, Schatten(p))
-    rows = [(np.ones(1, dtype=bool), None)]
-    outcomes = V.Outcomes.judged(rows, [[lhs]], [[rhs]], np.stack([am, bm])[None])
+    row = (np.ones(1, dtype=bool), None)
+    outcomes = V.Outcomes.judged(row, [[lhs]], [[rhs]], np.stack([am, bm])[None])
     return outcomes.record(0, 0, "main", "d")
 
 
@@ -69,13 +67,12 @@ def _bits(rec):
 @pytest.mark.parametrize("spec", ["power:0.5", "log1p", "spower:0.5"])
 def test_verify_main_is_symmetric_on_trace_class(spec):
     f = F.parse_function_spec(spec)
-    cache = {}
     rng = np.random.default_rng(8)
     for dim in (1, 3, 8):
         x, y = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
         for p in (0.5, 1.0, 2.0):
             for theta in (0.25, 0.5, 0.75):
-                got = hl.verify_main(f, theta, p, x, y, cache, "d")
+                got = hl.verify_main(f, theta, p, x, y, "d")
                 assert _bits(got) == _bits(_main_reference(f, theta, p, x, y))
 
 
@@ -95,6 +92,23 @@ def test_seminorm_verifiers_refuse_infinite_seminorms(call):
     x, y = np.diag([0.5, -1.0, 2.0]), np.diag([1.0, 0.25, -0.5])
     with pytest.raises(CapabilityError, match="seminorm is infinite"):
         call(F.signed_expm1(), x, y)
+
+
+def test_a_cell_check_comes_before_the_checks_of_the_inputs():
+    # a cell that fails its check fails with that error, whatever the
+    # inputs: a non-Hermitian input with an infinite seminorm, or one with a
+    # seminorm of an order f lacks, raises the seminorm's CapabilityError,
+    # and inputs of different shapes with theta out of range raise the
+    # ParameterError of theta
+    x, not_hermitian = np.diag([0.5, -1.0]), np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(CapabilityError, match="sexpm1: seminorm is infinite"):
+        hl.verify_main(F.signed_expm1(), 0.5, 1.0, x, not_hermitian)
+    with pytest.raises(CapabilityError, match="seminorm order 7 exceeds max_order 6"):
+        hl.verify_symmetric(F.power(0.5), 0.5, 0.25, KyFan(2), not_hermitian, x)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        hl.verify_main(F.power(0.5), 0.5, 1.0, x, not_hermitian)
+    with pytest.raises(ParameterError, match="theta must lie in"):
+        hl.verify_bks(1.5, Schatten(1), np.eye(2), np.eye(3))
 
 
 def test_verify_bks_examples():
@@ -119,14 +133,13 @@ def test_verify_bks_small_campaign():
 
 def test_verify_submajorization():
     f = F.power(0.5)
-    cache = {}
     x = np.diag([1.0, 2.0, 0.3])
-    rep, rec = hl.verify_submajorization(f, 0.5, 1.0, x, x, cache)
+    rep, rec = hl.verify_submajorization(f, 0.5, 1.0, x, x)
     assert rec.holds_with_constant == 0.0
     # commuting positive diagonals: scalar Holder gives constant <= 1 once the
     # seminorm (exactly 1 for the matched power) is factored in
     y = np.diag([0.5, 1.1, 0.8])
-    rep2, rec2 = hl.verify_submajorization(f, 0.5, 1.0, x, y, cache)
+    rep2, rec2 = hl.verify_submajorization(f, 0.5, 1.0, x, y)
     assert rep2.holds
     assert rec2.holds_with_constant <= 1.0 + 1e-10
     assert rec2.ratio == pytest.approx(rec2.holds_with_constant)
@@ -134,14 +147,13 @@ def test_verify_submajorization():
 
 def test_verify_submajorization_stable_across_dims():
     f = F.power(0.5)
-    cache = {}
     consts = []
     for dim in (4, 8, 12):
         worst = 0.0
         for i in range(50):
             rng = SeedState(3, (dim, i)).rng()
             x, y = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
-            _, rec = hl.verify_submajorization(f, 0.5, 1.0, x, y, cache)
+            _, rec = hl.verify_submajorization(f, 0.5, 1.0, x, y)
             worst = max(worst, rec.holds_with_constant)
         consts.append(worst)
     assert all(np.isfinite(consts))
@@ -150,15 +162,14 @@ def test_verify_submajorization_stable_across_dims():
 
 def test_verify_symmetric_reductions():
     f = F.log1p_abs()
-    cache = {}
     rng = np.random.default_rng(4)
     x, y = gaussian_hermitian(5, rng), gaussian_hermitian(5, rng)
     for q in (0.5, 1.0, 2.0):
-        a = hl.verify_symmetric(f, 0.5, q, KyFan(5), x, y, cache)
-        b = hl.verify_main(f, 0.5, q, x, y, cache)
+        a = hl.verify_symmetric(f, 0.5, q, KyFan(5), x, y)
+        b = hl.verify_main(f, 0.5, q, x, y)
         assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
         assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
-    op_case = hl.verify_symmetric(f, 0.5, 1.0, KyFan(1), x, y, cache)
+    op_case = hl.verify_symmetric(f, 0.5, 1.0, KyFan(1), x, y)
     want = hl.op_norm(hl.apply_function(f, x) - hl.apply_function(f, y))
     assert op_case.lhs == pytest.approx(want, rel=1e-10)
 
@@ -166,22 +177,21 @@ def test_verify_symmetric_reductions():
 def test_verify_inverse_matches_reverse_power():
     theta = 2.0
     f = F.signed_power(1.0 / theta)  # seminorm exactly 1 at its own exponent
-    cache = {}
     rng = np.random.default_rng(5)
     x, y = gaussian_hermitian(4, rng), gaussian_hermitian(4, rng)
-    inv = hl.verify_inverse(f, theta, 1.0, KyFan(4), x, y, cache)
+    inv = hl.verify_inverse(f, theta, 1.0, KyFan(4), x, y)
     rev = hl.verify_reverse_power(theta, 1.0, KyFan(4), x, y, "power")
-    sem = cache[("spower:0.5", 4, 0.5)]
+    sem = F.seminorm(f, 4, 0.5).value
     assert inv.ratio == pytest.approx(sem**theta * rev.ratio, rel=1e-7)
 
 
 def test_verify_inverse_trivial_and_monotonicity_guard():
     f = F.signed_power(0.5)
     x = np.diag([1.0, -2.0])
-    rec = hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, x, {})
+    rec = hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, x)
     assert rec.ratio == 0.0
     with pytest.raises(DomainError):
-        hl.verify_inverse(F.gauss_bump(), 2.0, 1.0, KyFan(2), 3.0 * x, 2.0 * x, {})
+        hl.verify_inverse(F.gauss_bump(), 2.0, 1.0, KyFan(2), 3.0 * x, 2.0 * x)
 
 
 def test_reverse_power_scalar_cases():
@@ -204,12 +214,11 @@ def test_verify_inverse_commuting_diagonal_scalar_oracle():
     # diagonal matrices in a shared basis reduce every side to scalar vectors
     theta = 2.0
     f = F.signed_power(1.0 / theta)
-    cache = {}
     rng = np.random.default_rng(50)
     xs = rng.uniform(-2, 2, 4)
     ys = rng.uniform(-2, 2, 4)
-    rec = hl.verify_inverse(f, theta, 1.0, KyFan(4), np.diag(xs), np.diag(ys), cache)
-    sem = cache[("spower:0.5", 4, 0.5)]
+    rec = hl.verify_inverse(f, theta, 1.0, KyFan(4), np.diag(xs), np.diag(ys))
+    sem = F.seminorm(f, 4, 0.5).value
     finv = lambda v: np.sign(v) * np.abs(v) ** theta
     want_lhs = sem**theta * np.sum(np.abs(finv(xs) - finv(ys)))
     want_rhs = np.sum(np.abs(xs - ys) ** theta)
@@ -226,18 +235,17 @@ def test_reverse_power_expm1_variant():
 
 def test_verify_commutator():
     f = F.power(0.5)
-    cache = {}
     rng = np.random.default_rng(8)
     # commuting pair: lhs vanishes
     u = hl.haar_unitary(4, rng)
     x = (u * np.array([0.1, 0.7, 1.3, 2.0])) @ u.conj().T
     b = (u * np.array([1.0, 2.0, 3.0, 4.0])) @ u.conj().T
-    rec = hl.verify_commutator(f, 0.5, 1.0, KyFan(4), x, b, cache)
+    rec = hl.verify_commutator(f, 0.5, 1.0, KyFan(4), x, b)
     assert rec.lhs <= 1e-10
     # scale covariance in B
     x2, b2 = gaussian_hermitian(4, rng), ginibre(4, rng)
-    r1 = hl.verify_commutator(f, 0.5, 1.0, KyFan(4), x2, b2, cache).ratio
-    r2 = hl.verify_commutator(f, 0.5, 1.0, KyFan(4), x2, 5.5 * b2, cache).ratio
+    r1 = hl.verify_commutator(f, 0.5, 1.0, KyFan(4), x2, b2).ratio
+    r2 = hl.verify_commutator(f, 0.5, 1.0, KyFan(4), x2, 5.5 * b2).ratio
     assert abs(r1 - r2) <= 1e-10
 
 
@@ -252,17 +260,16 @@ def test_cayley_identity_residual():
 
 def test_quasi_commutator_reductions():
     f = F.log1p_abs()
-    cache = {}
     rng = np.random.default_rng(10)
     a, b = gaussian_hermitian(4, rng), gaussian_hermitian(4, rng)
     ident = np.eye(4)
-    quasi = hl.verify_quasi_commutator(f, 0.5, 1.0, KyFan(4), a, b, ident, cache)
-    sym = hl.verify_symmetric(f, 0.5, 1.0, KyFan(4), a, b, cache)
+    quasi = hl.verify_quasi_commutator(f, 0.5, 1.0, KyFan(4), a, b, ident)
+    sym = hl.verify_symmetric(f, 0.5, 1.0, KyFan(4), a, b)
     assert quasi.lhs == pytest.approx(sym.lhs, rel=1e-12)
     assert quasi.rhs == pytest.approx(sym.rhs, rel=1e-12)
     r = ginibre(4, rng)
-    quasi2 = hl.verify_quasi_commutator(f, 0.5, 1.0, KyFan(4), a, a, r, cache)
-    comm = hl.verify_commutator(f, 0.5, 1.0, KyFan(4), a, r, cache)
+    quasi2 = hl.verify_quasi_commutator(f, 0.5, 1.0, KyFan(4), a, a, r)
+    comm = hl.verify_commutator(f, 0.5, 1.0, KyFan(4), a, r)
     assert quasi2.lhs == pytest.approx(comm.lhs, rel=1e-12)
     assert quasi2.rhs == pytest.approx(comm.rhs, rel=1e-12)
 

@@ -1,5 +1,5 @@
-"""Write the golden set: the deterministic outputs of 145 campaign configs,
-13 ``holderlab verify`` calls and 27 other CLI calls, and print one sha256
+"""Write the golden set: the deterministic outputs of 146 campaign configs,
+23 ``holderlab verify`` calls and 27 other CLI calls, and print one sha256
 over all of them.
 
     python3 tools/golden.py OUT_DIR
@@ -33,7 +33,10 @@ verifiers on every ensemble each draws from, edge spectra, invalid cells,
 stack boundaries); the three perfbench campaign workloads at seeds 1-3; 12
 configs whose p-th powers overflow and an absmap config whose ratios are
 partly NaN; main, submaj, alt and telescope grids with refinement; a cell
-with no ratio; and refine_steps 5 and 6.
+with no ratio; a config with no valid cell; and refine_steps 5 and 6.  The
+verify calls run every verifier once, and once per kind of cell check that
+fails: theta out of range, a norm that is not fully symmetric, p out of
+range, a seminorm of an order f lacks, and an infinite seminorm.
 """
 
 from __future__ import annotations
@@ -165,12 +168,30 @@ def campaigns() -> dict:
         "verifier": "bks", "thetas": [0.5], "ps": [1.0], "norms": ["schatten:1"], "dims": [2],
         "trials": 4, "seed": 7, "ensemble": {"name": "fixed_pair", "eigenvalues": [0.0, 0.0]},
     }
+    out["no-valid-cell"] = {
+        "verifier": "bks", "thetas": [1.5], "ps": [1.0], "norms": ["schatten:1", "kyfan:2"],
+        "dims": [3, 8], "trials": 20, "seed": 7,
+    }
     for steps in (5, 6):
         out[f"refine-{steps}"] = {
             "verifier": "bks", "thetas": [0.5], "ps": [1.0], "norms": ["schatten:1", "kyfan:2"],
             "dims": [3, 8], "trials": 20, "seed": 9, "refine_steps": steps,
         }
     return out
+
+
+CELL_CHECKS = {
+    "bks-theta": ["bks", "--theta", "1.5"],
+    "bks-norm": ["bks", "--norm", "schatten:0.5"],
+    "reverse-theta": ["reverse", "--theta", "0.5"],
+    "inverse-theta": ["inverse", "--f", "spower:0.5", "--theta", "0.5"],
+    "alt-theta": ["alt", "--theta", "1.5"],
+    "telescope-p": ["telescope", "--f", "power:0.5", "--p", "2"],
+    "main-order": ["main", "--f", "power:0.5", "--p", "0.25"],
+    "main-infinite": ["main", "--f", "sexpm1"],
+    "commutator-infinite": ["commutator", "--f", "sexpm1"],
+    "absmap-norm": ["absmap", "--norm", "weak:1"],
+}
 
 
 def verify_calls() -> dict:
@@ -188,6 +209,10 @@ def verify_calls() -> dict:
         "verify", "--ineq", "symmetric", "--f", "power:0.5", "--p", "400", "--dim", "4",
         "--trials", "5", "--seed", "1", "--spectrum", "1e7,2e7,5e7,1e8",
     ]
+    # one call per kind of cell check that fails, each failing all 20 trials
+    for name, args in CELL_CHECKS.items():
+        calls[f"cell-{name}"] = ["verify", "--ineq", *args, "--dim", "6", "--trials", "20",
+                                 "--seed", "7"]
     return calls
 
 
