@@ -39,6 +39,7 @@ from .norms import (
 )
 from .spectral import (
     ZERO_TOL_COEFF,
+    SpectralDecomposition,
     abs_matrix,
     apply_function,
     apply_stack,
@@ -189,23 +190,53 @@ def _one(kernel, f, theta, p, spec, mats, variant=None) -> Outcomes:
 # every cell.  numpy.linalg.LinAlgError propagates.  The work that does not
 # depend on the cell (checks, eigendecompositions, images, SVDs) runs once per
 # stack, and each norm once over the profiles of every theta (_norm_rows).  A
-# check of the inputs is a pair (ok mask (T, k), function from an index
-# (trial, input) to the error); a row is a pair (ok mask (T,), function from a
-# trial to the error).
+# kernel that decomposes its inputs takes the checks, the decomposition and
+# the images from the one _front.  A check of the inputs is a pair (ok mask
+# (T, k), function from an index (trial, input) to the error); a row is a
+# pair (ok mask (T,), function from a trial to the error).
 
 
-def _first_failures(size, *groups):
-    """The row of the first failed check of each of ``size`` trials.  The
-    groups of checks run in turn; within a group, input 0 takes every check,
-    then input 1, and so on."""
-    failed = [None] * size
-    for group in groups:
-        for j in range(group[0][0].shape[1]):
-            for ok, error in group:
+def _front(stack, apply=None, layout=(1, 2), chain=None):
+    """The front of every kernel that decomposes its inputs, on a stack (T,
+    k, n, n): returns the matrices m it decomposes (the symmetrized inputs h,
+    or ``chain(h)``), their decomposition and reconstruction, the images of
+    ``apply`` (dec -> (images or None, check)), and the row of checks.
+
+    The checks, in turn: every input Hermitian, per matrix its
+    reconstruction, apply's check.  ``layout`` groups them in that order:
+    the groups run in turn, and within a group input 0 takes every check,
+    then input 1, and so on.  (1, 2) takes the Hermitian checks, then per
+    matrix the other two."""
+    h, *hermitian = hermitian_stack(stack)
+    m = h if chain is None else chain(h)
+    dec, recon, *reconstructed = eigh_stack(m)
+    checks, images = [hermitian, reconstructed], None
+    if apply is not None:
+        images, *applied = apply(dec)
+        checks.append(applied)
+    failed = [None] * len(h)
+    for end, size in zip(np.cumsum(layout), layout):
+        for j in range(m.shape[1]):
+            for ok, error in checks[end - size : end]:
                 for i in np.flatnonzero(~ok[:, j]):
                     if failed[i] is None:
                         failed[i] = error((i, j))
-    return np.array([e is None for e in failed]), failed.__getitem__
+    row = np.array([e is None for e in failed]), failed.__getitem__
+    return m, dec, recon, images, row
+
+
+def _positive(ok_of, names, verb):
+    """The apply of _front that checks every decomposed matrix positive
+    semidefinite by ``ok_of`` (eigenvalues (T, k, n) -> ok mask (T, k)); its
+    error names input j ``names[j]``."""
+
+    def check(dec):
+        lam = dec.eigenvalues
+        return None, ok_of(lam), lambda idx: DomainError(
+            f"{names[idx[1]]} {verb} positive semidefinite (min eigenvalue {lam[idx].min():.3e})"
+        )
+
+    return check
 
 
 def _norm_rows(pairs, *profiles) -> list:
@@ -239,17 +270,6 @@ def _hermitian_profiles(*mats) -> np.ndarray:
     if not np.isfinite(w).all():
         raise np.linalg.LinAlgError("eigvalsh of a non-finite matrix")
     return -np.sort(-w, axis=-1)
-
-
-def _seminorm_front(f, mats, profiles):
-    """The shared front of the seminorm estimates on a stack (T, k, n, n) of
-    Hermitian inputs: the symmetrized inputs h, the profiles ``profiles(h,
-    images of h under f)``, and the row of checks: each input Hermitian, then
-    per input its reconstruction and f finite on its spectrum."""
-    h, *hermitian = hermitian_stack(mats)
-    dec, _, *reconstructed = eigh_stack(h)
-    fh, *defined = apply_stack(f, dec)
-    return h, profiles(h, fh), _first_failures(len(h), [hermitian], [reconstructed, defined])
 
 
 def _scaled_sides(entries, sv) -> tuple:
@@ -299,17 +319,8 @@ def verify_bks_stack(f, entries, stack) -> Outcomes:
     Hermitian, X reconstruction, X positive, then the same for Y.  One
     eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
     X^theta - Y^theta and one |X - Y|^theta every cell of that theta."""
-    h, *hermitian = hermitian_stack(stack)
-    dec, recon, *reconstructed = eigh_stack(h)
+    h, dec, recon, _, row = _front(stack, _positive(psd_stack, "XY", "must be"), (3,))
     lam = dec.eigenvalues
-    positive = (
-        psd_stack(lam),
-        lambda idx: DomainError(
-            f"{'XY'[idx[1]]} must be positive semidefinite (min eigenvalue "
-            f"{lam[idx].min():.3e})"
-        ),
-    )
-    row = _first_failures(len(h), [hermitian, reconstructed, positive])
     difference = _hermitian_profiles(recon[:, 0] - recon[:, 1])[:, 0]
 
     def powered_profiles(theta):
@@ -335,13 +346,15 @@ def _check_submaj(sem, theta, p, spec, variant):
 
 def verify_submaj_stack(f, entries, stack) -> Outcomes:
     """verify_submajorization over a stack (T, 2, n, n) of (X, Y), with the
-    checks of _seminorm_front.  The profiles compared are upper = (seminorm
+    checks X Hermitian, Y Hermitian, then per matrix its reconstruction and f
+    finite on its spectrum.  The profiles compared are upper = (seminorm
     * mu(|X-Y|^theta) / s)^p and lower = (mu(f(X) - f(Y)) / s)^p, s the
     larger of the two bases' first entries (norms._unit), so that no
     power overflows.  A trial's constant is the least c making the
     domination hold, and its lhs and rhs are the partial sums of lower and
     upper where their ratio peaks (the totals when c is 0 or infinite)."""
-    h, sv, row = _seminorm_front(f, stack, _difference_profiles)
+    h, _, _, fh, row = _front(stack, functools.partial(apply_stack, f))
+    sv = _difference_profiles(h, fh)
     profiles = np.empty((2, len(entries), *h.shape[::2]))
     for c, (p, theta, sem) in enumerate(entries):
         bases = np.stack([sem * sv[:, 1] ** theta, sv[:, 0]])
@@ -373,8 +386,9 @@ def _check_symmetric(sem, theta, p, spec, variant):
 
 def verify_symmetric_stack(f, entries, stack) -> Outcomes:
     """verify_symmetric over a stack (T, 2, n, n) of (X, Y), with the checks
-    of _seminorm_front; one SVD of f(X) - f(Y) and X - Y serves every cell."""
-    h, sv, row = _seminorm_front(f, stack, _difference_profiles)
+    of verify_submaj_stack; one SVD of f(X) - f(Y) and X - Y serves every cell."""
+    h, _, _, fh, row = _front(stack, functools.partial(apply_stack, f))
+    sv = _difference_profiles(h, fh)
     lhs, rhs, sems = _scaled_sides(entries, sv)
     return Outcomes.judged(row, lhs, sems * rhs, h)
 
@@ -453,20 +467,18 @@ def _monotone_sign(f: ScalarFunction, lam):
     return np.where(flat, 0.0, sign)
 
 
-def inverse_apply(f: ScalarFunction, h):
-    """f^{-1}(M) for a stack (..., n, n) of exactly Hermitian M, with f
-    strictly monotone around each spectrum: the scalar inverse is evaluated
-    by one lockstep bisection over every eigenvalue of the stack.
+def inverse_apply(f: ScalarFunction, dec: SpectralDecomposition):
+    """f^{-1}(M) for a stack (..., n, n) of decompositions of Hermitian M,
+    with f strictly monotone around each spectrum: the scalar inverse is
+    evaluated by one lockstep bisection over every eigenvalue of the stack.
 
     Returns the stack of f^{-1}(M), the per-matrix ok mask, and a function
     that maps the index of a matrix that is not ok to the error of its first
-    failed check: reconstruction, f strictly monotone on the probe, every
-    eigenvalue bracketed.
-    ``numpy.linalg.LinAlgError`` from the eigensolver propagates."""
-    dec, _, recon_ok, recon_error = eigh_stack(h)
+    failed check: f strictly monotone on the probe, every eigenvalue
+    bracketed."""
     lam = dec.eigenvalues
     sign = _monotone_sign(f, lam)
-    ok = recon_ok & (sign != 0.0)
+    ok = sign != 0.0
     signs = np.broadcast_to(sign[..., None], lam.shape)
     todo = np.broadcast_to(ok[..., None], lam.shape)
     vals = np.zeros(lam.shape)
@@ -475,8 +487,6 @@ def inverse_apply(f: ScalarFunction, h):
     found[todo] = bracketed
 
     def error(idx):
-        if not recon_ok[idx]:
-            return recon_error(idx)
         if sign[idx] == 0.0:
             return DomainError(f"{f.name} is not strictly monotone on the sampled range")
         return DomainError(f"{f.name}: could not bracket inverse at {lam[idx][~found[idx]][0]}")
@@ -495,11 +505,9 @@ def _check_inverse(sem, theta, p, spec, variant):
 
 def verify_inverse_stack(f, entries, stack) -> Outcomes:
     """verify_inverse over a stack (T, 2, n, n) of (X, Y), with the checks X
-    Hermitian, Y Hermitian, then inverse_apply's checks on X, then on Y.
-    One inverse_apply and one SVD serve every cell."""
-    h, *hermitian = hermitian_stack(stack)
-    inv, *invertible = inverse_apply(f, h)
-    row = _first_failures(len(h), [hermitian], [invertible])
+    Hermitian, Y Hermitian, then per matrix its reconstruction and
+    inverse_apply's checks.  One inverse_apply and one SVD serve every cell."""
+    h, _, _, inv, row = _front(stack, functools.partial(inverse_apply, f))
     sv = _hermitian_profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
     lhs, rhs, factors = _scaled_sides(entries, sv)
     return Outcomes.judged(row, factors * lhs, rhs, h)
@@ -535,14 +543,10 @@ def verify_reverse_stack(f, entries, stack) -> Outcomes:
     if some entry is of variant "expm1", g finite on its spectrum.  One
     eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
     g(X) - g(Y) every cell (for "expm1") or every cell of that theta."""
-    h, *hermitian = hermitian_stack(stack)
-    dec, _, *reconstructed = eigh_stack(h)
+    expm1 = any(variant == "expm1" for _, _, variant in entries)
+    apply = functools.partial(apply_stack, signed_expm1()) if expm1 else None
+    h, dec, _, image, row = _front(stack, apply)
     lam = dec.eigenvalues
-    checks = [reconstructed]
-    if any(variant == "expm1" for _, _, variant in entries):
-        image, *defined = apply_stack(signed_expm1(), dec)
-        checks.append(defined)
-    row = _first_failures(len(h), [hermitian], checks)
     difference = _hermitian_profiles(h[:, 0] - h[:, 1])[:, 0]
 
     def mapped_profiles(theta):
@@ -583,15 +587,12 @@ _check_quasicommutator = _check_symmetric
 
 def verify_quasicommutator_stack(f, entries, stack) -> Outcomes:
     """verify_quasi_commutator over a stack (T, 3, n, n) of (A, B, R), or
-    (T, 2, n, n) of (A, R) with B = A; with the checks of _seminorm_front on
-    the Hermitian inputs.  One SVD of f(A)R - Rf(B), AR - RB and R serves
+    (T, 2, n, n) of (A, R) with B = A; with the checks of verify_submaj_stack
+    on the Hermitian inputs.  One SVD of f(A)R - Rf(B), AR - RB and R serves
     every cell."""
     r = stack[:, -1]
-
-    def profiles(h, fh):
-        return _profiles(fh[:, 0] @ r - r @ fh[:, -1], h[:, 0] @ r - r @ h[:, -1], r)
-
-    h, sv, row = _seminorm_front(f, stack[:, :-1], profiles)
+    h, _, _, fh, row = _front(stack[:, :-1], functools.partial(apply_stack, f))
+    sv = _profiles(fh[:, 0] @ r - r @ fh[:, -1], h[:, 0] @ r - r @ h[:, -1], r)
     mats = np.concatenate([h, stack[:, -1:]], axis=1)
     weights = np.array([sv[:, 2, 0] ** (1.0 - theta) for _, theta, _ in entries])
     lhs, rhs, sems = _scaled_sides(entries, sv)
@@ -641,6 +642,13 @@ def _check_alt(sem, theta, p, spec, variant):
     return theta, p
 
 
+def _nonnegative(lam):
+    """Per pair of spectra (T, 2, n), the ok mask (T, 2) of each spectrum's
+    least eigenvalue lying above minus the zero tolerance of both."""
+    zero_tol = ZERO_TOL_COEFF * (1.0 + np.abs(lam).max(axis=(-2, -1), initial=0.0))
+    return ~(lam.min(axis=-1, initial=0.0) < -zero_tol[:, None])
+
+
 def verify_alt_stack(f, entries, stack) -> Outcomes:
     """alt_check over a stack (T, 2, n, n) of (X, Z), with the checks X
     Hermitian, Z Hermitian, X reconstruction, Z reconstruction, X positive, Z
@@ -651,18 +659,8 @@ def verify_alt_stack(f, entries, stack) -> Outcomes:
     flagged when the submajorization fails.  One eigendecomposition and one
     SVD of ZX serve every cell, one SVD of Z^theta X^theta every cell of that
     theta, and one pass the margins of every cell and trial that pass."""
-    h, *hermitian = hermitian_stack(stack)
-    dec, _, *reconstructed = eigh_stack(h)
+    h, dec, _, _, row = _front(stack, _positive(_nonnegative, "XZ", "is not"), (1, 1, 1))
     lam = dec.eigenvalues
-    zero_tol = ZERO_TOL_COEFF * (1.0 + np.abs(lam).max(axis=(-2, -1), initial=0.0))
-    positive = (
-        ~(lam.min(axis=-1, initial=0.0) < -zero_tol[:, None]),
-        lambda idx: DomainError(
-            f"{'XZ'[idx[1]]} is not positive semidefinite (min eigenvalue "
-            f"{lam[idx].min():.3e})"
-        ),
-    )
-    row = _first_failures(len(h), [hermitian], [reconstructed], [positive])
     clipped = np.clip(lam, 0.0, None)
     one = from_eigen(dec.basis, clipped)
     product = _profiles(one[:, 1] @ one[:, 0])[:, 0]
@@ -727,13 +725,11 @@ def verify_telescope_stack(f, entries, stack) -> Outcomes:
     on its spectrum, in the order B, A_r, A_1, ..., A_{r-1}.  One
     eigendecomposition and one SVD of the chain serve every cell, and the
     sides of the estimate every cell of that p."""
-    h, *hermitian = hermitian_stack(stack)
-    r = h.shape[1] - 1
+    r = stack.shape[1] - 1
     order = [0, r, *range(1, r)]  # B, A_r, A_1, ..., A_{r-1}
-    chain = np.cumsum(h, axis=1)[:, order]
-    dec, _, *reconstructed = eigh_stack(chain)
-    images, *defined = apply_stack(f, dec)
-    row = _first_failures(len(h), [hermitian], [reconstructed, defined])
+    chain, _, _, images, row = _front(
+        stack, functools.partial(apply_stack, f), chain=lambda h: np.cumsum(h, axis=1)[:, order]
+    )
     fa = images[:, np.argsort(order)]  # f(A_0), ..., f(A_r)
     steps = fa[:, 1:] - fa[:, :-1]
     sv = _hermitian_profiles(images[:, 1] - images[:, 0], *steps.swapaxes(0, 1))

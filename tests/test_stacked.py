@@ -32,7 +32,13 @@ from holderlab.norms import (
     least_domination_constant,
     norm_of_profile,
 )
-from holderlab.spectral import as_hermitian, eig_hermitian, from_eigen, psd_stack
+from holderlab.spectral import (
+    SpectralDecomposition,
+    as_hermitian,
+    eig_hermitian,
+    from_eigen,
+    psd_stack,
+)
 
 from conftest import hermitian_sv
 
@@ -825,14 +831,20 @@ def test_verify_inverse_keeps_its_exceptions():
         hl.verify_inverse(f, 2.0, 1.0, Schatten(0.5), x, y)
 
 
+def _eigh(h):
+    """The decomposition of a stack of exactly Hermitian matrices."""
+    return SpectralDecomposition(*np.linalg.eigh(h))
+
+
 def test_inverse_apply_over_a_stack():
     # f^{-1}(M) of linear f is M itself; spower:0.5 inverts to sgn(t) t^2
     rng = SeedState(14).rng()
     mats = np.stack([fixed_spectrum([-2.0, 0.25, 3.0], rng)[0] for _ in range(4)])
     h = as_hermitian(mats[0])[None]
-    same, ok, _ = V.inverse_apply(parse_function_spec("linear"), h)
+    same, ok, _ = V.inverse_apply(parse_function_spec("linear"), _eigh(h))
     assert ok.all() and np.allclose(same, h, atol=1e-10)
-    squared, ok, _ = V.inverse_apply(parse_function_spec("spower:0.5"), np.stack([mats, mats]))
+    pairs = np.stack([mats, mats])
+    squared, ok, _ = V.inverse_apply(parse_function_spec("spower:0.5"), _eigh(pairs))
     assert ok.shape == (2, 4) and ok.all()
     dec = eig_hermitian(mats[1])
     want = from_eigen(dec.basis, np.sign(dec.eigenvalues) * dec.eigenvalues**2)
@@ -1347,7 +1359,7 @@ def test_an_inverse_stack_inverts_once_for_every_theta(monkeypatch):
     _spy(monkeypatch, V, "inverse_apply", calls)
     report, _ = run_campaign(config)
     assert [c.failures for c in report.cells] == [0, 0, 0]
-    assert [np.shape(args[1]) for args in calls] == [(32, 2, 8, 8)]
+    assert [np.shape(args[1].basis) for args in calls] == [(32, 2, 8, 8)]
 
 
 def test_telescope_cells_of_one_p_are_one_verification(monkeypatch):
