@@ -36,9 +36,10 @@ from . import verify as V
 # a record exceeds its verifier's claimed constant when ratio > claim + tol
 CONSTANT_ONE_TOL = 1e-8
 
-# the format of report.json and manifest.json: 3 since Hermitian profiles come
-# from eigvalsh and p-th power norms scale each profile by its largest entry
-REPORT_FORMAT = 3
+# the format of report.json and manifest.json: 4 since the kernels take the
+# decomposition a spectral draw built its inputs from in place of eigh, and
+# alt scales its profiles before their p-th powers
+REPORT_FORMAT = 4
 
 
 # the grid axes of a config and the type of their entries
@@ -123,7 +124,7 @@ class CampaignConfig:
             raise ParameterError(f"ensemble {ens['name']!r} reads only {keys}, not {bad}")
         for dim in sorted(set(self.dims)):
             try:
-                kinds, _ = draw(dim, [SeedState(self.seed, (2,))], ens)
+                kinds, _, _ = draw(dim, [SeedState(self.seed, (2,))], ens)
             except (ParameterError, TypeError, ValueError) as exc:
                 raise ParameterError(f"ensemble {ens['name']!r} at dim {dim}: {exc}") from exc
             if VERIFIERS[self.verifier].positive and set(kinds) != {"pos"}:
@@ -270,8 +271,9 @@ class Verifier:
     ``campaign.V`` or a ``verify`` function (a test's spy, perfbench's
     tracer) reaches it."""
 
-    # the name of the verify.verify_<name>_stack kernel: (f, entries, stack) ->
-    # the Outcomes (cells, trials) of the stack; verify._check_<name> is its cell check
+    # the name of the verify.verify_<name>_stack kernel: (f, entries, stack, dec)
+    # -> the Outcomes (cells, trials) of the stack; verify._check_<name> is its
+    # cell check
     kernel: str
     # the ensembles.ENSEMBLES names the verifier draws from; the first is the default
     ensembles: tuple = HERMITIAN_PAIRS
@@ -375,24 +377,26 @@ def _record_name(config: CampaignConfig) -> str:
     return f"reverse:{config.variant}" if config.verifier == "reverse" else config.verifier
 
 
-def _outcomes(config: CampaignConfig, f, entries, trials, stack):
+def _outcomes(config: CampaignConfig, f, entries, trials, stack, dec=None):
     """Yield (trials, stack, outcomes): the Outcomes (cells, trials) of a stack
-    of ``trials`` in the cells of ``entries`` by the verifier's kernel.  A
-    LinAlgError reruns a stack of several trials one trial at a time, each
-    yielded on its own, then a trial of several cells one cell at a time,
-    reassembling the rows, and is the EigensolverError of one trial in one cell."""
+    of ``trials``, drawn with decomposition ``dec``, in the cells of
+    ``entries`` by the verifier's kernel.  A LinAlgError reruns a stack of
+    several trials one trial at a time, each yielded on its own, then a trial
+    of several cells one cell at a time, reassembling the rows, and is the
+    EigensolverError of one trial in one cell."""
     kernel = getattr(V, VERIFIERS[config.verifier].kernel)
     try:
-        outcomes = kernel(f, entries, stack)
+        outcomes = kernel(f, entries, stack, dec)
     except np.linalg.LinAlgError as exc:
         if len(stack) > 1:
             for i in range(len(stack)):
                 part = slice(i, i + 1)
-                yield from _outcomes(config, f, entries, trials[part], stack[part])
+                part_dec = None if dec is None else dec[part]
+                yield from _outcomes(config, f, entries, trials[part], stack[part], part_dec)
             return
         if len(entries) > 1:
             outcomes = V.Outcomes.of_cells(
-                [next(_outcomes(config, f, [entry], trials, stack))[2] for entry in entries]
+                [next(_outcomes(config, f, [entry], trials, stack, dec))[2] for entry in entries]
             )
         else:
             outcomes = V.Outcomes.failing(EigensolverError(f"LAPACK failed to converge: {exc}"))
@@ -400,9 +404,10 @@ def _outcomes(config: CampaignConfig, f, entries, trials, stack):
 
 
 def _draw(config: CampaignConfig, dim, trials):
-    """The kinds and the stack (T, k, n, n) of the inputs of ``trials`` at
-    ``dim``.  Each trial draws from its own sub-seed, so its inputs are the
-    same bits whichever trials are drawn with it."""
+    """The kinds, the stack (T, k, n, n) of the inputs of ``trials`` at
+    ``dim``, and the decomposition the draw built them from, or None.  Each
+    trial draws from its own sub-seed, so its inputs are the same bits
+    whichever trials are drawn with it."""
     ens = _ensemble(config.verifier, config.ensemble)
     draw, _ = ENSEMBLES[ens["name"]]
     return draw(dim, [_trial_seed(config, dim, t) for t in trials], ens)
@@ -419,8 +424,8 @@ def _stacks(config: CampaignConfig, dim, entries, f, trials=None):
     size = _stack_size(dim, inputs_per_trial(ens, dim))
     for start in range(0, len(trials), size):
         chunk = trials[start : start + size]
-        kinds, stack = _draw(config, dim, chunk)
-        for part, part_stack, outcomes in _outcomes(config, f, entries, chunk, stack):
+        kinds, stack, dec = _draw(config, dim, chunk)
+        for part, part_stack, outcomes in _outcomes(config, f, entries, chunk, stack, dec):
             yield part, kinds, part_stack, outcomes
 
 
@@ -569,8 +574,9 @@ def run_campaign(config: CampaignConfig):
 def _greedy_refine(config, f, entry, dim, ratio, trial, cell_idx):
     """Hill-climb with shrinking Gaussian steps from the argmax instance, trial
     ``trial`` of ratio ``ratio`` in the cell of ``entry``, whose inputs are
-    redrawn from the trial's own sub-seed."""
-    kinds, (mats,) = _draw(config, dim, [trial])
+    redrawn from the trial's own sub-seed; the kernel decomposes each
+    perturbed instance itself."""
+    kinds, (mats,), _ = _draw(config, dim, [trial])
     inputs = list(zip(kinds, mats))
     scale = max((op_norm(m) for k, m in inputs if k != "step"), default=1.0)
     sigma = 0.1 * scale

@@ -13,7 +13,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import from_eigen, op_norm
+from .spectral import SpectralDecomposition, from_eigen, op_norm
 
 # complex matrix entries per stack of trials: bounds the memory of every
 # stacked draw and evaluation, in campaign cells and in the empirical
@@ -93,26 +93,17 @@ def rank_r_steps(dim: int, r: int, magnitudes_range, rng: np.random.Generator):
     return b, list(xs), es
 
 
-def sample_positive_pairs(dim: int, spectrum_range, seeds) -> np.ndarray:
-    """Draw one positive pair per seed, stacked as (len(seeds), 2, n, n).
+def sample_positive_pairs(dim: int, spectrum_range, seeds):
+    """Draw one positive pair per seed: returns the pairs stacked as
+    (len(seeds), 2, n, n) and the SpectralDecomposition they were built
+    from, ascending spectra (len(seeds), 2, n) and bases (len(seeds), 2, n, n).
 
     Each seed draws the spectrum of X uniformly from ``spectrum_range``, then
     the Ginibre matrix of X's basis, then the same for Y; the QR, phase and
     reconstruction then run once over the whole stack.
     """
-    _check_dim(dim)
-    lo, hi = spectrum_range
-    if not (0 <= lo < hi < np.inf):
-        raise ParameterError(f"bad positive spectrum range {spectrum_range}")
-    lam = np.empty((len(seeds), 2, dim))
-    z = np.empty((len(seeds), 2, 2, dim, dim))
-    for i, seed in enumerate(seeds):
-        rng = seed.rng()
-        for j in range(2):
-            lam[i, j] = rng.uniform(lo, hi, dim)
-            rng.standard_normal(out=z[i, j])  # the draws of ginibre(dim, rng)
-    lam.sort(axis=-1)
-    return from_eigen(_unitary_from_ginibre(_complex_gaussian(z)), lam)
+    _, stack, dec = _spectral(_positive_pair)(dim, seeds, {"spectrum_range": spectrum_range})
+    return stack, dec
 
 
 def sample_ginibre_pairs(dim: int, seeds) -> np.ndarray:
@@ -160,12 +151,14 @@ def sample_schur_instances(dim: int, lambda_range, mu_range, seeds):
 #
 # Each draw maps (dim, seeds, ensemble dict) to the structure of a verifier's
 # inputs, one kind per input ("herm", "pos", "general", "contraction" or
-# "step", so that a campaign's refinement knows how to perturb them), and the
+# "step", so that a campaign's refinement knows how to perturb them), the
 # inputs of every seed as one complex array (len(seeds), k, n, n) in seed
-# order.  A draw reads only the config keys its entry lists, and its
-# ParameterError checks define which values are valid.  The public functions
-# above are looked up as module globals when a draw runs, so rebinding them
-# (a tracer, a test's spy) reaches the draws.
+# order, and the SpectralDecomposition they were built from (_spectral:
+# positive_pair, fixed_pair and commuting_pair), else None.  A draw reads
+# only the config keys its entry lists, and its ParameterError checks define
+# which values are valid.  The public functions above are looked up as module
+# globals when a draw runs, so rebinding them (a tracer, a test's spy)
+# reaches the draws.
 
 POSITIVE_SPECTRUM_RANGE = (0.0, 1.0)  # of positive_pair without a spectrum_range
 
@@ -178,39 +171,59 @@ def _per_seed(draw):
     def stacked(dim, seeds, ens):
         drawn = [draw(dim, seed, ens) for seed in seeds]
         stack = np.array([[m for _, m in inp] for inp in drawn])
-        return tuple(kind for kind, _ in drawn[0]), stack
+        return tuple(kind for kind, _ in drawn[0]), stack, None
 
     return stacked
 
 
-def _positive_pairs(dim, seeds, ens):
-    """The pairs of sample_positive_pairs, one array (len(seeds), 2, n, n)."""
-    spectrum_range = ens.get("spectrum_range", POSITIVE_SPECTRUM_RANGE)
-    return ("pos", "pos"), sample_positive_pairs(dim, spectrum_range, seeds)
+def _spectral(draw):
+    """The stacked draw of a draw (dim, rng, ens) -> (kinds, ascending spectra
+    (k, n), the real Gaussian draws (k, 2, n, n) of the Ginibre matrices of
+    the bases) of one seed: each seed makes its draws in turn, then the QR,
+    phase and reconstruction run once over the whole stack."""
+
+    def stacked(dim, seeds, ens):
+        _check_dim(dim)
+        kinds, lam, z = zip(*(draw(dim, seed.rng(), ens) for seed in seeds))
+        bases = _unitary_from_ginibre(_complex_gaussian(np.array(z)))
+        dec = SpectralDecomposition(np.array(lam), bases)
+        return kinds[0], dec.matrix(), dec
+
+    return stacked
+
+
+def _positive_pair(dim, rng, ens):
+    """Two spectra uniform on the range, each followed by its basis' draws."""
+    lo, hi = spectrum_range = ens.get("spectrum_range", POSITIVE_SPECTRUM_RANGE)
+    if not (0 <= lo < hi < np.inf):
+        raise ParameterError(f"bad positive spectrum range {spectrum_range}")
+    lam, z = np.empty((2, dim)), np.empty((2, 2, dim, dim))
+    for j in range(2):
+        lam[j] = rng.uniform(lo, hi, dim)
+        rng.standard_normal(out=z[j])  # the draws of ginibre(dim, rng)
+    return ("pos", "pos"), np.sort(lam, axis=-1), z
 
 
 def _gaussian_pairs(dim, seeds, ens):
     """Two gaussian_hermitian matrices per seed, one array (len(seeds), 2, n, n)."""
     g = sample_ginibre_pairs(dim, seeds)
-    return ("herm", "herm"), 0.5 * (g + g.conj().swapaxes(-1, -2))
+    return ("herm", "herm"), 0.5 * (g + g.conj().swapaxes(-1, -2)), None
 
 
 def _general_pairs(dim, seeds, ens):
     """Two ginibre matrices per seed, one array (len(seeds), 2, n, n)."""
-    return ("general", "general"), sample_ginibre_pairs(dim, seeds)
+    return ("general", "general"), sample_ginibre_pairs(dim, seeds), None
 
 
-def _commuting_pair(dim, seed, ens):
+def _commuting_pair(dim, rng, ens):
     """Two Gaussian spectra in one Haar basis."""
-    _check_dim(dim)
-    rng = seed.rng()
-    u = haar_unitary(dim, rng)
+    z = rng.standard_normal((2, dim, dim))
     la = np.sort(rng.standard_normal(dim))
     lb = np.sort(rng.standard_normal(dim))
-    return [("herm", from_eigen(u, la)), ("herm", from_eigen(u, lb))]
+    return ("herm", "herm"), (la, lb), (z, z)
 
 
-def _fixed_pair(dim, seed, ens):
+def _fixed_pair(dim, rng, ens):
     """Two matrices with the given spectrum, each in its own Haar basis."""
     eigenvalues = ens.get("eigenvalues")
     if (
@@ -225,10 +238,8 @@ def _fixed_pair(dim, seed, ens):
             f"eigenvalues must be a list of {dim} finite numbers, got {eigenvalues!r}"
         )
     kind = "pos" if min(eigenvalues) >= 0 else "herm"
-    rng = seed.rng()
-    x, _, _ = fixed_spectrum(eigenvalues, rng)
-    y, _, _ = fixed_spectrum(eigenvalues, rng)
-    return [(kind, x), (kind, y)]
+    lam = np.sort(np.asarray(eigenvalues, dtype=float))
+    return (kind, kind), (lam, lam), rng.standard_normal((2, 2, dim, dim))
 
 
 def _hermitian_contraction(count):
@@ -265,10 +276,10 @@ def _rank_one_steps(dim, seed, ens):
 # name -> (draw, the config keys besides "name" that the draw reads)
 ENSEMBLES = {
     "gaussian_pair": (_gaussian_pairs, ()),
-    "positive_pair": (_positive_pairs, ("spectrum_range",)),
+    "positive_pair": (_spectral(_positive_pair), ("spectrum_range",)),
     "general_pair": (_general_pairs, ()),
-    "commuting_pair": (_per_seed(_commuting_pair), ()),
-    "fixed_pair": (_per_seed(_fixed_pair), ("eigenvalues",)),
+    "commuting_pair": (_spectral(_commuting_pair), ()),
+    "fixed_pair": (_spectral(_fixed_pair), ("eigenvalues",)),
     "hermitian_contraction": (_per_seed(_hermitian_contraction(1)), ()),
     "hermitian_pair_contraction": (_per_seed(_hermitian_contraction(2)), ()),
     "rank_one_steps": (_per_seed(_rank_one_steps), ("rank", "magnitudes_range")),

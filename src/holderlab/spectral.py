@@ -87,19 +87,32 @@ class SpectralDecomposition:
     def matrix(self) -> np.ndarray:
         return from_eigen(self.basis, self.eigenvalues)
 
+    def __getitem__(self, idx) -> "SpectralDecomposition":
+        """The decomposition of the items ``idx`` of the leading stack axes."""
+        return SpectralDecomposition(self.eigenvalues[idx], self.basis[idx])
 
-def eigh_stack(h, tol: float = RECON_TOL):
+
+def eigh_stack(h, tol: float = RECON_TOL, drawn=None):
     """Eigendecomposition of a stack (..., n, n) of exactly Hermitian
     matrices with the reconstruction check: returns the decomposition, its
     reconstruction, the per-item ok mask, and a function from the index of an
     item to its EigensolverError.  An item is ok when its residual
     max|recon - h| is within ``tol`` * (1 + max|lambda|).
-    ``numpy.linalg.LinAlgError`` from the eigensolver propagates."""
-    vals, vecs = np.linalg.eigh(h)
-    dec = SpectralDecomposition(vals, vecs)
-    recon = dec.matrix()
-    scale = 1.0 + np.abs(vals).max(axis=-1, initial=0.0)
-    residual = np.abs(recon - h).max(axis=(-2, -1), initial=0.0)
+    ``numpy.linalg.LinAlgError`` from the eigensolver propagates.
+
+    ``drawn`` = (dec, recon), a decomposition and the stack a draw built from
+    it (h its symmetrization), takes the place of the eigensolver; the
+    residual then also counts the basis U's departure from unitary,
+    max|U*U - I| * (1 + max|lambda|)."""
+    if drawn is None:
+        dec = SpectralDecomposition(*np.linalg.eigh(h))
+        recon, departure = dec.matrix(), 0.0
+    else:
+        dec, recon = drawn
+        gram = np.swapaxes(dec.basis.conj(), -1, -2) @ dec.basis
+        departure = np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1), initial=0.0)
+    scale = 1.0 + np.abs(dec.eigenvalues).max(axis=-1, initial=0.0)
+    residual = np.maximum(np.abs(recon - h).max(axis=(-2, -1), initial=0.0), scale * departure)
 
     def error(idx):
         return EigensolverError(

@@ -182,10 +182,15 @@ def _one(kernel, f, theta, p, spec, mats, variant=None) -> Outcomes:
 # p, spec, variant) beside it, sem the seminorm of f (_seminorms).  The check
 # raises the HolderLabError that makes the cell fail every trial, or returns
 # the cell's entry: what the kernel needs of it, such as its p-th power norm,
-# theta and seminorm.  The kernel (f, entries, stack) evaluates a stack of T
-# trials, one complex array (T, k, n, n) as an ensembles draw yields it, in
-# the C valid cells of ``entries``, and returns one Outcomes (C, T), judged
-# once.  A trial fails with the error of the first check of its inputs it
+# theta and seminorm.  The kernel (f, entries, stack, dec) evaluates a stack
+# of T trials, one complex array (T, k, n, n) as an ensembles draw yields it,
+# in the C valid cells of ``entries``, and returns one Outcomes (C, T), judged
+# once.  ``dec`` is the SpectralDecomposition the draw built the stack from,
+# or None: a campaign passes the one its draw returns (sliced as the stack is
+# when a LinAlgError reruns it by trial), while refinement and the public
+# verify_* functions (_one) pass None, so the kernel decomposes with eigh.  A
+# kernel that decomposes nothing, or whose ensembles build no decomposition,
+# ignores it.  A trial fails with the error of the first check of its inputs it
 # fails, in the order the kernel's docstring gives: one row of checks serves
 # every cell.  numpy.linalg.LinAlgError propagates.  The work that does not
 # depend on the cell (checks, eigendecompositions, images, SVDs) runs once per
@@ -196,7 +201,7 @@ def _one(kernel, f, theta, p, spec, mats, variant=None) -> Outcomes:
 # pair (ok mask (T,), function from a trial to the error).
 
 
-def _front(stack, apply=None, layout=(1, 2), chain=None):
+def _front(stack, apply=None, layout=(1, 2), chain=None, dec=None):
     """The front of every kernel that decomposes its inputs, on a stack (T,
     k, n, n): returns the matrices m it decomposes (the symmetrized inputs h,
     or ``chain(h)``), their decomposition and reconstruction, the images of
@@ -206,10 +211,14 @@ def _front(stack, apply=None, layout=(1, 2), chain=None):
     reconstruction, apply's check.  ``layout`` groups them in that order:
     the groups run in turn, and within a group input 0 takes every check,
     then input 1, and so on.  (1, 2) takes the Hermitian checks, then per
-    matrix the other two."""
+    matrix the other two.  A decomposition ``dec`` the draw built the stack
+    from takes the place of eigh (eigh_stack's ``drawn``)."""
     h, *hermitian = hermitian_stack(stack)
     m = h if chain is None else chain(h)
-    dec, recon, *reconstructed = eigh_stack(m)
+    if dec is None:
+        dec, recon, *reconstructed = eigh_stack(m)
+    else:
+        dec, recon, *reconstructed = eigh_stack(m, drawn=(dec, stack))
     checks, images = [hermitian, reconstructed], None
     if apply is not None:
         images, *applied = apply(dec)
@@ -293,9 +302,9 @@ def _check_main(sem, theta, p, spec, variant):
     return _check_symmetric(sem, theta, p, Schatten(1), variant)
 
 
-def verify_main_stack(f, entries, stack) -> Outcomes:
+def verify_main_stack(f, entries, stack, dec=None) -> Outcomes:
     """verify_symmetric_stack in the cells of _check_main."""
-    return verify_symmetric_stack(f, entries, stack)
+    return verify_symmetric_stack(f, entries, stack, dec)
 
 
 def verify_main(f: ScalarFunction, theta, p, a, b, digest="") -> VerificationRecord:
@@ -314,12 +323,12 @@ def _check_bks(sem, theta, p, spec, variant):
     return spec, theta
 
 
-def verify_bks_stack(f, entries, stack) -> Outcomes:
+def verify_bks_stack(f, entries, stack, dec=None) -> Outcomes:
     """verify_bks over a stack (T, 2, n, n) of (X, Y), with the checks X
     Hermitian, X reconstruction, X positive, then the same for Y.  One
     eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
     X^theta - Y^theta and one |X - Y|^theta every cell of that theta."""
-    h, dec, recon, _, row = _front(stack, _positive(psd_stack, "XY", "must be"), (3,))
+    h, dec, recon, _, row = _front(stack, _positive(psd_stack, "XY", "must be"), (3,), dec=dec)
     lam = dec.eigenvalues
     difference = _hermitian_profiles(recon[:, 0] - recon[:, 1])[:, 0]
 
@@ -344,7 +353,7 @@ def _check_submaj(sem, theta, p, spec, variant):
     return p, theta, sem(d_of_p(p), theta)
 
 
-def verify_submaj_stack(f, entries, stack) -> Outcomes:
+def verify_submaj_stack(f, entries, stack, dec=None) -> Outcomes:
     """verify_submajorization over a stack (T, 2, n, n) of (X, Y), with the
     checks X Hermitian, Y Hermitian, then per matrix its reconstruction and f
     finite on its spectrum.  The profiles compared are upper = (seminorm
@@ -353,7 +362,7 @@ def verify_submaj_stack(f, entries, stack) -> Outcomes:
     power overflows.  A trial's constant is the least c making the
     domination hold, and its lhs and rhs are the partial sums of lower and
     upper where their ratio peaks (the totals when c is 0 or infinite)."""
-    h, _, _, fh, row = _front(stack, functools.partial(apply_stack, f))
+    h, _, _, fh, row = _front(stack, functools.partial(apply_stack, f), dec=dec)
     sv = _difference_profiles(h, fh)
     profiles = np.empty((2, len(entries), *h.shape[::2]))
     for c, (p, theta, sem) in enumerate(entries):
@@ -384,10 +393,10 @@ def _check_symmetric(sem, theta, p, spec, variant):
     return PowerOf(spec, p), theta, sem(d_of_p(p), theta)
 
 
-def verify_symmetric_stack(f, entries, stack) -> Outcomes:
+def verify_symmetric_stack(f, entries, stack, dec=None) -> Outcomes:
     """verify_symmetric over a stack (T, 2, n, n) of (X, Y), with the checks
     of verify_submaj_stack; one SVD of f(X) - f(Y) and X - Y serves every cell."""
-    h, _, _, fh, row = _front(stack, functools.partial(apply_stack, f))
+    h, _, _, fh, row = _front(stack, functools.partial(apply_stack, f), dec=dec)
     sv = _difference_profiles(h, fh)
     lhs, rhs, sems = _scaled_sides(entries, sv)
     return Outcomes.judged(row, lhs, sems * rhs, h)
@@ -503,11 +512,11 @@ def _check_inverse(sem, theta, p, spec, variant):
     return PowerOf(spec, p), theta, sem(d_of_p(p), 1.0 / theta) ** theta
 
 
-def verify_inverse_stack(f, entries, stack) -> Outcomes:
+def verify_inverse_stack(f, entries, stack, dec=None) -> Outcomes:
     """verify_inverse over a stack (T, 2, n, n) of (X, Y), with the checks X
     Hermitian, Y Hermitian, then per matrix its reconstruction and
     inverse_apply's checks.  One inverse_apply and one SVD serve every cell."""
-    h, _, _, inv, row = _front(stack, functools.partial(inverse_apply, f))
+    h, _, _, inv, row = _front(stack, functools.partial(inverse_apply, f), dec=dec)
     sv = _hermitian_profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
     lhs, rhs, factors = _scaled_sides(entries, sv)
     return Outcomes.judged(row, factors * lhs, rhs, h)
@@ -537,7 +546,7 @@ def _check_reverse(sem, theta, p, spec, variant):
     return power, theta, variant
 
 
-def verify_reverse_stack(f, entries, stack) -> Outcomes:
+def verify_reverse_stack(f, entries, stack, dec=None) -> Outcomes:
     """verify_reverse_power over a stack (T, 2, n, n) of (X, Y), with the
     checks X Hermitian, Y Hermitian, then per matrix its reconstruction and,
     if some entry is of variant "expm1", g finite on its spectrum.  One
@@ -545,7 +554,7 @@ def verify_reverse_stack(f, entries, stack) -> Outcomes:
     g(X) - g(Y) every cell (for "expm1") or every cell of that theta."""
     expm1 = any(variant == "expm1" for _, _, variant in entries)
     apply = functools.partial(apply_stack, signed_expm1()) if expm1 else None
-    h, dec, _, image, row = _front(stack, apply)
+    h, dec, _, image, row = _front(stack, apply, dec=dec)
     lam = dec.eigenvalues
     difference = _hermitian_profiles(h[:, 0] - h[:, 1])[:, 0]
 
@@ -585,7 +594,7 @@ def verify_commutator(
 _check_quasicommutator = _check_symmetric
 
 
-def verify_quasicommutator_stack(f, entries, stack) -> Outcomes:
+def verify_quasicommutator_stack(f, entries, stack, dec=None) -> Outcomes:
     """verify_quasi_commutator over a stack (T, 3, n, n) of (A, B, R), or
     (T, 2, n, n) of (A, R) with B = A; with the checks of verify_submaj_stack
     on the Hermitian inputs.  One SVD of f(A)R - Rf(B), AR - RB and R serves
@@ -612,7 +621,7 @@ def _check_absmap(sem, theta, p, spec, variant):
     return PowerOf(spec, p), None
 
 
-def verify_absmap_stack(f, entries, stack) -> Outcomes:
+def verify_absmap_stack(f, entries, stack, dec=None) -> Outcomes:
     """verify_abs_map over a stack (T, 2, n, n) of (A, B), which every trial
     passes; one SVD of |A| - |B|, A + B and A - B serves every cell."""
     absolute = abs_matrix(stack)
@@ -649,17 +658,19 @@ def _nonnegative(lam):
     return ~(lam.min(axis=-1, initial=0.0) < -zero_tol[:, None])
 
 
-def verify_alt_stack(f, entries, stack) -> Outcomes:
+def verify_alt_stack(f, entries, stack, dec=None) -> Outcomes:
     """alt_check over a stack (T, 2, n, n) of (X, Z), with the checks X
     Hermitian, Z Hermitian, X reconstruction, Z reconstruction, X positive, Z
     positive (within the zero tolerance of both spectra).  The profiles
-    compared are upper = mu(ZX)^(theta p) and lower = mu(Z^theta X^theta)^p;
-    a trial's lhs and ratio are the violation max(0, -margin) of their
-    submajorization report, its rhs is 1, its constant the margin, and it is
-    flagged when the submajorization fails.  One eigendecomposition and one
-    SVD of ZX serve every cell, one SVD of Z^theta X^theta every cell of that
-    theta, and one pass the margins of every cell and trial that pass."""
-    h, dec, _, _, row = _front(stack, _positive(_nonnegative, "XZ", "is not"), (1, 1, 1))
+    compared are upper = (mu(ZX)^theta / s)^p and lower = (mu(Z^theta
+    X^theta) / s)^p, s the larger of the two bases' first entries
+    (norms._unit), so that no power overflows; a trial's lhs and ratio are
+    the violation max(0, -margin) of their submajorization report, its rhs
+    is 1, its constant the margin, and it is flagged when the
+    submajorization fails.  One eigendecomposition and one SVD of ZX serve
+    every cell, one SVD of Z^theta X^theta every cell of that theta, and one
+    pass the margins of every cell and trial that pass."""
+    h, dec, _, _, row = _front(stack, _positive(_nonnegative, "XZ", "is not"), (1, 1, 1), dec=dec)
     lam = dec.eigenvalues
     clipped = np.clip(lam, 0.0, None)
     one = from_eigen(dec.basis, clipped)
@@ -673,7 +684,8 @@ def verify_alt_stack(f, entries, stack) -> Outcomes:
     shape = (len(entries), len(h))
     profiles = np.empty((2, *shape, h.shape[-1]))
     for c, (theta, p) in enumerate(entries):
-        profiles[:, c] = product ** (theta * p), powered_profiles(theta) ** p
+        bases = np.stack([product**theta, powered_profiles(theta)])
+        profiles[:, c] = (bases / _unit(bases[..., :1].max(axis=0))) ** p
     ok = row[0]
     margins = np.full(shape, math.nan)
     margins[:, ok] = _submajorization_margin(profiles[0][:, ok], profiles[1][:, ok])[0]
@@ -718,7 +730,7 @@ def _check_telescope(sem, theta, p, spec, variant):
     return p
 
 
-def verify_telescope_stack(f, entries, stack) -> Outcomes:
+def verify_telescope_stack(f, entries, stack, dec=None) -> Outcomes:
     """telescope_finite_rank over a stack (T, 1 + r, n, n) of [B, x_1 e_1,
     ..., x_r e_r], with the checks every input Hermitian, then per chain
     matrix A_m = B + x_1 e_1 + ... + x_m e_m its reconstruction and f finite

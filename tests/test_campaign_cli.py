@@ -226,12 +226,13 @@ def test_cli_campaign_end_to_end(monkeypatch, tmp_path, capsys):
 
 
 def test_reports_carry_the_report_format(tmp_path, capsys):
-    # format 3: Hermitian profiles from eigvalsh, p-th powers scaled
+    # format 4: kernels take the spectral draws' decompositions, and alt
+    # scales its profiles before their p-th powers
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(trials=3).to_dict()))
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path)]) == 0
     for name in ("report.json", "manifest.json"):
-        assert json.loads((tmp_path / name).read_text())["report_format"] == 3
+        assert json.loads((tmp_path / name).read_text())["report_format"] == 4
 
 
 def test_cli_campaign_malformed_config(tmp_path, capsys):
@@ -697,7 +698,7 @@ def test_cli_verify_p_th_power_norms_do_not_overflow(capsys):
 
 def test_reverse_kernel_dispatches_variants():
     draw, _ = ENSEMBLES["gaussian_pair"]
-    _, stack = draw(4, [SeedState(3)], {})
+    _, stack, _ = draw(4, [SeedState(3)], {})
     x, y = stack[0]
     for variant in REVERSE_VARIANTS:
         kernel = getattr(hl.verify, VERIFIERS["reverse"].kernel)

@@ -19,10 +19,14 @@ ENSEMBLE_CONFIGS = {
 }
 
 
+# the draws that build their inputs from a spectrum and a basis
+SPECTRAL = ("positive_pair", "fixed_pair", "commuting_pair")
+
+
 def draw(name, dim, seed, ens=None):
     """The tagged inputs that the entry draws for one seed."""
     fn, _ = E.ENSEMBLES[name]
-    kinds, stack = fn(dim, [seed], ENSEMBLE_CONFIGS[name](dim) if ens is None else ens)
+    kinds, stack, _ = fn(dim, [seed], ENSEMBLE_CONFIGS[name](dim) if ens is None else ens)
     return list(zip(kinds, stack[0]))
 
 
@@ -67,12 +71,22 @@ def test_draws_read_only_their_keys(name):
 def test_a_stack_of_seeds_draws_what_each_seed_draws(name):
     seeds = [E.SeedState(17, (0, 1, t)) for t in range(4)]
     fn, _ = E.ENSEMBLES[name]
-    kinds, stack = fn(3, seeds, ENSEMBLE_CONFIGS[name](3))
+    kinds, stack, dec = fn(3, seeds, ENSEMBLE_CONFIGS[name](3))
     # every entry draws the stack as one complex array
     assert isinstance(stack, np.ndarray) and stack.dtype == np.complex128
     assert stack.shape == (len(seeds), len(kinds), 3, 3)
     for seed, inputs in zip(seeds, stack):
         _same(list(zip(kinds, inputs)), draw(name, 3, seed))
+    # the spectral draws return the decomposition they built the stack from:
+    # ascending spectra and unitary bases, the stack being their product
+    if name not in SPECTRAL:
+        assert dec is None
+        return
+    assert dec.eigenvalues.shape == stack.shape[:-1] and dec.basis.shape == stack.shape
+    assert np.all(np.diff(dec.eigenvalues, axis=-1) >= 0.0)
+    assert np.array_equal(from_eigen(dec.basis, dec.eigenvalues), stack)
+    gram = dec.basis.conj().swapaxes(-1, -2) @ dec.basis
+    assert np.abs(gram - np.eye(3)).max() < 1e-14
 
 
 def test_gaussian_hermitian_is_hermitian():
@@ -268,7 +282,7 @@ def test_gaussian_pair_stacks_are_the_per_seed_draws(name, dim, count):
     # one array for the stack, each seed's slice the draws of its own generator
     seeds = [E.SeedState(17, (0, 3, t)) for t in range(count)]
     fn, _ = E.ENSEMBLES[name]
-    kinds, stack = fn(dim, seeds, {})
+    kinds, stack, _ = fn(dim, seeds, {})
     assert stack.shape == (count, 2, dim, dim) and stack.dtype == np.complex128
     for seed, pair in zip(seeds, stack):
         old = _old_pair(dim, seed, {"name": name})

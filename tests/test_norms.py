@@ -347,9 +347,9 @@ def test_stacked_margin_is_the_per_pair_margin():
 
 
 def test_stacked_margin_of_overflowing_alt_profiles():
-    # p-th powers of profiles up to 1e8 overflow to inf at p = 40 and 400, so
-    # many margins are inf / inf = NaN; the stacked alt kernel keeps each
-    # pair's margin and flag
+    # p-th powers of profiles up to 1e8 overflow to inf at p = 40 and 400,
+    # unless they are divided by a common scale first: every margin is
+    # finite, and the stacked alt kernel keeps each pair's margin and flag
     config = CampaignConfig.from_dict({
         "verifier": "alt", "thetas": [0.5], "ps": [40.0, 400.0], "norms": ["schatten:1"],
         "dims": [4, 8], "trials": 40, "seed": 1,
@@ -357,13 +357,13 @@ def test_stacked_margin_of_overflowing_alt_profiles():
     })
     entries = [verify._check_alt(None, 0.5, p, Schatten(1), None) for p in (40.0, 400.0)]
     for dim in (4, 8):
-        _, stack = campaign._draw(config, dim, range(config.trials))
-        with np.errstate(all="ignore"):
-            outcomes = verify.verify_alt_stack(None, entries, stack)
+        _, stack, dec = campaign._draw(config, dim, range(config.trials))
+        with np.errstate(over="raise"):
+            outcomes = verify.verify_alt_stack(None, entries, stack, dec)
         assert outcomes.ok.all()
         upper, lower = outcomes.profiles
         reports = _check_stacked_margins(upper, lower)
         margins = [r.margin for r in reports]
-        assert any(map(math.isnan, margins))
+        assert not any(map(math.isnan, margins))
         assert [v.hex() for v in outcomes.constants.ravel().tolist()] == [v.hex() for v in margins]
         assert outcomes.flagged.ravel().tolist() == [not r.holds for r in reports]

@@ -293,11 +293,11 @@ def test_rejected_stack_items_take_the_per_trial_path(monkeypatch):
     real = V.verify_bks_stack
     calls = []
 
-    def flaky(f, entries, pairs):
+    def flaky(f, entries, pairs, dec):
         calls.append((len(entries), len(pairs)))
         if len(calls) == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(f, entries, pairs)
+        return real(f, entries, pairs, dec)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
     assert _outputs(config) == expected
@@ -311,12 +311,14 @@ def test_a_linalg_error_fails_only_its_trial(monkeypatch):
     real = V.verify_bks_stack
     # trial 5 is found by its inputs, wherever it sits in a stack
     draw, _ = ENSEMBLES["positive_pair"]
-    _, (five,) = draw(8, [camp._trial_seed(config, 8, 5)], camp._ensemble("bks", None))
+    _, (five,), _ = draw(8, [camp._trial_seed(config, 8, 5)], camp._ensemble("bks", None))
 
-    def flaky(f, entries, pairs):
+    def flaky(f, entries, pairs, dec):
         if any(np.array_equal(pair, five) for pair in pairs):
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(f, entries, pairs)
+        # the rerun of a trial carries that trial's part of the decomposition
+        assert np.array_equal(V.from_eigen(dec.basis, dec.eigenvalues), pairs)
+        return real(f, entries, pairs, dec)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_bks_stack": flaky}))
     report, _ = run_campaign(config)
@@ -348,14 +350,14 @@ def test_a_linalg_error_in_one_cell_fails_only_that_cell(verifier, monkeypatch):
     baseline, _ = run_campaign(config)
     real = getattr(V, camp.VERIFIERS[verifier].kernel)
     draw, _ = ENSEMBLES[camp._ensemble(verifier, None)["name"]]
-    _, (five,) = draw(8, [camp._trial_seed(config, 8, 5)], camp._ensemble(verifier, None))
+    _, (five,), _ = draw(8, [camp._trial_seed(config, 8, 5)], camp._ensemble(verifier, None))
     calls = []
 
-    def flaky(f, cell_entries, stack):
+    def flaky(f, cell_entries, stack, dec):
         calls.append((len(cell_entries), len(stack)))
         if entries[cell_idx] in cell_entries and any(np.array_equal(t, five) for t in stack):
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(f, cell_entries, stack)
+        return real(f, cell_entries, stack, dec)
 
     spied = {**vars(V), camp.VERIFIERS[verifier].kernel: flaky}
     monkeypatch.setattr(camp, "V", SimpleNamespace(**spied))
@@ -389,12 +391,13 @@ def test_a_linalg_error_in_one_cell_fails_only_that_cell(verifier, monkeypatch):
 @pytest.mark.parametrize("spectrum_range", [(0.0, 1.0), (0.0, 1e-8), (1e7, 1e8)])
 def test_sampler_matches_per_seed_draws(dim, spectrum_range):
     seeds = [SeedState(9, (0, 4, t)) for t in range(5)]
-    pairs = sample_positive_pairs(dim, spectrum_range, seeds)
+    pairs, dec = sample_positive_pairs(dim, spectrum_range, seeds)
     assert pairs.shape == (5, 2, dim, dim)
+    assert np.array_equal(from_eigen(dec.basis, dec.eigenvalues), pairs)
     lo, hi = spectrum_range
     draw, _ = ENSEMBLES["positive_pair"]
     for seed, pair in zip(seeds, pairs):
-        kinds, ((x, y),) = draw(dim, [seed], {"spectrum_range": spectrum_range})
+        kinds, ((x, y),), _ = draw(dim, [seed], {"spectrum_range": spectrum_range})
         assert kinds == ("pos", "pos")
         assert np.array_equal(x, pair[0]) and np.array_equal(y, pair[1])
         # the draws of two fixed_spectrum calls on one generator
@@ -652,9 +655,9 @@ def test_inverse_invalid_cells_and_partial_stack(monkeypatch):
     real = V.verify_inverse_stack
     sizes = []
 
-    def spy(f, entries, pairs):
+    def spy(f, entries, pairs, dec):
         sizes.append((len(entries), len(pairs)))
-        return real(f, entries, pairs)
+        return real(f, entries, pairs, dec)
 
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_inverse_stack": spy}))
     report, _ = run_campaign(config)
@@ -930,7 +933,7 @@ def test_a_kernels_rows_are_its_one_cell_runs(verifier):
     cells = [good[0], bad, *good, good[1]]
     ens = camp._ensemble(verifier, None)
     draw, _ = ENSEMBLES[ens["name"]]
-    _, stack = draw(4, [SeedState(17, (t,)) for t in range(5)], ens)
+    _, stack, _ = draw(4, [SeedState(17, (t,)) for t in range(5)], ens)
     stack = stack.copy()
     stack[1, 0] += np.triu(np.ones((4, 4)), 1)
     # spower:0.5 inverts every trial that srational:1 cannot
@@ -961,8 +964,9 @@ def test_every_kernel_is_a_verify_stack_function():
     # kernel is called directly, with no adapter in between; a commutator is
     # a quasi-commutator, and records are named outside the kernels.  Each
     # kernel's cell check stands beside it as a private function of verify,
-    # so no span counts it
-    shared = ["f", "entries", "stack"]
+    # so no span counts it.  Every kernel takes the decomposition the draw
+    # built the stack from, None by default
+    shared = ["f", "entries", "stack", "dec"]
     for name, verifier in camp.VERIFIERS.items():
         kernel = getattr(V, verifier.kernel)
         owner = "quasicommutator" if name == "commutator" else name
@@ -973,7 +977,8 @@ def test_every_kernel_is_a_verify_stack_function():
         assert check is getattr(V, f"_check_{owner}")
         params = inspect.signature(kernel).parameters.values()
         assert [q.name for q in params] == shared
-        assert all(q.default is q.empty and q.kind is q.POSITIONAL_OR_KEYWORD for q in params)
+        assert all(q.kind is q.POSITIONAL_OR_KEYWORD for q in params)
+        assert [q.default for q in params] == [inspect.Parameter.empty] * 3 + [None]
 
 
 def test_reconstruction_is_checked_before_the_spectrum(monkeypatch):
@@ -1333,8 +1338,8 @@ def _spy(monkeypatch, module, name, record):
 
 def test_a_bks_stack_decomposes_once_for_every_cell(monkeypatch):
     # campaign-small's shape: 3 theta x 11 norms at dim 8, 16 trials in one
-    # stack; one eigendecomposition, one eigvalsh of X - Y and one of
-    # X^theta - Y^theta per theta
+    # stack; one eigendecomposition (of the drawn decomposition: its check),
+    # one eigvalsh of X - Y and one of X^theta - Y^theta per theta
     config = CampaignConfig.from_dict(
         {"verifier": "bks", "thetas": [0.25, 0.5, 0.75], "ps": [1.0],
          "norms": [f"kyfan:{k}" for k in range(1, 9)]
@@ -1408,9 +1413,9 @@ def test_stacks_hold_at_most_the_entry_budget(verifier, ensemble, dim, monkeypat
     stacks, eighs = [], []
 
     def draw(dim, seeds, ens):
-        kinds, stack = real(dim, seeds, ens)
+        kinds, stack, dec = real(dim, seeds, ens)
         stacks.append(stack.shape)
-        return kinds, stack
+        return kinds, stack, dec
 
     monkeypatch.setitem(ENSEMBLES, name, (draw, keys))
     _spy(monkeypatch, V, "eigh_stack", eighs)
@@ -1578,12 +1583,12 @@ def test_refinement_starts_from_the_inputs_its_stack_held(name, monkeypatch):
     held, starts = {}, []
 
     def draw(config, dim, trials):
-        kinds, stack = real(config, dim, trials)
+        kinds, stack, dec = real(config, dim, trials)
         if len(trials) == 1 and (dim, trials[0]) in held:
             starts.append(stack[0].tobytes() == held[dim, trials[0]].tobytes())
-            return kinds, held[dim, trials[0]][None]
+            return kinds, held[dim, trials[0]][None], dec
         held.update({(dim, t): m for t, m in zip(trials, stack)})
-        return kinds, stack
+        return kinds, stack, dec
 
     monkeypatch.setattr(camp, "_draw", draw)
     report, cx = run_campaign(config)
@@ -1650,13 +1655,15 @@ def _overflow_config(verifier, low, trials=12):
 
 @pytest.mark.parametrize("low", [1e7, 1e3])
 @pytest.mark.parametrize(
-    "verifier", ["main", "submaj", "symmetric", "absmap", "reverse", "inverse"]
+    "verifier", ["main", "submaj", "symmetric", "absmap", "reverse", "inverse", "alt"]
 )
 def test_p_th_powers_do_not_overflow(verifier, low):
     # no numpy warning (RuntimeWarning is an error here), no NaN statistic,
+    # no counterexample (alt's NaN margins read as failed submajorizations),
     # and every argmax digest replays to its cell's max_ratio
     config = _overflow_config(verifier, low)
-    report, _ = run_campaign(config)
+    report, cx = run_campaign(config)
+    assert not cx
     for idx, cell in enumerate(report.cells):
         if cell.failures == cell.trials:
             continue
@@ -1707,3 +1714,200 @@ def test_benchmark_campaigns_replay_at_many_seeds(workload):
         for idx, cell in enumerate(report.cells):
             trial = int(cell.argmax_digest.split(":")[2])
             assert replay(config, idx, trial).ratio.hex() == cell.max_ratio.hex(), (seed, idx)
+
+
+# --- drawn decompositions (report format 4) ----------------------------------------------
+
+# the spectral draws at the numerical edges: tiny, unit and huge positive
+# spectra, zero and repeated eigenvalues, two eigenvalues DD_SWITCH apart, and
+# two spectra in one basis; per case the ensemble and its dim
+DRAWN_CASES = {
+    "positive-tiny": ({"name": "positive_pair", "spectrum_range": [0.0, 1e-8]}, 8),
+    "positive": ({"name": "positive_pair", "spectrum_range": [0.0, 1.0]}, 8),
+    "positive-huge": ({"name": "positive_pair", "spectrum_range": [1e3, 1e8]}, 8),
+    "fixed-degenerate": ({"name": "fixed_pair", "eigenvalues": [0.0, 0.0, 1.0, 1.0]}, 4),
+    "fixed-dd-switch": (
+        {"name": "fixed_pair", "eigenvalues": [0.5, 1.0, 1.0 + DD_SWITCH, 2.0]}, 4
+    ),
+    "commuting": ({"name": "commuting_pair"}, 8),
+}
+# the largest relative difference of lhs, rhs and ratio between a kernel on a
+# drawn decomposition and on eigh's; inverse's bisection stops at 1e-12
+# relative, so its sides move by up to that when an eigenvalue moves by an ulp
+DRAWN_RTOL = 1e-12
+
+
+def _drawn_config(verifier, case, trials=32, **overrides):
+    ens, dim = DRAWN_CASES[case]
+    reverse = verifier in ("inverse", "reverse")
+    return CampaignConfig.from_dict(
+        {"verifier": verifier, "function": FUNCTION_OF.get(verifier),
+         "thetas": [1.5, 2.0, 3.0] if reverse else [0.25, 0.5, 0.75], "ps": [1.0, 0.5],
+         "norms": ["schatten:1", "kyfan:2"], "dims": [dim], "trials": trials, "seed": 21,
+         "ensemble": ens, **overrides}
+    )
+
+
+def _drawn_and_eigh(config):
+    """The Outcomes of the verifier's kernel on one drawn stack of every
+    trial, given the draw's decomposition and not."""
+    f = parse_function_spec(config.function) if config.function else None
+    entries = camp._entries(config, f, camp._kernel_cells(config))
+    _, stack, dec = camp._draw(config, config.dims[0], range(config.trials))
+    kernel = getattr(V, camp.VERIFIERS[config.verifier].kernel)
+    return kernel(f, entries, stack, dec), kernel(f, entries, stack)
+
+
+def _snap_zero_eigenvalues(monkeypatch):
+    """Make numpy's eigh return exact zeros for the eigenvalues within 8 n eps
+    * max|lambda| of 0, which eigh leaves at about +-1e-16 for an exact zero."""
+    real = np.linalg.eigh
+
+    def snapped(h):
+        w, v = real(h)
+        bound = 8 * w.shape[-1] * np.finfo(float).eps * np.abs(w).max(axis=-1, keepdims=True)
+        return np.where(np.abs(w) <= bound, 0.0, w), v
+
+    monkeypatch.setattr(np.linalg, "eigh", snapped)
+
+
+@pytest.mark.parametrize(
+    "verifier, case",
+    [
+        (verifier, case)
+        for verifier in ("bks", "alt", "main", "symmetric", "submaj", "inverse", "reverse")
+        for case in sorted(DRAWN_CASES)
+        # bks and alt draw positive pairs only
+        if not (camp.VERIFIERS[verifier].positive and case == "commuting")
+    ],
+)
+def test_a_drawn_decomposition_gives_the_ratios_of_eigh(verifier, case, monkeypatch):
+    # the same trials pass, with the same sides and ratios within DRAWN_RTOL.
+    # On an exact zero eigenvalue eigh's rounding, raised to a power below 1
+    # (X^0.25 in bks: (1e-16)^0.25 = 1e-4), moves eigh's sides by up to 1e-4
+    # relative, where the drawn path evaluates the power at the exact zero;
+    # with those eigenvalues snapped to zero the two paths agree
+    config = _drawn_config(verifier, case)
+    if case == "fixed-degenerate":
+        _snap_zero_eigenvalues(monkeypatch)
+    drawn, eigh = _drawn_and_eigh(config)
+    assert np.array_equal(drawn.ok, eigh.ok)
+    ok = drawn.ok
+    sides = ["ratio"]
+    # submaj's sides are the partial sums where their ratio peaks, and a
+    # degenerate spectrum ties the peak over several indices
+    if not (verifier == "submaj" and case == "fixed-degenerate"):
+        sides += ["lhs", "rhs"]
+    for side in sides:
+        a, b = getattr(drawn, side)[ok], getattr(eigh, side)[ok]
+        assert np.allclose(a, b, rtol=DRAWN_RTOL, atol=0.0), side
+
+
+def _redraw(monkeypatch, config, defect):
+    """Replace the config's draw by one whose trial 0 is rebuilt by
+    ``defect(eigenvalues (2, n), bases (2, n, n))`` -> (eigenvalues, bases),
+    its inputs the products of what ``defect`` returns."""
+    name = config.ensemble["name"]
+    real, keys = ENSEMBLES[name]
+
+    def draw(dim, seeds, ens):
+        kinds, stack, dec = real(dim, seeds, ens)
+        if seeds[0].path == (3, dim, 0):
+            lam, basis = dec.eigenvalues.copy(), dec.basis.copy()
+            lam[0], basis[0] = defect(lam[0], basis[0])
+            dec = SpectralDecomposition(lam, basis)
+            stack = from_eigen(basis, lam)
+        return kinds, stack, dec
+
+    monkeypatch.setitem(ENSEMBLES, name, (draw, keys))
+
+
+def _trial_0(config):
+    """Trial 0's outcome in cell 0, and the eigh path's on the same inputs."""
+    f = parse_function_spec(config.function) if config.function else None
+    ((_, outcome),) = [o for o in _trial_outcomes(config, 0, f) if o[0] == 0]
+    (entry,) = camp._entries(config, f, camp._kernel_cells(config)[:1])
+    _, stack, _ = camp._draw(config, config.dims[0], [0])
+    kernel = getattr(V, camp.VERIFIERS[config.verifier].kernel)
+    return outcome, _record_or_error(kernel(f, [entry], stack), 0, 0, "x")
+
+
+def test_a_drawn_basis_that_is_not_unitary_fails_its_reconstruction(monkeypatch):
+    # a basis 1e-6 away from unitary builds a Hermitian pair that eigh
+    # decomposes, but no decomposition of it: the drawn check refuses it
+    config = _drawn_config("bks", "positive", trials=3)
+    tilt = np.triu(np.full((8, 8), 1e-6), 1)
+    _redraw(monkeypatch, config, lambda lam, basis: (lam, basis + tilt))
+    drawn, eigh = _trial_0(config)
+    assert isinstance(drawn, EigensolverError)
+    assert str(drawn).startswith("eigendecomposition reconstruction residual ")
+    assert str(drawn).endswith(" exceeds tolerance") and drawn.residual > 1e-7
+    assert not isinstance(eigh, HolderLabError)
+
+
+@pytest.mark.parametrize("verifier", ["bks", "alt"])
+def test_a_negative_drawn_eigenvalue_fails_positivity(verifier, monkeypatch):
+    config = _drawn_config(verifier, "positive", trials=3)
+
+    def negative(lam, basis):
+        lam = lam.copy()
+        lam[0, 0] = -1e-3  # the least eigenvalue of the first input
+        return lam, basis
+
+    _redraw(monkeypatch, config, negative)
+    drawn, eigh = _trial_0(config)
+    assert isinstance(drawn, DomainError)
+    assert (type(drawn), str(drawn)) == (type(eigh), str(eigh))
+    assert "(min eigenvalue -1.000e-03)" in str(drawn)
+
+
+def test_only_refinement_and_the_public_verifiers_call_eigh(monkeypatch):
+    # a positive_pair campaign's kernels take the drawn decompositions, while
+    # a refinement step's perturbed inputs and a public verify_bks are
+    # decomposed by one eigh call each
+    config = _drawn_config("bks", "positive", trials=33, refine_steps=1)
+    calls = []
+    _spy(monkeypatch, np.linalg, "eigh", calls)
+    f, cell = None, camp._kernel_cells(config)[0]
+    (entry,) = camp._entries(config, f, [cell])
+    for _ in camp._stacks(config, 8, [entry], f):
+        pass
+    assert calls == []
+    kernels = []
+    _spy(monkeypatch, V, "eigh_stack", kernels)
+    camp._greedy_refine(config, f, entry, 8, 0.5, 0, 0)
+    assert [np.shape(args[0]) for args in kernels] == [(1, 2, 8, 8)]
+    del calls[:], kernels[:]
+    _, stack, _ = camp._draw(config, 8, [0])
+    hl.verify_bks(0.5, Schatten(1), *stack[0])
+    assert len(calls) == len(kernels) == 1
+
+
+@pytest.mark.parametrize(
+    "verifier, case",
+    [("bks", "positive"), ("bks", "positive-huge"), ("main", "positive"),
+     ("symmetric", "commuting"), ("reverse", "fixed-dd-switch"), ("inverse", "positive")],
+)
+def test_counterexamples_replay_through_the_public_verifiers(verifier, case, monkeypatch):
+    # with every claim forced, each record is a counterexample; its stored
+    # matrices, fed to the public verify_* (which decomposes them with eigh),
+    # give its ratio within DRAWN_RTOL
+    config = _drawn_config(verifier, case, trials=6)
+    forced = dataclasses.replace(camp.VERIFIERS[verifier], claim=lambda spec, p: -np.inf)
+    monkeypatch.setitem(camp.VERIFIERS, verifier, forced)
+    _, cxs = run_campaign(config)
+    assert cxs
+    f = parse_function_spec(config.function) if config.function else None
+    for cx in cxs:
+        mats = [i["matrix"] for i in cx["inputs"]]
+        x, y = (np.array(m["re"]) + 1j * np.array(m["im"]) for m in mats)
+        cell = cx["cell"]
+        theta, p, spec = cell["theta"], cell["p"], camp.parse_norm_spec(cell["norm"])
+        rec = {
+            "bks": lambda: hl.verify_bks(theta, spec, x, y),
+            "main": lambda: hl.verify_main(f, theta, p, x, y),
+            "symmetric": lambda: hl.verify_symmetric(f, theta, p, spec, x, y),
+            "reverse": lambda: hl.verify_reverse_power(theta, p, spec, x, y),
+            "inverse": lambda: hl.verify_inverse(f, theta, p, spec, x, y),
+        }[verifier]()
+        assert rec.ratio == pytest.approx(cx["record"]["ratio"], rel=DRAWN_RTOL, abs=0.0)

@@ -1,4 +1,4 @@
-"""Write the golden set: the deterministic outputs of 146 campaign configs,
+"""Write the golden set: the deterministic outputs of 148 campaign configs,
 23 ``holderlab verify`` calls and 27 other CLI calls, and print one sha256
 over all of them.
 
@@ -30,10 +30,11 @@ log1p, rational:1 and gauss, so that the symbols and bounds of ``doi`` that
 
 The configs: every entry of CONFIGS below, at seeds 101 and 7 (all 11
 verifiers on every ensemble each draws from, edge spectra, invalid cells,
-stack boundaries); the three perfbench campaign workloads at seeds 1-3; 12
-configs whose p-th powers overflow and an absmap config whose ratios are
-partly NaN; main, submaj, alt and telescope grids with refinement; a cell
-with no ratio; a config with no valid cell; and refine_steps 5 and 6.  The
+stack boundaries); the three perfbench campaign workloads at seeds 1-3; 14
+configs whose p-th powers overflow (main, submaj, symmetric, absmap, reverse,
+inverse and alt) and an absmap config whose ratios are partly NaN; main,
+submaj, alt and telescope grids with refinement; a cell with no ratio; a
+config with no valid cell; and refine_steps 5 and 6.  The
 verify calls run every verifier once, and once per kind of cell check that
 fails: theta out of range, a norm that is not fully symmetric, p out of
 range, a seminorm of an order f lacks, and an infinite seminorm.
@@ -137,14 +138,15 @@ def campaigns() -> dict:
     for workload in CAMPAIGNS:
         for seed in (1, 2, 3):
             out[f"{workload}-s{seed}"] = campaign_config(workload, seed)
-    for verifier in ("main", "submaj", "symmetric", "absmap", "reverse", "inverse"):
+    for verifier in ("main", "submaj", "symmetric", "absmap", "reverse", "inverse", "alt"):
         for low in (1e7, 1e3):
             out[f"overflow-{verifier}-{low:g}"] = {
                 "verifier": verifier,
                 "function": {"inverse": "spower:0.5"}.get(verifier, "power:0.5"),
                 "thetas": [1.5] if verifier in ("inverse", "reverse") else [0.5],
                 "ps": [20.0, 40.0, 400.0],
-                "norms": ["schatten:1", "kyfan:2"],
+                # alt takes no norm
+                "norms": ["schatten:1"] if verifier == "alt" else ["schatten:1", "kyfan:2"],
                 "dims": [4, 8],
                 "trials": 40,
                 "seed": 1,
