@@ -37,8 +37,7 @@ from . import verify as V
 CONSTANT_ONE_TOL = 1e-8
 
 # the format of report.json and manifest.json: 4 since the kernels take the
-# decomposition a spectral draw built its inputs from in place of eigh, and
-# alt scales its profiles before their p-th powers
+# spectral draws' decompositions and alt scales its profiles before powers
 REPORT_FORMAT = 4
 
 
@@ -271,9 +270,8 @@ class Verifier:
     ``campaign.V`` or a ``verify`` function (a test's spy, perfbench's
     tracer) reaches it."""
 
-    # the name of the verify.verify_<name>_stack kernel: (f, entries, stack, dec)
-    # -> the Outcomes (cells, trials) of the stack; verify._check_<name> is its
-    # cell check
+    # the name of the verify.verify_<name>_stack kernel (f, entries, stack, dec)
+    # of Outcomes (cells, trials); verify._check_<name> is its cell check
     kernel: str
     # the ensembles.ENSEMBLES names the verifier draws from; the first is the default
     ensembles: tuple = HERMITIAN_PAIRS
@@ -391,8 +389,8 @@ def _outcomes(config: CampaignConfig, f, entries, trials, stack, dec=None):
         if len(stack) > 1:
             for i in range(len(stack)):
                 part = slice(i, i + 1)
-                part_dec = None if dec is None else dec[part]
-                yield from _outcomes(config, f, entries, trials[part], stack[part], part_dec)
+                parts = trials[part], stack[part], None if dec is None else dec[part]
+                yield from _outcomes(config, f, entries, *parts)
             return
         if len(entries) > 1:
             outcomes = V.Outcomes.of_cells(
@@ -574,8 +572,7 @@ def run_campaign(config: CampaignConfig):
 def _greedy_refine(config, f, entry, dim, ratio, trial, cell_idx):
     """Hill-climb with shrinking Gaussian steps from the argmax instance, trial
     ``trial`` of ratio ``ratio`` in the cell of ``entry``, whose inputs are
-    redrawn from the trial's own sub-seed; the kernel decomposes each
-    perturbed instance itself."""
+    redrawn from the trial's own sub-seed (the kernel decomposes each step's)."""
     kinds, (mats,), _ = _draw(config, dim, [trial])
     inputs = list(zip(kinds, mats))
     scale = max((op_norm(m) for k, m in inputs if k != "step"), default=1.0)

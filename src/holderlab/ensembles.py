@@ -13,7 +13,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import SpectralDecomposition, from_eigen, op_norm
+from .spectral import SpectralDecomposition, op_norm
 
 # complex matrix entries per stack of trials: bounds the memory of every
 # stacked draw and evaluation, in campaign cells and in the empirical
@@ -68,14 +68,6 @@ def gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def fixed_spectrum(eigenvalues, rng: np.random.Generator):
-    """Hermitian matrix with the given spectrum in a Haar basis; returns
-    (matrix, eigen-ascending, unitary basis)."""
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    u = haar_unitary(lam.size, rng)
-    return from_eigen(u, lam), lam, u
-
-
 def rank_r_steps(dim: int, r: int, magnitudes_range, rng: np.random.Generator):
     """B Gaussian Hermitian plus r orthogonal rank-one steps (x_k, e_k) with
     |x_k| log-uniform over the range and random sign."""
@@ -91,19 +83,6 @@ def rank_r_steps(dim: int, r: int, magnitudes_range, rng: np.random.Generator):
     xs = signs * mags
     es = [np.outer(frame[:, k], frame[:, k].conj()) for k in range(r)]
     return b, list(xs), es
-
-
-def sample_positive_pairs(dim: int, spectrum_range, seeds):
-    """Draw one positive pair per seed: returns the pairs stacked as
-    (len(seeds), 2, n, n) and the SpectralDecomposition they were built
-    from, ascending spectra (len(seeds), 2, n) and bases (len(seeds), 2, n, n).
-
-    Each seed draws the spectrum of X uniformly from ``spectrum_range``, then
-    the Ginibre matrix of X's basis, then the same for Y; the QR, phase and
-    reconstruction then run once over the whole stack.
-    """
-    _, stack, dec = _spectral(_positive_pair)(dim, seeds, {"spectrum_range": spectrum_range})
-    return stack, dec
 
 
 def sample_ginibre_pairs(dim: int, seeds) -> np.ndarray:
@@ -178,9 +157,8 @@ def _per_seed(draw):
 
 def _spectral(draw):
     """The stacked draw of a draw (dim, rng, ens) -> (kinds, ascending spectra
-    (k, n), the real Gaussian draws (k, 2, n, n) of the Ginibre matrices of
-    the bases) of one seed: each seed makes its draws in turn, then the QR,
-    phase and reconstruction run once over the whole stack."""
+    (k, n), the Gaussian draws (k, 2, n, n) of the bases' Ginibre matrices)
+    of one seed; the QR, phase and reconstruction run once over the stack."""
 
     def stacked(dim, seeds, ens):
         _check_dim(dim)
@@ -218,9 +196,8 @@ def _general_pairs(dim, seeds, ens):
 def _commuting_pair(dim, rng, ens):
     """Two Gaussian spectra in one Haar basis."""
     z = rng.standard_normal((2, dim, dim))
-    la = np.sort(rng.standard_normal(dim))
-    lb = np.sort(rng.standard_normal(dim))
-    return ("herm", "herm"), (la, lb), (z, z)
+    lam = [np.sort(rng.standard_normal(dim)) for _ in range(2)]
+    return ("herm", "herm"), lam, (z, z)
 
 
 def _fixed_pair(dim, rng, ens):

@@ -97,13 +97,11 @@ def eigh_stack(h, tol: float = RECON_TOL, drawn=None):
     matrices with the reconstruction check: returns the decomposition, its
     reconstruction, the per-item ok mask, and a function from the index of an
     item to its EigensolverError.  An item is ok when its residual
-    max|recon - h| is within ``tol`` * (1 + max|lambda|).
-    ``numpy.linalg.LinAlgError`` from the eigensolver propagates.
-
-    ``drawn`` = (dec, recon), a decomposition and the stack a draw built from
-    it (h its symmetrization), takes the place of the eigensolver; the
-    residual then also counts the basis U's departure from unitary,
-    max|U*U - I| * (1 + max|lambda|)."""
+    max|recon - h| is within ``tol`` * (1 + max|lambda|).  ``drawn`` = (dec,
+    recon), the decomposition a draw built its stack recon from (h being
+    recon symmetrized), replaces eigh; the residual then also counts the
+    basis U's departure from unitary, max|U*U - I| * (1 + max|lambda|).
+    ``numpy.linalg.LinAlgError`` from the eigensolver propagates."""
     if drawn is None:
         dec = SpectralDecomposition(*np.linalg.eigh(h))
         recon, departure = dec.matrix(), 0.0

@@ -185,40 +185,31 @@ def _one(kernel, f, theta, p, spec, mats, variant=None) -> Outcomes:
 # theta and seminorm.  The kernel (f, entries, stack, dec) evaluates a stack
 # of T trials, one complex array (T, k, n, n) as an ensembles draw yields it,
 # in the C valid cells of ``entries``, and returns one Outcomes (C, T), judged
-# once.  ``dec`` is the SpectralDecomposition the draw built the stack from,
-# or None: a campaign passes the one its draw returns (sliced as the stack is
-# when a LinAlgError reruns it by trial), while refinement and the public
-# verify_* functions (_one) pass None, so the kernel decomposes with eigh.  A
-# kernel that decomposes nothing, or whose ensembles build no decomposition,
-# ignores it.  A trial fails with the error of the first check of its inputs it
-# fails, in the order the kernel's docstring gives: one row of checks serves
-# every cell.  numpy.linalg.LinAlgError propagates.  The work that does not
-# depend on the cell (checks, eigendecompositions, images, SVDs) runs once per
-# stack, and each norm once over the profiles of every theta (_norm_rows).  A
-# kernel that decomposes its inputs takes the checks, the decomposition and
-# the images from the one _front.  A check of the inputs is a pair (ok mask
-# (T, k), function from an index (trial, input) to the error); a row is a
-# pair (ok mask (T,), function from a trial to the error).
+# once.  ``dec`` is the decomposition the draw built the stack from, sliced
+# with the stack when a campaign reruns it by trial, and _front takes it in
+# place of eigh; it is None for the other draws, refinement and the public
+# verify_* functions (_one).  A trial fails with the error of the first check
+# of its inputs it fails, in the order the kernel's docstring gives: one row
+# of checks serves every cell.  numpy.linalg.LinAlgError propagates.  The
+# work that does not depend on the cell (checks, eigendecompositions, images,
+# SVDs) runs once per stack, and each norm once over the profiles of every
+# theta (_norm_rows).  A check of the inputs is a pair (ok mask (T, k),
+# function from an index (trial, input) to the error); a row is a pair (ok
+# mask (T,), function from a trial to the error).
 
 
 def _front(stack, apply=None, layout=(1, 2), chain=None, dec=None):
     """The front of every kernel that decomposes its inputs, on a stack (T,
     k, n, n): returns the matrices m it decomposes (the symmetrized inputs h,
-    or ``chain(h)``), their decomposition and reconstruction, the images of
-    ``apply`` (dec -> (images or None, check)), and the row of checks.
-
-    The checks, in turn: every input Hermitian, per matrix its
-    reconstruction, apply's check.  ``layout`` groups them in that order:
-    the groups run in turn, and within a group input 0 takes every check,
-    then input 1, and so on.  (1, 2) takes the Hermitian checks, then per
-    matrix the other two.  A decomposition ``dec`` the draw built the stack
-    from takes the place of eigh (eigh_stack's ``drawn``)."""
+    or ``chain(h)``), their decomposition (``dec``, if drawn, in place of
+    eigh) and reconstruction, the images of ``apply`` (dec -> (images or
+    None, check)), and the row of the checks: every input Hermitian, per
+    matrix its reconstruction, apply's check.  ``layout`` groups these in
+    turn; within a group input 0 takes every check, then input 1, and so on."""
     h, *hermitian = hermitian_stack(stack)
     m = h if chain is None else chain(h)
-    if dec is None:
-        dec, recon, *reconstructed = eigh_stack(m)
-    else:
-        dec, recon, *reconstructed = eigh_stack(m, drawn=(dec, stack))
+    drawn = None if dec is None else (dec, stack)
+    dec, recon, *reconstructed = eigh_stack(m, drawn=drawn)
     checks, images = [hermitian, reconstructed], None
     if apply is not None:
         images, *applied = apply(dec)
@@ -235,9 +226,8 @@ def _front(stack, apply=None, layout=(1, 2), chain=None, dec=None):
 
 
 def _positive(ok_of, names, verb):
-    """The apply of _front that checks every decomposed matrix positive
-    semidefinite by ``ok_of`` (eigenvalues (T, k, n) -> ok mask (T, k)); its
-    error names input j ``names[j]``."""
+    """_front's apply that checks each input positive semidefinite by ``ok_of``
+    (eigenvalues (T, k, n) -> mask (T, k)), naming input j ``names[j]``."""
 
     def check(dec):
         lam = dec.eigenvalues
@@ -652,8 +642,7 @@ def _check_alt(sem, theta, p, spec, variant):
 
 
 def _nonnegative(lam):
-    """Per pair of spectra (T, 2, n), the ok mask (T, 2) of each spectrum's
-    least eigenvalue lying above minus the zero tolerance of both."""
+    """The mask (T, 2) of spectra (T, 2, n) above minus their pair's zero tolerance."""
     zero_tol = ZERO_TOL_COEFF * (1.0 + np.abs(lam).max(axis=(-2, -1), initial=0.0))
     return ~(lam.min(axis=-1, initial=0.0) < -zero_tol[:, None])
 
@@ -663,13 +652,12 @@ def verify_alt_stack(f, entries, stack, dec=None) -> Outcomes:
     Hermitian, Z Hermitian, X reconstruction, Z reconstruction, X positive, Z
     positive (within the zero tolerance of both spectra).  The profiles
     compared are upper = (mu(ZX)^theta / s)^p and lower = (mu(Z^theta
-    X^theta) / s)^p, s the larger of the two bases' first entries
-    (norms._unit), so that no power overflows; a trial's lhs and ratio are
+    X^theta) / s)^p, s as in verify_submaj_stack; a trial's lhs and ratio are
     the violation max(0, -margin) of their submajorization report, its rhs
-    is 1, its constant the margin, and it is flagged when the
-    submajorization fails.  One eigendecomposition and one SVD of ZX serve
-    every cell, one SVD of Z^theta X^theta every cell of that theta, and one
-    pass the margins of every cell and trial that pass."""
+    is 1, its constant the margin, and it is flagged when it fails.  One
+    eigendecomposition and one SVD of ZX serve every cell, one SVD of
+    Z^theta X^theta every cell of that theta, and one pass the margins of
+    every cell and trial that pass."""
     h, dec, _, _, row = _front(stack, _positive(_nonnegative, "XZ", "is not"), (1, 1, 1), dec=dec)
     lam = dec.eigenvalues
     clipped = np.clip(lam, 0.0, None)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import holderlab.verify as V
+from holderlab.ensembles import haar_unitary
+from holderlab.spectral import from_eigen
 
 
 @pytest.fixture
@@ -17,6 +19,15 @@ def overflowing_norms(monkeypatch):
         return np.where(overflows, np.inf, real(values, spec))
 
     monkeypatch.setattr(V, "norm_of_profile", norm_of_profile)
+
+
+def fixed_spectrum(eigenvalues, rng):
+    """A Hermitian matrix with the given spectrum in a Haar basis, from the
+    draws of one haar_unitary call: returns (matrix, eigenvalues ascending,
+    basis)."""
+    lam = np.sort(np.asarray(eigenvalues, dtype=float))
+    u = haar_unitary(lam.size, rng)
+    return from_eigen(u, lam), lam, u
 
 
 def hermitian_sv(m):

@@ -11,8 +11,10 @@ import holderlab as hl
 from holderlab import doi
 from holderlab import functions as F
 from holderlab.campaign import CampaignConfig, run_campaign
-from holderlab.ensembles import SeedState, fixed_spectrum, gaussian_hermitian
+from holderlab.ensembles import SeedState, gaussian_hermitian
 from holderlab.norms import KyFan, Schatten
+
+from conftest import fixed_spectrum
 
 
 def _report(num, text):

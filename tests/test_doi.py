@@ -15,12 +15,13 @@ from holderlab import doi
 from holderlab import functions as F
 from holderlab.ensembles import (
     SeedState,
-    fixed_spectrum,
     gaussian_hermitian,
     ginibre,
     sample_schur_instances,
 )
 from holderlab.errors import CapabilityError, ParameterError, SingularityError
+
+from conftest import fixed_spectrum
 
 
 def decs_for(a, b):

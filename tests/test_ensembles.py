@@ -6,6 +6,8 @@ from holderlab import ensembles as E
 from holderlab.errors import ParameterError
 from holderlab.spectral import from_eigen
 
+from conftest import fixed_spectrum
+
 # one config per entry of the table; fixed_pair's spectrum needs the dim
 ENSEMBLE_CONFIGS = {
     "gaussian_pair": lambda dim: {},
@@ -175,12 +177,9 @@ def test_parameter_validation():
         E.rank_r_steps(3, 5, (1e-2, 1.0), E.SeedState(0).rng())
     with pytest.raises(ParameterError):
         E.rank_r_steps(3, 2, (0.0, 1.0), E.SeedState(0).rng())
-    with pytest.raises(ParameterError):
-        E.sample_positive_pairs(4, (1.0, 0.5), [E.SeedState(0)])
-    with pytest.raises(ParameterError):
-        E.sample_positive_pairs(0, (0.0, 1.0), [E.SeedState(0)])
-    with pytest.raises(ParameterError):
-        E.sample_positive_pairs(4, (0.0, np.inf), [E.SeedState(0)])
+    for dim, spectrum_range in ((4, (1.0, 0.5)), (0, (0.0, 1.0)), (4, (0.0, np.inf))):
+        with pytest.raises(ParameterError):
+            draw("positive_pair", dim, E.SeedState(0), {"spectrum_range": spectrum_range})
     with pytest.raises(ParameterError):
         draw("commuting_pair", 0, E.SeedState(0))
     for rank in (3, 0, 1.5, True, "1"):
@@ -231,8 +230,8 @@ def _old_pair(dim, seed, ens):
     eigenvalues = ens["eigenvalues"]
     kind = "pos" if min(eigenvalues) >= 0 else "herm"
     rng = seed.rng()
-    x, _, _ = E.fixed_spectrum(eigenvalues, rng)
-    y, _, _ = E.fixed_spectrum(eigenvalues, rng)
+    x, _, _ = fixed_spectrum(eigenvalues, rng)
+    y, _, _ = fixed_spectrum(eigenvalues, rng)
     return [(kind, x), (kind, y)]
 
 

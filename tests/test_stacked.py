@@ -22,7 +22,7 @@ import holderlab.campaign as camp
 import holderlab.verify as V
 from holderlab.campaign import CampaignConfig, replay, run_campaign
 from holderlab.cli import main as cli_main
-from holderlab.ensembles import ENSEMBLES, SeedState, fixed_spectrum, sample_positive_pairs
+from holderlab.ensembles import ENSEMBLES, SeedState
 from holderlab.errors import DomainError, EigensolverError, HolderLabError, ParameterError
 from holderlab.functions import DD_SWITCH, ScalarFunction, d_of_p, parse_function_spec, seminorm
 from holderlab.norms import (
@@ -40,7 +40,7 @@ from holderlab.spectral import (
     psd_stack,
 )
 
-from conftest import hermitian_sv
+from conftest import fixed_spectrum, hermitian_sv
 
 NORMS = ["schatten:1", "kyfan:2", "schatten:inf"]
 
@@ -391,11 +391,11 @@ def test_a_linalg_error_in_one_cell_fails_only_that_cell(verifier, monkeypatch):
 @pytest.mark.parametrize("spectrum_range", [(0.0, 1.0), (0.0, 1e-8), (1e7, 1e8)])
 def test_sampler_matches_per_seed_draws(dim, spectrum_range):
     seeds = [SeedState(9, (0, 4, t)) for t in range(5)]
-    pairs, dec = sample_positive_pairs(dim, spectrum_range, seeds)
+    draw, _ = ENSEMBLES["positive_pair"]
+    _, pairs, dec = draw(dim, seeds, {"spectrum_range": spectrum_range})
     assert pairs.shape == (5, 2, dim, dim)
     assert np.array_equal(from_eigen(dec.basis, dec.eigenvalues), pairs)
     lo, hi = spectrum_range
-    draw, _ = ENSEMBLES["positive_pair"]
     for seed, pair in zip(seeds, pairs):
         kinds, ((x, y),), _ = draw(dim, [seed], {"spectrum_range": spectrum_range})
         assert kinds == ("pos", "pos")
@@ -408,12 +408,10 @@ def test_sampler_matches_per_seed_draws(dim, spectrum_range):
 
 
 def test_sampler_rejects_bad_specs():
-    with pytest.raises(ParameterError):
-        sample_positive_pairs(0, (0.0, 1.0), [SeedState(1)])
-    with pytest.raises(ParameterError):
-        sample_positive_pairs(3, (1.0, 0.5), [SeedState(1)])
-    with pytest.raises(ParameterError):
-        sample_positive_pairs(3, (-0.5, 1.0), [SeedState(1)])
+    draw, _ = ENSEMBLES["positive_pair"]
+    for dim, spectrum_range in ((0, (0.0, 1.0)), (3, (1.0, 0.5)), (3, (-0.5, 1.0))):
+        with pytest.raises(ParameterError):
+            draw(dim, [SeedState(1)], {"spectrum_range": spectrum_range})
 
 
 def _bks_per_matrix(theta, spec, x, y):
@@ -985,7 +983,7 @@ def test_reconstruction_is_checked_before_the_spectrum(monkeypatch):
     # with a negative tolerance every reconstruction check fails: its error
     # comes before the positivity (bks) and monotonicity (inverse) checks
     real = V.eigh_stack
-    monkeypatch.setattr(V, "eigh_stack", lambda h: real(h, tol=-1.0))
+    monkeypatch.setattr(V, "eigh_stack", lambda h, drawn: real(h, tol=-1.0, drawn=drawn))
     x, y = np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex)
     for outcome in (
         _cell("bks", None, 0.5, None, Schatten(1), np.stack([x, y])[None], ["a"])[0],
@@ -1038,8 +1036,9 @@ def _marked_reconstruction(monkeypatch):
 
     real = S.eigh_stack
 
-    def marked(h, tol=S.RECON_TOL):
-        return real(h, tol=np.where(np.asarray(h)[..., 0, 0].real == MARK, -1.0, tol))
+    def marked(h, tol=S.RECON_TOL, drawn=None):
+        tol = np.where(np.asarray(h)[..., 0, 0].real == MARK, -1.0, tol)
+        return real(h, tol=tol, drawn=drawn)
 
     monkeypatch.setattr(S, "eigh_stack", marked)
     monkeypatch.setattr(V, "eigh_stack", marked)

@@ -4,11 +4,11 @@ import pytest
 import holderlab as hl
 from holderlab import functions as F
 from holderlab import verify as V
-from holderlab.ensembles import SeedState, fixed_spectrum, gaussian_hermitian, ginibre, rank_r_steps
+from holderlab.ensembles import SeedState, gaussian_hermitian, ginibre, rank_r_steps
 from holderlab.errors import CapabilityError, DomainError, ParameterError, PreconditionError
 from holderlab.norms import KyFan, Schatten
 
-from conftest import hermitian_sv
+from conftest import fixed_spectrum, hermitian_sv
 
 
 def test_record_conventions():
