@@ -132,12 +132,12 @@ def sample_schur_instances(dim: int, lambda_range, mu_range, seeds):
 # inputs, one kind per input ("herm", "pos", "general", "contraction" or
 # "step", so that a campaign's refinement knows how to perturb them), the
 # inputs of every seed as one complex array (len(seeds), k, n, n) in seed
-# order, and the SpectralDecomposition they were built from (_spectral:
-# positive_pair, fixed_pair and commuting_pair), else None.  A draw reads
-# only the config keys its entry lists, and its ParameterError checks define
-# which values are valid.  The public functions above are looked up as module
-# globals when a draw runs, so rebinding them (a tracer, a test's spy)
-# reaches the draws.
+# order, and the SpectralDecomposition they were built from (positive_pair,
+# fixed_pair and commuting_pair, through sample_spectral_inputs), else None.
+# A draw reads only the config keys its entry lists, and its ParameterError
+# checks define which values are valid.  The public functions are looked up
+# as module globals when a draw runs, so rebinding them (a tracer, a test's
+# spy) reaches the draws.
 
 POSITIVE_SPECTRUM_RANGE = (0.0, 1.0)  # of positive_pair without a spectrum_range
 
@@ -155,19 +155,17 @@ def _per_seed(draw):
     return stacked
 
 
-def _spectral(draw):
-    """The stacked draw of a draw (dim, rng, ens) -> (kinds, ascending spectra
-    (k, n), the Gaussian draws (k, 2, n, n) of the bases' Ginibre matrices)
-    of one seed; the QR, phase and reconstruction run once over the stack."""
-
-    def stacked(dim, seeds, ens):
-        _check_dim(dim)
-        kinds, lam, z = zip(*(draw(dim, seed.rng(), ens) for seed in seeds))
-        bases = _unitary_from_ginibre(_complex_gaussian(np.array(z)))
-        dec = SpectralDecomposition(np.array(lam), bases)
-        return kinds[0], dec.matrix(), dec
-
-    return stacked
+def sample_spectral_inputs(draw, dim: int, seeds, ens):
+    """The kinds, the stack (len(seeds), k, n, n) and the SpectralDecomposition
+    of inputs built from a spectrum and a Haar basis: ``draw(dim, rng, ens)``
+    gives one seed's kinds, ascending spectra (k, n) and the Gaussian draws
+    (k, 2, n, n) of its bases' Ginibre matrices; the QR, phase and
+    reconstruction then run once over the stack."""
+    _check_dim(dim)
+    kinds, lam, z = zip(*(draw(dim, seed.rng(), ens) for seed in seeds))
+    bases = _unitary_from_ginibre(_complex_gaussian(np.array(z)))
+    dec = SpectralDecomposition(np.array(lam), bases)
+    return kinds[0], dec.matrix(), dec
 
 
 def _positive_pair(dim, rng, ens):
@@ -253,10 +251,10 @@ def _rank_one_steps(dim, seed, ens):
 # name -> (draw, the config keys besides "name" that the draw reads)
 ENSEMBLES = {
     "gaussian_pair": (_gaussian_pairs, ()),
-    "positive_pair": (_spectral(_positive_pair), ("spectrum_range",)),
+    "positive_pair": (lambda *a: sample_spectral_inputs(_positive_pair, *a), ("spectrum_range",)),
     "general_pair": (_general_pairs, ()),
-    "commuting_pair": (_spectral(_commuting_pair), ()),
-    "fixed_pair": (_spectral(_fixed_pair), ("eigenvalues",)),
+    "commuting_pair": (lambda *a: sample_spectral_inputs(_commuting_pair, *a), ()),
+    "fixed_pair": (lambda *a: sample_spectral_inputs(_fixed_pair, *a), ("eigenvalues",)),
     "hermitian_contraction": (_per_seed(_hermitian_contraction(1)), ()),
     "hermitian_pair_contraction": (_per_seed(_hermitian_contraction(2)), ()),
     "rank_one_steps": (_per_seed(_rank_one_steps), ("rank", "magnitudes_range")),
