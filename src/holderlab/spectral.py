@@ -97,20 +97,20 @@ def eigh_stack(h, tol: float = RECON_TOL, drawn=None):
     matrices with the reconstruction check: returns the decomposition, its
     reconstruction, the per-item ok mask, and a function from the index of an
     item to its EigensolverError.  An item is ok when its residual
-    max|recon - h| is within ``tol`` * (1 + max|lambda|).  ``drawn`` = (dec,
-    recon), the decomposition a draw built its stack recon from (h being
-    recon symmetrized), replaces eigh; the residual then also counts the
-    basis U's departure from unitary, max|U*U - I| * (1 + max|lambda|).
-    ``numpy.linalg.LinAlgError`` from the eigensolver propagates."""
-    if drawn is None:
-        dec = SpectralDecomposition(*np.linalg.eigh(h))
-        recon, departure = dec.matrix(), 0.0
-    else:
-        dec, recon = drawn
-        gram = np.swapaxes(dec.basis.conj(), -1, -2) @ dec.basis
-        departure = np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1), initial=0.0)
+    max|recon - h| is within ``tol`` * (1 + max|lambda|).  ``drawn``, the
+    decomposition a draw built h from (h within the Hermitian check of U
+    lambda U*), replaces eigh and the reconstruction, which is then None:
+    its residual is the basis U's departure from unitary, max|U*U - I| * (1
+    + max|lambda|).  ``numpy.linalg.LinAlgError`` from the eigensolver
+    propagates."""
+    dec = SpectralDecomposition(*np.linalg.eigh(h)) if drawn is None else drawn
     scale = 1.0 + np.abs(dec.eigenvalues).max(axis=-1, initial=0.0)
-    residual = np.maximum(np.abs(recon - h).max(axis=(-2, -1), initial=0.0), scale * departure)
+    if drawn is None:
+        recon = dec.matrix()
+        residual = np.abs(recon - h).max(axis=(-2, -1), initial=0.0)
+    else:
+        recon, gram = None, np.swapaxes(dec.basis.conj(), -1, -2) @ dec.basis
+        residual = scale * np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1), initial=0.0)
 
     def error(idx):
         return EigensolverError(

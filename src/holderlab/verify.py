@@ -202,14 +202,13 @@ def _front(stack, apply=None, layout=(1, 2), chain=None, dec=None):
     """The front of every kernel that decomposes its inputs, on a stack (T,
     k, n, n): returns the matrices m it decomposes (the symmetrized inputs h,
     or ``chain(h)``), their decomposition (``dec``, if drawn, in place of
-    eigh) and reconstruction, the images of ``apply`` (dec -> (images or
+    eigh) and reconstruction (then the stack), the images of ``apply`` (dec -> (images or
     None, check)), and the row of the checks: every input Hermitian, per
     matrix its reconstruction, apply's check.  ``layout`` groups these in
     turn; within a group input 0 takes every check, then input 1, and so on."""
     h, *hermitian = hermitian_stack(stack)
     m = h if chain is None else chain(h)
-    drawn = None if dec is None else (dec, stack)
-    dec, recon, *reconstructed = eigh_stack(m, drawn=drawn)
+    dec, recon, *reconstructed = eigh_stack(m, drawn=dec)
     checks, images = [hermitian, reconstructed], None
     if apply is not None:
         images, *applied = apply(dec)
@@ -222,7 +221,7 @@ def _front(stack, apply=None, layout=(1, 2), chain=None, dec=None):
                     if failed[i] is None:
                         failed[i] = error((i, j))
     row = np.array([e is None for e in failed]), failed.__getitem__
-    return m, dec, recon, images, row
+    return m, dec, stack if recon is None else recon, images, row
 
 
 def _positive(ok_of, names, verb):
