@@ -18,6 +18,9 @@ RECON_TOL = 1e-10
 PSD_TOL = 1e-10
 # an eigenvalue within ZERO_TOL_COEFF * (1 + max|lambda|) of 0 counts as 0
 ZERO_TOL_COEFF = 1e-12
+# eigh leaves an exact zero eigenvalue of an n x n matrix within about n eps
+# max|lambda| of 0; eigh_stack makes each within ZERO_SNAP n max|lambda| 0
+ZERO_SNAP = 8 * np.finfo(float).eps
 
 
 def as_matrix(a) -> np.ndarray:
@@ -96,15 +99,19 @@ def eigh_stack(h, tol: float = RECON_TOL, drawn=None):
     """Eigendecomposition of a stack (..., n, n) of exactly Hermitian
     matrices with the reconstruction check: returns the decomposition, its
     reconstruction, the per-item ok mask, and a function from the index of an
-    item to its EigensolverError.  An item is ok when its residual
+    item to its EigensolverError.  Eigenvalues within ZERO_SNAP * n *
+    max|lambda| of 0 are made 0, so that a power below 1 of an exact zero is
+    0 and not eigh's rounding to that power.  An item is ok when its residual
     max|recon - h| is within ``tol`` * (1 + max|lambda|).  ``drawn``, the
     decomposition a draw built h from (h within the Hermitian check of U
     lambda U*), replaces eigh and the reconstruction, which is then None:
     its residual is the basis U's departure from unitary, max|U*U - I| * (1
     + max|lambda|).  ``numpy.linalg.LinAlgError`` from the eigensolver
     propagates."""
-    dec = SpectralDecomposition(*np.linalg.eigh(h)) if drawn is None else drawn
-    scale = 1.0 + np.abs(dec.eigenvalues).max(axis=-1, initial=0.0)
+    lam, basis = np.linalg.eigh(h) if drawn is None else (drawn.eigenvalues, drawn.basis)
+    top = np.abs(lam).max(axis=-1, initial=0.0)
+    snap = np.abs(lam) <= ZERO_SNAP * lam.shape[-1] * top[..., None]
+    dec, scale = SpectralDecomposition(np.where(snap, 0.0, lam), basis), 1.0 + top
     if drawn is None:
         recon = dec.matrix()
         residual = np.abs(recon - h).max(axis=(-2, -1), initial=0.0)

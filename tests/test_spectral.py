@@ -35,6 +35,21 @@ def test_eig_reconstruction_random():
         assert np.abs(dec.basis.conj().T @ dec.basis - np.eye(6)).max() <= 1e-12
 
 
+def test_an_exact_zero_eigenvalue_is_zero():
+    # eigh leaves an exact zero at about +-1e-16, whose power 0.25 is 1e-4;
+    # an eigenvalue 1e-13 of 1 lies above ZERO_SNAP * n and is kept
+    from holderlab.ensembles import haar_unitary
+    from holderlab.spectral import ZERO_SNAP, from_eigen
+
+    u = haar_unitary(4, np.random.default_rng(3))
+    raw = np.linalg.eigvalsh(from_eigen(u, np.array([0.0, 0.0, 1.0, 1.0])))
+    assert np.abs(raw[:2]).max() > 0.0  # the rounding the snap removes
+    for spectrum in ([0.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 1e-13, 1.0]):
+        lam = hl.eig_hermitian(from_eigen(u, np.array(spectrum))).eigenvalues
+        assert (lam == 0.0).sum() == spectrum.count(0.0)
+        assert np.allclose(lam, spectrum, rtol=0.0, atol=4 * ZERO_SNAP)
+
+
 def test_rejects_non_hermitian():
     with pytest.raises(DomainError):
         hl.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -1757,19 +1757,6 @@ def _drawn_and_eigh(config):
     return kernel(f, entries, stack, dec), kernel(f, entries, stack)
 
 
-def _snap_zero_eigenvalues(monkeypatch):
-    """Make numpy's eigh return exact zeros for the eigenvalues within 8 n eps
-    * max|lambda| of 0, which eigh leaves at about +-1e-16 for an exact zero."""
-    real = np.linalg.eigh
-
-    def snapped(h):
-        w, v = real(h)
-        bound = 8 * w.shape[-1] * np.finfo(float).eps * np.abs(w).max(axis=-1, keepdims=True)
-        return np.where(np.abs(w) <= bound, 0.0, w), v
-
-    monkeypatch.setattr(np.linalg, "eigh", snapped)
-
-
 @pytest.mark.parametrize(
     "verifier, case",
     [
@@ -1780,15 +1767,12 @@ def _snap_zero_eigenvalues(monkeypatch):
         if not (camp.VERIFIERS[verifier].positive and case == "commuting")
     ],
 )
-def test_a_drawn_decomposition_gives_the_ratios_of_eigh(verifier, case, monkeypatch):
+def test_a_drawn_decomposition_gives_the_ratios_of_eigh(verifier, case):
     # the same trials pass, with the same sides and ratios within DRAWN_RTOL.
-    # On an exact zero eigenvalue eigh's rounding, raised to a power below 1
-    # (X^0.25 in bks: (1e-16)^0.25 = 1e-4), moves eigh's sides by up to 1e-4
-    # relative, where the drawn path evaluates the power at the exact zero;
-    # with those eigenvalues snapped to zero the two paths agree
+    # On the exact zeros of fixed-degenerate eigh's rounding (about 1e-16),
+    # raised to the power 0.25 of bks, would move eigh's sides by up to 1e-4
+    # relative: eigh_stack makes those eigenvalues 0, as the draw has them
     config = _drawn_config(verifier, case)
-    if case == "fixed-degenerate":
-        _snap_zero_eigenvalues(monkeypatch)
     drawn, eigh = _drawn_and_eigh(config)
     assert np.array_equal(drawn.ok, eigh.ok)
     ok = drawn.ok
@@ -1884,8 +1868,9 @@ def test_only_refinement_and_the_public_verifiers_call_eigh(monkeypatch):
 
 @pytest.mark.parametrize(
     "verifier, case",
-    [("bks", "positive"), ("bks", "positive-huge"), ("main", "positive"),
-     ("symmetric", "commuting"), ("reverse", "fixed-dd-switch"), ("inverse", "positive")],
+    [("bks", "positive"), ("bks", "positive-huge"), ("bks", "fixed-degenerate"),
+     ("main", "positive"), ("symmetric", "commuting"), ("reverse", "fixed-dd-switch"),
+     ("inverse", "positive")],
 )
 def test_counterexamples_replay_through_the_public_verifiers(verifier, case, monkeypatch):
     # with every claim forced, each record is a counterexample; its stored
