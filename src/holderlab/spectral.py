@@ -109,8 +109,9 @@ def eigh_stack(h, tol: float = RECON_TOL, drawn=None):
     + max|lambda|).  ``numpy.linalg.LinAlgError`` from the eigensolver
     propagates."""
     lam, basis = np.linalg.eigh(h) if drawn is None else (drawn.eigenvalues, drawn.basis)
-    top = np.abs(lam).max(axis=-1, initial=0.0)
-    snap = np.abs(lam) <= ZERO_SNAP * lam.shape[-1] * top[..., None]
+    mag = np.abs(lam)
+    top = mag.max(axis=-1, initial=0.0)
+    snap = mag <= ZERO_SNAP * lam.shape[-1] * top[..., None]
     dec, scale = SpectralDecomposition(np.where(snap, 0.0, lam), basis), 1.0 + top
     if drawn is None:
         recon = dec.matrix()

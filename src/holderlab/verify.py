@@ -213,15 +213,18 @@ def _front(stack, apply=None, layout=(1, 2), chain=None, dec=None):
     if apply is not None:
         images, *applied = apply(dec)
         checks.append(applied)
-    failed = [None] * len(h)
-    for end, size in zip(np.cumsum(layout), layout):
-        for j in range(m.shape[1]):
-            for ok, error in checks[end - size : end]:
-                for i in np.flatnonzero(~ok[:, j]):
-                    if failed[i] is None:
-                        failed[i] = error((i, j))
-    row = np.array([e is None for e in failed]), failed.__getitem__
-    return m, dec, stack if recon is None else recon, images, row
+    ok = np.all([passed for passed, _ in checks], axis=(0, 2))
+    order = [
+        (j, check)
+        for end, size in zip(np.cumsum(layout), layout)
+        for j in range(m.shape[1])
+        for check in checks[end - size : end]
+    ]
+    failed = {
+        i: next(error((i, j)) for j, (passed, error) in order if not passed[i, j])
+        for i in np.flatnonzero(~ok).tolist()
+    }
+    return m, dec, stack if recon is None else recon, images, (ok, failed.get)
 
 
 def _positive(ok_of, names, verb):
