@@ -19,7 +19,8 @@ PSD_TOL = 1e-10
 # an eigenvalue within ZERO_TOL_COEFF * (1 + max|lambda|) of 0 counts as 0
 ZERO_TOL_COEFF = 1e-12
 # eigh leaves an exact zero eigenvalue of an n x n matrix within about n eps
-# max|lambda| of 0; eigh_stack makes each within ZERO_SNAP n max|lambda| 0
+# max|lambda| of 0; eigh_stack sets each eigenvalue within ZERO_SNAP * n *
+# max|lambda| of 0 to 0
 ZERO_SNAP = 8 * np.finfo(float).eps
 
 

@@ -202,10 +202,11 @@ def _front(stack, apply=None, layout=(1, 2), chain=None, dec=None):
     """The front of every kernel that decomposes its inputs, on a stack (T,
     k, n, n): returns the matrices m it decomposes (the symmetrized inputs h,
     or ``chain(h)``), their decomposition (``dec``, if drawn, in place of
-    eigh) and reconstruction (then the stack), the images of ``apply`` (dec -> (images or
-    None, check)), and the row of the checks: every input Hermitian, per
-    matrix its reconstruction, apply's check.  ``layout`` groups these in
-    turn; within a group input 0 takes every check, then input 1, and so on."""
+    eigh) and reconstruction (then the stack), the images of ``apply`` (dec
+    -> (images or None, check)), and the row of the checks: every input
+    Hermitian, per matrix its reconstruction, apply's check.  ``layout``
+    groups these in turn; within a group input 0 takes every check, then
+    input 1, and so on."""
     h, *hermitian = hermitian_stack(stack)
     m = h if chain is None else chain(h)
     dec, recon, *reconstructed = eigh_stack(m, drawn=dec)
