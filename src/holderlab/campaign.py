@@ -36,9 +36,11 @@ from . import verify as V
 # a record exceeds its verifier's claimed constant when ratio > claim + tol
 CONSTANT_ONE_TOL = 1e-8
 
-# the format of report.json and manifest.json: 4 since the kernels take the
-# spectral draws' decompositions and alt scales its profiles before powers
-REPORT_FORMAT = 4
+# the format of report.json and manifest.json: 5 since the seminorm refines
+# its grid maxima in zoom rounds
+REPORT_FORMAT = 5
+# the norm label that a verifier taking no norm accepts besides a norm spec
+NO_NORM = "-"
 
 
 # the grid axes of a config and the type of their entries
@@ -97,8 +99,8 @@ class CampaignConfig:
             raise ParameterError(f"verifier {self.verifier!r} requires a function spec")
         if self.function:
             parse_function_spec(self.function)
-        if VERIFIERS[self.verifier].uses_norm:
-            for text in self.norms:
+        for text in self.norms:
+            if text != NO_NORM or VERIFIERS[self.verifier].uses_norm:
                 parse_norm_spec(text)
         if not isinstance(self.variant, str) or self.variant not in V.REVERSE_VARIANTS:
             raise ParameterError(

@@ -239,6 +239,7 @@ def cmd_seminorm(args) -> int:
         "per_order": list(est.per_order),
         "value": est.value,
         "grid": est.grid,
+        "edge": list(est.edge),
     }
     if args.p is not None:
         out["d_of_p"] = d_of_p(args.p)

@@ -18,7 +18,6 @@ from .errors import CapabilityError, ParameterError, SingularityError
 
 MAX_ORDER = 6
 DD_SWITCH = 1e-8
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -126,9 +125,9 @@ def signed_log1p() -> ScalarFunction:
 
 
 def _rational(r: float, odd: bool) -> ScalarFunction:
-    """|t| / (r + |t|), or t / (r + |t|) when ``odd``, r > 0."""
-    if not r > 0:
-        raise ParameterError(f"rational scale must be positive, got {r}")
+    """|t| / (r + |t|), or t / (r + |t|) when ``odd``, 0 < r < inf."""
+    if not 0.0 < r < math.inf:
+        raise ParameterError(f"rational scale must be positive and finite, got {r}")
 
     def ev(x):
         return (x if odd else np.abs(x)) / (r + np.abs(x))
@@ -144,12 +143,12 @@ def _rational(r: float, odd: bool) -> ScalarFunction:
 
 
 def rational_abs(r: float) -> ScalarFunction:
-    """|t| / (r + |t|), r > 0."""
+    """|t| / (r + |t|), 0 < r < inf."""
     return _rational(r, False)
 
 
 def rational_signed(r: float) -> ScalarFunction:
-    """t / (r + |t|), r > 0."""
+    """t / (r + |t|), 0 < r < inf."""
     return _rational(r, True)
 
 
@@ -293,82 +292,73 @@ def parse_function_spec(text: str) -> ScalarFunction:
 
 
 # the seminorm grid: SEMINORM_POINTS log-spaced points per sign on
-# [SEMINORM_X_MIN, SEMINORM_X_MAX]
+# [SEMINORM_X_MIN, SEMINORM_X_MAX]; each interior grid maximum is refined in
+# ZOOM_ROUNDS rounds, each sampling its log bracket at ZOOM_POINTS + 1 points
 SEMINORM_POINTS = 2048
 SEMINORM_X_MIN = 1e-8
 SEMINORM_X_MAX = 1e8
+ZOOM_POINTS = 64
+ZOOM_ROUNDS = 8
 SEMINORM_GRID = (
-    f"logspace[{SEMINORM_X_MIN:g},{SEMINORM_X_MAX:g}]x{SEMINORM_POINTS}/sign+golden"
+    f"logspace[{SEMINORM_X_MIN:g},{SEMINORM_X_MAX:g}]x{SEMINORM_POINTS}"
+    f"/sign+zoom{ZOOM_POINTS}x{ZOOM_ROUNDS}"
 )
 # the grid's log-abscissae u, and its points sign * exp(u) of each sign
 _GRID_U = np.log(
     np.logspace(math.log10(SEMINORM_X_MIN), math.log10(SEMINORM_X_MAX), SEMINORM_POINTS)
 )
 _GRID_X = {1.0: np.exp(_GRID_U), -1.0: -np.exp(_GRID_U)}
-REFINE_STEPS = 60  # golden-section steps per refined grid maximum
+_ZOOM_T = np.linspace(0.0, 1.0, ZOOM_POINTS + 1)
 
 
 @dataclass(frozen=True)
 class SeminormEstimate:
+    """``edge`` holds the orders whose value is a finite grid maximum on a
+    grid end, which no refinement reaches past."""
+
     value: float
     per_order: np.ndarray
     grid: str
+    edge: tuple
 
 
 def _weighted(f: ScalarFunction, k: int, theta: float, x: np.ndarray) -> np.ndarray:
-    """|x|^{k - theta} |f^(k)(x)|; callers silence overflow and invalid values."""
+    """|x|^{k - theta} |f^(k)(x)| with NaN read as 0; callers silence overflow
+    and invalid values."""
     fx = f.eval(x) if k == 0 else f.deriv(k, x)
-    return np.abs(x) ** (k - theta) * np.abs(fx)
+    w = np.abs(x) ** (k - theta) * np.abs(fx)
+    return np.where(np.isnan(w), 0.0, w)
 
 
-def _refine_lockstep(f, theta, searches) -> list:
-    """Golden-section maximization of the weighted derivative on the log
-    bracket [u_lo, u_hi] of each search (k, sign, u_lo, u_hi), every search in
-    one loop: each step evaluates each order once, on the pending points of
-    its searches.  Returns each search's max(g(c), g(d)) of its last bracket."""
-    n = len(searches)
+def _zoom(f, theta, searches) -> np.ndarray:
+    """The largest weighted derivative seen by each search (k, sign, u_lo,
+    u_hi) in ZOOM_ROUNDS rounds.  A round samples each log bracket at
+    ZOOM_POINTS + 1 even points, one _weighted call per order, and narrows
+    the bracket to the two neighbours of its argmax."""
     orders = {}  # k -> the searches of order k
     for s, (k, _, _, _) in enumerate(searches):
         orders.setdefault(k, []).append(s)
-
-    def g(u):
-        """The weighted derivative at sign * exp(u[s]) for each search s."""
-        out = [0.0] * n
+    _, sign, lo, hi = (np.array(column, dtype=float) for column in zip(*searches))
+    rows = np.arange(len(searches))
+    best = np.zeros(len(searches))
+    w = np.empty((len(searches), ZOOM_POINTS + 1))
+    for _ in range(ZOOM_ROUNDS):
+        u = lo[:, None] + (hi - lo)[:, None] * _ZOOM_T
         for k, members in orders.items():
-            x = np.array([searches[s][1] * math.exp(u[s]) for s in members])
-            for s, v in zip(members, _weighted(f, k, theta, x).tolist()):
-                out[s] = v
-        return out
-
-    a = [u_lo for _, _, u_lo, _ in searches]
-    b = [u_hi for _, _, _, u_hi in searches]
-    c = [b[s] - GOLDEN * (b[s] - a[s]) for s in range(n)]
-    d = [a[s] + GOLDEN * (b[s] - a[s]) for s in range(n)]
-    gc, gd = g(c), g(d)
-    for _ in range(REFINE_STEPS):
-        climb = [gc[s] < gd[s] for s in range(n)]
-        for s in range(n):
-            if climb[s]:
-                a[s], c[s], gc[s] = c[s], d[s], gd[s]
-                d[s] = a[s] + GOLDEN * (b[s] - a[s])
-            else:
-                b[s], d[s], gd[s] = d[s], c[s], gc[s]
-                c[s] = b[s] - GOLDEN * (b[s] - a[s])
-        new = g([d[s] if climb[s] else c[s] for s in range(n)])
-        for s in range(n):
-            if climb[s]:
-                gd[s] = new[s]
-            else:
-                gc[s] = new[s]
-    return [max(gc[s], gd[s]) for s in range(n)]
+            x = sign[members, None] * np.exp(u[members])
+            w[members] = _weighted(f, k, theta, x.ravel()).reshape(x.shape)
+        i = np.argmax(w, axis=1)
+        best = np.maximum(best, w[rows, i])
+        lo = u[rows, np.maximum(i - 1, 0)]
+        hi = u[rows, np.minimum(i + 1, ZOOM_POINTS)]
+    return best
 
 
 def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
     """Grid estimate (a lower bound) of max_{0<=k<=d} sup_x |x|^{k-theta}|f^(k)(x)|
     on the SEMINORM_GRID: per order and sign, the grid maximum, refined by
-    golden-section search between its neighbours when it is interior.  An
-    order whose grid maximum is infinite is inf, unrefined.  The searches of
-    every order and sign run in lockstep (_refine_lockstep)."""
+    _zoom between its neighbours when it is interior.  An order whose grid
+    maximum is infinite is inf, unrefined."""
     if d < 0:
         raise ParameterError("order d must be nonnegative")
     if d > f.max_order:
@@ -378,38 +368,38 @@ def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
     if not 0.0 < theta <= 1.0:
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")
     per_order = np.zeros(d + 1)
-    grid_tops = {}  # k -> {sign: grid maximum} of each order with finite maxima
+    grid_tops = {}  # k -> {sign: (grid maximum, whether it is on a grid end)}
     searches = []  # (k, sign, u_lo, u_hi) of each interior grid maximum
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(d + 1):
             tops, brackets = {}, []
             for sign in (1.0, -1.0):
                 w = _weighted(f, k, theta, _GRID_X[sign])
-                w = np.where(np.isnan(w), 0.0, w)
                 i = int(np.argmax(w))
-                tops[sign] = float(w[i])
-                if math.isinf(tops[sign]):
+                if math.isinf(w[i]):
                     per_order[k] = np.inf
                     break
-                if 0 < i < _GRID_U.size - 1:
+                interior = 0 < i < _GRID_U.size - 1
+                tops[sign] = float(w[i]), not interior
+                if interior:
                     brackets.append((k, sign, float(_GRID_U[i - 1]), float(_GRID_U[i + 1])))
             else:
                 grid_tops[k] = tops
                 searches += brackets
-        refined = dict(
-            zip([(k, sign) for k, sign, _, _ in searches], _refine_lockstep(f, theta, searches))
-        )
+        refined = {}
+        if searches:
+            refined = dict(zip([s[:2] for s in searches], _zoom(f, theta, searches).tolist()))
+    edge = []
     for k, tops in grid_tops.items():
-        best = 0.0
-        for sign, top in tops.items():
-            if (k, sign) in refined:
-                top = max(top, refined[k, sign])
-            best = max(best, top)
-        per_order[k] = best
+        values = {sign: max(top, refined.get((k, sign), 0.0)) for sign, (top, _) in tops.items()}
+        per_order[k] = max(values.values())
+        if any(on_end and values[sign] == per_order[k] for sign, (_, on_end) in tops.items()):
+            edge.append(k)
     return SeminormEstimate(
         value=float(np.max(per_order)),
         per_order=per_order,
         grid=SEMINORM_GRID,
+        edge=tuple(edge),
     )
 
 

@@ -232,7 +232,7 @@ def test_reports_carry_the_report_format(tmp_path, capsys):
     cfg_path.write_text(json.dumps(small_config(trials=3).to_dict()))
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path)]) == 0
     for name in ("report.json", "manifest.json"):
-        assert json.loads((tmp_path / name).read_text())["report_format"] == 4
+        assert json.loads((tmp_path / name).read_text())["report_format"] == 5
 
 
 def test_cli_campaign_malformed_config(tmp_path, capsys):
@@ -408,7 +408,7 @@ DYADIC_B = ["mpnorm", "--symbol", "dyadic:2", "--f", "log1p", "--p", "1", "--gri
 
 @pytest.mark.parametrize(
     "b, upper",
-    [(None, 27.435379186327616), ("2", 27.435379186327616), ("3", 26.182684340826132)],
+    [(None, 27.435379186327623), ("2", 27.435379186327623), ("3", 26.182684340826135)],
     ids=["default", "b2", "b3"],
 )
 def test_cli_mpnorm_dyadic_b_sets_the_fourier_order(b, upper, capsys):
@@ -518,7 +518,7 @@ def test_cli_seminorm_log_entry_is_finite(capsys):
     assert np.all(np.isfinite(per_order)) and np.all(per_order > 0)
 
 
-SEMINORM_GRID = "logspace[1e-08,1e+08]x2048/sign+golden"
+SEMINORM_GRID = "logspace[1e-08,1e+08]x2048/sign+zoom64x8"
 
 
 @pytest.mark.parametrize(
@@ -527,17 +527,22 @@ SEMINORM_GRID = "logspace[1e-08,1e+08]x2048/sign+golden"
         ("power:0.5", 2, [1.0000000000000002, 0.5000000000000001, 0.25000000000000006]),
         ("power:0.5", 4, [1.0000000000000002, 0.5000000000000001, 0.25000000000000006,
                           0.37500000000000006, 0.9375000000000002]),
-        ("log1p", 2, [0.8047423425494119, 0.5, 0.32475952641916456]),
-        ("log1p", 4, [0.8047423425494119, 0.5, 0.32475952641916456, 0.5176083281249513,
-                      1.329335009319075]),
+        ("log1p", 2, [0.8047423425494119, 0.5, 0.3247595264191646]),
+        ("log1p", 4, [0.8047423425494119, 0.5, 0.3247595264191646, 0.5176083281249514,
+                      1.3293350093190748]),
     ],
     ids=["power-d2", "power-d4", "log1p-d2", "log1p-d4"],
 )
 def test_cli_seminorm_stdout_is_pinned(f, d, per_order, capsys):
     assert main(["seminorm", "--f", f, "--theta", "0.5", "--d", str(d)]) == 0
-    want = {"d": d, "function": f, "grid": SEMINORM_GRID, "per_order": per_order,
+    want = {"d": d, "edge": [], "function": f, "grid": SEMINORM_GRID, "per_order": per_order,
             "theta": 0.5, "value": max(per_order)}
     assert capsys.readouterr().out == json.dumps(want, sort_keys=True) + "\n"
+
+
+def test_cli_seminorm_names_its_edge_orders(capsys):
+    assert main(["seminorm", "--f", "power:0.5", "--theta", "0.75", "--d", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["edge"] == [0, 1, 2]
 
 
 def test_cli_seminorm_order_too_high(capsys):
@@ -862,6 +867,13 @@ BAD_NUMBERS = {
     "mpnorm-dim-neg": (["mpnorm", "--symbol", "alpha", "--dim", "-1"], "got -1"),
     "verify-p-inf": (["verify", "--ineq", "main", "--f", "power:0.5", "--p", "inf"], "got inf"),
     "verify-p-nan": (["verify", "--ineq", "bks", "--p", "nan"], "got nan"),
+    # r = inf makes f identically 0
+    "seminorm-rational-inf": (
+        ["seminorm", "--f", "rational:inf", "--theta", "0.5", "--d", "2"], "got inf"
+    ),
+    "verify-srational-inf": (
+        ["verify", "--ineq", "inverse", "--f", "srational:inf", "--theta", "1.5"], "got inf"
+    ),
 }
 
 
@@ -886,6 +898,10 @@ def test_cli_malformed_numbers_exit_2(case, capsys):
         ({"thetas": [float("nan")]}, "got nan"),
         ({"ps": [0.0]}, "got 0.0"),
         ({"norms": ["power:schatten:1:inf"]}, "power exponent must be finite"),
+        # only a verifier that takes no norm labels its rows "-"
+        ({"norms": ["-"]}, "'-'"),
+        ({"verifier": "main", "function": "rational:inf"}, "got inf"),
+        ({"verifier": "inverse", "function": "srational:inf"}, "got inf"),
     ],
 )
 def test_cli_campaign_malformed_numbers_exit_2(overrides, text, tmp_path, capsys):
@@ -893,6 +909,18 @@ def test_cli_campaign_malformed_numbers_exit_2(overrides, text, tmp_path, capsys
     cfg_path.write_text(json.dumps({**small_config().to_dict(), **overrides}))
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verifier", sorted(VERIFIERS))
+def test_cli_campaign_malformed_norm_exit_2_whatever_the_verifier(verifier, tmp_path, capsys):
+    # a verifier that takes no norm still labels its rows with the spec
+    raw = {**small_config().to_dict(), "verifier": verifier, "function": "spower:0.5",
+           "norms": ["schatten:1", "kyfan:x"]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "kyfan:x" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

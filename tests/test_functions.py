@@ -33,8 +33,11 @@ def test_catalog_parameter_validation():
     for bad in (0.0, 1.0, 1.5):
         with pytest.raises(ParameterError):
             F.power(bad)
-    with pytest.raises(ParameterError):
-        F.rational_abs(0.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            F.rational_abs(bad)
+        with pytest.raises(ParameterError):
+            F.rational_signed(bad)
 
 
 @pytest.mark.parametrize("f", ALL_ENTRIES, ids=lambda f: f.name)
@@ -133,7 +136,10 @@ def test_seminorm_capability_error():
         F.seminorm(F.power(0.5), 7, 0.5)
 
 
-# --- the seminorm's lockstep refinement against the per-search loop ----------------
+# --- the seminorm's zoom against per-search loops ----------------------------------
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _ref_weighted(f, k, theta, x):
@@ -142,49 +148,63 @@ def _ref_weighted(f, k, theta, x):
         return np.abs(x) ** (k - theta) * np.abs(fx)
 
 
-def _ref_refine_max(f, k, theta, sign, u_lo, u_hi):
-    """One golden-section search, as seminorm ran it before its searches
-    went into lockstep."""
+def _ref_golden_max(f, k, theta, sign, u_lo, u_hi):
+    """One 60-step golden-section search, as seminorm refined a grid maximum
+    before its zoom: the accuracy oracle."""
 
     def g(u):
         return float(_ref_weighted(f, k, theta, np.array([sign * math.exp(u)]))[0])
 
     a, b = u_lo, u_hi
-    c = b - F.GOLDEN * (b - a)
-    d = a + F.GOLDEN * (b - a)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
     gc, gd = g(c), g(d)
     for _ in range(60):
         if gc < gd:
             a, c, gc = c, d, gd
-            d = a + F.GOLDEN * (b - a)
+            d = a + GOLDEN * (b - a)
             gd = g(d)
         else:
             b, d, gd = d, c, gc
-            c = b - F.GOLDEN * (b - a)
+            c = b - GOLDEN * (b - a)
             gc = g(c)
     return max(gc, gd)
 
 
-def _ref_seminorm(f, d, theta):
-    """seminorm with one search per (order, sign), run in turn."""
+def _ref_zoom_max(f, k, theta, sign, u_lo, u_hi):
+    """One zoom search alone, its own _weighted call per round."""
+    best = 0.0
+    for _ in range(F.ZOOM_ROUNDS):
+        u = u_lo + (u_hi - u_lo) * np.linspace(0.0, 1.0, F.ZOOM_POINTS + 1)
+        w = _ref_weighted(f, k, theta, sign * np.exp(u))
+        w = np.where(np.isnan(w), 0.0, w)
+        i = int(np.argmax(w))
+        best = max(best, float(w[i]))
+        u_lo, u_hi = u[max(i - 1, 0)], u[min(i + 1, F.ZOOM_POINTS)]
+    return best
+
+
+def _ref_seminorm(f, d, theta, refine=_ref_golden_max):
+    """seminorm with one ``refine`` search per (order, sign), run in turn;
+    also returns each order's grid maximum."""
     us = np.log(np.logspace(-8.0, 8.0, 2048))
-    per_order = np.zeros(d + 1)
+    per_order, grid_max = np.zeros(d + 1), np.zeros(d + 1)
     for k in range(d + 1):
         best = 0.0
         for sign in (1.0, -1.0):
-            xs = sign * np.exp(us)
-            w = _ref_weighted(f, k, theta, xs)
+            w = _ref_weighted(f, k, theta, sign * np.exp(us))
             w = np.where(np.isnan(w), 0.0, w)
             i = int(np.argmax(w))
             top = float(w[i])
+            grid_max[k] = max(grid_max[k], top)
             if np.isinf(top):
                 best = np.inf
                 break
             if 0 < i < us.size - 1:
-                top = max(top, _ref_refine_max(f, k, theta, sign, us[i - 1], us[i + 1]))
+                top = max(top, refine(f, k, theta, sign, us[i - 1], us[i + 1]))
             best = max(best, top)
         per_order[k] = best
-    return float(np.max(per_order)), per_order
+    return float(np.max(per_order)), per_order, grid_max
 
 
 def _speckled_bump_eval(x):
@@ -230,7 +250,7 @@ SEMINORM_THETAS = (0.1, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 0.9, 1.0)
 
 
 def _assert_seminorm_is_reference(f, d, theta):
-    value, per_order = _ref_seminorm(f, d, theta)
+    value, per_order, _ = _ref_seminorm(f, d, theta, refine=_ref_zoom_max)
     est = F.seminorm(f, d, theta)
     assert est.per_order.tobytes() == per_order.tobytes(), (f.name, d, theta)
     assert np.asarray(est.value).tobytes() == np.asarray(value).tobytes(), (f.name, d, theta)
@@ -238,6 +258,8 @@ def _assert_seminorm_is_reference(f, d, theta):
 
 @pytest.mark.parametrize("f", SEMINORM_ENTRIES, ids=lambda f: f.name)
 def test_seminorm_equals_the_per_search_loop_bit_for_bit(f):
+    # the searches of one order share a _weighted call per round: each reads
+    # what it reads when it runs alone
     for theta in SEMINORM_THETAS:
         for d in range(f.max_order + 1):
             _assert_seminorm_is_reference(f, d, theta)
@@ -252,6 +274,49 @@ def test_seminorm_equals_the_per_search_loop_bit_for_bit(f):
 )
 def test_seminorm_of_dilations_equals_the_per_search_loop(f, d, theta, r):
     _assert_seminorm_is_reference(F.dilate_function(f, r), min(d, f.max_order), theta)
+
+
+# the golden search compares NaN with numbers on speckled_bump, which steers it
+GOLDEN_ENTRIES = [f for f in SEMINORM_ENTRIES if f.name != "speckled_bump"]
+
+
+def _assert_seminorm_is_golden_within_ulps(f, theta):
+    d = f.max_order
+    _, per_order, grid_max = _ref_seminorm(f, d, theta)
+    est = F.seminorm(f, d, theta).per_order
+    assert np.all(est >= grid_max), (f.name, theta)
+    fin = np.isfinite(per_order)
+    assert np.array_equal(np.isfinite(est), fin), (f.name, theta)
+    assert np.all(np.abs(est[fin] - per_order[fin]) <= 4e-15 * per_order[fin]), (f.name, theta)
+
+
+@pytest.mark.parametrize("f", GOLDEN_ENTRIES, ids=lambda f: f.name)
+def test_seminorm_is_the_golden_search_within_ulps(f):
+    for theta in SEMINORM_THETAS:
+        _assert_seminorm_is_golden_within_ulps(f, theta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GOLDEN_ENTRIES), st.sampled_from(SEMINORM_THETAS), st.floats(1e-3, 1e3))
+def test_seminorm_of_dilations_is_the_golden_search_within_ulps(f, theta, r):
+    _assert_seminorm_is_golden_within_ulps(F.dilate_function(f, r), theta)
+
+
+def test_seminorm_reads_nan_as_zero_and_keeps_an_infinite_order():
+    speckled, left_overflow = SEMINORM_ENTRIES[-2:]
+    for theta in SEMINORM_THETAS:
+        _, _, grid_max = _ref_seminorm(speckled, 2, theta)
+        est = F.seminorm(speckled, 2, theta).per_order
+        assert np.all(np.isfinite(est)) and np.all(est >= grid_max)
+        assert F.seminorm(left_overflow, 2, theta).per_order.tolist() == [np.inf] * 3
+
+
+def test_seminorm_names_its_edge_orders():
+    # power:0.5 at theta 0.75 grows toward x = 0 at every order; log1p at 0.5
+    # peaks inside the grid at every order
+    assert F.seminorm(F.power(0.5), 4, 0.75).edge == (0, 1, 2, 3, 4)
+    assert F.seminorm(F.log1p_abs(), 4, 0.5).edge == ()
+    assert F.seminorm(F.signed_expm1(), 2, 0.5).edge == ()
 
 
 def _counted(f):
@@ -269,13 +334,12 @@ def _counted(f):
     return F.ScalarFunction(name=f.name, eval=ev, deriv=dv), calls
 
 
-def test_seminorm_evaluates_each_order_once_per_golden_step():
+def test_seminorm_evaluates_each_order_once_per_zoom_round():
     # spower:0.5 at its own exponent: every order and sign is refined, and each
-    # order is evaluated on its grid of each sign, at the starting points c
-    # and d, and once per step
+    # order is evaluated on its grid of each sign and once per round
     f, calls = _counted(F.signed_power(0.5))
     F.seminorm(f, 4, 0.5)
-    assert calls == {"eval": 2 + 2 + F.REFINE_STEPS, "deriv": 4 * (2 + 2 + F.REFINE_STEPS)}
+    assert calls == {"eval": 2 + F.ZOOM_ROUNDS, "deriv": 4 * (2 + F.ZOOM_ROUNDS)}
     # an infinite grid maximum of the first sign skips the second, and refinement
     f, calls = _counted(F.signed_expm1())
     assert F.seminorm(f, 3, 0.5).per_order.tolist() == [np.inf] * 4

@@ -10,12 +10,13 @@ two directories): a change that keeps every report byte-identical prints the
 hash its parent prints.  The holderlab under test is the one in this
 checkout's ``src``.  BLAS runs on one thread.
 
-``--compare`` reads the ``report.csv`` rows of two golden sets and prints
-how many rows changed, the largest relative change of each statistic
-(max_ratio, q50, q99), every row whose statistic went from NaN to finite or
-back, and every finite statistic that moved by more than BOUND (1e-12)
-relative.  It exits 1 when a statistic moved beyond the bound or became NaN,
-else 0.
+``--compare`` prints the name of every verify and CLI call whose stdout,
+stderr or exit code differs between two golden sets, with the parts that
+differ.  It then reads the ``report.csv`` rows of both and prints how many
+rows changed, the largest relative change of each statistic (max_ratio, q50,
+q99), every row whose statistic went from NaN to finite or back, and every
+finite statistic that moved by more than BOUND (1e-12) relative.  It exits 1
+when a statistic moved beyond the bound or became NaN, else 0.
 
 Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
 ``counterexamples.json`` (``error.txt`` for a config refused at load), and
@@ -315,6 +316,23 @@ def _rows(out) -> dict:
     return rows
 
 
+CALL_PARTS = ("stdout", "stderr", "exit")
+
+
+def _calls(out) -> dict:
+    """The stdout, stderr and exit code of every call of the golden set
+    ``out``, by name."""
+    calls = {}
+    for name in sorted(os.listdir(out)):
+        if name.startswith(("verify-", "cli-")):
+            parts = []
+            for part in CALL_PARTS:
+                with open(os.path.join(out, name, part), "rb") as fh:
+                    parts.append(fh.read())
+            calls[name] = parts
+    return calls
+
+
 def _relative(a, b) -> float:
     if a == b:
         return 0.0
@@ -322,7 +340,21 @@ def _relative(a, b) -> float:
 
 
 def compare(dir_a, dir_b) -> int:
-    """Print how the report rows of ``dir_b`` differ from those of ``dir_a``."""
+    """Print how the calls and report rows of ``dir_b`` differ from those of
+    ``dir_a``."""
+    calls_a, calls_b = _calls(dir_a), _calls(dir_b)
+    names = sorted(calls_a.keys() | calls_b.keys())
+    differ = {}
+    for name in names:
+        x, y = calls_a.get(name), calls_b.get(name)
+        if x != y:
+            where = CALL_PARTS if x is None or y is None else (
+                part for part, u, v in zip(CALL_PARTS, x, y) if u != v
+            )
+            differ[name] = ", ".join(where)
+    print(f"{len(differ)} of {len(names)} calls differ in stdout, stderr or exit code")
+    for name, where in differ.items():
+        print(f"  {name}: {where}")
     a, b = _rows(dir_a), _rows(dir_b)
     if a.keys() != b.keys():
         print(f"the golden sets differ in their rows: {sorted(a.keys() ^ b.keys())[:10]}")
