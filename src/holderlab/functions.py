@@ -29,6 +29,8 @@ class ScalarFunction:
     ``exact_order_sup(k, theta)``, when present, returns the analytic value of
     sup_{x != 0} |x|^{k - theta} |f^(k)(x)|.  ``theta_hint``, when present, is
     the degree theta of a homogeneous f: f(r x) = r^theta f(x) for r > 0.
+    ``even_or_odd`` promises |f^(k)(-x)| = |f^(k)(x)| bit for bit for every
+    0 <= k <= max_order, so that ``seminorm`` evaluates x > 0 only.
     """
 
     name: str
@@ -38,6 +40,7 @@ class ScalarFunction:
     theta_hint: Optional[float] = None
     derivative_at_zero: Optional[float] = None
     exact_order_sup: Optional[Callable[[int, float], float]] = None
+    even_or_odd: bool = False
 
     def derivative(self, k: int, x):
         if k == 0:
@@ -86,6 +89,7 @@ def _power(theta: float, odd: bool) -> ScalarFunction:
         theta_hint=theta,
         derivative_at_zero=None,
         exact_order_sup=lambda k, th: (abs(_falling(theta, k)) if th == theta else np.inf),
+        even_or_odd=True,
     )
 
 
@@ -110,7 +114,8 @@ def _log1p(odd: bool) -> ScalarFunction:
         return base * _sign_power(x, k + odd)
 
     return ScalarFunction(
-        name=f"{'s' * odd}log1p", eval=ev, deriv=dv, derivative_at_zero=1.0 if odd else None
+        name=f"{'s' * odd}log1p", eval=ev, deriv=dv, derivative_at_zero=1.0 if odd else None,
+        even_or_odd=True,
     )
 
 
@@ -138,7 +143,7 @@ def _rational(r: float, odd: bool) -> ScalarFunction:
 
     return ScalarFunction(
         name=f"{'s' * odd}rational:{r}", eval=ev, deriv=dv,
-        derivative_at_zero=1.0 / r if odd else None,
+        derivative_at_zero=1.0 / r if odd else None, even_or_odd=True,
     )
 
 
@@ -164,7 +169,7 @@ def signed_expm1() -> ScalarFunction:
         return np.exp(np.abs(x)) * _sign_power(x, k + 1)
 
     return ScalarFunction(
-        name="sexpm1", eval=ev, deriv=dv, derivative_at_zero=1.0
+        name="sexpm1", eval=ev, deriv=dv, derivative_at_zero=1.0, even_or_odd=True
     )
 
 
@@ -183,7 +188,7 @@ def gauss_bump() -> ScalarFunction:
         return polys[k](x) * np.exp(-np.asarray(x, dtype=float) ** 2)
 
     return ScalarFunction(
-        name="gauss", eval=ev, deriv=dv, derivative_at_zero=1.0
+        name="gauss", eval=ev, deriv=dv, derivative_at_zero=1.0, even_or_odd=True
     )
 
 
@@ -202,6 +207,7 @@ def linear() -> ScalarFunction:
         theta_hint=1.0,
         derivative_at_zero=1.0,
         exact_order_sup=lambda k, th: (1.0 if (th == 1.0 and k <= 1) else (0.0 if k > 1 else np.inf)),
+        even_or_odd=True,
     )
 
 
@@ -246,6 +252,7 @@ def dilate_function(f: ScalarFunction, r: float) -> ScalarFunction:
         max_order=f.max_order,
         theta_hint=f.theta_hint,
         derivative_at_zero=dz,
+        even_or_odd=f.even_or_odd,
     )
 
 
@@ -358,7 +365,8 @@ def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
     """Grid estimate (a lower bound) of max_{0<=k<=d} sup_x |x|^{k-theta}|f^(k)(x)|
     on the SEMINORM_GRID: per order and sign, the grid maximum, refined by
     _zoom between its neighbours when it is interior.  An order whose grid
-    maximum is infinite is inf, unrefined."""
+    maximum is infinite is inf, unrefined.  An even or odd f runs the
+    positive sign alone: the negative one would read the same bits."""
     if d < 0:
         raise ParameterError("order d must be nonnegative")
     if d > f.max_order:
@@ -373,7 +381,7 @@ def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(d + 1):
             tops, brackets = {}, []
-            for sign in (1.0, -1.0):
+            for sign in (1.0,) if f.even_or_odd else (1.0, -1.0):
                 w = _weighted(f, k, theta, _GRID_X[sign])
                 i = int(np.argmax(w))
                 if math.isinf(w[i]):

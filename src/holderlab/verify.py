@@ -416,8 +416,9 @@ def _bisect_inverse(f: ScalarFunction, y, sign, tol=1e-12):
     Each element takes the steps of the scalar algorithm: double lo from -1
     until sign*f(lo) <= sign*y, then hi from 1 until sign*f(hi) >= sign*y,
     giving up past +-BRACKET_LIMIT; then halve [lo, hi] until
-    hi - lo <= tol * (1 + |mid|).  Elements leave the active set as they
-    finish, so f is evaluated once per step on the elements still active.
+    hi - lo <= tol * (1 + |mid|).  The halving runs over the whole arrays: f
+    is evaluated once per step on every element, and a ``going`` mask keeps
+    an element that has finished, or was never bracketed, as it is.
     Returns the midpoints and the per-element bracketed mask."""
     target = sign * y
     lo = np.full(y.shape, -1.0)
@@ -441,16 +442,15 @@ def _bisect_inverse(f: ScalarFunction, y, sign, tol=1e-12):
     with np.errstate(all="ignore"):  # f may overflow far from its range
         bracket(lo, np.less_equal, lambda t: t < -BRACKET_LIMIT)
         bracket(hi, np.greater_equal, lambda t: t > BRACKET_LIMIT)
-        act = np.flatnonzero(ok)
+        going = ok.copy()
         for _ in range(200):
-            mid = 0.5 * (lo[act] + hi[act])
-            going = ~(hi[act] - lo[act] <= tol * (1.0 + np.abs(mid)))
-            act, mid = act[going], mid[going]
-            if not act.size:
+            mid = 0.5 * (lo + hi)
+            going &= ~(hi - lo <= tol * (1.0 + np.abs(mid)))
+            if not going.any():
                 break
-            below = g(mid, act) < target[act]
-            lo[act[below]] = mid[below]
-            hi[act[~below]] = mid[~below]
+            below = sign * np.asarray(f.eval(mid), dtype=float) < target
+            lo = np.where(going & below, mid, lo)
+            hi = np.where(going & ~below, mid, hi)
     return 0.5 * (lo + hi), ok
 
 

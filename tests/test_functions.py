@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -320,30 +321,87 @@ def test_seminorm_names_its_edge_orders():
 
 
 def _counted(f):
-    """f with its eval and deriv calls counted in ``calls``."""
-    calls = {"eval": 0, "deriv": 0}
+    """f with its eval and deriv calls counted in ``calls``, and whether any
+    of them saw a negative x in ``calls["negative"]``."""
+    calls = {"eval": 0, "deriv": 0, "negative": False}
 
     def ev(x):
         calls["eval"] += 1
+        calls["negative"] |= bool(np.any(x < 0.0))
         return f.eval(x)
 
     def dv(k, x):
         calls["deriv"] += 1
+        calls["negative"] |= bool(np.any(x < 0.0))
         return f.deriv(k, x)
 
-    return F.ScalarFunction(name=f.name, eval=ev, deriv=dv), calls
+    return F.ScalarFunction(
+        name=f.name, eval=ev, deriv=dv, max_order=f.max_order, even_or_odd=f.even_or_odd
+    ), calls
+
+
+def _both_signs(f):
+    return dataclasses.replace(f, even_or_odd=False)
 
 
 def test_seminorm_evaluates_each_order_once_per_zoom_round():
     # spower:0.5 at its own exponent: every order and sign is refined, and each
     # order is evaluated on its grid of each sign and once per round
+    f, calls = _counted(_both_signs(F.signed_power(0.5)))
+    F.seminorm(f, 4, 0.5)
+    R = F.ZOOM_ROUNDS
+    assert calls == {"eval": 2 + R, "deriv": 4 * (2 + R), "negative": True}
+    # as an odd function, on the positive sign alone
     f, calls = _counted(F.signed_power(0.5))
     F.seminorm(f, 4, 0.5)
-    assert calls == {"eval": 2 + F.ZOOM_ROUNDS, "deriv": 4 * (2 + F.ZOOM_ROUNDS)}
+    assert calls == {"eval": 1 + R, "deriv": 4 * (1 + R), "negative": False}
     # an infinite grid maximum of the first sign skips the second, and refinement
-    f, calls = _counted(F.signed_expm1())
+    f, calls = _counted(_both_signs(F.signed_expm1()))
     assert F.seminorm(f, 3, 0.5).per_order.tolist() == [np.inf] * 4
-    assert calls == {"eval": 1, "deriv": 3}
+    assert calls == {"eval": 1, "deriv": 3, "negative": False}
+
+
+# every builder that promises |f^(k)(-x)| = |f^(k)(x)|, and dilations of them
+EVEN_OR_ODD = ALL_ENTRIES + [
+    F.dilate_function(F.gauss_bump(), 0.01),
+    F.dilate_function(F.signed_power(0.5), 40.0),
+    F.dilate_function(F.rational_signed(2.0), 3.7),
+    F.dilate_function(F.log1p_abs(), 1e-3),
+]
+
+
+@pytest.mark.parametrize("f", EVEN_OR_ODD, ids=lambda f: f.name)
+def test_even_or_odd_weighted_derivatives_are_symmetric_bit_for_bit(f):
+    assert f.even_or_odd
+    rng = np.random.default_rng(23)
+    # the grid, and points of zoom brackets: exp of uniform log-abscissae
+    zoom = np.exp(rng.uniform(F._GRID_U[0], F._GRID_U[-1], 4096))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (F._GRID_X[1.0], zoom):
+            for theta in SEMINORM_THETAS:
+                for k in range(f.max_order + 1):
+                    plus = F._weighted(f, k, theta, x)
+                    minus = F._weighted(f, k, theta, -x)
+                    assert plus.tobytes() == minus.tobytes(), (f.name, k, theta)
+
+
+@pytest.mark.parametrize("f", SEMINORM_ENTRIES, ids=lambda f: f.name)
+def test_seminorm_of_one_sign_is_the_seminorm_of_both(f):
+    for theta in SEMINORM_THETAS:
+        for d in range(f.max_order + 1):
+            one, both = F.seminorm(f, d, theta), F.seminorm(_both_signs(f), d, theta)
+            assert np.asarray(one.value).tobytes() == np.asarray(both.value).tobytes()
+            assert one.per_order.tobytes() == both.per_order.tobytes(), (f.name, d, theta)
+            assert one.edge == both.edge and one.grid == both.grid
+
+
+def test_polynomial_and_hand_built_functions_run_both_signs():
+    for f in (F.polynomial([1.0, -2.0, 0.5, 0.25]), *SEMINORM_ENTRIES[-2:]):
+        assert not f.even_or_odd
+        assert not F.dilate_function(f, 2.0).even_or_odd
+        counted, calls = _counted(f)
+        F.seminorm(counted, 2, 0.5)
+        assert calls["negative"], f.name
 
 
 def _holder_bound(f, theta):

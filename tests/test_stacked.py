@@ -739,6 +739,34 @@ def test_lockstep_bisection_matches_scalar(function):
     assert failed > 0  # every function has targets it cannot bracket
 
 
+def _counted_eval(f):
+    """f with its eval calls counted in ``calls``."""
+    calls = []
+
+    def ev(x):
+        calls.append(x.size)
+        return f.eval(x)
+
+    return ScalarFunction(name=f.name, eval=ev, deriv=f.deriv), calls
+
+
+def test_lockstep_bisection_of_no_target_evaluates_nothing():
+    f, calls = _counted_eval(parse_function_spec("spower:0.5"))
+    got, ok = V._bisect_inverse(f, np.zeros(0), np.zeros(0))
+    assert got.shape == ok.shape == (0,) and calls == []
+
+
+def test_lockstep_bisection_of_unbracketed_targets_takes_no_halving_step():
+    # a NaN target brackets no lo: it doubles lo once per eval until it
+    # passes -BRACKET_LIMIT, and then neither hi nor the halving evaluates f
+    f, calls = _counted_eval(parse_function_spec("spower:0.5"))
+    ys = np.full(5, np.nan)
+    got, ok = V._bisect_inverse(f, ys, np.ones(5))
+    doublings = int(np.ceil(np.log2(V.BRACKET_LIMIT)))
+    assert not ok.any() and calls == [5] * doublings
+    assert got.tolist() == [0.5 * (1.0 - 2.0 ** doublings)] * 5
+
+
 def _scalar_probe_sign(f, lam):
     """The per-matrix monotonicity probe the stacked one replaced."""
     span = np.linspace(float(lam.min()) - 1.0, float(lam.max()) + 1.0, 64)

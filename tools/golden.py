@@ -12,11 +12,12 @@ checkout's ``src``.  BLAS runs on one thread.
 
 ``--compare`` prints the name of every verify and CLI call whose stdout,
 stderr or exit code differs between two golden sets, with the parts that
-differ.  It then reads the ``report.csv`` rows of both and prints how many
-rows changed, the largest relative change of each statistic (max_ratio, q50,
-q99), every row whose statistic went from NaN to finite or back, and every
-finite statistic that moved by more than BOUND (1e-12) relative.  It exits 1
-when a statistic moved beyond the bound or became NaN, else 0.
+differ.  It then reads the cells of every ``report.json`` of both and prints
+how many cells changed, the largest relative change of each statistic
+(max_ratio, min_ratio, q50, q99), every cell whose statistic went from NaN
+to finite or back, and every finite statistic that moved by more than BOUND
+(1e-12) relative.  It exits 1 when a statistic moved beyond the bound or
+became NaN, else 0.
 
 Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
 ``counterexamples.json`` (``error.txt`` for a config refused at load), and
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import hashlib
 import io
@@ -300,20 +300,25 @@ def digest(out) -> str:
     return h.hexdigest()
 
 
-STATISTICS = ("max_ratio", "q50", "q99")
+STATISTICS = ("max_ratio", "min_ratio", "q50", "q99")
 BOUND = 1e-12  # the largest relative change of a finite statistic compare accepts
 
 
-def _rows(out) -> dict:
-    """Every report.csv row of the golden set ``out``, by (config, row)."""
-    rows = {}
+def _cells(out) -> dict:
+    """Every report.json cell of the golden set ``out``, by (config, cell)."""
+    cells = {}
     for name in sorted(os.listdir(out)):
-        path = os.path.join(out, name, "report.csv")
+        path = os.path.join(out, name, "report.json")
         if os.path.exists(path):
-            with open(path, newline="") as fh:
-                for i, row in enumerate(csv.DictReader(fh)):
-                    rows[(name, i)] = row
-    return rows
+            with open(path) as fh:
+                for i, cell in enumerate(json.load(fh)["cells"]):
+                    cells[(name, i)] = cell
+    return cells
+
+
+def _same(x, y) -> bool:
+    """Whether two cells are equal, NaN equal to NaN."""
+    return json.dumps(x, sort_keys=True) == json.dumps(y, sort_keys=True)
 
 
 CALL_PARTS = ("stdout", "stderr", "exit")
@@ -336,11 +341,11 @@ def _calls(out) -> dict:
 def _relative(a, b) -> float:
     if a == b:
         return 0.0
-    return abs(b - a) / abs(a) if a else math.inf
+    return abs(b - a) / abs(a) if a and math.isfinite(a) else math.inf
 
 
 def compare(dir_a, dir_b) -> int:
-    """Print how the calls and report rows of ``dir_b`` differ from those of
+    """Print how the calls and report cells of ``dir_b`` differ from those of
     ``dir_a``."""
     calls_a, calls_b = _calls(dir_a), _calls(dir_b)
     names = sorted(calls_a.keys() | calls_b.keys())
@@ -355,18 +360,18 @@ def compare(dir_a, dir_b) -> int:
     print(f"{len(differ)} of {len(names)} calls differ in stdout, stderr or exit code")
     for name, where in differ.items():
         print(f"  {name}: {where}")
-    a, b = _rows(dir_a), _rows(dir_b)
+    a, b = _cells(dir_a), _cells(dir_b)
     if a.keys() != b.keys():
-        print(f"the golden sets differ in their rows: {sorted(a.keys() ^ b.keys())[:10]}")
+        print(f"the golden sets differ in their cells: {sorted(a.keys() ^ b.keys())[:10]}")
         return 1
-    changed = [key for key in a if a[key] != b[key]]
+    changed = [key for key in a if not _same(a[key], b[key])]
     moved = sum(a[key]["argmax_digest"] != b[key]["argmax_digest"] for key in changed)
-    print(f"{len(changed)} of {len(a)} rows changed ({moved} in their argmax_digest)")
+    print(f"{len(changed)} of {len(a)} cells changed ({moved} in their argmax_digest)")
     worst, flips, beyond = dict.fromkeys(STATISTICS, 0.0), [], []
     for key in changed:
         for stat in STATISTICS:
             x, y = float(a[key][stat]), float(b[key][stat])
-            where = f"{key[0]} row {key[1]} {stat}: {x!r} -> {y!r}"
+            where = f"{key[0]} cell {key[1]} {stat}: {x!r} -> {y!r}"
             if math.isnan(x) != math.isnan(y):
                 flips.append((math.isnan(y), where))
             elif not math.isnan(x):
