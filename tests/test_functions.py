@@ -335,9 +335,7 @@ def _counted(f):
         calls["negative"] |= bool(np.any(x < 0.0))
         return f.deriv(k, x)
 
-    return F.ScalarFunction(
-        name=f.name, eval=ev, deriv=dv, max_order=f.max_order, even_or_odd=f.even_or_odd
-    ), calls
+    return F.ScalarFunction(name=f.name, eval=ev, deriv=dv, even_or_odd=f.even_or_odd), calls
 
 
 def _both_signs(f):

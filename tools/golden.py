@@ -316,11 +316,6 @@ def _cells(out) -> dict:
     return cells
 
 
-def _same(x, y) -> bool:
-    """Whether two cells are equal, NaN equal to NaN."""
-    return json.dumps(x, sort_keys=True) == json.dumps(y, sort_keys=True)
-
-
 CALL_PARTS = ("stdout", "stderr", "exit")
 
 
@@ -364,7 +359,8 @@ def compare(dir_a, dir_b) -> int:
     if a.keys() != b.keys():
         print(f"the golden sets differ in their cells: {sorted(a.keys() ^ b.keys())[:10]}")
         return 1
-    changed = [key for key in a if not _same(a[key], b[key])]
+    # compared as JSON text, in which NaN equals NaN
+    changed = [key for key in a if json.dumps(a[key]) != json.dumps(b[key])]
     moved = sum(a[key]["argmax_digest"] != b[key]["argmax_digest"] for key in changed)
     print(f"{len(changed)} of {len(a)} cells changed ({moved} in their argmax_digest)")
     worst, flips, beyond = dict.fromkeys(STATISTICS, 0.0), [], []
