@@ -44,7 +44,6 @@ from .norms import (
 from .functions import (
     ScalarFunction,
     SeminormEstimate,
-    catalog,
     d_of_p,
     dilate_function,
     parse_function_spec,

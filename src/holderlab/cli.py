@@ -30,9 +30,12 @@ DEFAULT_SEED = 20240801
 def _seed_default() -> int:
     env = os.environ.get("HOLDERLAB_SEED")
     try:
-        return int(env) if env else DEFAULT_SEED
+        seed = int(env) if env else DEFAULT_SEED
     except ValueError:
         raise ParameterError(f"HOLDERLAB_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed} (from HOLDERLAB_SEED)")
+    return seed
 
 
 def _atomic_write(path: str, text: str):
@@ -320,6 +323,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) is None:
             args.seed = seed
+        elif getattr(args, "seed", 0) < 0:  # SeedState needs a seed >= 0
+            raise ParameterError(f"seed must be >= 0, got {args.seed}")
         args.argv = argv
         return args.func(args)
     except HolderLabError as exc:

@@ -180,13 +180,6 @@ def symbol_matrix(a: BivariateSymbol, lam: np.ndarray, mu: np.ndarray) -> np.nda
     return m
 
 
-def _schur_action(m: np.ndarray, u: np.ndarray, w: np.ndarray, v) -> np.ndarray:
-    """U (m * (U* V W)) W* over a stack of symbol matrices m, bases U, W and
-    matrices V."""
-    g = np.swapaxes(u.conj(), -1, -2) @ np.asarray(v, dtype=complex) @ w
-    return u @ (m * g) @ np.swapaxes(w.conj(), -1, -2)
-
-
 def schur_apply(
     a: BivariateSymbol,
     dec_a: SpectralDecomposition,
@@ -196,7 +189,9 @@ def schur_apply(
     """T_a(V): entrywise multiplication by [a(lam_i, mu_j)] in the eigenbases,
     over a stack of decomposition pairs and matrices V."""
     m = symbol_matrix(a, dec_a.eigenvalues, dec_b.eigenvalues)
-    return _schur_action(m, dec_a.basis, dec_b.basis, v)
+    u, w = dec_a.basis, dec_b.basis
+    g = np.swapaxes(u.conj(), -1, -2) @ np.asarray(v, dtype=complex) @ w
+    return u @ (m * g) @ np.swapaxes(w.conj(), -1, -2)
 
 
 def doi_lipschitz_identity(
@@ -626,12 +621,12 @@ def _symbol_stack(a: BivariateSymbol, lam: np.ndarray, mu: np.ndarray) -> np.nda
 
 def _ratio_round(a: BivariateSymbol, spec: Schatten, dim: int, seeds):
     """Draw one instance per seed; returns per seed whether its symbol matrix
-    is finite, and the ratios ||T_a(V)||_p / ||V||_p of the finite ones."""
-    lam, mu, bases, v = sample_schur_instances(dim, a.lambda_range, a.mu_range, seeds)
+    is finite, and the ratios ||m * V||_p / ||V||_p of the finite ones."""
+    lam, mu, v = sample_schur_instances(dim, a.lambda_range, a.mu_range, seeds)
     m = _symbol_stack(a, lam, mu)
     ok = np.all(np.isfinite(m), axis=(-2, -1))
     v = v[ok]
-    out = np.linalg.svd(_schur_action(m[ok], bases[ok, 0], bases[ok, 1], v), compute_uv=False)
+    out = np.linalg.svd(m[ok] * v, compute_uv=False)
     num, den = (norm_of_profile(sv, spec) for sv in (out, np.linalg.svd(v, compute_uv=False)))
     with np.errstate(divide="ignore", invalid="ignore"):
         return ok, np.where(den == 0.0, 0.0, num / den).tolist()
@@ -645,13 +640,15 @@ def empirical_mp_lower(
     seed: SeedState | int,
 ) -> EmpiricalLower:
     """Finite-matrix lower bound for the multiplier norm: the max of
-    ||T_a(V)||_p / ||V||_p over sampled eigenvalue grids (uniform in the
-    symbol's sampling ranges, Haar eigenbases) and Gaussian V.
+    ||m * V||_p / ||V||_p over the symbol matrices m of sampled eigenvalue
+    grids (uniform in the symbol's sampling ranges) and Gaussian V.  This
+    ratio has the law of ||T_a(V)||_p / ||V||_p in Haar eigenbases (see
+    sample_schur_instances), so no bases are drawn.
 
     Trial t draws from seed.child(t, attempt).  The trials run in stacks of
-    at most STACK_ENTRIES complex entries, three matrices per trial.  A
-    trial on which the symbol is singular is redrawn at the next attempt, in
-    a round of the trials that need it, up to MAX_RESAMPLE times."""
+    at most STACK_ENTRIES complex entries, three matrices per trial (V, m,
+    m * V).  A trial on which the symbol is singular is redrawn at the next
+    attempt, in a round of the trials that need it, up to MAX_RESAMPLE times."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if dim < 1:

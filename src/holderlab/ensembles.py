@@ -98,15 +98,15 @@ def sample_ginibre_pairs(dim: int, seeds) -> np.ndarray:
 
 def sample_schur_instances(dim: int, lambda_range, mu_range, seeds):
     """Draw one instance of a Schur-multiplier ratio per seed: returns the
-    ascending spectra lam and mu, each (len(seeds), n), the Haar bases of A
-    and B stacked as (len(seeds), 2, n, n), and the Ginibre matrices V,
-    (len(seeds), n, n).
+    ascending spectra lam and mu, each (len(seeds), n), and the Ginibre
+    matrices V, (len(seeds), n, n).
 
     Each seed draws lam uniformly from ``lambda_range``, then mu from
-    ``mu_range``, then the Ginibre matrices of A's basis, B's basis and V;
-    the QR and phase then run once over the whole stack.  Raises
-    ParameterError unless each range (lo, hi) is finite with lo <= hi (a
-    range of one point draws that point).
+    ``mu_range``, then V as ginibre(dim, rng) does.  No eigenbases are drawn:
+    quasi-norms are unitarily invariant and U* V W is Ginibre whenever V is,
+    so for Haar U, W and a symbol matrix m, ||U (m * (U* V W)) W*||_p / ||V||_p
+    has the law of ||m * V||_p / ||V||_p.  Raises ParameterError unless each
+    range (lo, hi) is finite with lo <= hi (a range of one point draws it).
     """
     _check_dim(dim)
     for name, (lo, hi) in (("lambda", lambda_range), ("mu", mu_range)):
@@ -114,16 +114,15 @@ def sample_schur_instances(dim: int, lambda_range, mu_range, seeds):
             raise ParameterError(f"bad {name} range {(lo, hi)}: need finite lo <= hi")
     lam = np.empty((len(seeds), dim))
     mu = np.empty((len(seeds), dim))
-    z = np.empty((len(seeds), 3, 2, dim, dim))
+    z = np.empty((len(seeds), 2, dim, dim))
     for i, seed in enumerate(seeds):
         rng = seed.rng()
         lam[i] = rng.uniform(*lambda_range, dim)
         mu[i] = rng.uniform(*mu_range, dim)
-        rng.standard_normal(out=z[i])  # the draws of three ginibre(dim, rng)
+        rng.standard_normal(out=z[i])  # the draws of ginibre(dim, rng)
     lam.sort(axis=-1)
     mu.sort(axis=-1)
-    g = _complex_gaussian(z)
-    return lam, mu, _unitary_from_ginibre(g[:, :2]), g[:, 2]
+    return lam, mu, _complex_gaussian(z)
 
 
 # --- the named ensembles of a campaign config -------------------------------------

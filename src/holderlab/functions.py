@@ -269,11 +269,6 @@ _CATALOG = {
 }
 
 
-def catalog() -> dict:
-    """Named constructors for the built-in test functions."""
-    return {name: ctor for name, (ctor, _) in _CATALOG.items()}
-
-
 def parse_function_spec(text: str) -> ScalarFunction:
     """Parse e.g. "power:0.5", "log1p", "rational:1"."""
     tokens = text.strip().split(":")

@@ -462,12 +462,12 @@ def test_cli_mpnorm_dyadic_k_outside_the_sampling_range_exit_2(k, capsys):
     [
         (
             ["--symbol", "dyadic:40"],
-            '{"lower": 0.9999999999989746, "lower_le_upper": true, "method": '
+            '{"lower": 0.999999999998976, "lower_le_upper": true, "method": '
             '"fourier-composite", "p": 1.0, "symbol": "dyadic:40", "upper": 120006.9296432273}',
         ),
         (
             ["--symbol", "dyadic:2", "--f", "sexpm1"],
-            '{"lower": 1.285923214817276, "lower_le_upper": true, "method": '
+            '{"lower": 1.285778339048125, "lower_le_upper": true, "method": '
             '"fourier-composite", "p": 1.0, "symbol": "dyadic:2", "upper": Infinity}',
         ),
     ],
@@ -499,6 +499,24 @@ def test_cli_mpnorm_singular_symbol_exit_2_without_warnings(method, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: symbol g_-100[sexpm1]: sampling kept hitting singular spectra\n"
+
+
+def test_cli_mpnorm_upper_below_the_sampled_lower_exit_3(monkeypatch, capsys):
+    lowers = []
+
+    def lower(*args):
+        got = real(*args)
+        lowers.append(got.value)
+        return got
+
+    real = hl.doi.empirical_mp_lower
+    monkeypatch.setattr(hl.doi, "empirical_mp_lower", lower)
+    monkeypatch.setattr(hl.doi, "decomposition_bound", lambda terms, p: 0.5 * lowers[0])
+    assert main(["mpnorm", "--symbol", "alpha", "--trials", "20", "--seed", "4"]) == 3
+    captured = capsys.readouterr()
+    rec = json.loads(captured.out)
+    assert '"lower_le_upper": false' in captured.out and captured.err == ""
+    assert rec["lower"] == lowers[0] > rec["upper"] == 0.5 * lowers[0] > 0.0
 
 
 def test_cli_seminorm(capsys):
@@ -865,6 +883,11 @@ BAD_NUMBERS = {
     "mpnorm-grid-neg": (["mpnorm", "--symbol", "b0", "--grid", "-4", "--trials", "2"], "got -4"),
     "mpnorm-dim-0": (["mpnorm", "--symbol", "alpha", "--dim", "0"], "got 0"),
     "mpnorm-dim-neg": (["mpnorm", "--symbol", "alpha", "--dim", "-1"], "got -1"),
+    # SeedState needs a seed >= 0
+    "mpnorm-seed-neg": (
+        ["mpnorm", "--symbol", "alpha", "--seed", "-5"], "seed must be >= 0, got -5\n"
+    ),
+    "verify-seed-neg": (["verify", "--ineq", "bks", "--seed", "-5"], "seed must be >= 0, got -5\n"),
     "verify-p-inf": (["verify", "--ineq", "main", "--f", "power:0.5", "--p", "inf"], "got inf"),
     "verify-p-nan": (["verify", "--ineq", "bks", "--p", "nan"], "got nan"),
     # r = inf makes f identically 0
@@ -957,7 +980,14 @@ def test_cli_bad_env_seed_exits_2(argv, monkeypatch, capsys):
     # after a successful call has built the parser, the value is still checked
     monkeypatch.delenv("HOLDERLAB_SEED", raising=False)
     assert main(["seminorm", "--f", "log1p", "--theta", "0.5", "--d", "2"]) == 0
-    monkeypatch.setenv("HOLDERLAB_SEED", "abc")
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "HOLDERLAB_SEED" in err and "'abc'" in err
+    capsys.readouterr()
+    for value, message in (
+        ("abc", "HOLDERLAB_SEED must be an integer, got 'abc'"),
+        # SeedState needs a seed >= 0
+        ("-5", "seed must be >= 0, got -5 (from HOLDERLAB_SEED)"),
+    ):
+        monkeypatch.setenv("HOLDERLAB_SEED", value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

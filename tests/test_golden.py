@@ -16,17 +16,17 @@ CELL = {
 }
 
 
-def _golden_set(path, cell):
+def _golden_set(path, cell, stdout):
     os.makedirs(path / "inverse-s1")
     (path / "inverse-s1" / "report.json").write_text(json.dumps({"cells": [cell]}))
     os.makedirs(path / "cli-oneshot-0")
-    for part, text in (("stdout", "{}\n"), ("stderr", ""), ("exit", "0\n")):
+    for part, text in (("stdout", stdout), ("stderr", ""), ("exit", "0\n")):
         (path / "cli-oneshot-0" / part).write_text(text)
 
 
-def _compare(tmp_path, a, b):
-    _golden_set(tmp_path / "a", a)
-    _golden_set(tmp_path / "b", b)
+def _compare(tmp_path, a, b, stdout_a="{}\n", stdout_b="{}\n"):
+    _golden_set(tmp_path / "a", a, stdout_a)
+    _golden_set(tmp_path / "b", b, stdout_b)
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "golden.py"), "--compare",
          str(tmp_path / "a"), str(tmp_path / "b")],
@@ -56,3 +56,33 @@ def test_compare_reads_nan_as_equal_to_nan(tmp_path):
     assert out.returncode == 0, out.stdout
     assert "0 of 1 calls differ" in out.stdout
     assert "0 of 1 cells changed" in out.stdout
+
+
+@pytest.mark.parametrize(
+    "stdout_a, stdout_b, where",
+    [
+        # one JSON object on both sides: the keys whose values differ
+        (
+            '{"lower": 2.372, "lower_le_upper": true, "upper": 4.0}\n',
+            '{"lower": 2.403, "lower_le_upper": true, "upper": 4.0}\n',
+            "stdout (lower)",
+        ),
+        (
+            '{"lower": NaN, "upper": 4.0, "x": 1}\n',
+            '{"lower": NaN, "upper": Infinity}\n',
+            "stdout (upper, x)",
+        ),
+        # otherwise the part alone
+        ("wrote a (1 cells)\n", "wrote b (1 cells)\n", "stdout"),
+        ("[1, 2]\n", "[1, 3]\n", "stdout"),
+        ('{"lower": 1.0}\n', "not json\n", "stdout"),
+    ],
+    ids=["one-key", "nan-inf-missing", "text", "list", "one-side"],
+)
+def test_compare_names_the_keys_of_a_json_stdout_that_differ(
+    tmp_path, stdout_a, stdout_b, where
+):
+    out = _compare(tmp_path, CELL, dict(CELL), stdout_a, stdout_b)
+    assert out.returncode == 0, out.stdout
+    assert "1 of 1 calls differ in stdout, stderr or exit code\n" in out.stdout
+    assert f"  cli-oneshot-0: {where}\n" in out.stdout

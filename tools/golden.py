@@ -12,8 +12,10 @@ checkout's ``src``.  BLAS runs on one thread.
 
 ``--compare`` prints the name of every verify and CLI call whose stdout,
 stderr or exit code differs between two golden sets, with the parts that
-differ.  It then reads the cells of every ``report.json`` of both and prints
-how many cells changed, the largest relative change of each statistic
+differ; when a stdout is one JSON object on both sides, it also names the
+keys whose values differ, as in ``cli-alpha-auto: stdout (lower)``.  It
+then reads the cells of every ``report.json`` of both and prints how many
+cells changed, the largest relative change of each statistic
 (max_ratio, min_ratio, q50, q99), every cell whose statistic went from NaN
 to finite or back, and every finite statistic that moved by more than BOUND
 (1e-12) relative.  It exits 1 when a statistic moved beyond the bound or
@@ -333,6 +335,21 @@ def _calls(out) -> dict:
     return calls
 
 
+def _stdout_keys(x: bytes, y: bytes) -> str:
+    """" (k, ...)" naming the keys whose values differ when both stdouts are
+    one JSON object, else ""."""
+    try:
+        a, b = json.loads(x), json.loads(y)
+    except ValueError:
+        return ""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return ""
+    # compared as JSON text, in which NaN equals NaN; a missing key differs
+    keys = [k for k in sorted(a.keys() | b.keys())
+            if k not in a or k not in b or json.dumps(a[k]) != json.dumps(b[k])]
+    return f" ({', '.join(keys)})" if keys else ""
+
+
 def _relative(a, b) -> float:
     if a == b:
         return 0.0
@@ -349,7 +366,9 @@ def compare(dir_a, dir_b) -> int:
         x, y = calls_a.get(name), calls_b.get(name)
         if x != y:
             where = CALL_PARTS if x is None or y is None else (
-                part for part, u, v in zip(CALL_PARTS, x, y) if u != v
+                part + (_stdout_keys(u, v) if part == "stdout" else "")
+                for part, u, v in zip(CALL_PARTS, x, y)
+                if u != v
             )
             differ[name] = ", ".join(where)
     print(f"{len(differ)} of {len(names)} calls differ in stdout, stderr or exit code")
