@@ -3,26 +3,23 @@ bounds, and seminorm reports.
 
 Exit codes: 0 success (all exact-constant claims hold), 2 usage error,
 3 counterexample candidate.
+
+Each subcommand imports the modules it runs when it runs, so a one-shot call
+loads only those: ``seminorm`` loads ``functions`` alone, ``mpnorm`` no
+campaign or verifier code.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
 import json
 import math
 import os
 import sys
-import tempfile
-from dataclasses import asdict
 
-from . import __version__, doi
-from .campaign import REPORT_FORMAT, VERIFIERS, CampaignConfig, replay, run_campaign
-from .ensembles import SeedState
+from . import __version__
 from .errors import HolderLabError, ParameterError
-from .functions import d_of_p, parse_function_spec, seminorm
-from .verify import REVERSE_VARIANTS
 
 DEFAULT_SEED = 20240801
 
@@ -39,6 +36,8 @@ def _seed_default() -> int:
 
 
 def _atomic_write(path: str, text: str):
+    import tempfile
+
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
@@ -53,6 +52,10 @@ def _atomic_write(path: str, text: str):
 
 
 def _manifest(command: str, argv: list, config: dict, seed: int, outputs: list) -> dict:
+    import datetime
+
+    from .campaign import REPORT_FORMAT
+
     return {
         "command": command,
         "argv": argv,
@@ -76,6 +79,10 @@ def _spectrum(text: str) -> list:
 
 
 def cmd_verify(args) -> int:
+    from dataclasses import asdict
+
+    from .campaign import CampaignConfig, replay, run_campaign
+
     ensemble = None
     if args.spectrum:
         ensemble = {"name": "fixed_pair", "eigenvalues": args.spectrum}
@@ -109,6 +116,8 @@ def _no_ratio_reason(config, cell_idx, cell) -> str:
     """Why a cell has no ratio to report (its argmax digest is "none"): every
     trial failed, named by the error of its trial 0, every ratio is NaN, or
     every record had rhs = 0."""
+    from .campaign import replay
+
     if cell.failures == cell.trials:
         cause = ""
         try:
@@ -124,6 +133,8 @@ def _no_ratio_reason(config, cell_idx, cell) -> str:
 
 
 def cmd_campaign(args) -> int:
+    from .campaign import CampaignConfig, run_campaign
+
     try:
         fh = open(args.config)
     except OSError as exc:
@@ -179,6 +190,9 @@ def cmd_campaign(args) -> int:
 
 def _build_symbol(args):
     """The symbol --symbol names, its kind, and (f, K) for dyadic:K, else None."""
+    from . import doi
+    from .functions import parse_function_spec
+
     sym_spec = args.symbol.lower()
     if sym_spec == "alpha":
         return doi.alpha_symbol(), "alpha", None
@@ -202,27 +216,49 @@ def _build_symbol(args):
     raise HolderLabError(f"unknown symbol {args.symbol!r}")
 
 
-def cmd_mpnorm(args) -> int:
-    sym, kind, dyadic = _build_symbol(args)
-    lower = doi.empirical_mp_lower(sym, args.p, args.dim, args.trials, SeedState(args.seed)).value
-    upper = None
-    method = "empirical"
+def _upper_route(args, kind, dyadic):
+    """The route --method picks for the upper bound: its method name and a
+    function that computes the bound, or ("empirical", None).  Every route
+    needs p in (0, 1], so auto falls back to the empirical bound alone
+    outside it.  A route asked for by name that cannot apply raises here,
+    before any draw."""
+    from . import doi
+
     want = args.method
     decompositions = {"alpha": doi.alpha_decomposition, "beta": doi.beta_decomposition}
+    if want == "empirical":
+        return "empirical", None
+    fourier = dict(b=args.b, grid_n=args.grid)
     if want in ("decomposition", "auto") and kind in decompositions:
-        upper = doi.decomposition_bound(decompositions[kind](), args.p)
         method = "decomposition"
+        upper = functools.partial(doi.decomposition_bound, decompositions[kind](), args.p)
     elif want == "decomposition":
         raise HolderLabError(f"no separable decomposition built in for {kind}")
-    elif want in ("fourier", "auto") and kind in ("b0", "b1"):
-        upper = doi.b0_upper_bound(args.theta, args.a, args.p, b=args.b, grid_n=args.grid)
+    elif kind in ("b0", "b1"):
         method = "fourier-dyadic"
-    elif want in ("fourier", "auto") and dyadic:
-        upper = doi.dyadic_upper_bound(*dyadic, args.theta, args.p, b=args.b, grid_n=args.grid)
+        upper = functools.partial(doi.b0_upper_bound, args.theta, args.a, args.p, **fourier)
+    elif dyadic:
         method = "fourier-composite"
-    elif want == "fourier":
+        upper = functools.partial(doi.dyadic_upper_bound, *dyadic, args.theta, args.p, **fourier)
+    else:
         raise HolderLabError(f"fourier route not applicable to {kind}")
-    bound = doi.MpBound(lower=lower, upper=upper, method=method)
+    if not 0.0 < args.p <= 1.0:
+        if want == "auto":
+            return "empirical", None
+        upper()  # each route's bound checks p first, so this raises its message
+    return method, upper
+
+
+def cmd_mpnorm(args) -> int:
+    from dataclasses import asdict
+
+    from . import doi
+    from .ensembles import SeedState
+
+    sym, kind, dyadic = _build_symbol(args)
+    method, upper = _upper_route(args, kind, dyadic)
+    lower = doi.empirical_mp_lower(sym, args.p, args.dim, args.trials, SeedState(args.seed)).value
+    bound = doi.MpBound(lower=lower, upper=None if upper is None else upper(), method=method)
     consistent = bound.upper is None or bound.lower <= bound.upper * (1.0 + 1e-8)
     payload = {"symbol": kind, "p": args.p, "lower_le_upper": consistent, **asdict(bound)}
     print(json.dumps(payload, sort_keys=True))
@@ -233,6 +269,8 @@ def cmd_mpnorm(args) -> int:
 
 
 def cmd_seminorm(args) -> int:
+    from .functions import d_of_p, parse_function_spec, seminorm
+
     f = parse_function_spec(args.f)
     est = seminorm(f, args.d, args.theta)
     out = {
@@ -264,7 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run one inequality verifier")
-    pv.add_argument("--ineq", required=True, choices=list(VERIFIERS))
+    # CampaignConfig checks --ineq and --variant: an unknown value exits 2
+    # with a message that names the known ones
+    pv.add_argument(
+        "--ineq", required=True,
+        help="verifier name; the README's \"Single verification\" lists them, and an "
+        "unknown name exits 2 with the known ones",
+    )
     pv.add_argument("--f", default=None, help="function spec, e.g. power:0.5")
     pv.add_argument("--theta", type=float, default=0.5)
     pv.add_argument("--p", type=float, default=1.0)
@@ -272,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--dim", type=int, default=6)
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--trials", type=int, default=1)
-    pv.add_argument("--variant", default="power", choices=list(REVERSE_VARIANTS))
+    pv.add_argument("--variant", default="power", help="reverse flavour: power | expm1")
     pv.add_argument(
         "--spectrum",
         type=_spectrum,

@@ -418,19 +418,20 @@ DD_BLOCK = 4096
 def _dd_table(f: ScalarFunction, parts, x, y) -> dict:
     """d_1^i d_2^j dd f(x, y) = int t^i (1-t)^j f^(1+i+j)(t x + (1-t) y) dt
     for every (i, j) of ``parts``, by QUAD_NODES-point Gauss-Legendre
-    quadrature: per node, one evaluation of each derivative order up to the
-    highest the parts need."""
+    quadrature: per node, one ladder of the derivative orders 1 up to the
+    highest the parts need (f.derivatives), and each part's term taken into
+    one buffer."""
     top = 1 + max(i + j for i, j in parts)
     if top > f.max_order:
         raise CapabilityError(
             f"{f.name}: localized bound needs derivative order {f.max_order + 1}"
         )
     dd = {ij: np.zeros(x.shape, dtype=float) for ij in parts}
+    term = np.empty(x.shape, dtype=float)
     for t, w in zip(*_gauss_legendre_01(QUAD_NODES)):
-        z = t * x + (1.0 - t) * y
-        d = [f.deriv(k, z) for k in range(1, top + 1)]
+        d = f.derivatives(top, t * x + (1.0 - t) * y)
         for i, j in parts:
-            dd[i, j] += w * t ** i * (1.0 - t) ** j * d[i + j]
+            dd[i, j] += np.multiply(w * t ** i * (1.0 - t) ** j, d[i + j], out=term)
     return dd
 
 

@@ -24,7 +24,8 @@ DD_SWITCH = 1e-8
 class ScalarFunction:
     """A real function f with vectorized evaluation and analytic derivatives.
 
-    ``derivative(k, x)`` is defined for 1 <= k <= max_order and x != 0;
+    ``derivative(k, x)`` is defined for 1 <= k <= max_order and x != 0, and
+    ``derivatives(top, x)`` gives the orders 1..top at once;
     ``derivative_at_zero`` is the two-sided f'(0) when it exists, else None.
     ``exact_order_sup(k, theta)``, when present, returns the analytic value of
     sup_{x != 0} |x|^{k - theta} |f^(k)(x)|.  ``theta_hint``, when present, is
@@ -51,12 +52,45 @@ class ScalarFunction:
             )
         return self.deriv(k, np.asarray(x, dtype=float))
 
+    def derivatives(self, top: int, x) -> list:
+        """[deriv(k, x) for k in 1..top], bit for bit.  A deriv that carries a
+        ``ladder`` (one made by _laddered or dilate_function) computes the part
+        its orders share once; any other deriv is called per order."""
+        if top > self.max_order:
+            raise CapabilityError(
+                f"{self.name}: derivative order {top} exceeds max_order {self.max_order}"
+            )
+        ladder = getattr(self.deriv, "ladder", None)
+        if ladder is None:
+            return [self.deriv(k, x) for k in range(1, top + 1)]
+        return ladder(top, x)
+
+
+def _laddered(shared, order):
+    """The deriv of a builder whose orders share work: ``order(k, parts)`` is
+    f^(k) from ``parts = shared(x)``.  A per-order call computes its parts;
+    its ``ladder(top, x)`` computes them once for the orders 1..top."""
+
+    def deriv(k, x):
+        return order(k, shared(x))
+
+    def ladder(top, x):
+        parts = shared(x)
+        return [order(k, parts) for k in range(1, top + 1)]
+
+    deriv.ladder = ladder
+    return deriv
+
+
+def _unit_power(s, k: int) -> np.ndarray:
+    """s ** k for k >= 1 and s = np.sign(x), bit for bit (NaN and -0.0
+    included), without a float power: s itself for odd k, s * s for even k."""
+    return s if k % 2 else s * s
+
 
 def _sign_power(x, k: int) -> np.ndarray:
-    """np.sign(x) ** k for k >= 1, bit for bit (NaN and -0.0 included),
-    without a float power: the sign itself for odd k, its square for even k."""
-    s = np.sign(x)
-    return s if k % 2 else s * s
+    """np.sign(x) ** k for k >= 1, bit for bit."""
+    return _unit_power(np.sign(x), k)
 
 
 def _falling(theta: float, k: int) -> float:
@@ -78,14 +112,14 @@ def _power(theta: float, odd: bool) -> ScalarFunction:
     def ev(x):
         return np.sign(x) * np.abs(x) ** theta if odd else np.abs(x) ** theta
 
-    def dv(k, x):
-        c = _falling(theta, k)
-        return c * np.abs(x) ** (theta - k) * _sign_power(x, k + odd)
+    def dv(k, parts):
+        a, s = parts  # |x|, sign(x)
+        return _falling(theta, k) * a ** (theta - k) * _unit_power(s, k + odd)
 
     return ScalarFunction(
         name=f"{'s' * odd}power:{theta}",
         eval=ev,
-        deriv=dv,
+        deriv=_laddered(lambda x: (np.abs(x), np.sign(x)), dv),
         theta_hint=theta,
         derivative_at_zero=None,
         exact_order_sup=lambda k, th: (abs(_falling(theta, k)) if th == theta else np.inf),
@@ -109,12 +143,14 @@ def _log1p(odd: bool) -> ScalarFunction:
     def ev(x):
         return np.sign(x) * np.log1p(np.abs(x)) if odd else np.log1p(np.abs(x))
 
-    def dv(k, x):
-        base = (-1.0) ** (k - 1) * math.factorial(k - 1) / (1.0 + np.abs(x)) ** k
-        return base * _sign_power(x, k + odd)
+    def dv(k, parts):
+        q, s = parts  # 1 + |x|, sign(x)
+        return (-1.0) ** (k - 1) * math.factorial(k - 1) / q ** k * _unit_power(s, k + odd)
 
     return ScalarFunction(
-        name=f"{'s' * odd}log1p", eval=ev, deriv=dv, derivative_at_zero=1.0 if odd else None,
+        name=f"{'s' * odd}log1p", eval=ev,
+        deriv=_laddered(lambda x: (1.0 + np.abs(x), np.sign(x)), dv),
+        derivative_at_zero=1.0 if odd else None,
         even_or_odd=True,
     )
 
@@ -137,12 +173,14 @@ def _rational(r: float, odd: bool) -> ScalarFunction:
     def ev(x):
         return (x if odd else np.abs(x)) / (r + np.abs(x))
 
-    def dv(k, x):
-        base = (-1.0) ** (k + 1) * r * math.factorial(k) / (r + np.abs(x)) ** (k + 1)
-        return base * _sign_power(x, k + odd)
+    def dv(k, parts):
+        q, s = parts  # r + |x|, sign(x)
+        c = (-1.0) ** (k + 1) * r * math.factorial(k)
+        return c / q ** (k + 1) * _unit_power(s, k + odd)
 
     return ScalarFunction(
-        name=f"{'s' * odd}rational:{r}", eval=ev, deriv=dv,
+        name=f"{'s' * odd}rational:{r}", eval=ev,
+        deriv=_laddered(lambda x: (r + np.abs(x), np.sign(x)), dv),
         derivative_at_zero=1.0 / r if odd else None, even_or_odd=True,
     )
 
@@ -165,11 +203,14 @@ def signed_expm1() -> ScalarFunction:
     def ev(x):
         return np.sign(x) * np.expm1(np.abs(x))
 
-    def dv(k, x):
-        return np.exp(np.abs(x)) * _sign_power(x, k + 1)
+    def dv(k, parts):
+        e, s = parts  # exp(|x|), sign(x)
+        return e * _unit_power(s, k + 1)
 
     return ScalarFunction(
-        name="sexpm1", eval=ev, deriv=dv, derivative_at_zero=1.0, even_or_odd=True
+        name="sexpm1", eval=ev,
+        deriv=_laddered(lambda x: (np.exp(np.abs(x)), np.sign(x)), dv),
+        derivative_at_zero=1.0, even_or_odd=True,
     )
 
 
@@ -184,11 +225,14 @@ def gauss_bump() -> ScalarFunction:
     def ev(x):
         return x * np.exp(-np.asarray(x, dtype=float) ** 2)
 
-    def dv(k, x):
-        return polys[k](x) * np.exp(-np.asarray(x, dtype=float) ** 2)
+    def dv(k, parts):
+        x, g = parts  # x, exp(-x^2)
+        return polys[k](x) * g
 
     return ScalarFunction(
-        name="gauss", eval=ev, deriv=dv, derivative_at_zero=1.0, even_or_odd=True
+        name="gauss", eval=ev,
+        deriv=_laddered(lambda x: (x, np.exp(-np.asarray(x, dtype=float) ** 2)), dv),
+        derivative_at_zero=1.0, even_or_odd=True,
     )
 
 
@@ -241,8 +285,17 @@ def dilate_function(f: ScalarFunction, r: float) -> ScalarFunction:
     def ev(x):
         return f.eval(np.asarray(x, dtype=float) / r)
 
+    def scaled(k, d):  # the k-th derivative of x -> f(x / r) from d = f^(k)(x / r)
+        return d / r ** k
+
     def dv(k, x):
-        return f.deriv(k, np.asarray(x, dtype=float) / r) / r ** k
+        return scaled(k, f.deriv(k, np.asarray(x, dtype=float) / r))
+
+    def ladder(top, x):
+        ds = f.derivatives(top, np.asarray(x, dtype=float) / r)
+        return [scaled(k, d) for k, d in enumerate(ds, 1)]
+
+    dv.ladder = ladder
 
     dz = None if f.derivative_at_zero is None else f.derivative_at_zero / r
     return ScalarFunction(

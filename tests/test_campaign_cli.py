@@ -263,7 +263,7 @@ def test_cli_campaign_bad_paths_exit_2_before_any_trial(bad, monkeypatch, tmp_pa
     else:
         cfg_path = tmp_path / "cfg-dir"
         cfg_path.mkdir()
-    monkeypatch.setattr("holderlab.cli.run_campaign", lambda config: pytest.fail("trials ran"))
+    monkeypatch.setattr("holderlab.campaign.run_campaign", lambda config: pytest.fail("trials ran"))
     assert main(["campaign", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert out.exists() == (bad == "out-is-a-file")
@@ -517,6 +517,52 @@ def test_cli_mpnorm_upper_below_the_sampled_lower_exit_3(monkeypatch, capsys):
     rec = json.loads(captured.out)
     assert '"lower_le_upper": false' in captured.out and captured.err == ""
     assert rec["lower"] == lowers[0] > rec["upper"] == 0.5 * lowers[0] > 0.0
+
+
+P2_SYMBOLS = {
+    "alpha": ["--symbol", "alpha"],
+    "b0": ["--symbol", "b0"],
+    "dyadic": ["--symbol", "dyadic:2", "--f", "log1p"],
+}
+
+
+@pytest.mark.parametrize("symbol", P2_SYMBOLS)
+def test_cli_mpnorm_auto_above_p_1_prints_the_empirical_bound(symbol, capsys):
+    # every upper route needs p in (0, 1]: auto falls back to the lower bound
+    argv = ["mpnorm", *P2_SYMBOLS[symbol], "--p", "2", "--trials", "20", "--seed", "4"]
+    assert main(argv + ["--method", "empirical"]) == 0
+    empirical = capsys.readouterr()
+    assert main(argv) == 0
+    auto = capsys.readouterr()
+    assert auto == empirical and auto.err == ""
+    rec = json.loads(auto.out)
+    assert rec["upper"] is None and rec["method"] == "empirical" and rec["lower"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--symbol", "alpha", "--p", "2", "--method", "decomposition"],
+         "decomposition bound requires p in (0,1], got 2.0"),
+        (["--symbol", "beta", "--p", "2", "--method", "decomposition"],
+         "decomposition bound requires p in (0,1], got 2.0"),
+        (["--symbol", "b0", "--p", "2", "--method", "fourier"],
+         "b0 bound requires p in (0,1], got 2.0"),
+        (P2_SYMBOLS["dyadic"] + ["--p", "2", "--method", "fourier"],
+         "band bound requires p in (0,1], got 2.0"),
+        (["--symbol", "dyadic:2", "--f", "rational:1", "--p", "2", "--method", "fourier"],
+         "band bound requires p in (0,1], got 2.0"),
+        (["--symbol", "alpha", "--method", "fourier"], "fourier route not applicable to alpha"),
+        (["--symbol", "b0", "--method", "decomposition"],
+         "no separable decomposition built in for b0"),
+    ],
+    ids=["alpha", "beta", "b0", "dyadic-homogeneous", "dyadic-dilated", "alpha-fourier",
+         "b0-decomposition"],
+)
+def test_cli_mpnorm_refused_route_draws_nothing(argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(hl.doi, "empirical_mp_lower", lambda *a: pytest.fail("drew a trial"))
+    assert main(["mpnorm", *argv, "--seed", "4"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_seminorm(capsys):
@@ -842,9 +888,15 @@ def test_cli_verify_spectrum_errors_exit_2(capsys):
     # two eigenvalues do not make a pair of dim 6
     assert main(["verify", "--ineq", "alt", "--spectrum", "1,1"]) == 2
     assert "eigenvalues" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--ineq", "reverse", "--theta", "1.5", "--variant", "cube"])
-    assert exc.value.code == 2
+    assert main(["verify", "--ineq", "reverse", "--theta", "1.5", "--variant", "cube"]) == 2
+    assert "variant must be one of ('power', 'expm1'), got 'cube'" in capsys.readouterr().err
+
+
+def test_cli_verify_unknown_verifier_exits_2_naming_the_known_ones(capsys):
+    assert main(["verify", "--ineq", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown verifier 'nope'; known: {tuple(VERIFIERS)}\n"
 
 
 def test_cli_verify_negative_spectrum_joined_with_equals(capsys):

@@ -74,6 +74,50 @@ def test_sign_power_is_the_float_power_bit_for_bit(k):
         ).tobytes()
 
 
+LADDER_ENTRIES = ALL_ENTRIES + [
+    F.dilate_function(f, r) for f in ALL_ENTRIES for r in (2.0**-3, 1.0, 4.0, 2.0**7, 0.3)
+]
+LADDER_POINTS = np.concatenate(
+    [
+        F._GRID_X[1.0],
+        F._GRID_X[-1.0],
+        np.random.default_rng(5).standard_normal(300) * 10.0 ** np.arange(-6, 6).repeat(25),
+        [0.0, -0.0, np.inf, -np.inf, np.nan],
+    ]
+)
+
+
+@pytest.mark.parametrize("f", LADDER_ENTRIES, ids=lambda f: f.name)
+def test_derivatives_are_the_per_order_derivs_bit_for_bit(f):
+    # every builder but linear shares work across orders, and so does a dilation
+    assert hasattr(f.deriv, "ladder") == (f.name != "linear")
+    with np.errstate(all="ignore"):
+        for top in range(1, f.max_order + 1):
+            got = f.derivatives(top, LADDER_POINTS)
+            want = [f.deriv(k, LADDER_POINTS) for k in range(1, top + 1)]
+            assert [d.tobytes() for d in got] == [d.tobytes() for d in want], top
+    with pytest.raises(CapabilityError, match="derivative order 7 exceeds max_order 6"):
+        f.derivatives(f.max_order + 1, LADDER_POINTS)
+
+
+def test_derivatives_of_a_hand_built_deriv_call_it_per_order():
+    f = F.log1p_abs()
+    calls = []
+
+    def deriv(k, x):
+        calls.append(k)
+        return f.deriv(k, x)
+
+    # a deriv replaced on a catalog entry drops its ladder with it
+    hand_built = dataclasses.replace(f, deriv=deriv)
+    for g in (hand_built, F.dilate_function(hand_built, 2.0)):
+        calls.clear()
+        got = g.derivatives(4, F._GRID_X[1.0])
+        assert calls == [1, 2, 3, 4]
+        want = [g.deriv(k, F._GRID_X[1.0]) for k in range(1, 5)]
+        assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
+
+
 def test_power_weighted_derivative_is_constant():
     # |x|^{k - theta} |f^(k)(x)| for the power function is |theta (theta-1)...|
     f = F.power(0.5)

@@ -1,5 +1,5 @@
 """Write the golden set: the deterministic outputs of 148 campaign configs,
-23 ``holderlab verify`` calls and 27 other CLI calls, and print one sha256
+25 ``holderlab verify`` calls and 34 other CLI calls, and print one sha256
 over all of them.
 
     python3 tools/golden.py OUT_DIR
@@ -26,11 +26,14 @@ Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
 ``forced-counterexamples.json``: the counterexamples of a second run with
 every claim set to -inf, so that every record that passes its checks is
 written with its inputs.  Per verify call, OUT_DIR/verify-<name>/ holds
-``stdout``, ``stderr`` and ``exit``, and so does OUT_DIR/cli-<name>/ per CLI
-call: the benchmark's one-shot calls at seed 1, ``mpnorm`` on b1, every
-``--method`` on alpha and b0, and the bands dyadic:K for K in {-3, 0, 7} of
-log1p, rational:1 and gauss, so that the symbols and bounds of ``doi`` that
-``mpnorm`` reaches are checked byte for byte.
+``stdout``, ``stderr`` and ``exit`` (an argparse usage error included), and
+so does OUT_DIR/cli-<name>/ per CLI call: the benchmark's one-shot calls at
+seed 1, ``mpnorm`` on b1, every ``--method`` on alpha and b0, and the bands
+dyadic:K for K in {-3, 0, 7} of log1p, rational:1 and gauss, so that the
+symbols and bounds of ``doi`` that ``mpnorm`` reaches are checked byte for
+byte; and ``mpnorm`` at p = 2, where no upper route applies, on alpha, b0
+and dyadic:2 of log1p under ``auto`` and ``empirical``, and on alpha under
+``decomposition`` (refused).
 
 The configs: every entry of CONFIGS below, at seeds 101 and 7 (all 11
 verifiers on every ensemble each draws from, edge spectra, invalid cells,
@@ -41,7 +44,8 @@ submaj, alt and telescope grids with refinement; a cell with no ratio; a
 config with no valid cell; and refine_steps 5 and 6.  The
 verify calls run every verifier once, and once per kind of cell check that
 fails: theta out of range, a norm that is not fully symmetric, p out of
-range, a seminorm of an order f lacks, and an infinite seminorm.
+range, a seminorm of an order f lacks, and an infinite seminorm; and with an
+unknown ``--ineq`` and an unknown ``--variant``.
 """
 
 from __future__ import annotations
@@ -218,6 +222,8 @@ def verify_calls() -> dict:
     for name, args in CELL_CHECKS.items():
         calls[f"cell-{name}"] = ["verify", "--ineq", *args, "--dim", "6", "--trials", "20",
                                  "--seed", "7"]
+    calls["unknown-ineq"] = ["verify", "--ineq", "nope", *common]
+    calls["unknown-variant"] = calls["reverse"] + ["--variant", "cube"]
     return calls
 
 
@@ -234,6 +240,14 @@ def cli_calls() -> dict:
         for f in ("log1p", "rational:1", "gauss"):
             argv = ["mpnorm", "--symbol", f"dyadic:{k}", "--f", f, "--grid", "32", *seed]
             calls[f"dyadic{k}-{f.replace(':', '')}"] = argv
+    # p = 2 is outside every upper route
+    p2 = {"alpha": ["alpha"], "b0": ["b0"], "dyadic2": ["dyadic:2", "--f", "log1p"]}
+    for name, symbol in p2.items():
+        for method in ("auto", "empirical"):
+            argv = ["mpnorm", "--symbol", *symbol, "--method", method, "--p", "2", *seed]
+            calls[f"{name}-p2-{method}"] = argv
+    calls["alpha-p2-decomposition"] = ["mpnorm", "--symbol", "alpha", "--method",
+                                       "decomposition", "--p", "2", *seed]
     return calls
 
 
@@ -280,7 +294,10 @@ def write_call(out, name, argv):
     d = os.path.join(out, name)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        rc = cli_main(argv)
+        try:
+            rc = cli_main(argv)
+        except SystemExit as exc:  # a usage error caught by argparse
+            rc = exc.code
     _write(os.path.join(d, "stdout"), stdout.getvalue())
     _write(os.path.join(d, "stderr"), stderr.getvalue())
     _write(os.path.join(d, "exit"), f"{rc}\n")
