@@ -37,6 +37,7 @@ from .spectral import (
     as_hermitian,
     eig_hermitian,
     op_norm,
+    spectral_projection,
 )
 from .ensembles import STACK_ENTRIES, SeedState, sample_schur_instances
 
@@ -305,21 +306,11 @@ class SmoothBump:
             out[fall] = self._derivs[k]((self.hi - u[fall]) / wf) * (-1.0) ** k / wf ** k
         return out
 
-    def __call__(self, u) -> np.ndarray:
-        return self.deriv(0, u)
 
-
-@dataclass(frozen=True)
-class PeriodicSymbol:
-    """2*pi-periodic symbol with analytic mixed partials.
-
-    ``partials(orders, x, y)`` returns, for each (m, n) of ``orders``, the
-    derivative of order m in the second argument and n in the first.
-    """
-
-    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    partials: Callable[[list, np.ndarray, np.ndarray], list]
-    description: str
+# the mixed partials of a 2*pi-periodic symbol: partials(orders, x, y) returns,
+# for each (m, n) of orders, its derivative of order m in the second argument
+# and n in the first
+Partials = Callable[[list, np.ndarray, np.ndarray], list]
 
 
 def _zeta_upper(s: float) -> float:
@@ -373,10 +364,10 @@ def _fourier_upper(vals, p: float, c_pb: float) -> float:
 
 
 def fourier_sobolev_bound(
-    sym: PeriodicSymbol, p: float, b: int, grid_n: int = 256
+    partials: Partials, p: float, b: int, grid_n: int = 256
 ) -> FourierSobolevBound:
-    """Multiplier-norm upper bound for a periodic symbol via its Fourier
-    expansion in the second argument: the zeroth coefficient contributes
+    """Multiplier-norm upper bound for the periodic symbol of ``partials`` via
+    its Fourier expansion in the second argument: the zeroth coefficient contributes
     ||a_0||_2 + (pi^2/3)^{1/2} ||d_1 a_0||_2, the rest contribute
     c_{p,b} (||d_2^b a||_2 + (pi^2/3)^{1/2} ||d_2^b d_1 a||_2), combined with
     the p-power triangle inequality.  All torus L2 norms use normalized
@@ -390,7 +381,7 @@ def fourier_sobolev_bound(
     c_pb = fourier_coefficient_constant(p, b)
     n = 2 * grid_n
     x = _torus_grid(n)
-    vals = sym.partials([(0, 0), (0, 1), (b, 0), (b, 1)], x[:, None], x[None, :])
+    vals = partials([(0, 0), (0, 1), (b, 0), (b, 1)], x[:, None], x[None, :])
     upper = _fourier_upper(vals, p, c_pb)
     # _torus_grid(2n)[::2] equals _torus_grid(n) bit for bit; the copies give
     # the coarse means the memory layout of that grid's own arrays
@@ -435,10 +426,10 @@ def _dd_table(f: ScalarFunction, parts, x, y) -> dict:
     return dd
 
 
-def _localized_periodic(bump_x, bump_y, kernel, description) -> PeriodicSymbol:
-    """bump_x(x) bump_y(y) k(x, y), supported where both bumps are and
-    extended periodically, from ``kernel(parts, x, y)``: the mixed partials
-    d_1^i d_2^j k at the points (x, y) for every (i, j) of ``parts``.  The
+def _localized_periodic(bump_x, bump_y, kernel) -> Partials:
+    """The partials of bump_x(x) bump_y(y) k(x, y), supported where both bumps
+    are and extended periodically, from ``kernel(parts, x, y)``: the mixed
+    partials d_1^i d_2^j k at the points (x, y) for every (i, j) of ``parts``.  The
     partials of the product follow by the Leibniz rule, over blocks of
     DD_BLOCK points of the support: per block, one kernel table and one
     derivative of each bump per order serve every requested partial."""
@@ -468,22 +459,19 @@ def _localized_periodic(bump_x, bump_y, kernel, description) -> PeriodicSymbol:
                 out.flat[block] = part
         return outs
 
-    def ev(x, y):
-        return partials([(0, 0)], x, y)[0]
-
-    return PeriodicSymbol(ev, partials, description)
+    return partials
 
 
-def localized_dd_periodic(f: ScalarFunction, bump: SmoothBump) -> PeriodicSymbol:
-    """bump(x) bump(y) dd f(x, y), supported inside (0, pi]^2 and extended
-    periodically.  Mixed partials of the divided difference come from its
+def localized_dd_periodic(f: ScalarFunction, bump: SmoothBump) -> Partials:
+    """The partials of bump(x) bump(y) dd f(x, y), supported inside (0, pi]^2
+    and extended periodically.  Mixed partials of the divided difference come from its
     integral representation: d_1^n d_2^m dd f = int t^n (1-t)^m f^(1+n+m)."""
-    return _localized_periodic(bump, bump, functools.partial(_dd_table, f), f"bump*dd[{f.name}]")
+    return _localized_periodic(bump, bump, functools.partial(_dd_table, f))
 
 
-def localized_inverse_sum_periodic(bump_s: SmoothBump, bump_t: SmoothBump) -> PeriodicSymbol:
-    """phi1(s) phi2(t) / (s + t): the smooth local model of the shifted
-    inverse kernel, supported where s + t >= 1/2."""
+def localized_inverse_sum_periodic(bump_s: SmoothBump, bump_t: SmoothBump) -> Partials:
+    """The partials of phi1(s) phi2(t) / (s + t): the smooth local model of
+    the shifted inverse kernel, supported where s + t >= 1/2."""
 
     def table(parts, x, y):
         # d_1^i d_2^j 1/(x + y) = (-1)^(i+j) (i+j)! / (x + y)^(1+i+j)
@@ -492,7 +480,7 @@ def localized_inverse_sum_periodic(bump_s: SmoothBump, bump_t: SmoothBump) -> Pe
             for i, j in parts
         }
 
-    return _localized_periodic(bump_s, bump_t, table, "phi1*phi2/(s+t)")
+    return _localized_periodic(bump_s, bump_t, table)
 
 
 def default_b_for(p: float) -> int:
@@ -508,8 +496,8 @@ def local_dd_bound(
     bump of order b + 2."""
     if b is None:
         b = default_b_for(p)
-    sym = localized_dd_periodic(f, SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2))
-    return fourier_sobolev_bound(sym, p, b, grid_n=grid_n).upper
+    partials = localized_dd_periodic(f, SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2))
+    return fourier_sobolev_bound(partials, p, b, grid_n=grid_n).upper
 
 
 def b0_upper_bound(
@@ -686,9 +674,13 @@ class ReconstructionResult:
 
 
 def representation_reconstruct(f: ScalarFunction, a, b, k_range) -> ReconstructionResult:
-    """Reassemble s(A)_+ (f(A) - f(B)) s(B)_+ from the dyadic band terms
-    T_{g_k}(V_k) + T_{h_k}(W_k), k in k_range = (k_min, k_max), and report the
-    relative operator-norm gap.  ``covered`` records whether every strictly
+    """Reassemble P_+ (f(A) - f(B)) Q_+ from the dyadic band terms
+    T_{g_k}(P_k (A-B) Q_(0, 2^-k)) + T_{h_k}(P_(0, 2^-k-1) (A-B) Q_k), with
+    (g_k, h_k) = dyadic_symbols(f, k) for k in k_range = (k_min, k_max), and
+    report the relative operator-norm gap.  P and Q are spectral projections
+    of A and B (P_k, Q_k onto the band [2^-k-1, 2^-k), the subscript + onto
+    the eigenvalues above the zero tolerance of both spectra, which also opens
+    every interval from 0).  ``covered`` records whether every strictly
     positive eigenvalue lies inside the union of bands."""
     k_min, k_max = int(k_range[0]), int(k_range[1])
     if k_min > k_max:
@@ -698,37 +690,24 @@ def representation_reconstruct(f: ScalarFunction, a, b, k_range) -> Reconstructi
     lam, mu = dec_a.eigenvalues, dec_b.eigenvalues
     top = max(np.abs(lam).max(initial=0.0), np.abs(mu).max(initial=0.0))
     zero_tol = ZERO_TOL_COEFF * (1.0 + float(top))  # of both spectra taken together
+    positive = np.nextafter(zero_tol, np.inf)
 
-    pos_a, pos_b = lam > zero_tol, mu > zero_tol
-    band_lo, band_hi = 2.0 ** (-k_max - 1), 2.0 ** (-k_min)
-    covered = bool(
-        np.all((lam[pos_a] >= band_lo) & (lam[pos_a] < band_hi))
-        and np.all((mu[pos_b] >= band_lo) & (mu[pos_b] < band_hi))
-    )
+    spectra = np.concatenate([lam, mu])
+    spectra = spectra[spectra > zero_tol]
+    covered = bool(np.all((spectra >= 2.0 ** (-k_max - 1)) & (spectra < 2.0 ** (-k_min))))
 
-    g_coords = dec_a.basis.conj().T @ (am - bm) @ dec_b.basis
-    total = np.zeros_like(g_coords)
+    diff = am - bm
+    total = np.zeros_like(diff)
     for k in range(k_min, k_max + 1):
         lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
-        in_band_a = (lam >= lo) & (lam < hi)
-        in_band_b = (mu >= lo) & (mu < hi)
-        below_a = pos_a & (lam < lo)
-        below_or_in_b = pos_b & (mu < hi)
-        # V_k = p_k (A-B) Q_k with the g_k symbol
-        mask_v = in_band_a[:, None] & below_or_in_b[None, :]
-        if np.any(mask_v):
-            sym = divided_difference_grid(f, lam[:, None], mu[None, :], mask=mask_v)
-            total += sym * np.where(mask_v, g_coords, 0.0)
-        # W_k = P_{k+1} (A-B) q_k with the h_k symbol
-        mask_w = below_a[:, None] & in_band_b[None, :]
-        if np.any(mask_w):
-            sym = divided_difference_grid(f, lam[:, None], mu[None, :], mask=mask_w)
-            total += sym * np.where(mask_w, g_coords, 0.0)
+        g_k, h_k = dyadic_symbols(f, k)
+        v_k = spectral_projection(dec_a, lo, hi) @ diff @ spectral_projection(dec_b, positive, hi)
+        w_k = spectral_projection(dec_a, positive, lo) @ diff @ spectral_projection(dec_b, lo, hi)
+        total += schur_apply(g_k, dec_a, dec_b, v_k) + schur_apply(h_k, dec_a, dec_b, w_k)
 
-    g2 = dec_a.basis.conj().T @ dec_b.basis
-    f_lam = np.asarray(f.eval(lam), dtype=float)
-    f_mu = np.asarray(f.eval(mu), dtype=float)
-    target = (f_lam[:, None] - f_mu[None, :]) * g2
-    target = np.where(pos_a[:, None] & pos_b[None, :], target, 0.0)
+    fa, fb = apply_function(f, am, dec_a), apply_function(f, bm, dec_b)
+    p_plus = spectral_projection(dec_a, positive, np.inf)
+    q_plus = spectral_projection(dec_b, positive, np.inf)
+    target = p_plus @ (fa - fb) @ q_plus
     residual = op_norm(total - target) / (1.0 + op_norm(target))
     return ReconstructionResult(residual=float(residual), covered=covered)

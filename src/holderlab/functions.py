@@ -24,7 +24,7 @@ DD_SWITCH = 1e-8
 class ScalarFunction:
     """A real function f with vectorized evaluation and analytic derivatives.
 
-    ``derivative(k, x)`` is defined for 1 <= k <= max_order and x != 0, and
+    ``deriv(k, x)`` is defined for 1 <= k <= max_order and x != 0, and
     ``derivatives(top, x)`` gives the orders 1..top at once;
     ``derivative_at_zero`` is the two-sided f'(0) when it exists, else None.
     ``exact_order_sup(k, theta)``, when present, returns the analytic value of
@@ -42,15 +42,6 @@ class ScalarFunction:
     derivative_at_zero: Optional[float] = None
     exact_order_sup: Optional[Callable[[int, float], float]] = None
     even_or_odd: bool = False
-
-    def derivative(self, k: int, x):
-        if k == 0:
-            return self.eval(np.asarray(x, dtype=float))
-        if k > self.max_order:
-            raise CapabilityError(
-                f"{self.name}: derivative order {k} exceeds max_order {self.max_order}"
-            )
-        return self.deriv(k, np.asarray(x, dtype=float))
 
     def derivatives(self, top: int, x) -> list:
         """[deriv(k, x) for k in 1..top], bit for bit.  A deriv that carries a
@@ -86,11 +77,6 @@ def _unit_power(s, k: int) -> np.ndarray:
     """s ** k for k >= 1 and s = np.sign(x), bit for bit (NaN and -0.0
     included), without a float power: s itself for odd k, s * s for even k."""
     return s if k % 2 else s * s
-
-
-def _sign_power(x, k: int) -> np.ndarray:
-    """np.sign(x) ** k for k >= 1, bit for bit."""
-    return _unit_power(np.sign(x), k)
 
 
 def _falling(theta: float, k: int) -> float:
@@ -462,22 +448,13 @@ def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
 # --- divided differences -----------------------------------------------------
 
 
-def divided_difference_grid(f: ScalarFunction, xs, ys, mask=None) -> np.ndarray:
+def divided_difference_grid(f: ScalarFunction, xs, ys) -> np.ndarray:
     """Divided differences (f(x) - f(y)) / (x - y) on broadcast points (scalars
-    give a 0-d array), extended by f' where x and y nearly coincide.
-
-    ``mask`` (broadcastable to the output shape) limits where values are
-    needed; masked-out entries are 0 and never evaluated, so indicator
-    symbols can skip singular off-support pairs.
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    bshape = np.broadcast(x, y).shape
-    x, y = np.broadcast_arrays(x, y)
-    out = np.zeros(bshape, dtype=float)
-    need = np.ones(bshape, dtype=bool) if mask is None else np.broadcast_to(mask, bshape)
-    far = need & (np.abs(x - y) > DD_SWITCH * (np.abs(x) + np.abs(y) + 1.0))
-    near = need & ~far
+    give a 0-d array), extended by f' where x and y nearly coincide."""
+    x, y = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    out = np.zeros(x.shape, dtype=float)
+    far = np.abs(x - y) > DD_SWITCH * (np.abs(x) + np.abs(y) + 1.0)
+    near = ~far
     if np.any(far):
         out[far] = (f.eval(x[far]) - f.eval(y[far])) / (x[far] - y[far])
     if np.any(near):

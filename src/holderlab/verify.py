@@ -274,11 +274,17 @@ def _hermitian_profiles(*mats) -> np.ndarray:
     return -np.sort(-w, axis=-1)
 
 
+def _powered(profile, theta) -> np.ndarray:
+    """profile ** theta, which may leave the float range."""
+    with np.errstate(over="ignore"):
+        return profile ** theta
+
+
 def _scaled_sides(entries, sv) -> tuple:
     """For entries (p-th power norm, theta, factor), the rows of the norms of
     the profiles sv[:, 0] and of sv[:, 1] ** theta, and the factors (C, 1)."""
     (first,) = _norm_rows([(power, None) for power, _, _ in entries], lambda _: sv[:, 0])
-    (second,) = _norm_rows([e[:2] for e in entries], lambda theta: sv[:, 1] ** theta)
+    (second,) = _norm_rows([e[:2] for e in entries], lambda theta: _powered(sv[:, 1], theta))
     return first, second, np.array([factor for _, _, factor in entries])[:, None]
 
 
@@ -552,13 +558,18 @@ def verify_reverse_stack(f, entries, stack, dec=None) -> Outcomes:
     difference = _hermitian_profiles(h[:, 0] - h[:, 1])[:, 0]
 
     def mapped_profiles(theta):
-        # sgn(M)|M|^theta: finite on finite spectra, not symmetrized
-        g = image if theta is None else from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta)
+        # sgn(M)|M|^theta, not symmetrized; a spectrum whose power leaves the
+        # float range gives a matrix that is not finite, and its trial fails
+        if theta is None:
+            g = image
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta)
         return _hermitian_profiles(g[:, 0] - g[:, 1])[:, 0]
 
     mapped = [(power, theta if variant == "power" else None) for power, theta, variant in entries]
     (lhs,) = _norm_rows(mapped, mapped_profiles)
-    (rhs,) = _norm_rows([e[:2] for e in entries], lambda theta: difference ** theta)
+    (rhs,) = _norm_rows([e[:2] for e in entries], lambda theta: _powered(difference, theta))
     return Outcomes.judged(row, lhs, rhs, h)
 
 
@@ -622,7 +633,19 @@ def verify_absmap_stack(f, entries, stack, dec=None) -> Outcomes:
     sv = _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
     lhs, plus, minus = _norm_rows(entries, *(lambda _, k=k: sv[:, k] for k in range(3)))
     row = (np.ones(len(stack), dtype=bool), None)
-    return Outcomes.judged(row, lhs, np.sqrt(plus * minus), stack)
+    return Outcomes.judged(row, lhs, _geometric_mean(plus, minus), stack)
+
+
+def _geometric_mean(x, y):
+    """sqrt(x y), taken as sqrt(x) sqrt(y) where x and y are finite and
+    positive but their product overflows or falls below the normal range."""
+    with np.errstate(over="ignore", under="ignore"):
+        product = x * y
+    finite = (0.0 < x) & (x < np.inf) & (0.0 < y) & (y < np.inf)
+    split = finite & ((product == np.inf) | (product < np.finfo(float).tiny))
+    out = np.sqrt(product)
+    out[split] = np.sqrt(x[split]) * np.sqrt(y[split])
+    return out
 
 
 def verify_abs_map(base: NormSpec, p, a, b, digest="") -> VerificationRecord:
@@ -665,7 +688,9 @@ def verify_alt_stack(f, entries, stack, dec=None) -> Outcomes:
     lam = dec.eigenvalues
     clipped = np.clip(lam, 0.0, None)
     one = from_eigen(dec.basis, clipped)
-    product = _profiles(one[:, 1] @ one[:, 0])[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # ZX may leave the float range
+        zx = one[:, 1] @ one[:, 0]
+    product = _profiles(zx)[:, 0]
 
     @functools.cache
     def powered_profiles(theta):

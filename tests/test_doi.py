@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -262,21 +261,14 @@ def test_fourier_constant_requires_b_above_1_over_p():
         doi.fourier_coefficient_constant(0.5, 2)
 
 
-def _const_symbol():
-    return doi.PeriodicSymbol(
-        eval=lambda x, y: np.ones(np.broadcast(x, y).shape),
-        partials=lambda orders, x, y: [
-            np.ones(np.broadcast(x, y).shape)
-            if (m == 0 and n == 0)
-            else np.zeros(np.broadcast(x, y).shape)
-            for m, n in orders
-        ],
-        description="one",
-    )
+def _const_partials(orders, x, y):
+    """The partials of the symbol 1."""
+    shape = np.broadcast(x, y).shape
+    return [np.ones(shape) if (m, n) == (0, 0) else np.zeros(shape) for m, n in orders]
 
 
 def test_fourier_bound_constant_symbol():
-    got = doi.fourier_sobolev_bound(_const_symbol(), 1.0, 2, grid_n=64)
+    got = doi.fourier_sobolev_bound(_const_partials, 1.0, 2, grid_n=64)
     assert got.upper >= 1.0 - 1e-12
     assert got.quadrature_error <= 1e-12
 
@@ -292,10 +284,10 @@ def test_fourier_bound_exponential_symbol_dominates_empirical():
         x, y = np.broadcast_arrays(x, y)
         return (1j) ** n * np.exp(1j * x) * np.ones_like(np.real(y))
 
-    sym = doi.PeriodicSymbol(
-        ev, lambda orders, x, y: [partial(m, n, x, y) for m, n in orders], "e^ix"
-    )
-    bound = doi.fourier_sobolev_bound(sym, 1.0, 2, grid_n=64).upper
+    def partials(orders, x, y):
+        return [partial(m, n, x, y) for m, n in orders]
+
+    bound = doi.fourier_sobolev_bound(partials, 1.0, 2, grid_n=64).upper
     biv = doi.BivariateSymbol(ev, "e^ix", lambda_range=(-3.0, 3.0), mu_range=(-3.0, 3.0))
     lower = doi.empirical_mp_lower(biv, 1.0, 5, 100, SeedState(12)).value
     assert lower <= bound * (1.0 + 1e-8)
@@ -408,6 +400,67 @@ def test_representation_reconstruct_trivial_and_wide():
     assert res.covered and res.residual <= 1e-8
 
 
+def _criterion_04_instance(i):
+    """Instance i of acceptance criterion 4: f and the pair (A, B)."""
+    rng = SeedState(104, (i,)).rng()
+    dim, f = 2 + i % 7, (F.power(0.5), F.log1p_abs())[i % 2]
+    a, b = (
+        fixed_spectrum(rng.uniform(2.0**-4, 1.99, dim) * rng.choice([-1.0, 1.0], dim), rng)[0]
+        for _ in range(2)
+    )
+    return f, a, b
+
+
+def test_band_reconstruction_is_built_from_the_dyadic_symbols(monkeypatch):
+    # doubling every g_k of dyadic_symbols must show in the residual: the
+    # bands are the symbols whose multiplier norms mpnorm bounds, not copies
+    instances = [_criterion_04_instance(i) for i in range(14)]
+
+    def worst():
+        return max(
+            hl.representation_reconstruct(f, a, b, (-1, 4)).residual for f, a, b in instances
+        )
+
+    assert worst() <= 1e-8
+    dyadic_symbols = doi.dyadic_symbols
+
+    def doubled_g(f, k):
+        g, h = dyadic_symbols(f, k)
+        return dataclasses.replace(g, eval=lambda s, t: 2.0 * g.eval(s, t)), h
+
+    monkeypatch.setattr(doi, "dyadic_symbols", doubled_g)
+    assert worst() > 1e-8
+
+
+def test_region_symbols_never_evaluate_f_off_their_region():
+    # power:0.5 has no divided difference at (0, 0): g_k and h_k hand f the
+    # points of their region alone, and are 0 elsewhere
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args):
+            seen.append(np.array(args[-1], dtype=float))
+            return fn(*args)
+
+        return wrapped
+
+    f = F.power(0.5)
+    f = dataclasses.replace(f, eval=spy(f.eval), deriv=spy(f.deriv))
+    points = np.array([-1.0, -0.5, -0.0, 0.0, 0.3, 0.5, 0.75, 1.0, 1.5])
+    s, t = np.broadcast_arrays(points[:, None], points[None, :])
+    for k in (-1, 0, 1):
+        lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
+        g, h = doi.dyadic_symbols(f, k)
+        for sym, band, other in ((g, s, t), (h, t, s)):
+            seen.clear()
+            vals = sym.eval(s, t)
+            region = (band >= lo) & (band < hi) & (other > 0.0)
+            assert np.all(vals[~region] == 0.0)
+            want = F.divided_difference_grid(F.power(0.5), s[region], t[region])
+            assert region.any() and np.all(vals[region] == want)
+            assert seen and all(np.all(x > 0.0) for x in seen)
+
+
 def test_representation_reconstruct_reports_coverage_failure():
     rng = np.random.default_rng(18)
     a, _, _ = fixed_spectrum(rng.uniform(0.5, 4.0, 5), rng)  # exceeds 2^0
@@ -441,12 +494,12 @@ def test_alt_check_rejects_negative():
 
 
 def test_degenerate_grid_and_dim_are_rejected():
-    sym = doi.localized_inverse_sum_periodic(
+    partials = doi.localized_inverse_sum_periodic(
         doi.SmoothBump(0.75, 1.0, 2.0, 2.25), doi.SmoothBump(-0.25, 0.0, 2.0, 2.25)
     )
     for grid_n in (-4, 0, 1):
         with pytest.raises(ParameterError, match="grid_n"):
-            doi.fourier_sobolev_bound(sym, 1.0, 2, grid_n=grid_n)
+            doi.fourier_sobolev_bound(partials, 1.0, 2, grid_n=grid_n)
     for dim in (-1, 0):
         with pytest.raises(ParameterError, match="dim"):
             doi.empirical_mp_lower(doi.alpha_symbol(), 1.0, dim, 5, SeedState(1))
@@ -549,23 +602,13 @@ def _ref_grid(grid_n, richardson):
 
 def _use_reference_route(monkeypatch, richardson=True):
     """Make doi's composed bounds run the reference evaluation."""
-    monkeypatch.setattr(
-        doi,
-        "localized_dd_periodic",
-        lambda f, bump: types.SimpleNamespace(partial=_ref_dd_partial(f, bump)),
-    )
-    monkeypatch.setattr(
-        doi,
-        "localized_inverse_sum_periodic",
-        lambda bump_s, bump_t: types.SimpleNamespace(
-            partial=_ref_inverse_partial(bump_s, bump_t)
-        ),
-    )
+    monkeypatch.setattr(doi, "localized_dd_periodic", _ref_dd_partial)
+    monkeypatch.setattr(doi, "localized_inverse_sum_periodic", _ref_inverse_partial)
     monkeypatch.setattr(
         doi,
         "fourier_sobolev_bound",
-        lambda sym, p, b, grid_n: doi.FourierSobolevBound(
-            *_ref_fourier(sym.partial, p, b, *_ref_grid(grid_n, richardson))
+        lambda partial, p, b, grid_n: doi.FourierSobolevBound(
+            *_ref_fourier(partial, p, b, *_ref_grid(grid_n, richardson))
         ),
     )
 
@@ -587,13 +630,13 @@ def test_dd_bounds_equal_the_per_partial_reference(spec, p, ref_richardson, bloc
     b = doi.default_b_for(p)
     bump = doi.SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2)
     monkeypatch.setattr(doi, "DD_BLOCK", block)  # 16: 49 points make 4 blocks
-    sym, ref = doi.localized_dd_periodic(f, bump), _ref_dd_partial(f, bump)
+    partials, ref = doi.localized_dd_periodic(f, bump), _ref_dd_partial(f, bump)
     x = doi._torus_grid(16)
     xg, yg = x[:, None], x[None, :]
     orders = [(0, 0), (0, 1), (b, 0), (b, 1)]
-    got = [v.tobytes() for v in sym.partials(orders, xg, yg)]
+    got = [v.tobytes() for v in partials(orders, xg, yg)]
     assert got == [ref(m, n, xg, yg).tobytes() for m, n in orders]
-    got = doi.fourier_sobolev_bound(sym, p, b, grid_n=8)
+    got = doi.fourier_sobolev_bound(partials, p, b, grid_n=8)
     upper, c_pb, err, grid_n = _ref_fourier(ref, p, b, *_ref_grid(8, ref_richardson))
     assert _bits(got.upper, got.c_pb) == _bits(upper, c_pb)
     assert got.grid_n == grid_n == 16
@@ -611,12 +654,12 @@ def test_b0_bound_equals_the_per_partial_reference(p, ref_richardson, monkeypatc
     b = doi.default_b_for(p)
     bump_s = doi.SmoothBump(0.75, 1.0, 2.0, 2.25, order=b + 2)
     bump_t = doi.SmoothBump(-0.25, 0.0, 2.0, 2.25, order=b + 2)
-    sym = doi.localized_inverse_sum_periodic(bump_s, bump_t)
+    partials = doi.localized_inverse_sum_periodic(bump_s, bump_t)
     ref = _ref_inverse_partial(bump_s, bump_t)
     x = doi._torus_grid(32)
     xg, yg = x[:, None], x[None, :]
     orders = [(0, 0), (0, 1), (b, 0), (b, 1)]
-    got = [v.tobytes() for v in sym.partials(orders, xg, yg)]
+    got = [v.tobytes() for v in partials(orders, xg, yg)]
     assert got == [ref(m, n, xg, yg).tobytes() for m, n in orders]
     kw = dict(grid_n=16)
     new = _bits(doi.b0_upper_bound(0.5, 1.0, p, **kw), doi.b0_upper_bound(0.3, 2.0, p, **kw))

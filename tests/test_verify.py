@@ -1,9 +1,13 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 import holderlab as hl
 from holderlab import functions as F
 from holderlab import verify as V
+from holderlab.campaign import VERIFIERS, CampaignConfig, run_campaign
 from holderlab.ensembles import SeedState, gaussian_hermitian, ginibre, rank_r_steps
 from holderlab.errors import CapabilityError, DomainError, ParameterError, PreconditionError
 from holderlab.norms import KyFan, Schatten
@@ -342,3 +346,69 @@ def _mismatched_calls():
 def test_public_verifiers_reject_inputs_of_different_sizes(name):
     with pytest.raises(hl.ShapeError, match="different shapes"):
         _mismatched_calls()[name]()
+
+
+def _fixed_pair_campaign(verifier, eigenvalues, variant="power", norms=("schatten:1",)):
+    """A 3-trial dim-2 campaign of the verifier on a fixed_pair spectrum."""
+    spec = VERIFIERS[verifier]
+    return CampaignConfig(
+        verifier=verifier,
+        thetas=(2.0,) if verifier in ("inverse", "reverse") else (0.5,),
+        ps=(0.5, 1.0, 2.0),
+        norms=norms if spec.uses_norm else ("-",),
+        dims=(2,),
+        trials=3,
+        seed=1,
+        function=("spower:0.5" if verifier == "inverse" else "power:0.5")
+        if spec.needs_function
+        else None,
+        ensemble={"name": "fixed_pair", "eigenvalues": list(eigenvalues)},
+        variant=variant,
+    )
+
+
+def _run(config, action):
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        report, counterexamples = run_campaign(config)
+    return report.to_json(), json.dumps(counterexamples, sort_keys=True)
+
+
+FIXED_PAIR_CASES = [
+    pytest.param(verifier, variant, eigenvalues, id=f"{verifier}-{variant}-{eigenvalues[0]:g}")
+    for eigenvalues in ([1e200, 1e201], [-1e200, 1e201])
+    for verifier, spec in VERIFIERS.items()
+    if "fixed_pair" in spec.ensembles and not (spec.positive and min(eigenvalues) < 0)
+    for variant in (("power", "expm1") if verifier == "reverse" else ("power",))
+]
+
+
+@pytest.mark.parametrize("verifier, variant, eigenvalues", FIXED_PAIR_CASES)
+def test_verifiers_near_the_float_range_raise_no_runtime_warning(verifier, variant, eigenvalues):
+    # p-th powers, |X - Y|^theta, sgn(M)|M|^theta, ZX and ||A+B|| ||A-B||
+    # leave the float range at these spectra: each kernel silences that
+    # where it happens, and the report is the one of a run that ignores it
+    config = _fixed_pair_campaign(verifier, eigenvalues, variant)
+    assert _run(config, "error") == _run(config, "ignore")
+
+
+def test_cli_verify_near_the_float_range_prints_its_message_alone(capsys):
+    from holderlab.cli import main
+
+    argv = ["verify", "--ineq", "reverse", "--theta", "2", "--spectrum=1e200,1e201", "--dim", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("all 1 trial(s) failed")
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e160, 1e-160, 1e-170, 1e200, 1e-200])
+def test_absmap_ratios_do_not_depend_on_the_scale(scale):
+    # ||A+B|| ||A-B|| leaves the float range beyond about 1e154 and below
+    # about 1e-154; its square root, taken per factor there, does not
+    norms = ("schatten:1", "schatten:2", "kyfan:2", "schatten:inf")
+    want = run_campaign(_fixed_pair_campaign("absmap", [1.0, 10.0], norms=norms))[0]
+    got = run_campaign(_fixed_pair_campaign("absmap", [scale, 10.0 * scale], norms=norms))[0]
+    for a, b in zip(want.cells, got.cells):
+        assert b.failures == 0 and a.max_ratio > 0.0
+        for key in ("max_ratio", "min_ratio", "q50", "q99"):
+            assert getattr(b, key) == pytest.approx(getattr(a, key), rel=1e-12, abs=0.0)
