@@ -220,8 +220,8 @@ def _upper_route(args, kind, dyadic):
     """The route --method picks for the upper bound: its method name and a
     function that computes the bound, or ("empirical", None).  Every route
     needs p in (0, 1], so auto falls back to the empirical bound alone
-    outside it.  A route asked for by name that cannot apply raises here,
-    before any draw."""
+    outside it.  A route asked for by name that cannot apply, or a Fourier
+    route on a --grid it refuses, raises here, before any draw."""
     from . import doi
 
     want = args.method
@@ -246,6 +246,8 @@ def _upper_route(args, kind, dyadic):
         if want == "auto":
             return "empirical", None
         upper()  # each route's bound checks p first, so this raises its message
+    if method != "decomposition":
+        doi.check_grid(args.grid)
     return method, upper
 
 

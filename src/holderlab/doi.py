@@ -307,10 +307,10 @@ class SmoothBump:
         return out
 
 
-# the mixed partials of a 2*pi-periodic symbol: partials(orders, x, y) returns,
-# for each (m, n) of orders, its derivative of order m in the second argument
-# and n in the first
-Partials = Callable[[list, np.ndarray, np.ndarray], list]
+# the mixed partials of a 2*pi-periodic symbol on the square grid x * x of a 1-D
+# grid x: partials(orders, x) returns, for each (m, n) of orders, the table of its
+# derivative of order m in the second argument (axis 1) and n in the first
+Partials = Callable[[list, np.ndarray], list]
 
 
 def _zeta_upper(s: float) -> float:
@@ -340,6 +340,15 @@ class FourierSobolevBound:
     c_pb: float
     quadrature_error: float
     grid_n: int
+
+
+# the largest grid_n: the four partial tables of the (2 grid_n)^2 grid take 128 MiB
+MAX_GRID = 1024
+
+
+def check_grid(grid_n: int) -> None:
+    if not 2 <= grid_n <= MAX_GRID:
+        raise ParameterError(f"the quadrature grid needs 2 <= grid_n <= {MAX_GRID}, got {grid_n}")
 
 
 def _torus_grid(n: int):
@@ -376,12 +385,11 @@ def fourier_sobolev_bound(
     The bound is taken on the (2 grid_n)^2 grid, and its quadrature error is
     estimated as the change from the grid_n^2 grid, which is every other
     point of it: the partials are evaluated once, on the finer grid."""
-    if grid_n < 2:
-        raise ParameterError(f"the quadrature grid needs grid_n >= 2, got {grid_n}")
+    check_grid(grid_n)
     c_pb = fourier_coefficient_constant(p, b)
     n = 2 * grid_n
     x = _torus_grid(n)
-    vals = partials([(0, 0), (0, 1), (b, 0), (b, 1)], x[:, None], x[None, :])
+    vals = partials([(0, 0), (0, 1), (b, 0), (b, 1)], x)
     upper = _fourier_upper(vals, p, c_pb)
     # _torus_grid(2n)[::2] equals _torus_grid(n) bit for bit; the copies give
     # the coarse means the memory layout of that grid's own arrays
@@ -401,8 +409,8 @@ def _gauss_legendre_01(n: int):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-# masked grid points per block of the localized symbols: a block holds one
-# array of this many points per part of the kernel (_localized_periodic)
+# grid pairs per block of the localized symbols: a block holds one array of
+# this many points per part of the kernel (_localized_periodic)
 DD_BLOCK = 4096
 
 
@@ -429,34 +437,44 @@ def _dd_table(f: ScalarFunction, parts, x, y) -> dict:
 def _localized_periodic(bump_x, bump_y, kernel) -> Partials:
     """The partials of bump_x(x) bump_y(y) k(x, y), supported where both bumps
     are and extended periodically, from ``kernel(parts, x, y)``: the mixed
-    partials d_1^i d_2^j k at the points (x, y) for every (i, j) of ``parts``.  The
-    partials of the product follow by the Leibniz rule, over blocks of
-    DD_BLOCK points of the support: per block, one kernel table and one
-    derivative of each bump per order serve every requested partial."""
+    partials d_1^i d_2^j k at the points (x, y) for every (i, j) of ``parts``,
+    for a symmetric k(x, y) = k(y, x).  The partials of the product follow by
+    the Leibniz rule, over blocks of DD_BLOCK grid pairs of the support: per
+    block, one kernel table serves every partial.  Each bump derivative is
+    taken once per grid coordinate.  With one bump on both axes the product
+    is symmetric, its partial (m, n) at (y, x) being its partial (n, m) at
+    (x, y): the kernel is evaluated once per unordered pair, at x >= y, and
+    the transposed orders fill the mirror half (on the diagonal, the order
+    with m >= n), so that the (m, n) and (n, m) tables are exact transposes."""
+    symmetric = bump_x is bump_y
 
-    def partials(orders, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        mask = (x > bump_x.lo) & (x < bump_x.hi) & (y > bump_y.lo) & (y < bump_y.hi)
-        outs = [np.zeros(x.shape, dtype=float) for _ in orders]
-        if not np.any(mask):
-            return outs
+    def partials(orders, x):
+        outs = [np.zeros((x.size, x.size)) for _ in orders]
+        ix, iy = (np.flatnonzero((x > bump.lo) & (x < bump.hi)) for bump in (bump_x, bump_y))
+        pairs = np.tril_indices(ix.size) if symmetric else np.indices((ix.size, iy.size))
+        rows, cols = ix[pairs[0]].ravel(), iy[pairs[1]].ravel()
+        sums = set(orders) | ({(n, m) for m, n in orders} if symmetric else set())
         # the parts the product rule needs: a union of rectangles from (0, 0),
         # so _dd_table uses every derivative order it evaluates
-        parts = {(i, j) for m, n in orders for i in range(n + 1) for j in range(m + 1)}
-        idx = np.flatnonzero(mask)
-        for s in range(0, idx.size, DD_BLOCK):
-            block = idx[s : s + DD_BLOCK]
-            xb, yb = x.flat[block], y.flat[block]
-            table = kernel(parts, xb, yb)
-            bx = [bump_x.deriv(k, xb) for k in range(max(n for _, n in orders) + 1)]
-            by = [bump_y.deriv(k, yb) for k in range(max(m for m, _ in orders) + 1)]
-            for out, (m, n) in zip(outs, orders):
-                part = np.zeros(xb.shape, dtype=float)
+        parts = {(i, j) for m, n in sums for i in range(n + 1) for j in range(m + 1)}
+        top = max(max(mn) for mn in sums)
+        bx, by = ([bump.deriv(k, x) for k in range(top + 1)] for bump in (bump_x, bump_y))
+        for s in range(0, rows.size, DD_BLOCK):
+            r, c = rows[s : s + DD_BLOCK], cols[s : s + DD_BLOCK]
+            table = kernel(parts, x[r], x[c])
+            bxr, byc = [v[r] for v in bx], [v[c] for v in by]
+            leibniz = {}
+            for m, n in sums:
+                part = np.zeros(r.shape, dtype=float)
                 for i in range(n + 1):
                     for j in range(m + 1):
                         fac = math.comb(n, i) * math.comb(m, j)
-                        part += fac * bx[n - i] * by[m - j] * table[i, j]
-                out.flat[block] = part
+                        part += fac * bxr[n - i] * byc[m - j] * table[i, j]
+                leibniz[m, n] = part
+            for out, (m, n) in zip(outs, orders):
+                halves = [((r, c), (m, n)), ((c, r), (n, m))][: 2 if symmetric else 1]
+                for at, mn in sorted(halves, key=lambda h: h[1]):  # the larger order last
+                    out[at] = leibniz[mn]
         return outs
 
     return partials

@@ -555,14 +555,32 @@ def test_cli_mpnorm_auto_above_p_1_prints_the_empirical_bound(symbol, capsys):
         (["--symbol", "alpha", "--method", "fourier"], "fourier route not applicable to alpha"),
         (["--symbol", "b0", "--method", "decomposition"],
          "no separable decomposition built in for b0"),
+        (["--symbol", "b0", "--theta", "0.5", "--p", "1", "--grid", "30000"],
+         "the quadrature grid needs 2 <= grid_n <= 1024, got 30000"),
+        (P2_SYMBOLS["dyadic"] + ["--grid", "100000000"],
+         "the quadrature grid needs 2 <= grid_n <= 1024, got 100000000"),
     ],
     ids=["alpha", "beta", "b0", "dyadic-homogeneous", "dyadic-dilated", "alpha-fourier",
-         "b0-decomposition"],
+         "b0-decomposition", "b0-grid", "dyadic-grid"],
 )
 def test_cli_mpnorm_refused_route_draws_nothing(argv, message, monkeypatch, capsys):
     monkeypatch.setattr(hl.doi, "empirical_mp_lower", lambda *a: pytest.fail("drew a trial"))
     assert main(["mpnorm", *argv, "--seed", "4"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--symbol", "b0", "--method", "empirical"],
+        ["--symbol", "alpha"],
+        P2_SYMBOLS["dyadic"] + ["--p", "2"],
+    ],
+    ids=["b0-empirical", "alpha-decomposition", "dyadic-p2-auto"],
+)
+def test_cli_mpnorm_grid_is_refused_only_where_a_fourier_route_reads_it(argv, capsys):
+    assert main(["mpnorm", *argv, "--grid", "30000", "--trials", "5"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_seminorm(capsys):
@@ -933,6 +951,15 @@ BAD_NUMBERS = {
     "mpnorm-grid-0": (["mpnorm", "--symbol", "b0", "--grid", "0", "--trials", "2"], "got 0"),
     "mpnorm-grid-1": (["mpnorm", "--symbol", "b0", "--grid", "1", "--trials", "2"], "got 1"),
     "mpnorm-grid-neg": (["mpnorm", "--symbol", "b0", "--grid", "-4", "--trials", "2"], "got -4"),
+    # above doi.MAX_GRID the partial tables would need gigabytes
+    "mpnorm-grid-big": (
+        ["mpnorm", "--symbol", "b0", "--theta", "0.5", "--p", "1", "--grid", "30000"],
+        "grid_n <= 1024, got 30000",
+    ),
+    "mpnorm-dyadic-grid-big": (
+        ["mpnorm", "--symbol", "dyadic:2", "--f", "log1p", "--grid", "100000000"],
+        "grid_n <= 1024, got 100000000",
+    ),
     "mpnorm-dim-0": (["mpnorm", "--symbol", "alpha", "--dim", "0"], "got 0"),
     "mpnorm-dim-neg": (["mpnorm", "--symbol", "alpha", "--dim", "-1"], "got -1"),
     # SeedState needs a seed >= 0

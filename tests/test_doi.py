@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,9 +262,9 @@ def test_fourier_constant_requires_b_above_1_over_p():
         doi.fourier_coefficient_constant(0.5, 2)
 
 
-def _const_partials(orders, x, y):
+def _const_partials(orders, x):
     """The partials of the symbol 1."""
-    shape = np.broadcast(x, y).shape
+    shape = (x.size, x.size)
     return [np.ones(shape) if (m, n) == (0, 0) else np.zeros(shape) for m, n in orders]
 
 
@@ -284,8 +285,8 @@ def test_fourier_bound_exponential_symbol_dominates_empirical():
         x, y = np.broadcast_arrays(x, y)
         return (1j) ** n * np.exp(1j * x) * np.ones_like(np.real(y))
 
-    def partials(orders, x, y):
-        return [partial(m, n, x, y) for m, n in orders]
+    def partials(orders, x):
+        return [partial(m, n, x[:, None], x[None, :]) for m, n in orders]
 
     bound = doi.fourier_sobolev_bound(partials, 1.0, 2, grid_n=64).upper
     biv = doi.BivariateSymbol(ev, "e^ix", lambda_range=(-3.0, 3.0), mu_range=(-3.0, 3.0))
@@ -529,8 +530,7 @@ def _ref_dd_partial(f, bump, quad_nodes=64):
             out += w * t ** i * (1.0 - t) ** j * f.deriv(1 + i + j, t * xm + (1.0 - t) * ym)
         return out
 
-    def partial(m, n, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    def leibniz(m, n, x, y):
         mask = (x > bump.lo) & (x < bump.hi) & (y > bump.lo) & (y < bump.hi)
         out = np.zeros(x.shape, dtype=float)
         if not np.any(mask):
@@ -547,6 +547,14 @@ def _ref_dd_partial(f, bump, quad_nodes=64):
                 )
         out[mask] = acc
         return out
+
+    def partial(m, n, x, y):
+        # the symbol is symmetric, so its partial (m, n) at (x, y) is its
+        # partial (n, m) at (y, x): each is evaluated where x > y, and on the
+        # diagonal as the order with m >= n
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        swap = (x < y) | ((x == y) & (m < n))
+        return np.where(swap, leibniz(n, m, y, x), leibniz(m, n, x, y))
 
     return partial
 
@@ -634,7 +642,7 @@ def test_dd_bounds_equal_the_per_partial_reference(spec, p, ref_richardson, bloc
     x = doi._torus_grid(16)
     xg, yg = x[:, None], x[None, :]
     orders = [(0, 0), (0, 1), (b, 0), (b, 1)]
-    got = [v.tobytes() for v in partials(orders, xg, yg)]
+    got = [v.tobytes() for v in partials(orders, x)]
     assert got == [ref(m, n, xg, yg).tobytes() for m, n in orders]
     got = doi.fourier_sobolev_bound(partials, p, b, grid_n=8)
     upper, c_pb, err, grid_n = _ref_fourier(ref, p, b, *_ref_grid(8, ref_richardson))
@@ -659,7 +667,7 @@ def test_b0_bound_equals_the_per_partial_reference(p, ref_richardson, monkeypatc
     x = doi._torus_grid(32)
     xg, yg = x[:, None], x[None, :]
     orders = [(0, 0), (0, 1), (b, 0), (b, 1)]
-    got = [v.tobytes() for v in partials(orders, xg, yg)]
+    got = [v.tobytes() for v in partials(orders, x)]
     assert got == [ref(m, n, xg, yg).tobytes() for m, n in orders]
     kw = dict(grid_n=16)
     new = _bits(doi.b0_upper_bound(0.5, 1.0, p, **kw), doi.b0_upper_bound(0.3, 2.0, p, **kw))
@@ -678,12 +686,77 @@ def test_richardson_evaluates_derivatives_on_the_finer_grid_only():
         return f.deriv(k, z)
 
     doi.local_dd_bound(dataclasses.replace(f, deriv=deriv), 1.0, grid_n=8)
-    # one call per node and derivative order 1..b+2 on the support's 7 x 7
-    # points of the 16 x 16 grid, and none on the 8 x 8 grid
+    # one call per node and derivative order 1..b+2 on the 7 * 8 / 2 unordered
+    # pairs of the support's 7 points of the 16 x 16 grid, and none on the
+    # 8 x 8 grid
     x = doi._torus_grid(16)
     side = int(np.sum((x > 0.125) & (x < math.pi)))
     assert side == 7
-    assert sizes == [(k, side * side) for _ in range(64) for k in range(1, 5)]
+    assert sizes == [(k, 28) for _ in range(64) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("grid", [15, 16, 4])
+@pytest.mark.parametrize("block", [16, 4096])
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("spec", ["power:0.5", "log1p"])
+def test_dd_partials_are_transposes_of_their_transposed_orders(spec, p, block, grid, monkeypatch):
+    # grid 15 has a support point on the bump's rise; grid 4 has a one-point
+    # support, so its pair list is the diagonal alone
+    f = F.parse_function_spec(spec)
+    b = doi.default_b_for(p)
+    bump = doi.SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2)
+    monkeypatch.setattr(doi, "DD_BLOCK", block)
+    x = doi._torus_grid(grid)
+    orders = [(0, 1), (1, 0), (b, 0), (0, b), (b, 1), (1, b)]
+    outs = doi.localized_dd_periodic(f, bump)(orders, x)
+    for mn, nm in zip(outs[::2], outs[1::2]):
+        assert mn.tobytes() == nm.T.tobytes()
+        assert np.any(mn != 0.0)
+    if grid == 4:
+        assert np.flatnonzero(outs[1]).tolist() == [3 * 4 + 3]
+
+
+@pytest.mark.parametrize("block", [16, 4096])
+@pytest.mark.parametrize("grid", [15, 16, 4])
+def test_dd_table_evaluates_each_unordered_pair_once_per_node(grid, block, monkeypatch):
+    f = F.parse_function_spec("log1p")
+    calls = []
+    derivatives = F.ScalarFunction.derivatives
+
+    def spy(self, top, z):
+        calls.append(np.array(z))
+        return derivatives(self, top, z)
+
+    monkeypatch.setattr(F.ScalarFunction, "derivatives", spy)
+    monkeypatch.setattr(doi, "DD_BLOCK", block)
+    x = doi._torus_grid(grid)
+    bump = doi.SmoothBump(0.125, 0.25, 2.0, math.pi, order=4)
+    doi.localized_dd_periodic(f, bump)([(0, 0), (0, 1), (2, 0), (2, 1)], x)
+    # the support's pairs (x_a, x_b) with x_a >= x_b, each evaluated at the
+    # node's t x_a + (1 - t) x_b
+    xs = x[(x > bump.lo) & (x < bump.hi)]
+    a, c = np.tril_indices(xs.size)
+    assert len(calls) == 64 * -(-a.size // block)
+    for node, t in enumerate(doi._gauss_legendre_01(64)[0]):
+        seen = np.concatenate(calls[node::64])
+        want = t * xs[a] + (1.0 - t) * xs[c]
+        assert np.sort(seen).tobytes() == np.sort(want).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_dyadic_bound_assembles_its_partials_per_block(p):
+    # the traced peak is the four partial tables of the 512 x 512 grid and the
+    # Fourier route's copies of them, 10.52 MiB at either p; kernel tables of
+    # the whole support in place of one block's would add 3.7-5.1 MiB
+    f = F.parse_function_spec("log1p")
+    doi.dyadic_upper_bound(f, 2, 0.5, p, grid_n=8)
+    tracemalloc.start()
+    try:
+        doi.dyadic_upper_bound(f, 2, 0.5, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2**20
 
 
 def test_dd_bound_names_the_first_missing_derivative_order():

@@ -1,5 +1,5 @@
 """Write the golden set: the deterministic outputs of 148 campaign configs,
-25 ``holderlab verify`` calls and 34 other CLI calls, and print one sha256
+25 ``holderlab verify`` calls and 38 other CLI calls, and print one sha256
 over all of them.
 
     python3 tools/golden.py OUT_DIR
@@ -31,7 +31,9 @@ so does OUT_DIR/cli-<name>/ per CLI call: the benchmark's one-shot calls at
 seed 1, ``mpnorm`` on b1, every ``--method`` on alpha and b0, and the bands
 dyadic:K for K in {-3, 0, 7} of log1p, rational:1 and gauss, so that the
 symbols and bounds of ``doi`` that ``mpnorm`` reaches are checked byte for
-byte; and ``mpnorm`` at p = 2, where no upper route applies, on alpha, b0
+byte; dyadic:2 of power:0.5 and log1p at ``--grid 2`` and ``--grid 33``,
+whose bump supports hold one point and an odd number of points, the edges of
+the Fourier route's symmetric pair list; and ``mpnorm`` at p = 2, where no upper route applies, on alpha, b0
 and dyadic:2 of log1p under ``auto`` and ``empirical``, and on alpha under
 ``decomposition`` (refused).
 
@@ -240,6 +242,10 @@ def cli_calls() -> dict:
         for f in ("log1p", "rational:1", "gauss"):
             argv = ["mpnorm", "--symbol", f"dyadic:{k}", "--f", f, "--grid", "32", *seed]
             calls[f"dyadic{k}-{f.replace(':', '')}"] = argv
+    for grid in ("2", "33"):
+        for f in ("power:0.5", "log1p"):
+            argv = ["mpnorm", "--symbol", "dyadic:2", "--f", f, "--grid", grid, *seed]
+            calls[f"dyadic2-{f.replace(':', '')}-grid{grid}"] = argv
     # p = 2 is outside every upper route
     p2 = {"alpha": ["alpha"], "b0": ["b0"], "dyadic2": ["dyadic:2", "--f", "log1p"]}
     for name, symbol in p2.items():
