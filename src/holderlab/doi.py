@@ -412,14 +412,18 @@ def _gauss_legendre_01(n: int):
 # grid pairs per block of the localized symbols: a block holds one array of
 # this many points per part of the kernel (_localized_periodic)
 DD_BLOCK = 4096
+# the Gauss-Legendre orders a row of the divided-difference table may take,
+# and the share of each part's largest probe value they must keep to (_dd_orders)
+DD_ORDERS = (8, 12, 16, 24, 32, 48)
+DD_ORDER_TOL = 4e-14
 
 
-def _dd_table(f: ScalarFunction, parts, x, y) -> dict:
+def _dd_table(f: ScalarFunction, parts, x, y, n) -> dict:
     """d_1^i d_2^j dd f(x, y) = int t^i (1-t)^j f^(1+i+j)(t x + (1-t) y) dt
-    for every (i, j) of ``parts``, by QUAD_NODES-point Gauss-Legendre
-    quadrature: per node, one ladder of the derivative orders 1 up to the
-    highest the parts need (f.derivatives), and each part's term taken into
-    one buffer."""
+    for every (i, j) of ``parts``, by Gauss-Legendre quadrature of the order
+    n[k] at the point k, each run of points of one order written in place:
+    per node, one ladder of the derivative orders 1 up to the highest the
+    parts need (f.derivatives), and each part's term taken into one buffer."""
     top = 1 + max(i + j for i, j in parts)
     if top > f.max_order:
         raise CapabilityError(
@@ -427,41 +431,64 @@ def _dd_table(f: ScalarFunction, parts, x, y) -> dict:
         )
     dd = {ij: np.zeros(x.shape, dtype=float) for ij in parts}
     term = np.empty(x.shape, dtype=float)
-    for t, w in zip(*_gauss_legendre_01(QUAD_NODES)):
-        d = f.derivatives(top, t * x + (1.0 - t) * y)
-        for i, j in parts:
-            dd[i, j] += np.multiply(w * t ** i * (1.0 - t) ** j, d[i + j], out=term)
+    cuts = np.flatnonzero(np.diff(n, prepend=0, append=0))
+    for s, e in zip(cuts, cuts[1:]):
+        xs, ys, buf, run = x[s:e], y[s:e], term[s:e], {ij: v[s:e] for ij, v in dd.items()}
+        for t, w in zip(*_gauss_legendre_01(int(n[s]))):
+            d = f.derivatives(top, t * xs + (1.0 - t) * ys)
+            for i, j in parts:
+                run[i, j] += np.multiply(w * t ** i * (1.0 - t) ** j, d[i + j], out=buf)
     return dd
+
+
+def _dd_orders(f: ScalarFunction, parts, support) -> np.ndarray:
+    """The Gauss-Legendre order of each row y = support[k] of the pairs x >= y:
+    the least of DD_ORDERS whose table at the row's longest pair (max support,
+    y) is within DD_ORDER_TOL of each part's largest value over that column of
+    the QUAD_NODES rule's, else QUAD_NODES.  The catalog's functions are
+    singular at or left of 0 only, so the longest pair is the row's hardest."""
+    x = np.full_like(support, support.max(initial=0.0))
+    rows = np.arange(support.size)
+    ref = _dd_table(f, parts, x, support, np.full(x.size, QUAD_NODES))
+    tol = {ij: DD_ORDER_TOL * np.abs(v).max(initial=0.0) for ij, v in ref.items()}
+    orders = np.full(support.shape, QUAD_NODES)
+    for n in DD_ORDERS:
+        table = _dd_table(f, parts, x[rows], support[rows], np.full(rows.size, n))
+        ok = np.logical_and.reduce([np.abs(table[ij] - ref[ij][rows]) <= tol[ij] for ij in parts])
+        orders[rows[ok]] = n
+        rows = rows[~ok]
+    return orders
 
 
 def _localized_periodic(bump_x, bump_y, kernel) -> Partials:
     """The partials of bump_x(x) bump_y(y) k(x, y), supported where both bumps
-    are and extended periodically, from ``kernel(parts, x, y)``: the mixed
-    partials d_1^i d_2^j k at the points (x, y) for every (i, j) of ``parts``,
-    for a symmetric k(x, y) = k(y, x).  The partials of the product follow by
-    the Leibniz rule, over blocks of DD_BLOCK grid pairs of the support: per
-    block, one kernel table serves every partial.  Each bump derivative is
-    taken once per grid coordinate.  With one bump on both axes the product
-    is symmetric, its partial (m, n) at (y, x) being its partial (n, m) at
-    (x, y): the kernel is evaluated once per unordered pair, at x >= y, and
-    the transposed orders fill the mirror half (on the diagonal, the order
-    with m >= n), so that the (m, n) and (n, m) tables are exact transposes."""
+    are and extended periodically, from ``kernel(parts, support)(x, y)``, given
+    the grid inside bump_x: the partials d_1^i d_2^j k at the points (x, y) for
+    every (i, j) of ``parts``, for a symmetric k(x, y) = k(y, x).  The partials
+    of the product follow by the Leibniz rule, over blocks of DD_BLOCK grid
+    pairs of the support: per block, one kernel table serves every partial.
+    Each bump derivative is taken once per grid coordinate.  With one bump on
+    both axes the product is symmetric, its partial (m, n) at (y, x) being its
+    partial (n, m) at (x, y): the kernel is evaluated once per unordered pair,
+    at x >= y in the order of y, and the transposed orders fill the mirror half
+    (on the diagonal, the order with m >= n): (m, n) and (n, m) are exact transposes."""
     symmetric = bump_x is bump_y
 
     def partials(orders, x):
-        outs = [np.zeros((x.size, x.size)) for _ in orders]
         ix, iy = (np.flatnonzero((x > bump.lo) & (x < bump.hi)) for bump in (bump_x, bump_y))
-        pairs = np.tril_indices(ix.size) if symmetric else np.indices((ix.size, iy.size))
+        pairs = np.triu_indices(ix.size)[::-1] if symmetric else np.indices((ix.size, iy.size))
         rows, cols = ix[pairs[0]].ravel(), iy[pairs[1]].ravel()
         sums = set(orders) | ({(n, m) for m, n in orders} if symmetric else set())
         # the parts the product rule needs: a union of rectangles from (0, 0),
         # so _dd_table uses every derivative order it evaluates
         parts = {(i, j) for m, n in sums for i in range(n + 1) for j in range(m + 1)}
+        block = kernel(parts, x[ix])
+        outs = [np.zeros((x.size, x.size)) for _ in orders]
         top = max(max(mn) for mn in sums)
         bx, by = ([bump.deriv(k, x) for k in range(top + 1)] for bump in (bump_x, bump_y))
         for s in range(0, rows.size, DD_BLOCK):
             r, c = rows[s : s + DD_BLOCK], cols[s : s + DD_BLOCK]
-            table = kernel(parts, x[r], x[c])
+            table = block(x[r], x[c])
             bxr, byc = [v[r] for v in bx], [v[c] for v in by]
             leibniz = {}
             for m, n in sums:
@@ -483,8 +510,14 @@ def _localized_periodic(bump_x, bump_y, kernel) -> Partials:
 def localized_dd_periodic(f: ScalarFunction, bump: SmoothBump) -> Partials:
     """The partials of bump(x) bump(y) dd f(x, y), supported inside (0, pi]^2
     and extended periodically.  Mixed partials of the divided difference come from its
-    integral representation: d_1^n d_2^m dd f = int t^n (1-t)^m f^(1+n+m)."""
-    return _localized_periodic(bump, bump, functools.partial(_dd_table, f))
+    integral representation: d_1^n d_2^m dd f = int t^n (1-t)^m f^(1+n+m),
+    each row y of pairs by its own Gauss-Legendre order (_dd_orders)."""
+
+    def kernel(parts, support):
+        rule = _dd_orders(f, parts, support)
+        return lambda x, y: _dd_table(f, parts, x, y, rule[np.searchsorted(support, y)])
+
+    return _localized_periodic(bump, bump, kernel)
 
 
 def localized_inverse_sum_periodic(bump_s: SmoothBump, bump_t: SmoothBump) -> Partials:
@@ -498,7 +531,7 @@ def localized_inverse_sum_periodic(bump_s: SmoothBump, bump_t: SmoothBump) -> Pa
             for i, j in parts
         }
 
-    return _localized_periodic(bump_s, bump_t, table)
+    return _localized_periodic(bump_s, bump_t, lambda parts, _: functools.partial(table, parts))
 
 
 def default_b_for(p: float) -> int:
@@ -518,6 +551,22 @@ def local_dd_bound(
     return fourier_sobolev_bound(partials, p, b, grid_n=grid_n).upper
 
 
+def _float_range_guard(bound: Callable[[], float], what: str, why: str) -> float:
+    """bound() with its overflows silenced.  An infinite bound is still a
+    bound, but a NaN is none, and neither is a finite one taken after an
+    overflow, which flushes its term to 0, or cut short by an OverflowError."""
+    overflows = []
+    try:
+        with np.errstate(all="ignore", over="call", call=lambda *_: overflows.append(1)):
+            upper = bound()
+    except OverflowError:  # a Python int or float power beyond the float range
+        overflows, upper = [1], 0.0
+    if math.isnan(upper) or (overflows and math.isfinite(upper)):
+        reason = "is not finite (NaN)" if math.isnan(upper) else "lost terms to overflow"
+        raise CapabilityError(f"the upper bound of {what} {reason}: {why}")
+    return upper
+
+
 def b0_upper_bound(
     theta: float, a: float, p: float, b: int | None = None, grid_n: int = 256
 ) -> float:
@@ -531,16 +580,20 @@ def b0_upper_bound(
         raise ParameterError(f"b0 bound requires p in (0,1], got {p}")
     if b is None:
         b = default_b_for(p)
-    bump_s = SmoothBump(0.75, 1.0, 2.0, 2.25, order=b + 2)
-    bump_t = SmoothBump(-0.25, 0.0, 2.0, 2.25, order=b + 2)
-    c_phi = fourier_sobolev_bound(
-        localized_inverse_sum_periodic(bump_s, bump_t), p, b, grid_n=grid_n
-    ).upper
-    # ring (k,l) contributes (2 c_phi a^{theta-1} 2^{-(1-theta) max(k,l)})^p;
-    # counting pairs with max = M gives 2M+2 of them.
-    x = 2.0 ** (-p * (1.0 - theta))
-    ring_sum = 2.0 / (1.0 - x) ** 2
-    return 2.0 * c_phi * a ** (theta - 1.0) * ring_sum ** (1.0 / p)
+
+    def bound():
+        bump_s = SmoothBump(0.75, 1.0, 2.0, 2.25, order=b + 2)
+        bump_t = SmoothBump(-0.25, 0.0, 2.0, 2.25, order=b + 2)
+        c_phi = fourier_sobolev_bound(
+            localized_inverse_sum_periodic(bump_s, bump_t), p, b, grid_n=grid_n
+        ).upper
+        # ring (k,l) contributes (2 c_phi a^{theta-1} 2^{-(1-theta) max(k,l)})^p;
+        # counting pairs with max = M gives 2M+2 of them.
+        x = 2.0 ** (-p * (1.0 - theta))
+        ring_sum = 2.0 / (1.0 - x) ** 2
+        return 2.0 * c_phi * a ** (theta - 1.0) * ring_sum ** (1.0 / p)
+
+    return _float_range_guard(bound, f"b0 and b1 at b = {b}", "its terms leave the float range")
 
 
 def _positive_sup(f: ScalarFunction, theta: float) -> float:
@@ -580,19 +633,11 @@ def dyadic_upper_bound(
         base = band_upper_bound(f, theta, p, b=b, grid_n=grid_n)
         return 2.0 ** (k * (1.0 - theta)) * base
     fk = dilate_function(f, 2.0 ** k)
-    # far from k = 0 the dilated derivatives overflow or underflow: an
-    # infinite bound is still a bound, but a NaN is none, and neither is a
-    # finite one taken after an overflow, which flushes its term to 0
-    overflows = []
-    with np.errstate(all="ignore", over="call", call=lambda *_: overflows.append(1)):
-        upper = 2.0 ** k * band_upper_bound(fk, theta, p, b=b, grid_n=grid_n)
-    if math.isnan(upper) or (overflows and math.isfinite(upper)):
-        reason = "is not finite (NaN)" if math.isnan(upper) else "lost terms to overflow"
-        raise CapabilityError(
-            f"the upper bound of g_{k}[{f.name}] {reason}: "
-            f"the derivatives of {f.name} dilated by 2^{k} leave the float range"
-        )
-    return upper
+    return _float_range_guard(
+        lambda: 2.0 ** k * band_upper_bound(fk, theta, p, b=b, grid_n=grid_n),
+        f"g_{k}[{f.name}]",
+        f"the derivatives of {f.name} dilated by 2^{k} leave the float range",
+    )
 
 
 # --- empirical lower bounds -----------------------------------------------------

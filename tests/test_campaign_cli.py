@@ -408,7 +408,7 @@ DYADIC_B = ["mpnorm", "--symbol", "dyadic:2", "--f", "log1p", "--p", "1", "--gri
 
 @pytest.mark.parametrize(
     "b, upper",
-    [(None, 27.435379186327623), ("2", 27.435379186327623), ("3", 26.182684340826135)],
+    [(None, 27.43537918632762), ("2", 27.43537918632762), ("3", 26.182684340826135)],
     ids=["default", "b2", "b3"],
 )
 def test_cli_mpnorm_dyadic_b_sets_the_fourier_order(b, upper, capsys):
@@ -487,6 +487,33 @@ def test_cli_mpnorm_nan_upper_bound_exit_2(capsys):
     assert captured.err == (
         "error: the upper bound of g_-500[log1p] is not finite (NaN): "
         "the derivatives of log1p dilated by 2^-500 leave the float range\n"
+    )
+
+
+@pytest.mark.parametrize("symbol", ["b0", "b1"])
+@pytest.mark.parametrize(
+    "b, reason", [("100", "is not finite (NaN)"), ("200", "lost terms to overflow")]
+)
+def test_cli_mpnorm_b0_bound_outside_the_float_range_exit_2(symbol, b, reason, capsys):
+    # the partials of order b of the local model 1/(s + t) overflow to a NaN
+    # bound at b = 100; at b = 200, (b + 1)! is itself beyond the float range
+    argv = ["mpnorm", "--symbol", symbol, "--b", b, "--trials", "3", "--seed", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the upper bound of b0 and b1 at b = {b} {reason}: "
+        "its terms leave the float range\n"
+    )
+
+
+def test_cli_mpnorm_b0_bound_at_b_30_is_pinned(capsys):
+    assert main(["mpnorm", "--symbol", "b0", "--b", "30", "--trials", "3", "--seed", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        '{"lower": 0.39176716489329444, "lower_le_upper": true, "method": "fourier-dyadic", '
+        '"p": 1.0, "symbol": "b0", "upper": 1.3169180526771363e+89}\n'
     )
 
 

@@ -520,14 +520,41 @@ def _ref_l2_mean(vals):
     return float(math.sqrt(np.mean(np.abs(vals) ** 2)))
 
 
-def _ref_dd_partial(f, bump, quad_nodes=64):
-    ts, ws = doi._gauss_legendre_01(quad_nodes)
+def _dd_parts(b):
+    """The divided-difference parts the route takes for the orders (0, 0),
+    (0, 1), (b, 0), (b, 1) and their transposes."""
+    sums = {(0, 0), (0, 1), (1, 0), (b, 0), (0, b), (b, 1), (1, b)}
+    return {(i, j) for m, n in sums for i in range(n + 1) for j in range(m + 1)}
+
+
+def _support(bump, grid):
+    x = doi._torus_grid(grid)
+    return x[(x > bump.lo) & (x < bump.hi)]
+
+
+def _ref_dd_partial(f, bump, rule=None):
+    """``rule(y)`` is the Gauss-Legendre order of the row y of a pair x >= y;
+    by default the route's, probed on the support of the 16-point grid, whose
+    every other point is the 8-point grid."""
+    if rule is None:
+        support = _support(bump, 16)
+        orders = doi._dd_orders(f, _dd_parts(bump.order - 2), support)
+
+        def rule(y):
+            return orders[np.searchsorted(support, y)]
 
     def dd_part(i, j, x, y, mask):
         xm, ym = x[mask], y[mask]
+        n = rule(np.minimum(xm, ym))
         out = np.zeros(xm.shape, dtype=float)
-        for t, w in zip(ts, ws):
-            out += w * t ** i * (1.0 - t) ** j * f.deriv(1 + i + j, t * xm + (1.0 - t) * ym)
+        for order in np.unique(n):
+            at = n == order
+            acc = np.zeros(int(at.sum()), dtype=float)
+            for t, w in zip(*doi._gauss_legendre_01(int(order))):
+                acc += w * t ** i * (1.0 - t) ** j * f.deriv(
+                    1 + i + j, t * xm[at] + (1.0 - t) * ym[at]
+                )
+            out[at] = acc
         return out
 
     def leibniz(m, n, x, y):
@@ -676,7 +703,33 @@ def test_b0_bound_equals_the_per_partial_reference(p, ref_richardson, monkeypatc
     assert new == old
 
 
-def test_richardson_evaluates_derivatives_on_the_finer_grid_only():
+def _spy_on_the_probe(monkeypatch, calls):
+    """Record, per call of doi._dd_orders, how many entries ``calls`` held
+    when it returned and the orders it returned."""
+    probes, dd_orders = [], doi._dd_orders
+
+    def spy(*args):
+        rule = dd_orders(*args)
+        probes.append((len(calls), rule))
+        return rule
+
+    monkeypatch.setattr(doi, "_dd_orders", spy)
+    return probes
+
+
+def _runs(rule, size, block):
+    """(size, order) of each run of one order in the blocks of the pairs
+    x >= y of a support of ``size`` points, taken in the order of y."""
+    n = rule[np.triu_indices(size)[0]]
+    runs = []
+    for s in range(0, n.size, block):
+        part = n[s : s + block]
+        cuts = [0, *(np.flatnonzero(np.diff(part)) + 1), part.size]
+        runs += [(e - c, int(part[c])) for c, e in zip(cuts, cuts[1:])]
+    return runs
+
+
+def test_richardson_evaluates_derivatives_on_the_finer_grid_only(monkeypatch):
     f = F.parse_function_spec("log1p")
 
     sizes = []
@@ -685,14 +738,20 @@ def test_richardson_evaluates_derivatives_on_the_finer_grid_only():
         sizes.append((k, z.size))
         return f.deriv(k, z)
 
+    probes = _spy_on_the_probe(monkeypatch, sizes)
     doi.local_dd_bound(dataclasses.replace(f, deriv=deriv), 1.0, grid_n=8)
-    # one call per node and derivative order 1..b+2 on the 7 * 8 / 2 unordered
-    # pairs of the support's 7 points of the 16 x 16 grid, and none on the
+    # one probe of the rows of the support's 7 points of the 16 x 16 grid,
+    # then one call per node of each run's rule and derivative order 1..b+2
+    # on the 7 * 8 / 2 unordered pairs of that support, and none on the
     # 8 x 8 grid
     x = doi._torus_grid(16)
     side = int(np.sum((x > 0.125) & (x < math.pi)))
     assert side == 7
-    assert sizes == [(k, 28) for _ in range(64) for k in range(1, 5)]
+    [(cut, rule)] = probes
+    assert rule.shape == (7,) and all(size <= 7 for _, size in sizes[:cut])
+    runs = _runs(rule, 7, doi.DD_BLOCK)
+    assert sum(size for size, _ in runs) == 28
+    assert sizes[cut:] == [(k, size) for size, n in runs for _ in range(n) for k in range(1, 5)]
 
 
 @pytest.mark.parametrize("grid", [15, 16, 4])
@@ -719,7 +778,6 @@ def test_dd_partials_are_transposes_of_their_transposed_orders(spec, p, block, g
 @pytest.mark.parametrize("block", [16, 4096])
 @pytest.mark.parametrize("grid", [15, 16, 4])
 def test_dd_table_evaluates_each_unordered_pair_once_per_node(grid, block, monkeypatch):
-    f = F.parse_function_spec("log1p")
     calls = []
     derivatives = F.ScalarFunction.derivatives
 
@@ -729,18 +787,29 @@ def test_dd_table_evaluates_each_unordered_pair_once_per_node(grid, block, monke
 
     monkeypatch.setattr(F.ScalarFunction, "derivatives", spy)
     monkeypatch.setattr(doi, "DD_BLOCK", block)
+    probes = _spy_on_the_probe(monkeypatch, calls)
     x = doi._torus_grid(grid)
     bump = doi.SmoothBump(0.125, 0.25, 2.0, math.pi, order=4)
-    doi.localized_dd_periodic(f, bump)([(0, 0), (0, 1), (2, 0), (2, 1)], x)
-    # the support's pairs (x_a, x_b) with x_a >= x_b, each evaluated at the
-    # node's t x_a + (1 - t) x_b
     xs = x[(x > bump.lo) & (x < bump.hi)]
-    a, c = np.tril_indices(xs.size)
-    assert len(calls) == 64 * -(-a.size // block)
-    for node, t in enumerate(doi._gauss_legendre_01(64)[0]):
-        seen = np.concatenate(calls[node::64])
-        want = t * xs[a] + (1.0 - t) * xs[c]
-        assert np.sort(seen).tobytes() == np.sort(want).tobytes()
+    c, a = np.triu_indices(xs.size)
+    # log1p takes few orders; power:0.5 takes 64 nodes on its first rows
+    for spec in ("log1p", "power:0.5"):
+        calls.clear()
+        probes.clear()
+        f = F.parse_function_spec(spec)
+        doi.localized_dd_periodic(f, bump)([(0, 0), (0, 1), (2, 0), (2, 1)], x)
+        # after the probe, the support's pairs (x_a, x_c) with x_a >= x_c, each
+        # evaluated at t x_a + (1 - t) x_c for every node t of its row's rule
+        [(cut, rule)] = probes
+        assert all(z.size <= xs.size for z in calls[:cut])
+        want = []
+        for n in np.unique(rule):
+            at = rule[c] == n
+            t = doi._gauss_legendre_01(int(n))[0][:, None]
+            want.append((t * xs[a[at]] + (1.0 - t) * xs[c[at]]).ravel())
+        assert len(calls) - cut == sum(n for _, n in _runs(rule, xs.size, block))
+        seen = np.concatenate(calls[cut:])
+        assert np.sort(seen).tobytes() == np.sort(np.concatenate(want)).tobytes()
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5])
@@ -763,6 +832,75 @@ def test_dd_bound_names_the_first_missing_derivative_order():
     # p = 0.25 needs b = 5, so the partial (5, 1) needs f^(7); the catalog has 6
     with pytest.raises(CapabilityError, match="localized bound needs derivative order 7"):
         doi.local_dd_bound(F.parse_function_spec("power:0.5"), 0.25, grid_n=8)
+
+
+def test_dd_probe_names_the_missing_derivative_order_before_it_evaluates(monkeypatch):
+    calls = []
+    monkeypatch.setattr(F.ScalarFunction, "derivatives", lambda self, top, z: calls.append(z))
+    with pytest.raises(CapabilityError, match="localized bound needs derivative order 7"):
+        doi.local_dd_bound(F.parse_function_spec("power:0.5"), 0.25, grid_n=8)
+    assert calls == []
+
+
+ACCURACY_FUNCTIONS = [
+    "power:0.5", "spower:0.5", "power:0.25", "log1p", "slog1p",
+    "rational:1", "srational:1", "gauss", "sexpm1",
+]
+
+
+@pytest.mark.parametrize("spec", ACCURACY_FUNCTIONS)
+def test_dd_orders_keep_the_table_within_1e13_of_a_200_node_rule(spec):
+    # each row's probed order against a 200-node rule, relative to each
+    # part's largest value on the grid: on every support pair of the grids
+    # 16 and 66, and at grid 512 (30135 pairs) on the pairs whose x is 0, 8,
+    # 16, ... points right of y and on each row's longest pair
+    for k in (-3, 0, 2, 7):
+        f = F.dilate_function(F.parse_function_spec(spec), 2.0 ** k)
+        for b in (2, 3, 4):
+            parts = _dd_parts(b)
+            bump = doi.SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2)
+            pairs = []
+            for grid in (16, 66, 512):
+                support = _support(bump, grid)
+                rule = doi._dd_orders(f, parts, support)
+                c, a = np.triu_indices(support.size)
+                if grid == 512:
+                    keep = ((a - c) % 8 == 0) | (a == support.size - 1)
+                    c, a = c[keep], a[keep]
+                pairs.append((support[a], support[c], rule[c], np.full(a.size, grid)))
+            x, y, n, grids = map(np.concatenate, zip(*pairs))
+            got = doi._dd_table(f, parts, x, y, n)
+            ref = doi._dd_table(f, parts, x, y, np.full(x.size, 200))
+            for grid in (16, 66, 512):
+                on = grids == grid
+                for ij in parts:
+                    err = np.abs(got[ij][on] - ref[ij][on]).max()
+                    assert err <= 1e-13 * np.abs(ref[ij][on]).max(), (k, b, grid, ij)
+
+
+@pytest.mark.parametrize("grid", [15, 16, 66])
+@pytest.mark.parametrize("spec", ["power:0.5", "log1p"])
+def test_dd_tables_without_orders_take_quad_nodes_on_every_row(spec, grid, monkeypatch):
+    monkeypatch.setattr(doi, "DD_ORDERS", ())
+    f = F.parse_function_spec(spec)
+    bump = doi.SmoothBump(0.125, 0.25, 2.0, math.pi, order=5)
+    orders = [(0, 0), (0, 1), (3, 0), (3, 1)]
+    x = doi._torus_grid(grid)
+    got = doi.localized_dd_periodic(f, bump)(orders, x)
+    ref = _ref_dd_partial(f, bump, rule=lambda y: np.full(y.shape, doi.QUAD_NODES))
+    xg, yg = x[:, None], x[None, :]
+    assert [v.tobytes() for v in got] == [ref(m, n, xg, yg).tobytes() for m, n in orders]
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_dd_orders_at_the_default_grid(b):
+    bump = doi.SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2)
+    support = _support(bump, 512)
+    log1p = F.dilate_function(F.parse_function_spec("log1p"), 4.0)
+    assert doi._dd_orders(log1p, _dd_parts(b), support).max() <= 12
+    # power:0.5 is singular at 0, left of the support's first row
+    power = doi._dd_orders(F.parse_function_spec("power:0.5"), _dd_parts(b), support)
+    assert power[0] == doi.QUAD_NODES and np.all(np.diff(power) <= 0)
 
 
 # --- the stacked empirical lower bound against the per-trial loop ---------------------

@@ -61,16 +61,17 @@ def test_compare_reads_nan_as_equal_to_nan(tmp_path):
 @pytest.mark.parametrize(
     "stdout_a, stdout_b, where",
     [
-        # one JSON object on both sides: the keys whose values differ
+        # one JSON object on both sides: the keys whose values differ, each
+        # number with its relative change
         (
             '{"lower": 2.372, "lower_le_upper": true, "upper": 4.0}\n',
             '{"lower": 2.403, "lower_le_upper": true, "upper": 4.0}\n',
-            "stdout (lower)",
+            "stdout (lower 0.013)",
         ),
         (
             '{"lower": NaN, "upper": 4.0, "x": 1}\n',
             '{"lower": NaN, "upper": Infinity}\n',
-            "stdout (upper, x)",
+            "stdout (upper inf, x)",
         ),
         # otherwise the part alone
         ("wrote a (1 cells)\n", "wrote b (1 cells)\n", "stdout"),

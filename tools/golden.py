@@ -1,5 +1,5 @@
 """Write the golden set: the deterministic outputs of 148 campaign configs,
-25 ``holderlab verify`` calls and 38 other CLI calls, and print one sha256
+25 ``holderlab verify`` calls and 40 other CLI calls, and print one sha256
 over all of them.
 
     python3 tools/golden.py OUT_DIR
@@ -13,13 +13,13 @@ checkout's ``src``.  BLAS runs on one thread.
 ``--compare`` prints the name of every verify and CLI call whose stdout,
 stderr or exit code differs between two golden sets, with the parts that
 differ; when a stdout is one JSON object on both sides, it also names the
-keys whose values differ, as in ``cli-alpha-auto: stdout (lower)``.  It
-then reads the cells of every ``report.json`` of both and prints how many
-cells changed, the largest relative change of each statistic
-(max_ratio, min_ratio, q50, q99), every cell whose statistic went from NaN
-to finite or back, and every finite statistic that moved by more than BOUND
-(1e-12) relative.  It exits 1 when a statistic moved beyond the bound or
-became NaN, else 0.
+keys whose values differ, each number with its relative change, as in
+``cli-oneshot-3: stdout (upper 2.8e-16)``.  It then reads the cells of
+every ``report.json`` of both and prints how many cells changed, the
+largest relative change of each statistic (max_ratio, min_ratio, q50,
+q99), every cell whose statistic went from NaN to finite or back, and every
+finite statistic that moved by more than BOUND (1e-12) relative.  It exits 1
+when a statistic moved beyond the bound or became NaN, else 0.
 
 Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
 ``counterexamples.json`` (``error.txt`` for a config refused at load), and
@@ -33,8 +33,10 @@ dyadic:K for K in {-3, 0, 7} of log1p, rational:1 and gauss, so that the
 symbols and bounds of ``doi`` that ``mpnorm`` reaches are checked byte for
 byte; dyadic:2 of power:0.5 and log1p at ``--grid 2`` and ``--grid 33``,
 whose bump supports hold one point and an odd number of points, the edges of
-the Fourier route's symmetric pair list; and ``mpnorm`` at p = 2, where no upper route applies, on alpha, b0
-and dyadic:2 of log1p under ``auto`` and ``empirical``, and on alpha under
+the Fourier route's symmetric pair list; dyadic:2 of power:0.5 and gauss at
+p = 0.3 (b = 4, the most parts of the divided-difference table); and
+``mpnorm`` at p = 2, where no upper route applies, on alpha, b0 and dyadic:2
+of log1p under ``auto`` and ``empirical``, and on alpha under
 ``decomposition`` (refused).
 
 The configs: every entry of CONFIGS below, at seeds 101 and 7 (all 11
@@ -246,6 +248,9 @@ def cli_calls() -> dict:
         for f in ("power:0.5", "log1p"):
             argv = ["mpnorm", "--symbol", "dyadic:2", "--f", f, "--grid", grid, *seed]
             calls[f"dyadic2-{f.replace(':', '')}-grid{grid}"] = argv
+    for f in ("power:0.5", "gauss"):
+        argv = ["mpnorm", "--symbol", "dyadic:2", "--f", f, "--p", "0.3", *seed]
+        calls[f"dyadic2-{f.replace(':', '')}-p0.3"] = argv
     # p = 2 is outside every upper route
     p2 = {"alpha": ["alpha"], "b0": ["b0"], "dyadic2": ["dyadic:2", "--f", "log1p"]}
     for name, symbol in p2.items():
@@ -360,7 +365,8 @@ def _calls(out) -> dict:
 
 def _stdout_keys(x: bytes, y: bytes) -> str:
     """" (k, ...)" naming the keys whose values differ when both stdouts are
-    one JSON object, else ""."""
+    one JSON object, else "": a key whose value is a number on both sides
+    with its relative change, as "upper 2.8e-16"."""
     try:
         a, b = json.loads(x), json.loads(y)
     except ValueError:
@@ -370,7 +376,13 @@ def _stdout_keys(x: bytes, y: bytes) -> str:
     # compared as JSON text, in which NaN equals NaN; a missing key differs
     keys = [k for k in sorted(a.keys() | b.keys())
             if k not in a or k not in b or json.dumps(a[k]) != json.dumps(b[k])]
+    numbers = [k for k in keys if all(_is_number(v.get(k)) for v in (a, b))]
+    keys = [f"{k} {_relative(a[k], b[k]):.2g}" if k in numbers else k for k in keys]
     return f" ({', '.join(keys)})" if keys else ""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _relative(a, b) -> float:
