@@ -27,7 +27,7 @@ from .ensembles import (
     ginibre,
     inputs_per_trial,
 )
-from .errors import EigensolverError, HolderLabError, ParameterError
+from .errors import HolderLabError, ParameterError
 from .functions import parse_function_spec
 from .norms import Schatten, parse_norm_spec
 from .spectral import as_hermitian, eig_hermitian, from_eigen, op_norm
@@ -383,7 +383,7 @@ def _outcomes(config: CampaignConfig, f, entries, trials, stack, dec=None):
     ``entries`` by the verifier's kernel.  A LinAlgError reruns a stack of
     several trials one trial at a time, each yielded on its own, then a trial
     of several cells one cell at a time, reassembling the rows, and is the
-    EigensolverError of one trial in one cell."""
+    error V.lapack_error gives of one trial in one cell."""
     kernel = getattr(V, VERIFIERS[config.verifier].kernel)
     try:
         outcomes = kernel(f, entries, stack, dec)
@@ -399,7 +399,7 @@ def _outcomes(config: CampaignConfig, f, entries, trials, stack, dec=None):
                 [next(_outcomes(config, f, [entry], trials, stack, dec))[2] for entry in entries]
             )
         else:
-            outcomes = V.Outcomes.failing(EigensolverError(f"LAPACK failed to converge: {exc}"))
+            outcomes = V.Outcomes.failing(V.lapack_error(exc))
     yield trials, stack, outcomes
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -308,9 +308,11 @@ class SmoothBump:
 
 
 # the mixed partials of a 2*pi-periodic symbol on the square grid x * x of a 1-D
-# grid x: partials(orders, x) returns, for each (m, n) of orders, the table of its
-# derivative of order m in the second argument (axis 1) and n in the first
-Partials = Callable[[list, np.ndarray], list]
+# grid x: partials(orders, x) yields blocks (rows, cols, values), values holding,
+# for each (m, n) of orders, its derivative of order m in the second argument and
+# n in the first at the points (x[rows], x[cols]); no point is yielded twice, and
+# a point never yielded is 0
+Partials = Callable[[list, np.ndarray], Iterator[tuple]]
 
 
 def _zeta_upper(s: float) -> float:
@@ -342,7 +344,8 @@ class FourierSobolevBound:
     grid_n: int
 
 
-# the largest grid_n: the four partial tables of the (2 grid_n)^2 grid take 128 MiB
+# the largest grid_n; the Fourier route's memory does not grow with it (its
+# moments are taken per block), but its time grows as grid_n^2
 MAX_GRID = 1024
 
 
@@ -356,19 +359,45 @@ def _torus_grid(n: int):
     return x
 
 
+def _row_sums(rows, vals, n: int) -> np.ndarray:
+    """The sums of ``vals`` over the points of each row 0..n-1."""
+    if np.iscomplexobj(vals):
+        return _row_sums(rows, vals.real, n) + 1j * _row_sums(rows, vals.imag, n)
+    return np.bincount(rows, weights=vals, minlength=n)
+
+
+def _add_moments(moments: list, rows, vals, n: int) -> None:
+    """Add a block of the partials (0, 0), (0, 1), (b, 0), (b, 1) at rows
+    ``rows`` of the n-point grid to ``moments``: the row sums of the first
+    two, and of the squares of the last two."""
+    for k, v in enumerate(vals):
+        moments[k] = moments[k] + _row_sums(rows, v if k < 2 else np.abs(v) ** 2, n)
+
+
+def _fourier_moments(partials: Partials, b: int, n: int) -> tuple:
+    """The moments of _add_moments on the n-point torus grid and on its
+    every-other-point grid (n // 2 points), from one pass over the blocks of
+    the partials on the n-point grid: _torus_grid(n)[::2] equals
+    _torus_grid(n // 2) bit for bit."""
+    fine, coarse = [0.0] * 4, [0.0] * 4
+    for rows, cols, vals in partials([(0, 0), (0, 1), (b, 0), (b, 1)], _torus_grid(n)):
+        _add_moments(fine, rows, vals, n)
+        even = (rows % 2 == 0) & (cols % 2 == 0)
+        _add_moments(coarse, rows[even] // 2, [v[even] for v in vals], n // 2)
+    return fine, coarse
+
+
 def _l2_mean(vals) -> float:
     return float(math.sqrt(np.mean(np.abs(vals) ** 2)))
 
 
-def _fourier_upper(vals, p: float, c_pb: float) -> float:
-    """The bound from the partials (0, 0), (0, 1), (b, 0), (b, 1) on a torus
-    grid."""
-    a_vals, d1_vals, db_vals, db1_vals = vals
-    # mean over the second argument gives the zeroth Fourier coefficient a_0(x)
-    a0 = np.mean(a_vals, axis=1)
-    a0p = np.mean(d1_vals, axis=1)
-    u0 = _l2_mean(a0) + PI_EMBED * _l2_mean(a0p)
-    u1 = c_pb * (_l2_mean(db_vals) + PI_EMBED * _l2_mean(db1_vals))
+def _fourier_upper(moments, n: int, p: float, c_pb: float) -> float:
+    """The bound from the moments of the partials on the n-point torus grid."""
+    a0, a0p, db, db1 = moments
+    # the row means (over the second argument) give the zeroth Fourier
+    # coefficient a_0(x) and its derivative
+    u0 = _l2_mean(a0 / n) + PI_EMBED * _l2_mean(a0p / n)
+    u1 = c_pb * (math.sqrt(np.sum(db) / n**2) + PI_EMBED * math.sqrt(np.sum(db1) / n**2))
     return (u0 ** p + u1 ** p) ** (1.0 / p)
 
 
@@ -384,17 +413,15 @@ def fourier_sobolev_bound(
 
     The bound is taken on the (2 grid_n)^2 grid, and its quadrature error is
     estimated as the change from the grid_n^2 grid, which is every other
-    point of it: the partials are evaluated once, on the finer grid."""
+    point of it: the partials are evaluated once, on the finer grid, and each
+    block of them is added into the moments of both grids and dropped, so
+    memory does not grow with the number of grid points."""
     check_grid(grid_n)
     c_pb = fourier_coefficient_constant(p, b)
     n = 2 * grid_n
-    x = _torus_grid(n)
-    vals = partials([(0, 0), (0, 1), (b, 0), (b, 1)], x)
-    upper = _fourier_upper(vals, p, c_pb)
-    # _torus_grid(2n)[::2] equals _torus_grid(n) bit for bit; the copies give
-    # the coarse means the memory layout of that grid's own arrays
-    coarse = [np.ascontiguousarray(v[::2, ::2]) for v in vals]
-    err = abs(upper - _fourier_upper(coarse, p, c_pb))
+    fine, coarse = _fourier_moments(partials, b, n)
+    upper = _fourier_upper(fine, n, p, c_pb)
+    err = abs(upper - _fourier_upper(coarse, grid_n, p, c_pb))
     return FourierSobolevBound(
         upper=float(upper),
         c_pb=c_pb,
@@ -410,7 +437,8 @@ def _gauss_legendre_01(n: int):
 
 
 # grid pairs per block of the localized symbols: a block holds one array of
-# this many points per part of the kernel (_localized_periodic)
+# this many points per part of the kernel (_localized_periodic), and bounds
+# the memory of the Fourier route (fourier_sobolev_bound)
 DD_BLOCK = 4096
 # the Gauss-Legendre orders a row of the divided-difference table may take,
 # and the share of each part's largest probe value they must keep to (_dd_orders)
@@ -466,28 +494,34 @@ def _localized_periodic(bump_x, bump_y, kernel) -> Partials:
     the grid inside bump_x: the partials d_1^i d_2^j k at the points (x, y) for
     every (i, j) of ``parts``, for a symmetric k(x, y) = k(y, x).  The partials
     of the product follow by the Leibniz rule, over blocks of DD_BLOCK grid
-    pairs of the support: per block, one kernel table serves every partial.
-    Each bump derivative is taken once per grid coordinate.  With one bump on
-    both axes the product is symmetric, its partial (m, n) at (y, x) being its
-    partial (n, m) at (x, y): the kernel is evaluated once per unordered pair,
-    at x >= y in the order of y, and the transposed orders fill the mirror half
-    (on the diagonal, the order with m >= n): (m, n) and (n, m) are exact transposes."""
+    pairs of the support, each yielded as it is done: per block, one kernel
+    table serves every partial.  Each bump derivative is taken once per grid
+    coordinate.  With one bump on both axes the product is symmetric, its
+    partial (m, n) at (y, x) being its partial (n, m) at (x, y): the kernel is
+    evaluated once per unordered pair, at x >= y in the order of y, and the
+    block of the mirror pairs takes the transposed orders (each diagonal point
+    is yielded once, with the order m >= n): (m, n) and (n, m) are exact
+    transposes."""
     symmetric = bump_x is bump_y
 
     def partials(orders, x):
         ix, iy = (np.flatnonzero((x > bump.lo) & (x < bump.hi)) for bump in (bump_x, bump_y))
-        pairs = np.triu_indices(ix.size)[::-1] if symmetric else np.indices((ix.size, iy.size))
-        rows, cols = ix[pairs[0]].ravel(), iy[pairs[1]].ravel()
         sums = set(orders) | ({(n, m) for m, n in orders} if symmetric else set())
         # the parts the product rule needs: a union of rectangles from (0, 0),
         # so _dd_table uses every derivative order it evaluates
         parts = {(i, j) for m, n in sums for i in range(n + 1) for j in range(m + 1)}
         block = kernel(parts, x[ix])
-        outs = [np.zeros((x.size, x.size)) for _ in orders]
         top = max(max(mn) for mn in sums)
         bx, by = ([bump.deriv(k, x) for k in range(top + 1)] for bump in (bump_x, bump_y))
-        for s in range(0, rows.size, DD_BLOCK):
-            r, c = rows[s : s + DD_BLOCK], cols[s : s + DD_BLOCK]
+        # the pairs row by row, row k from starts[k]: the triangle of the pairs
+        # (ix[k + step], ix[k]), or the rectangle of the pairs (ix[k], iy[step])
+        lengths = np.arange(ix.size, 0, -1) if symmetric else np.full(ix.size, iy.size)
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        for s in range(0, starts[-1], DD_BLOCK):
+            at = np.arange(s, min(s + DD_BLOCK, starts[-1]))
+            row = np.searchsorted(starts, at, side="right") - 1
+            step = at - starts[row]
+            r, c = (ix[row + step], ix[row]) if symmetric else (ix[row], iy[step])
             table = block(x[r], x[c])
             bxr, byc = [v[r] for v in bx], [v[c] for v in by]
             leibniz = {}
@@ -498,11 +532,16 @@ def _localized_periodic(bump_x, bump_y, kernel) -> Partials:
                         fac = math.comb(n, i) * math.comb(m, j)
                         part += fac * bxr[n - i] * byc[m - j] * table[i, j]
                 leibniz[m, n] = part
-            for out, (m, n) in zip(outs, orders):
-                halves = [((r, c), (m, n)), ((c, r), (n, m))][: 2 if symmetric else 1]
-                for at, mn in sorted(halves, key=lambda h: h[1]):  # the larger order last
-                    out[at] = leibniz[mn]
-        return outs
+            if not symmetric:
+                yield r, c, [leibniz[mn] for mn in orders]
+                continue
+            diagonal = r == c
+            for m, n in sums:
+                if m < n:
+                    leibniz[m, n][diagonal] = leibniz[n, m][diagonal]
+            yield r, c, [leibniz[mn] for mn in orders]
+            off = ~diagonal
+            yield c[off], r[off], [leibniz[n, m][off] for m, n in orders]
 
     return partials
 

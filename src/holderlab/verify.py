@@ -20,6 +20,7 @@ from .errors import (
     CapabilityError,
     DomainError,
     EigensolverError,
+    HolderLabError,
     ParameterError,
     PreconditionError,
     ShapeError,
@@ -160,17 +161,30 @@ def _check_of(kernel: str) -> Callable:
     return globals()["_check_" + kernel.removeprefix("verify_").removesuffix("_stack")]
 
 
+class FloatRangeError(np.linalg.LinAlgError):
+    """A matrix of a trial that left the float range, raised where LAPACK's
+    failure would be, so that a campaign isolates its trial in the same way."""
+
+
+def lapack_error(exc: np.linalg.LinAlgError) -> HolderLabError:
+    """The error a trial records for ``exc``: the DomainError of a matrix
+    that left the float range, else LAPACK's failure to converge."""
+    if isinstance(exc, FloatRangeError):
+        return DomainError(str(exc))
+    return EigensolverError(f"LAPACK failed to converge: {exc}")
+
+
 def _one(kernel, f, theta, p, spec, mats, variant=None) -> Outcomes:
     """The outcomes ``kernel`` gives the trial of inputs ``mats`` in a stack of
     one trial and the one cell (theta, p, spec), or raise the error of the
-    cell's check, else of the trial; LAPACK's failure to converge is the
-    EigensolverError a campaign records for it."""
+    cell's check, else of the trial; a LinAlgError is the error of
+    lapack_error, which a campaign records for it."""
     entry = _check_of(kernel.__name__)(_seminorms(f), theta, p, spec, variant)
     stack = _stack_of_one(mats)
     try:
         outcomes = kernel(f, [entry], stack)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"LAPACK failed to converge: {exc}") from exc
+        raise lapack_error(exc) from exc
     if not outcomes.ok[0, 0]:
         raise outcomes.error((0, 0))
     return outcomes
@@ -190,12 +204,12 @@ def _one(kernel, f, theta, p, spec, mats, variant=None) -> Outcomes:
 # place of eigh; it is None for the other draws, refinement and the public
 # verify_* functions (_one).  A trial fails with the error of the first check
 # of its inputs it fails, in the order the kernel's docstring gives: one row
-# of checks serves every cell.  numpy.linalg.LinAlgError propagates.  The
-# work that does not depend on the cell (checks, eigendecompositions, images,
-# SVDs) runs once per stack, and each norm once over the profiles of every
-# theta (_norm_rows).  A check of the inputs is a pair (ok mask (T, k),
-# function from an index (trial, input) to the error); a row is a pair (ok
-# mask (T,), function from a trial to the error).
+# of checks serves every cell.  numpy.linalg.LinAlgError (FloatRangeError
+# included) propagates.  The work that does not depend on the cell (checks,
+# eigendecompositions, images, SVDs) runs once per stack, and each norm once
+# over the profiles of every theta (_norm_rows).  A check of the inputs is a
+# pair (ok mask (T, k), function from an index (trial, input) to the error); a
+# row is a pair (ok mask (T,), function from a trial to the error).
 
 
 def _front(stack, apply=None, layout=(1, 2), chain=None, dec=None):
@@ -267,10 +281,10 @@ def _profiles(*mats) -> np.ndarray:
 def _hermitian_profiles(*mats) -> np.ndarray:
     """_profiles of Hermitian matrices: |eigvalsh| sorted descending, C-contiguous,
     as a reversed view would change the order the norms sum in.  A non-finite
-    eigenvalue raises numpy.linalg.LinAlgError, as the SVD does."""
+    eigenvalue raises FloatRangeError, where the SVD raises LinAlgError."""
     w = np.abs(np.linalg.eigvalsh(np.stack(mats, axis=1)))
     if not np.isfinite(w).all():
-        raise np.linalg.LinAlgError("eigvalsh of a non-finite matrix")
+        raise FloatRangeError("a matrix of the trial leaves the float range (not finite)")
     return -np.sort(-w, axis=-1)
 
 

@@ -978,7 +978,7 @@ BAD_NUMBERS = {
     "mpnorm-grid-0": (["mpnorm", "--symbol", "b0", "--grid", "0", "--trials", "2"], "got 0"),
     "mpnorm-grid-1": (["mpnorm", "--symbol", "b0", "--grid", "1", "--trials", "2"], "got 1"),
     "mpnorm-grid-neg": (["mpnorm", "--symbol", "b0", "--grid", "-4", "--trials", "2"], "got -4"),
-    # above doi.MAX_GRID the partial tables would need gigabytes
+    # above doi.MAX_GRID the bound would take minutes (its work grows as grid^2)
     "mpnorm-grid-big": (
         ["mpnorm", "--symbol", "b0", "--theta", "0.5", "--p", "1", "--grid", "30000"],
         "grid_n <= 1024, got 30000",

@@ -401,6 +401,28 @@ def test_cli_verify_near_the_float_range_prints_its_message_alone(capsys):
     assert err.count("\n") == 1 and err.startswith("all 1 trial(s) failed")
 
 
+def test_a_matrix_outside_the_float_range_fails_its_trial_as_a_domain_error(capsys):
+    # sgn(M)|M|^2 of the spectrum [1e200, 1e201] is not finite: every trial of
+    # every cell fails with the DomainError that names the float range, in the
+    # campaign's stacks, in replay and on the CLI, not as LAPACK's failure
+    from holderlab import campaign
+    from holderlab.cli import main
+
+    config = _fixed_pair_campaign("reverse", [1e200, 1e201])
+    entries = campaign._entries(config, None, campaign._kernel_cells(config))
+    for trials, _, _, outcomes in campaign._stacks(config, 2, entries, None):
+        for idx in np.ndindex(outcomes.ok.shape):
+            assert not outcomes.ok[idx]
+            assert type(outcomes.error(idx)) is DomainError
+    message = "a matrix of the trial leaves the float range (not finite)"
+    with pytest.raises(DomainError) as replayed:
+        campaign.replay(config, 0, 0)
+    assert str(replayed.value) == message
+    argv = ["verify", "--ineq", "reverse", "--theta", "2", "--spectrum=1e200,1e201", "--dim", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"all 1 trial(s) failed; trial 0: DomainError: {message}\n"
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e160, 1e-160, 1e-170, 1e200, 1e-200])
 def test_absmap_ratios_do_not_depend_on_the_scale(scale):
     # ||A+B|| ||A-B|| leaves the float range beyond about 1e154 and below

@@ -1,5 +1,5 @@
 """Write the golden set: the deterministic outputs of 148 campaign configs,
-25 ``holderlab verify`` calls and 40 other CLI calls, and print one sha256
+25 ``holderlab verify`` calls and 42 other CLI calls, and print one sha256
 over all of them.
 
     python3 tools/golden.py OUT_DIR
@@ -33,8 +33,10 @@ dyadic:K for K in {-3, 0, 7} of log1p, rational:1 and gauss, so that the
 symbols and bounds of ``doi`` that ``mpnorm`` reaches are checked byte for
 byte; dyadic:2 of power:0.5 and log1p at ``--grid 2`` and ``--grid 33``,
 whose bump supports hold one point and an odd number of points, the edges of
-the Fourier route's symmetric pair list; dyadic:2 of power:0.5 and gauss at
-p = 0.3 (b = 4, the most parts of the divided-difference table); and
+the Fourier route's symmetric pair list; b0 and dyadic:2 of log1p at
+``--grid 1024``, the cap, where the route's moments are taken over the most
+blocks; dyadic:2 of power:0.5 and gauss at p = 0.3 (b = 4, the most parts of
+the divided-difference table); and
 ``mpnorm`` at p = 2, where no upper route applies, on alpha, b0 and dyadic:2
 of log1p under ``auto`` and ``empirical``, and on alpha under
 ``decomposition`` (refused).
@@ -248,6 +250,9 @@ def cli_calls() -> dict:
         for f in ("power:0.5", "log1p"):
             argv = ["mpnorm", "--symbol", "dyadic:2", "--f", f, "--grid", grid, *seed]
             calls[f"dyadic2-{f.replace(':', '')}-grid{grid}"] = argv
+    calls["b0-grid1024"] = ["mpnorm", "--symbol", "b0", "--grid", "1024", *seed]
+    calls["dyadic2-log1p-grid1024"] = ["mpnorm", "--symbol", "dyadic:2", "--f", "log1p",
+                                       "--grid", "1024", *seed]
     for f in ("power:0.5", "gauss"):
         argv = ["mpnorm", "--symbol", "dyadic:2", "--f", f, "--p", "0.3", *seed]
         calls[f"dyadic2-{f.replace(':', '')}-p0.3"] = argv
