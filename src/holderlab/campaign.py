@@ -36,9 +36,9 @@ from . import verify as V
 # a record exceeds its verifier's claimed constant when ratio > claim + tol
 CONSTANT_ONE_TOL = 1e-8
 
-# the format of report.json and manifest.json: 5 since the seminorm refines
-# its grid maxima in zoom rounds
-REPORT_FORMAT = 5
+# the format of report.json and manifest.json: 6 since inverse takes f^{-1}
+# in closed form
+REPORT_FORMAT = 6
 # the norm label that a verifier taking no norm accepts besides a norm spec
 NO_NORM = "-"
 

@@ -32,6 +32,10 @@ class ScalarFunction:
     the degree theta of a homogeneous f: f(r x) = r^theta f(x) for r > 0.
     ``even_or_odd`` promises |f^(k)(-x)| = |f^(k)(x)| bit for bit for every
     0 <= k <= max_order, so that ``seminorm`` evaluates x > 0 only.
+    ``inverse``, when present, is f^{-1} in closed form on the branch where f
+    increases: the whole line for an odd f, x >= 0 for an even one (whose
+    mirror branch x <= 0 has the preimage -inverse(y)).  It is NaN where y
+    has no preimage there: outside f's range, or below f(0) for an even f.
     """
 
     name: str
@@ -42,6 +46,7 @@ class ScalarFunction:
     derivative_at_zero: Optional[float] = None
     exact_order_sup: Optional[Callable[[int, float], float]] = None
     even_or_odd: bool = False
+    inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def derivatives(self, top: int, x) -> list:
         """[deriv(k, x) for k in 1..top], bit for bit.  A deriv that carries a
@@ -79,6 +84,20 @@ def _unit_power(s, k: int) -> np.ndarray:
     return s if k % 2 else s * s
 
 
+def _branch_inverse(g, odd: bool):
+    """The ``inverse`` of an even or odd f from g, the inverse of f on x >= 0
+    as a map of y >= 0: sgn(y) g(|y|) when ``odd``, else g(y), NaN below 0."""
+
+    def inverse(y):
+        y = np.asarray(y, dtype=float)
+        with np.errstate(all="ignore"):  # g may overflow or leave its range
+            if odd:
+                return np.sign(y) * g(np.abs(y))
+            return np.where(y >= 0.0, g(np.abs(y)), np.nan)
+
+    return inverse
+
+
 def _falling(theta: float, k: int) -> float:
     """theta (theta-1) ... (theta-k+1)."""
     out = 1.0
@@ -110,6 +129,7 @@ def _power(theta: float, odd: bool) -> ScalarFunction:
         derivative_at_zero=None,
         exact_order_sup=lambda k, th: (abs(_falling(theta, k)) if th == theta else np.inf),
         even_or_odd=True,
+        inverse=_branch_inverse(lambda a: a ** (1.0 / theta), odd),
     )
 
 
@@ -138,6 +158,7 @@ def _log1p(odd: bool) -> ScalarFunction:
         deriv=_laddered(lambda x: (1.0 + np.abs(x), np.sign(x)), dv),
         derivative_at_zero=1.0 if odd else None,
         even_or_odd=True,
+        inverse=_branch_inverse(np.expm1, odd),
     )
 
 
@@ -168,6 +189,7 @@ def _rational(r: float, odd: bool) -> ScalarFunction:
         name=f"{'s' * odd}rational:{r}", eval=ev,
         deriv=_laddered(lambda x: (r + np.abs(x), np.sign(x)), dv),
         derivative_at_zero=1.0 / r if odd else None, even_or_odd=True,
+        inverse=_branch_inverse(lambda a: np.where(a < 1.0, r * a / (1.0 - a), np.nan), odd),
     )
 
 
@@ -238,6 +260,7 @@ def linear() -> ScalarFunction:
         derivative_at_zero=1.0,
         exact_order_sup=lambda k, th: (1.0 if (th == 1.0 and k <= 1) else (0.0 if k > 1 else np.inf)),
         even_or_odd=True,
+        inverse=ev,
     )
 
 

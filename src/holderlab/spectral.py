@@ -20,7 +20,8 @@ PSD_TOL = 1e-10
 ZERO_TOL_COEFF = 1e-12
 # eigh leaves an exact zero eigenvalue of an n x n matrix within about n eps
 # max|lambda| of 0; eigh_stack sets each eigenvalue within ZERO_SNAP * n *
-# max|lambda| of 0 to 0
+# max|lambda| of 0 to 0, and verify.inverse_apply asks f^{-1} to be finite
+# within ZERO_SNAP * n * |lambda| of each eigenvalue
 ZERO_SNAP = 8 * np.finfo(float).eps
 
 

@@ -39,6 +39,7 @@ from .norms import (
     submajorizes,
 )
 from .spectral import (
+    ZERO_SNAP,
     ZERO_TOL_COEFF,
     SpectralDecomposition,
     abs_matrix,
@@ -136,7 +137,8 @@ class Outcomes:
 def _seminorms(f):
     """The seminorm of f at (d, theta) that every difference estimate scales
     by, as a function of (d, theta) that estimates each pair once; it raises
-    CapabilityError when the seminorm is infinite or f lacks d derivatives."""
+    CapabilityError when the seminorm is infinite or f lacks d derivatives.
+    Its ``function`` is f."""
     estimate = functools.cache(lambda d, theta: seminorm(f, d, theta).value)
 
     def value(d, theta):
@@ -144,6 +146,7 @@ def _seminorms(f):
             raise CapabilityError(f"{f.name}: seminorm is infinite at theta={theta}, d={d}")
         return estimate(d, theta)
 
+    value.function = f
     return value
 
 
@@ -426,54 +429,6 @@ def verify_symmetric(
 # --- reverse-direction estimates -------------------------------------------------
 
 
-BRACKET_LIMIT = 1e12
-
-
-def _bisect_inverse(f: ScalarFunction, y, sign, tol=1e-12):
-    """Solve f(x) = y for every element of the 1-D arrays ``y`` and ``sign``
-    (+1 where f increases, -1 where it decreases) in one lockstep bisection.
-
-    Each element takes the steps of the scalar algorithm: double lo from -1
-    until sign*f(lo) <= sign*y, then hi from 1 until sign*f(hi) >= sign*y,
-    giving up past +-BRACKET_LIMIT; then halve [lo, hi] until
-    hi - lo <= tol * (1 + |mid|).  The halving runs over the whole arrays: f
-    is evaluated once per step on every element, and a ``going`` mask keeps
-    an element that has finished, or was never bracketed, as it is.
-    Returns the midpoints and the per-element bracketed mask."""
-    target = sign * y
-    lo = np.full(y.shape, -1.0)
-    hi = np.full(y.shape, 1.0)
-    ok = np.ones(y.shape, dtype=bool)
-
-    def g(t, idx):
-        return sign[idx] * np.asarray(f.eval(t), dtype=float)
-
-    def bracket(end, reached, escaped):
-        act = np.flatnonzero(ok)
-        for _ in range(200):
-            if not act.size:
-                break
-            act = act[~reached(g(end[act], act), target[act])]
-            end[act] *= 2.0
-            out = escaped(end[act])
-            ok[act[out]] = False
-            act = act[~out]
-
-    with np.errstate(all="ignore"):  # f may overflow far from its range
-        bracket(lo, np.less_equal, lambda t: t < -BRACKET_LIMIT)
-        bracket(hi, np.greater_equal, lambda t: t > BRACKET_LIMIT)
-        going = ok.copy()
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            going &= ~(hi - lo <= tol * (1.0 + np.abs(mid)))
-            if not going.any():
-                break
-            below = sign * np.asarray(f.eval(mid), dtype=float) < target
-            lo = np.where(going & below, mid, lo)
-            hi = np.where(going & ~below, mid, hi)
-    return 0.5 * (lo + hi), ok
-
-
 def _monotone_sign(f: ScalarFunction, lam):
     """Per item of a stack (..., n) of eigenvalues: +1 where f increases
     strictly on 64 points spanning [min - 1, max + 1], -1 where it decreases
@@ -482,8 +437,8 @@ def _monotone_sign(f: ScalarFunction, lam):
     # an item whose span rounds to a point has a constant probe; linspace
     # would switch every item of the stack to its zero-step arithmetic
     flat = hi - lo == 0.0
-    span = np.linspace(np.where(flat, 0.0, lo), np.where(flat, 1.0, hi), 64, axis=-1)
-    with np.errstate(all="ignore"):  # e.g. expm1 overflows on large spectra
+    with np.errstate(all="ignore"):  # an infinite span; e.g. expm1 overflows on large spectra
+        span = np.linspace(np.where(flat, 0.0, lo), np.where(flat, 1.0, hi), 64, axis=-1)
         d = np.diff(np.asarray(f.eval(span), dtype=float), axis=-1)
     sign = np.where((d > 0).all(axis=-1), 1.0, np.where((d < 0).all(axis=-1), -1.0, 0.0))
     return np.where(flat, 0.0, sign)
@@ -491,38 +446,47 @@ def _monotone_sign(f: ScalarFunction, lam):
 
 def inverse_apply(f: ScalarFunction, dec: SpectralDecomposition):
     """f^{-1}(M) for a stack (..., n, n) of decompositions of Hermitian M,
-    with f strictly monotone around each spectrum: the scalar inverse is
-    evaluated by one lockstep bisection over every eigenvalue of the stack.
+    with f strictly monotone around each spectrum: one f.inverse call over
+    every eigenvalue of the stack, negated where f decreases (the mirror
+    branch of an even f).  eigh may round an eigenvalue by up to ZERO_SNAP *
+    n of it, so an eigenvalue has a preimage only where f.inverse is finite
+    at both ends of that band: a spectrum that reaches the end of f's range
+    (as srational:1 at 1) fails on whichever side of it eigh rounds.
 
     Returns the stack of f^{-1}(M), the per-matrix ok mask, and a function
     that maps the index of a matrix that is not ok to the error of its first
-    failed check: f strictly monotone on the probe, every eigenvalue
-    bracketed."""
+    failed check: every preimage finite, f strictly monotone on the probe.
+    A matrix that is not ok holds zeros."""
     lam = dec.eigenvalues
     sign = _monotone_sign(f, lam)
-    ok = sign != 0.0
-    signs = np.broadcast_to(sign[..., None], lam.shape)
-    todo = np.broadcast_to(ok[..., None], lam.shape)
-    vals = np.zeros(lam.shape)
-    vals[todo], bracketed = _bisect_inverse(f, lam[todo], signs[todo])
-    found = np.ones(lam.shape, dtype=bool)
-    found[todo] = bracketed
+    band = ZERO_SNAP * lam.shape[-1] * lam
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite eigenvalue
+        below, preimage, above = f.inverse(np.stack([lam - band, lam, lam + band]))
+    ends = np.isfinite(below) & np.isfinite(above)
+    ok = ends.all(axis=-1) & (sign != 0.0)
 
     def error(idx):
-        if sign[idx] == 0.0:
-            return DomainError(f"{f.name} is not strictly monotone on the sampled range")
-        return DomainError(f"{f.name}: could not bracket inverse at {lam[idx][~found[idx]][0]}")
+        if not ends[idx].all():
+            return DomainError(
+                f"{f.name} has no finite inverse within rounding of {lam[idx][~ends[idx]][0]}"
+            )
+        return DomainError(f"{f.name} is not strictly monotone on the sampled range")
 
-    return from_eigen(dec.basis, vals), ok & found.all(axis=-1), error
+    vals = np.where(ok[..., None], preimage, 0.0) * sign[..., None]
+    return from_eigen(dec.basis, vals), ok, error
 
 
 def _check_inverse(sem, theta, p, spec, variant):
     """The entry (the p-th power norm of spec, theta, the seminorm at
-    (d_of_p(p), 1/theta) to the power theta) of an inverse cell."""
+    (d_of_p(p), 1/theta) to the power theta) of an inverse cell, whose f
+    must carry its ``inverse``."""
     if not theta > 1.0:
         raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
     check_fully_symmetric(spec)
-    return PowerOf(spec, p), theta, sem(d_of_p(p), 1.0 / theta) ** theta
+    factor = sem(d_of_p(p), 1.0 / theta) ** theta
+    if sem.function.inverse is None:
+        raise CapabilityError(f"{sem.function.name} has no closed-form inverse")
+    return PowerOf(spec, p), theta, factor
 
 
 def verify_inverse_stack(f, entries, stack, dec=None) -> Outcomes:

@@ -23,7 +23,13 @@ import holderlab.verify as V
 from holderlab.campaign import CampaignConfig, replay, run_campaign
 from holderlab.cli import main as cli_main
 from holderlab.ensembles import ENSEMBLES, SeedState
-from holderlab.errors import DomainError, EigensolverError, HolderLabError, ParameterError
+from holderlab.errors import (
+    CapabilityError,
+    DomainError,
+    EigensolverError,
+    HolderLabError,
+    ParameterError,
+)
 from holderlab.functions import DD_SWITCH, ScalarFunction, d_of_p, parse_function_spec, seminorm
 from holderlab.norms import (
     KyFan,
@@ -33,6 +39,7 @@ from holderlab.norms import (
     norm_of_profile,
 )
 from holderlab.spectral import (
+    ZERO_SNAP,
     SpectralDecomposition,
     as_hermitian,
     eig_hermitian,
@@ -570,7 +577,7 @@ def _replay_failures(config):
 @pytest.mark.parametrize("function", INVERSE_FUNCTIONS)
 def test_inverse_trials_replay_bitwise(function):
     failures = _replay_failures(_inverse_config(function, norms=["kyfan:2"]))
-    if function in ("gauss", "sexpm1"):  # not monotone, infinite seminorm
+    if function in ("gauss", "sexpm1"):  # no inverse, infinite seminorm
         assert failures == [5] * 6
     elif function != "srational:1":  # srational:1 cannot reach |y| >= 1
         assert failures == [0] * 6
@@ -581,12 +588,38 @@ def test_inverse_trials_replay_bitwise(function):
 def test_inverse_ensembles_replay_bitwise(function, ensemble):
     failures = _replay_failures(_inverse_config(function, ensemble, thetas=[2.0]))
     cells = 2 if ensemble == "fixed-degenerate" else 6  # dim 5, or dims 1/3/8
-    if ensemble == "huge-spectrum" or function == "sexpm1":
-        # f^{-1} leaves the bracket for spower and slog1p; sexpm1 has an
+    if (function, ensemble) == ("slog1p", "huge-spectrum") or function == "sexpm1":
+        # slog1p^{-1}(y) = e^y - 1 overflows for y above 709.8; sexpm1 has an
         # infinite seminorm
         assert failures == [5] * cells
     else:
         assert failures == [0] * cells
+
+
+def _scaled_inverse_cells(low, high):
+    """The cells of spower:0.5 at theta 2 on positive_pair spectra in [low,
+    high]: p 1 and 0.5 on schatten:1, whose 0.5-th power norm is the
+    Schatten 0.5 quasi-norm."""
+    config = CampaignConfig.from_dict(
+        {"verifier": "inverse", "function": "spower:0.5", "thetas": [2.0], "ps": [1.0, 0.5],
+         "norms": ["schatten:1"], "dims": [4], "trials": 50, "seed": 5,
+         "ensemble": {"name": "positive_pair", "spectrum_range": [low, high]}}
+    )
+    return run_campaign(config)[0].cells
+
+
+def test_inverse_ratios_do_not_depend_on_the_scale_of_the_spectrum():
+    # f^{-1}(t) = sgn(t) t^2 and |X - Y|^2 are both homogeneous of degree 2,
+    # so the ratios on [0, s] are those on [0, 1] for every s; and every
+    # eigenvalue in [1e7, 1e8] has its preimage, up to 1e16
+    unit = _scaled_inverse_cells(0.0, 1.0)
+    assert [c.failures for c in unit] == [0, 0]
+    for s in (1e-8, 1e-4, 1e4):
+        for cell, want in zip(_scaled_inverse_cells(0.0, s), unit):
+            assert cell.failures == 0
+            for stat in ("min_ratio", "max_ratio"):
+                assert getattr(cell, stat) == pytest.approx(getattr(want, stat), rel=1e-12, abs=0.0)
+    assert [c.failures for c in _scaled_inverse_cells(1e7, 1e8)] == [0, 0]
 
 
 @pytest.mark.parametrize("verifier, function", [("inverse", "spower:0.5"), ("absmap", None)])
@@ -608,6 +641,8 @@ def test_inverse_on_the_operator_norm_replays_bitwise():
 
 
 def test_gauss_fails_through_the_fallback(monkeypatch):
+    # gauss carries no inverse: its cells fail their check, undrawn, and no
+    # trial reaches the kernel
     real = V.verify_inverse_stack
     stacked = []
 
@@ -620,9 +655,17 @@ def test_gauss_fails_through_the_fallback(monkeypatch):
     monkeypatch.setattr(camp, "V", SimpleNamespace(**{**vars(V), "verify_inverse_stack": spy}))
     report, _ = run_campaign(_inverse_config("gauss", trials=33, dims=[8]))
     assert [c.failures for c in report.cells] == [33] * 4
-    assert len(stacked) == 4 * 33
-    assert all(isinstance(rec, DomainError) for rec in stacked)
-    assert str(stacked[0]) == "gauss is not strictly monotone on the sampled range"
+    assert stacked == []
+
+
+def test_cli_verify_inverse_refuses_a_function_without_an_inverse(monkeypatch, capsys):
+    calls = []
+    _spy(monkeypatch, V, "inverse_apply", calls)
+    assert cli_main(["verify", "--ineq", "inverse", "--f", "gauss", "--theta", "2"]) == 2
+    out, err = capsys.readouterr()
+    message = "CapabilityError: gauss has no closed-form inverse"
+    assert err == f"all 1 trial(s) failed; trial 0: {message}\n"
+    assert out == "" and calls == []
 
 
 INVERSE_REPORT_CONFIGS = [dict(function=f) for f in INVERSE_FUNCTIONS] + [
@@ -680,91 +723,101 @@ def test_inverse_stack_sizes():
     assert sizes == {1: 2048, 8: 32, 64: 1}
 
 
-def _scalar_bisect(f, y, increasing, tol=1e-12):
-    """The per-eigenvalue bisection the lockstep one replaced."""
-    lo, hi = -1.0, 1.0
-    target = y if increasing else -y
-    g = (lambda t: float(f.eval(np.array([t]))[0])) if increasing else (
-        lambda t: -float(f.eval(np.array([t]))[0])
-    )
-    for _ in range(200):
-        if g(lo) <= target:
-            break
-        lo *= 2.0
-        if lo < -1e12:
-            raise DomainError(f"{f.name}: could not bracket inverse at {y}")
-    for _ in range(200):
-        if g(hi) >= target:
-            break
-        hi *= 2.0
-        if hi > 1e12:
-            raise DomainError(f"{f.name}: could not bracket inverse at {y}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * (1.0 + abs(mid)):
-            break
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _decreasing():
     return ScalarFunction(
         name="-spower:0.5", eval=lambda x: -np.sign(x) * np.abs(x) ** 0.5, deriv=None
     )
 
 
-@pytest.mark.parametrize("function", INVERSE_FUNCTIONS[:-1] + ["decreasing"])
-def test_lockstep_bisection_matches_scalar(function):
-    f = _decreasing() if function == "decreasing" else parse_function_spec(function)
-    increasing = function != "decreasing"
-    rng = SeedState(11).rng()
-    mags = np.concatenate([np.logspace(-8, 8, 17), [0.5, 0.999999, 1.0, 1e6, 1e13]])
-    extra = [0.0, np.inf, -np.inf, np.nan]
-    ys = np.concatenate([extra, mags, -mags, rng.standard_normal(20) * 10.0])
-    sign = np.full(ys.shape, 1.0 if increasing else -1.0)
-    got, ok = V._bisect_inverse(f, ys, sign)
-    failed = 0
-    for y, x, good in zip(ys, got, ok):
-        try:
-            with np.errstate(all="ignore"):
-                want = _scalar_bisect(f, float(y), increasing)
-        except DomainError:
-            failed += 1
-            assert not good
-            continue
-        assert good and x.hex() == want.hex()
-    assert failed > 0  # every function has targets it cannot bracket
+# the catalog functions that carry a closed-form inverse, odd and even
+CATALOG_INVERSES = [
+    "spower:0.5", "spower:0.3", "slog1p", "srational:1", "srational:2.5", "linear",
+    "power:0.5", "power:0.3", "log1p", "rational:1", "rational:2.5",
+]
+# f(f^{-1}(y)) lies within this many ulps of y wherever y has a preimage
+ROUND_TRIP_ULPS = 2
+LOG_MAX = np.log(np.finfo(float).max)  # expm1 overflows above it
+EVEN_INVERSES = ("power", "log1p", "rational")
 
 
-def _counted_eval(f):
-    """f with its eval calls counted in ``calls``."""
-    calls = []
-
-    def ev(x):
-        calls.append(x.size)
-        return f.eval(x)
-
-    return ScalarFunction(name=f.name, eval=ev, deriv=f.deriv), calls
-
-
-def test_lockstep_bisection_of_no_target_evaluates_nothing():
-    f, calls = _counted_eval(parse_function_spec("spower:0.5"))
-    got, ok = V._bisect_inverse(f, np.zeros(0), np.zeros(0))
-    assert got.shape == ok.shape == (0,) and calls == []
+def _has_preimage(function, y):
+    """Where y has a finite preimage under f: f's range (|y| < 1 for the
+    rationals), minus the y whose preimage e^|y| - 1 overflows, and minus
+    y < f(0) = 0 for an even f."""
+    name = function.split(":")[0]
+    if name.endswith("rational"):
+        inside = np.abs(y) < 1.0
+    elif name.endswith("log1p"):
+        inside = np.abs(y) <= LOG_MAX
+    else:
+        inside = np.isfinite(y)
+    return inside & (y >= 0.0) if name in EVEN_INVERSES else inside
 
 
-def test_lockstep_bisection_of_unbracketed_targets_takes_no_halving_step():
-    # a NaN target brackets no lo: it doubles lo once per eval until it
-    # passes -BRACKET_LIMIT, and then neither hi nor the halving evaluates f
-    f, calls = _counted_eval(parse_function_spec("spower:0.5"))
-    ys = np.full(5, np.nan)
-    got, ok = V._bisect_inverse(f, ys, np.ones(5))
-    doublings = int(np.ceil(np.log2(V.BRACKET_LIMIT)))
-    assert not ok.any() and calls == [5] * doublings
-    assert got.tolist() == [0.5 * (1.0 - 2.0 ** doublings)] * 5
+@pytest.mark.parametrize("function", CATALOG_INVERSES)
+def test_catalog_inverse_round_trips(function):
+    # |y| from 1e-8 to 1e8 and next to the ends of the rationals' range, both
+    # signs; an even f on both branches, x >= 0 and its mirror -x
+    f = parse_function_spec(function)
+    mags = np.concatenate([np.logspace(-8, 8, 321), [1.0 - 1e-8, np.nextafter(1.0, 0.0)]])
+    ys = np.concatenate([mags, -mags])
+    x = f.inverse(ys)
+    has = _has_preimage(function, ys)
+    assert has.any() and np.isfinite(x[has]).all() and not np.isfinite(x[~has]).any()
+    y = ys[has]
+    branches = (1.0, -1.0) if function.split(":")[0] in EVEN_INVERSES else (1.0,)
+    for branch in branches:
+        back = f.eval(branch * x[has])
+        assert (np.abs(back - y) <= ROUND_TRIP_ULPS * np.spacing(np.abs(y))).all()
+
+
+def _diagonal(eigenvalues):
+    """The decomposition of one diagonal matrix, in the standard basis."""
+    lam = np.array(eigenvalues, dtype=float)
+    return SpectralDecomposition(lam[None], np.eye(lam.size, dtype=complex)[None])
+
+
+@pytest.mark.parametrize(
+    "function, eigenvalues, at",
+    [
+        ("srational:1", [0.5, 1.0], 1.0),
+        ("srational:1", [-1.0, 0.5], -1.0),
+        ("srational:1", [-0.5, 3.0], 3.0),
+        ("power:0.5", [-3.0, -2.0], -3.0),
+        ("log1p", [-3.0, -2.0], -3.0),
+        ("rational:1", [-3.0, -2.0], -3.0),
+        ("spower:0.5", [0.5, np.nan], np.nan),
+        ("slog1p", [0.5, np.inf], np.inf),
+        ("linear", [-np.inf, 0.5], -np.inf),
+    ],
+)
+def test_an_eigenvalue_without_a_preimage_fails_its_matrix(function, eigenvalues, at):
+    # srational outside (-1, 1), an even f below f(0) = 0, NaN and +-inf:
+    # the matrix fails with the DomainError that names the eigenvalue
+    f = parse_function_spec(function)
+    images, ok, error = V.inverse_apply(f, _diagonal(eigenvalues))
+    assert ok.tolist() == [False] and np.isfinite(images).all()
+    assert type(error((0,))) is DomainError
+    assert str(error((0,))) == f"{f.name} has no finite inverse within rounding of {at}"
+
+
+def test_an_even_f_decreasing_around_the_spectrum_inverts_on_its_mirror_branch():
+    # |t|^0.5 - 2 is even with range [-2, inf); around the spectrum [-1.8,
+    # -1.2] the probe finds it decreasing, so the preimages are the x <= 0
+    f = ScalarFunction(
+        name="power-2", eval=lambda x: np.abs(x) ** 0.5 - 2.0, deriv=None,
+        inverse=lambda y: np.where(y >= -2.0, (y + 2.0) ** 2, np.nan),
+    )
+    lam = np.array([-1.8, -1.2])
+    images, ok, _ = V.inverse_apply(f, _diagonal(lam))
+    want = -((lam + 2.0) ** 2)
+    assert ok.tolist() == [True] and np.array_equal(np.diag(images[0]), want)
+    assert np.allclose(f.eval(want), lam, rtol=1e-15, atol=0.0)
+
+
+def _scalar_inverse(f, v, sign):
+    """f^{-1}(v) of one eigenvalue v on the branch of the probe's sign."""
+    return sign * float(f.inverse(np.array([v]))[0])
 
 
 def _scalar_probe_sign(f, lam):
@@ -789,15 +842,15 @@ def test_probe_matches_per_matrix_probe(function):
 
 def _inverse_per_matrix(f, theta, p, base, x, y):
     """verify_inverse's lhs and rhs computed one matrix and one eigenvalue
-    at a time, with the scalar bisection and 2-D LAPACK calls."""
+    at a time, with the scalar inverse and 2-D LAPACK calls."""
     spec = PowerOf(base, p)
     xm, ym = as_hermitian(x), as_hermitian(y)
     sem = seminorm(f, d_of_p(p), 1.0 / theta).value
     inv = []
     for m in (xm, ym):
         dec = eig_hermitian(m)
-        increasing = _scalar_probe_sign(f, dec.eigenvalues) > 0
-        vals = np.array([_scalar_bisect(f, float(v), increasing) for v in dec.eigenvalues])
+        sign = _scalar_probe_sign(f, dec.eigenvalues)
+        vals = np.array([_scalar_inverse(f, float(v), sign) for v in dec.eigenvalues])
         inv.append((dec.basis * vals) @ dec.basis.conj().T)
     lhs = sem**theta * norm_of_profile(hermitian_sv(inv[0] - inv[1]), spec)
     rhs = norm_of_profile(hermitian_sv(xm - ym) ** theta, spec)
@@ -829,12 +882,12 @@ def test_inverse_stack_kernel_marks_failing_pairs():
 
     good = np.stack([herm([-1.0, 0.5, 2.0]), herm([0.0, 1.0, 1.0])])
     not_herm = np.stack([herm([1.0, 2.0, 3.0]), np.triu(np.ones((3, 3))).astype(complex)])
-    unbracketed = np.stack([herm([1.0, 2.0, 3.0]), herm([1.0, 2.0, 1e7])])
+    large = np.stack([herm([1.0, 2.0, 3.0]), herm([1.0, 2.0, 1e7])])  # f^{-1}(1e7) = 1e14
     flat = np.stack([1e17 * np.eye(3), herm([1.0, 2.0, 3.0])]).astype(complex)
-    pairs = np.stack([good, not_herm, unbracketed, flat, good[::-1]])
+    pairs = np.stack([good, not_herm, large, flat, good[::-1]])
     recs = _cell("inverse", f, 2.0, 1.0, KyFan(2), pairs, list("abcde"))
     failed = [isinstance(rec, DomainError) for rec in recs]
-    assert failed == [False, True, True, True, False]
+    assert failed == [False, True, False, True, False]
     for (x, y), rec, digest in zip(pairs, recs, "abcde"):
         if isinstance(rec, DomainError):
             with pytest.raises(DomainError) as err:
@@ -850,10 +903,13 @@ def test_verify_inverse_keeps_its_exceptions():
     x, y = np.diag([0.5, 1.5]), np.diag([0.25, 1.0])
     with pytest.raises(DomainError, match="not Hermitian"):
         hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(DomainError, match="not strictly monotone"):
+    with pytest.raises(CapabilityError, match="gauss has no closed-form inverse"):
         hl.verify_inverse(parse_function_spec("gauss"), 2.0, 1.0, KyFan(2), x, y)
-    with pytest.raises(DomainError, match="could not bracket inverse at 10000000.0"):
-        hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, np.diag([1.0, 1e7]))
+    with pytest.raises(DomainError, match="power:0.5 is not strictly monotone"):
+        hl.verify_inverse(parse_function_spec("power:0.5"), 2.0, 1.0, KyFan(2), x, y)
+    no_preimage = "srational:1.0 has no finite inverse within rounding of 1.5"
+    with pytest.raises(DomainError, match=no_preimage):
+        hl.verify_inverse(parse_function_spec("srational:1"), 2.0, 1.0, KyFan(2), x, y)
     with pytest.raises(ParameterError):
         hl.verify_inverse(f, 1.0, 1.0, KyFan(2), x, y)
     with pytest.raises(ParameterError):
@@ -1009,14 +1065,15 @@ def test_every_kernel_is_a_verify_stack_function():
 
 def test_reconstruction_is_checked_before_the_spectrum(monkeypatch):
     # with a negative tolerance every reconstruction check fails: its error
-    # comes before the positivity (bks) and monotonicity (inverse) checks
+    # comes before the positivity (bks) and the preimage and monotonicity
+    # (inverse) checks, which |t|^0.5 fails at -1
     real = V.eigh_stack
     monkeypatch.setattr(V, "eigh_stack", lambda h, drawn: real(h, tol=-1.0, drawn=drawn))
     x, y = np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex)
     for outcome in (
         _cell("bks", None, 0.5, None, Schatten(1), np.stack([x, y])[None], ["a"])[0],
         _cell(
-            "inverse", parse_function_spec("gauss"), 2.0, 1.0, Schatten(1),
+            "inverse", parse_function_spec("power:0.5"), 2.0, 1.0, Schatten(1),
             np.stack([y, x])[None], ["a"],
         )[0],
     ):
@@ -1239,11 +1296,13 @@ def _inverse_checks(f, x, y):
     for m in (as_hermitian(x), as_hermitian(y)):
         lam = eig_hermitian(m).eigenvalues
         sign = _scalar_probe_sign(f, lam)
+        for v in lam:
+            band = ZERO_SNAP * lam.size * v
+            ends = [_scalar_inverse(f, v - band, 1.0), _scalar_inverse(f, v + band, 1.0)]
+            if not np.isfinite(ends).all():
+                raise DomainError(f"{f.name} has no finite inverse within rounding of {v}")
         if sign == 0.0:
             raise DomainError(f"{f.name} is not strictly monotone on the sampled range")
-        with np.errstate(all="ignore"):
-            for v in lam:
-                _scalar_bisect(f, float(v), sign > 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1263,7 +1322,7 @@ def test_bks_stack_outcomes_are_those_of_stacks_of_one(pairs, theta, spec):
 @settings(max_examples=60, deadline=None)
 @given(
     pairs=pair_stacks(),
-    function=st.sampled_from(["spower:0.5", "slog1p", "linear", "gauss"]),
+    function=st.sampled_from(["spower:0.5", "slog1p", "linear", "srational:1"]),
     theta=st.sampled_from([1.5, 3.0]),
     base=st.sampled_from([Schatten(1), KyFan(2)]),
 )
@@ -1759,8 +1818,7 @@ DRAWN_CASES = {
     "commuting": ({"name": "commuting_pair"}, 8),
 }
 # the largest relative difference of lhs, rhs and ratio between a kernel on a
-# drawn decomposition and on eigh's; inverse's bisection stops at 1e-12
-# relative, so its sides move by up to that when an eigenvalue moves by an ulp
+# drawn decomposition and on eigh's
 DRAWN_RTOL = 1e-12
 
 

@@ -194,8 +194,10 @@ def test_verify_inverse_trivial_and_monotonicity_guard():
     x = np.diag([1.0, -2.0])
     rec = hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, x)
     assert rec.ratio == 0.0
-    with pytest.raises(DomainError):
-        hl.verify_inverse(F.gauss_bump(), 2.0, 1.0, KyFan(2), 3.0 * x, 2.0 * x)
+    # |t|^0.5 turns at 0, inside the probe's span [min - 1, max + 1]
+    a, b = np.diag([0.5, 2.0]), np.diag([1.0, 0.5])
+    with pytest.raises(DomainError, match="not strictly monotone"):
+        hl.verify_inverse(F.power(0.5), 2.0, 1.0, KyFan(2), a, b)
 
 
 def test_reverse_power_scalar_cases():
