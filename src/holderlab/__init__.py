@@ -18,7 +18,7 @@ _EXPORTS = {
     module: names.split()
     for module, names in {
         "errors": """CapabilityError DomainError EigensolverError HolderLabError
-            ParameterError PreconditionError ShapeError SingularityError""",
+            ParameterError ShapeError SingularityError""",
         "spectral": """SpectralDecomposition abs_matrix apply_function as_hermitian cayley
             eig_hermitian op_norm spectral_projection""",
         "norms": """KyFan PowerOf Schatten SubmajorizationReport WeakLp
@@ -30,10 +30,8 @@ _EXPORTS = {
         "doi": """BivariateSymbol MpBound alpha_symbol beta_symbol dd_symbol
             decomposition_bound doi_lipschitz_identity dyadic_symbols empirical_mp_lower
             fourier_sobolev_bound representation_reconstruct schur_apply""",
-        "verify": """VerificationRecord alt_check cayley_identity_residual
-            telescope_finite_rank verify_abs_map verify_bks verify_commutator
-            verify_inverse verify_main verify_quasi_commutator verify_reverse_power
-            verify_submajorization verify_symmetric""",
+        "verify": """VerificationRecord cayley_identity_residual verify_bks
+            verify_commutator verify_main""",
         "campaign": "CampaignConfig CampaignReport replay run_campaign",
     }.items()
 }

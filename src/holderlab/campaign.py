@@ -38,7 +38,7 @@ CONSTANT_ONE_TOL = 1e-8
 
 # the format of report.json and manifest.json: 6 since inverse takes f^{-1}
 # in closed form
-REPORT_FORMAT = 6
+REPORT_FORMAT = 7
 # the norm label that a verifier taking no norm accepts besides a norm spec
 NO_NORM = "-"
 

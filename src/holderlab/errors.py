@@ -26,10 +26,6 @@ class CapabilityError(HolderLabError, ValueError):
     (e.g. derivative order beyond the catalog entry, infinite seminorm)."""
 
 
-class PreconditionError(HolderLabError, ValueError):
-    """A structural precondition failed (non-orthogonal projections, ...)."""
-
-
 class EigensolverError(HolderLabError, RuntimeError):
     """The underlying eigensolver failed; carries the residual norm if known."""
 

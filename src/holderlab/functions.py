@@ -33,9 +33,9 @@ class ScalarFunction:
     ``even_or_odd`` promises |f^(k)(-x)| = |f^(k)(x)| bit for bit for every
     0 <= k <= max_order, so that ``seminorm`` evaluates x > 0 only.
     ``inverse``, when present, is f^{-1} in closed form on the branch where f
-    increases: the whole line for an odd f, x >= 0 for an even one (whose
-    mirror branch x <= 0 has the preimage -inverse(y)).  It is NaN where y
-    has no preimage there: outside f's range, or below f(0) for an even f.
+    increases: the whole line for an odd f, x >= 0 for an even one.  It is
+    NaN where y has no preimage there: outside f's range, or below f(0) for
+    an even f.
     """
 
     name: str

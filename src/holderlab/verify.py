@@ -22,7 +22,6 @@ from .errors import (
     EigensolverError,
     HolderLabError,
     ParameterError,
-    PreconditionError,
     ShapeError,
 )
 from .functions import ScalarFunction, d_of_p, seminorm, signed_expm1
@@ -36,7 +35,6 @@ from .norms import (
     check_fully_symmetric,
     least_domination_constant,
     norm_of_profile,
-    submajorizes,
 )
 from .spectral import (
     ZERO_SNAP,
@@ -150,15 +148,6 @@ def _seminorms(f):
     return value
 
 
-def _stack_of_one(mats) -> np.ndarray:
-    """The inputs ``mats`` of one trial as a stack (1, k, n, n); raises
-    ShapeError unless they are square matrices of one size."""
-    mats = [as_square(m) for m in mats]
-    if len({m.shape for m in mats}) > 1:
-        raise ShapeError(f"inputs of different shapes {[m.shape for m in mats]}")
-    return np.stack(mats)[None]
-
-
 def _check_of(kernel: str) -> Callable:
     """The cell check _check_<name> of the kernel named verify_<name>_stack."""
     return globals()["_check_" + kernel.removeprefix("verify_").removesuffix("_stack")]
@@ -180,12 +169,15 @@ def lapack_error(exc: np.linalg.LinAlgError) -> HolderLabError:
 def _one(kernel, f, theta, p, spec, mats, variant=None) -> Outcomes:
     """The outcomes ``kernel`` gives the trial of inputs ``mats`` in a stack of
     one trial and the one cell (theta, p, spec), or raise the error of the
-    cell's check, else of the trial; a LinAlgError is the error of
+    cell's check, else the ShapeError of inputs that are not square matrices
+    of one size, else the error of the trial; a LinAlgError is the error of
     lapack_error, which a campaign records for it."""
     entry = _check_of(kernel.__name__)(_seminorms(f), theta, p, spec, variant)
-    stack = _stack_of_one(mats)
+    mats = [as_square(m) for m in mats]
+    if len({m.shape for m in mats}) > 1:
+        raise ShapeError(f"inputs of different shapes {[m.shape for m in mats]}")
     try:
-        outcomes = kernel(f, [entry], stack)
+        outcomes = kernel(f, [entry], np.stack(mats)[None])
     except np.linalg.LinAlgError as exc:
         raise lapack_error(exc) from exc
     if not outcomes.ok[0, 0]:
@@ -204,15 +196,16 @@ def _one(kernel, f, theta, p, spec, mats, variant=None) -> Outcomes:
 # in the C valid cells of ``entries``, and returns one Outcomes (C, T), judged
 # once.  ``dec`` is the decomposition the draw built the stack from, sliced
 # with the stack when a campaign reruns it by trial, and _front takes it in
-# place of eigh; it is None for the other draws, refinement and the public
-# verify_* functions (_one).  A trial fails with the error of the first check
-# of its inputs it fails, in the order the kernel's docstring gives: one row
-# of checks serves every cell.  numpy.linalg.LinAlgError (FloatRangeError
-# included) propagates.  The work that does not depend on the cell (checks,
-# eigendecompositions, images, SVDs) runs once per stack, and each norm once
-# over the profiles of every theta (_norm_rows).  A check of the inputs is a
-# pair (ok mask (T, k), function from an index (trial, input) to the error); a
-# row is a pair (ok mask (T,), function from a trial to the error).
+# place of eigh; it is None for the other draws, refinement and _one.  Each
+# kernel's docstring states its estimate and which ratios witness it.  A
+# trial fails with the error of the first check of its inputs it fails, in
+# the order the kernel's docstring gives: one row of checks serves every
+# cell.  numpy.linalg.LinAlgError (FloatRangeError included) propagates.  The
+# work that does not depend on the cell (checks, eigendecompositions, images,
+# SVDs) runs once per stack, and each norm once over the profiles of every
+# theta (_norm_rows).  A check of the inputs is a pair (ok mask (T, k),
+# function from an index (trial, input) to the error); a row is a pair (ok
+# mask (T,), function from a trial to the error).
 
 
 def _front(stack, apply=None, layout=(1, 2), chain=None, dec=None):
@@ -370,14 +363,15 @@ def _check_submaj(sem, theta, p, spec, variant):
 
 
 def verify_submaj_stack(f, entries, stack, dec=None) -> Outcomes:
-    """verify_submajorization over a stack (T, 2, n, n) of (X, Y), with the
-    checks X Hermitian, Y Hermitian, then per matrix its reconstruction and f
-    finite on its spectrum.  The profiles compared are upper = (seminorm
-    * mu(|X-Y|^theta) / s)^p and lower = (mu(f(X) - f(Y)) / s)^p, s the
-    larger of the two bases' first entries (norms._unit), so that no
-    power overflows.  A trial's constant is the least c making the
-    domination hold, and its lhs and rhs are the partial sums of lower and
-    upper where their ratio peaks (the totals when c is 0 or infinite)."""
+    """mu(f(X) - f(Y))^p against seminorm^p * mu(|X-Y|^theta)^p over a stack
+    (T, 2, n, n) of (X, Y), with the checks X Hermitian, Y Hermitian, then
+    per matrix its reconstruction and f finite on its spectrum.  The profiles
+    compared are upper = (seminorm * mu(|X-Y|^theta) / s)^p and lower =
+    (mu(f(X) - f(Y)) / s)^p, s the larger of the two bases' first entries
+    (norms._unit), so that no power overflows.  A trial's constant and ratio
+    are the least c making the domination hold (the empirical constant to the
+    p-th power), and its lhs and rhs are the partial sums of lower and upper
+    where their ratio peaks (the totals when c is 0 or infinite)."""
     h, _, _, fh, row = _front(stack, functools.partial(apply_stack, f), dec=dec)
     sv = _difference_profiles(h, fh)
     profiles = np.empty((2, len(entries), *h.shape[::2]))
@@ -393,16 +387,6 @@ def verify_submaj_stack(f, entries, stack, dec=None) -> Outcomes:
     return Outcomes.judged(row, lhs, rhs, h, constants, tuple(profiles))
 
 
-def verify_submajorization(f: ScalarFunction, theta, p, x, y, digest=""):
-    """mu(f(X) - f(Y))^p against seminorm^p * mu(|X-Y|^theta)^p: returns the
-    submajorization report at constant 1 plus a record whose ratio is the
-    least constant making the domination hold (the empirical constant to the
-    p-th power), realized at the worst partial sum."""
-    outcomes = _one(verify_submaj_stack, f, theta, p, None, (x, y))
-    upper, lower = outcomes.profiles
-    return submajorizes(upper[0, 0], lower[0, 0]), outcomes.record(0, 0, "submaj", digest)
-
-
 def _check_symmetric(sem, theta, p, spec, variant):
     """The entry (the p-th power norm of spec, theta, the seminorm at
     d_of_p(p)) of a cell of an estimate that scales by the seminorm."""
@@ -410,70 +394,43 @@ def _check_symmetric(sem, theta, p, spec, variant):
 
 
 def verify_symmetric_stack(f, entries, stack, dec=None) -> Outcomes:
-    """verify_symmetric over a stack (T, 2, n, n) of (X, Y), with the checks
-    of verify_submaj_stack; one SVD of f(X) - f(Y) and X - Y serves every cell."""
+    """||f(X) - f(Y)|| versus seminorm * || |X-Y|^theta || in the p-th power
+    norm of a fully symmetric base, over a stack (T, 2, n, n) of (X, Y), with
+    the checks of verify_submaj_stack; one SVD of f(X) - f(Y) and X - Y
+    serves every cell."""
     h, _, _, fh, row = _front(stack, functools.partial(apply_stack, f), dec=dec)
     sv = _difference_profiles(h, fh)
     lhs, rhs, sems = _scaled_sides(entries, sv)
     return Outcomes.judged(row, lhs, sems * rhs, h)
 
 
-def verify_symmetric(
-    f: ScalarFunction, theta, p, base: NormSpec, x, y, digest=""
-) -> VerificationRecord:
-    """The main estimate in the p-th power norm of a fully symmetric base."""
-    outcomes = _one(verify_symmetric_stack, f, theta, p, base, (x, y))
-    return outcomes.record(0, 0, "symmetric", digest)
-
-
 # --- reverse-direction estimates -------------------------------------------------
 
 
-def _monotone_sign(f: ScalarFunction, lam):
-    """Per item of a stack (..., n) of eigenvalues: +1 where f increases
-    strictly on 64 points spanning [min - 1, max + 1], -1 where it decreases
-    strictly, 0 where it does neither."""
-    lo, hi = lam.min(axis=-1) - 1.0, lam.max(axis=-1) + 1.0
-    # an item whose span rounds to a point has a constant probe; linspace
-    # would switch every item of the stack to its zero-step arithmetic
-    flat = hi - lo == 0.0
-    with np.errstate(all="ignore"):  # an infinite span; e.g. expm1 overflows on large spectra
-        span = np.linspace(np.where(flat, 0.0, lo), np.where(flat, 1.0, hi), 64, axis=-1)
-        d = np.diff(np.asarray(f.eval(span), dtype=float), axis=-1)
-    sign = np.where((d > 0).all(axis=-1), 1.0, np.where((d < 0).all(axis=-1), -1.0, 0.0))
-    return np.where(flat, 0.0, sign)
-
-
 def inverse_apply(f: ScalarFunction, dec: SpectralDecomposition):
-    """f^{-1}(M) for a stack (..., n, n) of decompositions of Hermitian M,
-    with f strictly monotone around each spectrum: one f.inverse call over
-    every eigenvalue of the stack, negated where f decreases (the mirror
-    branch of an even f).  eigh may round an eigenvalue by up to ZERO_SNAP *
-    n of it, so an eigenvalue has a preimage only where f.inverse is finite
-    at both ends of that band: a spectrum that reaches the end of f's range
-    (as srational:1 at 1) fails on whichever side of it eigh rounds.
+    """f^{-1}(M) for a stack (..., n, n) of decompositions of Hermitian M:
+    one f.inverse call over every eigenvalue of the stack, on the branch
+    where f increases (x >= 0 for an even f).  eigh may round an eigenvalue
+    by up to ZERO_SNAP * n of it, so an eigenvalue has a preimage only where
+    f.inverse is finite at both ends of that band: a spectrum that reaches
+    the end of f's range (as srational:1 at 1) fails on whichever side of it
+    eigh rounds.
 
-    Returns the stack of f^{-1}(M), the per-matrix ok mask, and a function
-    that maps the index of a matrix that is not ok to the error of its first
-    failed check: every preimage finite, f strictly monotone on the probe.
-    A matrix that is not ok holds zeros."""
+    Returns the stack of f^{-1}(M), the per-matrix ok mask (every preimage
+    finite), and a function that maps the index of a matrix that is not ok
+    to its DomainError.  A matrix that is not ok holds zeros."""
     lam = dec.eigenvalues
-    sign = _monotone_sign(f, lam)
     band = ZERO_SNAP * lam.shape[-1] * lam
     with np.errstate(invalid="ignore"):  # inf - inf at an infinite eigenvalue
         below, preimage, above = f.inverse(np.stack([lam - band, lam, lam + band]))
     ends = np.isfinite(below) & np.isfinite(above)
-    ok = ends.all(axis=-1) & (sign != 0.0)
+    ok = ends.all(axis=-1)
 
     def error(idx):
-        if not ends[idx].all():
-            return DomainError(
-                f"{f.name} has no finite inverse within rounding of {lam[idx][~ends[idx]][0]}"
-            )
-        return DomainError(f"{f.name} is not strictly monotone on the sampled range")
+        missing = lam[idx][~ends[idx]][0]
+        return DomainError(f"{f.name} has no finite inverse within rounding of {missing}")
 
-    vals = np.where(ok[..., None], preimage, 0.0) * sign[..., None]
-    return from_eigen(dec.basis, vals), ok, error
+    return from_eigen(dec.basis, np.where(ok[..., None], preimage, 0.0)), ok, error
 
 
 def _check_inverse(sem, theta, p, spec, variant):
@@ -490,23 +447,16 @@ def _check_inverse(sem, theta, p, spec, variant):
 
 
 def verify_inverse_stack(f, entries, stack, dec=None) -> Outcomes:
-    """verify_inverse over a stack (T, 2, n, n) of (X, Y), with the checks X
-    Hermitian, Y Hermitian, then per matrix its reconstruction and
-    inverse_apply's checks.  One inverse_apply and one SVD serve every cell."""
+    """For invertible f in the 1/theta class (theta > 1), lhs =
+    seminorm(f)^theta * ||f^{-1}(X) - f^{-1}(Y)||_{E^(p)} and rhs =
+    || |X-Y|^theta ||_{E^(p)} over a stack (T, 2, n, n) of (X, Y); the
+    estimate says ratio >= 1/C.  The checks are X Hermitian, Y Hermitian,
+    then per matrix its reconstruction and inverse_apply's check.  One
+    inverse_apply and one SVD serve every cell."""
     h, _, _, inv, row = _front(stack, functools.partial(inverse_apply, f), dec=dec)
     sv = _hermitian_profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
     lhs, rhs, factors = _scaled_sides(entries, sv)
     return Outcomes.judged(row, factors * lhs, rhs, h)
-
-
-def verify_inverse(
-    f: ScalarFunction, theta, p, base: NormSpec, x, y, digest=""
-) -> VerificationRecord:
-    """For invertible f in the 1/theta class (theta > 1):
-    lhs = seminorm(f)^theta * ||f^{-1}(X) - f^{-1}(Y)||_{E^(p)},
-    rhs = || |X-Y|^theta ||_{E^(p)}; the estimate says ratio >= 1/C."""
-    outcomes = _one(verify_inverse_stack, f, theta, p, base, (x, y))
-    return outcomes.record(0, 0, "inverse", digest)
 
 
 # the maps g(t) of the reverse verifier: sgn(t)|t|^theta, sgn(t) expm1(|t|)
@@ -514,21 +464,22 @@ REVERSE_VARIANTS = ("power", "expm1")
 
 
 def _check_reverse(sem, theta, p, spec, variant):
-    """The entry (the p-th power norm of spec, theta, variant) of a reverse cell."""
+    """The entry (the p-th power norm of spec, theta, variant) of a reverse
+    cell; CampaignConfig checks the variant."""
     if not theta > 1.0:
         raise ParameterError(f"reverse power needs theta > 1, got {theta}")
-    power = PowerOf(spec, p)
-    if variant not in REVERSE_VARIANTS:
-        raise ParameterError(f"unknown reverse variant {variant!r}")
-    return power, theta, variant
+    return PowerOf(spec, p), theta, variant
 
 
 def verify_reverse_stack(f, entries, stack, dec=None) -> Outcomes:
-    """verify_reverse_power over a stack (T, 2, n, n) of (X, Y), with the
-    checks X Hermitian, Y Hermitian, then per matrix its reconstruction and,
-    if some entry is of variant "expm1", g finite on its spectrum.  One
-    eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
-    g(X) - g(Y) every cell (for "expm1") or every cell of that theta."""
+    """||g(X) - g(Y)|| versus || |X-Y|^theta || for theta > 1, with g(t) =
+    sgn(t)|t|^theta (variant "power") or sgn(t) expm1(|t|) (variant
+    "expm1"), over a stack (T, 2, n, n) of (X, Y); the estimate says the
+    ratio stays above a positive constant.  The checks are X Hermitian, Y
+    Hermitian, then per matrix its reconstruction and, if some entry is of
+    variant "expm1", g finite on its spectrum.  One eigendecomposition and
+    one SVD of X - Y serve every cell, and one SVD of g(X) - g(Y) every cell
+    (for "expm1") or every cell of that theta."""
     expm1 = any(variant == "expm1" for _, _, variant in entries)
     apply = functools.partial(apply_stack, signed_expm1()) if expm1 else None
     h, dec, _, image, row = _front(stack, apply, dec=dec)
@@ -551,16 +502,6 @@ def verify_reverse_stack(f, entries, stack, dec=None) -> Outcomes:
     return Outcomes.judged(row, lhs, rhs, h)
 
 
-def verify_reverse_power(
-    theta, p, base: NormSpec, x, y, variant="power", digest=""
-) -> VerificationRecord:
-    """||g(X) - g(Y)|| versus || |X-Y|^theta || for theta > 1, with g(t) =
-    sgn(t)|t|^theta (variant "power") or sgn(t) expm1(|t|) (variant "expm1");
-    the estimate says the ratio stays above a positive constant."""
-    outcomes = _one(verify_reverse_stack, None, theta, p, base, (x, y), variant)
-    return outcomes.record(0, 0, f"reverse:{variant}", digest)
-
-
 # --- commutators, quasi-commutators, absolute value ------------------------------
 
 
@@ -577,10 +518,11 @@ _check_quasicommutator = _check_symmetric
 
 
 def verify_quasicommutator_stack(f, entries, stack, dec=None) -> Outcomes:
-    """verify_quasi_commutator over a stack (T, 3, n, n) of (A, B, R), or
-    (T, 2, n, n) of (A, R) with B = A; with the checks of verify_submaj_stack
-    on the Hermitian inputs.  One SVD of f(A)R - Rf(B), AR - RB and R serves
-    every cell."""
+    """||f(A)R - Rf(B)|| versus seminorm * || |AR-RB|^theta || * ||R||^(1-theta)
+    in the p-th power norm of the base, over a stack (T, 3, n, n) of (A, B,
+    R), or (T, 2, n, n) of (A, R) with B = A (the commutator [f(A), R]);
+    with the checks of verify_submaj_stack on the Hermitian inputs.  One SVD
+    of f(A)R - Rf(B), AR - RB and R serves every cell."""
     r = stack[:, -1]
     h, _, _, fh, row = _front(stack[:, :-1], functools.partial(apply_stack, f))
     sv = _profiles(fh[:, 0] @ r - r @ fh[:, -1], h[:, 0] @ r - r @ h[:, -1], r)
@@ -590,22 +532,16 @@ def verify_quasicommutator_stack(f, entries, stack, dec=None) -> Outcomes:
     return Outcomes.judged(row, lhs, sems * rhs * weights, mats)
 
 
-def verify_quasi_commutator(
-    f: ScalarFunction, theta, p, base: NormSpec, a, b, r, digest=""
-) -> VerificationRecord:
-    """||f(A)R - Rf(B)|| versus seminorm * || |AR-RB|^theta || * ||R||^(1-theta)."""
-    outcomes = _one(verify_quasicommutator_stack, f, theta, p, base, (a, b, r))
-    return outcomes.record(0, 0, "quasicommutator", digest)
-
-
 def _check_absmap(sem, theta, p, spec, variant):
     """The entry (the p-th power norm of spec, None) of an absmap cell."""
     return PowerOf(spec, p), None
 
 
 def verify_absmap_stack(f, entries, stack, dec=None) -> Outcomes:
-    """verify_abs_map over a stack (T, 2, n, n) of (A, B), which every trial
-    passes; one SVD of |A| - |B|, A + B and A - B serves every cell."""
+    """|| |A| - |B| || versus sqrt(||A+B|| ||A-B||) in the p-th power norm,
+    over a stack (T, 2, n, n) of (A, B), which every trial passes; for
+    Schatten p >= 2 the classical constant is 1.  One SVD of |A| - |B|,
+    A + B and A - B serves every cell."""
     absolute = abs_matrix(stack)
     a, b = stack[:, 0], stack[:, 1]
     sv = _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
@@ -626,22 +562,13 @@ def _geometric_mean(x, y):
     return out
 
 
-def verify_abs_map(base: NormSpec, p, a, b, digest="") -> VerificationRecord:
-    """|| |A| - |B| || versus sqrt(||A+B|| ||A-B||) in the p-th power norm;
-    for Schatten p >= 2 the classical constant is 1."""
-    outcomes = _one(verify_absmap_stack, None, None, p, base, (a, b))
-    return outcomes.record(0, 0, "absmap", digest)
-
-
 # --- Araki-Lieb-Thirring submajorization -----------------------------------------
 
 
 def _check_alt(sem, theta, p, spec, variant):
-    """The entry (theta, p) of an alt cell."""
+    """The entry (theta, p) of an alt cell; CampaignConfig checks p > 0."""
     if not 0.0 < theta < 1.0:
         raise ParameterError(f"theta must lie in (0,1), got {theta}")
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p}")
     return theta, p
 
 
@@ -652,19 +579,25 @@ def _nonnegative(lam):
 
 
 def verify_alt_stack(f, entries, stack, dec=None) -> Outcomes:
-    """alt_check over a stack (T, 2, n, n) of (X, Z), with the checks X
-    Hermitian, Z Hermitian, X reconstruction, Z reconstruction, X positive, Z
-    positive (within the zero tolerance of both spectra).  The profiles
-    compared are upper = (mu(ZX)^theta / s)^p and lower = (mu(Z^theta
-    X^theta) / s)^p, s as in verify_submaj_stack; a trial's lhs and ratio are
-    the violation max(0, -margin) of their submajorization report, its rhs
-    is 1, its constant the margin, and it is flagged when it fails.  One
-    eigendecomposition and one SVD of ZX serve every cell, one SVD of
-    Z^theta X^theta every cell of that theta, and one pass the margins of
-    every cell and trial that pass."""
+    """The submajorization |Z^theta X^theta|^p << |ZX|^{theta p} for positive
+    semidefinite X, Z, over a stack (T, 2, n, n) of (X, Z); the claim is
+    margin >= 0.  The checks are X Hermitian, Z Hermitian, X reconstruction,
+    Z reconstruction, X positive, Z positive (within the zero tolerance of
+    both spectra).  Both sides are homogeneous in X and in Z, so an input
+    whose largest eigenvalue has a binary exponent e outside [-256, 256] is
+    scaled by 2^-e, exactly, and ZX neither underflows to 0 nor overflows.
+    The profiles compared are upper = (mu(ZX)^theta / s)^p and lower =
+    (mu(Z^theta X^theta) / s)^p, s as in verify_submaj_stack; a trial's lhs
+    and ratio are the violation max(0, -margin) of their submajorization
+    report, its rhs is 1, its constant the margin, and it is flagged when it
+    fails.  One eigendecomposition and one SVD of ZX serve every cell, one
+    SVD of Z^theta X^theta every cell of that theta, and one pass the margins
+    of every cell and trial that pass."""
     h, dec, _, _, row = _front(stack, _positive(_nonnegative, "XZ", "is not"), (1, 1, 1), dec=dec)
     lam = dec.eigenvalues
     clipped = np.clip(lam, 0.0, None)
+    e = np.frexp(clipped.max(axis=-1, keepdims=True))[1]
+    clipped = np.ldexp(clipped, np.where(np.abs(e) > 256, -e, 0))
     one = from_eigen(dec.basis, clipped)
     with np.errstate(over="ignore", invalid="ignore"):  # ZX may leave the float range
         zx = one[:, 1] @ one[:, 0]
@@ -687,13 +620,6 @@ def verify_alt_stack(f, entries, stack, dec=None) -> Outcomes:
     outcomes = Outcomes.judged(row, violation, np.ones(shape), stack, margins)
     flagged = ok & ~(margins >= -SUBMAJ_TOL)  # a NaN margin fails
     return replace(outcomes, flagged=flagged, profiles=tuple(profiles))
-
-
-def alt_check(x, z, theta: float, p: float):
-    """Submajorization |Z^theta X^theta|^p << |Z X|^{theta p} for positive
-    semidefinite X, Z."""
-    upper, lower = _one(verify_alt_stack, None, theta, p, None, (x, z)).profiles
-    return submajorizes(upper[0, 0], lower[0, 0])
 
 
 # --- structural companions --------------------------------------------------------
@@ -725,12 +651,16 @@ def _check_telescope(sem, theta, p, spec, variant):
 
 
 def verify_telescope_stack(f, entries, stack, dec=None) -> Outcomes:
-    """telescope_finite_rank over a stack (T, 1 + r, n, n) of [B, x_1 e_1,
-    ..., x_r e_r], with the checks every input Hermitian, then per chain
-    matrix A_m = B + x_1 e_1 + ... + x_m e_m its reconstruction and f finite
-    on its spectrum, in the order B, A_r, A_1, ..., A_{r-1}.  One
-    eigendecomposition and one SVD of the chain serve every cell, and the
-    sides of the estimate every cell of that p."""
+    """||f(A_r) - f(B)||_p^p versus the sum of the step terms
+    ||f(A_m) - f(A_{m-1})||_p^p along the chain A_m = B + x_1 e_1 + ... +
+    x_m e_m, over a stack (T, 1 + r, n, n) of [B, x_1 e_1, ..., x_r e_r];
+    for 0 < p <= 1 and mutually orthogonal projections e_k, as the draw
+    rank_one_steps makes them, the p-triangle inequality says ratio <= 1.
+    theta is not used.  The checks are every input Hermitian, then per chain
+    matrix A_m its reconstruction and f finite on its spectrum, in the order
+    B, A_r, A_1, ..., A_{r-1}.  One eigendecomposition and one SVD of the
+    chain serve every cell, and the sides of the estimate every cell of that
+    p."""
     r = stack.shape[1] - 1
     order = [0, r, *range(1, r)]  # B, A_r, A_1, ..., A_{r-1}
     chain, _, _, images, row = _front(
@@ -749,22 +679,3 @@ def verify_telescope_stack(f, entries, stack, dec=None) -> Outcomes:
     lhs, rhs = np.stack([sides(p) for p in entries], axis=1)
     return Outcomes.judged(row, lhs, rhs, chain[:, :2])
 
-
-def telescope_finite_rank(f: ScalarFunction, theta, p, b, steps, digest="") -> VerificationRecord:
-    """||f(A_r) - f(B)||_p^p versus the sum of the step terms
-    ||f(A_m) - f(A_{m-1})||_p^p along the chain A_m = B + x_1 e_1 + ... +
-    x_m e_m of the steps (x_k, e_k), for 0 < p <= 1 and mutually orthogonal
-    projections e_k; the p-triangle inequality says ratio <= 1.  theta is
-    not used."""
-    _, *es = _stack_of_one([b, *(e for _, e in steps)])[0]
-    projs = [as_hermitian(e) for e in es]
-    tol = 1e-8
-    for i, e in enumerate(projs):
-        if op_norm(e @ e - e) > tol:
-            raise PreconditionError(f"step {i}: not a projection")
-        for j in range(i):
-            if op_norm(projs[i] @ projs[j]) > tol:
-                raise PreconditionError(f"steps {j},{i}: projections not orthogonal")
-    mats = [b] + [float(x) * e for (x, _), e in zip(steps, projs)]
-    outcomes = _one(verify_telescope_stack, f, theta, p, None, mats)
-    return outcomes.record(0, 0, "telescope", digest)

@@ -34,3 +34,12 @@ def hermitian_sv(m):
     """The singular values of one Hermitian matrix, from a 2-D eigvalsh: the
     per-matrix reference of the kernels' batched Hermitian profiles."""
     return np.ascontiguousarray(np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1])
+
+
+def one_record(kernel, f, theta, p, spec, *mats, variant=None, digest=""):
+    """The record of the stack kernel verify_<kernel>_stack on the one trial
+    ``mats`` in the one cell (theta, p, spec), through verify._one, named
+    ``kernel``; raises the error of the cell's check or of the trial."""
+    stack_kernel = getattr(V, f"verify_{kernel}_stack")
+    outcomes = V._one(stack_kernel, f, theta, p, spec, mats, variant)
+    return outcomes.record(0, 0, kernel, digest)

@@ -226,12 +226,12 @@ def test_cli_campaign_end_to_end(monkeypatch, tmp_path, capsys):
 
 
 def test_reports_carry_the_report_format(tmp_path, capsys):
-    # format 6: inverse takes f^{-1} in closed form
+    # format 7: inverse takes no monotonicity probe, and alt scales its inputs
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(trials=3).to_dict()))
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path)]) == 0
     for name in ("report.json", "manifest.json"):
-        assert json.loads((tmp_path / name).read_text())["report_format"] == 6
+        assert json.loads((tmp_path / name).read_text())["report_format"] == 7
 
 
 def test_cli_campaign_malformed_config(tmp_path, capsys):
@@ -818,7 +818,8 @@ def test_reverse_kernel_dispatches_variants():
         entry = hl.verify._check_reverse(None, 1.5, 1.0, KyFan(2), variant)
         outcomes = kernel(None, [entry], stack)
         rec = outcomes.record(0, 0, f"reverse:{variant}", "d")
-        assert rec == hl.verify_reverse_power(1.5, 1.0, KyFan(2), x, y, variant, "d")
+        one = hl.verify._one(kernel, None, 1.5, 1.0, KyFan(2), (x, y), variant)
+        assert rec == one.record(0, 0, f"reverse:{variant}", "d")
     cfg = small_config(verifier="reverse", thetas=(1.5,), trials=1)
     assert replay(cfg, 0, 0).name == "reverse:power"
 

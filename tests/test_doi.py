@@ -19,9 +19,9 @@ from holderlab.ensembles import (
     ginibre,
     sample_schur_instances,
 )
-from holderlab.errors import CapabilityError, ParameterError, SingularityError
+from holderlab.errors import CapabilityError, DomainError, ParameterError, SingularityError
 
-from conftest import fixed_spectrum
+from conftest import fixed_spectrum, one_record
 
 
 def decs_for(a, b):
@@ -476,14 +476,20 @@ def test_representation_reconstruct_reports_coverage_failure():
     assert not res.covered
 
 
+def _alt(x, z):
+    """The alt record of (X, Z) at theta 0.5, p 1: its constant is the margin
+    of the submajorization, and it is flagged when that fails."""
+    return one_record("alt", None, 0.5, 1.0, None, x, z)
+
+
 def test_alt_check_trivial_cases():
     ident = np.eye(3)
-    rep = hl.alt_check(ident, ident, 0.5, 1.0)
-    assert rep.holds and rep.margin == pytest.approx(0.0, abs=1e-14)
+    rec = _alt(ident, ident)
+    assert not rec.flagged and rec.holds_with_constant == pytest.approx(0.0, abs=1e-14)
     x = np.diag([0.5, 2.0, 3.0])
     z = np.diag([1.0, 0.25, 2.0])
-    rep2 = hl.alt_check(x, z, 0.5, 1.0)
-    assert rep2.holds and rep2.margin == pytest.approx(0.0, abs=1e-12)
+    rec2 = _alt(x, z)
+    assert not rec2.flagged and rec2.holds_with_constant == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alt_check_random_positive_pairs():
@@ -491,13 +497,13 @@ def test_alt_check_random_positive_pairs():
         rng = SeedState(19, (i,)).rng()
         g1 = ginibre(6, rng)
         g2 = ginibre(6, rng)
-        rep = hl.alt_check(g1 @ g1.conj().T, g2 @ g2.conj().T, 0.5, 1.0)
-        assert rep.holds
+        rec = _alt(g1 @ g1.conj().T, g2 @ g2.conj().T)
+        assert not rec.flagged
 
 
 def test_alt_check_rejects_negative():
-    with pytest.raises(Exception):
-        hl.alt_check(np.diag([1.0, -0.5]), np.eye(2), 0.5, 1.0)
+    with pytest.raises(DomainError, match="X is not positive semidefinite"):
+        _alt(np.diag([1.0, -0.5]), np.eye(2))
 
 
 def test_degenerate_grid_and_dim_are_rejected():

@@ -47,7 +47,7 @@ from holderlab.spectral import (
     psd_stack,
 )
 
-from conftest import fixed_spectrum, hermitian_sv
+from conftest import fixed_spectrum, hermitian_sv, one_record
 
 NORMS = ["schatten:1", "kyfan:2", "schatten:inf"]
 
@@ -596,12 +596,12 @@ def test_inverse_ensembles_replay_bitwise(function, ensemble):
         assert failures == [0] * cells
 
 
-def _scaled_inverse_cells(low, high):
-    """The cells of spower:0.5 at theta 2 on positive_pair spectra in [low,
+def _scaled_inverse_cells(low, high, function="spower:0.5"):
+    """The cells of ``function`` at theta 2 on positive_pair spectra in [low,
     high]: p 1 and 0.5 on schatten:1, whose 0.5-th power norm is the
     Schatten 0.5 quasi-norm."""
     config = CampaignConfig.from_dict(
-        {"verifier": "inverse", "function": "spower:0.5", "thetas": [2.0], "ps": [1.0, 0.5],
+        {"verifier": "inverse", "function": function, "thetas": [2.0], "ps": [1.0, 0.5],
          "norms": ["schatten:1"], "dims": [4], "trials": 50, "seed": 5,
          "ensemble": {"name": "positive_pair", "spectrum_range": [low, high]}}
     )
@@ -620,6 +620,21 @@ def test_inverse_ratios_do_not_depend_on_the_scale_of_the_spectrum():
             for stat in ("min_ratio", "max_ratio"):
                 assert getattr(cell, stat) == pytest.approx(getattr(want, stat), rel=1e-12, abs=0.0)
     assert [c.failures for c in _scaled_inverse_cells(1e7, 1e8)] == [0, 0]
+
+
+def test_an_even_f_inverts_a_positive_spectrum_as_its_odd_twin():
+    # an even f inverts on x >= 0, where it is its odd twin: on positive_pair
+    # spectra, within 1 of 0 too, every cell equals the twin's bit for bit;
+    # rational:1 maps onto [0, 1), so spectra in [0, 0.5] have preimages
+    for even, odd in (("power:0.5", "spower:0.5"), ("log1p", "slog1p")):
+        for high in (1.0, 2.0):
+            cells, twins = (_scaled_inverse_cells(0.0, high, f) for f in (even, odd))
+            assert [c.failures for c in cells] == [0, 0] and cells == twins
+            for cell, twin in zip(cells, twins):
+                for stat in ("max_ratio", "min_ratio", "q50", "q99"):
+                    assert getattr(cell, stat).hex() == getattr(twin, stat).hex()
+    for cell in _scaled_inverse_cells(0.0, 0.5, "rational:1"):
+        assert cell.failures == 0 and 0.0 < cell.min_ratio <= cell.max_ratio < np.inf
 
 
 @pytest.mark.parametrize("verifier, function", [("inverse", "spower:0.5"), ("absmap", None)])
@@ -723,12 +738,6 @@ def test_inverse_stack_sizes():
     assert sizes == {1: 2048, 8: 32, 64: 1}
 
 
-def _decreasing():
-    return ScalarFunction(
-        name="-spower:0.5", eval=lambda x: -np.sign(x) * np.abs(x) ** 0.5, deriv=None
-    )
-
-
 # the catalog functions that carry a closed-form inverse, odd and even
 CATALOG_INVERSES = [
     "spower:0.5", "spower:0.3", "slog1p", "srational:1", "srational:2.5", "linear",
@@ -801,47 +810,13 @@ def test_an_eigenvalue_without_a_preimage_fails_its_matrix(function, eigenvalues
     assert str(error((0,))) == f"{f.name} has no finite inverse within rounding of {at}"
 
 
-def test_an_even_f_decreasing_around_the_spectrum_inverts_on_its_mirror_branch():
-    # |t|^0.5 - 2 is even with range [-2, inf); around the spectrum [-1.8,
-    # -1.2] the probe finds it decreasing, so the preimages are the x <= 0
-    f = ScalarFunction(
-        name="power-2", eval=lambda x: np.abs(x) ** 0.5 - 2.0, deriv=None,
-        inverse=lambda y: np.where(y >= -2.0, (y + 2.0) ** 2, np.nan),
-    )
-    lam = np.array([-1.8, -1.2])
-    images, ok, _ = V.inverse_apply(f, _diagonal(lam))
-    want = -((lam + 2.0) ** 2)
-    assert ok.tolist() == [True] and np.array_equal(np.diag(images[0]), want)
-    assert np.allclose(f.eval(want), lam, rtol=1e-15, atol=0.0)
-
-
-def _scalar_inverse(f, v, sign):
-    """f^{-1}(v) of one eigenvalue v on the branch of the probe's sign."""
-    return sign * float(f.inverse(np.array([v]))[0])
-
-
-def _scalar_probe_sign(f, lam):
-    """The per-matrix monotonicity probe the stacked one replaced."""
-    span = np.linspace(float(lam.min()) - 1.0, float(lam.max()) + 1.0, 64)
-    with np.errstate(all="ignore"):
-        d = np.diff(np.asarray(f.eval(span), dtype=float))
-    return 1.0 if np.all(d > 0) else (-1.0 if np.all(d < 0) else 0.0)
-
-
-@pytest.mark.parametrize("function", INVERSE_FUNCTIONS + ["decreasing"])
-def test_probe_matches_per_matrix_probe(function):
-    f = _decreasing() if function == "decreasing" else parse_function_spec(function)
-    rng = SeedState(12).rng()
-    rows = [np.sort(rng.standard_normal(4)) * s for s in np.logspace(-8, 8, 9)]
-    rows += [np.full(4, 1e17), np.array([0.0, 0.0, 1e-300, 1.0]), np.full(4, -3.0)]
-    lam = np.stack(rows)
-    signs = V._monotone_sign(f, lam)
-    assert [float(s) for s in signs] == [_scalar_probe_sign(f, row) for row in lam]
-    assert signs[-3] == 0.0  # the flat span at 1e17 is never monotone
+def _scalar_inverse(f, v):
+    """f^{-1}(v) of one eigenvalue v."""
+    return float(f.inverse(np.array([v]))[0])
 
 
 def _inverse_per_matrix(f, theta, p, base, x, y):
-    """verify_inverse's lhs and rhs computed one matrix and one eigenvalue
+    """The inverse estimate's lhs and rhs computed one matrix and one eigenvalue
     at a time, with the scalar inverse and 2-D LAPACK calls."""
     spec = PowerOf(base, p)
     xm, ym = as_hermitian(x), as_hermitian(y)
@@ -849,8 +824,7 @@ def _inverse_per_matrix(f, theta, p, base, x, y):
     inv = []
     for m in (xm, ym):
         dec = eig_hermitian(m)
-        sign = _scalar_probe_sign(f, dec.eigenvalues)
-        vals = np.array([_scalar_inverse(f, float(v), sign) for v in dec.eigenvalues])
+        vals = np.array([_scalar_inverse(f, float(v)) for v in dec.eigenvalues])
         inv.append((dec.basis * vals) @ dec.basis.conj().T)
     lhs = sem**theta * norm_of_profile(hermitian_sv(inv[0] - inv[1]), spec)
     rhs = norm_of_profile(hermitian_sv(xm - ym) ** theta, spec)
@@ -884,17 +858,18 @@ def test_inverse_stack_kernel_marks_failing_pairs():
     not_herm = np.stack([herm([1.0, 2.0, 3.0]), np.triu(np.ones((3, 3))).astype(complex)])
     large = np.stack([herm([1.0, 2.0, 3.0]), herm([1.0, 2.0, 1e7])])  # f^{-1}(1e7) = 1e14
     flat = np.stack([1e17 * np.eye(3), herm([1.0, 2.0, 3.0])]).astype(complex)
-    pairs = np.stack([good, not_herm, large, flat, good[::-1]])
-    recs = _cell("inverse", f, 2.0, 1.0, KyFan(2), pairs, list("abcde"))
+    no_preimage = np.stack([herm([1.0, 2.0, 3.0]), herm([1.0, 2.0, 1e300])])  # 1e600 overflows
+    pairs = np.stack([good, not_herm, large, flat, good[::-1], no_preimage])
+    recs = _cell("inverse", f, 2.0, 1.0, KyFan(2), pairs, list("abcdef"))
     failed = [isinstance(rec, DomainError) for rec in recs]
-    assert failed == [False, True, False, True, False]
-    for (x, y), rec, digest in zip(pairs, recs, "abcde"):
+    assert failed == [False, True, False, False, False, True]
+    for (x, y), rec, digest in zip(pairs, recs, "abcdef"):
         if isinstance(rec, DomainError):
             with pytest.raises(DomainError) as err:
-                hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, y)
+                one_record("inverse", f, 2.0, 1.0, KyFan(2), x, y)
             assert str(err.value) == str(rec)
         else:
-            one = hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, y, digest)
+            one = one_record("inverse", f, 2.0, 1.0, KyFan(2), x, y, digest=digest)
             assert _bits(rec) == _bits(one)
 
 
@@ -902,18 +877,19 @@ def test_verify_inverse_keeps_its_exceptions():
     f = parse_function_spec("spower:0.5")
     x, y = np.diag([0.5, 1.5]), np.diag([0.25, 1.0])
     with pytest.raises(DomainError, match="not Hermitian"):
-        hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        one_record("inverse", f, 2.0, 1.0, KyFan(2), x, np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(CapabilityError, match="gauss has no closed-form inverse"):
-        hl.verify_inverse(parse_function_spec("gauss"), 2.0, 1.0, KyFan(2), x, y)
-    with pytest.raises(DomainError, match="power:0.5 is not strictly monotone"):
-        hl.verify_inverse(parse_function_spec("power:0.5"), 2.0, 1.0, KyFan(2), x, y)
+        one_record("inverse", parse_function_spec("gauss"), 2.0, 1.0, KyFan(2), x, y)
+    below_zero = "power:0.5 has no finite inverse within rounding of -1.0"
+    with pytest.raises(DomainError, match=below_zero):
+        one_record("inverse", parse_function_spec("power:0.5"), 2.0, 1.0, KyFan(2), x, -y)
     no_preimage = "srational:1.0 has no finite inverse within rounding of 1.5"
     with pytest.raises(DomainError, match=no_preimage):
-        hl.verify_inverse(parse_function_spec("srational:1"), 2.0, 1.0, KyFan(2), x, y)
+        one_record("inverse", parse_function_spec("srational:1"), 2.0, 1.0, KyFan(2), x, y)
     with pytest.raises(ParameterError):
-        hl.verify_inverse(f, 1.0, 1.0, KyFan(2), x, y)
+        one_record("inverse", f, 1.0, 1.0, KyFan(2), x, y)
     with pytest.raises(ParameterError):
-        hl.verify_inverse(f, 2.0, 1.0, Schatten(0.5), x, y)
+        one_record("inverse", f, 2.0, 1.0, Schatten(0.5), x, y)
 
 
 def _eigh(h):
@@ -1295,14 +1271,11 @@ def _bks_checks(x, y):
 def _inverse_checks(f, x, y):
     for m in (as_hermitian(x), as_hermitian(y)):
         lam = eig_hermitian(m).eigenvalues
-        sign = _scalar_probe_sign(f, lam)
         for v in lam:
             band = ZERO_SNAP * lam.size * v
-            ends = [_scalar_inverse(f, v - band, 1.0), _scalar_inverse(f, v + band, 1.0)]
+            ends = [_scalar_inverse(f, v - band), _scalar_inverse(f, v + band)]
             if not np.isfinite(ends).all():
                 raise DomainError(f"{f.name} has no finite inverse within rounding of {v}")
-        if sign == 0.0:
-            raise DomainError(f"{f.name} is not strictly monotone on the sampled range")
 
 
 @settings(max_examples=60, deadline=None)
@@ -1771,7 +1744,7 @@ def test_submaj_constant_is_unchanged_by_the_common_scale():
     x, y = np.diag([3.0, 1.0, 0.5]), np.diag([1.0, 2.0, 0.25])
     f = parse_function_spec("power:0.5")
     for p in (0.5, 1.0, 2.0):
-        _, rec = hl.verify_submajorization(f, 0.5, p, x, y)
+        rec = one_record("submaj", f, 0.5, p, None, x, y)
         sv = [hermitian_sv(m) for m in (np.sqrt(x) - np.sqrt(y), x - y)]
         sem = seminorm(f, d_of_p(p), 0.5).value
         want = least_domination_constant((sem * sv[1] ** 0.5) ** p, sv[0] ** p)
@@ -1960,8 +1933,8 @@ def test_only_refinement_and_the_public_verifiers_call_eigh(monkeypatch):
 )
 def test_counterexamples_replay_through_the_public_verifiers(verifier, case, monkeypatch):
     # with every claim forced, each record is a counterexample; its stored
-    # matrices, fed to the public verify_* (which decomposes them with eigh),
-    # give its ratio within DRAWN_RTOL
+    # matrices, fed to verify_bks, verify_main or verify._one (which
+    # decompose them with eigh), give its ratio within DRAWN_RTOL
     config = _drawn_config(verifier, case, trials=6)
     forced = dataclasses.replace(camp.VERIFIERS[verifier], claim=lambda spec, p: -np.inf)
     monkeypatch.setitem(camp.VERIFIERS, verifier, forced)
@@ -1976,8 +1949,8 @@ def test_counterexamples_replay_through_the_public_verifiers(verifier, case, mon
         rec = {
             "bks": lambda: hl.verify_bks(theta, spec, x, y),
             "main": lambda: hl.verify_main(f, theta, p, x, y),
-            "symmetric": lambda: hl.verify_symmetric(f, theta, p, spec, x, y),
-            "reverse": lambda: hl.verify_reverse_power(theta, p, spec, x, y),
-            "inverse": lambda: hl.verify_inverse(f, theta, p, spec, x, y),
+            "symmetric": lambda: one_record("symmetric", f, theta, p, spec, x, y),
+            "reverse": lambda: one_record("reverse", None, theta, p, spec, x, y, variant="power"),
+            "inverse": lambda: one_record("inverse", f, theta, p, spec, x, y),
         }[verifier]()
         assert rec.ratio == pytest.approx(cx["record"]["ratio"], rel=DRAWN_RTOL, abs=0.0)

@@ -7,12 +7,12 @@ import pytest
 import holderlab as hl
 from holderlab import functions as F
 from holderlab import verify as V
-from holderlab.campaign import VERIFIERS, CampaignConfig, run_campaign
+from holderlab.campaign import VERIFIERS, CampaignConfig, replay, run_campaign
 from holderlab.ensembles import SeedState, gaussian_hermitian, ginibre, rank_r_steps
-from holderlab.errors import CapabilityError, DomainError, ParameterError, PreconditionError
-from holderlab.norms import KyFan, Schatten
+from holderlab.errors import CapabilityError, DomainError, ParameterError
+from holderlab.norms import KyFan, Schatten, submajorizes
 
-from conftest import fixed_spectrum, hermitian_sv
+from conftest import fixed_spectrum, hermitian_sv, one_record
 
 
 def test_record_conventions():
@@ -84,11 +84,11 @@ def test_verify_main_is_symmetric_on_trace_class(spec):
     "call",
     [
         lambda f, x, y: hl.verify_main(f, 0.5, 1.0, x, y),
-        lambda f, x, y: hl.verify_submajorization(f, 0.5, 1.0, x, y),
-        lambda f, x, y: hl.verify_symmetric(f, 0.5, 1.0, KyFan(2), x, y),
-        lambda f, x, y: hl.verify_inverse(f, 2.0, 1.0, Schatten(1), x, y),
+        lambda f, x, y: one_record("submaj", f, 0.5, 1.0, None, x, y),
+        lambda f, x, y: one_record("symmetric", f, 0.5, 1.0, KyFan(2), x, y),
+        lambda f, x, y: one_record("inverse", f, 2.0, 1.0, Schatten(1), x, y),
         lambda f, x, y: hl.verify_commutator(f, 0.5, 1.0, Schatten(1), x, y),
-        lambda f, x, y: hl.verify_quasi_commutator(f, 0.5, 1.0, Schatten(1), x, y, np.eye(3)),
+        lambda f, x, y: one_record("quasicommutator", f, 0.5, 1.0, Schatten(1), x, y, np.eye(3)),
     ],
     ids=["main", "submaj", "symmetric", "inverse", "commutator", "quasicommutator"],
 )
@@ -108,7 +108,7 @@ def test_a_cell_check_comes_before_the_checks_of_the_inputs():
     with pytest.raises(CapabilityError, match="sexpm1: seminorm is infinite"):
         hl.verify_main(F.signed_expm1(), 0.5, 1.0, x, not_hermitian)
     with pytest.raises(CapabilityError, match="seminorm order 7 exceeds max_order 6"):
-        hl.verify_symmetric(F.power(0.5), 0.5, 0.25, KyFan(2), not_hermitian, x)
+        one_record("symmetric", F.power(0.5), 0.5, 0.25, KyFan(2), not_hermitian, x)
     with pytest.raises(DomainError, match="not Hermitian"):
         hl.verify_main(F.power(0.5), 0.5, 1.0, x, not_hermitian)
     with pytest.raises(ParameterError, match="theta must lie in"):
@@ -138,13 +138,15 @@ def test_verify_bks_small_campaign():
 def test_verify_submajorization():
     f = F.power(0.5)
     x = np.diag([1.0, 2.0, 0.3])
-    rep, rec = hl.verify_submajorization(f, 0.5, 1.0, x, x)
+    rec = one_record("submaj", f, 0.5, 1.0, None, x, x)
     assert rec.holds_with_constant == 0.0
     # commuting positive diagonals: scalar Holder gives constant <= 1 once the
     # seminorm (exactly 1 for the matched power) is factored in
     y = np.diag([0.5, 1.1, 0.8])
-    rep2, rec2 = hl.verify_submajorization(f, 0.5, 1.0, x, y)
-    assert rep2.holds
+    outcomes = V._one(V.verify_submaj_stack, f, 0.5, 1.0, None, (x, y))
+    upper, lower = outcomes.profiles
+    assert submajorizes(upper[0, 0], lower[0, 0]).holds
+    rec2 = outcomes.record(0, 0, "submaj")
     assert rec2.holds_with_constant <= 1.0 + 1e-10
     assert rec2.ratio == pytest.approx(rec2.holds_with_constant)
 
@@ -157,7 +159,7 @@ def test_verify_submajorization_stable_across_dims():
         for i in range(50):
             rng = SeedState(3, (dim, i)).rng()
             x, y = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
-            _, rec = hl.verify_submajorization(f, 0.5, 1.0, x, y)
+            rec = one_record("submaj", f, 0.5, 1.0, None, x, y)
             worst = max(worst, rec.holds_with_constant)
         consts.append(worst)
     assert all(np.isfinite(consts))
@@ -169,11 +171,11 @@ def test_verify_symmetric_reductions():
     rng = np.random.default_rng(4)
     x, y = gaussian_hermitian(5, rng), gaussian_hermitian(5, rng)
     for q in (0.5, 1.0, 2.0):
-        a = hl.verify_symmetric(f, 0.5, q, KyFan(5), x, y)
+        a = one_record("symmetric", f, 0.5, q, KyFan(5), x, y)
         b = hl.verify_main(f, 0.5, q, x, y)
         assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
         assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
-    op_case = hl.verify_symmetric(f, 0.5, 1.0, KyFan(1), x, y)
+    op_case = one_record("symmetric", f, 0.5, 1.0, KyFan(1), x, y)
     want = hl.op_norm(hl.apply_function(f, x) - hl.apply_function(f, y))
     assert op_case.lhs == pytest.approx(want, rel=1e-10)
 
@@ -183,36 +185,37 @@ def test_verify_inverse_matches_reverse_power():
     f = F.signed_power(1.0 / theta)  # seminorm exactly 1 at its own exponent
     rng = np.random.default_rng(5)
     x, y = gaussian_hermitian(4, rng), gaussian_hermitian(4, rng)
-    inv = hl.verify_inverse(f, theta, 1.0, KyFan(4), x, y)
-    rev = hl.verify_reverse_power(theta, 1.0, KyFan(4), x, y, "power")
+    inv = one_record("inverse", f, theta, 1.0, KyFan(4), x, y)
+    rev = one_record("reverse", None, theta, 1.0, KyFan(4), x, y, variant="power")
     sem = F.seminorm(f, 4, 0.5).value
     assert inv.ratio == pytest.approx(sem**theta * rev.ratio, rel=1e-7)
 
 
-def test_verify_inverse_trivial_and_monotonicity_guard():
+def test_verify_inverse_trivial_and_even_branch():
     f = F.signed_power(0.5)
     x = np.diag([1.0, -2.0])
-    rec = hl.verify_inverse(f, 2.0, 1.0, KyFan(2), x, x)
+    rec = one_record("inverse", f, 2.0, 1.0, KyFan(2), x, x)
     assert rec.ratio == 0.0
-    # |t|^0.5 turns at 0, inside the probe's span [min - 1, max + 1]
+    # |t|^0.5 turns at 0, within 1 of the spectra: it inverts on t >= 0,
+    # where it is sgn(t)|t|^0.5
     a, b = np.diag([0.5, 2.0]), np.diag([1.0, 0.5])
-    with pytest.raises(DomainError, match="not strictly monotone"):
-        hl.verify_inverse(F.power(0.5), 2.0, 1.0, KyFan(2), a, b)
+    even = one_record("inverse", F.power(0.5), 2.0, 1.0, KyFan(2), a, b)
+    assert _bits(even) == _bits(one_record("inverse", f, 2.0, 1.0, KyFan(2), a, b))
 
 
 def test_reverse_power_scalar_cases():
     # 1x1: X = -Y = (1) gives ratio 2^{1-theta}
     for theta in (1.5, 2.0, 3.0):
-        rec = hl.verify_reverse_power(theta, 1.0, KyFan(1), np.eye(1), -np.eye(1))
+        rec = one_record("reverse", None, theta, 1.0, KyFan(1), np.eye(1), -np.eye(1), variant="power")
         assert rec.ratio == pytest.approx(2.0 ** (1.0 - theta), rel=1e-12)
-    same = hl.verify_reverse_power(2.0, 1.0, KyFan(2), np.eye(2), np.eye(2))
+    same = one_record("reverse", None, 2.0, 1.0, KyFan(2), np.eye(2), np.eye(2), variant="power")
     assert same.ratio == 0.0 and not same.flagged
     # positive commuting scalars: |x^2 - y^2| >= |x - y|^2
     rng = np.random.default_rng(6)
     for _ in range(100):
         vals = rng.uniform(0, 3, 4)
         x, y = np.diag(vals[:2]), np.diag(vals[2:])
-        rec = hl.verify_reverse_power(2.0, 1.0, KyFan(2), x, y)
+        rec = one_record("reverse", None, 2.0, 1.0, KyFan(2), x, y, variant="power")
         assert rec.ratio >= 1.0 - 1e-12
 
 
@@ -223,7 +226,7 @@ def test_verify_inverse_commuting_diagonal_scalar_oracle():
     rng = np.random.default_rng(50)
     xs = rng.uniform(-2, 2, 4)
     ys = rng.uniform(-2, 2, 4)
-    rec = hl.verify_inverse(f, theta, 1.0, KyFan(4), np.diag(xs), np.diag(ys))
+    rec = one_record("inverse", f, theta, 1.0, KyFan(4), np.diag(xs), np.diag(ys))
     sem = F.seminorm(f, 4, 0.5).value
     finv = lambda v: np.sign(v) * np.abs(v) ** theta
     want_lhs = sem**theta * np.sum(np.abs(finv(xs) - finv(ys)))
@@ -235,7 +238,7 @@ def test_verify_inverse_commuting_diagonal_scalar_oracle():
 def test_reverse_power_expm1_variant():
     rng = np.random.default_rng(7)
     x, y = gaussian_hermitian(4, rng), gaussian_hermitian(4, rng)
-    rec = hl.verify_reverse_power(1.5, 1.0, KyFan(4), x, y, "expm1")
+    rec = one_record("reverse", None, 1.5, 1.0, KyFan(4), x, y, variant="expm1")
     assert rec.ratio > 0.0 and np.isfinite(rec.ratio)
 
 
@@ -269,12 +272,12 @@ def test_quasi_commutator_reductions():
     rng = np.random.default_rng(10)
     a, b = gaussian_hermitian(4, rng), gaussian_hermitian(4, rng)
     ident = np.eye(4)
-    quasi = hl.verify_quasi_commutator(f, 0.5, 1.0, KyFan(4), a, b, ident)
-    sym = hl.verify_symmetric(f, 0.5, 1.0, KyFan(4), a, b)
+    quasi = one_record("quasicommutator", f, 0.5, 1.0, KyFan(4), a, b, ident)
+    sym = one_record("symmetric", f, 0.5, 1.0, KyFan(4), a, b)
     assert quasi.lhs == pytest.approx(sym.lhs, rel=1e-12)
     assert quasi.rhs == pytest.approx(sym.rhs, rel=1e-12)
     r = ginibre(4, rng)
-    quasi2 = hl.verify_quasi_commutator(f, 0.5, 1.0, KyFan(4), a, a, r)
+    quasi2 = one_record("quasicommutator", f, 0.5, 1.0, KyFan(4), a, a, r)
     comm = hl.verify_commutator(f, 0.5, 1.0, KyFan(4), a, r)
     assert quasi2.lhs == pytest.approx(comm.lhs, rel=1e-12)
     assert quasi2.rhs == pytest.approx(comm.rhs, rel=1e-12)
@@ -283,64 +286,66 @@ def test_quasi_commutator_reductions():
 def test_verify_abs_map():
     rng = np.random.default_rng(12)
     a = ginibre(4, rng)
-    same = hl.verify_abs_map(Schatten(1), 2.0, a, a)
+    same = one_record("absmap", None, None, 2.0, Schatten(1), a, a)
     assert same.lhs <= 1e-12
-    opp = hl.verify_abs_map(Schatten(1), 2.0, a, -a)
+    opp = one_record("absmap", None, None, 2.0, Schatten(1), a, -a)
     assert opp.ratio == 0.0 and not opp.flagged
     for i in range(100):
         rng_i = SeedState(13, (i,)).rng()
         x, y = ginibre(5, rng_i), ginibre(5, rng_i)
-        rec = hl.verify_abs_map(Schatten(1), 2.0, x, y)
+        rec = one_record("absmap", None, None, 2.0, Schatten(1), x, y)
         assert rec.ratio <= 1.0 + 1e-8
+
+
+def _telescope(f, p, b, xs, es):
+    """The telescope record of the chain from B along the steps (x_k, e_k)."""
+    return one_record("telescope", f, 0.5, p, None, b, *(x * e for x, e in zip(xs, es)))
 
 
 def test_telescope():
     f = F.power(0.5)
     rng = np.random.default_rng(14)
-    b, xs, es = rank_r_steps(5, 1, (0.1, 1.0), rng)
-    single = hl.telescope_finite_rank(f, 0.5, 1.0, b, list(zip(xs, es)))
+    single = _telescope(f, 1.0, *rank_r_steps(5, 1, (0.1, 1.0), rng))
     assert single.ratio == pytest.approx(1.0, rel=1e-10)  # one step: equality
 
-    b2, xs2, es2 = rank_r_steps(6, 2, (0.1, 1.0), rng)
-    two = hl.telescope_finite_rank(f, 0.5, 1.0, b2, list(zip(xs2, es2)))
+    two = _telescope(f, 1.0, *rank_r_steps(6, 2, (0.1, 1.0), rng))
     assert 0.0 < two.ratio <= 1.0 + 1e-10
 
     for i in range(100):
         rng_i = SeedState(15, (i,)).rng()
-        b_i, xs_i, es_i = rank_r_steps(6, 4, (1e-2, 1.0), rng_i)
-        res = hl.telescope_finite_rank(f, 0.5, 1.0, b_i, list(zip(xs_i, es_i)))
+        res = _telescope(f, 1.0, *rank_r_steps(6, 4, (1e-2, 1.0), rng_i))
         assert res.ratio <= 1.0 + 1e-10
 
 
 def test_telescope_rejects_bad_steps():
-    f = F.power(0.5)
-    e = np.diag([1.0, 0.0])
-    with pytest.raises(PreconditionError):
-        hl.telescope_finite_rank(f, 0.5, 1.0, np.zeros((2, 2)), [(1.0, e), (1.0, e)])
-    with pytest.raises(ParameterError):
-        hl.telescope_finite_rank(f, 0.5, 2.0, np.zeros((2, 2)), [(1.0, e)])
-    frame = np.linalg.qr(gaussian_hermitian(3, np.random.default_rng(21)))[0]
-    step = np.outer(frame[:, 0], frame[:, 0].conj())
-    with pytest.raises(PreconditionError, match="^step 0: not a projection$"):
-        hl.telescope_finite_rank(f, 0.5, 1.0, np.eye(3), [(0.5, 2.0 * step)])
+    # a step that is not Hermitian, or not of B's shape, fails the trial; a
+    # p above 1 fails the cell.  The steps' orthogonality is the draw's to keep
+    f, b, e = F.power(0.5), np.zeros((2, 2)), np.diag([1.0, 0.0])
+    with pytest.raises(DomainError, match="^matrix is not Hermitian"):
+        _telescope(f, 1.0, b, [1.0], [np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(hl.ShapeError, match="different shapes"):
+        _telescope(f, 1.0, b, [1.0], [np.eye(3)])
+    with pytest.raises(ParameterError, match=r"telescoping needs p in \(0,1\], got 2.0"):
+        _telescope(f, 2.0, b, [1.0], [e])
 
 
 def _mismatched_calls():
-    """Every public verifier called on a 2x2 and a 3x3 input."""
+    """Every verifier, through its public function or verify._one, called on
+    a 2x2 and a 3x3 input."""
     f, kyfan = F.power(0.5), KyFan(1)
     a, b = np.eye(2), np.eye(3)
     return {
         "main": lambda: hl.verify_main(f, 0.5, 1.0, a, b),
         "bks": lambda: hl.verify_bks(0.5, kyfan, a, b),
-        "submajorization": lambda: hl.verify_submajorization(f, 0.5, 1.0, a, b),
-        "symmetric": lambda: hl.verify_symmetric(f, 0.5, 1.0, kyfan, a, b),
-        "inverse": lambda: hl.verify_inverse(F.signed_power(0.5), 2.0, 1.0, kyfan, a, b),
-        "reverse_power": lambda: hl.verify_reverse_power(1.5, 1.0, kyfan, a, b),
+        "submajorization": lambda: one_record("submaj", f, 0.5, 1.0, None, a, b),
+        "symmetric": lambda: one_record("symmetric", f, 0.5, 1.0, kyfan, a, b),
+        "inverse": lambda: one_record("inverse", F.signed_power(0.5), 2.0, 1.0, kyfan, a, b),
+        "reverse_power": lambda: one_record("reverse", None, 1.5, 1.0, kyfan, a, b, variant="power"),
         "commutator": lambda: hl.verify_commutator(f, 0.5, 1.0, kyfan, a, b),
-        "quasi_commutator": lambda: hl.verify_quasi_commutator(f, 0.5, 1.0, kyfan, a, a, b),
-        "abs_map": lambda: hl.verify_abs_map(kyfan, 1.0, a, b),
-        "alt": lambda: hl.alt_check(a, b, 0.5, 1.0),
-        "telescope": lambda: hl.telescope_finite_rank(f, 0.5, 1.0, a, [(1.0, np.diag(b[0]))]),
+        "quasi_commutator": lambda: one_record("quasicommutator", f, 0.5, 1.0, kyfan, a, a, b),
+        "abs_map": lambda: one_record("absmap", None, None, 1.0, kyfan, a, b),
+        "alt": lambda: one_record("alt", None, 0.5, 1.0, None, a, b),
+        "telescope": lambda: one_record("telescope", f, 0.5, 1.0, None, a, np.diag(b[0])),
     }
 
 
@@ -436,3 +441,23 @@ def test_absmap_ratios_do_not_depend_on_the_scale(scale):
         assert b.failures == 0 and a.max_ratio > 0.0
         for key in ("max_ratio", "min_ratio", "q50", "q99"):
             assert getattr(b, key) == pytest.approx(getattr(a, key), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e200, 1e-200])
+def test_alt_margins_do_not_depend_on_the_scale(scale):
+    # ZX overflows beyond about 1e154 and underflows to 0 below about
+    # 1e-154, where every trial read as a counterexample; each input scaled
+    # by a power of two first, the margins are those at unit scale
+    want = _fixed_pair_campaign("alt", [1.0, 10.0])
+    config = _fixed_pair_campaign("alt", [scale, 10.0 * scale])
+    report, counterexamples = run_campaign(config)
+    assert counterexamples == []
+    for a, b in zip(run_campaign(want)[0].cells, report.cells):
+        assert b.failures == 0
+        for key in ("max_ratio", "min_ratio", "q50", "q99"):
+            assert getattr(b, key) == getattr(a, key) == 0.0
+    for cell in range(len(report.cells)):
+        for trial in range(config.trials):
+            got, unit = (replay(c, cell, trial) for c in (config, want))
+            assert not got.flagged and unit.holds_with_constant > 0.0
+            assert got.holds_with_constant == pytest.approx(unit.holds_with_constant, rel=1e-12)
