@@ -28,8 +28,9 @@ class ScalarFunction:
     ``derivatives(top, x)`` gives the orders 1..top at once;
     ``derivative_at_zero`` is the two-sided f'(0) when it exists, else None.
     ``exact_order_sup(k, theta)``, when present, returns the analytic value of
-    sup_{x != 0} |x|^{k - theta} |f^(k)(x)|.  ``theta_hint``, when present, is
-    the degree theta of a homogeneous f: f(r x) = r^theta f(x) for r > 0.
+    sup_{x != 0} |x|^{k - theta} |f^(k)(x)|; ``seminorm`` takes it at theta ==
+    ``theta_hint``.  ``theta_hint``, when present, is the degree theta of a
+    homogeneous f: f(r x) = r^theta f(x) for r > 0.
     ``even_or_odd`` promises |f^(k)(-x)| = |f^(k)(x)| bit for bit for every
     0 <= k <= max_order, so that ``seminorm`` evaluates x > 0 only.
     ``inverse``, when present, is f^{-1} in closed form on the branch where f
@@ -367,6 +368,8 @@ SEMINORM_GRID = (
     f"logspace[{SEMINORM_X_MIN:g},{SEMINORM_X_MAX:g}]x{SEMINORM_POINTS}"
     f"/sign+zoom{ZOOM_POINTS}x{ZOOM_ROUNDS}"
 )
+# the grid of a seminorm taken from exact_order_sup
+SEMINORM_EXACT = "exact"
 # the grid's log-abscissae u, and its points sign * exp(u) of each sign
 _GRID_U = np.log(
     np.logspace(math.log10(SEMINORM_X_MIN), math.log10(SEMINORM_X_MAX), SEMINORM_POINTS)
@@ -419,11 +422,14 @@ def _zoom(f, theta, searches) -> np.ndarray:
 
 
 def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
-    """Grid estimate (a lower bound) of max_{0<=k<=d} sup_x |x|^{k-theta}|f^(k)(x)|
-    on the SEMINORM_GRID: per order and sign, the grid maximum, refined by
-    _zoom between its neighbours when it is interior.  An order whose grid
-    maximum is infinite is inf, unrefined.  An even or odd f runs the
-    positive sign alone: the negative one would read the same bits."""
+    """max_{0<=k<=d} sup_x |x|^{k-theta}|f^(k)(x)|.  A homogeneous f at its own
+    degree (theta == f.theta_hint) that carries ``exact_order_sup`` takes it
+    per order, with grid SEMINORM_EXACT and no edge.  Otherwise the value is a
+    grid estimate (a lower bound) on the SEMINORM_GRID: per order and sign,
+    the grid maximum, refined by _zoom between its neighbours when it is
+    interior.  An order whose grid maximum is infinite is inf, unrefined.  An
+    even or odd f runs the positive sign alone: the negative one would read
+    the same bits."""
     if d < 0:
         raise ParameterError("order d must be nonnegative")
     if d > f.max_order:
@@ -432,6 +438,9 @@ def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
         )
     if not 0.0 < theta <= 1.0:
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")
+    if f.exact_order_sup is not None and theta == f.theta_hint:
+        per_order = np.array([f.exact_order_sup(k, theta) for k in range(d + 1)], dtype=float)
+        return SeminormEstimate(float(np.max(per_order)), per_order, SEMINORM_EXACT, ())
     per_order = np.zeros(d + 1)
     grid_tops = {}  # k -> {sign: (grid maximum, whether it is on a grid end)}
     searches = []  # (k, sign, u_lo, u_hi) of each interior grid maximum

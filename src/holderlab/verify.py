@@ -477,14 +477,23 @@ def verify_reverse_stack(f, entries, stack, dec=None) -> Outcomes:
     "expm1"), over a stack (T, 2, n, n) of (X, Y); the estimate says the
     ratio stays above a positive constant.  The checks are X Hermitian, Y
     Hermitian, then per matrix its reconstruction and, if some entry is of
-    variant "expm1", g finite on its spectrum.  One eigendecomposition and
-    one SVD of X - Y serve every cell, and one SVD of g(X) - g(Y) every cell
-    (for "expm1") or every cell of that theta."""
+    variant "expm1", g finite on its spectrum.  Both sides of "power" are
+    homogeneous of degree theta in (X, Y), so for it a pair whose largest
+    |eigenvalue| has a binary exponent e with |e| theta > 768 (e outside
+    [-256, 256] at theta 3) is scaled by 2^-e, exactly, and no power of it
+    leaves the float range.  One eigendecomposition and one SVD of X - Y
+    serve every cell, and one SVD of g(X) - g(Y) every cell (for "expm1") or
+    every cell of that theta."""
     expm1 = any(variant == "expm1" for _, _, variant in entries)
     apply = functools.partial(apply_stack, signed_expm1()) if expm1 else None
     h, dec, _, image, row = _front(stack, apply, dec=dec)
-    lam = dec.eigenvalues
     difference = _hermitian_profiles(h[:, 0] - h[:, 1])[:, 0]
+    e = np.frexp(np.abs(dec.eigenvalues).max(axis=(-2, -1)))[1]
+
+    def scaled(x, theta):
+        """x (T, ...), each trial's entries scaled by its 2^-e where |e| theta > 768."""
+        shift = np.where(np.abs(e) * theta > 768, -e, 0)
+        return np.ldexp(x, shift.reshape((-1,) + (1,) * (x.ndim - 1)))
 
     def mapped_profiles(theta):
         # sgn(M)|M|^theta, not symmetrized; a spectrum whose power leaves the
@@ -492,13 +501,19 @@ def verify_reverse_stack(f, entries, stack, dec=None) -> Outcomes:
         if theta is None:
             g = image
         else:
+            lam = scaled(dec.eigenvalues, theta)
             with np.errstate(over="ignore", invalid="ignore"):
                 g = from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta)
         return _hermitian_profiles(g[:, 0] - g[:, 1])[:, 0]
 
+    def powered_difference(key):
+        theta, variant = key
+        return _powered(scaled(difference, theta) if variant == "power" else difference, theta)
+
     mapped = [(power, theta if variant == "power" else None) for power, theta, variant in entries]
     (lhs,) = _norm_rows(mapped, mapped_profiles)
-    (rhs,) = _norm_rows([e[:2] for e in entries], lambda theta: _powered(difference, theta))
+    (rhs,) = _norm_rows([(power, (theta, variant)) for power, theta, variant in entries],
+                        powered_difference)
     return Outcomes.judged(row, lhs, rhs, h)
 
 

@@ -226,12 +226,12 @@ def test_cli_campaign_end_to_end(monkeypatch, tmp_path, capsys):
 
 
 def test_reports_carry_the_report_format(tmp_path, capsys):
-    # format 7: inverse takes no monotonicity probe, and alt scales its inputs
+    # format 8: the seminorm of a homogeneous f at its own degree is exact
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(trials=3).to_dict()))
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path)]) == 0
     for name in ("report.json", "manifest.json"):
-        assert json.loads((tmp_path / name).read_text())["report_format"] == 7
+        assert json.loads((tmp_path / name).read_text())["report_format"] == 8
 
 
 def test_cli_campaign_malformed_config(tmp_path, capsys):
@@ -629,21 +629,22 @@ def test_cli_seminorm_log_entry_is_finite(capsys):
 SEMINORM_GRID = "logspace[1e-08,1e+08]x2048/sign+zoom64x8"
 
 
+# power:0.5 at its own degree 0.5 is exact; the grid read 1.0000000000000002
+# and its neighbours there before report format 8
 @pytest.mark.parametrize(
-    "f, d, per_order",
+    "f, d, grid, per_order",
     [
-        ("power:0.5", 2, [1.0000000000000002, 0.5000000000000001, 0.25000000000000006]),
-        ("power:0.5", 4, [1.0000000000000002, 0.5000000000000001, 0.25000000000000006,
-                          0.37500000000000006, 0.9375000000000002]),
-        ("log1p", 2, [0.8047423425494119, 0.5, 0.3247595264191646]),
-        ("log1p", 4, [0.8047423425494119, 0.5, 0.3247595264191646, 0.5176083281249514,
-                      1.3293350093190748]),
+        ("power:0.5", 2, "exact", [1.0, 0.5, 0.25]),
+        ("power:0.5", 4, "exact", [1.0, 0.5, 0.25, 0.375, 0.9375]),
+        ("log1p", 2, SEMINORM_GRID, [0.8047423425494119, 0.5, 0.3247595264191646]),
+        ("log1p", 4, SEMINORM_GRID, [0.8047423425494119, 0.5, 0.3247595264191646,
+                                     0.5176083281249514, 1.3293350093190748]),
     ],
     ids=["power-d2", "power-d4", "log1p-d2", "log1p-d4"],
 )
-def test_cli_seminorm_stdout_is_pinned(f, d, per_order, capsys):
+def test_cli_seminorm_stdout_is_pinned(f, d, grid, per_order, capsys):
     assert main(["seminorm", "--f", f, "--theta", "0.5", "--d", str(d)]) == 0
-    want = {"d": d, "edge": [], "function": f, "grid": SEMINORM_GRID, "per_order": per_order,
+    want = {"d": d, "edge": [], "function": f, "grid": grid, "per_order": per_order,
             "theta": 0.5, "value": max(per_order)}
     assert capsys.readouterr().out == json.dumps(want, sort_keys=True) + "\n"
 

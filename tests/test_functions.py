@@ -144,12 +144,48 @@ def test_seminorm_linear():
     assert est.value == pytest.approx(1.0, rel=1e-10)
 
 
+def _grid_only(f):
+    """f without its exact_order_sup, so that seminorm estimates it on the grid."""
+    return dataclasses.replace(f, exact_order_sup=None)
+
+
 def test_seminorm_grid_matches_analytic_sup():
-    # entries carrying closed-form order sups agree with the grid estimate
+    # the grid estimate of entries carrying closed-form order sups agrees with them
     for f, theta in [(F.power(0.4), 0.4), (F.signed_power(0.6), 0.6)]:
-        est = F.seminorm(f, 3, theta)
+        est = F.seminorm(_grid_only(f), 3, theta)
+        assert est.grid == F.SEMINORM_GRID
         for k in range(4):
             assert est.per_order[k] == pytest.approx(f.exact_order_sup(k, theta), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "f", [F.power(0.5), F.power(0.3), F.signed_power(0.7), F.linear()], ids=lambda f: f.name
+)
+def test_seminorm_of_a_homogeneous_f_at_its_degree_is_the_closed_form(f):
+    theta = f.theta_hint
+    for d in range(f.max_order + 1):
+        est = F.seminorm(f, d, theta)
+        exact = [f.exact_order_sup(k, theta) for k in range(d + 1)]
+        assert est.per_order.tolist() == exact and est.value == max(exact)
+        assert est.edge == () and est.grid == F.SEMINORM_EXACT
+    assert F.seminorm(F.power(0.5), 4, 0.5).value == 1.0  # the grid reads 1.0000000000000002
+
+
+def test_seminorm_of_a_homogeneous_f_off_its_degree_stays_the_grid_estimate():
+    # spower:0.5 at 1/theta for theta 1.5 and 3 (an inverse campaign's cells):
+    # every order sits on a grid edge, and the estimate keeps these bits until
+    # the seminorm refuses an unbounded order
+    pinned = {
+        2.0 / 3.0: ["0x1.58b5a51868c60p+4", "0x1.58b5a51868c60p+3", "0x1.58b5a51868c53p+2",
+                    "0x1.02883bd24e93ep+3", "0x1.432a4ac6e238ep+4"],
+        1.0 / 3.0: ["0x1.58b5a51868c66p+4", "0x1.58b5a51868c6cp+3", "0x1.58b5a51868c6cp+2",
+                    "0x1.02883bd24e93fp+3", "0x1.432a4ac6e238ep+4"],
+    }
+    for theta, per_order in pinned.items():
+        est = F.seminorm(F.signed_power(0.5), 4, theta)
+        assert [x.hex() for x in est.per_order.tolist()] == per_order
+        assert est.value == float.fromhex(per_order[0])  # 21.54434690031883...
+        assert est.edge == (0, 1, 2, 3, 4) and est.grid == F.SEMINORM_GRID
 
 
 def test_seminorm_finite_for_non_homogeneous_entries():
@@ -275,21 +311,22 @@ def _edge_function(name, ev):
 
 
 # the catalog, with each homogeneous entry at an exponent of SEMINORM_THETAS
-# (where its weighted derivative is flat), a polynomial, two dilations, and
+# (where its weighted derivative is flat) and estimated on the grid there, a
+# polynomial, two dilations, and
 # two functions for the NaN and the infinite grid maximum of the second sign
 SEMINORM_ENTRIES = [
-    F.power(0.5),
-    F.power(0.25),
-    F.signed_power(0.5),
-    F.signed_power(2.0 / 3.0),
-    F.signed_power(0.75),
+    _grid_only(F.power(0.5)),
+    _grid_only(F.power(0.25)),
+    _grid_only(F.signed_power(0.5)),
+    _grid_only(F.signed_power(2.0 / 3.0)),
+    _grid_only(F.signed_power(0.75)),
     F.log1p_abs(),
     F.signed_log1p(),
     F.rational_abs(1.0),
     F.rational_signed(2.0),
     F.signed_expm1(),
     F.gauss_bump(),
-    F.linear(),
+    _grid_only(F.linear()),
     F.polynomial([1.0, -2.0, 0.5, 0.25]),
     F.dilate_function(F.gauss_bump(), 0.01),
     F.dilate_function(F.signed_power(0.5), 40.0),
@@ -392,8 +429,9 @@ def _both_signs(f):
 
 
 def test_seminorm_evaluates_each_order_once_per_zoom_round():
-    # spower:0.5 at its own exponent: every order and sign is refined, and each
-    # order is evaluated on its grid of each sign and once per round
+    # spower:0.5 at its own exponent, without its closed form (_counted drops
+    # exact_order_sup): every order and sign is refined, and each order is
+    # evaluated on its grid of each sign and once per round
     f, calls = _counted(_both_signs(F.signed_power(0.5)))
     F.seminorm(f, 4, 0.5)
     R = F.ZOOM_ROUNDS

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -402,32 +403,50 @@ def test_verifiers_near_the_float_range_raise_no_runtime_warning(verifier, varia
 def test_cli_verify_near_the_float_range_prints_its_message_alone(capsys):
     from holderlab.cli import main
 
-    argv = ["verify", "--ineq", "reverse", "--theta", "2", "--spectrum=1e200,1e201", "--dim", "2"]
+    argv = ["verify", "--ineq", "inverse", "--f", "spower:0.5", "--theta", "2",
+            "--spectrum=1e200,1e201", "--dim", "2"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("all 1 trial(s) failed")
 
 
 def test_a_matrix_outside_the_float_range_fails_its_trial_as_a_domain_error(capsys):
-    # sgn(M)|M|^2 of the spectrum [1e200, 1e201] is not finite: every trial of
+    # X + X* of the spectrum [1e300, 1.7e308] is not finite: every trial of
     # every cell fails with the DomainError that names the float range, in the
     # campaign's stacks, in replay and on the CLI, not as LAPACK's failure
     from holderlab import campaign
     from holderlab.cli import main
 
-    config = _fixed_pair_campaign("reverse", [1e200, 1e201])
-    entries = campaign._entries(config, None, campaign._kernel_cells(config))
-    for trials, _, _, outcomes in campaign._stacks(config, 2, entries, None):
-        for idx in np.ndindex(outcomes.ok.shape):
-            assert not outcomes.ok[idx]
-            assert type(outcomes.error(idx)) is DomainError
+    config = _fixed_pair_campaign("reverse", [1e300, 1.7e308])
     message = "a matrix of the trial leaves the float range (not finite)"
-    with pytest.raises(DomainError) as replayed:
-        campaign.replay(config, 0, 0)
-    assert str(replayed.value) == message
-    argv = ["verify", "--ineq", "reverse", "--theta", "2", "--spectrum=1e200,1e201", "--dim", "2"]
-    assert main(argv) == 2
+    with np.errstate(over="ignore", invalid="ignore"):  # the symmetrization overflows
+        entries = campaign._entries(config, campaign._kernel_cells(config))
+        for trials, _, _, outcomes in campaign._stacks(config, 2, entries, None):
+            for idx in np.ndindex(outcomes.ok.shape):
+                assert not outcomes.ok[idx]
+                assert type(outcomes.error(idx)) is DomainError
+        with pytest.raises(DomainError) as replayed:
+            campaign.replay(config, 0, 0)
+        assert str(replayed.value) == message
+        argv = ["verify", "--ineq", "reverse", "--theta", "2", "--spectrum=1e300,1.7e308",
+                "--dim", "2"]
+        assert main(argv) == 2
     assert capsys.readouterr().err == f"all 1 trial(s) failed; trial 0: DomainError: {message}\n"
+
+
+@pytest.mark.parametrize("theta", [1.5, 2.0, 5.0])
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 1e160, 1e-160, 1e200, 1e-200])
+def test_reverse_power_ratios_do_not_depend_on_the_scale(scale, theta):
+    # sgn(M)|M|^theta and |X - Y|^theta left the float range (DomainError) or
+    # underflowed to 0 (rhs = 0) here; each pair scaled by a power of two
+    # first, the ratios are those at unit scale within 64 ulps
+    want = dataclasses.replace(_fixed_pair_campaign("reverse", [1.0, 10.0]), thetas=(theta,))
+    config = dataclasses.replace(want, ensemble={"name": "fixed_pair",
+                                                 "eigenvalues": [scale, 10.0 * scale]})
+    for a, b in zip(run_campaign(want)[0].cells, run_campaign(config)[0].cells):
+        assert b.failures == 0 and a.min_ratio > 0.0
+        for key in ("max_ratio", "min_ratio", "q50", "q99"):
+            assert getattr(b, key) == pytest.approx(getattr(a, key), rel=64 * np.finfo(float).eps, abs=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e160, 1e-160, 1e-170, 1e200, 1e-200])

@@ -1,5 +1,5 @@
 """Write the golden set: the deterministic outputs of 148 campaign configs,
-25 ``holderlab verify`` calls and 42 other CLI calls, and print one sha256
+25 ``holderlab verify`` calls and 44 other CLI calls, and print one sha256
 over all of them.
 
     python3 tools/golden.py OUT_DIR
@@ -39,7 +39,9 @@ blocks; dyadic:2 of power:0.5 and gauss at p = 0.3 (b = 4, the most parts of
 the divided-difference table); and
 ``mpnorm`` at p = 2, where no upper route applies, on alpha, b0 and dyadic:2
 of log1p under ``auto`` and ``empirical``, and on alpha under
-``decomposition`` (refused).
+``decomposition`` (refused); and ``seminorm`` of power:0.5 at d = 4 and
+theta 0.5, its own degree, where the seminorm is exact, and theta 0.75, where
+every order sits on a grid edge.
 
 The configs: every entry of CONFIGS below, at seeds 101 and 7 (all 11
 verifiers on every ensemble each draws from, edge spectra, invalid cells,
@@ -264,6 +266,10 @@ def cli_calls() -> dict:
             calls[f"{name}-p2-{method}"] = argv
     calls["alpha-p2-decomposition"] = ["mpnorm", "--symbol", "alpha", "--method",
                                        "decomposition", "--p", "2", *seed]
+    # power:0.5 at its own degree (the closed form) and off it (grid edges)
+    for name, theta in (("exact", "0.5"), ("edge", "0.75")):
+        calls[f"seminorm-power-{name}"] = ["seminorm", "--f", "power:0.5", "--theta", theta,
+                                           "--d", "4"]
     return calls
 
 
