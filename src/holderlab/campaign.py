@@ -10,7 +10,6 @@ outcomes do not depend on the other cells of the config.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -342,21 +341,11 @@ def _kernel_cells(config: CampaignConfig) -> list:
     return [(theta, p, specs[norm]) for theta, p, norm, _ in config.cells()]
 
 
-@functools.cache
-def _spec_seminorms(spec: Optional[str]):
-    """The seminorms (verify._seminorms) of the function of catalog spec
-    ``spec``, or of None, one per spec string and process: a campaign names
-    its f by spec alone, so each (spec, d, theta) is estimated once however
-    many runs and replays ask for it."""
-    return V._seminorms(parse_function_spec(spec) if spec else None)
-
-
-def _entries(config: CampaignConfig, cells) -> list:
+def _entries(config: CampaignConfig, f, cells) -> list:
     """Per (theta, p, spec) of ``cells``, the entry the verifier's check gives
     its kernel, or the HolderLabError that makes the cell fail every trial;
-    the seminorms are _spec_seminorms(config.function)."""
-    check = V._check_of(VERIFIERS[config.verifier].kernel)
-    sem = _spec_seminorms(config.function)
+    f's seminorm is estimated once per distinct (d, theta)."""
+    check, sem = V._check_of(VERIFIERS[config.verifier].kernel), V._seminorms(f)
     entries = []
     for cell in cells:
         try:
@@ -539,7 +528,7 @@ def run_campaign(config: CampaignConfig):
     f = parse_function_spec(config.function) if config.function else None
     grid = config.cells()
     kernel_cells = _kernel_cells(config)
-    entries = _entries(config, kernel_cells)
+    entries = _entries(config, f, kernel_cells)
     groups: dict = {}  # the valid cells of a dim, and the others
     for cell_idx, cell in enumerate(grid):
         valid = not isinstance(entries[cell_idx], HolderLabError)
@@ -617,7 +606,7 @@ def replay(config: CampaignConfig, cell_idx: int, trial: int) -> V.VerificationR
     returns its record, or raises its HolderLabError."""
     f = parse_function_spec(config.function) if config.function else None
     dim = config.cells()[cell_idx][3]
-    (entry,) = _entries(config, [_kernel_cells(config)[cell_idx]])
+    (entry,) = _entries(config, f, [_kernel_cells(config)[cell_idx]])
     if isinstance(entry, HolderLabError):
         raise entry
     ((_, _, _, outcomes),) = _stacks(config, dim, [entry], f, [trial])

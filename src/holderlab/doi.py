@@ -636,7 +636,8 @@ def b0_upper_bound(
 
 
 def _positive_sup(f: ScalarFunction, theta: float) -> float:
-    """Grid estimate of sup_{x != 0} |f(x)| / |x|^theta."""
+    """sup_{x != 0} |f(x)| / |x|^theta: exact for a homogeneous f at its own
+    degree theta, a grid estimate otherwise (functions.seminorm)."""
     return float(seminorm(f, 0, theta).per_order[0])
 
 

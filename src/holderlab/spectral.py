@@ -43,7 +43,9 @@ def hermitian_stack(a, tol: float = HERMITIAN_TOL):
     """Hermitian check on a stack (..., n, n): returns the symmetrizations
     (a + a*)/2, the per-item ok mask, and a function from the index of an
     item to its DomainError.  An item is ok when its deviation max|a - a*| is
-    within ``tol`` times its scale max(1, max|a|)."""
+    within ``tol`` times its scale max(1, max|a|).  A stack with an entry of
+    modulus 2^1023 or more, where a + a* may leave the float range, is
+    symmetrized as a/2 + a*/2, which differs only where a half is subnormal."""
     m = np.asarray(a, dtype=complex)
     mh = np.swapaxes(m.conj(), -1, -2)
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
@@ -55,7 +57,11 @@ def hermitian_stack(a, tol: float = HERMITIAN_TOL):
             f"{scale[idx]:.3e}"
         )
 
-    return 0.5 * (m + mh), ~(dev > tol * scale), error
+    if scale.max(initial=0.0) < 2.0 ** 1023:
+        h = 0.5 * (m + mh)
+    else:
+        h = 0.5 * m + 0.5 * mh
+    return h, ~(dev > tol * scale), error
 
 
 def as_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:

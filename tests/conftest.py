@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import holderlab.verify as V
-from holderlab.campaign import _spec_seminorms
 from holderlab.ensembles import haar_unitary
 from holderlab.spectral import from_eigen
 
@@ -44,10 +43,3 @@ def one_record(kernel, f, theta, p, spec, *mats, variant=None, digest=""):
     stack_kernel = getattr(V, f"verify_{kernel}_stack")
     outcomes = V._one(stack_kernel, f, theta, p, spec, mats, variant)
     return outcomes.record(0, 0, kernel, digest)
-
-
-@pytest.fixture(autouse=True)
-def fresh_seminorms():
-    """Each test starts from an empty per-process seminorm memo, so that what
-    it estimates does not depend on the tests run before it."""
-    _spec_seminorms.cache_clear()

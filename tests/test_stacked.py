@@ -181,7 +181,7 @@ def _trial_outcomes(config, cell_idx, f):
     evaluates it in stacks: its record, named and digested as replay's, or
     its error; a cell that its check refuses fails every trial undrawn."""
     dim = config.cells()[cell_idx][3]
-    (entry,) = camp._entries(config, [camp._kernel_cells(config)[cell_idx]])
+    (entry,) = camp._entries(config, f, [camp._kernel_cells(config)[cell_idx]])
     if isinstance(entry, HolderLabError):
         yield from ((trial, entry) for trial in range(config.trials))
         return
@@ -268,8 +268,7 @@ def test_a_config_with_no_valid_cell_draws_nothing(monkeypatch, capsys):
 
 def test_the_seminorm_is_estimated_once_per_order_and_theta(monkeypatch):
     # ps 1 and 0.6 share d_of_p = 4, and 0.5 has 5; two norms, two dims and
-    # three stacks (40 trials at dim 8 are 32 + 8) take the four seminorms
-    # once, and the replay after the run none (the memo starts cleared)
+    # three stacks (40 trials at dim 8 are 32 + 8) take the four seminorms once
     config = CampaignConfig.from_dict(
         {"verifier": "symmetric", "function": "power:0.5", "thetas": [0.5, 0.9],
          "ps": [1.0, 0.6, 0.5], "norms": ["schatten:1", "kyfan:2"], "dims": [3, 8],
@@ -285,37 +284,7 @@ def test_the_seminorm_is_estimated_once_per_order_and_theta(monkeypatch):
     assert keys == [(4, 0.5), (4, 0.9), (5, 0.5), (5, 0.9)]
     estimated.clear()
     replay(config, 9, 33)  # theta 0.5, p 0.5, schatten:1, dim 8
-    assert estimated == []
-
-
-def test_a_campaign_estimates_each_seminorm_once_per_process(monkeypatch):
-    # a second run of the config and a replay after it estimate nothing, and
-    # write the first run's report byte for byte
-    config = CampaignConfig.from_dict(
-        {"verifier": "main", "function": "log1p", "thetas": [0.5], "ps": [1.0],
-         "norms": ["-"], "dims": [3, 8], "trials": 40, "seed": 11, "refine_steps": 4}
-    )
-    estimated = []
-    _spy(monkeypatch, V, "seminorm", estimated)
-    first = _outputs(config)
-    assert sorted((d, theta) for _, d, theta in estimated) == [(4, 0.5)]
-    estimated.clear()
-    assert _outputs(config) == first
-    replay(config, 0, 0)
-    assert estimated == []
-
-
-def test_two_spec_strings_never_share_a_seminorm(monkeypatch):
-    # each spec string takes its own estimate, that of its own f, even two
-    # that parse to one f.name ("power:0.5" and "POWER:0.5")
-    estimated = []
-    _spy(monkeypatch, V, "seminorm", estimated)
-    specs = ("power:0.5", "POWER:0.5", "power:0.25", "spower:0.5", "log1p", "slog1p")
-    values = [camp._spec_seminorms(spec)(4, 0.25) for spec in specs]
-    assert values == [seminorm(parse_function_spec(spec), 4, 0.25).value for spec in specs]
-    assert values[0] != values[2]
-    assert [f.name for f, _, _ in estimated] == [parse_function_spec(s).name for s in specs]
-    assert len({id(camp._spec_seminorms(spec)) for spec in specs}) == len(specs)
+    assert [(d, theta) for _, d, theta in estimated] == [(5, 0.5)]
 
 
 def test_stack_sizes_are_bounded():
@@ -384,7 +353,7 @@ def test_a_linalg_error_in_one_cell_fails_only_that_cell(verifier, monkeypatch):
     )
     cell_idx = 3
     f = parse_function_spec(config.function) if config.function else None
-    entries = camp._entries(config, camp._kernel_cells(config))
+    entries = camp._entries(config, f, camp._kernel_cells(config))
     baseline, _ = run_campaign(config)
     real = getattr(V, camp.VERIFIERS[verifier].kernel)
     draw, _ = ENSEMBLES[camp._ensemble(verifier, None)["name"]]
@@ -1360,7 +1329,7 @@ def _campaign_outcomes(config):
     check's error), with a digest that leaves out the cell index."""
     f = parse_function_spec(config.function) if config.function else None
     grid = config.cells()
-    entries = camp._entries(config, camp._kernel_cells(config))
+    entries = camp._entries(config, f, camp._kernel_cells(config))
     name = camp._record_name(config)
     out = {}
     for i, entry in enumerate(entries):
@@ -1841,7 +1810,7 @@ def _drawn_and_eigh(config):
     """The Outcomes of the verifier's kernel on one drawn stack of every
     trial, given the draw's decomposition and not."""
     f = parse_function_spec(config.function) if config.function else None
-    entries = camp._entries(config, camp._kernel_cells(config))
+    entries = camp._entries(config, f, camp._kernel_cells(config))
     _, stack, dec = camp._draw(config, config.dims[0], range(config.trials))
     kernel = getattr(V, camp.VERIFIERS[config.verifier].kernel)
     return kernel(f, entries, stack, dec), kernel(f, entries, stack)
@@ -1899,7 +1868,7 @@ def _trial_0(config):
     """Trial 0's outcome in cell 0, and the eigh path's on the same inputs."""
     f = parse_function_spec(config.function) if config.function else None
     ((_, outcome),) = [o for o in _trial_outcomes(config, 0, f) if o[0] == 0]
-    (entry,) = camp._entries(config, camp._kernel_cells(config)[:1])
+    (entry,) = camp._entries(config, f, camp._kernel_cells(config)[:1])
     _, stack, _ = camp._draw(config, config.dims[0], [0])
     kernel = getattr(V, camp.VERIFIERS[config.verifier].kernel)
     return outcome, _record_or_error(kernel(f, [entry], stack), 0, 0, "x")
@@ -1942,7 +1911,7 @@ def test_only_refinement_and_the_public_verifiers_call_eigh(monkeypatch):
     calls = []
     _spy(monkeypatch, np.linalg, "eigh", calls)
     f, cell = None, camp._kernel_cells(config)[0]
-    (entry,) = camp._entries(config, [cell])
+    (entry,) = camp._entries(config, f, [cell])
     for _ in camp._stacks(config, 8, [entry], f):
         pass
     assert calls == []

@@ -411,26 +411,33 @@ def test_cli_verify_near_the_float_range_prints_its_message_alone(capsys):
 
 
 def test_a_matrix_outside_the_float_range_fails_its_trial_as_a_domain_error(capsys):
-    # X + X* of the spectrum [1e300, 1.7e308] is not finite: every trial of
-    # every cell fails with the DomainError that names the float range, in the
-    # campaign's stacks, in replay and on the CLI, not as LAPACK's failure
+    # a finite X whose eigenvalue 2e308 is not, and f^{-1}(M) = sgn(M)|M|^2 of
+    # spower:0.5 on the spectrum [1e200, 1e201]: the trial fails with a
+    # DomainError that names the float range, not as LAPACK's failure; the
+    # second in every cell of the campaign's stacks, in replay and on the CLI
     from holderlab import campaign
     from holderlab.cli import main
 
-    config = _fixed_pair_campaign("reverse", [1e300, 1.7e308])
-    message = "a matrix of the trial leaves the float range (not finite)"
-    with np.errstate(over="ignore", invalid="ignore"):  # the symmetrization overflows
-        entries = campaign._entries(config, campaign._kernel_cells(config))
-        for trials, _, _, outcomes in campaign._stacks(config, 2, entries, None):
-            for idx in np.ndindex(outcomes.ok.shape):
-                assert not outcomes.ok[idx]
-                assert type(outcomes.error(idx)) is DomainError
-        with pytest.raises(DomainError) as replayed:
-            campaign.replay(config, 0, 0)
-        assert str(replayed.value) == message
-        argv = ["verify", "--ineq", "reverse", "--theta", "2", "--spectrum=1e300,1.7e308",
-                "--dim", "2"]
-        assert main(argv) == 2
+    x, spec = np.full((2, 2), 1e308), Schatten(1)
+    for kernel, f, theta, variant in (("reverse", None, 2.0, "power"),
+                                      ("main", F.power(0.5), 0.5, None)):
+        with pytest.raises(DomainError) as overflowed:
+            one_record(kernel, f, theta, 1.0, spec, x, np.zeros((2, 2)), variant=variant)
+        assert str(overflowed.value) == "a matrix of the trial leaves the float range (not finite)"
+    config = _fixed_pair_campaign("inverse", [1e200, 1e201])
+    f = F.parse_function_spec(config.function)
+    entries = campaign._entries(config, f, campaign._kernel_cells(config))
+    for trials, _, _, outcomes in campaign._stacks(config, 2, entries, f):
+        for idx in np.ndindex(outcomes.ok.shape):
+            assert not outcomes.ok[idx]
+            assert type(outcomes.error(idx)) is DomainError
+    message = "spower:0.5 has no finite inverse within rounding of 1e+200"
+    with pytest.raises(DomainError) as replayed:
+        campaign.replay(config, 0, 0)
+    assert str(replayed.value) == message
+    argv = ["verify", "--ineq", "inverse", "--f", "spower:0.5", "--theta", "2",
+            "--spectrum=1e200,1e201", "--dim", "2"]
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"all 1 trial(s) failed; trial 0: DomainError: {message}\n"
 
 
