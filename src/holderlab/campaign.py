@@ -25,7 +25,7 @@ from .ensembles import (
     SeedState,
     gaussian_hermitian,
     ginibre,
-    inputs_per_trial,
+    sample_ensemble,
 )
 from .errors import HolderLabError, ParameterError
 from .functions import parse_function_spec
@@ -110,8 +110,8 @@ class CampaignConfig:
 
     def _check_ensemble(self):
         """Reject an ensemble the verifier does not draw from or a key its
-        draw does not read, then draw once per distinct dim from the reserved
-        stream (seed, 2), so the draw's own checks judge the values."""
+        draw does not read, then run its check once per distinct dim, which
+        judges the values without a draw."""
         names = VERIFIERS[self.verifier].ensembles
         ens = _ensemble(self.verifier, self.ensemble)
         if ens["name"] not in names:
@@ -119,13 +119,13 @@ class CampaignConfig:
                 f"ensemble name {ens['name']!r} is not drawn by verifier "
                 f"{self.verifier!r}, which draws from {names}"
             )
-        draw, keys = ENSEMBLES[ens["name"]]
+        check, _, keys = ENSEMBLES[ens["name"]]
         bad = sorted(set(ens) - {"name", *keys})
         if bad:
             raise ParameterError(f"ensemble {ens['name']!r} reads only {keys}, not {bad}")
         for dim in sorted(set(self.dims)):
             try:
-                kinds, _, _ = draw(dim, [SeedState(self.seed, (2,))], ens)
+                kinds = check(dim, ens)
             except (ParameterError, TypeError, ValueError) as exc:
                 raise ParameterError(f"ensemble {ens['name']!r} at dim {dim}: {exc}") from exc
             if VERIFIERS[self.verifier].positive and set(kinds) != {"pos"}:
@@ -357,8 +357,8 @@ def _entries(config: CampaignConfig, f, cells) -> list:
 
 def _trial_seed(config: CampaignConfig, dim, trial: int) -> SeedState:
     """The sub-seed trial ``trial`` draws its inputs from at ``dim``, shared
-    by every cell of that dim; tag 3 keeps it apart from the load draw (2)
-    and refinement (1)."""
+    by every cell of that dim; tag 3 keeps it apart from refinement (1), and
+    tag 2 is reserved: nothing draws from it."""
     return SeedState(config.seed, (3, dim, trial))
 
 
@@ -409,8 +409,7 @@ def _draw(config: CampaignConfig, dim, trials):
     trial draws from its own sub-seed, so its inputs are the same bits
     whichever trials are drawn with it."""
     ens = _ensemble(config.verifier, config.ensemble)
-    draw, _ = ENSEMBLES[ens["name"]]
-    return draw(dim, [_trial_seed(config, dim, t) for t in trials], ens)
+    return sample_ensemble(ens, dim, [_trial_seed(config, dim, t) for t in trials])
 
 
 def _stacks(config: CampaignConfig, dim, entries, f, trials=None):
@@ -418,10 +417,11 @@ def _stacks(config: CampaignConfig, dim, entries, f, trials=None):
     ``dim`` in the cells of ``entries``, valid cells of that dim: the trials
     of the stack, the kinds of their inputs, the inputs (T, k, n, n) and the
     Outcomes (cells, T).  All trials, or the listed ``trials`` in that order,
-    are drawn once for all the cells, in stacks of _stack_size(dim, inputs)."""
+    are drawn once for all the cells, in stacks of _stack_size(dim, inputs)
+    for the ensemble's number of inputs per trial."""
     ens = _ensemble(config.verifier, config.ensemble)
     trials = range(config.trials) if trials is None else trials
-    size = _stack_size(dim, inputs_per_trial(ens, dim))
+    size = _stack_size(dim, len(ENSEMBLES[ens["name"]].check(dim, ens)))
     for start in range(0, len(trials), size):
         chunk = trials[start : start + size]
         kinds, stack, dec = _draw(config, dim, chunk)

@@ -36,13 +36,19 @@ def _seed_default() -> int:
 
 
 def _atomic_write(path: str, text: str):
+    """Write ``text`` to a temporary file beside ``path``, then replace
+    ``path`` by it; the file gets the mode a plain open gives, 0o666 less the
+    umask, where mkstemp's is 0o600."""
     import tempfile
 
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

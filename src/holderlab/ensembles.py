@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,11 +72,22 @@ def gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 def rank_r_steps(dim: int, r: int, magnitudes_range, rng: np.random.Generator):
     """B Gaussian Hermitian plus r orthogonal rank-one steps (x_k, e_k) with
     |x_k| log-uniform over the range and random sign."""
+    _check_steps(dim, r, magnitudes_range)
+    return _steps(dim, r, magnitudes_range, rng)
+
+
+def _check_steps(dim, r, magnitudes_range):
+    """rank_r_steps' checks: r at most dim and 0 < lo <= hi < inf."""
     if r > dim:
         raise ParameterError(f"rank {r} exceeds dimension {dim}")
     lo, hi = magnitudes_range
-    if not (0 < lo <= hi):
+    if not (0 < lo <= hi < np.inf):
         raise ParameterError(f"bad magnitudes range {magnitudes_range}")
+
+
+def _steps(dim, r, magnitudes_range, rng):
+    """rank_r_steps without its checks."""
+    lo, hi = magnitudes_range
     b = gaussian_hermitian(dim, rng)
     frame = haar_unitary(dim, rng)
     mags = np.exp(rng.uniform(np.log(lo), np.log(hi), size=r))
@@ -127,78 +139,115 @@ def sample_schur_instances(dim: int, lambda_range, mu_range, seeds):
 
 # --- the named ensembles of a campaign config -------------------------------------
 #
-# Each draw maps (dim, seeds, ensemble dict) to the structure of a verifier's
-# inputs, one kind per input ("herm", "pos", "general", "contraction" or
-# "step", so that a campaign's refinement knows how to perturb them), the
-# inputs of every seed as one complex array (len(seeds), k, n, n) in seed
-# order, and the SpectralDecomposition they were built from (positive_pair,
-# fixed_pair and commuting_pair, through sample_spectral_inputs), else None.
-# A draw reads only the config keys its entry lists, and its ParameterError
-# checks define which values are valid.  The public functions are looked up
-# as module globals when a draw runs, so rebinding them (a tracer, a test's
-# spy) reaches the draws.
+# Each entry of ENSEMBLES pairs a check with a draw.  The check (dim, ens) ->
+# kinds raises the ParameterError that makes the ensemble dict ``ens``
+# invalid at this dim, and otherwise returns the kinds of a trial's inputs
+# ("herm", "pos", "general", "contraction" or "step", so that a campaign's
+# refinement knows how to perturb them); it draws nothing, so a config checks
+# its ensemble at load without a draw.  The draw (dim, seeds, ens) -> (stack,
+# dec) runs on a checked ens: it draws the inputs of every seed as one complex
+# array (len(seeds), len(kinds), n, n) in seed order, and dec is the
+# SpectralDecomposition they were built from (positive_pair, fixed_pair and
+# commuting_pair), else None.  Both read only the config keys their entry
+# lists.  sample_ensemble runs the check once per stack, then the draw; the
+# public functions a draw calls are looked up as module globals when it runs,
+# so rebinding them (a tracer, a test's spy) reaches the draws.
 
 POSITIVE_SPECTRUM_RANGE = (0.0, 1.0)  # of positive_pair without a spectrum_range
 
 
+class Ensemble(NamedTuple):
+    check: Callable
+    draw: Callable
+    keys: tuple  # the config keys besides "name" that the check and the draw read
+
+
+def sample_ensemble(ens: dict, dim: int, seeds):
+    """The kinds, the stack (len(seeds), k, n, n) and the decomposition, or
+    None, of the inputs that the ensemble ``ens`` (its dict with its name)
+    draws from each of ``seeds`` at ``dim``, once its check has passed."""
+    check, draw, _ = ENSEMBLES[ens["name"]]
+    return (check(dim, ens), *draw(dim, seeds, ens))
+
+
+def _kinds(*kinds):
+    """The check of an ensemble that reads no config key."""
+
+    def check(dim, ens):
+        _check_dim(dim)
+        return kinds
+
+    return check
+
+
 def _per_seed(draw):
-    """The stacked draw of a draw (dim, seed, ens) -> tagged inputs of one
-    seed: each seed makes its draws in turn, and the stack holds each seed's
+    """The stacked draw of a draw (dim, seed, ens) -> the inputs of one seed:
+    each seed makes its draws in turn, and the stack holds each seed's
     inputs."""
 
     def stacked(dim, seeds, ens):
-        drawn = [draw(dim, seed, ens) for seed in seeds]
-        stack = np.array([[m for _, m in inp] for inp in drawn])
-        return tuple(kind for kind, _ in drawn[0]), stack, None
+        return np.array([draw(dim, seed, ens) for seed in seeds]), None
 
     return stacked
 
 
-def sample_spectral_inputs(draw, dim: int, seeds, ens):
-    """The kinds, the stack (len(seeds), k, n, n) and the SpectralDecomposition
-    of inputs built from a spectrum and a Haar basis: ``draw(dim, rng, ens)``
-    gives one seed's kinds, ascending spectra (k, n) and the Gaussian draws
-    (k, 2, n, n) of its bases' Ginibre matrices; the QR, phase and
-    reconstruction then run once over the stack."""
+def _spectral(lam, z):
+    """The stack and the SpectralDecomposition of inputs with the ascending
+    spectra lam (T, k, n) in the Haar bases of the Gaussian draws z (T, k, 2,
+    n, n) of their Ginibre matrices: the QR, phase and reconstruction run
+    once over the stack."""
+    dec = SpectralDecomposition(lam, _unitary_from_ginibre(_complex_gaussian(z)))
+    return dec.matrix(), dec
+
+
+def _check_positive_pair(dim, ens):
     _check_dim(dim)
-    kinds, lam, z = zip(*(draw(dim, seed.rng(), ens) for seed in seeds))
-    bases = _unitary_from_ginibre(_complex_gaussian(np.array(z)))
-    dec = SpectralDecomposition(np.array(lam), bases)
-    return kinds[0], dec.matrix(), dec
-
-
-def _positive_pair(dim, rng, ens):
-    """Two spectra uniform on the range, each followed by its basis' draws."""
     lo, hi = spectrum_range = ens.get("spectrum_range", POSITIVE_SPECTRUM_RANGE)
     if not (0 <= lo < hi < np.inf):
         raise ParameterError(f"bad positive spectrum range {spectrum_range}")
-    lam, z = np.empty((2, dim)), np.empty((2, 2, dim, dim))
-    for j in range(2):
-        lam[j] = rng.uniform(lo, hi, dim)
-        rng.standard_normal(out=z[j])  # the draws of ginibre(dim, rng)
-    return ("pos", "pos"), np.sort(lam, axis=-1), z
+    return ("pos", "pos")
+
+
+def _positive_pair(dim, seeds, ens):
+    """Per seed two spectra uniform on the range, each followed by its
+    basis' draws."""
+    lo, hi = ens.get("spectrum_range", POSITIVE_SPECTRUM_RANGE)
+    u, z = np.empty((len(seeds), 2, dim)), np.empty((len(seeds), 2, 2, dim, dim))
+    for i, seed in enumerate(seeds):
+        rng = seed.rng()
+        for j in range(2):
+            rng.random(out=u[i, j])
+            rng.standard_normal(out=z[i, j])  # the draws of ginibre(dim, rng)
+    lam = lo + (hi - lo) * u  # the bits of rng.uniform(lo, hi, dim)
+    lam.sort(axis=-1)
+    return _spectral(lam, z)
 
 
 def _gaussian_pairs(dim, seeds, ens):
     """Two gaussian_hermitian matrices per seed, one array (len(seeds), 2, n, n)."""
     g = sample_ginibre_pairs(dim, seeds)
-    return ("herm", "herm"), 0.5 * (g + g.conj().swapaxes(-1, -2)), None
+    return 0.5 * (g + g.conj().swapaxes(-1, -2)), None
 
 
 def _general_pairs(dim, seeds, ens):
     """Two ginibre matrices per seed, one array (len(seeds), 2, n, n)."""
-    return ("general", "general"), sample_ginibre_pairs(dim, seeds), None
+    return sample_ginibre_pairs(dim, seeds), None
 
 
-def _commuting_pair(dim, rng, ens):
-    """Two Gaussian spectra in one Haar basis."""
-    z = rng.standard_normal((2, dim, dim))
-    lam = [np.sort(rng.standard_normal(dim)) for _ in range(2)]
-    return ("herm", "herm"), lam, (z, z)
+def _commuting_pair(dim, seeds, ens):
+    """Per seed one Haar basis' draws, then two Gaussian spectra in it."""
+    lam, z = np.empty((len(seeds), 2, dim)), np.empty((len(seeds), 2, 2, dim, dim))
+    for i, seed in enumerate(seeds):
+        rng = seed.rng()
+        rng.standard_normal(out=z[i, 0])
+        z[i, 1] = z[i, 0]
+        rng.standard_normal(out=lam[i])  # the draws of two standard_normal(dim) calls
+    lam.sort(axis=-1)
+    return _spectral(lam, z)
 
 
-def _fixed_pair(dim, rng, ens):
-    """Two matrices with the given spectrum, each in its own Haar basis."""
+def _check_fixed_pair(dim, ens):
+    _check_dim(dim)
     eigenvalues = ens.get("eigenvalues")
     if (
         not isinstance(eigenvalues, (list, tuple))
@@ -212,8 +261,18 @@ def _fixed_pair(dim, rng, ens):
             f"eigenvalues must be a list of {dim} finite numbers, got {eigenvalues!r}"
         )
     kind = "pos" if min(eigenvalues) >= 0 else "herm"
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    return (kind, kind), (lam, lam), rng.standard_normal((2, 2, dim, dim))
+    return (kind, kind)
+
+
+def _fixed_pair(dim, seeds, ens):
+    """Per seed two matrices with the given spectrum, each in its own Haar
+    basis."""
+    lam = np.empty((len(seeds), 2, dim))
+    lam[...] = np.sort(np.asarray(ens.get("eigenvalues"), dtype=float))
+    z = np.empty((len(seeds), 2, 2, dim, dim))
+    for i, seed in enumerate(seeds):
+        seed.rng().standard_normal(out=z[i])
+    return _spectral(lam, z)
 
 
 def _hermitian_contraction(count):
@@ -221,48 +280,50 @@ def _hermitian_contraction(count):
     Ginibre matrix from the seed's child stream 1, scaled to norm 1."""
 
     def draw(dim, seed, ens):
-        _check_dim(dim)
         rng = seed.rng()
-        herms = [("herm", gaussian_hermitian(dim, rng)) for _ in range(count)]
+        herms = [gaussian_hermitian(dim, rng) for _ in range(count)]
         g = ginibre(dim, seed.child(1).rng())
-        return herms + [("contraction", g / op_norm(g))]
+        return herms + [g / op_norm(g)]
 
     return draw
 
 
-def _rank(dim, ens):
-    """The number of rank-one steps of a rank_one_steps draw at this dim."""
-    r = ens.get("rank", min(dim, 3))
+def _rank_one_steps_args(dim, ens):
+    """The magnitudes range and the rank of a rank_one_steps draw at this dim."""
+    lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
+    return (lo, hi), ens.get("rank", min(dim, 3))
+
+
+def _check_rank_one_steps(dim, ens):
+    magnitudes_range, r = _rank_one_steps_args(dim, ens)
     if isinstance(r, bool) or not isinstance(r, Integral) or r < 1:
         raise ParameterError(f"rank must be an integer >= 1, got {r!r}")
-    return r
+    _check_steps(dim, r, magnitudes_range)
+    return ("herm",) + ("step",) * r
 
 
 def _rank_one_steps(dim, seed, ens):
     """B and the rank-one steps x_k e_k of a finite-rank telescope."""
-    lo, hi = ens.get("magnitudes_range", [1e-2, 1.0])
-    b, xs, es = rank_r_steps(dim, _rank(dim, ens), (lo, hi), seed.rng())
+    magnitudes_range, r = _rank_one_steps_args(dim, ens)
+    b, xs, es = _steps(dim, r, magnitudes_range, seed.rng())
     # (e + e*)/2 is exactly Hermitian, so a verifier's symmetrization keeps
     # each step's bits
-    return [("herm", b)] + [("step", x * (0.5 * (e + e.conj().T))) for x, e in zip(xs, es)]
+    return [b] + [x * (0.5 * (e + e.conj().T)) for x, e in zip(xs, es)]
 
 
-# name -> (draw, the config keys besides "name" that the draw reads)
 ENSEMBLES = {
-    "gaussian_pair": (_gaussian_pairs, ()),
-    "positive_pair": (lambda *a: sample_spectral_inputs(_positive_pair, *a), ("spectrum_range",)),
-    "general_pair": (_general_pairs, ()),
-    "commuting_pair": (lambda *a: sample_spectral_inputs(_commuting_pair, *a), ()),
-    "fixed_pair": (lambda *a: sample_spectral_inputs(_fixed_pair, *a), ("eigenvalues",)),
-    "hermitian_contraction": (_per_seed(_hermitian_contraction(1)), ()),
-    "hermitian_pair_contraction": (_per_seed(_hermitian_contraction(2)), ()),
-    "rank_one_steps": (_per_seed(_rank_one_steps), ("rank", "magnitudes_range")),
+    "gaussian_pair": Ensemble(_kinds("herm", "herm"), _gaussian_pairs, ()),
+    "positive_pair": Ensemble(_check_positive_pair, _positive_pair, ("spectrum_range",)),
+    "general_pair": Ensemble(_kinds("general", "general"), _general_pairs, ()),
+    "commuting_pair": Ensemble(_kinds("herm", "herm"), _commuting_pair, ()),
+    "fixed_pair": Ensemble(_check_fixed_pair, _fixed_pair, ("eigenvalues",)),
+    "hermitian_contraction": Ensemble(
+        _kinds("herm", "contraction"), _per_seed(_hermitian_contraction(1)), ()
+    ),
+    "hermitian_pair_contraction": Ensemble(
+        _kinds("herm", "herm", "contraction"), _per_seed(_hermitian_contraction(2)), ()
+    ),
+    "rank_one_steps": Ensemble(
+        _check_rank_one_steps, _per_seed(_rank_one_steps), ("rank", "magnitudes_range")
+    ),
 }
-
-
-def inputs_per_trial(ens: dict, dim: int) -> int:
-    """The number of matrices the draw of the ensemble ``ens`` (its dict with
-    its name) stacks per trial at this dim."""
-    if ens["name"] == "rank_one_steps":
-        return 1 + _rank(dim, ens)
-    return 3 if ens["name"] == "hermitian_pair_contraction" else 2

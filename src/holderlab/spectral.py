@@ -43,9 +43,8 @@ def hermitian_stack(a, tol: float = HERMITIAN_TOL):
     """Hermitian check on a stack (..., n, n): returns the symmetrizations
     (a + a*)/2, the per-item ok mask, and a function from the index of an
     item to its DomainError.  An item is ok when its deviation max|a - a*| is
-    within ``tol`` times its scale max(1, max|a|).  A stack with an entry of
-    modulus 2^1023 or more, where a + a* may leave the float range, is
-    symmetrized as a/2 + a*/2, which differs only where a half is subnormal."""
+    within ``tol`` times its scale max(1, max|a|).  The symmetrization is
+    _symmetrized's, so it stays in the float range."""
     m = np.asarray(a, dtype=complex)
     mh = np.swapaxes(m.conj(), -1, -2)
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
@@ -57,11 +56,17 @@ def hermitian_stack(a, tol: float = HERMITIAN_TOL):
             f"{scale[idx]:.3e}"
         )
 
-    if scale.max(initial=0.0) < 2.0 ** 1023:
-        h = 0.5 * (m + mh)
-    else:
-        h = 0.5 * m + 0.5 * mh
-    return h, ~(dev > tol * scale), error
+    return _symmetrized(m, mh, scale.max(initial=0.0)), ~(dev > tol * scale), error
+
+
+def _symmetrized(m, mh, top) -> np.ndarray:
+    """(m + mh)/2 for a stack m (..., n, n) and its adjoint mh, where the
+    entries of m have moduli at most ``top`` but for rounding: from top
+    2^1022 on, where m + mh may leave the float range, m/2 + mh/2, which
+    differs only where a half is subnormal."""
+    if top < 2.0 ** 1022:
+        return 0.5 * (m + mh)
+    return 0.5 * m + 0.5 * mh
 
 
 def as_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -165,9 +170,13 @@ def apply_stack(f, dec: SpectralDecomposition):
     with np.errstate(all="ignore"):  # f: a ScalarFunction-like object or a plain callable
         fv = np.asarray(getattr(f, "eval", f)(dec.eigenvalues), dtype=complex)
     finite = np.isfinite(fv)
-    out = from_eigen(dec.basis, np.where(finite, fv, 0.0))
+    values = np.where(finite, fv, 0.0)
+    out = from_eigen(dec.basis, values)
     real = np.abs(fv.imag).max(axis=-1, initial=0.0) == 0.0
-    out = np.where(real[..., None, None], 0.5 * (out + np.swapaxes(out.conj(), -1, -2)), out)
+    # the entries of U f U* have moduli at most max|f|
+    top = np.abs(values).max(initial=0.0)
+    hermitian = _symmetrized(out, np.swapaxes(out.conj(), -1, -2), top)
+    out = np.where(real[..., None, None], hermitian, out)
 
     def error(idx):
         bad = dec.eigenvalues[idx][~finite[idx]]
@@ -203,7 +212,8 @@ def abs_matrix(x) -> np.ndarray:
         raise ShapeError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     _, s, vh = np.linalg.svd(m)
     out = (np.swapaxes(vh.conj(), -1, -2) * s[..., None, :]) @ vh
-    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
+    # the entries of V* s V have moduli at most max s
+    return _symmetrized(out, np.swapaxes(out.conj(), -1, -2), s.max(initial=0.0))
 
 
 def cayley(b) -> np.ndarray:

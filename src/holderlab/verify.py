@@ -298,9 +298,13 @@ def _scaled_sides(entries, sv) -> tuple:
     return first, second, np.array([factor for _, _, factor in entries])[:, None]
 
 
-def _difference_profiles(h, fh) -> np.ndarray:
-    """The profiles of f(X) - f(Y) and X - Y, (T, 2, n)."""
-    return _hermitian_profiles(fh[:, 0] - fh[:, 1], h[:, 0] - h[:, 1])
+def _difference_profiles(*pairs) -> np.ndarray:
+    """_hermitian_profiles of the differences pairs[:, 0] - pairs[:, 1] of
+    stacks of pairs (T, 2, n, n), (T, len(pairs), n); a difference that
+    leaves the float range fails its trial there."""
+    with np.errstate(over="ignore"):
+        differences = [m[:, 0] - m[:, 1] for m in pairs]
+    return _hermitian_profiles(*differences)
 
 
 # --- the difference estimates ---------------------------------------------------
@@ -339,12 +343,12 @@ def verify_bks_stack(f, entries, stack, dec=None) -> Outcomes:
     X^theta - Y^theta and one |X - Y|^theta every cell of that theta."""
     h, dec, recon, _, row = _front(stack, _positive(psd_stack, "XY", "must be"), (3,), dec=dec)
     lam = dec.eigenvalues
-    difference = _hermitian_profiles(recon[:, 0] - recon[:, 1])[:, 0]
+    difference = _difference_profiles(recon)[:, 0]
 
     def powered_profiles(theta):
         with np.errstate(all="ignore"):  # pairs that are not ok may hold garbage
             powered = from_eigen(dec.basis, np.clip(lam, 0.0, None) ** theta)
-        return _hermitian_profiles(powered[:, 0] - powered[:, 1])[:, 0]
+        return _difference_profiles(powered)[:, 0]
 
     lhs, rhs = _norm_rows(entries, powered_profiles, lambda theta: difference ** theta)
     return Outcomes.judged(row, lhs, rhs, stack)
@@ -373,7 +377,7 @@ def verify_submaj_stack(f, entries, stack, dec=None) -> Outcomes:
     p-th power), and its lhs and rhs are the partial sums of lower and upper
     where their ratio peaks (the totals when c is 0 or infinite)."""
     h, _, _, fh, row = _front(stack, functools.partial(apply_stack, f), dec=dec)
-    sv = _difference_profiles(h, fh)
+    sv = _difference_profiles(fh, h)
     profiles = np.empty((2, len(entries), *h.shape[::2]))
     for c, (p, theta, sem) in enumerate(entries):
         bases = np.stack([sem * sv[:, 1] ** theta, sv[:, 0]])
@@ -399,7 +403,7 @@ def verify_symmetric_stack(f, entries, stack, dec=None) -> Outcomes:
     the checks of verify_submaj_stack; one SVD of f(X) - f(Y) and X - Y
     serves every cell."""
     h, _, _, fh, row = _front(stack, functools.partial(apply_stack, f), dec=dec)
-    sv = _difference_profiles(h, fh)
+    sv = _difference_profiles(fh, h)
     lhs, rhs, sems = _scaled_sides(entries, sv)
     return Outcomes.judged(row, lhs, sems * rhs, h)
 
@@ -454,7 +458,7 @@ def verify_inverse_stack(f, entries, stack, dec=None) -> Outcomes:
     then per matrix its reconstruction and inverse_apply's check.  One
     inverse_apply and one SVD serve every cell."""
     h, _, _, inv, row = _front(stack, functools.partial(inverse_apply, f), dec=dec)
-    sv = _hermitian_profiles(inv[:, 0] - inv[:, 1], h[:, 0] - h[:, 1])
+    sv = _difference_profiles(inv, h)
     lhs, rhs, factors = _scaled_sides(entries, sv)
     return Outcomes.judged(row, factors * lhs, rhs, h)
 
@@ -487,7 +491,7 @@ def verify_reverse_stack(f, entries, stack, dec=None) -> Outcomes:
     expm1 = any(variant == "expm1" for _, _, variant in entries)
     apply = functools.partial(apply_stack, signed_expm1()) if expm1 else None
     h, dec, _, image, row = _front(stack, apply, dec=dec)
-    difference = _hermitian_profiles(h[:, 0] - h[:, 1])[:, 0]
+    difference = _difference_profiles(h)[:, 0]
     e = np.frexp(np.abs(dec.eigenvalues).max(axis=(-2, -1)))[1]
 
     def scaled(x, theta):
@@ -504,7 +508,7 @@ def verify_reverse_stack(f, entries, stack, dec=None) -> Outcomes:
             lam = scaled(dec.eigenvalues, theta)
             with np.errstate(over="ignore", invalid="ignore"):
                 g = from_eigen(dec.basis, np.sign(lam) * np.abs(lam) ** theta)
-        return _hermitian_profiles(g[:, 0] - g[:, 1])[:, 0]
+        return _difference_profiles(g)[:, 0]
 
     def powered_difference(key):
         theta, variant = key
@@ -559,7 +563,8 @@ def verify_absmap_stack(f, entries, stack, dec=None) -> Outcomes:
     A + B and A - B serves every cell."""
     absolute = abs_matrix(stack)
     a, b = stack[:, 0], stack[:, 1]
-    sv = _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
+    with np.errstate(over="ignore"):  # a matrix that leaves the float range gives NaN norms
+        sv = _profiles(absolute[:, 0] - absolute[:, 1], a + b, a - b)
     lhs, plus, minus = _norm_rows(entries, *(lambda _, k=k: sv[:, k] for k in range(3)))
     row = (np.ones(len(stack), dtype=bool), None)
     return Outcomes.judged(row, lhs, _geometric_mean(plus, minus), stack)

@@ -15,7 +15,7 @@ from holderlab.campaign import (
     run_campaign,
 )
 from holderlab.cli import main
-from holderlab.ensembles import ENSEMBLES, SeedState
+from holderlab.ensembles import ENSEMBLES, SeedState, sample_ensemble
 from holderlab.errors import ParameterError
 from holderlab.norms import KyFan, Schatten
 from holderlab.verify import REVERSE_VARIANTS, VerificationRecord
@@ -354,6 +354,30 @@ def test_a_clean_rerun_removes_stale_counterexamples(monkeypatch, tmp_path, caps
     assert not (out / "counterexamples.json").exists()
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     assert sorted(os.path.basename(o) for o in outputs) == ["report.csv", "report.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_campaign_outputs_get_the_mode_of_a_plain_open(umask, monkeypatch, tmp_path, capsys):
+    # the atomic writes keep the umask's mode, not mkstemp's 0o600, for all
+    # four outputs (a forced claim writes counterexamples.json)
+    import holderlab.campaign as camp
+
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(small_config(dims=(4,), trials=3).to_dict()))
+    forced = dataclasses.replace(camp.VERIFIERS["bks"], claim=lambda spec, p: -np.inf)
+    monkeypatch.setitem(camp.VERIFIERS, "bks", forced)
+    old = os.umask(umask)
+    try:
+        (tmp_path / "plain").write_text("")
+        assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    finally:
+        os.umask(old)
+    want = (tmp_path / "plain").stat().st_mode & 0o777
+    assert want == 0o666 & ~umask
+    names = ["counterexamples.json", "manifest.json", "report.csv", "report.json"]
+    assert sorted(os.listdir(tmp_path / "out")) == names
+    for name in names:
+        assert (tmp_path / "out" / name).stat().st_mode & 0o777 == want, name
 
 
 def test_cli_mpnorm_alpha(capsys):
@@ -811,8 +835,7 @@ def test_cli_verify_p_th_power_norms_do_not_overflow(capsys):
 
 
 def test_reverse_kernel_dispatches_variants():
-    draw, _ = ENSEMBLES["gaussian_pair"]
-    _, stack, _ = draw(4, [SeedState(3)], {})
+    _, stack, _ = sample_ensemble({"name": "gaussian_pair"}, 4, [SeedState(3)])
     x, y = stack[0]
     for variant in REVERSE_VARIANTS:
         kernel = getattr(hl.verify, VERIFIERS["reverse"].kernel)
@@ -896,21 +919,66 @@ def test_verifiers_draw_from_the_table():
     assert VERIFIERS["telescope"].ensembles == ("rank_one_steps",)
 
 
-def test_config_draws_once_per_dim_from_the_reserved_stream(monkeypatch):
-    real, keys = ENSEMBLES["gaussian_pair"]
-    calls = []
+def test_cli_campaign_infinite_magnitudes_range_exits_2(tmp_path, capsys):
+    # an infinite end of the range passed the check 0 < lo <= hi, and the
+    # draw ended in an OverflowError; a finite end as large as 1e308 runs
+    raw = (
+        '{"verifier": "telescope", "function": "log1p", "thetas": [0.5], "ps": [1.0], '
+        '"norms": ["-"], "dims": [4], "trials": 3, "seed": 1, '
+        '"ensemble": {"name": "rank_one_steps", "magnitudes_range": [0.01, %s]}}'
+    )
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(raw % "1e999")
+    assert main(["campaign", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad magnitudes range (0.01, inf)" in err and "Traceback" not in err
+    assert not out.exists()
+    cfg_path.write_text(raw % "1e308")
+    assert main(["campaign", str(cfg_path), "--out", str(out)]) == 0
 
-    def spy(dim, seeds, ens):
-        calls.append((dim, seeds, ens))
-        return real(dim, seeds, ens)
 
-    monkeypatch.setitem(ENSEMBLES, "gaussian_pair", (spy, keys))
-    cfg = small_config(**MAIN, dims=(3, 1, 3), seed=5)
-    assert calls == [(d, [SeedState(5, (2,))], {"name": "gaussian_pair"}) for d in (1, 3)]
-    calls.clear()
-    run_campaign(dataclasses.replace(cfg, trials=2))
-    # the trial streams, and the load check of the replaced config
-    assert {seed.path[0] for _, seeds, _ in calls for seed in seeds} == {2, 3}
+# per ensemble, a valid config that draws from it
+LOAD_CONFIGS = {
+    "gaussian_pair": MAIN,
+    "positive_pair": {"ensemble": {"spectrum_range": [0.5, 2.0]}},
+    "general_pair": {"verifier": "absmap"},
+    "commuting_pair": MAIN,
+    "fixed_pair": {"dims": (3,), "ensemble": {"eigenvalues": [0.0, 1.0, 1.0]}},
+    "hermitian_contraction": {"verifier": "commutator", "function": "power:0.5"},
+    "hermitian_pair_contraction": {"verifier": "quasicommutator", "function": "power:0.5"},
+    "rank_one_steps": {"verifier": "telescope", "function": "power:0.5"},
+}
+
+
+def test_config_checks_its_ensemble_at_load_without_a_draw(monkeypatch):
+    # the load check draws nothing, from any stream; the trials draw from
+    # their own streams (seed, 3, dim, t) only
+    rngs, draws = [], []
+    real_rng = SeedState.rng
+
+    def rng(seed):
+        rngs.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(SeedState, "rng", rng)
+    assert set(LOAD_CONFIGS) == set(ENSEMBLES)
+    for name, overrides in LOAD_CONFIGS.items():
+        entry = ENSEMBLES[name]
+
+        def spy(dim, seeds, ens, real=entry.draw):
+            draws.append(seeds)
+            return real(dim, seeds, ens)
+
+        monkeypatch.setitem(ENSEMBLES, name, entry._replace(draw=spy))
+        ens = {"name": name, **overrides.get("ensemble", {})}
+        cfg = small_config(**{"dims": (3, 1, 3), **overrides, "ensemble": ens, "seed": 5})
+        assert rngs == [] and draws == [], name
+        run_campaign(dataclasses.replace(cfg, trials=2))
+        paths = {seed.path for seeds in draws for seed in seeds}
+        assert paths == {(3, dim, t) for dim in set(cfg.dims) for t in range(2)}, name
+        assert {seed.path[0] for seed in rngs} == {3}, name
+        rngs.clear()
+        draws.clear()
 
 
 def test_nameless_ensemble_is_the_verifier_default():

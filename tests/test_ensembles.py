@@ -25,10 +25,15 @@ ENSEMBLE_CONFIGS = {
 SPECTRAL = ("positive_pair", "fixed_pair", "commuting_pair")
 
 
+def sample(name, dim, seeds, ens=None):
+    """The kinds, stack and decomposition that the entry draws for ``seeds``."""
+    ens = ENSEMBLE_CONFIGS[name](dim) if ens is None else ens
+    return E.sample_ensemble({"name": name, **ens}, dim, seeds)
+
+
 def draw(name, dim, seed, ens=None):
     """The tagged inputs that the entry draws for one seed."""
-    fn, _ = E.ENSEMBLES[name]
-    kinds, stack, _ = fn(dim, [seed], ENSEMBLE_CONFIGS[name](dim) if ens is None else ens)
+    kinds, stack, _ = sample(name, dim, [seed], ens)
     return list(zip(kinds, stack[0]))
 
 
@@ -65,15 +70,14 @@ def test_draws_read_only_their_keys(name):
             return super().get(key, default)
 
     read = set()
-    draw(name, 3, E.SeedState(1), Recording(ENSEMBLE_CONFIGS[name](3)))
-    assert read == set(E.ENSEMBLES[name][1])
+    E.sample_ensemble(Recording(name=name, **ENSEMBLE_CONFIGS[name](3)), 3, [E.SeedState(1)])
+    assert read == set(E.ENSEMBLES[name].keys)
 
 
 @pytest.mark.parametrize("name", sorted(ENSEMBLE_CONFIGS))
 def test_a_stack_of_seeds_draws_what_each_seed_draws(name):
     seeds = [E.SeedState(17, (0, 1, t)) for t in range(4)]
-    fn, _ = E.ENSEMBLES[name]
-    kinds, stack, dec = fn(3, seeds, ENSEMBLE_CONFIGS[name](3))
+    kinds, stack, dec = sample(name, 3, seeds)
     # every entry draws the stack as one complex array
     assert isinstance(stack, np.ndarray) and stack.dtype == np.complex128
     assert stack.shape == (len(seeds), len(kinds), 3, 3)
@@ -280,8 +284,7 @@ def test_entries_draw_what_the_old_samplers_drew(name, dim):
 def test_gaussian_pair_stacks_are_the_per_seed_draws(name, dim, count):
     # one array for the stack, each seed's slice the draws of its own generator
     seeds = [E.SeedState(17, (0, 3, t)) for t in range(count)]
-    fn, _ = E.ENSEMBLES[name]
-    kinds, stack, _ = fn(dim, seeds, {})
+    kinds, stack, _ = sample(name, dim, seeds, {})
     assert stack.shape == (count, 2, dim, dim) and stack.dtype == np.complex128
     for seed, pair in zip(seeds, stack):
         old = _old_pair(dim, seed, {"name": name})

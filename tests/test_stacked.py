@@ -22,7 +22,7 @@ import holderlab.campaign as camp
 import holderlab.verify as V
 from holderlab.campaign import CampaignConfig, replay, run_campaign
 from holderlab.cli import main as cli_main
-from holderlab.ensembles import ENSEMBLES, SeedState
+from holderlab.ensembles import ENSEMBLES, SeedState, sample_ensemble
 from holderlab.errors import (
     CapabilityError,
     DomainError,
@@ -317,8 +317,8 @@ def test_a_linalg_error_fails_only_its_trial(monkeypatch):
     config = _config("chunk-65", seed=303)
     real = V.verify_bks_stack
     # trial 5 is found by its inputs, wherever it sits in a stack
-    draw, _ = ENSEMBLES["positive_pair"]
-    _, (five,), _ = draw(8, [camp._trial_seed(config, 8, 5)], camp._ensemble("bks", None))
+    ens = camp._ensemble("bks", None)
+    _, (five,), _ = sample_ensemble(ens, 8, [camp._trial_seed(config, 8, 5)])
 
     def flaky(f, entries, pairs, dec):
         if any(np.array_equal(pair, five) for pair in pairs):
@@ -356,8 +356,8 @@ def test_a_linalg_error_in_one_cell_fails_only_that_cell(verifier, monkeypatch):
     entries = camp._entries(config, f, camp._kernel_cells(config))
     baseline, _ = run_campaign(config)
     real = getattr(V, camp.VERIFIERS[verifier].kernel)
-    draw, _ = ENSEMBLES[camp._ensemble(verifier, None)["name"]]
-    _, (five,), _ = draw(8, [camp._trial_seed(config, 8, 5)], camp._ensemble(verifier, None))
+    ens = camp._ensemble(verifier, None)
+    _, (five,), _ = sample_ensemble(ens, 8, [camp._trial_seed(config, 8, 5)])
     calls = []
 
     def flaky(f, cell_entries, stack, dec):
@@ -398,13 +398,13 @@ def test_a_linalg_error_in_one_cell_fails_only_that_cell(verifier, monkeypatch):
 @pytest.mark.parametrize("spectrum_range", [(0.0, 1.0), (0.0, 1e-8), (1e7, 1e8)])
 def test_sampler_matches_per_seed_draws(dim, spectrum_range):
     seeds = [SeedState(9, (0, 4, t)) for t in range(5)]
-    draw, _ = ENSEMBLES["positive_pair"]
-    _, pairs, dec = draw(dim, seeds, {"spectrum_range": spectrum_range})
+    ens = {"name": "positive_pair", "spectrum_range": spectrum_range}
+    _, pairs, dec = sample_ensemble(ens, dim, seeds)
     assert pairs.shape == (5, 2, dim, dim)
     assert np.array_equal(from_eigen(dec.basis, dec.eigenvalues), pairs)
     lo, hi = spectrum_range
     for seed, pair in zip(seeds, pairs):
-        kinds, ((x, y),), _ = draw(dim, [seed], {"spectrum_range": spectrum_range})
+        kinds, ((x, y),), _ = sample_ensemble(ens, dim, [seed])
         assert kinds == ("pos", "pos")
         assert np.array_equal(x, pair[0]) and np.array_equal(y, pair[1])
         # the draws of two fixed_spectrum calls on one generator
@@ -415,10 +415,10 @@ def test_sampler_matches_per_seed_draws(dim, spectrum_range):
 
 
 def test_sampler_rejects_bad_specs():
-    draw, _ = ENSEMBLES["positive_pair"]
     for dim, spectrum_range in ((0, (0.0, 1.0)), (3, (1.0, 0.5)), (3, (-0.5, 1.0))):
+        ens = {"name": "positive_pair", "spectrum_range": spectrum_range}
         with pytest.raises(ParameterError):
-            draw(dim, [SeedState(1)], {"spectrum_range": spectrum_range})
+            sample_ensemble(ens, dim, [SeedState(1)])
 
 
 def _bks_per_matrix(theta, spec, x, y):
@@ -990,8 +990,7 @@ def test_a_kernels_rows_are_its_one_cell_runs(verifier):
     bad, message = BAD_CELL[verifier]
     cells = [good[0], bad, *good, good[1]]
     ens = camp._ensemble(verifier, None)
-    draw, _ = ENSEMBLES[ens["name"]]
-    _, stack, _ = draw(4, [SeedState(17, (t,)) for t in range(5)], ens)
+    _, stack, _ = sample_ensemble(ens, 4, [SeedState(17, (t,)) for t in range(5)])
     stack = stack.copy()
     stack[1, 0] += np.triu(np.ones((4, 4)), 1)
     # spower:0.5 inverts every trial that srational:1 cannot
@@ -1364,7 +1363,7 @@ def test_a_cells_records_do_not_depend_on_its_neighbours(verifier):
 
 
 def test_each_dim_and_trial_is_drawn_once_from_the_shared_stream(monkeypatch):
-    real, keys = ENSEMBLES["gaussian_pair"]
+    entry = ENSEMBLES["gaussian_pair"]
     config = CampaignConfig.from_dict(
         {"verifier": "symmetric", "function": "power:0.5", "thetas": [0.5, 0.9],
          "ps": [1.0, 0.5], "norms": ["schatten:1", "kyfan:2"], "dims": [3, 1, 3],
@@ -1374,9 +1373,9 @@ def test_each_dim_and_trial_is_drawn_once_from_the_shared_stream(monkeypatch):
 
     def spy(dim, seeds, ens):
         drawn.extend((dim, seed) for seed in seeds)
-        return real(dim, seeds, ens)
+        return entry.draw(dim, seeds, ens)
 
-    monkeypatch.setitem(ENSEMBLES, "gaussian_pair", (spy, keys))
+    monkeypatch.setitem(ENSEMBLES, "gaussian_pair", entry._replace(draw=spy))
     report, _ = run_campaign(config)
     assert len(report.cells) == 24
     assert sorted((dim, seed.path) for dim, seed in drawn) == sorted(
@@ -1468,15 +1467,15 @@ def test_stacks_hold_at_most_the_entry_budget(verifier, ensemble, dim, monkeypat
          "norms": ["schatten:1"], "dims": [dim], "trials": 40, "seed": 9, "ensemble": ensemble}
     )
     name = camp._ensemble(verifier, ensemble)["name"]
-    real, keys = ENSEMBLES[name]
+    entry = ENSEMBLES[name]
     stacks, eighs = [], []
 
     def draw(dim, seeds, ens):
-        kinds, stack, dec = real(dim, seeds, ens)
+        stack, dec = entry.draw(dim, seeds, ens)
         stacks.append(stack.shape)
-        return kinds, stack, dec
+        return stack, dec
 
-    monkeypatch.setitem(ENSEMBLES, name, (draw, keys))
+    monkeypatch.setitem(ENSEMBLES, name, entry._replace(draw=draw))
     _spy(monkeypatch, V, "eigh_stack", eighs)
     _spy(monkeypatch, S, "eigh_stack", eighs)
     run_campaign(config)
@@ -1850,18 +1849,18 @@ def _redraw(monkeypatch, config, defect):
     ``defect(eigenvalues (2, n), bases (2, n, n))`` -> (eigenvalues, bases),
     its inputs the products of what ``defect`` returns."""
     name = config.ensemble["name"]
-    real, keys = ENSEMBLES[name]
+    entry = ENSEMBLES[name]
 
     def draw(dim, seeds, ens):
-        kinds, stack, dec = real(dim, seeds, ens)
+        stack, dec = entry.draw(dim, seeds, ens)
         if seeds[0].path == (3, dim, 0):
             lam, basis = dec.eigenvalues.copy(), dec.basis.copy()
             lam[0], basis[0] = defect(lam[0], basis[0])
             dec = SpectralDecomposition(lam, basis)
             stack = from_eigen(basis, lam)
-        return kinds, stack, dec
+        return stack, dec
 
-    monkeypatch.setitem(ENSEMBLES, name, (draw, keys))
+    monkeypatch.setitem(ENSEMBLES, name, entry._replace(draw=draw))
 
 
 def _trial_0(config):

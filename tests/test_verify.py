@@ -384,7 +384,8 @@ def _run(config, action):
 
 FIXED_PAIR_CASES = [
     pytest.param(verifier, variant, eigenvalues, id=f"{verifier}-{variant}-{eigenvalues[0]:g}")
-    for eigenvalues in ([1e200, 1e201], [-1e200, 1e201])
+    for eigenvalues in ([1e200, 1e201], [-1e200, 1e201], [-1.7e308, 1.7e308], [1e300, 1.7e308],
+                        [709.0, 709.7])
     for verifier, spec in VERIFIERS.items()
     if "fixed_pair" in spec.ensembles and not (spec.positive and min(eigenvalues) < 0)
     for variant in (("power", "expm1") if verifier == "reverse" else ("power",))
@@ -408,6 +409,39 @@ def test_cli_verify_near_the_float_range_prints_its_message_alone(capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("all 1 trial(s) failed")
+
+
+FLOAT_RANGE = (
+    "all 1 trial(s) failed; trial 0: DomainError: "
+    "a matrix of the trial leaves the float range (not finite)\n"
+)
+EDGE_CALLS = {
+    # X - Y leaves the float range
+    "reverse": (["reverse", "--theta", "2", "--spectrum=-1.7e308,1.7e308"], 2, FLOAT_RANGE),
+    "main": (["main", "--f", "power:0.5", "--spectrum=-1.7e308,1.7e308"], 2, FLOAT_RANGE),
+    # (M + M*)/2 of a finite M = g(X) or |X| is taken as M/2 + M*/2; |X| -
+    # |Y| and X + Y then leave the float range
+    "reverse-expm1": (
+        ["reverse", "--variant", "expm1", "--theta", "2", "--spectrum=709,709.7"], 0, ""
+    ),
+    "absmap": (["absmap", "--spectrum=1e300,1.7e308"], 2,
+               "every ratio is NaN, since lhs and rhs are not finite (1 record(s))\n"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(EDGE_CALLS))
+def test_cli_verify_at_the_edge_of_the_float_range_prints_its_message_alone(call, capsys):
+    # each printed a numpy RuntimeWarning first (a traceback under -W
+    # error::RuntimeWarning, which the test suite sets)
+    from holderlab.cli import main
+
+    argv, code, err = EDGE_CALLS[call]
+    assert main(["verify", "--ineq", *argv, "--dim", "2"]) == code
+    out = capsys.readouterr()
+    assert out.err == err
+    if code == 0:
+        record = json.loads(out.out)
+        assert record["ratio"] == np.inf and 0.0 < record["rhs"] <= record["lhs"] < np.inf
 
 
 def test_a_matrix_outside_the_float_range_fails_its_trial_as_a_domain_error(capsys):
@@ -453,6 +487,25 @@ def test_reverse_power_ratios_do_not_depend_on_the_scale(scale, theta):
     for a, b in zip(run_campaign(want)[0].cells, run_campaign(config)[0].cells):
         assert b.failures == 0 and a.min_ratio > 0.0
         for key in ("max_ratio", "min_ratio", "q50", "q99"):
+            assert getattr(b, key) == pytest.approx(getattr(a, key), rel=64 * np.finfo(float).eps, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 1e200, 1e-200, 1e300, 1e-300])
+def test_bks_ratios_do_not_depend_on_the_scale(scale):
+    # X^theta - Y^theta and |X - Y|^theta are homogeneous of degree theta in
+    # (X, Y): the ratios on the spectra [0, scale] are those on [0, 1] within
+    # 64 ulps, the spectra themselves being scaled up to rounding
+    norms = ("schatten:1", "schatten:2", "schatten:3", "schatten:inf", "kyfan:2")
+    want = CampaignConfig(verifier="bks", thetas=(0.25, 0.5, 0.75), ps=(1.0,), norms=norms,
+                          dims=(2, 4, 8, 16), trials=50, seed=7,
+                          ensemble={"name": "positive_pair", "spectrum_range": [0.0, 1.0]})
+    config = dataclasses.replace(want, ensemble={"name": "positive_pair",
+                                                 "spectrum_range": [0.0, scale]})
+    report, counterexamples = run_campaign(config)
+    assert counterexamples == []
+    for a, b in zip(run_campaign(want)[0].cells, report.cells):
+        assert b.failures == 0 and a.min_ratio > 0.0
+        for key in ("max_ratio", "min_ratio", "q50"):
             assert getattr(b, key) == pytest.approx(getattr(a, key), rel=64 * np.finfo(float).eps, abs=0.0)
 
 

@@ -1,4 +1,4 @@
-"""Write the golden set: the deterministic outputs of 148 campaign configs,
+"""Write the golden set: the deterministic outputs of 156 campaign configs,
 25 ``holderlab verify`` calls and 44 other CLI calls, and print one sha256
 over all of them.
 
@@ -49,7 +49,11 @@ stack boundaries); the three perfbench campaign workloads at seeds 1-3; 14
 configs whose p-th powers overflow (main, submaj, symmetric, absmap, reverse,
 inverse and alt) and an absmap config whose ratios are partly NaN; main,
 submaj, alt and telescope grids with refinement; a cell with no ratio; a
-config with no valid cell; and refine_steps 5 and 6.  The
+config with no valid cell; refine_steps 5 and 6; and 8 configs refused at
+load by their ensemble: a positive_pair spectrum_range [1, 0] and [0,
+inf], a fixed_pair with too few eigenvalues, with an infinite one and with a
+negative one under bks, a rank_one_steps rank 0, a rank above the dim and a
+magnitudes_range [0, 1].  The
 verify calls run every verifier once, and once per kind of cell check that
 fails: theta out of range, a norm that is not fully symmetric, p out of
 range, a seminorm of an order f lacks, and an infinite seminorm; and with an
@@ -144,6 +148,26 @@ CONFIGS["telescope-dim-1"] = dict(CONFIGS["telescope-steps"], dims=[1])
 CONFIGS["telescope-p-0.5"] = dict(CONFIGS["telescope-steps"], ps=[0.5])
 
 
+STEPS = {"verifier": "telescope", "function": "power:0.5"}
+# ensembles that a config refuses at load, each writing its error.txt
+REFUSED = {
+    "positive-range-reversed": {"ensemble": {"name": "positive_pair", "spectrum_range": [1, 0]}},
+    "positive-range-infinite": {
+        "ensemble": {"name": "positive_pair", "spectrum_range": [0, math.inf]}
+    },
+    "fixed-miscounted": {"ensemble": {"name": "fixed_pair", "eigenvalues": [0.0, 1.0]}},
+    "fixed-infinite": {
+        "ensemble": {"name": "fixed_pair", "eigenvalues": [0.0, 1.0, 2.0, math.inf]}
+    },
+    "fixed-negative-for-bks": {"ensemble": {"name": "fixed_pair", "eigenvalues": [-1, 0, 1, 2]}},
+    "rank-0": {**STEPS, "ensemble": {"name": "rank_one_steps", "rank": 0}},
+    "rank-above-dim": {**STEPS, "ensemble": {"name": "rank_one_steps", "rank": 5}},
+    "magnitudes-range-from-0": {
+        **STEPS, "ensemble": {"name": "rank_one_steps", "magnitudes_range": [0, 1]}
+    },
+}
+
+
 def campaigns() -> dict:
     """Every golden campaign config by name."""
     out = {}
@@ -193,6 +217,11 @@ def campaigns() -> dict:
         out[f"refine-{steps}"] = {
             "verifier": "bks", "thetas": [0.5], "ps": [1.0], "norms": ["schatten:1", "kyfan:2"],
             "dims": [3, 8], "trials": 20, "seed": 9, "refine_steps": steps,
+        }
+    for name, cfg in REFUSED.items():
+        out[f"refused-{name}"] = {
+            "verifier": "bks", "thetas": [0.5], "ps": [1.0], "norms": ["schatten:1"],
+            "dims": [4], "trials": 4, "seed": 7, **cfg,
         }
     return out
 
