@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -36,19 +37,23 @@ def _seed_default() -> int:
 
 
 def _atomic_write(path: str, text: str):
-    """Write ``text`` to a temporary file beside ``path``, then replace
-    ``path`` by it; the file gets the mode a plain open gives, 0o666 less the
-    umask, where mkstemp's is 0o600."""
-    import tempfile
-
+    """Write ``text`` to a new temporary file beside ``path``, then replace
+    ``path`` by it.  The file is created with mode 0o666, which the kernel
+    reduces by the umask, so it gets the mode a plain open gives; a
+    temporary name already on disk (left by a killed run, say) is passed
+    over for the next."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    umask = os.umask(0)
-    os.umask(umask)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
+    for attempt in itertools.count():
+        tmp = os.path.join(d, f".tmp-{os.path.basename(path)}-{os.getpid()}-{attempt}.part")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except FileExistsError:
+            continue
+        break
     try:
         with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -139,7 +144,7 @@ def _no_ratio_reason(config, cell_idx, cell) -> str:
 
 
 def cmd_campaign(args) -> int:
-    from .campaign import CampaignConfig, run_campaign
+    from .campaign import CampaignConfig, indented_json, run_campaign
 
     try:
         fh = open(args.config)
@@ -165,16 +170,16 @@ def cmd_campaign(args) -> int:
     _atomic_write(csv_path, report.to_csv())
     payload = report.to_dict()
     payload["manifest"] = os.path.basename(manifest_path)
-    _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True))
+    _atomic_write(json_path, indented_json(payload))
     cx_path = os.path.join(out, "counterexamples.json")
     if counterexamples:
-        _atomic_write(cx_path, json.dumps(counterexamples, indent=2, sort_keys=True))
+        _atomic_write(cx_path, indented_json(counterexamples))
         outputs.append(cx_path)
     elif os.path.exists(cx_path):
         # a file left by an earlier run into this directory is not this run's
         os.remove(cx_path)
-    manifest = _manifest("campaign", args.argv, config.to_dict(), config.seed, outputs)
-    _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
+    manifest = _manifest("campaign", args.argv, payload["config"], config.seed, outputs)
+    _atomic_write(manifest_path, indented_json(manifest))
     print(f"wrote {csv_path} ({len(report.cells)} cells)")
     empty = [(i, c) for i, c in enumerate(report.cells) if c.argmax_digest == "none"]
     for i, c in empty:

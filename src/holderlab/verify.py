@@ -455,12 +455,20 @@ def verify_inverse_stack(f, entries, stack, dec=None) -> Outcomes:
     seminorm(f)^theta * ||f^{-1}(X) - f^{-1}(Y)||_{E^(p)} and rhs =
     || |X-Y|^theta ||_{E^(p)} over a stack (T, 2, n, n) of (X, Y); the
     estimate says ratio >= 1/C.  The checks are X Hermitian, Y Hermitian,
-    then per matrix its reconstruction and inverse_apply's check.  One
-    inverse_apply and one SVD serve every cell."""
+    then per matrix its reconstruction and inverse_apply's check, then per
+    cell both sides finite: a side that left the float range would read as
+    ratio 0 or NaN.  One inverse_apply and one SVD serve every cell."""
     h, _, _, inv, row = _front(stack, functools.partial(inverse_apply, f), dec=dec)
     sv = _difference_profiles(inv, h)
     lhs, rhs, factors = _scaled_sides(entries, sv)
-    return Outcomes.judged(row, factors * lhs, rhs, h)
+    with np.errstate(over="ignore"):
+        lhs = factors * lhs
+    ok = row[0] & np.isfinite(lhs) & np.isfinite(rhs)
+
+    def error(i):
+        return row[1](i) or DomainError("a side of the trial leaves the float range (not finite)")
+
+    return Outcomes.judged((ok, error), lhs, rhs, h)
 
 
 # the maps g(t) of the reverse verifier: sgn(t)|t|^theta, sgn(t) expm1(|t|)

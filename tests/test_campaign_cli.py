@@ -226,12 +226,12 @@ def test_cli_campaign_end_to_end(monkeypatch, tmp_path, capsys):
 
 
 def test_reports_carry_the_report_format(tmp_path, capsys):
-    # format 8: the seminorm of a homogeneous f at its own degree is exact
+    # format 9: an inverse record whose side leaves the float range fails its trial
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(trials=3).to_dict()))
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path)]) == 0
     for name in ("report.json", "manifest.json"):
-        assert json.loads((tmp_path / name).read_text())["report_format"] == 8
+        assert json.loads((tmp_path / name).read_text())["report_format"] == 9
 
 
 def test_cli_campaign_malformed_config(tmp_path, capsys):

@@ -426,6 +426,12 @@ EDGE_CALLS = {
     ),
     "absmap": (["absmap", "--spectrum=1e300,1.7e308"], 2,
                "every ratio is NaN, since lhs and rhs are not finite (1 record(s))\n"),
+    # || |X - Y|^3 || overflows to inf: the trial fails, where it read ratio 0
+    "inverse": (
+        ["inverse", "--f", "spower:0.5", "--theta", "3", "--spectrum=1e102,1.3e103"], 2,
+        "all 1 trial(s) failed; trial 0: DomainError: "
+        "a side of the trial leaves the float range (not finite)\n",
+    ),
 }
 
 
@@ -442,6 +448,18 @@ def test_cli_verify_at_the_edge_of_the_float_range_prints_its_message_alone(call
     if code == 0:
         record = json.loads(out.out)
         assert record["ratio"] == np.inf and 0.0 < record["rhs"] <= record["lhs"] < np.inf
+
+
+def test_an_inverse_side_outside_the_float_range_fails_its_trial():
+    # the campaign's statistics hold only the trials whose sides are finite,
+    # where each overflowed rhs used to count as ratio 0
+    config = dataclasses.replace(
+        _fixed_pair_campaign("inverse", [1e102, 1.3e103]), thetas=(3.0,), ps=(1.0,), trials=5
+    )
+    report, _ = run_campaign(config)
+    (cell,) = report.cells
+    assert 0 < cell.failures < cell.trials
+    assert 1e-98 < cell.min_ratio <= cell.q50 <= cell.max_ratio < 1e-97
 
 
 def test_a_matrix_outside_the_float_range_fails_its_trial_as_a_domain_error(capsys):

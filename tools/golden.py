@@ -1,6 +1,6 @@
 """Write the golden set: the deterministic outputs of 156 campaign configs,
-25 ``holderlab verify`` calls and 44 other CLI calls, and print one sha256
-over all of them.
+3 ``holderlab campaign`` calls, 25 ``holderlab verify`` calls and 44 other
+CLI calls, and print one sha256 over all of them.
 
     python3 tools/golden.py OUT_DIR
     python3 tools/golden.py --compare DIR_A DIR_B
@@ -25,7 +25,13 @@ Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
 ``counterexamples.json`` (``error.txt`` for a config refused at load), and
 ``forced-counterexamples.json``: the counterexamples of a second run with
 every claim set to -inf, so that every record that passes its checks is
-written with its inputs.  Per verify call, OUT_DIR/verify-<name>/ holds
+written with its inputs.  Three of the configs (refine-5, mixed-nan, and
+stacked-fixed-degenerate-s7 with every claim set to -inf, as
+``-forced``) also run through ``holderlab campaign``, whose own writer then
+fills OUT_DIR/cli-campaign-<name>/: ``report.csv``, ``report.json`` and
+``counterexamples.json``, without ``manifest.json``, whose timestamp
+varies, beside the call's ``stdout`` (the directory's path cut out),
+``stderr`` and ``exit``.  Per verify call, OUT_DIR/verify-<name>/ holds
 ``stdout``, ``stderr`` and ``exit`` (an argparse usage error included), and
 so does OUT_DIR/cli-<name>/ per CLI call: the benchmark's one-shot calls at
 seed 1, ``mpnorm`` on b1, every ``--method`` on alpha and b0, and the bands
@@ -71,6 +77,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -226,6 +233,11 @@ def campaigns() -> dict:
     return out
 
 
+# the golden campaigns that also run through ``holderlab campaign``, so that
+# its own writer is checked, each with whether every claim is set to -inf
+CLI_CAMPAIGNS = {"refine-5": False, "mixed-nan": False, "stacked-fixed-degenerate-s7": True}
+
+
 CELL_CHECKS = {
     "bks-theta": ["bks", "--theta", "1.5"],
     "bks-norm": ["bks", "--norm", "schatten:0.5"],
@@ -312,12 +324,17 @@ def _counterexamples(cxs) -> str:
     return json.dumps(cxs, indent=2, sort_keys=True)
 
 
-def _forced(verifiers):
-    """The verifier table with every claim set to -inf."""
-    return {
-        name: dataclasses.replace(v, claim=lambda spec, p: -math.inf)
-        for name, v in verifiers.items()
+@contextlib.contextmanager
+def _forced_claims():
+    """Within the block, the verifier table has every claim set to -inf."""
+    real = campaign.VERIFIERS
+    campaign.VERIFIERS = {
+        name: dataclasses.replace(v, claim=lambda spec, p: -math.inf) for name, v in real.items()
     }
+    try:
+        yield
+    finally:
+        campaign.VERIFIERS = real
 
 
 def write_campaign(out, name, cfg):
@@ -331,17 +348,15 @@ def write_campaign(out, name, cfg):
     _write(os.path.join(d, "report.csv"), report.to_csv())
     _write(os.path.join(d, "report.json"), report.to_json())
     _write(os.path.join(d, "counterexamples.json"), _counterexamples(cxs))
-    real = campaign.VERIFIERS
-    campaign.VERIFIERS = _forced(real)
-    try:
+    with _forced_claims():
         _, forced = run_campaign(config)
-    finally:
-        campaign.VERIFIERS = real
     _write(os.path.join(d, "forced-counterexamples.json"), _counterexamples(forced))
 
 
 def write_call(out, name, argv):
-    """The stdout, stderr and exit code of the CLI call ``argv`` in OUT_DIR/``name``/."""
+    """The stdout, stderr and exit code of the CLI call ``argv`` in
+    OUT_DIR/``name``/; the path of that directory, which ``holderlab
+    campaign`` prints, is cut out of the stdout."""
     d = os.path.join(out, name)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -349,9 +364,23 @@ def write_call(out, name, argv):
             rc = cli_main(argv)
         except SystemExit as exc:  # a usage error caught by argparse
             rc = exc.code
-    _write(os.path.join(d, "stdout"), stdout.getvalue())
+    _write(os.path.join(d, "stdout"), stdout.getvalue().replace(d + os.sep, ""))
     _write(os.path.join(d, "stderr"), stderr.getvalue())
     _write(os.path.join(d, "exit"), f"{rc}\n")
+
+
+def write_cli_campaign(out, name, cfg, forced):
+    """``holderlab campaign`` on ``cfg``, with every claim set to -inf if
+    ``forced``, as the call OUT_DIR/cli-campaign-``name``/ beside the
+    report.csv, report.json and counterexamples.json the CLI wrote there;
+    its manifest.json, whose timestamp varies, is removed."""
+    name = f"cli-campaign-{name}" + ("-forced" if forced else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        _write(path, json.dumps(cfg))
+        with _forced_claims() if forced else contextlib.nullcontext():
+            write_call(out, name, ["campaign", path, "--out", os.path.join(out, name)])
+    os.remove(os.path.join(out, name, "manifest.json"))
 
 
 def digest(out) -> str:
@@ -492,8 +521,11 @@ def main(argv) -> int:
     if os.path.exists(out) and os.listdir(out):
         print(f"{out} is not empty", file=sys.stderr)
         return 2
-    for name, cfg in campaigns().items():
+    configs = campaigns()
+    for name, cfg in configs.items():
         write_campaign(out, name, cfg)
+    for name, forced in CLI_CAMPAIGNS.items():
+        write_cli_campaign(out, name, configs[name], forced)
     for name, call in verify_calls().items():
         write_call(out, f"verify-{name}", call)
     for name, call in cli_calls().items():
