@@ -231,8 +231,13 @@ def decomposition_bound(dec: MultiplierDecomposition, p: float) -> float:
     if not 0.0 < p <= 1.0:
         raise ParameterError(f"decomposition bound requires p in (0,1], got {p}")
     sup_phi = float(np.max(dec.phi_sup))
-    psum = float(np.sum(dec.psi_sup ** p)) + dec.psi_tail_psum(p)
-    return dec.prefactor * sup_phi * psum ** (1.0 / p)
+
+    def bound():
+        psum = float(np.sum(dec.psi_sup ** p)) + dec.psi_tail_psum(p)
+        return dec.prefactor * sup_phi * psum ** (1.0 / p)
+
+    why = f"(sum_n |psi_n|^p)^(1/p) leaves the float range at p = {p}"
+    return _float_range_guard(bound, dec.description, why)
 
 
 def _geometric_decomposition(prefactor: float, description: str) -> MultiplierDecomposition:
@@ -453,10 +458,6 @@ def _dd_table(f: ScalarFunction, parts, x, y, n) -> dict:
     per node, one ladder of the derivative orders 1 up to the highest the
     parts need (f.derivatives), and each part's term taken into one buffer."""
     top = 1 + max(i + j for i, j in parts)
-    if top > f.max_order:
-        raise CapabilityError(
-            f"{f.name}: localized bound needs derivative order {f.max_order + 1}"
-        )
     dd = {ij: np.zeros(x.shape, dtype=float) for ij in parts}
     term = np.empty(x.shape, dtype=float)
     cuts = np.flatnonzero(np.diff(n, prepend=0, append=0))
@@ -583,9 +584,11 @@ def local_dd_bound(
     f: ScalarFunction, p: float, b: int | None = None, grid_n: int = 256
 ) -> float:
     """Upper bound for the multiplier norm of bump x bump times dd f, with a
-    bump of order b + 2."""
+    bump of order b + 2, whose partials need the derivatives of f up to b + 2."""
     if b is None:
         b = default_b_for(p)
+    if b + 2 > f.max_order:
+        raise CapabilityError(f"{f.name}: localized bound needs derivative order {f.max_order + 1}")
     partials = localized_dd_periodic(f, SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2))
     return fourier_sobolev_bound(partials, p, b, grid_n=grid_n).upper
 
@@ -593,17 +596,23 @@ def local_dd_bound(
 def _float_range_guard(bound: Callable[[], float], what: str, why: str) -> float:
     """bound() with its overflows silenced.  An infinite bound is still a
     bound, but a NaN is none, and neither is a finite one taken after an
-    overflow, which flushes its term to 0, or cut short by an OverflowError."""
+    overflow, which flushes its term to 0, or cut short by an OverflowError
+    or by a ZeroDivisionError (a difference of floats that rounds to 0)."""
     overflows = []
     try:
         with np.errstate(all="ignore", over="call", call=lambda *_: overflows.append(1)):
             upper = bound()
-    except OverflowError:  # a Python int or float power beyond the float range
+    except (OverflowError, ZeroDivisionError):  # Python arithmetic beyond the float range
         overflows, upper = [1], 0.0
     if math.isnan(upper) or (overflows and math.isfinite(upper)):
         reason = "is not finite (NaN)" if math.isnan(upper) else "lost terms to overflow"
         raise CapabilityError(f"the upper bound of {what} {reason}: {why}")
     return upper
+
+
+# the largest Fourier order of b0_upper_bound: the partials of its local model
+# 1/(s + t) of order b + 1 carry (b + 1)!, and 171! leaves the float range
+MAX_B0_ORDER = 169
 
 
 def b0_upper_bound(
@@ -619,6 +628,11 @@ def b0_upper_bound(
         raise ParameterError(f"b0 bound requires p in (0,1], got {p}")
     if b is None:
         b = default_b_for(p)
+    if b > MAX_B0_ORDER:
+        raise CapabilityError(
+            f"b0 and b1 need b <= {MAX_B0_ORDER}, got b = {b} at p = {p}: (b + 1)! leaves the "
+            "float range"
+        )
 
     def bound():
         bump_s = SmoothBump(0.75, 1.0, 2.0, 2.25, order=b + 2)
@@ -729,7 +743,7 @@ def empirical_mp_lower(
     p: float,
     dim: int,
     trials: int,
-    seed: SeedState | int,
+    seed: SeedState,
 ) -> EmpiricalLower:
     """Finite-matrix lower bound for the multiplier norm: the max of
     ||m * V||_p / ||V||_p over the symbol matrices m of sampled eigenvalue
@@ -746,8 +760,6 @@ def empirical_mp_lower(
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     spec = Schatten(p)
-    if isinstance(seed, int):
-        seed = SeedState(seed)
     size = max(1, STACK_ENTRIES // (3 * dim * dim))
     best = 0.0
     resampled = 0

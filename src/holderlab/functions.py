@@ -27,10 +27,10 @@ class ScalarFunction:
     ``deriv(k, x)`` is defined for 1 <= k <= max_order and x != 0, and
     ``derivatives(top, x)`` gives the orders 1..top at once;
     ``derivative_at_zero`` is the two-sided f'(0) when it exists, else None.
-    ``exact_order_sup(k, theta)``, when present, returns the analytic value of
-    sup_{x != 0} |x|^{k - theta} |f^(k)(x)|; ``seminorm`` takes it at theta ==
-    ``theta_hint``.  ``theta_hint``, when present, is the degree theta of a
-    homogeneous f: f(r x) = r^theta f(x) for r > 0.
+    ``theta_hint``, when present, is the degree theta of a homogeneous f:
+    f(r x) = r^theta f(x) for r > 0.  ``exact_order_sup(k)``, when present,
+    returns the analytic value of sup_{x != 0} |x|^{k - theta_hint} |f^(k)(x)|,
+    which ``seminorm`` takes at theta == ``theta_hint``.
     ``even_or_odd`` promises |f^(k)(-x)| = |f^(k)(x)| bit for bit for every
     0 <= k <= max_order, so that ``seminorm`` evaluates x > 0 only.
     ``inverse``, when present, is f^{-1} in closed form on the branch where f
@@ -45,7 +45,7 @@ class ScalarFunction:
     max_order: int = MAX_ORDER
     theta_hint: Optional[float] = None
     derivative_at_zero: Optional[float] = None
-    exact_order_sup: Optional[Callable[[int, float], float]] = None
+    exact_order_sup: Optional[Callable[[int], float]] = None
     even_or_odd: bool = False
     inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -128,7 +128,7 @@ def _power(theta: float, odd: bool) -> ScalarFunction:
         deriv=_laddered(lambda x: (np.abs(x), np.sign(x)), dv),
         theta_hint=theta,
         derivative_at_zero=None,
-        exact_order_sup=lambda k, th: (abs(_falling(theta, k)) if th == theta else np.inf),
+        exact_order_sup=lambda k: abs(_falling(theta, k)),
         even_or_odd=True,
         inverse=_branch_inverse(lambda a: a ** (1.0 / theta), odd),
     )
@@ -259,7 +259,7 @@ def linear() -> ScalarFunction:
         deriv=dv,
         theta_hint=1.0,
         derivative_at_zero=1.0,
-        exact_order_sup=lambda k, th: (1.0 if (th == 1.0 and k <= 1) else (0.0 if k > 1 else np.inf)),
+        exact_order_sup=lambda k: 1.0 if k <= 1 else 0.0,
         even_or_odd=True,
         inverse=ev,
     )
@@ -439,7 +439,7 @@ def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
     if not 0.0 < theta <= 1.0:
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")
     if f.exact_order_sup is not None and theta == f.theta_hint:
-        per_order = np.array([f.exact_order_sup(k, theta) for k in range(d + 1)], dtype=float)
+        per_order = np.array([f.exact_order_sup(k) for k in range(d + 1)], dtype=float)
         return SeminormEstimate(float(np.max(per_order)), per_order, SEMINORM_EXACT, ())
     per_order = np.zeros(d + 1)
     grid_tops = {}  # k -> {sign: (grid maximum, whether it is on a grid end)}
@@ -513,12 +513,16 @@ def divided_difference_grid(f: ScalarFunction, xs, ys) -> np.ndarray:
 
 def d_of_p(p: float) -> int:
     """Derivative order required at integrability p: the least integer
-    strictly greater than 1/p + 2 for p <= 1, and 4 for p > 1."""
+    strictly greater than 1/p + 2 for p <= 1, and 4 for p > 1; none where
+    1/p leaves the float range."""
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p}")
     if p > 1:
         return 4
-    return int(math.floor(1.0 / p + 2.0)) + 1
+    inverse = 1.0 / float(p)
+    if math.isinf(inverse):
+        raise ParameterError(f"p = {p} is too small: d(p) needs 1/p, which leaves the float range")
+    return int(math.floor(inverse + 2.0)) + 1
 
 
 @dataclass(frozen=True)

@@ -24,26 +24,6 @@ def singular_values(x) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def distribution_function(values, t: float) -> int:
-    """d(t) = number of profile entries strictly above t (right-continuous)."""
-    if t < 0:
-        raise ParameterError("distribution function is defined for t >= 0")
-    return int(np.sum(np.asarray(values, dtype=float) > t))
-
-
-def mu_integral(values, t: float) -> float:
-    """Integral of the profile step function over [0, t]; fractional t is
-    linear interpolation of the last step."""
-    v = np.asarray(values, dtype=float)
-    if t <= 0:
-        return 0.0
-    k = int(np.floor(t))
-    full = float(v[: min(k, v.size)].sum())
-    if k < v.size:
-        full += (t - k) * float(v[k])
-    return full
-
-
 # --- norm specifications ----------------------------------------------------
 
 
@@ -186,38 +166,22 @@ def parse_norm_spec(text: str) -> NormSpec:
 # --- submajorization ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubmajorizationReport:
-    holds: bool
-    worst_index: int
-    margin: float  # min over k of (upper - lower) partial sums, normalized
-
-
 def _partial_sums(a, b):
-    """The partial sums of profiles a and b (..., n), zero-padded to one length n >= 1."""
-    a, b = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b))
-    n = max(a.shape[-1], b.shape[-1], 1)
-    padded = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]) for x in (a, b))
-    return tuple(np.cumsum(x, axis=-1) for x in padded)
+    """The partial sums of profiles a and b (..., n) of one length."""
+    return tuple(np.cumsum(np.asarray(x, dtype=float), axis=-1) for x in (a, b))
 
 
 def _submajorization_margin(upper, lower):
-    """The margin and worst index of submajorizes for every pair of profiles
-    (..., n), arrays (...): the least gap of the partial sums over the larger
-    total, taken as Python's max takes it (a NaN total of upper wins, one of
-    lower does not), and margin 0 at index 0 where that total is <= 0."""
+    """The least gap of the partial sums of upper and lower over the larger
+    total, and its index, for every pair of profiles (..., n), arrays (...):
+    the larger total taken as Python's max takes it (a NaN total of upper
+    wins, one of lower does not), and margin 0 at index 0 where that total
+    is <= 0.  lower is submajorized by upper when the margin is >= 0."""
     cu, cl = _partial_sums(upper, lower)
     scale = np.where(cl[..., -1] > cu[..., -1], cl[..., -1], cu[..., -1])[..., None]
     gaps = np.divide(cu - cl, scale, out=np.zeros(cu.shape), where=~(scale <= 0.0))
     worst = np.argmin(gaps, axis=-1)
     return np.take_along_axis(gaps, worst[..., None], axis=-1)[..., 0], worst
-
-
-def submajorizes(upper, lower, tol: float = SUBMAJ_TOL) -> SubmajorizationReport:
-    """Check that all partial sums of ``lower`` are dominated by those of
-    ``upper``.  Margin is normalized by the larger total sum."""
-    margin, worst = _submajorization_margin(upper, lower)
-    return SubmajorizationReport(bool(margin >= -tol), int(worst), float(margin))
 
 
 def least_domination_constant(upper, lower):

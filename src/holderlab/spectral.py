@@ -39,12 +39,12 @@ def as_square(a) -> np.ndarray:
     return m
 
 
-def hermitian_stack(a, tol: float = HERMITIAN_TOL):
+def hermitian_stack(a):
     """Hermitian check on a stack (..., n, n): returns the symmetrizations
     (a + a*)/2, the per-item ok mask, and a function from the index of an
     item to its DomainError.  An item is ok when its deviation max|a - a*| is
-    within ``tol`` times its scale max(1, max|a|).  The symmetrization is
-    _symmetrized's, so it stays in the float range."""
+    within HERMITIAN_TOL times its scale max(1, max|a|).  The symmetrization
+    is _symmetrized's, so it stays in the float range."""
     m = np.asarray(a, dtype=complex)
     mh = np.swapaxes(m.conj(), -1, -2)
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
@@ -52,11 +52,11 @@ def hermitian_stack(a, tol: float = HERMITIAN_TOL):
 
     def error(idx):
         return DomainError(
-            f"matrix is not Hermitian: deviation {dev[idx]:.3e} exceeds {tol:.1e} * "
+            f"matrix is not Hermitian: deviation {dev[idx]:.3e} exceeds {HERMITIAN_TOL:.1e} * "
             f"{scale[idx]:.3e}"
         )
 
-    return _symmetrized(m, mh, scale.max(initial=0.0)), ~(dev > tol * scale), error
+    return _symmetrized(m, mh, scale.max(initial=0.0)), ~(dev > HERMITIAN_TOL * scale), error
 
 
 def _symmetrized(m, mh, top) -> np.ndarray:
@@ -69,10 +69,10 @@ def _symmetrized(m, mh, top) -> np.ndarray:
     return 0.5 * m + 0.5 * mh
 
 
-def as_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate that ``a`` is Hermitian within ``tol`` (relative) and return
-    its symmetrization (a + a*)/2."""
-    h, ok, error = hermitian_stack(as_square(a), tol)
+def as_hermitian(a) -> np.ndarray:
+    """Validate that ``a`` is Hermitian within HERMITIAN_TOL (relative) and
+    return its symmetrization (a + a*)/2."""
+    h, ok, error = hermitian_stack(as_square(a))
     if not ok:
         raise error(())
     return h
@@ -142,18 +142,18 @@ def eigh_stack(h, tol: float = RECON_TOL, drawn=None):
     return dec, recon, ~(residual > tol * scale), error
 
 
-def psd_stack(eigenvalues, tol: float = PSD_TOL) -> np.ndarray:
+def psd_stack(eigenvalues) -> np.ndarray:
     """Per-item ok mask of the positive-semidefinite check on a stack (..., n)
-    of eigenvalues: none lies below -``tol`` * (1 + max|lambda|)."""
-    bound = tol * (1.0 + np.abs(eigenvalues).max(axis=-1, initial=0.0))
+    of eigenvalues: none lies below -PSD_TOL * (1 + max|lambda|)."""
+    bound = PSD_TOL * (1.0 + np.abs(eigenvalues).max(axis=-1, initial=0.0))
     return ~(eigenvalues.min(axis=-1, initial=0.0) < -bound)
 
 
-def eig_hermitian(a, tol: float = RECON_TOL) -> SpectralDecomposition:
+def eig_hermitian(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with a reconstruction check."""
     m = as_hermitian(a)
     try:
-        dec, _, ok, error = eigh_stack(m, tol)
+        dec, _, ok, error = eigh_stack(m)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigh failed to converge: {exc}") from exc
     if not ok:

@@ -72,8 +72,7 @@ class Outcomes:
     """The outcomes of a stack of T trials in C cells: the ok mask (C, T) of
     the pairs that pass every check, a function from a failed pair (c, i) to
     the error of its first failed check, and arrays (C, T) of the sides,
-    ratios, flags and constants, which mean nothing for a failed pair.
-    ``profiles`` are the (upper, lower) (C, T, n) submajorizations compare."""
+    ratios, flags and constants, which mean nothing for a failed pair."""
 
     ok: np.ndarray
     error: Callable
@@ -82,10 +81,9 @@ class Outcomes:
     ratio: np.ndarray
     flagged: np.ndarray
     constants: Optional[np.ndarray] = None
-    profiles: Optional[tuple] = None
 
     @classmethod
-    def judged(cls, row, lhs, rhs, mats, constants=None, profiles=None) -> "Outcomes":
+    def judged(cls, row, lhs, rhs, mats, constants=None) -> "Outcomes":
         """The outcomes of sides ``lhs`` and ``rhs`` (C, T) whose cells share
         the stack's ``row``.  Ratio = lhs / rhs with 0/0 -> 0; a pair (c, i)
         that passes its checks with rhs <= 0 is flagged when lhs exceeds
@@ -103,7 +101,7 @@ class Outcomes:
             tol = ABS_TOL_COEFF * mats.shape[-1] * (1.0 + scale)
             flagged[:, i] = degenerate[:, i] & (lhs[:, i] > tol)
         error = lambda idx: row[1](idx[1])
-        return cls(ok, error, lhs, rhs, ratio, flagged, constants, profiles)
+        return cls(ok, error, lhs, rhs, ratio, flagged, constants)
 
     @classmethod
     def failing(cls, error) -> "Outcomes":
@@ -114,7 +112,7 @@ class Outcomes:
     @classmethod
     def of_cells(cls, parts) -> "Outcomes":
         """The outcomes of a stack whose cell rows are those of ``parts``, the
-        one-cell Outcomes of that stack; profiles are left out."""
+        one-cell Outcomes of that stack."""
         keys = ("ok", "lhs", "rhs", "ratio", "flagged")
         rows = {k: np.concatenate([getattr(o, k) for o in parts]) for k in keys}
         if any(o.constants is not None for o in parts):
@@ -320,12 +318,12 @@ def verify_main_stack(f, entries, stack, dec=None) -> Outcomes:
     return verify_symmetric_stack(f, entries, stack, dec)
 
 
-def verify_main(f: ScalarFunction, theta, p, a, b, digest="") -> VerificationRecord:
+def verify_main(f: ScalarFunction, theta, p, a, b) -> VerificationRecord:
     """||f(A) - f(B)||_p versus seminorm(f) * || |A-B|^theta ||_p: the
     symmetric estimate in E^(p) for E = S_1, since ||X||_p is the p-th power
     norm of the trace class."""
     outcomes = _one(verify_main_stack, f, theta, p, None, (a, b))
-    return outcomes.record(0, 0, "main", digest)
+    return outcomes.record(0, 0, "main")
 
 
 def _check_bks(sem, theta, p, spec, variant):
@@ -354,11 +352,11 @@ def verify_bks_stack(f, entries, stack, dec=None) -> Outcomes:
     return Outcomes.judged(row, lhs, rhs, stack)
 
 
-def verify_bks(theta, spec: NormSpec, x, y, digest="") -> VerificationRecord:
+def verify_bks(theta, spec: NormSpec, x, y) -> VerificationRecord:
     """||X^theta - Y^theta|| versus || |X-Y|^theta || for positive X, Y in a
     fully symmetric norm; the expected constant is exactly 1."""
     outcomes = _one(verify_bks_stack, None, theta, None, spec, (x, y))
-    return outcomes.record(0, 0, "bks", digest)
+    return outcomes.record(0, 0, "bks")
 
 
 def _check_submaj(sem, theta, p, spec, variant):
@@ -388,7 +386,7 @@ def verify_submaj_stack(f, entries, stack, dec=None) -> Outcomes:
         peak = np.argmax(np.where(cu > 0.0, cl / cu, 0.0), axis=-1)
     k = np.where(np.isfinite(constants) & (constants > 0.0), peak, -1)[..., None]
     lhs, rhs = (np.take_along_axis(x, k, axis=-1)[..., 0] for x in (cl, cu))
-    return Outcomes.judged(row, lhs, rhs, h, constants, tuple(profiles))
+    return Outcomes.judged(row, lhs, rhs, h, constants)
 
 
 def _check_symmetric(sem, theta, p, spec, variant):
@@ -532,13 +530,11 @@ def verify_reverse_stack(f, entries, stack, dec=None) -> Outcomes:
 # --- commutators, quasi-commutators, absolute value ------------------------------
 
 
-def verify_commutator(
-    f: ScalarFunction, theta, p, base: NormSpec, x, b, digest=""
-) -> VerificationRecord:
+def verify_commutator(f: ScalarFunction, theta, p, base: NormSpec, x, b) -> VerificationRecord:
     """||[f(X), B]|| versus seminorm * || |[X,B]|^theta || * ||B||^(1-theta)
     in the p-th power norm of the base."""
     outcomes = _one(verify_quasicommutator_stack, f, theta, p, base, (x, b))
-    return outcomes.record(0, 0, "commutator", digest)
+    return outcomes.record(0, 0, "commutator")
 
 
 _check_quasicommutator = _check_symmetric
@@ -617,10 +613,10 @@ def verify_alt_stack(f, entries, stack, dec=None) -> Outcomes:
     The profiles compared are upper = (mu(ZX)^theta / s)^p and lower =
     (mu(Z^theta X^theta) / s)^p, s as in verify_submaj_stack; a trial's lhs
     and ratio are the violation max(0, -margin) of their submajorization
-    report, its rhs is 1, its constant the margin, and it is flagged when it
-    fails.  One eigendecomposition and one SVD of ZX serve every cell, one
-    SVD of Z^theta X^theta every cell of that theta, and one pass the margins
-    of every cell and trial that pass."""
+    margin, its rhs is 1, its constant the margin, and it is flagged when the
+    margin is below -SUBMAJ_TOL or NaN.  One eigendecomposition and one SVD
+    of ZX serve every cell, one SVD of Z^theta X^theta every cell of that
+    theta, and one pass the margins of every cell and trial that pass."""
     h, dec, _, _, row = _front(stack, _positive(_nonnegative, "XZ", "is not"), (1, 1, 1), dec=dec)
     lam = dec.eigenvalues
     clipped = np.clip(lam, 0.0, None)
@@ -647,7 +643,7 @@ def verify_alt_stack(f, entries, stack, dec=None) -> Outcomes:
     violation = np.where(-margins > 0.0, -margins, 0.0)
     outcomes = Outcomes.judged(row, violation, np.ones(shape), stack, margins)
     flagged = ok & ~(margins >= -SUBMAJ_TOL)  # a NaN margin fails
-    return replace(outcomes, flagged=flagged, profiles=tuple(profiles))
+    return replace(outcomes, flagged=flagged)
 
 
 # --- structural companions --------------------------------------------------------

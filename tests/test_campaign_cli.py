@@ -17,7 +17,8 @@ from holderlab.campaign import (
 from holderlab.cli import main
 from holderlab.ensembles import ENSEMBLES, SeedState, sample_ensemble
 from holderlab.errors import ParameterError
-from holderlab.norms import KyFan, Schatten
+from holderlab import verify as V
+from holderlab.norms import SUBMAJ_TOL, KyFan, Schatten
 from holderlab.verify import REVERSE_VARIANTS, VerificationRecord
 
 
@@ -141,8 +142,35 @@ def test_constant_one_claim_logic():
     bks = VERIFIERS["bks"].claim(Schatten(1), 1.0) + CONSTANT_ONE_TOL
     assert not VerificationRecord("bks", 1.0, 1.0, 1.0).ratio > bks
     assert VerificationRecord("bks", 2.0, 1.0, 2.0).ratio > bks
-    alt = VERIFIERS["alt"].claim(None, 1.0) + CONSTANT_ONE_TOL
-    assert VerificationRecord("alt", 1e-6, 1.0, 1e-6).ratio > alt
+
+
+def test_an_alt_margin_below_its_tolerance_is_a_counterexample_without_a_claim(
+    monkeypatch, tmp_path, capsys
+):
+    # alt has no claim: its kernel flags a margin below -SUBMAJ_TOL, and the
+    # flag alone persists the record; a margin of -1e-9 gives the ratio 1e-9,
+    # which no claim of 0 + CONSTANT_ONE_TOL would select
+    assert VERIFIERS["alt"].claim(None, 1.0) is None
+    assert -CONSTANT_ONE_TOL < -1e-9 < -SUBMAJ_TOL
+    real = V._submajorization_margin
+
+    def margin(upper, lower):
+        margins, worst = real(upper, lower)
+        return np.full(margins.shape, -1e-9), worst
+
+    monkeypatch.setattr(V, "_submajorization_margin", margin)
+    cfg = {"verifier": "alt", "thetas": [0.5], "ps": [1.0], "norms": ["-"], "dims": [3],
+           "trials": 4, "seed": 5}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    payload = json.loads((tmp_path / "out" / "counterexamples.json").read_text())
+    assert [e["cell"]["dim"] for e in payload] == [3] * 4
+    for entry in payload:
+        record = entry["record"]
+        assert record["flagged"] and record["holds_with_constant"] == -1e-9
+        assert record["ratio"] == 1e-9 and record["rhs"] == 1.0
+    assert "4 counterexample candidate(s) persisted" in capsys.readouterr().err
 
 
 # --- command line ---------------------------------------------------------------
@@ -514,12 +542,10 @@ def test_cli_mpnorm_nan_upper_bound_exit_2(capsys):
 
 
 @pytest.mark.parametrize("symbol", ["b0", "b1"])
-@pytest.mark.parametrize(
-    "b, reason", [("100", "is not finite (NaN)"), ("200", "lost terms to overflow")]
-)
+@pytest.mark.parametrize("b, reason", [("100", "is not finite (NaN)")])
 def test_cli_mpnorm_b0_bound_outside_the_float_range_exit_2(symbol, b, reason, capsys):
     # the partials of order b of the local model 1/(s + t) overflow to a NaN
-    # bound at b = 100; at b = 200, (b + 1)! is itself beyond the float range
+    # bound at b = 100
     argv = ["mpnorm", "--symbol", symbol, "--b", b, "--trials", "3", "--seed", "4"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -528,6 +554,75 @@ def test_cli_mpnorm_b0_bound_outside_the_float_range_exit_2(symbol, b, reason, c
         f"error: the upper bound of b0 and b1 at b = {b} {reason}: "
         "its terms leave the float range\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--symbol", "b0", "--b", "170"], "b0 and b1 need b <= 169, got b = 170 at p = 1.0"),
+        (["--symbol", "b0", "--b", "200"], "b0 and b1 need b <= 169, got b = 200 at p = 1.0"),
+        (["--symbol", "b1", "--b", "200"], "b0 and b1 need b <= 169, got b = 200 at p = 1.0"),
+        (
+            ["--symbol", "b1", "--b", "1000000"],
+            "b0 and b1 need b <= 169, got b = 1000000 at p = 1.0",
+        ),
+        (
+            ["--symbol", "dyadic:2", "--f", "log1p", "--b", "1000000"],
+            "dilate:4.0:log1p: localized bound needs derivative order 7",
+        ),
+    ],
+    ids=["b0-170", "b0-200", "b1-200", "b1-1e6", "dyadic-1e6"],
+)
+def test_cli_mpnorm_fourier_order_refused_before_any_bump_is_built(
+    argv, message, monkeypatch, capsys
+):
+    # from b = 170 on, the (b + 1)! of the partials of b0's local model leaves
+    # the float range on every grid; dyadic:K needs f^(b + 2)
+    monkeypatch.setattr(hl.doi, "SmoothBump", lambda *a, **k: pytest.fail("built a bump"))
+    assert main(["mpnorm", "--trials", "3", "--seed", "4"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("symbol", ["b0", "b1"])
+def test_cli_mpnorm_b0_bound_at_the_largest_b_is_infinite(symbol, capsys):
+    # at grid 2 no grid point lies where a bump derivative is nonzero, so the
+    # bound at b = 169 is a bound, though an infinite one
+    argv = ["mpnorm", "--symbol", symbol, "--b", "169", "--grid", "2", "--trials", "3"]
+    assert main(argv + ["--seed", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["upper"] == np.inf
+
+
+# calls that leave the float range at a small p, in d(p), in the decomposition
+# bound's (sum_n psi_n^p)^(1/p) or 1 - 2^-p, or in the Fourier order d(p) - 2;
+# CONFIG is a main campaign whose one cell has p = 1e-320
+MPNORM = ["mpnorm", "--trials", "3"]
+SMALL_P_CALLS = {
+    "verify-main": ["verify", "--ineq", "main", "--f", "power:0.5", "--p", "5e-324"],
+    "seminorm": ["seminorm", "--f", "log1p", "--theta", "0.5", "--d", "2", "--p", "5e-324"],
+    "b0-fourier": [*MPNORM, "--symbol", "b0", "--p", "5e-324", "--method", "fourier"],
+    "beta": [*MPNORM, "--symbol", "beta", "--p", "0.001"],
+    "alpha": [*MPNORM, "--symbol", "alpha", "--p", "1e-3"],
+    "alpha-1e-17": [*MPNORM, "--symbol", "alpha", "--p", "1e-17"],
+    "dyadic-1e-17": [*MPNORM, "--symbol", "dyadic:2", "--f", "log1p", "--p", "1e-17"],
+    "b0-1e-17": [*MPNORM, "--symbol", "b0", "--p", "1e-17"],
+    "campaign-main": ["campaign", "CONFIG", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("argv", SMALL_P_CALLS.values(), ids=SMALL_P_CALLS)
+def test_cli_small_p_exit_2_with_a_message(argv, tmp_path, capsys):
+    cfg = {"verifier": "main", "function": "power:0.5", "thetas": [0.5], "ps": [1e-320],
+           "norms": ["-"], "dims": [3], "trials": 2, "seed": 1}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    paths = {"CONFIG": str(tmp_path / "c.json"), "OUT": str(tmp_path / "out")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "cell ", "all 1 trial(s) failed")), err
+    assert "Traceback" not in err
+    p = argv[argv.index("--p") + 1] if "--p" in argv else "1e-320"
+    assert f"p = {float(p)}" in err, err
 
 
 def test_cli_mpnorm_b0_bound_at_b_30_is_pinned(capsys):

@@ -155,7 +155,7 @@ def test_seminorm_grid_matches_analytic_sup():
         est = F.seminorm(_grid_only(f), 3, theta)
         assert est.grid == F.SEMINORM_GRID
         for k in range(4):
-            assert est.per_order[k] == pytest.approx(f.exact_order_sup(k, theta), rel=1e-10)
+            assert est.per_order[k] == pytest.approx(f.exact_order_sup(k), rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +165,7 @@ def test_seminorm_of_a_homogeneous_f_at_its_degree_is_the_closed_form(f):
     theta = f.theta_hint
     for d in range(f.max_order + 1):
         est = F.seminorm(f, d, theta)
-        exact = [f.exact_order_sup(k, theta) for k in range(d + 1)]
+        exact = [f.exact_order_sup(k) for k in range(d + 1)]
         assert est.per_order.tolist() == exact and est.value == max(exact)
         assert est.edge == () and est.grid == F.SEMINORM_EXACT
     assert F.seminorm(F.power(0.5), 4, 0.5).value == 1.0  # the grid reads 1.0000000000000002

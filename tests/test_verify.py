@@ -11,7 +11,7 @@ from holderlab import verify as V
 from holderlab.campaign import VERIFIERS, CampaignConfig, replay, run_campaign
 from holderlab.ensembles import SeedState, gaussian_hermitian, ginibre, rank_r_steps
 from holderlab.errors import CapabilityError, DomainError, ParameterError
-from holderlab.norms import KyFan, Schatten, submajorizes
+from holderlab.norms import KyFan, Schatten
 
 from conftest import fixed_spectrum, hermitian_sv, one_record
 
@@ -62,7 +62,7 @@ def _main_reference(f, theta, p, a, b):
     rhs = sem * hl.norm_of_profile(hermitian_sv(am - bm) ** theta, Schatten(p))
     row = (np.ones(1, dtype=bool), None)
     outcomes = V.Outcomes.judged(row, [[lhs]], [[rhs]], np.stack([am, bm])[None])
-    return outcomes.record(0, 0, "main", "d")
+    return outcomes.record(0, 0, "main")
 
 
 def _bits(rec):
@@ -77,7 +77,7 @@ def test_verify_main_is_symmetric_on_trace_class(spec):
         x, y = gaussian_hermitian(dim, rng), gaussian_hermitian(dim, rng)
         for p in (0.5, 1.0, 2.0):
             for theta in (0.25, 0.5, 0.75):
-                got = hl.verify_main(f, theta, p, x, y, "d")
+                got = hl.verify_main(f, theta, p, x, y)
                 assert _bits(got) == _bits(_main_reference(f, theta, p, x, y))
 
 
@@ -144,10 +144,7 @@ def test_verify_submajorization():
     # commuting positive diagonals: scalar Holder gives constant <= 1 once the
     # seminorm (exactly 1 for the matched power) is factored in
     y = np.diag([0.5, 1.1, 0.8])
-    outcomes = V._one(V.verify_submaj_stack, f, 0.5, 1.0, None, (x, y))
-    upper, lower = outcomes.profiles
-    assert submajorizes(upper[0, 0], lower[0, 0]).holds
-    rec2 = outcomes.record(0, 0, "submaj")
+    rec2 = one_record("submaj", f, 0.5, 1.0, None, x, y)
     assert rec2.holds_with_constant <= 1.0 + 1e-10
     assert rec2.ratio == pytest.approx(rec2.holds_with_constant)
 
