@@ -21,8 +21,7 @@ _EXPORTS = {
             ParameterError ShapeError SingularityError""",
         "spectral": """SpectralDecomposition abs_matrix apply_function as_hermitian cayley
             eig_hermitian op_norm spectral_projection""",
-        "norms": """KyFan PowerOf Schatten WeakLp norm norm_of_profile parse_norm_spec
-            singular_values""",
+        "norms": "KyFan PowerOf Schatten norm_of_profile parse_norm_spec singular_values",
         "functions": """ScalarFunction SeminormEstimate d_of_p dilate_function
             parse_function_spec scalar_sum_555 seminorm""",
         "ensembles": "SeedState haar_unitary",

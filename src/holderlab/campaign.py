@@ -20,26 +20,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ensembles import (
-    ENSEMBLES,
-    STACK_ENTRIES,
-    SeedState,
-    gaussian_hermitian,
-    ginibre,
-    sample_ensemble,
-)
+from .ensembles import ENSEMBLES, STACK_ENTRIES, SeedState, sample_ensemble
 from .errors import HolderLabError, ParameterError
 from .functions import parse_function_spec
 from .norms import Schatten, parse_norm_spec
-from .spectral import as_hermitian, eig_hermitian, from_eigen, op_norm
 from . import verify as V
 
 # a record exceeds its verifier's claimed constant when ratio > claim + tol
 CONSTANT_ONE_TOL = 1e-8
 
-# the format of report.json and manifest.json: 9 since an inverse record
-# whose side leaves the float range fails its trial
-REPORT_FORMAT = 9
+# the format of report.json and manifest.json: 10 since a cell reports no
+# greedy climb
+REPORT_FORMAT = 10
 # the norm label that a verifier taking no norm accepts besides a norm spec
 NO_NORM = "-"
 
@@ -66,7 +58,6 @@ class CampaignConfig:
     seed: int
     function: Optional[str] = None
     ensemble: Optional[dict] = None
-    refine_steps: int = 0
     variant: str = "power"  # reverse verifier flavour
 
     def __post_init__(self):
@@ -90,7 +81,7 @@ class CampaignConfig:
                 raise ParameterError(f"thetas and ps must be finite, got {v!r}")
         if min(self.ps) <= 0:
             raise ParameterError(f"ps must be positive, got {min(self.ps)!r}")
-        for key, least in (("trials", 1), ("seed", 0), ("refine_steps", 0)):
+        for key, least in (("trials", 1), ("seed", 0)):
             _check_integer(key, getattr(self, key), least)
         if not isinstance(self.function, (str, type(None))):
             raise ParameterError(f"function must be a spec string, got {self.function!r}")
@@ -178,8 +169,6 @@ class CellReport:
     q50: float
     q99: float
     argmax_digest: str
-    refined_max: Optional[float] = None
-    trajectory: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -208,7 +197,7 @@ class CampaignReport:
         return {
             "report_format": REPORT_FORMAT,
             "config": self.config.to_dict(),
-            "cells": [{**vars(c), "trajectory": list(c.trajectory)} for c in self.cells],
+            "cells": [vars(c) for c in self.cells],
             "dimension_trend": self.dimension_trend(),
         }
 
@@ -291,27 +280,6 @@ def _indented(obj, level: int) -> str:
 def _ensemble(verifier: str, ensemble: dict | None) -> dict:
     """The config's ensemble with its name; without one, the verifier's default."""
     return {"name": VERIFIERS[verifier].ensembles[0], **(ensemble or {})}
-
-
-def _perturb_inputs(inputs, sigma: float, rng: np.random.Generator):
-    """The inputs (kind, matrix) moved by Gaussian steps of scale sigma, each
-    kept in its kind; a "step" input stays as it is."""
-    out = []
-    for kind, m in inputs:
-        n = m.shape[0]
-        if kind == "herm":
-            m = m + sigma * gaussian_hermitian(n, rng)
-        elif kind == "pos":
-            dec = eig_hermitian(as_hermitian(m + sigma * gaussian_hermitian(n, rng)))
-            m = from_eigen(dec.basis, np.clip(dec.eigenvalues, 0.0, None))
-        elif kind == "general":
-            m = m + sigma * ginibre(n, rng)
-        elif kind == "contraction":
-            cand = m + sigma * ginibre(n, rng)
-            nn = op_norm(cand)
-            m = cand / nn if nn > 1.0 else cand
-        out.append((kind, m))
-    return out
 
 
 # --- the verifier table ---------------------------------------------------------
@@ -412,8 +380,8 @@ def _entries(config: CampaignConfig, f, cells) -> list:
 
 def _trial_seed(config: CampaignConfig, dim, trial: int) -> SeedState:
     """The sub-seed trial ``trial`` draws its inputs from at ``dim``, shared
-    by every cell of that dim; tag 3 keeps it apart from refinement (1), and
-    tag 2 is reserved: nothing draws from it."""
+    by every cell of that dim; tags 1 and 2 are reserved: nothing draws from
+    them, and a change of tag would move every draw."""
     return SeedState(config.seed, (3, dim, trial))
 
 
@@ -432,7 +400,7 @@ def _record_name(config: CampaignConfig) -> str:
     return f"reverse:{config.variant}" if config.verifier == "reverse" else config.verifier
 
 
-def _outcomes(config: CampaignConfig, f, entries, trials, stack, dec=None):
+def _outcomes(config: CampaignConfig, f, entries, trials, stack, dec):
     """Yield (trials, stack, outcomes): the Outcomes (cells, trials) of a stack
     of ``trials``, drawn with decomposition ``dec``, in the cells of
     ``entries`` by the verifier's kernel.  A LinAlgError reruns a stack of
@@ -559,16 +527,15 @@ class _Tally:
             )
 
     def summary(self):
-        """Per cell (failures, (max, min, q50, q99), argmax ratio, argmax
-        trial), the argmax the first trial with the strictly largest counted
-        ratio, never a NaN one; trial -1 when there is none."""
+        """Per cell (failures, (max, min, q50, q99), argmax trial), the argmax
+        the first trial with the strictly largest counted ratio, never a NaN
+        one; trial -1 when there is none."""
         failures = np.count_nonzero(~self.ok, axis=1)
         candidates = np.where(self.counted & ~np.isnan(self.ratio), self.ratio, -np.inf)
         best = np.argmax(candidates, axis=1)
-        best_ratio = candidates[np.arange(len(best)), best]
-        best = np.where(best_ratio > -np.inf, best, -1)
+        best = np.where(candidates[np.arange(len(best)), best] > -np.inf, best, -1)
         stats = _ratio_statistics(self.ratio, self.counted)
-        return zip(failures.tolist(), stats.tolist(), best_ratio.tolist(), best.tolist())
+        return zip(failures.tolist(), stats.tolist(), best.tolist())
 
 
 def run_campaign(config: CampaignConfig):
@@ -598,13 +565,7 @@ def run_campaign(config: CampaignConfig):
             summaries[cell_idx], counterexamples[cell_idx] = summary, cxs
     cells = []
     for cell_idx, (theta, p, norm_str, dim) in enumerate(grid):
-        failures, (max_ratio, min_ratio, q50, q99), ratio, trial = summaries[cell_idx]
-        refined_max = None
-        trajectory = ()
-        if config.refine_steps > 0 and trial >= 0:
-            refined_max, trajectory = _greedy_refine(
-                config, f, entries[cell_idx], dim, ratio, trial, cell_idx
-            )
+        failures, (max_ratio, min_ratio, q50, q99), trial = summaries[cell_idx]
         cells.append(
             CellReport(
                 theta=float(theta),
@@ -618,42 +579,10 @@ def run_campaign(config: CampaignConfig):
                 q50=q50,
                 q99=q99,
                 argmax_digest=_digest(config, cell_idx, trial, dim) if trial >= 0 else "none",
-                refined_max=refined_max,
-                trajectory=trajectory,
             )
         )
     counterexamples = [cx for cxs in counterexamples for cx in cxs]
     return CampaignReport(config=config, cells=tuple(cells)), counterexamples
-
-
-def _greedy_refine(config, f, entry, dim, ratio, trial, cell_idx):
-    """Hill-climb with shrinking Gaussian steps from the argmax instance, trial
-    ``trial`` of ratio ``ratio`` in the cell of ``entry``, whose inputs are
-    redrawn from the trial's own sub-seed (the kernel decomposes each step's)."""
-    kinds, (mats,), _ = _draw(config, dim, [trial])
-    inputs = list(zip(kinds, mats))
-    scale = max((op_norm(m) for k, m in inputs if k != "step"), default=1.0)
-    sigma = 0.1 * scale
-    trajectory = [ratio]
-    for step in range(config.refine_steps):
-        rng = SeedState(config.seed, (1, cell_idx, step)).rng()
-        try:
-            cand = _perturb_inputs(inputs, sigma, rng)
-        except HolderLabError:
-            sigma *= 0.5
-            continue
-        stack = np.array([[m for _, m in cand]])
-        ((_, _, outcomes),) = _outcomes(config, f, [entry], [0], stack)
-        if not outcomes.ok[0, 0]:
-            sigma *= 0.5
-            continue
-        if outcomes.ratio[0, 0] > ratio:
-            ratio, inputs = float(outcomes.ratio[0, 0]), cand
-            sigma *= 0.9
-        else:
-            sigma *= 0.6
-        trajectory.append(float(ratio))
-    return float(ratio), tuple(trajectory)
 
 
 def replay(config: CampaignConfig, cell_idx: int, trial: int) -> V.VerificationRecord:

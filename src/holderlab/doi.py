@@ -332,12 +332,19 @@ def _zeta_upper(s: float) -> float:
     return math.nextafter(math.fsum([k ** -s for k in range(1, n)] + tail), math.inf)
 
 
-def fourier_coefficient_constant(p: float, b: int) -> float:
-    """(sum_{n != 0} |n|^{-p b})^{1/p}; requires b > 1/p."""
+def _check_fourier_order(p: float, b: int) -> None:
+    """Raise ParameterError unless the Fourier route applies at p with order
+    b: p in (0, 1] and b > 1/p.  The bounds run it before they build a bump
+    of order b + 2, which cannot be built at every b it refuses."""
     if not 0.0 < p <= 1.0:
         raise ParameterError(f"fourier route requires p in (0,1], got {p}")
     if not b > 1.0 / p:
         raise ParameterError(f"need b > 1/p (b={b}, 1/p={1.0 / p:g}); series diverges")
+
+
+def fourier_coefficient_constant(p: float, b: int) -> float:
+    """(sum_{n != 0} |n|^{-p b})^{1/p}; requires b > 1/p."""
+    _check_fourier_order(p, b)
     return float((2.0 * _zeta_upper(p * b)) ** (1.0 / p))
 
 
@@ -589,6 +596,7 @@ def local_dd_bound(
         b = default_b_for(p)
     if b + 2 > f.max_order:
         raise CapabilityError(f"{f.name}: localized bound needs derivative order {f.max_order + 1}")
+    _check_fourier_order(p, b)
     partials = localized_dd_periodic(f, SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2))
     return fourier_sobolev_bound(partials, p, b, grid_n=grid_n).upper
 
@@ -633,6 +641,7 @@ def b0_upper_bound(
             f"b0 and b1 need b <= {MAX_B0_ORDER}, got b = {b} at p = {p}: (b + 1)! leaves the "
             "float range"
         )
+    _check_fourier_order(p, b)
 
     def bound():
         bump_s = SmoothBump(0.75, 1.0, 2.0, 2.25, order=b + 2)

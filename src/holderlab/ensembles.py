@@ -142,14 +142,14 @@ def sample_schur_instances(dim: int, lambda_range, mu_range, seeds):
 # Each entry of ENSEMBLES pairs a check with a draw.  The check (dim, ens) ->
 # kinds raises the ParameterError that makes the ensemble dict ``ens``
 # invalid at this dim, and otherwise returns the kinds of a trial's inputs
-# ("herm", "pos", "general", "contraction" or "step", so that a campaign's
-# refinement knows how to perturb them); it draws nothing, so a config checks
-# its ensemble at load without a draw.  The draw (dim, seeds, ens) -> (stack,
-# dec) runs on a checked ens: it draws the inputs of every seed as one complex
-# array (len(seeds), len(kinds), n, n) in seed order, and dec is the
-# SpectralDecomposition they were built from (positive_pair, fixed_pair and
-# commuting_pair), else None.  Both read only the config keys their entry
-# lists.  sample_ensemble runs the check once per stack, then the draw; the
+# ("herm", "pos", "general", "contraction" or "step", so that a config can
+# require positive inputs and a counterexample names each input's kind); it
+# draws nothing, so a config checks its ensemble at load without a draw.  The
+# draw (dim, seeds, ens) -> (stack, dec) runs on a checked ens: it draws the
+# inputs of every seed as one complex array (len(seeds), len(kinds), n, n) in
+# seed order, and dec is the SpectralDecomposition they were built from
+# (positive_pair, fixed_pair and commuting_pair), else None.  Both read only
+# the config keys their entry lists.  sample_ensemble runs the check once per stack, then the draw; the
 # public functions a draw calls are looked up as module globals when it runs,
 # so rebinding them (a tracer, a test's spy) reaches the draws.
 

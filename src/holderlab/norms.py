@@ -1,5 +1,5 @@
-"""Singular value profiles, Schatten / weak / Ky Fan quasi-norms, p-th power
-norms, and submajorization checks.
+"""Singular value profiles, Schatten / Ky Fan quasi-norms, p-th power norms,
+and submajorization checks.
 
 A profile is a non-increasing nonnegative float vector (the singular values
 of a matrix, sorted descending).  All norms are evaluated on profiles, so the
@@ -37,15 +37,6 @@ class Schatten:
 
 
 @dataclass(frozen=True)
-class WeakLp:
-    p: float
-
-    def __post_init__(self):
-        if not (self.p > 0 and np.isfinite(self.p)):
-            raise ParameterError(f"weak-Lp exponent must be finite positive, got {self.p}")
-
-
-@dataclass(frozen=True)
 class KyFan:
     k: int
 
@@ -65,7 +56,7 @@ class PowerOf:
         check_fully_symmetric(self.base)
 
 
-NormSpec = Schatten | WeakLp | KyFan | PowerOf
+NormSpec = Schatten | KyFan | PowerOf
 
 
 def check_fully_symmetric(spec: NormSpec):
@@ -90,9 +81,6 @@ def norm_of_profile(values, spec: NormSpec):
                 out = s[..., 0]
             else:
                 out = _power_norm(s, spec.p, lambda w: np.sum(w, axis=-1))
-        elif isinstance(spec, WeakLp):
-            weights = (np.arange(s.shape[-1]) + 1.0) ** (1.0 / spec.p)
-            out = np.max(weights * s, axis=-1)
         elif isinstance(spec, KyFan):
             out = s[..., : spec.k].sum(axis=-1)
         elif isinstance(spec, PowerOf):
@@ -117,12 +105,8 @@ def _unit(top):
     return np.where((top > 0.0) & (top < np.inf), top, 1.0)
 
 
-def norm(x, spec: NormSpec) -> float:
-    return norm_of_profile(singular_values(x), spec)
-
-
 def parse_norm_spec(text: str) -> NormSpec:
-    """Parse the spec grammar: schatten:p | weak:p | kyfan:k | power:<base>:p.
+    """Parse the spec grammar: schatten:p | kyfan:k | power:<base>:p.
 
     ``p`` accepts "inf" for the operator norm.
     """
@@ -145,10 +129,6 @@ def parse_norm_spec(text: str) -> NormSpec:
             fail(1, "expected schatten:p")
         p = np.inf if tokens[1].lower() in ("inf", "infinity") else number(1)
         return Schatten(p)
-    if kind == "weak":
-        if len(tokens) != 2:
-            fail(1, "expected weak:p")
-        return WeakLp(number(1))
     if kind == "kyfan":
         if len(tokens) != 2:
             fail(1, "expected kyfan:k")
@@ -157,7 +137,7 @@ def parse_norm_spec(text: str) -> NormSpec:
         if len(tokens) < 3:
             fail(1, "expected power:<base>:p")
         base = parse_norm_spec(":".join(tokens[1:-1]))
-        if isinstance(base, (PowerOf, WeakLp)):
+        if isinstance(base, PowerOf):
             fail(1, "power base must be kyfan or schatten with p >= 1")
         return PowerOf(base, number(len(tokens) - 1))
     fail(0, f"unknown norm kind {kind!r}")

@@ -194,7 +194,7 @@ def _one(kernel, f, theta, p, spec, mats, variant=None) -> Outcomes:
 # in the C valid cells of ``entries``, and returns one Outcomes (C, T), judged
 # once.  ``dec`` is the decomposition the draw built the stack from, sliced
 # with the stack when a campaign reruns it by trial, and _front takes it in
-# place of eigh; it is None for the other draws, refinement and _one.  Each
+# place of eigh; it is None for the other draws and for _one.  Each
 # kernel's docstring states its estimate and which ratios witness it.  A
 # trial fails with the error of the first check of its inputs it fails, in
 # the order the kernel's docstring gives: one row of checks serves every

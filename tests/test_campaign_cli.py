@@ -78,15 +78,6 @@ def test_campaign_bks_grid_constant_one():
     assert len(rep.cells) == 4
 
 
-def test_campaign_refinement_never_decreases():
-    cfg = small_config(verifier="main", function="power:0.5", norms=("-",), trials=15,
-                       refine_steps=10)
-    rep, _ = run_campaign(cfg)
-    cell = rep.cells[0]
-    assert cell.refined_max >= cell.max_ratio
-    assert list(cell.trajectory) == sorted(cell.trajectory)
-
-
 def test_dimension_trend_statistic():
     cfg = small_config(
         verifier="main", function="power:0.5", norms=("-",), dims=(2, 4, 8), trials=40
@@ -254,12 +245,16 @@ def test_cli_campaign_end_to_end(monkeypatch, tmp_path, capsys):
 
 
 def test_reports_carry_the_report_format(tmp_path, capsys):
-    # format 9: an inverse record whose side leaves the float range fails its trial
+    # format 10: a cell reports no greedy climb (refined_max, trajectory), and
+    # the config echo has no refine_steps
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(trials=3).to_dict()))
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path)]) == 0
     for name in ("report.json", "manifest.json"):
-        assert json.loads((tmp_path / name).read_text())["report_format"] == 9
+        assert json.loads((tmp_path / name).read_text())["report_format"] == 10
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "refine_steps" not in report["config"]
+    assert not {"refined_max", "trajectory"} & set(report["cells"][0])
 
 
 def test_cli_campaign_malformed_config(tmp_path, capsys):
@@ -570,14 +565,23 @@ def test_cli_mpnorm_b0_bound_outside_the_float_range_exit_2(symbol, b, reason, c
             ["--symbol", "dyadic:2", "--f", "log1p", "--b", "1000000"],
             "dilate:4.0:log1p: localized bound needs derivative order 7",
         ),
+        (["--symbol", "b0", "--b=-5"], "need b > 1/p (b=-5, 1/p=1); series diverges\n"),
+        (["--symbol", "b1", "--b=-5"], "need b > 1/p (b=-5, 1/p=1); series diverges\n"),
+        (["--symbol", "b0", "--b=-3"], "need b > 1/p (b=-3, 1/p=1); series diverges\n"),
+        (
+            ["--symbol", "dyadic:2", "--f", "log1p", "--b=-5"],
+            "need b > 1/p (b=-5, 1/p=1); series diverges\n",
+        ),
     ],
-    ids=["b0-170", "b0-200", "b1-200", "b1-1e6", "dyadic-1e6"],
+    ids=["b0-170", "b0-200", "b1-200", "b1-1e6", "dyadic-1e6", "b0-minus-5", "b1-minus-5",
+         "b0-minus-3", "dyadic-minus-5"],
 )
 def test_cli_mpnorm_fourier_order_refused_before_any_bump_is_built(
     argv, message, monkeypatch, capsys
 ):
     # from b = 170 on, the (b + 1)! of the partials of b0's local model leaves
-    # the float range on every grid; dyadic:K needs f^(b + 2)
+    # the float range on every grid; dyadic:K needs f^(b + 2); b > 1/p is
+    # checked before a bump of order b + 2, which a negative b cannot build
     monkeypatch.setattr(hl.doi, "SmoothBump", lambda *a, **k: pytest.fail("built a bump"))
     assert main(["mpnorm", "--trials", "3", "--seed", "4"] + argv) == 2
     captured = capsys.readouterr()
@@ -810,7 +814,7 @@ def test_cli_parser_is_built_once(monkeypatch, capsys):
         ("trials", True),
         ("seed", 1.5),
         ("seed", -1),
-        ("refine_steps", 0.5),
+        ("variant", 5),
         ("dims", [2.0]),
         ("dims", [0]),
         ("dims", 4),
@@ -1203,6 +1207,27 @@ def test_cli_campaign_malformed_numbers_exit_2(overrides, text, tmp_path, capsys
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert text in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_removed_config_key_and_norm_kind_exit_2(tmp_path, capsys):
+    # the greedy climb's refine_steps and the weak:p norm are gone
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**small_config().to_dict(), "refine_steps": 0}))
+    assert main(["campaign", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: ['refine_steps']\n"
+    assert main(["verify", "--ineq", "bks", "--norm", "weak:2", "--trials", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad norm spec 'weak:2' at token 0: unknown norm kind 'weak'\n"
+    )
+
+
+def test_readme_config_example_loads():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    start = readme.index("`config.json` holds a campaign configuration:")
+    start = readme.index("```json\n", start) + len("```json\n")
+    config = CampaignConfig.from_dict(json.loads(readme[start : readme.index("```", start)]))
+    assert config.verifier == "bks" and len(config.cells()) == 9
 
 
 @pytest.mark.parametrize("verifier", sorted(VERIFIERS))

@@ -12,7 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CELL = {
     "argmax_digest": "1:0:9:dim8", "dim": 8, "failures": 0, "max_ratio": 165.8,
     "min_ratio": 131.9, "norm": "schatten:1", "p": 1.0, "q50": 146.4, "q99": 165.6,
-    "refined_max": None, "theta": 1.5, "trajectory": [], "trials": 32,
+    "theta": 1.5, "trials": 32,
 }
 
 

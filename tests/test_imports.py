@@ -16,16 +16,17 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
 # every public name of the package, and the submodules it bound, as of the
 # release whose __init__ imported them all, less the per-trial verifier
 # functions that only tests called and PreconditionError, which they raised,
-# and the profile helpers that only tests called (distribution_function,
-# submajorizes and its SubmajorizationReport)
+# the profile helpers that only tests called (distribution_function,
+# submajorizes and its SubmajorizationReport), and WeakLp and norm, which no
+# reported number used
 EXPORTS = """
 BivariateSymbol CampaignConfig CampaignReport CapabilityError DomainError EigensolverError
 HolderLabError KyFan MpBound ParameterError PowerOf ScalarFunction Schatten
 SeedState SeminormEstimate ShapeError SingularityError SpectralDecomposition
-VerificationRecord WeakLp abs_matrix alpha_symbol
+VerificationRecord abs_matrix alpha_symbol
 apply_function as_hermitian beta_symbol cayley cayley_identity_residual d_of_p dd_symbol
 decomposition_bound dilate_function doi_lipschitz_identity
-dyadic_symbols eig_hermitian empirical_mp_lower fourier_sobolev_bound haar_unitary norm
+dyadic_symbols eig_hermitian empirical_mp_lower fourier_sobolev_bound haar_unitary
 norm_of_profile op_norm parse_function_spec parse_norm_spec replay representation_reconstruct
 run_campaign scalar_sum_555 schur_apply seminorm singular_values spectral_projection
 verify_bks verify_commutator verify_main

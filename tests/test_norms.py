@@ -12,12 +12,15 @@ from holderlab.norms import (
     KyFan,
     PowerOf,
     Schatten,
-    WeakLp,
     _submajorization_margin,
     least_domination_constant,
     norm_of_profile,
     parse_norm_spec,
 )
+
+
+def _norm(x, spec):
+    return norm_of_profile(hl.singular_values(x), spec)
 
 
 def random_matrix(n, rng):
@@ -38,32 +41,25 @@ def test_singular_values_gram_oracle():
 
 def test_norm_values():
     x = np.diag([3.0, 4.0])
-    assert hl.norm(x, Schatten(1)) == pytest.approx(7.0)
-    assert hl.norm(x, Schatten(np.inf)) == pytest.approx(4.0)
+    assert _norm(x, Schatten(1)) == pytest.approx(7.0)
+    assert _norm(x, Schatten(np.inf)) == pytest.approx(4.0)
     want_half = (math.sqrt(3.0) + 2.0) ** 2
-    assert hl.norm(x, Schatten(0.5)) == pytest.approx(want_half, rel=1e-12)
-    assert hl.norm(x, PowerOf(KyFan(2), 0.5)) == pytest.approx(want_half, rel=1e-12)
+    assert _norm(x, Schatten(0.5)) == pytest.approx(want_half, rel=1e-12)
+    assert _norm(x, PowerOf(KyFan(2), 0.5)) == pytest.approx(want_half, rel=1e-12)
 
 
 def test_kyfan_index_above_dim_is_trace_norm():
     x = np.diag([3.0, 4.0])
-    assert hl.norm(x, KyFan(5)) == pytest.approx(hl.norm(x, Schatten(1)))
+    assert _norm(x, KyFan(5)) == pytest.approx(_norm(x, Schatten(1)))
 
 
 def test_power_of_schatten_is_schatten():
     rng = np.random.default_rng(2)
     x = random_matrix(4, rng)
     for q, p in [(1.0, 0.5), (2.0, 0.25), (1.0, 2.0)]:
-        assert hl.norm(x, PowerOf(Schatten(q), p)) == pytest.approx(
-            hl.norm(x, Schatten(p * q)), rel=1e-12
+        assert _norm(x, PowerOf(Schatten(q), p)) == pytest.approx(
+            _norm(x, Schatten(p * q)), rel=1e-12
         )
-
-
-def test_weak_norm_convention():
-    prof = np.array([4.0, 2.0, 1.0])
-    p = 2.0
-    want = max((k + 1) ** (1 / p) * v for k, v in enumerate(prof))
-    assert norm_of_profile(prof, WeakLp(p)) == pytest.approx(want)
 
 
 def test_unitary_invariance():
@@ -71,9 +67,9 @@ def test_unitary_invariance():
     x = random_matrix(5, rng)
     u, v = hl.haar_unitary(5, rng), hl.haar_unitary(5, rng)
     specs = [Schatten(0.5), Schatten(1), Schatten(2), Schatten(np.inf),
-             WeakLp(1.5), KyFan(3), PowerOf(KyFan(2), 0.5)]
+             KyFan(3), PowerOf(KyFan(2), 0.5)]
     for spec in specs:
-        a, b = hl.norm(u @ x @ v, spec), hl.norm(x, spec)
+        a, b = _norm(u @ x @ v, spec), _norm(x, spec)
         assert abs(a - b) <= 1e-10 * (1.0 + abs(b))
 
 
@@ -82,8 +78,8 @@ def test_p_triangle_for_small_p():
     for p in (0.3, 0.5, 1.0):
         for _ in range(50):
             x, y = random_matrix(4, rng), random_matrix(4, rng)
-            lhs = hl.norm(x + y, Schatten(p)) ** p
-            rhs = hl.norm(x, Schatten(p)) ** p + hl.norm(y, Schatten(p)) ** p
+            lhs = _norm(x + y, Schatten(p)) ** p
+            rhs = _norm(x, Schatten(p)) ** p + _norm(y, Schatten(p)) ** p
             assert lhs <= rhs * (1.0 + 1e-12)
 
 
@@ -94,8 +90,6 @@ def test_quasi_triangle_with_modulus():
         (Schatten(0.5), 2.0),
         (Schatten(1), 1.0),
         (Schatten(3), 1.0),
-        (WeakLp(0.5), 4.0),
-        (WeakLp(2), 2.0 ** 0.5),
         (KyFan(2), 1.0),
         (PowerOf(KyFan(3), 0.5), 2.0),
         (PowerOf(Schatten(1), 0.4), 2.0 ** 1.5),
@@ -103,7 +97,7 @@ def test_quasi_triangle_with_modulus():
     for spec, k in moduli:
         for _ in range(30):
             x, y = random_matrix(4, rng), random_matrix(4, rng)
-            assert hl.norm(x + y, spec) <= k * (hl.norm(x, spec) + hl.norm(y, spec)) * (
+            assert _norm(x + y, spec) <= k * (_norm(x, spec) + _norm(y, spec)) * (
                 1.0 + 1e-12
             )
 
@@ -121,7 +115,7 @@ def test_hardy_littlewood_polya_monotonicity():
         u, v = hl.haar_unitary(5, rng), hl.haar_unitary(5, rng)
         x = u @ np.diag(mu_x) @ v
         for spec in fully_symmetric:
-            assert hl.norm(x, spec) <= hl.norm(y, spec) * (1.0 + 1e-10)
+            assert _norm(x, spec) <= _norm(y, spec) * (1.0 + 1e-10)
 
 
 def test_mu_of_adjoint_and_modulus():
@@ -204,7 +198,6 @@ def test_parse_norm_specs():
     cases = {
         "schatten:1": Schatten(1.0),
         "schatten:inf": Schatten(np.inf),
-        "weak:2.0": WeakLp(2.0),
         "kyfan:3": KyFan(3),
         "power:kyfan:2:0.5": PowerOf(KyFan(2), 0.5),
         "power:schatten:1.0:2.0": PowerOf(Schatten(1.0), 2.0),
@@ -230,8 +223,6 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         Schatten(0.0)
     with pytest.raises(ParameterError):
-        WeakLp(np.inf)
-    with pytest.raises(ParameterError):
         KyFan(0)
     with pytest.raises(ParameterError):
         PowerOf(Schatten(0.5), 1.0)  # base not fully symmetric
@@ -241,7 +232,7 @@ def test_spec_validation():
 
 STACK_SPECS = [
     Schatten(1), Schatten(2), Schatten(1.5), Schatten(np.inf), KyFan(1), KyFan(3), KyFan(9),
-    WeakLp(0.5), WeakLp(2.0), PowerOf(Schatten(1), 0.5), PowerOf(Schatten(2), 0.75),
+    PowerOf(Schatten(1), 0.5), PowerOf(Schatten(2), 0.75),
     PowerOf(KyFan(2), 2.0), PowerOf(Schatten(np.inf), 0.3), PowerOf(Schatten(1), 1.0),
 ]
 
@@ -261,7 +252,7 @@ def test_norm_of_a_stack_is_the_norm_of_each_profile(n):
                 assert isinstance(want[0], float) and got.shape == stack.shape[:-1]
                 assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want]
     assert norm_of_profile(np.zeros((4, 0)), Schatten(1)).tolist() == [0.0] * 4
-    assert norm_of_profile([], WeakLp(1.0)) == 0.0
+    assert norm_of_profile([], KyFan(2)) == 0.0
 
 
 # --- the stacked submajorization margin against the per-pair computation -----------

@@ -72,9 +72,8 @@ CONFIGS = {
     "invalid-cells": dict(
         thetas=[1.5, 0.5], norms=["schatten:0.5", "schatten:1"], dims=[8], trials=5
     ),
-    "refine": dict(
-        thetas=[0.5], norms=["schatten:1", "kyfan:2"], dims=[3, 8], trials=40, refine_steps=4
-    ),
+    # two norms at two dims; the key keeps the ids of the tests it names
+    "refine": dict(thetas=[0.5], norms=["schatten:1", "kyfan:2"], dims=[3, 8], trials=40),
 }
 
 
@@ -126,7 +125,6 @@ CONFIGS.update(
             dims=_dims(ensemble, [8]),
             trials=33,
             ensemble=ensemble,
-            refine_steps=2,
         )
         for verifier in sorted(set(camp.VERIFIERS) - {"bks"})
         for key, ensemble in ENSEMBLE_OF.items()
@@ -474,7 +472,7 @@ def test_verify_bks_keeps_its_exceptions():
     with pytest.raises(DomainError, match="Y must be positive"):
         hl.verify_bks(0.5, Schatten(1), np.eye(2), np.diag([1.0, -1.0]))
     with pytest.raises(ParameterError):
-        hl.verify_bks(0.5, hl.WeakLp(1.0), x, x)
+        hl.verify_bks(0.5, Schatten(0.5), x, x)
     with pytest.raises(ParameterError):
         hl.verify_bks(1.5, Schatten(1), x, x)
     with pytest.raises(ParameterError):
@@ -694,7 +692,7 @@ INVERSE_REPORT_CONFIGS = [dict(function=f) for f in INVERSE_FUNCTIONS] + [
     ids=lambda kw: f"{kw['function']}-{kw.get('ensemble', 'gaussian')}",
 )
 def test_inverse_reports_match_per_trial_path(kwargs, monkeypatch):
-    config = _inverse_config(seed=202, trials=9, refine_steps=2, **kwargs)
+    config = _inverse_config(seed=202, trials=9, **kwargs)
     stacked = _outputs(config)
     monkeypatch.setattr(camp, "_stack_size", lambda dim, inputs: 1)
     assert stacked == _outputs(config)
@@ -931,7 +929,6 @@ def test_every_verifier_reports_match_small_stacks(verifier, size, monkeypatch):
                 "trials": 5,
                 "seed": 404,
                 "ensemble": ensemble,
-                "refine_steps": 2,
             }
         )
         for ensemble in [None] + [
@@ -1630,32 +1627,6 @@ def test_cell_statistics_are_numpys_on_the_trial_outcomes(cfg, request):
         assert _same_bits(got, _numpy_statistics(ratios))
 
 
-@pytest.mark.parametrize("name", ["refine", "telescope-steps", "main-gaussian", "alt-positive"])
-def test_refinement_starts_from_the_inputs_its_stack_held(name, monkeypatch):
-    # refinement redraws the argmax trial's inputs from its own sub-seed; they
-    # are the bits the campaign's stack held, and climbing from the stack's
-    # own arrays (as a tally that kept them would) gives the same report
-    config = _config(name)
-    redrawn = _outputs(config)
-    real = camp._draw
-    held, starts = {}, []
-
-    def draw(config, dim, trials):
-        kinds, stack, dec = real(config, dim, trials)
-        if len(trials) == 1 and (dim, trials[0]) in held:
-            starts.append(stack[0].tobytes() == held[dim, trials[0]].tobytes())
-            return kinds, held[dim, trials[0]][None], dec
-        held.update({(dim, t): m for t, m in zip(trials, stack)})
-        return kinds, stack, dec
-
-    monkeypatch.setattr(camp, "_draw", draw)
-    report, cx = run_campaign(config)
-    assert (report.to_csv(), report.to_json(), json.dumps(cx, sort_keys=True)) == redrawn
-    refined = [c for c in report.cells if c.refined_max is not None]
-    assert refined and len(starts) == len(refined) and all(starts)
-    assert any(len(c.trajectory) > 1 for c in refined)
-
-
 # --- Hermitian profiles and overflow-safe p-th powers (report format 3) ------------------
 
 # Hermitian spectra at the numerical edges: repeated and zero eigenvalues,
@@ -1902,23 +1873,18 @@ def test_a_negative_drawn_eigenvalue_fails_positivity(verifier, monkeypatch):
     assert "(min eigenvalue -1.000e-03)" in str(drawn)
 
 
-def test_only_refinement_and_the_public_verifiers_call_eigh(monkeypatch):
+def test_only_the_public_verifiers_call_eigh(monkeypatch):
     # a positive_pair campaign's kernels take the drawn decompositions, while
-    # a refinement step's perturbed inputs and a public verify_bks are
-    # decomposed by one eigh call each
-    config = _drawn_config("bks", "positive", trials=33, refine_steps=1)
-    calls = []
+    # a public verify_bks decomposes its inputs by one eigh call
+    config = _drawn_config("bks", "positive", trials=33)
+    calls, kernels = [], []
     _spy(monkeypatch, np.linalg, "eigh", calls)
     f, cell = None, camp._kernel_cells(config)[0]
     (entry,) = camp._entries(config, f, [cell])
     for _ in camp._stacks(config, 8, [entry], f):
         pass
     assert calls == []
-    kernels = []
     _spy(monkeypatch, V, "eigh_stack", kernels)
-    camp._greedy_refine(config, f, entry, 8, 0.5, 0, 0)
-    assert [np.shape(args[0]) for args in kernels] == [(1, 2, 8, 8)]
-    del calls[:], kernels[:]
     _, stack, _ = camp._draw(config, 8, [0])
     hl.verify_bks(0.5, Schatten(1), *stack[0])
     assert len(calls) == len(kernels) == 1

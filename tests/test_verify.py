@@ -124,7 +124,7 @@ def test_verify_bks_examples():
     with pytest.raises(DomainError):
         hl.verify_bks(0.5, Schatten(1), np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(ParameterError):
-        hl.verify_bks(0.5, hl.WeakLp(1.0), x, x)
+        hl.verify_bks(0.5, Schatten(0.5), x, x)
 
 
 def test_verify_bks_small_campaign():

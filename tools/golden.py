@@ -1,4 +1,4 @@
-"""Write the golden set: the deterministic outputs of 156 campaign configs,
+"""Write the golden set: the deterministic outputs of 155 campaign configs,
 3 ``holderlab campaign`` calls, 25 ``holderlab verify`` calls and 44 other
 CLI calls, and print one sha256 over all of them.
 
@@ -25,7 +25,7 @@ Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
 ``counterexamples.json`` (``error.txt`` for a config refused at load), and
 ``forced-counterexamples.json``: the counterexamples of a second run with
 every claim set to -inf, so that every record that passes its checks is
-written with its inputs.  Three of the configs (refine-5, mixed-nan, and
+written with its inputs.  Three of the configs (bks-seed-9, mixed-nan, and
 stacked-fixed-degenerate-s7 with every claim set to -inf, as
 ``-forced``) also run through ``holderlab campaign``, whose own writer then
 fills OUT_DIR/cli-campaign-<name>/: ``report.csv``, ``report.json`` and
@@ -54,8 +54,8 @@ verifiers on every ensemble each draws from, edge spectra, invalid cells,
 stack boundaries); the three perfbench campaign workloads at seeds 1-3; 14
 configs whose p-th powers overflow (main, submaj, symmetric, absmap, reverse,
 inverse and alt) and an absmap config whose ratios are partly NaN; main,
-submaj, alt and telescope grids with refinement; a cell with no ratio; a
-config with no valid cell; refine_steps 5 and 6; and 8 configs refused at
+submaj, alt and telescope grids over theta and p; a cell with no ratio; a
+config with no valid cell; a bks config at seed 9; and 8 configs refused at
 load by their ensemble: a positive_pair spectrum_range [1, 0] and [0,
 inf], a fixed_pair with too few eigenvalues, with an infinite one and with a
 negative one under bks, a rank_one_steps rank 0, a rank above the dim and a
@@ -104,9 +104,7 @@ CONFIGS = {
     "invalid-cells": dict(
         thetas=[1.5, 0.5], norms=["schatten:0.5", "schatten:1"], dims=[8], trials=5
     ),
-    "refine": dict(
-        thetas=[0.5], norms=["schatten:1", "kyfan:2"], dims=[3, 8], trials=40, refine_steps=4
-    ),
+    "two-norms": dict(thetas=[0.5], norms=["schatten:1", "kyfan:2"], dims=[3, 8], trials=40),
 }
 FUNCTION_OF = {
     "main": "power:0.5",
@@ -141,7 +139,6 @@ for _verifier in sorted(set(campaign.VERIFIERS) - {"bks"}):
                 dims=[len(_ens["eigenvalues"])] if "eigenvalues" in _ens else [8],
                 trials=33,
                 ensemble=_ens,
-                refine_steps=2,
             )
 CONFIGS["reverse-expm1-gaussian"] = dict(CONFIGS["reverse-gaussian"], variant="expm1")
 CONFIGS["reverse-expm1-huge"] = dict(CONFIGS["reverse-huge"], variant="expm1")
@@ -207,10 +204,10 @@ def campaigns() -> dict:
         ("main", None), ("submaj", None), ("alt", None),
         ("telescope", {"name": "rank_one_steps", "rank": 3}),
     ):
-        out[f"refine-grid-{verifier}"] = {
+        out[f"grid-{verifier}"] = {
             "verifier": verifier, "function": FUNCTION_OF.get(verifier),
             "thetas": [0.25, 0.5, 0.75], "ps": [1.0, 0.5], "norms": ["schatten:1"],
-            "dims": [3, 8], "trials": 12, "seed": 5, "ensemble": ensemble, "refine_steps": 3,
+            "dims": [3, 8], "trials": 12, "seed": 5, "ensemble": ensemble,
         }
     out["no-ratio"] = {
         "verifier": "bks", "thetas": [0.5], "ps": [1.0], "norms": ["schatten:1"], "dims": [2],
@@ -220,11 +217,10 @@ def campaigns() -> dict:
         "verifier": "bks", "thetas": [1.5], "ps": [1.0], "norms": ["schatten:1", "kyfan:2"],
         "dims": [3, 8], "trials": 20, "seed": 7,
     }
-    for steps in (5, 6):
-        out[f"refine-{steps}"] = {
-            "verifier": "bks", "thetas": [0.5], "ps": [1.0], "norms": ["schatten:1", "kyfan:2"],
-            "dims": [3, 8], "trials": 20, "seed": 9, "refine_steps": steps,
-        }
+    out["bks-seed-9"] = {
+        "verifier": "bks", "thetas": [0.5], "ps": [1.0], "norms": ["schatten:1", "kyfan:2"],
+        "dims": [3, 8], "trials": 20, "seed": 9,
+    }
     for name, cfg in REFUSED.items():
         out[f"refused-{name}"] = {
             "verifier": "bks", "thetas": [0.5], "ps": [1.0], "norms": ["schatten:1"],
@@ -235,7 +231,7 @@ def campaigns() -> dict:
 
 # the golden campaigns that also run through ``holderlab campaign``, so that
 # its own writer is checked, each with whether every claim is set to -inf
-CLI_CAMPAIGNS = {"refine-5": False, "mixed-nan": False, "stacked-fixed-degenerate-s7": True}
+CLI_CAMPAIGNS = {"bks-seed-9": False, "mixed-nan": False, "stacked-fixed-degenerate-s7": True}
 
 
 CELL_CHECKS = {
@@ -248,7 +244,7 @@ CELL_CHECKS = {
     "main-order": ["main", "--f", "power:0.5", "--p", "0.25"],
     "main-infinite": ["main", "--f", "sexpm1"],
     "commutator-infinite": ["commutator", "--f", "sexpm1"],
-    "absmap-norm": ["absmap", "--norm", "weak:1"],
+    "absmap-norm": ["absmap", "--norm", "schatten:0.5"],
 }
 
 
