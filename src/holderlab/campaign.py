@@ -241,9 +241,11 @@ def indented_json(obj) -> str:
     fraction of its time.  A flat container (_flat) is one C-encoder call,
     wrapped in its newlines; so is a list of non-empty flat dicts, such as
     the cells of a report, whose boundaries "},\n{" are then re-indented by
-    one replace.  That is exact because an encoded string holds no raw
-    newline and every dict item starts with a quote, so the boundaries are
-    the only matches.  Anything else recurses."""
+    one replace, and a list of non-empty lists of scalars, such as the rows
+    of a counterexample's matrix, with its boundaries "],\n[".  That is
+    exact because an encoded string holds no raw newline, every dict item
+    starts with a quote and no row holds a list, so the boundaries are the
+    only matches.  Anything else recurses."""
     return _indented(obj, 1)
 
 
@@ -265,13 +267,25 @@ def _indented(obj, level: int) -> str:
             for k, v in sorted(obj.items())
         ]
         return "{" + inner + ("," + inner).join(items) + outer + "}"
-    dicts = all(isinstance(v, dict) and v for v in obj)
-    if dicts and _flat(chain.from_iterable(map(dict.values, obj))):
-        deeper = inner + INDENT
-        body = _encode_at(level + 1)(obj)[2:-2]
-        body = body.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-        return "[" + inner + "{" + deeper + body + inner + "}" + outer + "]"
+    if all(isinstance(v, dict) and v for v in obj):
+        if _flat(chain.from_iterable(map(dict.values, obj))):
+            return _rows(obj, level, "{", "}")
+    elif all(isinstance(v, (list, tuple)) and v for v in obj):
+        # no empty container in a row either: "[]" then "[" would match a boundary
+        if not any([isinstance(v, CONTAINERS) for v in chain.from_iterable(obj)]):
+            return _rows(obj, level, "[", "]")
     return "[" + inner + ("," + inner).join(_indented(v, level + 1) for v in obj) + outer + "]"
+
+
+def _rows(obj, level: int, start: str, end: str) -> str:
+    """_indented of a non-empty list of non-empty rows, each a flat dict
+    (``start`` "{") or a list of scalars (``start`` "["): one C-encoder call
+    whose row boundaries are re-indented by one replace."""
+    inner, outer = "\n" + INDENT * level, "\n" + INDENT * (level - 1)
+    deeper = inner + INDENT
+    body = _encode_at(level + 1)(obj)[2:-2]
+    body = body.replace(end + "," + deeper + start, inner + end + "," + inner + start + deeper)
+    return "[" + inner + start + deeper + body + inner + end + outer + "]"
 
 
 # --- instance sampling ----------------------------------------------------------

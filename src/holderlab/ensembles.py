@@ -8,6 +8,7 @@ state.  ``ENSEMBLES`` names the ensembles a campaign config can ask for.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache, lru_cache
 from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
@@ -31,8 +32,151 @@ class SeedState:
         return replace(self, path=self.path + tuple(int(i) for i in indices))
 
     def rng(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.root, spawn_key=self.path)
-        return np.random.default_rng(ss)
+        """numpy's default_rng(SeedSequence(entropy=root, spawn_key=path)),
+        bit for bit, built without the SeedSequence object (see the
+        per-trial generators below)."""
+        root, path = self.root, self.path
+        if not path:
+            state = _pool_state(root)
+        else:
+            state = _pool_state(root, *path[:-1])
+            last = path[-1]
+            if type(last) is int and 0 <= last <= _M32:  # one word, as a trial index
+                state = _absorbed(state, last)
+            else:
+                for word in _words(last):
+                    state = _absorbed(state, word)
+        seed = np.array(_generated(state), dtype=np.uint64)
+        pcg64, generator = _numpy_random()
+        return generator(pcg64(_Seeded(seed)))
+
+
+# --- per-trial generators -------------------------------------------------------
+#
+# SeedState.rng runs numpy's SeedSequence algorithm with its default pool of
+# four 32-bit words.  The entropy words are the root's 32-bit words
+# (little-endian, [0] for 0) zero-padded to 4, then each path element's words:
+# the padding is numpy's rule for a non-empty spawn key, and an empty one gives
+# the same pool with or without it.  The first four words hash into the pool,
+# which is then mixed with itself; each further word is hashed into every pool
+# word.  The hash constant runs on across all of it, so a prefix's state is the
+# pool and the constant, cached per (root, prefix): every trial of a campaign
+# dim shares the prefix (3, dim) and mixes in only its trial index.
+
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# generate_state's hash constant before and after each of the eight output words
+_OUT_HASH = tuple(
+    (0x8B51F9DD * 0x58F38DED**k & _M32, 0x8B51F9DD * 0x58F38DED ** (k + 1) & _M32)
+    for k in range(8)
+)
+
+
+def _words(n):
+    """The 32-bit words of an integer n >= 0, least significant first; a
+    non-integer or a negative n raises what SeedSequence raises."""
+    if not isinstance(n, (int, np.integer)):
+        raise TypeError(f"seed must be integer, got {n!r}")
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _absorbed(state, word):
+    """The state (pool words, hash constant) once one more entropy word is
+    hashed into each pool word.  Unrolled, as _generated: a trial's generator
+    runs it once."""
+    p0, p1, p2, p3, h = state
+    v = (word ^ h) * (h := h * _MULT_A & _M32) & _M32
+    r = (_MIX_L * p0 - _MIX_R * (v ^ v >> 16)) & _M32
+    p0 = r ^ r >> 16
+    v = (word ^ h) * (h := h * _MULT_A & _M32) & _M32
+    r = (_MIX_L * p1 - _MIX_R * (v ^ v >> 16)) & _M32
+    p1 = r ^ r >> 16
+    v = (word ^ h) * (h := h * _MULT_A & _M32) & _M32
+    r = (_MIX_L * p2 - _MIX_R * (v ^ v >> 16)) & _M32
+    p2 = r ^ r >> 16
+    v = (word ^ h) * (h := h * _MULT_A & _M32) & _M32
+    r = (_MIX_L * p3 - _MIX_R * (v ^ v >> 16)) & _M32
+    return p0, p1, p2, r ^ r >> 16, h
+
+
+def _generated(state):
+    """SeedSequence.generate_state(4, np.uint64) as ints: the pool hashed,
+    word by word in cycle, into eight 32-bit words, paired little-endian."""
+    p0, p1, p2, p3, _ = state
+    (x0, m0), (x1, m1), (x2, m2), (x3, m3), (x4, m4), (x5, m5), (x6, m6), (x7, m7) = _OUT_HASH
+    w0 = (p0 ^ x0) * m0 & _M32
+    w1 = (p1 ^ x1) * m1 & _M32
+    w2 = (p2 ^ x2) * m2 & _M32
+    w3 = (p3 ^ x3) * m3 & _M32
+    w4 = (p0 ^ x4) * m4 & _M32
+    w5 = (p1 ^ x5) * m5 & _M32
+    w6 = (p2 ^ x6) * m6 & _M32
+    w7 = (p3 ^ x7) * m7 & _M32
+    return [
+        (w0 ^ w0 >> 16) | (w1 ^ w1 >> 16) << 32,
+        (w2 ^ w2 >> 16) | (w3 ^ w3 >> 16) << 32,
+        (w4 ^ w4 >> 16) | (w5 ^ w5 >> 16) << 32,
+        (w6 ^ w6 >> 16) | (w7 ^ w7 >> 16) << 32,
+    ]
+
+
+@lru_cache(maxsize=256, typed=True)
+def _pool_state(root, *prefix):
+    """The state after the entropy words of root and prefix.  The cache keys
+    on each argument's type, so that a float equal to an int raises as it
+    would at a miss."""
+    if prefix:
+        state = _pool_state(root, *prefix[:-1])
+        for word in _words(prefix[-1]):
+            state = _absorbed(state, word)
+        return state
+    words = _words(root)
+    words += [0] * (4 - len(words))
+    pool, h = [], _INIT_A
+    for word in words[:4]:
+        v = (word ^ h) * (h := h * _MULT_A & _M32) & _M32
+        pool.append(v ^ v >> 16)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = (pool[src] ^ h) * (h := h * _MULT_A & _M32) & _M32
+                r = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _M32
+                pool[dst] = r ^ r >> 16
+    state = (*pool, h)
+    for word in words[4:]:
+        state = _absorbed(state, word)
+    return state
+
+
+class _Seeded:
+    """The ISeedSequence PCG64 seeds from: generate_state(4, np.uint64), the
+    only call PCG64 makes, returns the given words."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._state
+
+
+@cache
+def _numpy_random():
+    """PCG64 and Generator, with _Seeded registered as an ISeedSequence, on
+    first use: numpy does not import numpy.random, and importing it with
+    this module would add to the memory of every process, drawing or not."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_Seeded)
+    return np.random.PCG64, np.random.Generator
 
 
 def _check_dim(dim):

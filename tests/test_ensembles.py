@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holderlab as hl
 from holderlab import ensembles as E
@@ -296,3 +298,129 @@ def test_gaussian_pair_stacks_are_the_per_seed_draws(name, dim, count):
 def test_ginibre_pair_sampler_rejects_empty_dims():
     with pytest.raises(ParameterError, match="dimension"):
         E.sample_ginibre_pairs(0, [E.SeedState(1)])
+
+
+# --- the per-trial generator ---------------------------------------------------
+
+
+def _reference(root, path):
+    return np.random.default_rng(np.random.SeedSequence(entropy=root, spawn_key=path))
+
+
+def _draws(rng):
+    """What a generator gives through every method the draws call."""
+    u, z = np.empty(3), np.empty((2, 3))
+    rng.random(out=u)
+    rng.standard_normal(out=z)
+    return [
+        u,
+        z,
+        rng.uniform(-1.0, 2.0, 3),
+        rng.choice([-1.0, 1.0], size=4),
+        rng.integers(0, 2**40, size=3),
+        np.array([rng.integers(7)]),
+    ]
+
+
+def _same_stream(root, path):
+    mine, ref = E.SeedState(root, path).rng(), _reference(root, path)
+    assert isinstance(mine, np.random.Generator)
+    assert isinstance(mine.bit_generator, np.random.PCG64)
+    for x, y in zip(_draws(mine), _draws(ref)):
+        assert x.dtype == y.dtype and np.array_equal(x, y), (root, path)
+    assert mine.bit_generator.state == ref.bit_generator.state, (root, path)
+
+
+ROOTS = [0, 2**32 - 1, 2**32, 2**128 + 1, 2**200 + 3, True]
+TRIALS = [0, 1, 2, 9999, 10**4, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 1]
+
+
+@pytest.mark.parametrize("root", ROOTS, ids=str)
+def test_rng_is_numpys_generator_of_the_seed_sequence(root):
+    paths = [(), (0,), (2**32,)]
+    paths += [(3, n, t) for n in range(1, 129) for t in TRIALS]
+    paths += [(t, attempt) for t in (0, 5, 2**33) for attempt in range(3)]  # mpnorm's
+    paths += [(3, 8, t, 1) for t in TRIALS]  # the contraction's child(1) stream
+    for path in paths:
+        _same_stream(root, path)
+    seed = E.SeedState(root, (3, 8, 5))
+    assert seed.child(1).path == (3, 8, 5, 1)
+    _same_stream(root, seed.child(1).path)
+
+
+@pytest.mark.parametrize(
+    "root, path",
+    [
+        (np.int64(7), (np.int64(3), np.uint8(8), np.int32(5))),
+        (np.uint64(2**64 - 1), (np.uint64(2**63), np.int16(0))),
+        (7, (3, np.uint32(2**32 - 1))),
+        (np.uint8(0), ()),
+    ],
+)
+def test_rng_takes_numpy_integers_as_numpy_does(root, path):
+    _same_stream(root, path)
+    # and draws what the same ints as Python ints draw
+    same = E.SeedState(int(root), tuple(int(i) for i in path)).rng()
+    assert same.bit_generator.state == E.SeedState(root, path).rng().bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**256 - 1),
+    st.lists(st.integers(0, 2**70 - 1), max_size=6).map(tuple),
+)
+def test_rng_matches_numpy_on_any_root_and_path(root, path):
+    _same_stream(root, path)
+
+
+def test_rng_is_exact_past_the_prefix_cache():
+    # more distinct prefixes than the cache holds, their calls interleaved,
+    # then the first again after they have pushed it out
+    count = E._pool_state.cache_info().maxsize + 50
+    paths = [(3, n, t) for t in range(2) for n in range(count)]
+    for root in (11, 2**70 + 3):
+        for path in paths + paths[:3]:
+            _same_stream(root, path)
+    assert E._pool_state.cache_info().currsize <= E._pool_state.cache_info().maxsize
+
+
+def _raises(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "root, path",
+    [
+        (-1, ()),
+        (-1, (3, 8, 0)),
+        (-(2**40), (0,)),
+        (np.int64(-1), (1,)),
+        (1, (-1,)),
+        (1, (3, -1, 0)),
+        (1, (3, 8, -1)),
+        (1, (3, 8, np.int8(-1))),
+        (1.5, ()),
+        (1.0, (3, 8, 0)),
+        (np.float64(2.0), (0,)),
+        (np.True_, (0,)),
+        (1, (1.0,)),
+        (1, (3, 8.0, 0)),
+        (1, (3, 8, 0.0)),
+        (1, (3, 8, np.float32(1.0))),
+        (1, (3, np.True_, 0)),
+        (1, (None,)),
+    ],
+    ids=repr,
+)
+def test_bad_seeds_raise_what_numpy_raises(root, path):
+    # the int twins first, so that a cached prefix cannot stand in for them
+    E.SeedState(7, (3, 8, 0)).rng()
+    E.SeedState(1, (3, 8, 0)).rng()
+    expected = _raises(lambda: _reference(root, path))
+    assert expected in (TypeError, ValueError)
+    with pytest.raises(expected):
+        E.SeedState(root, path).rng()

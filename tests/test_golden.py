@@ -87,3 +87,40 @@ def test_compare_names_the_keys_of_a_json_stdout_that_differ(
     assert out.returncode == 0, out.stdout
     assert "1 of 1 calls differ in stdout, stderr or exit code\n" in out.stdout
     assert f"  cli-oneshot-0: {where}\n" in out.stdout
+
+
+def test_compare_names_the_keys_a_changed_cell_differs_in(tmp_path):
+    # the cell loses two keys, gains one, and one value moves by an ulp
+    cell = {k: v for k, v in CELL.items() if k != "failures"}
+    q50 = math.nextafter(CELL["q50"], 200.0)
+    out = _compare(tmp_path, {**CELL, "refined_max": 170.0}, {**cell, "q50": q50, "z": None})
+    assert out.returncode == 0, out.stdout
+    assert (
+        "1 of 1 cells changed (0 in their argmax_digest)\n"
+        "  failures: removed in 1 cells\n"
+        "  q50: changed in 1 cells\n"
+        "  refined_max: removed in 1 cells\n"
+        "  z: added in 1 cells\n"
+    ) in out.stdout
+
+
+def test_compare_of_a_cell_that_only_loses_a_key(tmp_path):
+    out = _compare(tmp_path, {**CELL, "refined_max": 170.0}, dict(CELL))
+    assert out.returncode == 0, out.stdout
+    assert (
+        "1 of 1 cells changed (0 in their argmax_digest)\n"
+        "  refined_max: removed in 1 cells\n"
+        "largest relative change of max_ratio: 0\n"
+    ) in out.stdout
+
+
+def test_golden_names_numpy_and_its_blas():
+    import numpy as np
+
+    out = subprocess.run(
+        [sys.executable, "-c", "import golden; print(golden.environment())"],
+        cwd=os.path.join(ROOT, "tools"), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert out.stdout == f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}\n"

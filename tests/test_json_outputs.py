@@ -93,6 +93,41 @@ def test_indented_json_on_edge_shapes(obj):
     assert _outcome(indented_json, obj) == _outcome(_dumps, obj)
 
 
+# the payload of a counterexample's input matrix
+MATRIX = {"re": [[0.5, -1.25], [2.0, 1e-300]], "im": [[0.0, -0.0], [3.5, 0.25]]}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[1.0]],  # 1 x 1
+        {"im": [[0.0]], "re": [[-2.5]]},
+        [[math.nan, math.inf], [-math.inf, -0.0]],
+        {"inputs": [MATRIX, MATRIX], "ratio": math.inf},
+        [[1.0, 2.0], (3.0, 4.0)],  # a tuple row
+        [[1.0], [], [2.0]],  # an empty row
+        [[1.0], ()],
+        [[[], []], [1.0]],  # rows that hold empty containers
+        [[1.0, []], [[], 2.0]],
+        [[{}], [{}]],
+        [["],\n  [", 1.0], ["],\n    [", 2.0]],  # a boundary's text inside a string
+        [[1.0, 2.0], {"a": 1}],  # rows of both kinds
+        [[None, True, "x"], [False, -3, 2**70]],
+    ],
+)
+def test_indented_json_on_matrix_rows(obj):
+    assert _outcome(indented_json, obj) == _outcome(_dumps, obj)
+
+
+ROWS = st.lists(st.lists(st.one_of(SCALARS, EMPTY), max_size=4), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ROWS, st.dictionaries(st.sampled_from(["im", "re"]), ROWS)))
+def test_indented_json_of_rows_is_the_text_of_json_dumps(obj):
+    assert _outcome(indented_json, obj) == _outcome(_dumps, obj)
+
+
 def _golden(monkeypatch):
     """tools/golden.py as a module; the environment variable and sys.path
     entries its import sets are undone after the test."""

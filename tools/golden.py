@@ -1,6 +1,8 @@
 """Write the golden set: the deterministic outputs of 155 campaign configs,
 3 ``holderlab campaign`` calls, 25 ``holderlab verify`` calls and 44 other
-CLI calls, and print one sha256 over all of them.
+CLI calls, and print one sha256 over all of them, then a line naming
+numpy's version and its BLAS's name and version (``numpy 2.4.6, BLAS
+scipy-openblas 0.3.31.188.0``), which the bits depend on.
 
     python3 tools/golden.py OUT_DIR
     python3 tools/golden.py --compare DIR_A DIR_B
@@ -15,8 +17,10 @@ stderr or exit code differs between two golden sets, with the parts that
 differ; when a stdout is one JSON object on both sides, it also names the
 keys whose values differ, each number with its relative change, as in
 ``cli-oneshot-3: stdout (upper 2.8e-16)``.  It then reads the cells of
-every ``report.json`` of both and prints how many cells changed, the
-largest relative change of each statistic (max_ratio, min_ratio, q50,
+every ``report.json`` of both and prints how many cells changed, with one
+line per key that a changed cell gained, lost or changed and the number of
+cells it did so in (``  refined_max: removed in 546 cells``), the largest
+relative change of each statistic (max_ratio, min_ratio, q50,
 q99), every cell whose statistic went from NaN to finite or back, and every
 finite statistic that moved by more than BOUND (1e-12) relative.  It exits 1
 when a statistic moved beyond the bound or became NaN, else 0.
@@ -69,6 +73,7 @@ unknown ``--ineq`` and an unknown ``--variant``.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -82,6 +87,8 @@ import tempfile
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+import numpy as np  # noqa: E402
 
 from holderlab import campaign  # noqa: E402
 from holderlab.campaign import CampaignConfig, run_campaign  # noqa: E402
@@ -395,6 +402,13 @@ def digest(out) -> str:
     return h.hexdigest()
 
 
+def environment() -> str:
+    """numpy's version and its BLAS's name and version, which the golden
+    set's bits depend on, as ``np.show_config(mode="dicts")`` names them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+
+
 STATISTICS = ("max_ratio", "min_ratio", "q50", "q99")
 BOUND = 1e-12  # the largest relative change of a finite statistic compare accepts
 
@@ -456,6 +470,23 @@ def _relative(a, b) -> float:
     return abs(b - a) / abs(a) if a and math.isfinite(a) else math.inf
 
 
+def _cell_keys(a, b, changed) -> dict:
+    """How many of the ``changed`` cells each key was added to, removed from
+    or changed in, by (key, "added" / "removed" / "changed")."""
+    counts = collections.Counter()
+    for cell in changed:
+        x, y = a[cell], b[cell]
+        for key in x.keys() | y.keys():
+            if key not in x or key not in y:
+                how = "added" if key not in x else "removed"
+            elif json.dumps(x[key]) != json.dumps(y[key]):
+                how = "changed"
+            else:
+                continue
+            counts[key, how] += 1
+    return counts
+
+
 def compare(dir_a, dir_b) -> int:
     """Print how the calls and report cells of ``dir_b`` differ from those of
     ``dir_a``."""
@@ -482,6 +513,8 @@ def compare(dir_a, dir_b) -> int:
     changed = [key for key in a if json.dumps(a[key]) != json.dumps(b[key])]
     moved = sum(a[key]["argmax_digest"] != b[key]["argmax_digest"] for key in changed)
     print(f"{len(changed)} of {len(a)} cells changed ({moved} in their argmax_digest)")
+    for (key, how), count in sorted(_cell_keys(a, b, changed).items()):
+        print(f"  {key}: {how} in {count} cells")
     worst, flips, beyond = dict.fromkeys(STATISTICS, 0.0), [], []
     for key in changed:
         for stat in STATISTICS:
@@ -527,6 +560,7 @@ def main(argv) -> int:
     for name, call in cli_calls().items():
         write_call(out, f"cli-{name}", call)
     print(digest(out))
+    print(environment())
     return 0
 
 
