@@ -348,14 +348,6 @@ def fourier_coefficient_constant(p: float, b: int) -> float:
     return float((2.0 * _zeta_upper(p * b)) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class FourierSobolevBound:
-    upper: float
-    c_pb: float
-    quadrature_error: float
-    grid_n: int
-
-
 # the largest grid_n; the Fourier route's memory does not grow with it (its
 # moments are taken per block), but its time grows as grid_n^2
 MAX_GRID = 1024
@@ -378,44 +370,11 @@ def _row_sums(rows, vals, n: int) -> np.ndarray:
     return np.bincount(rows, weights=vals, minlength=n)
 
 
-def _add_moments(moments: list, rows, vals, n: int) -> None:
-    """Add a block of the partials (0, 0), (0, 1), (b, 0), (b, 1) at rows
-    ``rows`` of the n-point grid to ``moments``: the row sums of the first
-    two, and of the squares of the last two."""
-    for k, v in enumerate(vals):
-        moments[k] = moments[k] + _row_sums(rows, v if k < 2 else np.abs(v) ** 2, n)
-
-
-def _fourier_moments(partials: Partials, b: int, n: int) -> tuple:
-    """The moments of _add_moments on the n-point torus grid and on its
-    every-other-point grid (n // 2 points), from one pass over the blocks of
-    the partials on the n-point grid: _torus_grid(n)[::2] equals
-    _torus_grid(n // 2) bit for bit."""
-    fine, coarse = [0.0] * 4, [0.0] * 4
-    for rows, cols, vals in partials([(0, 0), (0, 1), (b, 0), (b, 1)], _torus_grid(n)):
-        _add_moments(fine, rows, vals, n)
-        even = (rows % 2 == 0) & (cols % 2 == 0)
-        _add_moments(coarse, rows[even] // 2, [v[even] for v in vals], n // 2)
-    return fine, coarse
-
-
 def _l2_mean(vals) -> float:
     return float(math.sqrt(np.mean(np.abs(vals) ** 2)))
 
 
-def _fourier_upper(moments, n: int, p: float, c_pb: float) -> float:
-    """The bound from the moments of the partials on the n-point torus grid."""
-    a0, a0p, db, db1 = moments
-    # the row means (over the second argument) give the zeroth Fourier
-    # coefficient a_0(x) and its derivative
-    u0 = _l2_mean(a0 / n) + PI_EMBED * _l2_mean(a0p / n)
-    u1 = c_pb * (math.sqrt(np.sum(db) / n**2) + PI_EMBED * math.sqrt(np.sum(db1) / n**2))
-    return (u0 ** p + u1 ** p) ** (1.0 / p)
-
-
-def fourier_sobolev_bound(
-    partials: Partials, p: float, b: int, grid_n: int = 256
-) -> FourierSobolevBound:
+def fourier_sobolev_bound(partials: Partials, p: float, b: int, grid_n: int = 256) -> float:
     """Multiplier-norm upper bound for the periodic symbol of ``partials`` via
     its Fourier expansion in the second argument: the zeroth coefficient contributes
     ||a_0||_2 + (pi^2/3)^{1/2} ||d_1 a_0||_2, the rest contribute
@@ -423,23 +382,24 @@ def fourier_sobolev_bound(
     the p-power triangle inequality.  All torus L2 norms use normalized
     measure; quadrature is the uniform tensor trapezoid rule.
 
-    The bound is taken on the (2 grid_n)^2 grid, and its quadrature error is
-    estimated as the change from the grid_n^2 grid, which is every other
-    point of it: the partials are evaluated once, on the finer grid, and each
-    block of them is added into the moments of both grids and dropped, so
-    memory does not grow with the number of grid points."""
+    The bound is taken on the (2 grid_n)^2 grid from four moments of the
+    partials (0, 0), (0, 1), (b, 0), (b, 1): the row sums of the first two,
+    and of the squares of the last two.  Each block of the partials is added
+    into the moments and dropped, so memory does not grow with the number of
+    grid points."""
     check_grid(grid_n)
     c_pb = fourier_coefficient_constant(p, b)
     n = 2 * grid_n
-    fine, coarse = _fourier_moments(partials, b, n)
-    upper = _fourier_upper(fine, n, p, c_pb)
-    err = abs(upper - _fourier_upper(coarse, grid_n, p, c_pb))
-    return FourierSobolevBound(
-        upper=float(upper),
-        c_pb=c_pb,
-        quadrature_error=float(err),
-        grid_n=n,
-    )
+    moments = [0.0] * 4
+    for rows, _, vals in partials([(0, 0), (0, 1), (b, 0), (b, 1)], _torus_grid(n)):
+        for k, v in enumerate(vals):
+            moments[k] = moments[k] + _row_sums(rows, v if k < 2 else np.abs(v) ** 2, n)
+    a0, a0p, db, db1 = moments
+    # the row means (over the second argument) give the zeroth Fourier
+    # coefficient a_0(x) and its derivative
+    u0 = _l2_mean(a0 / n) + PI_EMBED * _l2_mean(a0p / n)
+    u1 = c_pb * (math.sqrt(np.sum(db) / n**2) + PI_EMBED * math.sqrt(np.sum(db1) / n**2))
+    return float((u0 ** p + u1 ** p) ** (1.0 / p))
 
 
 @functools.cache
@@ -598,7 +558,7 @@ def local_dd_bound(
         raise CapabilityError(f"{f.name}: localized bound needs derivative order {f.max_order + 1}")
     _check_fourier_order(p, b)
     partials = localized_dd_periodic(f, SmoothBump(0.125, 0.25, 2.0, math.pi, order=b + 2))
-    return fourier_sobolev_bound(partials, p, b, grid_n=grid_n).upper
+    return fourier_sobolev_bound(partials, p, b, grid_n=grid_n)
 
 
 def _float_range_guard(bound: Callable[[], float], what: str, why: str) -> float:
@@ -648,7 +608,7 @@ def b0_upper_bound(
         bump_t = SmoothBump(-0.25, 0.0, 2.0, 2.25, order=b + 2)
         c_phi = fourier_sobolev_bound(
             localized_inverse_sum_periodic(bump_s, bump_t), p, b, grid_n=grid_n
-        ).upper
+        )
         # ring (k,l) contributes (2 c_phi a^{theta-1} 2^{-(1-theta) max(k,l)})^p;
         # counting pairs with max = M gives 2M+2 of them.
         x = 2.0 ** (-p * (1.0 - theta))

@@ -532,7 +532,11 @@ class ScalarSumResult:
     tail_bound: float
 
 
-def scalar_sum_555(theta: float, q: float, alpha: float, tol: float = 1e-12) -> ScalarSumResult:
+# scalar_sum_555 sums until each of its two geometric tails is at most half of this
+SCALAR_SUM_TOL = 1e-12
+
+
+def scalar_sum_555(theta: float, q: float, alpha: float) -> ScalarSumResult:
     """Evaluate sum_l 2^{q l (1-theta)} min(alpha, 2^{1-l})^q with certified
     geometric tail bounds, together with the explicit comparison constant
     2^{q(1-theta)} (1/(1 - 2^{q(theta-1)}) + 1/(1 - 2^{-q theta}))."""
@@ -567,7 +571,7 @@ def scalar_sum_555(theta: float, q: float, alpha: float, tol: float = 1e-12) -> 
 
     center = int(math.floor(1.0 - math.log2(alpha)))
     lmin, lmax = center - 2, center + 2
-    half = 0.5 * tol
+    half = 0.5 * SCALAR_SUM_TOL
     for _ in range(200000):
         if tail_lo(lmin) <= half:
             break

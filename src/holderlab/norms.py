@@ -146,31 +146,15 @@ def parse_norm_spec(text: str) -> NormSpec:
 # --- submajorization ---------------------------------------------------------
 
 
-def _partial_sums(a, b):
-    """The partial sums of profiles a and b (..., n) of one length."""
-    return tuple(np.cumsum(np.asarray(x, dtype=float), axis=-1) for x in (a, b))
-
-
 def _submajorization_margin(upper, lower):
     """The least gap of the partial sums of upper and lower over the larger
     total, and its index, for every pair of profiles (..., n), arrays (...):
     the larger total taken as Python's max takes it (a NaN total of upper
     wins, one of lower does not), and margin 0 at index 0 where that total
     is <= 0.  lower is submajorized by upper when the margin is >= 0."""
-    cu, cl = _partial_sums(upper, lower)
+    cu, cl = (np.cumsum(np.asarray(x, dtype=float), axis=-1) for x in (upper, lower))
     scale = np.where(cl[..., -1] > cu[..., -1], cl[..., -1], cu[..., -1])[..., None]
     gaps = np.divide(cu - cl, scale, out=np.zeros(cu.shape), where=~(scale <= 0.0))
     worst = np.argmin(gaps, axis=-1)
     return np.take_along_axis(gaps, worst[..., None], axis=-1)[..., 0], worst
 
-
-def least_domination_constant(upper, lower):
-    """Smallest c >= 0 such that lower's partial sums are <= c * upper's, a
-    float for profiles (n,) or an array (...) for stacks (..., n).  It is inf
-    when a partial sum of ``lower`` is positive while upper's is not; a NaN
-    partial-sum ratio is skipped."""
-    cu, cl = _partial_sums(upper, lower)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(cu > 0.0, cl / cu, np.where(cl > 0.0, np.inf, np.nan))
-    c = np.fmax.reduce(ratios, axis=-1, initial=0.0)
-    return float(c) if cu.ndim == 1 else c

@@ -33,12 +33,10 @@ from .norms import (
     _submajorization_margin,
     _unit,
     check_fully_symmetric,
-    least_domination_constant,
     norm_of_profile,
 )
 from .spectral import (
     ZERO_SNAP,
-    ZERO_TOL_COEFF,
     SpectralDecomposition,
     abs_matrix,
     apply_function,
@@ -236,14 +234,14 @@ def _front(stack, apply=None, layout=(1, 2), chain=None, dec=None):
     return m, dec, stack if recon is None else recon, images, (ok, failed.get)
 
 
-def _positive(ok_of, names, verb):
-    """_front's apply that checks each input positive semidefinite by ``ok_of``
-    (eigenvalues (T, k, n) -> mask (T, k)), naming input j ``names[j]``."""
+def _positive(names):
+    """_front's apply that checks each input positive semidefinite by
+    spectral.psd_stack, naming input j ``names[j]``."""
 
     def check(dec):
         lam = dec.eigenvalues
-        return None, ok_of(lam), lambda idx: DomainError(
-            f"{names[idx[1]]} {verb} positive semidefinite (min eigenvalue {lam[idx].min():.3e})"
+        return None, psd_stack(lam), lambda idx: DomainError(
+            f"{names[idx[1]]} must be positive semidefinite (min eigenvalue {lam[idx].min():.3e})"
         )
 
     return check
@@ -339,7 +337,7 @@ def verify_bks_stack(f, entries, stack, dec=None) -> Outcomes:
     Hermitian, X reconstruction, X positive, then the same for Y.  One
     eigendecomposition and one SVD of X - Y serve every cell, and one SVD of
     X^theta - Y^theta and one |X - Y|^theta every cell of that theta."""
-    h, dec, recon, _, row = _front(stack, _positive(psd_stack, "XY", "must be"), (3,), dec=dec)
+    h, dec, recon, _, row = _front(stack, _positive("XY"), (3,), dec=dec)
     lam = dec.eigenvalues
     difference = _difference_profiles(recon)[:, 0]
 
@@ -380,10 +378,13 @@ def verify_submaj_stack(f, entries, stack, dec=None) -> Outcomes:
     for c, (p, theta, sem) in enumerate(entries):
         bases = np.stack([sem * sv[:, 1] ** theta, sv[:, 0]])
         profiles[:, c] = (bases / _unit(bases[..., :1].max(axis=0))) ** p
-    constants = least_domination_constant(*profiles)
     cu, cl = np.cumsum(profiles, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        peak = np.argmax(np.where(cu > 0.0, cl / cu, 0.0), axis=-1)
+        ratios = np.where(cu > 0.0, cl / cu, np.where(cl > 0.0, np.inf, np.nan))
+    # the constant is inf where a partial sum of lower is positive while
+    # upper's is not, and skips a NaN ratio
+    constants = np.fmax.reduce(ratios, axis=-1, initial=0.0)
+    peak = np.argmax(np.where(cu > 0.0, ratios, 0.0), axis=-1)
     k = np.where(np.isfinite(constants) & (constants > 0.0), peak, -1)[..., None]
     lhs, rhs = (np.take_along_axis(x, k, axis=-1)[..., 0] for x in (cl, cu))
     return Outcomes.judged(row, lhs, rhs, h, constants)
@@ -596,20 +597,15 @@ def _check_alt(sem, theta, p, spec, variant):
     return theta, p
 
 
-def _nonnegative(lam):
-    """The mask (T, 2) of spectra (T, 2, n) above minus their pair's zero tolerance."""
-    zero_tol = ZERO_TOL_COEFF * (1.0 + np.abs(lam).max(axis=(-2, -1), initial=0.0))
-    return ~(lam.min(axis=-1, initial=0.0) < -zero_tol[:, None])
-
-
 def verify_alt_stack(f, entries, stack, dec=None) -> Outcomes:
     """The submajorization |Z^theta X^theta|^p << |ZX|^{theta p} for positive
     semidefinite X, Z, over a stack (T, 2, n, n) of (X, Z); the claim is
     margin >= 0.  The checks are X Hermitian, Z Hermitian, X reconstruction,
-    Z reconstruction, X positive, Z positive (within the zero tolerance of
-    both spectra).  Both sides are homogeneous in X and in Z, so an input
-    whose largest eigenvalue has a binary exponent e outside [-256, 256] is
-    scaled by 2^-e, exactly, and ZX neither underflows to 0 nor overflows.
+    Z reconstruction, X positive, Z positive (each by spectral.psd_stack, as
+    in verify_bks_stack).  Both sides are homogeneous in X and in Z, so an
+    input whose largest eigenvalue has a binary exponent e outside
+    [-256, 256] is scaled by 2^-e, exactly, and ZX neither underflows to 0
+    nor overflows.
     The profiles compared are upper = (mu(ZX)^theta / s)^p and lower =
     (mu(Z^theta X^theta) / s)^p, s as in verify_submaj_stack; a trial's lhs
     and ratio are the violation max(0, -margin) of their submajorization
@@ -617,7 +613,7 @@ def verify_alt_stack(f, entries, stack, dec=None) -> Outcomes:
     margin is below -SUBMAJ_TOL or NaN.  One eigendecomposition and one SVD
     of ZX serve every cell, one SVD of Z^theta X^theta every cell of that
     theta, and one pass the margins of every cell and trial that pass."""
-    h, dec, _, _, row = _front(stack, _positive(_nonnegative, "XZ", "is not"), (1, 1, 1), dec=dec)
+    h, dec, _, _, row = _front(stack, _positive("XZ"), (1, 1, 1), dec=dec)
     lam = dec.eigenvalues
     clipped = np.clip(lam, 0.0, None)
     e = np.frexp(clipped.max(axis=-1, keepdims=True))[1]

@@ -114,6 +114,20 @@ def test_compare_of_a_cell_that_only_loses_a_key(tmp_path):
     ) in out.stdout
 
 
+def test_compare_names_a_statistic_that_a_changed_cell_lacks(tmp_path):
+    # min_ratio gone from the second set, q99 from both: exit 1, not a KeyError
+    cell = {k: v for k, v in CELL.items() if k != "q99"}
+    out = _compare(tmp_path, cell, {k: v for k, v in cell.items() if k != "min_ratio"})
+    assert out.returncode == 1, out.stdout + out.stderr
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert (
+        "2 statistic(s) missing from a changed cell\n"
+        f"  inverse-s1 cell 0 min_ratio: missing in {b}\n"
+        f"  inverse-s1 cell 0 q99: missing in {a} and {b}\n"
+    ) in out.stdout
+    assert "largest relative change of max_ratio: 0\n" in out.stdout
+
+
 def test_golden_names_numpy_and_its_blas():
     import numpy as np
 

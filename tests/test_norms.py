@@ -7,13 +7,13 @@ import holderlab as hl
 from holderlab import campaign, verify
 from holderlab.campaign import CampaignConfig
 from holderlab.errors import ParameterError
+from holderlab.functions import linear
 from holderlab.norms import (
     SUBMAJ_TOL,
     KyFan,
     PowerOf,
     Schatten,
     _submajorization_margin,
-    least_domination_constant,
     norm_of_profile,
     parse_norm_spec,
 )
@@ -145,14 +145,31 @@ def test_triangle_submajorization_oracle():
         assert _submajorization_margin(rhs, lhs)[0] >= -SUBMAJ_TOL
 
 
-def test_least_domination_constant():
-    assert least_domination_constant([2.0, 2.0], [1.0, 1.0]) == pytest.approx(0.5)
-    assert least_domination_constant([1.0, 0.0], [2.0, 0.0]) == pytest.approx(2.0)
-    assert least_domination_constant([0.0, 1.0], [1.0, 0.0]) == np.inf
+def _submaj_outcomes(upper, lower, monkeypatch):
+    """verify.verify_submaj_stack's outcomes in its one cell (p 1, theta 1,
+    seminorm 1) on a stack whose profiles are ``upper`` and ``lower`` (T, n):
+    its difference profiles are replaced by them, and its common scale by 1,
+    so that the profiles it compares are these, bit for bit."""
+    upper, lower = (np.asarray(v, dtype=float) for v in (upper, lower))
+    monkeypatch.setattr(verify, "_difference_profiles", lambda *_: np.stack([lower, upper], 1))
+    monkeypatch.setattr(verify, "_unit", np.ones_like)
+    trials, n = upper.shape
+    stack = np.tile(np.eye(n), (trials, 2, 1, 1))  # pairs that pass every check
+    return verify.verify_submaj_stack(linear(), [(1, 1, 1.0)], stack)
+
+
+def test_least_domination_constant(monkeypatch):
+    upper = [[2.0, 2.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    lower = [[1.0, 1.0], [2.0, 0.0], [1.0, 0.0], [3.0, 0.0]]
+    got = _submaj_outcomes(upper, lower, monkeypatch)
+    assert got.constants[0].tolist() == [0.5, 2.0, np.inf, 3.0]
+    # lhs and rhs: the partial sums where the ratio peaks, the totals at inf
+    assert got.lhs[0].tolist() == [1.0, 2.0, 1.0, 3.0]
+    assert got.rhs[0].tolist() == [2.0, 1.0, 1.0, 1.0]
 
 
 def _domination_loop(upper, lower):
-    """least_domination_constant as a loop over the partial sums: Python's
+    """The least domination constant as a loop over the partial sums: Python's
     max skips a NaN ratio, and a positive sum over one that is not gives inf."""
     cu, cl = np.cumsum(upper), np.cumsum(lower)
     c = 0.0
@@ -164,18 +181,16 @@ def _domination_loop(upper, lower):
     return c
 
 
-def test_least_domination_constant_of_a_stack_is_the_loop():
+def test_least_domination_constant_of_a_stack_is_the_loop(monkeypatch):
     rng = np.random.default_rng(3)
     edges = [0.0, 1.0, np.inf, np.nan]
-    upper = rng.choice(edges + list(rng.random(4)), size=(4, 50, 5))
-    lower = rng.choice(edges + list(rng.random(4)), size=(4, 50, 5))
+    upper = rng.choice(edges + list(rng.random(4)), size=(200, 5))
+    lower = rng.choice(edges + list(rng.random(4)), size=(200, 5))
     with np.errstate(all="ignore"):
-        pairs = zip(upper.reshape(-1, 5), lower.reshape(-1, 5))
-        want = [_domination_loop(u, lo) for u, lo in pairs]
-    got = least_domination_constant(upper, lower)
-    assert got.shape == (4, 50)
-    assert [v.hex() for v in got.ravel().tolist()] == [float(v).hex() for v in want]
-    assert least_domination_constant([1.0, 1.0], [3.0]) == 3.0  # the shorter pads with 0
+        want = [_domination_loop(u, lo) for u, lo in zip(upper, lower)]
+        got = _submaj_outcomes(upper, lower, monkeypatch).constants
+    assert got.shape == (1, 200)
+    assert [v.hex() for v in got[0].tolist()] == [float(v).hex() for v in want]
 
 
 def test_p_th_power_norms_do_not_overflow():

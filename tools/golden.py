@@ -22,8 +22,10 @@ line per key that a changed cell gained, lost or changed and the number of
 cells it did so in (``  refined_max: removed in 546 cells``), the largest
 relative change of each statistic (max_ratio, min_ratio, q50,
 q99), every cell whose statistic went from NaN to finite or back, and every
-finite statistic that moved by more than BOUND (1e-12) relative.  It exits 1
-when a statistic moved beyond the bound or became NaN, else 0.
+finite statistic that moved by more than BOUND (1e-12) relative, and every
+statistic that a changed cell lacks, with the directory that lacks it.  It
+exits 1 when a statistic moved beyond the bound, became NaN or is missing,
+else 0.
 
 Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
 ``counterexamples.json`` (``error.txt`` for a config refused at load), and
@@ -515,9 +517,13 @@ def compare(dir_a, dir_b) -> int:
     print(f"{len(changed)} of {len(a)} cells changed ({moved} in their argmax_digest)")
     for (key, how), count in sorted(_cell_keys(a, b, changed).items()):
         print(f"  {key}: {how} in {count} cells")
-    worst, flips, beyond = dict.fromkeys(STATISTICS, 0.0), [], []
+    worst, flips, beyond, missing = dict.fromkeys(STATISTICS, 0.0), [], [], []
     for key in changed:
         for stat in STATISTICS:
+            lacking = [d for d, cells in ((dir_a, a), (dir_b, b)) if stat not in cells[key]]
+            if lacking:
+                missing.append(f"{key[0]} cell {key[1]} {stat}: missing in {' and '.join(lacking)}")
+                continue
             x, y = float(a[key][stat]), float(b[key][stat])
             where = f"{key[0]} cell {key[1]} {stat}: {x!r} -> {y!r}"
             if math.isnan(x) != math.isnan(y):
@@ -534,7 +540,10 @@ def compare(dir_a, dir_b) -> int:
     print(f"{len(beyond)} finite statistic(s) moved by more than {BOUND:g} relative")
     for where in beyond:
         print(f"  {where}")
-    return 1 if beyond or any(to_nan for to_nan, _ in flips) else 0
+    print(f"{len(missing)} statistic(s) missing from a changed cell")
+    for where in missing:
+        print(f"  {where}")
+    return 1 if beyond or missing or any(to_nan for to_nan, _ in flips) else 0
 
 
 def main(argv) -> int:
