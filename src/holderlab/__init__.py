@@ -25,7 +25,7 @@ _EXPORTS = {
         "functions": """ScalarFunction SeminormEstimate d_of_p dilate_function
             parse_function_spec scalar_sum_555 seminorm""",
         "ensembles": "SeedState haar_unitary",
-        "doi": """BivariateSymbol MpBound alpha_symbol beta_symbol dd_symbol
+        "doi": """BivariateSymbol alpha_symbol beta_symbol dd_symbol
             decomposition_bound doi_lipschitz_identity dyadic_symbols empirical_mp_lower
             fourier_sobolev_bound representation_reconstruct schur_apply""",
         "verify": """VerificationRecord cayley_identity_residual verify_bks

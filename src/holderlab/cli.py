@@ -25,17 +25,6 @@ from .errors import HolderLabError, ParameterError
 DEFAULT_SEED = 20240801
 
 
-def _seed_default() -> int:
-    env = os.environ.get("HOLDERLAB_SEED")
-    try:
-        seed = int(env) if env else DEFAULT_SEED
-    except ValueError:
-        raise ParameterError(f"HOLDERLAB_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed} (from HOLDERLAB_SEED)")
-    return seed
-
-
 def _atomic_write(path: str, text: str):
     """Write ``text`` to a new temporary file beside ``path``, then replace
     ``path`` by it.  The file is created with mode 0o666, which the kernel
@@ -263,17 +252,16 @@ def _upper_route(args, kind, dyadic):
 
 
 def cmd_mpnorm(args) -> int:
-    from dataclasses import asdict
-
     from . import doi
     from .ensembles import SeedState
 
     sym, kind, dyadic = _build_symbol(args)
     method, upper = _upper_route(args, kind, dyadic)
     lower = doi.empirical_mp_lower(sym, args.p, args.dim, args.trials, SeedState(args.seed)).value
-    bound = doi.MpBound(lower=lower, upper=None if upper is None else upper(), method=method)
-    consistent = bound.upper is None or bound.lower <= bound.upper * (1.0 + 1e-8)
-    payload = {"symbol": kind, "p": args.p, "lower_le_upper": consistent, **asdict(bound)}
+    upper = None if upper is None else upper()
+    consistent = upper is None or lower <= upper * (1.0 + 1e-8)
+    payload = {"symbol": kind, "p": args.p, "lower_le_upper": consistent,
+               "lower": lower, "upper": upper, "method": method}
     print(json.dumps(payload, sort_keys=True))
     return 0 if consistent else 3
 
@@ -306,8 +294,7 @@ def cmd_seminorm(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process.  A ``--seed``
-    left out parses as None: ``main`` fills in the HOLDERLAB_SEED default."""
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="holderlab",
         description="Matrix laboratory for operator Holder-type inequalities",
@@ -327,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--p", type=float, default=1.0)
     pv.add_argument("--norm", default="schatten:1", help="norm spec, e.g. kyfan:3")
     pv.add_argument("--dim", type=int, default=6)
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pv.add_argument("--trials", type=int, default=1)
     pv.add_argument("--variant", default="power", help="reverse flavour: power | expm1")
     pv.add_argument(
@@ -357,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--dim", type=int, default=6)
     pm.add_argument("--trials", type=int, default=200)
     pm.add_argument("--grid", type=int, default=256)
-    pm.add_argument("--seed", type=int, default=None)
+    pm.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pm.set_defaults(func=cmd_mpnorm)
 
     ps = sub.add_parser("seminorm", help="weighted-derivative seminorm report")
@@ -371,16 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command line; ``argv`` defaults to ``sys.argv[1:]``.  It may be
-    called repeatedly in one process: HOLDERLAB_SEED is read on every call."""
+    """Run one command line; ``argv`` defaults to ``sys.argv[1:]``."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # read before parsing, so that a bad value exits 2 whatever the subcommand
-        seed = _seed_default()
         args = build_parser().parse_args(argv)
-        if getattr(args, "seed", 0) is None:
-            args.seed = seed
-        elif getattr(args, "seed", 0) < 0:  # SeedState needs a seed >= 0
+        if getattr(args, "seed", 0) < 0:  # SeedState needs a seed >= 0
             raise ParameterError(f"seed must be >= 0, got {args.seed}")
         args.argv = argv
         return args.func(args)

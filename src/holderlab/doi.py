@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -215,54 +215,40 @@ def doi_lipschitz_identity(
 
 @dataclass(frozen=True)
 class MultiplierDecomposition:
-    """a(s,t) = prefactor * sum_n phi_n(s) psi_n(t), stored through the sup
-    norms of the factors; ``psi_tail_psum(p)`` bounds sum over the truncated
-    tail of psi_sup^p analytically."""
+    """a(s,t) = prefactor * sum_n phi_n(s) psi_n(t), a geometric expansion
+    whose phi sups are 1 and whose psi sups are 2^-n."""
 
-    phi_sup: np.ndarray
-    psi_sup: np.ndarray
-    psi_tail_psum: Callable[[float], float]
     prefactor: float
     description: str
 
 
 def decomposition_bound(dec: MultiplierDecomposition, p: float) -> float:
-    """sup_n |phi_n| * (sum_n |psi_n|^p)^(1/p), valid for p <= 1."""
+    """prefactor * sup_n |phi_n| * (sum_n |psi_n|^p)^(1/p), valid for p <= 1:
+    the sum of 2^-np over DECOMPOSITION_TERMS terms, then the analytic tail
+    beyond them."""
     if not 0.0 < p <= 1.0:
         raise ParameterError(f"decomposition bound requires p in (0,1], got {p}")
-    sup_phi = float(np.max(dec.phi_sup))
+    n = DECOMPOSITION_TERMS
 
     def bound():
-        psum = float(np.sum(dec.psi_sup ** p)) + dec.psi_tail_psum(p)
-        return dec.prefactor * sup_phi * psum ** (1.0 / p)
+        psum = float(np.sum((2.0 ** -np.arange(n, dtype=float)) ** p))
+        psum += 2.0 ** (-n * p) / (1.0 - 2.0 ** (-p))
+        return dec.prefactor * psum ** (1.0 / p)
 
     why = f"(sum_n |psi_n|^p)^(1/p) leaves the float range at p = {p}"
     return _float_range_guard(bound, dec.description, why)
-
-
-def _geometric_decomposition(prefactor: float, description: str) -> MultiplierDecomposition:
-    """prefactor * sum_n phi_n psi_n with phi sups 1 and psi sups 2^-n, over
-    DECOMPOSITION_TERMS terms and the analytic tail beyond them."""
-    n = DECOMPOSITION_TERMS
-    return MultiplierDecomposition(
-        phi_sup=np.ones(n),
-        psi_sup=2.0 ** (-np.arange(n).astype(float)),
-        psi_tail_psum=lambda p: 2.0 ** (-n * p) / (1.0 - 2.0 ** (-p)),
-        prefactor=prefactor,
-        description=description,
-    )
 
 
 def alpha_decomposition() -> MultiplierDecomposition:
     """Geometric expansion of alpha: 1/(s-t) = (1/s) sum_n (t/s)^n on the
     support; after pulling the factor 2 out of 1/s the phi sups are 1 and the
     psi sups are 2^-n."""
-    return _geometric_decomposition(2.0, "alpha geometric")
+    return MultiplierDecomposition(2.0, "alpha geometric")
 
 
 def beta_decomposition() -> MultiplierDecomposition:
     """Geometric expansion of beta: t/(t-s) = sum_n s^n t^-n on the support."""
-    return _geometric_decomposition(1.0, "beta geometric")
+    return MultiplierDecomposition(1.0, "beta geometric")
 
 
 # --- Fourier route on the torus -------------------------------------------------
@@ -618,12 +604,6 @@ def b0_upper_bound(
     return _float_range_guard(bound, f"b0 and b1 at b = {b}", "its terms leave the float range")
 
 
-def _positive_sup(f: ScalarFunction, theta: float) -> float:
-    """sup_{x != 0} |f(x)| / |x|^theta: exact for a homogeneous f at its own
-    degree theta, a grid estimate otherwise (functions.seminorm)."""
-    return float(seminorm(f, 0, theta).per_order[0])
-
-
 def band_upper_bound(
     f: ScalarFunction, theta: float, p: float, b: int | None = None, grid_n: int = 256
 ) -> float:
@@ -633,7 +613,9 @@ def band_upper_bound(
     the p-power triangle inequality."""
     if not 0.0 < p <= 1.0:
         raise ParameterError(f"band bound requires p in (0,1], got {p}")
-    s0 = _positive_sup(f, theta)
+    # sup_{x != 0} |f(x)| / |x|^theta: exact for a homogeneous f at its own
+    # degree theta, a grid estimate otherwise
+    s0 = float(seminorm(f, 0, theta).per_order[0])
     up_alpha = decomposition_bound(alpha_decomposition(), p)
     up_beta = decomposition_bound(beta_decomposition(), p)
     loc = local_dd_bound(f, p, b=b, grid_n=grid_n)
@@ -664,13 +646,6 @@ def dyadic_upper_bound(
 
 
 # --- empirical lower bounds -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MpBound:
-    lower: float
-    upper: Optional[float]
-    method: str
 
 
 @dataclass(frozen=True)

@@ -124,18 +124,10 @@ def test_lipschitz_identity_dyadic_projections():
 
 
 def test_decomposition_bounds():
-    single = doi.MultiplierDecomposition(
-        phi_sup=np.array([1.0]),
-        psi_sup=np.array([1.0]),
-        psi_tail_psum=lambda p: 0.0,
-        prefactor=1.0,
-        description="single",
-    )
-    assert doi.decomposition_bound(single, 1.0) == pytest.approx(1.0)
     assert doi.decomposition_bound(doi.alpha_decomposition(), 1.0) == pytest.approx(4.0)
     assert doi.decomposition_bound(doi.beta_decomposition(), 1.0) == pytest.approx(2.0)
     with pytest.raises(ParameterError):
-        doi.decomposition_bound(single, 2.0)
+        doi.decomposition_bound(doi.beta_decomposition(), 2.0)
 
 
 def test_decomposition_bound_general_p_matches_geometric_series():

@@ -17,11 +17,11 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
 # release whose __init__ imported them all, less the per-trial verifier
 # functions that only tests called and PreconditionError, which they raised,
 # the profile helpers that only tests called (distribution_function,
-# submajorizes and its SubmajorizationReport), and WeakLp and norm, which no
-# reported number used
+# submajorizes and its SubmajorizationReport), WeakLp and norm, which no
+# reported number used, and MpBound, which only mpnorm's payload built
 EXPORTS = """
 BivariateSymbol CampaignConfig CampaignReport CapabilityError DomainError EigensolverError
-HolderLabError KyFan MpBound ParameterError PowerOf ScalarFunction Schatten
+HolderLabError KyFan ParameterError PowerOf ScalarFunction Schatten
 SeedState SeminormEstimate ShapeError SingularityError SpectralDecomposition
 VerificationRecord abs_matrix alpha_symbol
 apply_function as_hermitian beta_symbol cayley cayley_identity_residual d_of_p dd_symbol
