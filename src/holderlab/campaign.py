@@ -29,9 +29,9 @@ from . import verify as V
 # a record exceeds its verifier's claimed constant when ratio > claim + tol
 CONSTANT_ONE_TOL = 1e-8
 
-# the format of report.json and manifest.json: 10 since a cell reports no
-# greedy climb
-REPORT_FORMAT = 10
+# the format of report.json and manifest.json: 11 since telescope sums the
+# p-th powers of its profiles directly
+REPORT_FORMAT = 11
 # the norm label that a verifier taking no norm accepts besides a norm spec
 NO_NORM = "-"
 

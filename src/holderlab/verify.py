@@ -443,7 +443,13 @@ def _check_inverse(sem, theta, p, spec, variant):
     if not theta > 1.0:
         raise ParameterError(f"inverse verifier needs theta > 1, got {theta}")
     check_fully_symmetric(spec)
-    factor = sem(d_of_p(p), 1.0 / theta) ** theta
+    try:
+        factor = sem(d_of_p(p), 1.0 / theta) ** theta
+    except OverflowError:
+        raise CapabilityError(
+            f"the seminorm of {sem.function.name} to the power theta = {theta} "
+            "leaves the float range"
+        ) from None
     if sem.function.inverse is None:
         raise CapabilityError(f"{sem.function.name} has no closed-form inverse")
     return PowerOf(spec, p), theta, factor
@@ -503,7 +509,8 @@ def verify_reverse_stack(f, entries, stack, dec=None) -> Outcomes:
 
     def scaled(x, theta):
         """x (T, ...), each trial's entries scaled by its 2^-e where |e| theta > 768."""
-        shift = np.where(np.abs(e) * theta > 768, -e, 0)
+        with np.errstate(over="ignore"):  # an inf product is still > 768
+            shift = np.where(np.abs(e) * theta > 768, -e, 0)
         return np.ldexp(x, shift.reshape((-1,) + (1,) * (x.ndim - 1)))
 
     def mapped_profiles(theta):
@@ -692,7 +699,7 @@ def verify_telescope_stack(f, entries, stack, dec=None) -> Outcomes:
 
     @functools.cache
     def sides(p):
-        powers = norm_of_profile(sv, Schatten(p)) ** p
+        powers = np.sum(sv ** p, axis=-1)  # s^p <= s for p <= 1: no overflow
         # a running total of the step terms, rounded after each step
         return powers[:, 0], sum(powers[:, 1:].T, np.zeros(len(sv)))
 

@@ -245,13 +245,15 @@ def test_cli_campaign_end_to_end(monkeypatch, tmp_path, capsys):
 
 
 def test_reports_carry_the_report_format(tmp_path, capsys):
-    # format 10: a cell reports no greedy climb (refined_max, trajectory), and
-    # the config echo has no refine_steps
+    # format 11: telescope's sides are sums of p-th powers, which move some of
+    # its rows at p < 1 by a few ulps; since format 10 a cell reports no
+    # greedy climb (refined_max, trajectory), and the config echo has no
+    # refine_steps
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(trials=3).to_dict()))
     assert main(["campaign", str(cfg_path), "--out", str(tmp_path)]) == 0
     for name in ("report.json", "manifest.json"):
-        assert json.loads((tmp_path / name).read_text())["report_format"] == 10
+        assert json.loads((tmp_path / name).read_text())["report_format"] == 11
     report = json.loads((tmp_path / "report.json").read_text())
     assert "refine_steps" not in report["config"]
     assert not {"refined_max", "trajectory"} & set(report["cells"][0])

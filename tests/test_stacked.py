@@ -1428,10 +1428,19 @@ def test_telescope_cells_of_one_p_are_one_verification(monkeypatch):
         {"verifier": "telescope", "function": "power:0.5", "thetas": [0.5, 0.9, 7.0],
          "ps": [1.0, 0.5], "norms": ["schatten:1"], "dims": [4], "trials": 20, "seed": 3}
     )
-    norms = []
-    _spy(monkeypatch, V, "norm_of_profile", norms)
+    powers = []
+
+    class Profiles(np.ndarray):
+        """Singular-value profiles that record each p they are raised to."""
+
+        def __pow__(self, p):
+            powers.append(p)
+            return np.asarray(self) ** p
+
+    profiles = V._hermitian_profiles
+    monkeypatch.setattr(V, "_hermitian_profiles", lambda *m: profiles(*m).view(Profiles))
     outcomes = _campaign_outcomes(config)
-    assert len(norms) == 2  # one stack, two distinct p
+    assert sorted(powers) == [0.5, 1.0]  # one stack, one power sum per distinct p
     for p in (1.0, 0.5):
         sides = [
             [o[1:4] for o in outcomes[(theta, p, "schatten:1", 4)]] for theta in (0.5, 0.9, 7.0)

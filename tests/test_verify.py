@@ -8,7 +8,13 @@ import pytest
 import holderlab as hl
 from holderlab import functions as F
 from holderlab import verify as V
-from holderlab.campaign import VERIFIERS, CampaignConfig, replay, run_campaign
+from holderlab.campaign import (
+    CONSTANT_ONE_TOL,
+    VERIFIERS,
+    CampaignConfig,
+    replay,
+    run_campaign,
+)
 from holderlab.ensembles import SeedState, gaussian_hermitian, ginibre, rank_r_steps
 from holderlab.errors import CapabilityError, DomainError, ParameterError
 from holderlab.norms import KyFan, Schatten
@@ -488,6 +494,92 @@ def test_a_matrix_outside_the_float_range_fails_its_trial_as_a_domain_error(caps
             "--spectrum=1e200,1e201", "--dim", "2"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"all 1 trial(s) failed; trial 0: DomainError: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "f, theta", [("spower:0.5", "400"), ("log1p", "1000"), ("linear", "1e308")]
+)
+def test_an_inverse_factor_outside_the_float_range_fails_its_cell(f, theta, capsys):
+    # seminorm^theta leaves the float range: the cell fails, where the call
+    # ended in an OverflowError
+    from holderlab.cli import main
+
+    assert main(["verify", "--ineq", "inverse", "--f", f, "--theta", theta]) == 2
+    assert capsys.readouterr().err == (
+        f"all 1 trial(s) failed; trial 0: CapabilityError: the seminorm of {f} to the "
+        f"power theta = {float(theta)} leaves the float range\n"
+    )
+
+
+def test_an_inverse_campaign_keeps_its_cells_beside_an_overflowing_factor():
+    # the theta = 2 cell of a campaign with theta 400 beside it has the bits
+    # of a theta = 2 campaign, and the theta = 400 cell fails every trial
+    config = CampaignConfig(
+        verifier="inverse", function="spower:0.5", thetas=(2.0, 400.0), ps=(1.0,),
+        norms=("schatten:1",), dims=(4,), trials=5, seed=3,
+    )
+    cells = run_campaign(config)[0].cells
+    alone = run_campaign(dataclasses.replace(config, thetas=(2.0,)))[0].cells
+    assert vars(cells[0]) == vars(alone[0])
+    assert cells[1].failures == cells[1].trials == 5
+
+
+def test_reverse_at_theta_near_the_float_range_warns_nothing(capsys):
+    # |e| theta overflowed in the choice of each trial's scale
+    from holderlab.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", "--ineq", "reverse", "--theta", "1e308"]) == 2
+    assert capsys.readouterr().err == "every record had rhs = 0 (1 record(s))\n"
+
+
+def test_telescope_sides_at_tiny_p_are_sums_of_powers():
+    # at p = 1e-5 the p-norm of a profile leaves the float range, and its
+    # p-th power read inf on both sides; on diagonal matrices every profile
+    # is exact, so each side is the sum of the p-th powers of the steps of f
+    p, f = 1e-5, F.parse_function_spec("log1p")
+    b, xs = np.array([0.5, 1.0, 2.0, 3.0]), [0.25, 1.5, 4.0]
+    es = [np.diag(np.eye(4)[k]) for k in range(3)]
+    rec = _telescope(f, p, np.diag(b), xs, es)
+    powers = [abs(np.log1p(b[k] + xs[k]) - np.log1p(b[k])) ** p for k in range(3)]
+    assert rec.lhs == pytest.approx(sum(powers), rel=1e-14)
+    assert rec.rhs == pytest.approx(sum(powers), rel=1e-14)
+    assert np.isfinite(rec.ratio) and rec.ratio <= 1.0 + CONSTANT_ONE_TOL
+
+
+# every verifier (reverse under both variants), with a function where it
+# needs one, at theta at the ends of every check's range and beyond 1
+EXTREME_CALLS = [
+    [ineq, *(["--f", f] if f else []), *(["--variant", variant] if variant else [])]
+    for ineq, f, variant in [
+        ("main", "gauss", None), ("bks", None, None), ("submaj", "gauss", None),
+        ("symmetric", "gauss", None), ("inverse", "spower:0.5", None),
+        ("reverse", None, "power"), ("reverse", None, "expm1"),
+        ("commutator", "gauss", None), ("quasicommutator", "gauss", None),
+        ("absmap", None, None), ("alt", None, None), ("telescope", "gauss", None),
+    ]
+]
+EXTREME_THETAS = ["5e-324", "0.5", repr(1.0 - 2.0**-53), "1", repr(1.0 + 2.0**-52), "400",
+                  "1e308"]
+EXTREME_PS = ["1e-300", "1e-5", "1", "1e300"]
+
+
+@pytest.mark.parametrize("argv", EXTREME_CALLS, ids=lambda argv: "-".join(argv[::2]))
+def test_every_verifier_at_extreme_theta_and_p_exits_with_a_code(argv, capsys):
+    # exit 0, 2 or 3, with no exception and no RuntimeWarning; reverse and
+    # absmap read NaN ratios at tiny p, where their quasi-norms overflow
+    from holderlab.cli import main
+
+    assert set(VERIFIERS) == {call[0] for call in EXTREME_CALLS}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for theta in EXTREME_THETAS:
+            for p in EXTREME_PS:
+                call = ["verify", "--ineq", *argv, "--theta", theta, "--p", p]
+                assert main([*call, "--dim", "4", "--trials", "2"]) in (0, 2, 3), call
+    capsys.readouterr()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("theta", [1.5, 2.0, 5.0])
