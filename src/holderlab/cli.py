@@ -256,9 +256,9 @@ def cmd_mpnorm(args) -> int:
     from .ensembles import SeedState
 
     sym, kind, dyadic = _build_symbol(args)
-    method, upper = _upper_route(args, kind, dyadic)
+    method, bound = _upper_route(args, kind, dyadic)
     lower = doi.empirical_mp_lower(sym, args.p, args.dim, args.trials, SeedState(args.seed)).value
-    upper = None if upper is None else upper()
+    upper = None if bound is None else bound()
     consistent = upper is None or lower <= upper * (1.0 + 1e-8)
     payload = {"symbol": kind, "p": args.p, "lower_le_upper": consistent,
                "lower": lower, "upper": upper, "method": method}

@@ -224,8 +224,8 @@ class MultiplierDecomposition:
 
 def decomposition_bound(dec: MultiplierDecomposition, p: float) -> float:
     """prefactor * sup_n |phi_n| * (sum_n |psi_n|^p)^(1/p), valid for p <= 1:
-    the sum of 2^-np over DECOMPOSITION_TERMS terms, then the analytic tail
-    beyond them."""
+    with sups 1 and 2^-n, prefactor * (sum_n 2^-np)^(1/p), the sum taken over
+    DECOMPOSITION_TERMS terms, then the analytic tail beyond them."""
     if not 0.0 < p <= 1.0:
         raise ParameterError(f"decomposition bound requires p in (0,1], got {p}")
     n = DECOMPOSITION_TERMS
