@@ -10,11 +10,12 @@ outcomes do not depend on the other cells of the config.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, product
+from itertools import chain, product, repeat
 from numbers import Integral, Real
 from typing import Callable, Optional
 
@@ -131,9 +132,13 @@ class CampaignConfig:
         return list(product(self.thetas, self.ps, self.norms, self.dims))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The fields, with the grid axes as lists and a deep copy of the
+        ensemble, so that no caller can alias the config: the dict
+        ``asdict`` gives, without its recursive copy of every field."""
+        d = dict(vars(self))
         for key in GRID_KEYS:
             d[key] = list(d[key])
+        d["ensemble"] = copy.deepcopy(self.ensemble)
         return d
 
     @classmethod
@@ -179,7 +184,10 @@ class CampaignReport:
     def dimension_trend(self) -> dict:
         """Per-(theta, p, norm) slope of log max_ratio against log dim; flat
         slopes are the evidence that the empirical constants are
-        dimension-free.  Groups with fewer than two usable dims are skipped."""
+        dimension-free.  Groups with fewer than two usable dims are skipped,
+        so cells of one dim have none."""
+        if len({c.dim for c in self.cells}) < 2:
+            return {}
         groups: dict = {}
         for c in self.cells:
             groups.setdefault((c.theta, c.p, c.norm), []).append((c.dim, c.max_ratio))
@@ -245,47 +253,64 @@ def indented_json(obj) -> str:
     of a counterexample's matrix, with its boundaries "],\n[".  That is
     exact because an encoded string holds no raw newline, every dict item
     starts with a quote and no row holds a list, so the boundaries are the
-    only matches.  Anything else recurses."""
-    return _indented(obj, 1)
+    only matches.  Anything else recurses, and every piece is appended to
+    one list of chunks, joined once, so that no text is copied once per
+    depth."""
+    chunks: list = []
+    _write(obj, 1, chunks)
+    return "".join(chunks)
 
 
-def _indented(obj, level: int) -> str:
-    """indented_json of ``obj`` at indent ``level - 1``, its members at ``level``."""
+def _write(obj, level: int, out: list):
+    """Append indented_json of ``obj`` at indent ``level - 1``, its members
+    at ``level``, to ``out``."""
     encode = _encode_at(level)
     if not (isinstance(obj, CONTAINERS) and obj):
-        return encode(obj)
+        out.append(encode(obj))
+        return
     inner, outer = "\n" + INDENT * level, "\n" + INDENT * (level - 1)
-    is_dict = isinstance(obj, dict)
-    if _flat(obj.values() if is_dict else obj):
-        text = encode(obj)
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if is_dict:
-        # a non-string key is encoded as the key of a one-item dict
-        items = [
-            (encode(k) if isinstance(k, str) else encode({k: 0})[1:-4]) + ": "
-            + _indented(v, level + 1)
-            for k, v in sorted(obj.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    if all(isinstance(v, dict) and v for v in obj):
-        if _flat(chain.from_iterable(map(dict.values, obj))):
-            return _rows(obj, level, "{", "}")
-    elif all(isinstance(v, (list, tuple)) and v for v in obj):
-        # no empty container in a row either: "[]" then "[" would match a boundary
-        if not any([isinstance(v, CONTAINERS) for v in chain.from_iterable(obj)]):
-            return _rows(obj, level, "[", "]")
-    return "[" + inner + ("," + inner).join(_indented(v, level + 1) for v in obj) + outer + "]"
+    if isinstance(obj, dict):
+        if not _flat(obj.values()):
+            sep = "{" + inner
+            for k, v in sorted(obj.items()):
+                # a non-string key is encoded as the key of a one-item dict
+                key = encode(k) if isinstance(k, str) else encode({k: 0})[1:-4]
+                out += (sep, key, ": ")
+                sep = "," + inner
+                if isinstance(v, CONTAINERS) and v:
+                    _write(v, level + 1, out)
+                else:  # a scalar member is encoded here
+                    out.append(encode(v))
+            out.append(outer + "}")
+            return
+    elif not _flat(obj):
+        if all(map(isinstance, obj, repeat(dict))):
+            if all(obj) and _flat(chain.from_iterable(map(dict.values, obj))):
+                return _rows(obj, level, "{", "}", out)
+        elif all(map(isinstance, obj, repeat((list, tuple)))):
+            # no empty container in a row either: "[]" then "[" would match a boundary
+            if all(obj) and not any(map(isinstance, chain.from_iterable(obj), repeat(CONTAINERS))):
+                return _rows(obj, level, "[", "]", out)
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            sep = "," + inner
+            _write(v, level + 1, out)
+        out.append(outer + "]")
+        return
+    text = encode(obj)
+    out += (text[0], inner, text[1:-1], outer, text[-1])
 
 
-def _rows(obj, level: int, start: str, end: str) -> str:
-    """_indented of a non-empty list of non-empty rows, each a flat dict
+def _rows(obj, level: int, start: str, end: str, out: list):
+    """_write of a non-empty list of non-empty rows, each a flat dict
     (``start`` "{") or a list of scalars (``start`` "["): one C-encoder call
     whose row boundaries are re-indented by one replace."""
     inner, outer = "\n" + INDENT * level, "\n" + INDENT * (level - 1)
     deeper = inner + INDENT
     body = _encode_at(level + 1)(obj)[2:-2]
     body = body.replace(end + "," + deeper + start, inner + end + "," + inner + start + deeper)
-    return "[" + inner + start + deeper + body + inner + end + outer + "]"
+    out += ("[", inner, start, deeper, body, inner, end, outer, "]")
 
 
 # --- instance sampling ----------------------------------------------------------

@@ -26,24 +26,26 @@ DEFAULT_SEED = 20240801
 
 
 def _atomic_write(path: str, text: str):
-    """Write ``text`` to a new temporary file beside ``path``, then replace
-    ``path`` by it.  The file is created with mode 0o666, which the kernel
-    reduces by the umask, so it gets the mode a plain open gives; a
+    """Write ``text``, UTF-8 encoded, to a new temporary file beside
+    ``path``, then replace ``path`` by it.  The directory must exist: it is
+    not created here, so one removed since the caller made it raises
+    FileNotFoundError.  The file is created with mode 0o666, which the
+    kernel reduces by the umask, so it gets the mode a plain open gives; a
     temporary name already on disk (left by a killed run, say) is passed
     over for the next."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
+    data = text.encode()
+    d, name = os.path.split(path)
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
     for attempt in itertools.count():
-        tmp = os.path.join(d, f".tmp-{os.path.basename(path)}-{os.getpid()}-{attempt}.part")
+        tmp = os.path.join(d, f".tmp-{name}-{os.getpid()}-{attempt}.part")
         try:
             fd = os.open(tmp, flags, 0o666)
         except FileExistsError:
             continue
         break
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -27,6 +27,7 @@ from .functions import (
     d_of_p,
     dilate_function,
     divided_difference_grid,
+    order_text,
     seminorm,
 )
 from .norms import Schatten, norm_of_profile
@@ -225,7 +226,9 @@ class MultiplierDecomposition:
 def decomposition_bound(dec: MultiplierDecomposition, p: float) -> float:
     """prefactor * sup_n |phi_n| * (sum_n |psi_n|^p)^(1/p), valid for p <= 1:
     with sups 1 and 2^-n, prefactor * (sum_n 2^-np)^(1/p), the sum taken over
-    DECOMPOSITION_TERMS terms, then the analytic tail beyond them."""
+    DECOMPOSITION_TERMS terms, then the analytic tail beyond them.  p is
+    taken as a Python float, so a numpy scalar gets the same bound or error."""
+    p = float(p)
     if not 0.0 < p <= 1.0:
         raise ParameterError(f"decomposition bound requires p in (0,1], got {p}")
     n = DECOMPOSITION_TERMS
@@ -584,8 +587,8 @@ def b0_upper_bound(
         b = default_b_for(p)
     if b > MAX_B0_ORDER:
         raise CapabilityError(
-            f"b0 and b1 need b <= {MAX_B0_ORDER}, got b = {b} at p = {p}: (b + 1)! leaves the "
-            "float range"
+            f"b0 and b1 need b <= {MAX_B0_ORDER}, got b = {order_text(b)} at p = {p}: (b + 1)! "
+            "leaves the float range"
         )
     _check_fourier_order(p, b)
 

@@ -421,6 +421,17 @@ def _zoom(f, theta, searches) -> np.ndarray:
     return best
 
 
+def order_text(d: int) -> str:
+    """An order as a message prints it: in full up to 10^6, else in %.3e
+    form, since d(p) at p = 1e-300 has 301 digits."""
+    if d <= 10**6:
+        return str(d)
+    from decimal import Decimal  # exact for any int, and loaded only here
+
+    mantissa, exponent = f"{Decimal(d):.3e}".split("e")
+    return f"{mantissa}e{int(exponent):+03d}"
+
+
 def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
     """max_{0<=k<=d} sup_x |x|^{k-theta}|f^(k)(x)|.  A homogeneous f at its own
     degree (theta == f.theta_hint) that carries ``exact_order_sup`` takes it
@@ -434,7 +445,7 @@ def seminorm(f: ScalarFunction, d: int, theta: float) -> SeminormEstimate:
         raise ParameterError("order d must be nonnegative")
     if d > f.max_order:
         raise CapabilityError(
-            f"{f.name}: seminorm order {d} exceeds max_order {f.max_order}"
+            f"{f.name}: seminorm order {order_text(d)} exceeds max_order {f.max_order}"
         )
     if not 0.0 < theta <= 1.0:
         raise ParameterError(f"theta must lie in (0, 1], got {theta}")

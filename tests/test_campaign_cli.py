@@ -90,6 +90,31 @@ def test_dimension_trend_statistic():
     assert "dimension_trend" in rep.to_dict()
 
 
+def _trend_of_every_group(report):
+    """dimension_trend by the loop over every (theta, p, norm) group."""
+    groups = {}
+    for c in report.cells:
+        groups.setdefault((c.theta, c.p, c.norm), []).append((c.dim, c.max_ratio))
+    trends = {}
+    for key, pts in groups.items():
+        pts = [(d, m) for d, m in pts if m > 0]
+        if len({d for d, _ in pts}) >= 2:
+            dims, maxima = np.log([float(d) for d, _ in pts]), np.log([m for _, m in pts])
+            trends["theta=%g,p=%g,norm=%s" % key] = float(np.polyfit(dims, maxima, 1)[0])
+    return trends
+
+
+@pytest.mark.parametrize(
+    "dims, norms", [((8,), ("schatten:1", "kyfan:2")), ((4, 4), ("schatten:1",)),
+                    ((2, 4, 8), ("schatten:1", "kyfan:2")), ((1, 3), ("schatten:inf",))]
+)
+def test_dimension_trend_is_that_of_every_group(dims, norms):
+    # cells of one distinct dim have no slope, and return {} at once
+    rep, _ = run_campaign(small_config(thetas=(0.25, 0.75), norms=norms, dims=dims, trials=5))
+    assert rep.dimension_trend() == _trend_of_every_group(rep)
+    assert bool(rep.dimension_trend()) == (len(set(dims)) > 1)
+
+
 def test_degenerate_records_excluded_from_stats():
     # identical fixed spectra make X = Y impossible, but a commuting fixed
     # pair with equal spectra gives rhs > 0; instead exercise the exclusion
@@ -379,6 +404,63 @@ def test_a_clean_rerun_removes_stale_counterexamples(monkeypatch, tmp_path, caps
     assert not (out / "counterexamples.json").exists()
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     assert sorted(os.path.basename(o) for o in outputs) == ["report.csv", "report.json"]
+
+
+def test_a_campaign_call_makes_its_out_once_and_reruns_leave_the_same_bytes(
+    monkeypatch, tmp_path, capsys
+):
+    # --out is made once per call, before any trial, not once per file; a
+    # forced claim writes all four outputs
+    import holderlab.campaign as camp
+
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(small_config(dims=(4,), trials=3).to_dict()))
+    forced = dataclasses.replace(camp.VERIFIERS["bks"], claim=lambda spec, p: -np.inf)
+    monkeypatch.setitem(camp.VERIFIERS, "bks", forced)
+    made, makedirs = [], os.makedirs
+
+    def spy(*args, **kwargs):
+        made.append(args[0])
+        return makedirs(*args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", spy)
+    out = tmp_path / "out"
+    names = ["counterexamples.json", "manifest.json", "report.csv", "report.json"]
+    runs = []
+    for _ in range(2):
+        made.clear()
+        assert main(["campaign", str(cfg_path), "--out", str(out)]) == 3
+        assert made == [str(out)]
+        assert sorted(os.listdir(out)) == names  # no .tmp-*.part is left
+        runs.append({name: (out / name).read_bytes() for name in names})
+        runs[-1]["manifest.json"] = json.loads(runs[-1]["manifest.json"])
+        del runs[-1]["manifest.json"]["timestamp"]
+    assert runs[0] == runs[1]
+
+
+def test_an_out_removed_during_the_run_exits_2_and_is_not_made_again(
+    monkeypatch, tmp_path, capsys
+):
+    import shutil
+
+    import holderlab.campaign as camp
+
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(small_config(dims=(4,), trials=3).to_dict()))
+    out = tmp_path / "out"
+    real = camp.run_campaign
+
+    def remove_out_then_run(config):
+        shutil.rmtree(out)
+        return real(config)
+
+    monkeypatch.setattr(camp, "run_campaign", remove_out_then_run)
+    assert main(["campaign", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+    assert str(out) in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
@@ -781,6 +863,36 @@ def test_cli_seminorm_names_its_edge_orders(capsys):
 
 def test_cli_seminorm_order_too_high(capsys):
     assert main(["seminorm", "--f", "power:0.5", "--theta", "0.5", "--d", "9"]) == 2
+
+
+SEMINORM_ORDER = "seminorm order {} exceeds max_order 6"
+B0_ORDER = "b0 and b1 need b <= 169, got b = {} at p = {}: (b + 1)! leaves the float range"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # d(p) at p = 1e-300 is a 301-digit order, and so is b0's default b
+        (["verify", "--ineq", "inverse", "--f", "spower:0.5", "--theta", "1.0000000000000002",
+          "--p", "1e-300"], SEMINORM_ORDER.format("1.000e+300")),
+        (["seminorm", "--f", "log1p", "--theta", "0.5", "--d", "1" + "0" * 400],
+         SEMINORM_ORDER.format("1.000e+400")),
+        (["seminorm", "--f", "log1p", "--theta", "0.5", "--d", "1234567"],
+         SEMINORM_ORDER.format("1.235e+06")),
+        (["seminorm", "--f", "log1p", "--theta", "0.5", "--d", "1000000"],
+         SEMINORM_ORDER.format("1000000")),
+        (["mpnorm", "--symbol", "b0", "--p", "1e-300", "--trials", "3"],
+         B0_ORDER.format("1.000e+300", "1e-300")),
+        (["mpnorm", "--symbol", "b1", "--p", "1e-30", "--trials", "3"],
+         B0_ORDER.format("1.000e+30", "1e-30")),
+    ],
+    ids=["inverse-1e-300", "seminorm-401-digits", "seminorm-1234567", "seminorm-1e6",
+         "b0-1e-300", "b1-1e-30"],
+)
+def test_cli_an_order_above_a_million_is_printed_short(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err) < 200
 
 
 def test_cli_seed_defaults_to_the_default_seed(capsys):

@@ -139,6 +139,22 @@ def test_decomposition_bound_general_p_matches_geometric_series():
         )
 
 
+@pytest.mark.parametrize("dec", [doi.alpha_decomposition(), doi.beta_decomposition()])
+def test_decomposition_bound_of_a_numpy_p_is_that_of_the_python_float(dec):
+    # a numpy scalar p overflowed to inf through numpy where the Python float
+    # raised, and a finite bound came back as a numpy scalar
+    with pytest.raises(CapabilityError, match="lost terms to overflow"):
+        doi.decomposition_bound(dec, np.float64(0.004))
+    for p in (0.016, 0.5, 1.0):
+        got = doi.decomposition_bound(dec, np.float64(p))
+        assert type(got) is float and got == doi.decomposition_bound(dec, p)
+
+
+def test_decomposition_bound_of_alpha_at_a_numpy_half_is_pinned():
+    got = doi.decomposition_bound(doi.alpha_decomposition(), np.float64(0.5))
+    assert type(got) is float and got == 23.313708498984752
+
+
 def test_empirical_lower_constant_symbol_is_one():
     one = doi.BivariateSymbol(lambda s, t: np.ones(np.broadcast(s, t).shape), "one")
     res = doi.empirical_mp_lower(one, 1.0, 4, 10, SeedState(5))

@@ -1,6 +1,7 @@
 """The campaign's JSON outputs: ``campaign.indented_json`` against
 ``json.dumps`` with ``indent=2, sort_keys=True``, and ``cli._atomic_write``."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holderlab import cli
-from holderlab.campaign import CampaignConfig, indented_json, run_campaign
+from holderlab.campaign import GRID_KEYS, CampaignConfig, indented_json, run_campaign
 from holderlab.errors import HolderLabError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -157,6 +158,31 @@ def test_indented_json_on_every_golden_payload(monkeypatch):
         assert indented_json(forced) == _dumps(forced), name
 
 
+def test_config_to_dict_is_that_of_asdict_on_every_golden_config(monkeypatch):
+    # asdict's dict, with the grid axes as lists, in field order; the dict
+    # owns its ensemble, so no change to it reaches the config
+    golden = _golden(monkeypatch)
+    for name, cfg in golden.campaigns().items():
+        try:
+            config = CampaignConfig.from_dict(cfg)
+        except HolderLabError:
+            continue
+        want = dataclasses.asdict(config)
+        for key in GRID_KEYS:
+            want[key] = list(want[key])
+        got = config.to_dict()
+        assert got == want and list(got) == list(want), name
+        assert all(type(got[key]) is list for key in GRID_KEYS), name
+        if config.ensemble is not None:
+            before = json.dumps(config.ensemble, sort_keys=True)
+            got["ensemble"]["name"] = "changed"
+            for value in got["ensemble"].values():
+                if isinstance(value, list):
+                    value.append(-1.0)
+            assert json.dumps(config.ensemble, sort_keys=True) == before, name
+            assert config.to_dict()["ensemble"] == want["ensemble"], name
+
+
 # --- the atomic writes ---------------------------------------------------------
 
 
@@ -191,6 +217,16 @@ def test_atomic_write_leaves_no_temporary_file_when_it_fails(fails, tmp_path, mo
         cli._atomic_write(str(path), text)
     assert os.listdir(tmp_path) == ["report.json"]
     assert path.read_text() == "old"
+
+
+def test_atomic_write_writes_utf8_into_an_existing_directory_only(tmp_path, no_umask):
+    path = tmp_path / "report.json"
+    cli._atomic_write(str(path), "é€😀\n")
+    assert path.read_bytes() == "é€😀\n".encode()
+    missing = tmp_path / "gone" / "report.json"
+    with pytest.raises(FileNotFoundError):
+        cli._atomic_write(str(missing), "text")
+    assert sorted(os.listdir(tmp_path)) == ["report.json"]
 
 
 def test_atomic_write_passes_over_a_stale_temporary_name(tmp_path, monkeypatch, no_umask):

@@ -31,13 +31,15 @@ Per config, OUT_DIR/<name>/ holds ``report.csv``, ``report.json`` and
 ``counterexamples.json`` (``error.txt`` for a config refused at load), and
 ``forced-counterexamples.json``: the counterexamples of a second run with
 every claim set to -inf, so that every record that passes its checks is
-written with its inputs.  Three of the configs (bks-seed-9, mixed-nan, and
-stacked-fixed-degenerate-s7 with every claim set to -inf, as
-``-forced``) also run through ``holderlab campaign``, whose own writer then
-fills OUT_DIR/cli-campaign-<name>/: ``report.csv``, ``report.json`` and
-``counterexamples.json``, without ``manifest.json``, whose timestamp
-varies, beside the call's ``stdout`` (the directory's path cut out),
-``stderr`` and ``exit``.  Per verify call, OUT_DIR/verify-<name>/ holds
+written with its inputs.  Every file goes through the CLI's atomic writer
+(``cli._atomic_write``), and every ``report.json`` and counterexample file
+is ``campaign.indented_json``'s text, as a campaign's are.  Three of the
+configs (bks-seed-9, mixed-nan, and stacked-fixed-degenerate-s7 with every
+claim set to -inf, as ``-forced``) also run through ``holderlab campaign``,
+whose own writer then fills OUT_DIR/cli-campaign-<name>/: ``report.csv``,
+``report.json`` and ``counterexamples.json``, without ``manifest.json``,
+whose timestamp varies, beside the call's ``stdout`` (the directory's path
+cut out), ``stderr`` and ``exit``.  Per verify call, OUT_DIR/verify-<name>/ holds
 ``stdout``, ``stderr`` and ``exit`` (an argparse usage error included), and
 so does OUT_DIR/cli-<name>/ per CLI call: the benchmark's one-shot calls at
 seed 1, ``mpnorm`` on b1, every ``--method`` on alpha and b0, and the bands
@@ -93,8 +95,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 import numpy as np  # noqa: E402
 
 from holderlab import campaign  # noqa: E402
-from holderlab.campaign import CampaignConfig, run_campaign  # noqa: E402
-from holderlab.cli import main as cli_main  # noqa: E402
+from holderlab.campaign import CampaignConfig, indented_json, run_campaign  # noqa: E402
+from holderlab.cli import _atomic_write as atomic_write, main as cli_main  # noqa: E402
 from holderlab.errors import HolderLabError  # noqa: E402
 from perfbench.workloads import CAMPAIGNS, campaign_config, oneshot_calls  # noqa: E402
 
@@ -320,13 +322,10 @@ def cli_calls() -> dict:
 
 
 def _write(path, text):
+    """Write through the CLI's atomic writer, so that every golden output
+    takes the path of a campaign's; that writer needs the directory."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _counterexamples(cxs) -> str:
-    return json.dumps(cxs, indent=2, sort_keys=True)
+    atomic_write(path, text)
 
 
 @contextlib.contextmanager
@@ -352,10 +351,10 @@ def write_campaign(out, name, cfg):
     report, cxs = run_campaign(config)
     _write(os.path.join(d, "report.csv"), report.to_csv())
     _write(os.path.join(d, "report.json"), report.to_json())
-    _write(os.path.join(d, "counterexamples.json"), _counterexamples(cxs))
+    _write(os.path.join(d, "counterexamples.json"), indented_json(cxs))
     with _forced_claims():
         _, forced = run_campaign(config)
-    _write(os.path.join(d, "forced-counterexamples.json"), _counterexamples(forced))
+    _write(os.path.join(d, "forced-counterexamples.json"), indented_json(forced))
 
 
 def write_call(out, name, argv):
